@@ -40,11 +40,6 @@ pub struct EngineOptions {
     pub row_limit: Option<usize>,
     /// Join semantics of the reference oracle.
     pub semantics: Semantics,
-    /// Worker threads for engines with intra-query parallelism (the LBR
-    /// multi-way join's root partitioning). Defaults to the machine's
-    /// available parallelism; `1` is the exact serial path. Results are
-    /// byte-identical at every thread count.
-    pub threads: usize,
     /// Execution deadline, honored by the LBR engine: evaluation past
     /// this instant aborts with [`LbrError::DeadlineExceeded`] — the
     /// multi-way join polls it on the quota seam so timed-out queries
@@ -58,7 +53,6 @@ impl Default for EngineOptions {
         EngineOptions {
             row_limit: None,
             semantics: Semantics::Sparql,
-            threads: lbr_core::api::default_threads(),
             deadline: None,
         }
     }
@@ -120,11 +114,9 @@ impl EngineKind {
         options: &EngineOptions,
     ) -> Box<dyn Engine + 'a> {
         match self {
-            EngineKind::Lbr => Box::new(
-                LbrEngine::new(catalog, dict)
-                    .with_threads(options.threads)
-                    .with_deadline(options.deadline),
-            ),
+            EngineKind::Lbr => {
+                Box::new(LbrEngine::new(catalog, dict).with_deadline(options.deadline))
+            }
             EngineKind::PairwiseSelectivity | EngineKind::PairwiseQueryOrder => {
                 let order = if self == EngineKind::PairwiseSelectivity {
                     JoinOrder::Selectivity

@@ -41,7 +41,7 @@ fn main() {
         seed: 3,
     });
     let p = prepare(ds);
-    let engine = LbrEngine::new(&p.store, &p.graph.dict).with_threads(1);
+    let engine = LbrEngine::new(&p.store, &p.graph.dict);
     let mut failed = false;
     println!(
         "allocation check: LUBM sample, cached-plan steady state, \

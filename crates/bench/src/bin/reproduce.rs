@@ -99,32 +99,13 @@ fn table61(datasets: &[Dataset]) {
 }
 
 /// Tables 6.2–6.4: per-query processing times. Each report (including the
-/// serial/multi-threaded LBR columns, the speedup and the steady-state
-/// allocs-per-query) is also persisted as `BENCH_<dataset>.json` for
+/// steady-state allocs-per-query) is also persisted as `BENCH_<dataset>.json` for
 /// EXPERIMENTS.md regeneration; when a previous baseline file exists, the
 /// `allocs` column prints the before→after delta against it.
 fn table_queries(datasets: &[Dataset], idx: usize, label: &str, json: bool) {
     let p = prepare(datasets[idx].clone());
     println!("\n== Table {label}: query processing times ==");
-    let mut report = run_dataset(&p);
-    if report.name == "LUBM" {
-        // The ≥100× scale tier rides on the LUBM report. `LBR_SCALE_TIER`
-        // overrides the university count; 0 skips the tier.
-        let universities: usize = std::env::var("LBR_SCALE_TIER")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1024);
-        if universities > 0 {
-            let seed: u64 = std::env::var("LBR_SEED")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(42);
-            eprintln!("# scale tier: LUBM at {universities} universities …");
-            let t = Instant::now();
-            report.scale = Some(lbr_bench::run_scale(universities, seed));
-            eprintln!("# scale tier measured in {:.2?}", t.elapsed());
-        }
-    }
+    let report = run_dataset(&p);
     let path = format!("BENCH_{}.json", report.name);
     let prev = std::fs::read_to_string(&path)
         .map(|old| parse_prev_allocs(&old))

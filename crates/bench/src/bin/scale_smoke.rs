@@ -1,8 +1,7 @@
-//! CI scale smoke: generate a ~1M-triple LUBM tier, bulk-load it through
-//! both the serial and the parallel path (asserting the deterministic
-//! dictionary merge), persist the store as a v2 segment, and byte-compare
-//! every Appendix E query over the mmap'd segments against the heap
-//! store at several thread counts.
+//! CI scale smoke: generate a ~1M-triple LUBM tier, load it the way every
+//! caller does (`parse_ntriples` → `encode` → `BitMatStore::build`),
+//! persist the store as a v2 segment, and byte-compare every Appendix E
+//! query over the mmap'd segments against the heap store.
 //!
 //! ```sh
 //! cargo run --release -p lbr-bench --bin scale_smoke
@@ -12,7 +11,7 @@
 //! Exits non-zero (panics) on any divergence; prints one `scale-smoke:`
 //! line per milestone so CI logs show what was covered.
 
-use lbr_bench::{bench_threads, fmt_secs, run_load_with_segment};
+use lbr_bench::fmt_secs;
 use lbr_bitmat::{BitMatStore, DiskCatalog};
 use lbr_core::LbrEngine;
 use lbr_datagen::lubm;
@@ -29,7 +28,6 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
-    let threads = bench_threads();
 
     let t = Instant::now();
     let cfg = lubm::LubmConfig {
@@ -44,47 +42,41 @@ fn main() {
         t.elapsed()
     );
 
+    let nt = lbr_rdf::write_ntriples(graph.triples());
+    drop(graph);
+    let t = Instant::now();
+    let encoded =
+        lbr_rdf::Graph::from_triples(lbr_rdf::parse_ntriples(&nt).expect("N-Triples parse"))
+            .encode();
+    drop(nt);
+    let heap = BitMatStore::build(&encoded);
+    let load_secs = t.elapsed().as_secs_f64();
     let seg_path = std::env::temp_dir().join(format!("lbr-scale-smoke-{}.seg", std::process::id()));
-    let (load, encoded) = run_load_with_segment(&graph, threads, &seg_path);
+    let segment_bytes = lbr_bitmat::disk::save_store(&heap, &seg_path).expect("segment write");
     println!(
-        "scale-smoke: load serial {} ({:.0} triples/s), parallel x{threads} {} \
-         ({:.0} triples/s, {:.2}x); segment {} MiB, peak RSS {} MiB",
-        fmt_secs(load.serial_secs),
-        load.serial_tps(),
-        fmt_secs(load.parallel_secs),
-        load.parallel_tps(),
-        load.speedup(),
-        load.segment_bytes.div_ceil(1024 * 1024),
-        load.peak_rss_bytes / (1024 * 1024),
+        "scale-smoke: loaded {} triples in {} ({:.0} triples/s); segment {} MiB",
+        encoded.len(),
+        fmt_secs(load_secs),
+        encoded.len() as f64 / load_secs.max(1e-9),
+        segment_bytes.div_ceil(1024 * 1024),
     );
 
-    let heap = BitMatStore::build_with_threads(&encoded, threads);
     let mapped = DiskCatalog::open(&seg_path).expect("segment reopens");
-    let mut compared = 0usize;
     for q in lubm::queries() {
         let query = parse_query(&q.text).expect("Appendix E query parses");
-        for n in [1usize, threads] {
-            let mem = LbrEngine::new(&heap, &encoded.dict)
-                .with_threads(n)
-                .execute(&query)
-                .unwrap_or_else(|e| panic!("heap {} (threads={n}): {e}", q.id));
-            let dsk = LbrEngine::new(&mapped, &encoded.dict)
-                .with_threads(n)
-                .execute(&query)
-                .unwrap_or_else(|e| panic!("mmap {} (threads={n}): {e}", q.id));
-            let mut a = mem.rows;
-            let mut b = dsk.rows;
-            a.sort();
-            b.sort();
-            assert_eq!(
-                a, b,
-                "{} diverges between heap and mmap at {n} threads",
-                q.id
-            );
-            compared += 1;
-        }
+        let mut mem = LbrEngine::new(&heap, &encoded.dict)
+            .execute(&query)
+            .unwrap_or_else(|e| panic!("heap {}: {e}", q.id))
+            .rows;
+        let mut dsk = LbrEngine::new(&mapped, &encoded.dict)
+            .execute(&query)
+            .unwrap_or_else(|e| panic!("mmap {}: {e}", q.id))
+            .rows;
+        mem.sort();
+        dsk.sort();
+        assert_eq!(mem, dsk, "{} diverges between heap and mmap", q.id);
         println!("scale-smoke: {} byte-equal over mmap", q.id);
     }
     let _ = std::fs::remove_file(&seg_path);
-    println!("scale-smoke: OK ({compared} query runs byte-equal, heap vs mmap)");
+    println!("scale-smoke: OK (six queries byte-equal, heap vs mmap)");
 }

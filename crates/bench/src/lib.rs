@@ -30,13 +30,6 @@ pub use count_alloc::{allocation_count, CountingAlloc};
 /// Timed runs per query after the warm-up run (the paper uses 5).
 pub const RUNS: u32 = 5;
 
-/// Worker threads for the multi-threaded LBR column: the machine's
-/// available parallelism, but at least 4 so the speedup column always
-/// reflects a real fan-out.
-pub fn bench_threads() -> usize {
-    lbr_core::api::default_threads().max(4)
-}
-
 /// Intermediate-row budget for the baselines (stand-in for ">30 min").
 pub const ROW_LIMIT: usize = 40_000_000;
 
@@ -70,17 +63,13 @@ pub struct QueryRow {
     pub t_prune: f64,
     /// LBR multi-way-join (+ best-match) time, averaged.
     pub t_join: f64,
-    /// LBR end-to-end time, averaged (serial: 1 thread).
+    /// LBR end-to-end time, averaged.
     pub t_total: f64,
     /// Steady-state heap allocations of one cached-plan execution
     /// (minimum over the timed runs, counted by [`CountingAlloc`]; 0 when
     /// the host binary did not install the counting allocator).
     pub allocs_per_query: u64,
-    /// LBR end-to-end time with [`bench_threads`] workers, averaged.
-    pub t_total_mt: f64,
-    /// The worker-thread count `t_total_mt` was measured with.
-    pub mt_threads: usize,
-    /// LBR end-to-end time of the same query under `LIMIT 10` (serial),
+    /// LBR end-to-end time of the same query under `LIMIT 10`,
     /// averaged — tracks the row-quota early-exit win for top-k serving.
     pub t_limit10: f64,
     /// Root seeds the `LIMIT 10` run enumerated (vs. the full run's count
@@ -98,13 +87,6 @@ pub struct QueryRow {
     pub n_null_results: usize,
     /// Whether nullification/best-match were required.
     pub best_match_required: bool,
-}
-
-impl QueryRow {
-    /// Serial-over-parallel speedup of the LBR end-to-end time.
-    pub fn speedup(&self) -> f64 {
-        self.t_total / self.t_total_mt.max(1e-9)
-    }
 }
 
 /// A full dataset report.
@@ -127,20 +109,9 @@ pub struct DatasetReport {
     /// Geometric means per baseline engine, over the queries that engine
     /// completed.
     pub geomean_baselines: Vec<EngineTime>,
-    /// `lbr-server` serving throughput over this dataset (all queries
-    /// round-robin through the shared plan cache).
-    pub serve: ServeReport,
-    /// Serving-throughput cost of tracing every request vs tracing off.
-    pub obs: ObsOverheadReport,
     /// Updatable-store overhead: query latency with 0%/1%/10% of the
     /// triples resident in the delta memtable, and after compaction.
     pub delta: DeltaReport,
-    /// Bulk-load measurement over this dataset's triples (serial vs
-    /// parallel throughput, peak RSS, on-disk segment size).
-    pub load: LoadReport,
-    /// The ≥100× scale tier (LUBM only; attached by the reproduce
-    /// binary, absent on the small tiers).
-    pub scale: Option<ScaleReport>,
 }
 
 /// A prepared (indexed) dataset.
@@ -185,8 +156,8 @@ pub struct LbrTimes {
     pub allocs_per_query: u64,
 }
 
-/// Runs one query on the serial (1-thread) LBR engine with warm-up,
-/// returning averaged stats and the last output.
+/// Runs one query on the LBR engine with warm-up, returning averaged
+/// stats and the last output.
 ///
 /// Each timed run is a full `execute` (planning included), matching how
 /// [`run_engine`] times the baselines — the columns stay comparable. The
@@ -195,7 +166,7 @@ pub struct LbrTimes {
 /// initialization does not pollute the steady-state number.
 pub fn run_lbr(p: &Prepared, text: &str) -> (QueryOutput, LbrTimes) {
     let query = parse_query(text).expect("benchmark query parses");
-    let engine = LbrEngine::new(&p.store, &p.graph.dict).with_threads(1);
+    let engine = LbrEngine::new(&p.store, &p.graph.dict);
     let mut out = engine.execute(&query).expect("warm-up run");
     let mut t = LbrTimes::default();
     for _ in 0..RUNS {
@@ -221,34 +192,14 @@ pub fn run_lbr(p: &Prepared, text: &str) -> (QueryOutput, LbrTimes) {
     (out, t)
 }
 
-/// Runs one query on the LBR engine with `threads` workers (warm-up
-/// included), returning the averaged end-to-end seconds. The result rows
-/// are asserted byte-identical to `expect` — the bench doubles as an
-/// equivalence check for the parallel join.
-pub fn run_lbr_threads(p: &Prepared, text: &str, threads: usize, expect: &QueryOutput) -> f64 {
-    let query = parse_query(text).expect("benchmark query parses");
-    let engine = LbrEngine::new(&p.store, &p.graph.dict).with_threads(threads);
-    let mut out = engine.execute(&query).expect("warm-up run");
-    let mut t_total = 0.0;
-    for _ in 0..RUNS {
-        out = engine.execute(&query).expect("timed run");
-        t_total += secs(out.stats.t_total);
-    }
-    assert_eq!(
-        out.rows, expect.rows,
-        "parallel LBR deviates from serial at {threads} threads"
-    );
-    t_total / RUNS as f64
-}
-
-/// Runs one query with `LIMIT 10` forced onto it (serial LBR, warm-up
-/// included), returning the averaged end-to-end seconds and the number of
-/// root seeds the quota-limited multi-way join enumerated. Queries that
-/// already carry a LIMIT keep the tighter of the two.
+/// Runs one query with `LIMIT 10` forced onto it (warm-up included),
+/// returning the averaged end-to-end seconds and the number of root seeds
+/// the quota-limited multi-way join enumerated. Queries that already
+/// carry a LIMIT keep the tighter of the two.
 pub fn run_lbr_limit10(p: &Prepared, text: &str) -> (f64, u64) {
     let mut query = parse_query(text).expect("benchmark query parses");
     query.modifiers.limit = Some(query.modifiers.limit.map_or(10, |k| k.min(10)));
-    let engine = LbrEngine::new(&p.store, &p.graph.dict).with_threads(1);
+    let engine = LbrEngine::new(&p.store, &p.graph.dict);
     let mut out = engine.execute(&query).expect("warm-up run");
     let mut t_total = 0.0;
     for _ in 0..RUNS {
@@ -281,282 +232,6 @@ pub fn run_engine(p: &Prepared, text: &str, kind: EngineKind) -> Option<f64> {
     Some(total / RUNS as f64)
 }
 
-/// Serving throughput of `lbr-server` over one dataset: real HTTP
-/// requests on the loopback interface, all Appendix E queries round-robin
-/// across concurrent **keep-alive** connections (one per client, reused
-/// for every request), answered from the shared plan + result caches.
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// End-to-end queries per second (request written → full response
-    /// read), summed over all clients.
-    pub qps: f64,
-    /// Server worker threads.
-    pub workers: usize,
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Total requests issued (all answered 200).
-    pub requests: u32,
-    /// Plan-cache hits at the end of the run.
-    pub cache_hits: u64,
-    /// Plan-cache misses (one per distinct query: planning ran once).
-    pub cache_misses: u64,
-    /// Result-cache hits (a hit skips execution + serialization).
-    pub result_hits: u64,
-    /// Result-cache misses (one per distinct query at a fixed epoch).
-    pub result_misses: u64,
-    /// Client-observed request latency percentiles, microseconds
-    /// (exact, from every timed request's wall time).
-    pub p50_us: u64,
-    pub p95_us: u64,
-    pub p99_us: u64,
-    pub max_us: u64,
-}
-
-/// Percent-encodes a query for a `?query=` parameter.
-fn urlencode(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() * 3);
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            b => {
-                out.push('%');
-                out.push(
-                    char::from_digit((b >> 4) as u32, 16)
-                        .unwrap()
-                        .to_ascii_uppercase(),
-                );
-                out.push(
-                    char::from_digit((b & 0xf) as u32, 16)
-                        .unwrap()
-                        .to_ascii_uppercase(),
-                );
-            }
-        }
-    }
-    out
-}
-
-/// A keep-alive HTTP client: one TCP connection reused across requests,
-/// responses framed by `Content-Length` (surplus bytes carried to the
-/// next read). Panics unless the server answers 200 — the bench doubles
-/// as a smoke test of the serving path.
-struct HttpClient {
-    stream: std::net::TcpStream,
-    carry: Vec<u8>,
-}
-
-impl HttpClient {
-    fn connect(addr: std::net::SocketAddr) -> HttpClient {
-        let stream = std::net::TcpStream::connect(addr).expect("connect to lbr-server");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("set read timeout");
-        // Benchmarking small request/response pairs: Nagle's algorithm
-        // would serialize against the peer's delayed ACKs (~40ms per
-        // request) and measure the kernel, not the server.
-        stream.set_nodelay(true).expect("set nodelay");
-        HttpClient {
-            stream,
-            carry: Vec::new(),
-        }
-    }
-
-    /// One GET on the persistent connection; returns the body.
-    fn get(&mut self, target: &str) -> Vec<u8> {
-        use std::io::{Read as _, Write as _};
-        // One write_all per request: `write!` would split the request
-        // across several small writes, which interacts badly with
-        // delayed ACKs even without Nagle.
-        let request = format!("GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n");
-        self.stream
-            .write_all(request.as_bytes())
-            .expect("send request");
-        let mut chunk = [0u8; 16 * 1024];
-        let head_end = loop {
-            if let Some(pos) = self.carry.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos + 4;
-            }
-            let n = self.stream.read(&mut chunk).expect("read response");
-            assert!(n > 0, "server closed the keep-alive connection");
-            self.carry.extend_from_slice(&chunk[..n]);
-        };
-        let head = std::str::from_utf8(&self.carry[..head_end]).expect("UTF-8 head");
-        assert!(
-            head.starts_with("HTTP/1.1 200 "),
-            "serve bench got a non-200: {}",
-            head.lines().next().unwrap_or("")
-        );
-        let len: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .expect("framed response")
-            .parse()
-            .expect("numeric length");
-        while self.carry.len() < head_end + len {
-            let n = self.stream.read(&mut chunk).expect("read body");
-            assert!(n > 0, "server closed mid-body");
-            self.carry.extend_from_slice(&chunk[..n]);
-        }
-        let body = self.carry[head_end..head_end + len].to_vec();
-        self.carry.drain(..head_end + len);
-        body
-    }
-}
-
-/// Exact percentile of a sorted latency sample (nearest-rank).
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Boots `lbr-server` on an ephemeral loopback port over the prepared
-/// dataset and measures serving throughput: `clients` concurrent
-/// keep-alive connections (each reused for every request, like real
-/// SPARQL Protocol clients) issue `rounds` rounds of every dataset
-/// query. The first pass is a warm-up that populates the plan and
-/// result caches and is not timed; every timed request's wall time
-/// feeds the latency percentiles.
-pub fn run_serve(p: &Prepared, clients: usize, rounds: u32) -> ServeReport {
-    run_serve_with(p, clients, rounds, bench_server_config())
-}
-
-/// The [`run_serve`] server configuration: bench worker count, a plan
-/// cache big enough for every Appendix E query, everything else (tracing
-/// off, 250ms slow threshold) at the defaults a production deployment
-/// would start from.
-pub fn bench_server_config() -> lbr_server::ServerConfig {
-    lbr_server::ServerConfig {
-        workers: bench_threads(),
-        cache_capacity: 64,
-        ..lbr_server::ServerConfig::default()
-    }
-}
-
-/// [`run_serve`] under an explicit [`lbr_server::ServerConfig`] — the
-/// observability overhead bench runs the same workload twice with only
-/// the tracing knobs changed.
-pub fn run_serve_with(
-    p: &Prepared,
-    clients: usize,
-    rounds: u32,
-    config: lbr_server::ServerConfig,
-) -> ServeReport {
-    let db = std::sync::Arc::new(lbr::Database::from_encoded(p.graph.clone()));
-    let workers = config.workers;
-    let server = lbr_server::Server::bind("127.0.0.1:0", db, config)
-        .expect("bind lbr-server")
-        .spawn()
-        .expect("spawn lbr-server");
-    let addr = server.addr();
-    let targets: Vec<String> = p
-        .dataset
-        .queries
-        .iter()
-        .map(|q| format!("/sparql?query={}", urlencode(&q.text)))
-        .collect();
-
-    // Warm-up: every query planned, executed and serialized once; both
-    // caches populated.
-    let mut warm = HttpClient::connect(addr);
-    for target in &targets {
-        warm.get(target);
-    }
-    drop(warm);
-
-    let requests = (clients as u32) * rounds * (targets.len() as u32);
-    let t = Instant::now();
-    let mut latencies: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                let targets = &targets;
-                scope.spawn(move || {
-                    let mut conn = HttpClient::connect(addr);
-                    let mut lat = Vec::with_capacity((rounds as usize) * targets.len());
-                    for round in 0..rounds {
-                        // Stagger start points so clients do not hit the
-                        // same query in lockstep.
-                        for i in 0..targets.len() {
-                            let target = &targets[(client + round as usize + i) % targets.len()];
-                            let t = Instant::now();
-                            conn.get(target);
-                            lat.push(t.elapsed().as_micros() as u64);
-                        }
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let elapsed = t.elapsed().as_secs_f64();
-    latencies.sort_unstable();
-
-    let cache = server.cache_stats();
-    let results = server.result_cache_stats();
-    ServeReport {
-        qps: requests as f64 / elapsed.max(1e-9),
-        workers,
-        clients,
-        requests,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-        result_hits: results.hits,
-        result_misses: results.misses,
-        p50_us: percentile(&latencies, 0.50),
-        p95_us: percentile(&latencies, 0.95),
-        p99_us: percentile(&latencies, 0.99),
-        max_us: latencies.last().copied().unwrap_or(0),
-    }
-}
-
-/// Serving-throughput cost of the observability layer ([`run_obs_overhead`]):
-/// the keep-alive workload of [`run_serve`] measured twice, once with
-/// tracing fully off (the default config) and once with **every** request
-/// traced (`trace_sample_per_1024 = 1024`), on the same dataset.
-#[derive(Debug, Clone)]
-pub struct ObsOverheadReport {
-    /// q/s with tracing off — span recording short-circuits after two
-    /// atomic loads, and the hot path stays allocation-free.
-    pub qps_off: f64,
-    /// q/s with every request traced and published to the ring.
-    pub qps_traced: f64,
-    /// Throughput lost to always-on tracing, percent
-    /// (`(qps_off - qps_traced) / qps_off × 100`; negative = noise).
-    pub overhead_pct: f64,
-}
-
-/// Measures [`ObsOverheadReport`]: the serve workload back-to-back with
-/// tracing off and with a 100% sample rate, so both runs see the same
-/// machine state.
-pub fn run_obs_overhead(p: &Prepared, clients: usize, rounds: u32) -> ObsOverheadReport {
-    let off = run_serve_with(p, clients, rounds, bench_server_config());
-    let traced = run_serve_with(
-        p,
-        clients,
-        rounds,
-        lbr_server::ServerConfig {
-            // Publish a trace for every request; keep the slow-query
-            // path out of the picture so the cost measured is sampling.
-            trace_sample_per_1024: 1024,
-            slow_query: Duration::ZERO,
-            ..bench_server_config()
-        },
-    );
-    ObsOverheadReport {
-        qps_off: off.qps,
-        qps_traced: traced.qps,
-        overhead_pct: (off.qps - traced.qps) / off.qps.max(1e-9) * 100.0,
-    }
-}
-
 /// The delta fractions measured by [`run_delta`]: no delta, then 1% and
 /// 10% of the dataset's triples resident in the updatable store's
 /// memtable.
@@ -571,7 +246,7 @@ pub struct DeltaPoint {
     pub fraction: f64,
     /// Triples actually resident in the delta while the queries ran.
     pub delta_triples: u64,
-    /// Geometric mean (seconds) of all dataset queries, serial LBR.
+    /// Geometric mean (seconds) of all dataset queries on LBR.
     pub geomean_secs: f64,
 }
 
@@ -678,7 +353,6 @@ pub fn run_delta(p: &Prepared) -> DeltaReport {
         let db = lbr::Database::builder()
             .triples(base)
             .updatable()
-            .threads(1)
             .build()
             .expect("updatable bench database");
         let store = db.mutable_store().expect("updatable database has a store");
@@ -728,184 +402,11 @@ fn geomean(xs: impl Iterator<Item = f64> + Clone) -> f64 {
 }
 
 /// Benchmarks every query of a prepared dataset.
-/// Bulk-load measurement over one N-Triples document: the serial path
-/// (`parse_ntriples` → `Graph::encode` → `BitMatStore::build`, all on
-/// one thread) against the parallel path (`load_ntriples_parallel` →
-/// `build_with_threads`), plus the footprint of the result. Both paths
-/// produce bit-identical stores (the parallel dictionary merge is
-/// deterministic), which [`run_load`] asserts.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Triples in the loaded document.
-    pub n_triples: u64,
-    /// Worker threads of the parallel path.
-    pub threads: usize,
-    /// End-to-end seconds of the serial load (parse + encode + build).
-    pub serial_secs: f64,
-    /// End-to-end seconds of the parallel load at `threads` workers.
-    pub parallel_secs: f64,
-    /// `VmHWM` of the process after both loads, in bytes (0 where
-    /// `/proc` is unavailable) — the resident-set cost of the tier.
-    pub peak_rss_bytes: u64,
-    /// Size of the v2 on-disk segment file holding the built store.
-    pub segment_bytes: u64,
-}
-
-impl LoadReport {
-    /// Serial load throughput, triples per second.
-    pub fn serial_tps(&self) -> f64 {
-        self.n_triples as f64 / self.serial_secs.max(1e-9)
-    }
-
-    /// Parallel load throughput, triples per second.
-    pub fn parallel_tps(&self) -> f64 {
-        self.n_triples as f64 / self.parallel_secs.max(1e-9)
-    }
-
-    /// Serial-over-parallel load speedup.
-    pub fn speedup(&self) -> f64 {
-        self.serial_secs / self.parallel_secs.max(1e-9)
-    }
-}
-
-/// The scale tier: a LUBM generation ≥100× the Table 6.1 sample, loaded
-/// through both bulk paths, persisted as a v2 segment and queried over
-/// `mmap` — cold (first run after open, BitMat loads included) vs warm
-/// (averaged steady state) per Appendix E query.
-#[derive(Debug, Clone)]
-pub struct ScaleReport {
-    /// LUBM universities generated for the tier.
-    pub universities: usize,
-    /// The bulk-load measurement over the tier.
-    pub load: LoadReport,
-    /// Geomean seconds of the first post-open run of each query against
-    /// the mmap'd segments.
-    pub cold_geomean_secs: f64,
-    /// Geomean seconds of the averaged warm runs against the same
-    /// catalog.
-    pub warm_geomean_secs: f64,
-}
-
-/// `VmHWM` (peak resident set) of this process in bytes; 0 where
-/// `/proc/self/status` does not exist or does not carry the field.
-pub fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|line| line.strip_prefix("VmHWM:"))
-        .and_then(|rest| {
-            rest.trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse::<u64>()
-                .ok()
-        })
-        .map_or(0, |kb| kb * 1024)
-}
-
-/// Times the serial and parallel bulk-load paths over `graph`'s triples,
-/// leaving the built store persisted as a v2 segment at `seg_path`.
-/// Returns the report and the (parallel-built) encoded graph so callers
-/// can query the segment with the right dictionary.
-pub fn run_load_with_segment(
-    graph: &lbr_rdf::Graph,
-    threads: usize,
-    seg_path: &std::path::Path,
-) -> (LoadReport, EncodedGraph) {
-    let nt = lbr_rdf::write_ntriples(graph.triples());
-
-    let t0 = Instant::now();
-    let serial_graph =
-        lbr_rdf::Graph::from_triples(lbr_rdf::parse_ntriples(&nt).expect("serial parse")).encode();
-    let serial_store = BitMatStore::build(&serial_graph);
-    let serial_secs = secs(t0.elapsed());
-
-    let t0 = Instant::now();
-    let par_graph = lbr_rdf::load_ntriples_parallel(&nt, threads).expect("parallel parse");
-    let par_store = BitMatStore::build_with_threads(&par_graph, threads);
-    let parallel_secs = secs(t0.elapsed());
-
-    // The parallel dictionary merge is deterministic: both paths must
-    // land on the identical ID space and matrices.
-    assert_eq!(
-        par_graph.dict.to_bytes(),
-        serial_graph.dict.to_bytes(),
-        "parallel dict diverged"
-    );
-    assert_eq!(par_store.dims(), serial_store.dims());
-
-    let segment_bytes = lbr_bitmat::disk::save_store(&par_store, seg_path).expect("segment write");
-    let report = LoadReport {
-        n_triples: par_store.dims().n_triples,
-        threads,
-        serial_secs,
-        parallel_secs,
-        peak_rss_bytes: peak_rss_bytes(),
-        segment_bytes,
-    };
-    (report, par_graph)
-}
-
-/// [`run_load_with_segment`] against a throwaway segment file.
-pub fn run_load(graph: &lbr_rdf::Graph, threads: usize) -> LoadReport {
-    let path = std::env::temp_dir().join(format!("lbr-bench-load-{}.seg", std::process::id()));
-    let (report, _) = run_load_with_segment(graph, threads, &path);
-    let _ = std::fs::remove_file(&path);
-    report
-}
-
-/// Generates the LUBM scale tier at `universities`, measures both bulk
-/// loads, and runs the Appendix E queries over the mmap'd segment: one
-/// cold pass (fresh [`lbr_bitmat::DiskCatalog`], first touch of every
-/// mapped page) and [`RUNS`] warm passes.
-pub fn run_scale(universities: usize, seed: u64) -> ScaleReport {
-    let cfg = lbr_datagen::lubm::LubmConfig {
-        universities,
-        departments: 10,
-        seed,
-    };
-    let graph = lbr_rdf::Graph::from_triples(lbr_datagen::lubm::generate(&cfg));
-    let threads = bench_threads();
-    let seg_path = std::env::temp_dir().join(format!("lbr-bench-scale-{}.seg", std::process::id()));
-    let (load, encoded) = run_load_with_segment(&graph, threads, &seg_path);
-
-    let catalog = lbr_bitmat::DiskCatalog::open(&seg_path).expect("segment reopens");
-    let engine = LbrEngine::new(&catalog, &encoded.dict).with_threads(1);
-    let mut cold = Vec::new();
-    let mut warm = Vec::new();
-    for q in lbr_datagen::lubm::queries() {
-        let query = parse_query(&q.text).expect("scale query parses");
-        let t0 = Instant::now();
-        let expect = engine.execute(&query).expect("cold run");
-        cold.push(secs(t0.elapsed()));
-        let mut total = 0.0;
-        for _ in 0..RUNS {
-            let t0 = Instant::now();
-            let out = engine.execute(&query).expect("warm run");
-            total += secs(t0.elapsed());
-            assert_eq!(out.len(), expect.len(), "{} unstable over mmap", q.id);
-        }
-        warm.push(total / f64::from(RUNS));
-    }
-    drop(catalog);
-    let _ = std::fs::remove_file(&seg_path);
-    ScaleReport {
-        universities,
-        load,
-        cold_geomean_secs: geomean(cold.into_iter()),
-        warm_geomean_secs: geomean(warm.into_iter()),
-    }
-}
-
 pub fn run_dataset(p: &Prepared) -> DatasetReport {
     let dims = p.store.dims();
     let mut rows = Vec::new();
-    let mt_threads = bench_threads();
     for q in &p.dataset.queries {
         let (out, t) = run_lbr(p, &q.text);
-        let t_total_mt = run_lbr_threads(p, &q.text, mt_threads, &out);
         let (t_limit10, limit10_seeds) = run_lbr_limit10(p, &q.text);
         let baselines = BASELINE_KINDS
             .iter()
@@ -921,8 +422,6 @@ pub fn run_dataset(p: &Prepared) -> DatasetReport {
             t_join: t.t_join,
             t_total: t.t_total,
             allocs_per_query: t.allocs_per_query,
-            t_total_mt,
-            mt_threads,
             t_limit10,
             limit10_seeds,
             baselines,
@@ -955,20 +454,9 @@ pub fn run_dataset(p: &Prepared) -> DatasetReport {
         geomean_lbr: geomean(rows.iter().map(|r| r.t_total)),
         geomean_baselines,
         rows,
-        serve: run_serve(p, SERVE_CLIENTS, SERVE_ROUNDS),
-        obs: run_obs_overhead(p, SERVE_CLIENTS, SERVE_ROUNDS),
         delta: run_delta(p),
-        load: run_load(&p.dataset.graph, mt_threads),
-        scale: None,
     }
 }
-
-/// Concurrent clients of the serve-mode throughput measurement.
-pub const SERVE_CLIENTS: usize = 4;
-/// Timed rounds (of all dataset queries, per client) of the serve bench.
-/// Enough requests that connection setup and first-touch costs are
-/// noise and the percentiles describe steady-state keep-alive serving.
-pub const SERVE_ROUNDS: u32 = 50;
 
 /// Formats seconds the way the paper's tables do.
 pub fn fmt_secs(s: f64) -> String {
@@ -993,19 +481,10 @@ pub fn render_table(r: &DatasetReport) -> String {
 /// before→after delta per query.
 pub fn render_table_with_prev(r: &DatasetReport, prev_allocs: &[(String, u64)]) -> String {
     let mut s = String::new();
-    let mt_threads = r.rows.first().map_or(0, |row| row.mt_threads);
     let _ = write!(
         s,
-        "{:<4} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7} {:>9} {:>16}",
-        "",
-        "Tinit",
-        "Tprune",
-        "Tjoin",
-        "Ttotal",
-        format!("Tmt({mt_threads})"),
-        "spdup",
-        "Tlim10",
-        "allocs"
+        "{:<4} {:>9} {:>9} {:>9} {:>9} {:>9} {:>16}",
+        "", "Tinit", "Tprune", "Tjoin", "Ttotal", "Tlim10", "allocs"
     );
     for kind in BASELINE_KINDS {
         let _ = write!(s, " {:>12}", format!("T{}", kind.name()));
@@ -1022,14 +501,12 @@ pub fn render_table_with_prev(r: &DatasetReport, prev_allocs: &[(String, u64)]) 
         };
         let _ = write!(
             s,
-            "{:<4} {:>9} {:>9} {:>9} {:>9} {:>9} {:>6.2}x {:>9} {:>16}",
+            "{:<4} {:>9} {:>9} {:>9} {:>9} {:>9} {:>16}",
             row.id,
             fmt_secs(row.t_init),
             fmt_secs(row.t_prune),
             fmt_secs(row.t_join),
             fmt_secs(row.t_total),
-            fmt_secs(row.t_total_mt),
-            row.speedup(),
             fmt_secs(row.t_limit10),
             allocs,
         );
@@ -1057,31 +534,6 @@ pub fn render_table_with_prev(r: &DatasetReport, prev_allocs: &[(String, u64)]) 
         fmt_secs(r.geomean_lbr),
         gm.join(", "),
     );
-    let serve = &r.serve;
-    let _ = writeln!(
-        s,
-        "serving: {:.0} q/s end-to-end over keep-alive HTTP ({} workers, {} clients, \
-         {} requests, plan cache {} hits / {} misses, result cache {} hits / {} misses; \
-         latency p50 {}µs p95 {}µs p99 {}µs max {}µs)",
-        serve.qps,
-        serve.workers,
-        serve.clients,
-        serve.requests,
-        serve.cache_hits,
-        serve.cache_misses,
-        serve.result_hits,
-        serve.result_misses,
-        serve.p50_us,
-        serve.p95_us,
-        serve.p99_us,
-        serve.max_us,
-    );
-    let _ = writeln!(
-        s,
-        "observability: tracing off {:.0} q/s, every request traced {:.0} q/s \
-         ({:+.1}% overhead)",
-        r.obs.qps_off, r.obs.qps_traced, r.obs.overhead_pct,
-    );
     let pts: Vec<String> = r
         .delta
         .points
@@ -1103,37 +555,7 @@ pub fn render_table_with_prev(r: &DatasetReport, prev_allocs: &[(String, u64)]) 
         fmt_secs(r.delta.compacted_geomean_secs),
         fmt_secs(r.delta.compact_secs),
     );
-    let _ = writeln!(s, "load: {}", render_load(&r.load));
-    if let Some(scale) = &r.scale {
-        let _ = writeln!(
-            s,
-            "scale tier ({} universities, {} triples): load {}; mmap'd \
-             query geomeans cold {} / warm {}",
-            scale.universities,
-            scale.load.n_triples,
-            render_load(&scale.load),
-            fmt_secs(scale.cold_geomean_secs),
-            fmt_secs(scale.warm_geomean_secs),
-        );
-    }
     s
-}
-
-/// One human-readable line of a [`LoadReport`], shared by the dataset
-/// and scale-tier rows of the table.
-fn render_load(l: &LoadReport) -> String {
-    format!(
-        "serial {:.0} triples/s ({}), parallel×{} {:.0} triples/s ({}, {:.2}x); \
-         peak RSS {} MiB, segment {} MiB",
-        l.serial_tps(),
-        fmt_secs(l.serial_secs),
-        l.threads,
-        l.parallel_tps(),
-        fmt_secs(l.parallel_secs),
-        l.speedup(),
-        l.peak_rss_bytes / (1024 * 1024),
-        l.segment_bytes.div_ceil(1024 * 1024),
-    )
 }
 
 /// Extracts `(query id, allocs_per_query)` pairs from a previously
@@ -1225,16 +647,9 @@ impl QueryRow {
         let _ = write!(out, ",\"t_total\":{}", self.t_total);
         let _ = write!(
             out,
-            ",\"t_total_mt\":{},\"mt_threads\":{}",
-            self.t_total_mt, self.mt_threads
-        );
-        let _ = write!(
-            out,
             ",\"t_limit10\":{},\"limit10_seeds\":{}",
             self.t_limit10, self.limit10_seeds
         );
-        out.push_str(",\"speedup\":");
-        json_f64(out, self.speedup());
         out.push_str(",\"baselines\":[");
         for (i, b) in self.baselines.iter().enumerate() {
             if i > 0 {
@@ -1282,34 +697,7 @@ impl DatasetReport {
             }
             g.write_json(&mut out);
         }
-        out.push_str("],\"serve\":{\"qps\":");
-        json_f64(&mut out, self.serve.qps);
-        let _ = write!(
-            out,
-            ",\"workers\":{},\"clients\":{},\"requests\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\
-             \"result_hits\":{},\"result_misses\":{},\
-             \"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"max_us\":{}}}",
-            self.serve.workers,
-            self.serve.clients,
-            self.serve.requests,
-            self.serve.cache_hits,
-            self.serve.cache_misses,
-            self.serve.result_hits,
-            self.serve.result_misses,
-            self.serve.p50_us,
-            self.serve.p95_us,
-            self.serve.p99_us,
-            self.serve.max_us
-        );
-        out.push_str(",\"obs\":{\"qps_off\":");
-        json_f64(&mut out, self.obs.qps_off);
-        out.push_str(",\"qps_traced\":");
-        json_f64(&mut out, self.obs.qps_traced);
-        out.push_str(",\"overhead_pct\":");
-        json_f64(&mut out, self.obs.overhead_pct);
-        out.push('}');
-        out.push_str(",\"delta\":{\"points\":[");
+        out.push_str("],\"delta\":{\"points\":[");
         for (i, pt) in self.delta.points.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -1326,43 +714,8 @@ impl DatasetReport {
         json_f64(&mut out, self.delta.compacted_geomean_secs);
         out.push_str(",\"compact_secs\":");
         json_f64(&mut out, self.delta.compact_secs);
-        out.push('}');
-        out.push_str(",\"load\":");
-        self.load.write_json(&mut out);
-        if let Some(scale) = &self.scale {
-            let _ = write!(out, ",\"scale\":{{\"universities\":{}", scale.universities);
-            out.push_str(",\"load\":");
-            scale.load.write_json(&mut out);
-            out.push_str(",\"cold_geomean_secs\":");
-            json_f64(&mut out, scale.cold_geomean_secs);
-            out.push_str(",\"warm_geomean_secs\":");
-            json_f64(&mut out, scale.warm_geomean_secs);
-            out.push('}');
-        }
-        out.push('}');
+        out.push_str("}}");
         out
-    }
-}
-
-impl LoadReport {
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"n_triples\":{},\"threads\":{},\"serial_secs\":",
-            self.n_triples, self.threads
-        );
-        json_f64(out, self.serial_secs);
-        out.push_str(",\"parallel_secs\":");
-        json_f64(out, self.parallel_secs);
-        out.push_str(",\"serial_tps\":");
-        json_f64(out, self.serial_tps());
-        out.push_str(",\"parallel_tps\":");
-        json_f64(out, self.parallel_tps());
-        let _ = write!(
-            out,
-            ",\"peak_rss_bytes\":{},\"segment_bytes\":{}}}",
-            self.peak_rss_bytes, self.segment_bytes
-        );
     }
 }
 
@@ -1383,16 +736,12 @@ mod tests {
         assert_eq!(report.rows.len(), 6);
         assert!(report.n_triples > 0);
         assert!(report.geomean_lbr > 0.0);
-        // Every row carries one time per baseline engine, in kind order,
-        // plus the multi-threaded LBR measurement.
+        // Every row carries one time per baseline engine, in kind order.
         for row in &report.rows {
             assert_eq!(row.baselines.len(), BASELINE_KINDS.len());
             for (b, kind) in row.baselines.iter().zip(BASELINE_KINDS) {
                 assert_eq!(b.engine, kind.name());
             }
-            assert!(row.mt_threads >= 4);
-            assert!(row.t_total_mt > 0.0);
-            assert!(row.speedup().is_finite());
             assert!(row.t_limit10 > 0.0);
         }
         let table = render_table(&report);
@@ -1405,7 +754,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"geomean_lbr\""));
         assert!(json.contains("\"engine\":\"pairwise\""));
-        assert!(json.contains("\"t_total_mt\"") && json.contains("\"speedup\""));
         assert!(json.contains("\"t_limit10\"") && json.contains("\"limit10_seeds\""));
         assert!(json.contains("\"t_join\"") && json.contains("\"allocs_per_query\""));
         assert!(table.contains("Tlim10"));
@@ -1422,8 +770,6 @@ mod tests {
             )),
             "{delta_table}"
         );
-        // The serve-mode throughput column: real HTTP requests were
-        // answered, every repeated query from the plan cache.
         // The updatable-store measurement: the larger fractions really
         // lived in the delta, and compaction yielded a follow-up number.
         let delta = &report.delta;
@@ -1436,75 +782,6 @@ mod tests {
         assert!(json.contains("\"delta\":{\"points\":["));
         assert!(json.contains("\"compacted_geomean_secs\""));
         assert!(table.contains("after compaction"));
-        let serve = &report.serve;
-        assert!(serve.qps > 0.0);
-        assert_eq!(
-            serve.requests,
-            (SERVE_CLIENTS as u32) * SERVE_ROUNDS * report.rows.len() as u32
-        );
-        // The warm-up pass planned and executed each query once; every
-        // timed request was then answered from the result cache without
-        // touching the plan cache or the engine.
-        assert_eq!(
-            serve.cache_misses,
-            report.rows.len() as u64,
-            "one plan per query"
-        );
-        assert_eq!(
-            serve.result_misses,
-            report.rows.len() as u64,
-            "one execution per query"
-        );
-        assert_eq!(
-            serve.result_hits, serve.requests as u64,
-            "every timed request answered from the result cache"
-        );
-        assert!(serve.p50_us > 0, "latency sample recorded");
-        assert!(serve.p50_us <= serve.p95_us && serve.p95_us <= serve.p99_us);
-        assert!(serve.p99_us <= serve.max_us);
-        assert!(json.contains("\"serve\":{\"qps\":"), "{json}");
-        assert!(json.contains("\"cache_hits\""), "{json}");
-        assert!(json.contains("\"p99_us\""), "{json}");
-        assert!(table.contains("serving:"), "{table}");
-        // The bulk-load block: both paths loaded the same tier, the
-        // segment round-tripped, and the JSON/table carry the numbers.
-        let load = &report.load;
-        assert_eq!(load.n_triples, report.n_triples);
-        assert!(load.serial_secs > 0.0 && load.parallel_secs > 0.0);
-        assert!(load.serial_tps() > 0.0 && load.parallel_tps() > 0.0);
-        assert!(load.threads >= 4);
-        assert!(load.segment_bytes > 0, "segment was written and measured");
-        assert!(json.contains("\"load\":{\"n_triples\""), "{json}");
-        assert!(json.contains("\"parallel_tps\""), "{json}");
-        assert!(json.contains("\"segment_bytes\""), "{json}");
-        assert!(table.contains("load: serial"), "{table}");
-        assert!(report.scale.is_none(), "scale tier only via run_scale");
-    }
-
-    /// The scale path end to end at a miniature size: generation, both
-    /// bulk loads, segment persistence, and cold/warm query passes over
-    /// the mmap'd catalog — plus its JSON/table rendering.
-    #[test]
-    fn scale_tier_runs_and_renders() {
-        let scale = run_scale(1, 7);
-        assert!(scale.load.n_triples > 0);
-        assert!(scale.cold_geomean_secs > 0.0);
-        assert!(scale.warm_geomean_secs > 0.0);
-
-        let ds = lubm::dataset(&lubm::LubmConfig {
-            universities: 1,
-            departments: 2,
-            seed: 3,
-        });
-        let p = prepare(ds);
-        let mut report = run_dataset(&p);
-        report.scale = Some(scale);
-        let json = report.to_json();
-        assert!(json.contains("\"scale\":{\"universities\":1"), "{json}");
-        assert!(json.contains("\"cold_geomean_secs\""), "{json}");
-        let table = render_table(&report);
-        assert!(table.contains("scale tier (1 universities"), "{table}");
-        assert!(table.contains("cold"), "{table}");
     }
 
     #[test]

@@ -35,9 +35,9 @@ pub struct CubeDims {
 /// subject that never occurs); out-of-range keys are also `None` so the
 /// engine can treat unknown constants as empty patterns.
 ///
-/// A catalog is `Sync`: every engine holds `&C` and a query service (the
-/// parallel multi-way join, `lbr-server`'s worker pool) shares one catalog
-/// across threads, so loads must be safe to issue concurrently.
+/// A catalog is `Sync`: every engine holds `&C` and a query service
+/// (`lbr-server`'s worker pool) shares one catalog across threads, so
+/// loads must be safe to issue concurrently.
 /// [`crate::BitMatStore`] is immutable after build; [`crate::DiskCatalog`]
 /// reads an immutable `mmap` region, so both are lock-free.
 pub trait Catalog: Sync {

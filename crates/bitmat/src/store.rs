@@ -28,25 +28,10 @@ pub struct BitMatStore {
 pub const DEFAULT_SHARDS: usize = 8;
 
 impl BitMatStore {
-    /// Builds all four families from an encoded graph with the default
-    /// parallelism (`available_parallelism`, at least the 4 family
-    /// threads of the original design).
+    /// Builds all four families from an encoded graph. The four
+    /// sort-and-slice family passes are independent, so each runs on its
+    /// own scoped thread.
     pub fn build(graph: &EncodedGraph) -> Self {
-        Self::build_with_threads(graph, default_build_threads())
-    }
-
-    /// Builds all four families on up to `threads` workers.
-    ///
-    /// The four sort-and-slice family passes are independent, so they run
-    /// on separate threads (std::thread::scope); with `threads > 4`, each
-    /// family additionally partitions its *keys* (predicates for S-O/O-S,
-    /// subjects for P-O, objects for P-S) into contiguous ranges balanced
-    /// by triple mass and builds each range on its own worker. Per-key
-    /// matrices are independent and ranges are concatenated in key order,
-    /// so the result is identical at any thread count. `threads <= 1`
-    /// builds everything serially on the calling thread (the honest
-    /// baseline for load benchmarks).
-    pub fn build_with_threads(graph: &EncodedGraph, threads: usize) -> Self {
         let dims = CubeDims {
             n_subjects: graph.dict.n_subjects(),
             n_predicates: graph.dict.n_predicates(),
@@ -55,92 +40,50 @@ impl BitMatStore {
             n_triples: graph.triples.len() as u64,
         };
         let t = &graph.triples;
-        let mut so = Vec::new();
-        let mut os = Vec::new();
-        let mut po = Vec::new();
-        let mut ps = Vec::new();
-        if threads <= 1 {
-            so = family(
-                t,
-                dims.n_predicates,
-                |x| (x.p, x.s, x.o),
-                dims.n_subjects,
-                dims.n_objects,
-                1,
-            );
-            os = family(
-                t,
-                dims.n_predicates,
-                |x| (x.p, x.o, x.s),
-                dims.n_objects,
-                dims.n_subjects,
-                1,
-            );
-            po = family(
-                t,
-                dims.n_subjects,
-                |x| (x.s, x.p, x.o),
-                dims.n_predicates,
-                dims.n_objects,
-                1,
-            );
-            ps = family(
-                t,
-                dims.n_objects,
-                |x| (x.o, x.p, x.s),
-                dims.n_predicates,
-                dims.n_subjects,
-                1,
-            );
-        } else {
-            let inner = threads.div_ceil(4);
-            std::thread::scope(|scope| {
-                let h_so = scope.spawn(|| {
-                    family(
-                        t,
-                        dims.n_predicates,
-                        |x| (x.p, x.s, x.o),
-                        dims.n_subjects,
-                        dims.n_objects,
-                        inner,
-                    )
-                });
-                let h_os = scope.spawn(|| {
-                    family(
-                        t,
-                        dims.n_predicates,
-                        |x| (x.p, x.o, x.s),
-                        dims.n_objects,
-                        dims.n_subjects,
-                        inner,
-                    )
-                });
-                let h_po = scope.spawn(|| {
-                    family(
-                        t,
-                        dims.n_subjects,
-                        |x| (x.s, x.p, x.o),
-                        dims.n_predicates,
-                        dims.n_objects,
-                        inner,
-                    )
-                });
-                let h_ps = scope.spawn(|| {
-                    family(
-                        t,
-                        dims.n_objects,
-                        |x| (x.o, x.p, x.s),
-                        dims.n_predicates,
-                        dims.n_subjects,
-                        inner,
-                    )
-                });
-                so = h_so.join().expect("S-O build panicked");
-                os = h_os.join().expect("O-S build panicked");
-                po = h_po.join().expect("P-O build panicked");
-                ps = h_ps.join().expect("P-S build panicked");
+        let (so, os, po, ps) = std::thread::scope(|scope| {
+            let h_so = scope.spawn(|| {
+                family(
+                    t,
+                    dims.n_predicates,
+                    |x| (x.p, x.s, x.o),
+                    dims.n_subjects,
+                    dims.n_objects,
+                )
             });
-        }
+            let h_os = scope.spawn(|| {
+                family(
+                    t,
+                    dims.n_predicates,
+                    |x| (x.p, x.o, x.s),
+                    dims.n_objects,
+                    dims.n_subjects,
+                )
+            });
+            let h_po = scope.spawn(|| {
+                family(
+                    t,
+                    dims.n_subjects,
+                    |x| (x.s, x.p, x.o),
+                    dims.n_predicates,
+                    dims.n_objects,
+                )
+            });
+            let h_ps = scope.spawn(|| {
+                family(
+                    t,
+                    dims.n_objects,
+                    |x| (x.o, x.p, x.s),
+                    dims.n_predicates,
+                    dims.n_subjects,
+                )
+            });
+            (
+                h_so.join().expect("S-O build panicked"),
+                h_os.join().expect("O-S build panicked"),
+                h_po.join().expect("P-O build panicked"),
+                h_ps.join().expect("P-S build panicked"),
+            )
+        });
         let shards = compute_shards(&so, DEFAULT_SHARDS);
         BitMatStore {
             dims,
@@ -243,74 +186,22 @@ impl SizeReport {
 }
 
 /// Builds one family: group triples by `key`, emit a `(row, col)` BitMat
-/// per key. `extract` maps a triple to `(key, row, col)`. With
-/// `threads > 1`, keys are split into contiguous ranges balanced by tuple
-/// mass and built on scoped workers — per-key matrices are independent and
-/// ranges concatenate in key order, so output is thread-count invariant.
+/// per key. `extract` maps a triple to `(key, row, col)`.
 fn family(
     triples: &[EncodedTriple],
     n_keys: u32,
     extract: impl Fn(&EncodedTriple) -> (u32, u32, u32),
     n_rows: u32,
     n_cols: u32,
-    threads: usize,
 ) -> Vec<BitMat> {
     let mut tuples: Vec<(u32, u32, u32)> = triples.iter().map(&extract).collect();
     tuples.sort_unstable();
-    let threads = threads.max(1);
-    if threads == 1 || n_keys < 2 || tuples.len() < 1 << 12 {
-        return family_keys(&tuples, 0, n_keys, n_rows, n_cols);
-    }
-    // Key-range boundaries snapped from equal tuple-mass split points.
-    let mut bounds: Vec<u32> = vec![0];
-    for k in 1..threads {
-        let target = tuples.len() * k / threads;
-        let key = if target >= tuples.len() {
-            n_keys
-        } else {
-            tuples[target].0
-        };
-        if key > *bounds.last().expect("bounds is never empty") {
-            bounds.push(key);
-        }
-    }
-    if *bounds.last().expect("bounds is never empty") < n_keys {
-        bounds.push(n_keys);
-    }
-    std::thread::scope(|scope| {
-        let tuples = &tuples;
-        let handles: Vec<_> = bounds
-            .windows(2)
-            .map(|w| {
-                let (k0, k1) = (w[0], w[1]);
-                let lo = tuples.partition_point(|t| t.0 < k0);
-                let hi = tuples.partition_point(|t| t.0 < k1);
-                let slice = &tuples[lo..hi];
-                scope.spawn(move || family_keys(slice, k0, k1, n_rows, n_cols))
-            })
-            .collect();
-        let mut mats = Vec::with_capacity(n_keys as usize);
-        for h in handles {
-            mats.append(&mut h.join().expect("family worker panicked"));
-        }
-        mats
-    })
-}
-
-/// Builds the matrices of keys `[k0, k1)` from that range's sorted tuples.
-fn family_keys(
-    tuples: &[(u32, u32, u32)],
-    k0: u32,
-    k1: u32,
-    n_rows: u32,
-    n_cols: u32,
-) -> Vec<BitMat> {
-    let mut mats: Vec<BitMat> = Vec::with_capacity((k1 - k0) as usize);
+    let mut mats: Vec<BitMat> = Vec::with_capacity(n_keys as usize);
     let mut i = 0;
-    // One pair buffer reused across every key of the range (its
-    // high-water mark is the largest slice, not the sum).
+    // One pair buffer reused across every key (its high-water mark is the
+    // largest slice, not the sum).
     let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for key in k0..k1 {
+    for key in 0..n_keys {
         let start = i;
         while i < tuples.len() && tuples[i].0 == key {
             i += 1;
@@ -321,15 +212,6 @@ fn family_keys(
     }
     debug_assert_eq!(i, tuples.len(), "triple key out of range");
     mats
-}
-
-/// Picks the number of build workers: everything the host offers, but at
-/// least the 4 family threads of the original design.
-pub(crate) fn default_build_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .max(4)
 }
 
 /// Partitions predicates into up to `target` contiguous shards balanced by
@@ -529,9 +411,11 @@ mod tests {
         assert_eq!(store.count_so(0), before, "store must be unaffected");
     }
 
+    /// The four family threads slice one triple set: on a graph with many
+    /// keys per family every family holds every triple and O-S is the
+    /// transpose of S-O.
     #[test]
-    fn parallel_build_is_thread_count_invariant() {
-        // Big enough to clear the serial-fallback threshold in `family`.
+    fn families_agree_on_a_many_key_graph() {
         let mut triples = Vec::new();
         for i in 0..3000u32 {
             triples.push(t(
@@ -546,22 +430,30 @@ mod tests {
             ));
         }
         let g = Graph::from_triples(triples).encode();
-        let serial = BitMatStore::build_with_threads(&g, 1);
-        for threads in [2, 5, 8, 32] {
-            let par = BitMatStore::build_with_threads(&g, threads);
-            assert_eq!(par.dims(), serial.dims());
-            for p in 0..serial.dims().n_predicates {
-                assert_eq!(par.so(p), serial.so(p), "so({p}) at {threads} threads");
-                assert_eq!(par.os(p), serial.os(p), "os({p}) at {threads} threads");
-            }
-            for s in 0..serial.dims().n_subjects {
-                assert_eq!(par.po(s), serial.po(s), "po({s}) at {threads} threads");
-            }
-            for o in 0..serial.dims().n_objects {
-                assert_eq!(par.ps(o), serial.ps(o), "ps({o}) at {threads} threads");
-            }
-            assert_eq!(par.shard_ranges(), serial.shard_ranges());
+        let store = BitMatStore::build(&g);
+        let dims = store.dims();
+        for p in 0..dims.n_predicates {
+            assert_eq!(
+                store.so(p).unwrap().transpose(),
+                *store.os(p).unwrap(),
+                "os({p})"
+            );
         }
+        let n = g.triples.len() as u64;
+        assert_eq!(
+            (0..dims.n_predicates)
+                .map(|p| store.count_so(p))
+                .sum::<u64>(),
+            n
+        );
+        assert_eq!(
+            (0..dims.n_subjects).map(|s| store.count_po(s)).sum::<u64>(),
+            n
+        );
+        assert_eq!(
+            (0..dims.n_objects).map(|o| store.count_ps(o)).sum::<u64>(),
+            n
+        );
     }
 
     #[test]

@@ -27,16 +27,6 @@ use lbr_rdf::Dictionary;
 use lbr_sparql::algebra::Query;
 use std::any::Any;
 
-/// The default worker-thread count for engines with intra-query
-/// parallelism (currently the LBR multi-way join's root partitioning):
-/// the machine's available parallelism, or `1` when it cannot be
-/// determined. `1` always means the exact serial code path.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// A query executor over a BitMat catalog.
 ///
 /// `execute_raw` is the one required evaluation method; the provided

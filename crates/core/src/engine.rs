@@ -21,7 +21,7 @@ use crate::error::LbrError;
 use crate::filter_eval::{self, VarLookup};
 use crate::init::{absolute_master_empty, init, TpState};
 use crate::jvar_order::{get_jvar_order, JvarOrder};
-use crate::multiway::{multi_way_join_with, JoinInputs};
+use crate::multiway::{multi_way_join, JoinInputs};
 use crate::prune::{prune_triples, PruneOutcome, PruneScratch};
 use crate::selectivity::estimate_all;
 use crate::QueryStats;
@@ -47,9 +47,6 @@ thread_local! {
 pub struct LbrEngine<'a, C: Catalog> {
     catalog: &'a C,
     dict: &'a Dictionary,
-    /// Worker threads for the multi-way join's root partitioning
-    /// (`1` = the exact serial recursion).
-    threads: usize,
     /// Execution deadline: evaluation past this instant aborts with
     /// [`LbrError::DeadlineExceeded`] instead of finishing the answer —
     /// the serving layer's per-request timeout seam.
@@ -136,24 +133,13 @@ struct PartResult {
 }
 
 impl<'a, C: Catalog> LbrEngine<'a, C> {
-    /// Creates an engine over a catalog and its dictionary, using the
-    /// machine's available parallelism for the multi-way join (results
-    /// are byte-identical at every thread count; see
-    /// [`crate::multiway::multi_way_join_with`]).
+    /// Creates an engine over a catalog and its dictionary.
     pub fn new(catalog: &'a C, dict: &'a Dictionary) -> Self {
         LbrEngine {
             catalog,
             dict,
-            threads: crate::api::default_threads(),
             deadline: None,
         }
-    }
-
-    /// Sets the worker-thread count for the multi-way join (`1` runs the
-    /// exact serial recursion; values are clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Sets an execution deadline: once it passes, the multi-way join
@@ -168,11 +154,6 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     /// True once the configured deadline (if any) has passed.
     fn deadline_passed(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Executes a query: plan, then run the plan (raw evaluation plus the
@@ -211,7 +192,6 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     pub fn execute_plan(&self, plan: &LbrPlan) -> Result<QueryOutput, LbrError> {
         let t0 = Instant::now();
         let raw = self.execute_plan_raw(plan)?;
-        let t_fin = Instant::now();
         let mut out = crate::modifiers::finalize_parts(
             raw,
             &plan.form,
@@ -219,7 +199,6 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             &plan.projection,
             self.dict,
         );
-        lbr_obs::span_since("finalize", t_fin, &[("rows", out.rows.len() as u64)]);
         out.stats.t_total = t0.elapsed();
         Ok(out)
     }
@@ -486,7 +465,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             });
         }
 
-        // prune_triples, through the worker's long-lived scratch pool:
+        // prune_triples, through the thread's long-lived scratch pool:
         // fold masks, intersection results and work lists are reused
         // across every jvar of both passes — and, because the pool is
         // thread-local, across *queries* on a serving thread (no
@@ -574,7 +553,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             quota,
             deadline: self.deadline,
         };
-        let (mut rows, mut exec) = multi_way_join_with(&inputs, self.threads);
+        let (mut rows, mut exec) = multi_way_join(&inputs);
         if let Some(q) = quota {
             if exec.nullification_fired > 0 && rows.len() >= q && !exec.deadline_expired {
                 // The safety-net nullification fired on a quota-truncated
@@ -585,7 +564,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
                     quota: None,
                     ..inputs
                 };
-                (rows, exec) = multi_way_join_with(&inputs, self.threads);
+                (rows, exec) = multi_way_join(&inputs);
             }
         }
         if exec.deadline_expired {
@@ -601,7 +580,6 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             &[
                 ("seeds", exec.seeds_enumerated),
                 ("rows", rows.len() as u64),
-                ("workers", self.threads as u64),
             ],
         );
         stats.nullification_fired = exec.nullification_fired;

@@ -311,11 +311,10 @@ pub fn render_analyze(
         for s in section.iter().filter(|s| s.name == "join") {
             let _ = writeln!(
                 out,
-                "  join: {}µs, seeds={} rows={} workers={}",
+                "  join: {}µs, seeds={} rows={}",
                 s.dur_us,
                 s.attr("seeds").unwrap_or(0),
                 s.attr("rows").unwrap_or(0),
-                s.attr("workers").unwrap_or(0),
             );
         }
         for s in section.iter().filter(|s| s.name == "best_match") {
@@ -475,7 +474,7 @@ mod tests {
                OPTIONAL { ?friend :actedIn ?sitcom . ?sitcom :location :NYC . } }",
         )
         .unwrap();
-        let engine = crate::engine::LbrEngine::new(&store, &g.dict).with_threads(2);
+        let engine = crate::engine::LbrEngine::new(&store, &g.dict);
         let text = engine.explain_analyze(&q).unwrap();
         // Planned tree still present…
         assert!(text.contains("GoSN: (SN0 ⟕ SN1)"), "{text}");

@@ -84,9 +84,8 @@ pub struct QueryStats {
     /// How many rows the nullification operator actually rewrote.
     pub nullification_fired: u64,
     /// Root-TP seeds the multi-way join enumerated. With a pushed-down
-    /// LIMIT/ASK row quota this stays at the minimum needed (exactly, at
-    /// `threads = 1`; boundedly more with N workers) instead of the full
-    /// candidate count.
+    /// LIMIT/ASK row quota this is exactly the minimum needed instead of
+    /// the full candidate count.
     pub join_seeds: u64,
     /// Compressed-set intersections `prune_triples` performed through the
     /// kernel layer (semi-join mask ANDs + clustered-semi-join folds).
@@ -94,9 +93,8 @@ pub struct QueryStats {
     /// Scratch-pool activity: the prune phase counts operations served
     /// entirely from existing buffer capacity (true no-alloc reuses,
     /// capacity-checked), the join phase counts rows assembled in the
-    /// per-worker reusable row/failure buffers (the buffer is reused per
-    /// emit; the handful of first-use growths per worker are included so
-    /// the sum stays identical at every thread count). The bench counting
+    /// reusable row/failure buffers (the buffer is reused per emit; the
+    /// handful of first-use growths are included). The bench counting
     /// allocator is the ground truth for total allocation.
     pub scratch_reuses: u64,
     /// True when the empty-absolute-master shortcut aborted the query

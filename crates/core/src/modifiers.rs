@@ -29,6 +29,7 @@ use lbr_sparql::algebra::{Dedup, Modifiers, QueryForm};
 use lbr_sparql::Query;
 use std::cmp::Ordering;
 use std::collections::HashSet;
+use std::time::Instant;
 
 /// The documented total order `ORDER BY` sorts by (ascending form):
 ///
@@ -126,6 +127,7 @@ pub fn finalize_parts(
     projection: &[String],
     dict: &Dictionary,
 ) -> QueryOutput {
+    let t_fin = Instant::now();
     let QueryOutput {
         vars,
         mut rows,
@@ -249,6 +251,7 @@ pub fn finalize_parts(
         .iter()
         .filter(|r| r.iter().any(|c| c.is_none()))
         .count();
+    lbr_obs::span_since("finalize", t_fin, &[("rows", rows.len() as u64)]);
     QueryOutput { vars, rows, stats }
 }
 

@@ -24,29 +24,8 @@
 //! membership tests binary-search the compressed representation. No
 //! candidate ID vectors or adjacency lists are materialized or cloned per
 //! recursion level; the only per-row allocation left in the steady state
-//! is the pushed result row itself (assembled in a per-worker reusable
-//! buffer first — [`ExecStats::scratch_reuses`] counts those reuses).
-//!
-//! ## Parallel execution
-//!
-//! The pipeline is embarrassingly parallel at the root: every triple
-//! enumerated by the first TP starts an independent subtree, and the
-//! recursion never reads state written by a sibling subtree. The
-//! [`multi_way_join_with`] entry point exploits this by **root
-//! partitioning**: the root TP's candidate enumeration is split into
-//! coarse contiguous *units* (a candidate ID, a compressed matrix row, or
-//! a predicate-slice row — O(rows) plan memory, not O(triples)), unit
-//! ranges are claimed by `std::thread::scope` workers off a shared atomic
-//! counter, and each worker expands its units lazily in exactly the order
-//! the serial recursion would. Each worker owns a private [`Ctx`]
-//! (slots / binder / visited / rows / stats) over the shared read-only
-//! [`JoinInputs`], so no synchronization happens inside the join itself.
-//!
-//! **Determinism guarantee:** chunk results are merged back in chunk
-//! (i.e. root-enumeration) order and each chunk enumerates its units in
-//! order, so the produced rows — and the summed [`ExecStats`] counters —
-//! are *byte-identical* to the serial engine (`threads = 1` runs the
-//! serial recursion itself, not a one-worker simulation of it).
+//! is the pushed result row itself (assembled in a reusable buffer first —
+//! [`ExecStats::scratch_reuses`] counts those reuses).
 
 use crate::bindings::{Binding, VarId, VarTable};
 use crate::filter_eval::{self, VarLookup};
@@ -56,8 +35,6 @@ use lbr_rdf::{Dictionary, Dimension, Term};
 use lbr_sparql::algebra::Expr;
 use lbr_sparql::gosn::{Gosn, SnId, TpId};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// How many [`Ctx::full`] polls elapse between wall-clock reads when a
@@ -98,19 +75,15 @@ pub struct JoinInputs<'a> {
     /// semantics (this matches the compositional evaluation of the
     /// reference oracle).
     pub fan_filters: Vec<(Option<SnId>, &'a Expr)>,
-    /// Early-exit row quota (LIMIT/ASK pushdown): stop enumerating once
-    /// this many rows have been emitted. At `threads = 1` the join stops
-    /// *exactly* at the quota; with N workers each claimed chunk is
-    /// bounded by the quota and workers stop claiming chunks once the
-    /// already-produced rows cover it, so the overshoot is bounded by the
-    /// chunks in flight. The produced rows are always a prefix of the
-    /// serial unbounded enumeration. `None` = run to completion.
+    /// Early-exit row quota (LIMIT/ASK pushdown): the join stops *exactly*
+    /// once this many rows have been emitted, so the produced rows are a
+    /// prefix of the unbounded enumeration. `None` = run to completion.
     pub quota: Option<usize>,
-    /// Execution deadline: once it passes, enumeration stops claiming new
-    /// subtrees (polled every [`DEADLINE_POLL_MASK`]+1 quota checks and at
-    /// every parallel chunk claim) and [`ExecStats::deadline_expired`] is
-    /// set. The rows produced so far are discarded by the engine, which
-    /// surfaces `LbrError::DeadlineExceeded` instead. `None` = no limit.
+    /// Execution deadline: once it passes, enumeration stops starting new
+    /// subtrees (polled every [`DEADLINE_POLL_MASK`]+1 quota checks) and
+    /// [`ExecStats::deadline_expired`] is set. The rows produced so far are
+    /// discarded by the engine, which surfaces
+    /// `LbrError::DeadlineExceeded` instead. `None` = no limit.
     pub deadline: Option<Instant>,
 }
 
@@ -127,27 +100,13 @@ pub struct ExecStats {
     /// enumeration; with one it stops at the seed producing the last
     /// needed row — the verifiable early-exit evidence.
     pub seeds_enumerated: u64,
-    /// Rows assembled in the per-worker reusable row/failure scratch
-    /// buffers instead of a fresh allocation — one per emit that survives
-    /// the FaN stage, so (like the other counters) the sum is identical at
-    /// every thread count on unbounded runs.
+    /// Rows assembled in the reusable row/failure scratch buffers instead
+    /// of a fresh allocation — one per emit that survives the FaN stage.
     pub scratch_reuses: u64,
     /// Whether [`JoinInputs::deadline`] passed during the join — the rows
     /// returned alongside are then an arbitrary truncation, not an
     /// answer, and the caller must discard them.
     pub deadline_expired: bool,
-}
-
-impl ExecStats {
-    /// Accumulates another worker's counters (order-independent sums, so
-    /// the merged stats equal the serial run's).
-    fn absorb(&mut self, other: &ExecStats) {
-        self.nullification_fired += other.nullification_fired;
-        self.rows_filtered += other.rows_filtered;
-        self.seeds_enumerated += other.seeds_enumerated;
-        self.scratch_reuses += other.scratch_reuses;
-        self.deadline_expired |= other.deadline_expired;
-    }
 }
 
 /// The paper's `sorted-tps`: absolute masters ascending by remaining triple
@@ -161,291 +120,23 @@ pub fn sort_tps(tps: &[TpState], gosn: &Gosn) -> Vec<TpId> {
     order
 }
 
-/// Runs the multi-way join serially, returning full-width rows (one column
-/// per variable in [`VarTable`] order).
+/// Runs the multi-way join, returning full-width rows (one column per
+/// variable in [`VarTable`] order).
 pub fn multi_way_join(inp: &JoinInputs<'_>) -> (Vec<Vec<Option<Binding>>>, ExecStats) {
-    multi_way_join_with(inp, 1)
-}
-
-/// Runs the multi-way join on up to `threads` worker threads by
-/// partitioning the root TP's candidate enumeration (see the module docs
-/// for the scheme and the determinism guarantee). `threads <= 1` runs the
-/// exact serial recursion.
-pub fn multi_way_join_with(
-    inp: &JoinInputs<'_>,
-    threads: usize,
-) -> (Vec<Vec<Option<Binding>>>, ExecStats) {
     let sh = Shared::new(inp);
-    if sh.stps.is_empty() {
-        let mut ctx = Ctx::new(&sh);
-        ctx.emit();
-        ctx.stats.deadline_expired = sh.expired.load(Ordering::Relaxed);
-        return (ctx.rows, ctx.stats);
-    }
-    if threads <= 1 {
-        let mut ctx = Ctx::new(&sh);
-        recurse(&mut ctx);
-        ctx.stats.deadline_expired = sh.expired.load(Ordering::Relaxed);
-        return (ctx.rows, ctx.stats);
-    }
-
-    let root = Ctx::new(&sh).select_next();
-    if inp.tps[root].count() == 0 {
-        // The root TP matches nothing: the whole join is a single
-        // rolled-back branch (absolute master) or one nulled-slave branch
-        // — there is nothing to partition, so run the serial recursion.
-        let mut ctx = Ctx::new(&sh);
-        recurse(&mut ctx);
-        ctx.stats.deadline_expired = sh.expired.load(Ordering::Relaxed);
-        return (ctx.rows, ctx.stats);
-    }
-    let units = RootUnits::plan(inp, root);
-    let n_units = units.len();
-
-    // Oversplit into more chunks than workers so a skewed subtree does not
-    // serialize the tail; chunks stay contiguous so the in-order merge
-    // reproduces the serial row order exactly.
-    let n_chunks = n_units.min(threads.saturating_mul(8)).max(1);
-    let chunk_size = n_units.div_ceil(n_chunks);
-    // Both ends clamped: with ceil-division the last chunks can start past
-    // `n_units` (e.g. 100 units / 16 chunks → size 7 → chunk 15 starts at
-    // 105); such empty tails are dropped.
-    let bounds: Vec<(usize, usize)> = (0..n_chunks)
-        .map(|i| {
-            (
-                (i * chunk_size).min(n_units),
-                ((i + 1) * chunk_size).min(n_units),
-            )
-        })
-        .filter(|(start, end)| start < end)
-        .collect();
-    let next = AtomicUsize::new(0);
-    // The shared row quota: workers stop claiming chunks once the chunks
-    // already run have produced enough rows. Claimed chunks always form a
-    // prefix of the chunk sequence, and each chunk's rows are a prefix of
-    // its serial enumeration, so the first `quota` merged rows equal the
-    // serial engine's first `quota` rows exactly.
-    let rows_done = AtomicUsize::new(0);
-    type ChunkResult = (Vec<Vec<Option<Binding>>>, ExecStats);
-    let results: Vec<Mutex<Option<ChunkResult>>> =
-        bounds.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(bounds.len()) {
-            scope.spawn(|| {
-                let mut ctx = Ctx::new(&sh);
-                loop {
-                    if inp
-                        .quota
-                        .is_some_and(|q| rows_done.load(Ordering::Relaxed) >= q)
-                        || sh.expired.load(Ordering::Relaxed)
-                    {
-                        break;
-                    }
-                    // Chunk claims are rare enough (≤ 8 × threads per
-                    // join) to afford an exact clock read each time.
-                    if inp.deadline.is_some_and(|d| Instant::now() >= d) {
-                        sh.expired.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(start, end)) = bounds.get(i) else {
-                        break;
-                    };
-                    units.run(&mut ctx, root, start, end);
-                    let rows = std::mem::take(&mut ctx.rows);
-                    let stats = std::mem::take(&mut ctx.stats);
-                    rows_done.fetch_add(rows.len(), Ordering::Relaxed);
-                    *results[i].lock().expect("chunk slot lock") = Some((rows, stats));
-                }
-            });
-        }
-    });
-
-    let mut rows = Vec::new();
-    let mut stats = ExecStats::default();
-    let expired = sh.expired.load(Ordering::Relaxed);
-    for cell in results {
-        // With a quota (or an expired deadline), trailing chunks may
-        // legitimately be unclaimed.
-        let Some((mut r, s)) = cell.into_inner().expect("chunk slot lock") else {
-            debug_assert!(
-                inp.quota.is_some() || expired,
-                "only a quota or deadline leaves chunks unclaimed"
-            );
-            continue;
-        };
-        rows.append(&mut r);
-        stats.absorb(&s);
-    }
-    stats.deadline_expired |= expired;
-    (rows, stats)
+    let mut ctx = Ctx::new(&sh);
+    recurse(&mut ctx);
+    ctx.stats.deadline_expired = ctx.expired.get();
+    (ctx.rows, ctx.stats)
 }
 
-/// The root TP's candidate enumeration, partitioned into coarse
-/// contiguous *units* (a candidate ID, a compressed matrix row, or a
-/// predicate-slice row) instead of one seed per triple, so the partition
-/// plan stays O(rows) even when the root matches millions of triples.
-/// Units expand lazily inside [`RootUnits::run`], in exactly the order
-/// the serial recursion enumerates them.
-enum RootUnits {
-    /// A present membership test: exactly one unit with no bindings.
-    Zero,
-    /// Unit = one candidate ID of the single variable.
-    One { ids: Vec<u32> },
-    /// Unit = one non-empty compressed matrix row (its columns expand
-    /// lazily off the row cursor).
-    Two { n_rows: usize },
-    /// Unit = one row of one predicate slice, as
-    /// `(predicate-slice index, row index)`.
-    Three { pred_rows: Vec<(u32, u32)> },
-}
-
-impl RootUnits {
-    /// Builds the partition plan. The caller has checked
-    /// `inp.tps[root].count() > 0`, so at least one unit exists and every
-    /// matrix row is non-empty.
-    fn plan(inp: &JoinInputs<'_>, root: TpId) -> RootUnits {
-        let state = &inp.tps[root];
-        match &state.data {
-            TpData::Zero { .. } => RootUnits::Zero,
-            TpData::One { cands, .. } => RootUnits::One {
-                ids: cands.iter_ones().collect(),
-            },
-            TpData::Two { mat, .. } => RootUnits::Two {
-                n_rows: mat.rows().len(),
-            },
-            TpData::Three { mats, .. } => {
-                let mut pred_rows = Vec::new();
-                for (pi, (_, mat)) in mats.iter().enumerate() {
-                    for ri in 0..mat.rows().len() {
-                        pred_rows.push((pi as u32, ri as u32));
-                    }
-                }
-                RootUnits::Three { pred_rows }
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            RootUnits::Zero => 1,
-            RootUnits::One { ids } => ids.len(),
-            RootUnits::Two { n_rows } => *n_rows,
-            RootUnits::Three { pred_rows } => pred_rows.len(),
-        }
-    }
-
-    // lbr-lint: no_alloc — the parallel root driver: chunks replay the same
-    // scratch-backed descent as the serial recursion.
-    /// Runs the units in `[start, end)` on a fresh-at-root context,
-    /// binding exactly as the serial enumeration arms do; `descend`
-    /// restores the context completely after every subtree, so one
-    /// context serves the whole range.
-    ///
-    /// Each arm MUST mirror the corresponding all-`Free` arm of
-    /// [`recurse`] (same enumeration order, same bind/descend/unbind
-    /// sequence) — that mirror IS the byte-identity guarantee. The
-    /// `parallel_is_byte_identical_to_serial` and
-    /// `many_units_with_ragged_tail_chunks` tests pin every shape
-    /// (One/Two/Three) at the root; extend them when touching either
-    /// side.
-    fn run(&self, ctx: &mut Ctx<'_, '_, '_>, root: TpId, start: usize, end: usize) {
-        let sh = ctx.sh;
-        let state = &sh.inp.tps[root];
-        let n_shared = sh.inp.dims.n_shared;
-        match (self, &state.data) {
-            (RootUnits::Zero, TpData::Zero { .. }) => {
-                descend(ctx, root, &[]);
-            }
-            (RootUnits::One { ids }, TpData::One { var, dim, .. }) => {
-                for &id in &ids[start..end] {
-                    ctx.bind(*var, Slot::Val(Binding::new(id, *dim, n_shared)), root);
-                    descend(ctx, root, &[*var]);
-                    if ctx.full() {
-                        break;
-                    }
-                }
-            }
-            (
-                RootUnits::Two { .. },
-                TpData::Two {
-                    row_var,
-                    row_dim,
-                    col_var,
-                    col_dim,
-                    mat,
-                },
-            ) => {
-                let (rv, cv, rd, cd) = (*row_var, *col_var, *row_dim, *col_dim);
-                for (r, cols) in &mat.rows()[start..end] {
-                    if ctx.full() {
-                        break;
-                    }
-                    ctx.bind(rv, Slot::Val(Binding::new(*r, rd, n_shared)), root);
-                    for c in cols.iter_ones() {
-                        ctx.bind(cv, Slot::Val(Binding::new(c, cd, n_shared)), root);
-                        descend(ctx, root, &[cv]);
-                        if ctx.full() {
-                            break;
-                        }
-                    }
-                    ctx.unbind(rv);
-                }
-            }
-            (
-                RootUnits::Three { pred_rows },
-                TpData::Three {
-                    s_var,
-                    p_var,
-                    o_var,
-                    mats,
-                },
-            ) => {
-                let (sv, pv, ov) = (*s_var, *p_var, *o_var);
-                for &(pi, ri) in &pred_rows[start..end] {
-                    if ctx.full() {
-                        break;
-                    }
-                    let (pid, mat) = &mats[pi as usize];
-                    let (r, cols) = &mat.rows()[ri as usize];
-                    ctx.bind(
-                        pv,
-                        Slot::Val(Binding::new(*pid, Dimension::Predicate, n_shared)),
-                        root,
-                    );
-                    ctx.bind(
-                        sv,
-                        Slot::Val(Binding::new(*r, Dimension::Subject, n_shared)),
-                        root,
-                    );
-                    for c in cols.iter_ones() {
-                        ctx.bind(
-                            ov,
-                            Slot::Val(Binding::new(c, Dimension::Object, n_shared)),
-                            root,
-                        );
-                        descend(ctx, root, &[ov]);
-                        if ctx.full() {
-                            break;
-                        }
-                    }
-                    ctx.unbind(sv);
-                    ctx.unbind(pv);
-                }
-            }
-            _ => unreachable!("RootUnits::plan matches the root TP's data shape"),
-        }
-    }
-    // lbr-lint: end
-}
-
-/// The read-only part of the join state, shared by all workers.
+/// The read-only part of the join state, precomputed once per join and
+/// borrowed apart from the mutable [`Ctx`] so the recursion can hold TP data
+/// while it rebinds slots.
 struct Shared<'a, 'b> {
     inp: &'b JoinInputs<'a>,
     stps: Vec<TpId>,
-    /// Unvisited-TP count per supernode at the start of the join
-    /// (cloned into each worker's private countdown).
+    /// Unvisited-TP count per supernode at the start of the join.
     sn_remaining0: Vec<usize>,
     /// `sn_vars[sn][var]`: does `var` occur in a TP of `sn`? The FILTER
     /// visibility scope for supernode filters.
@@ -454,10 +145,6 @@ struct Shared<'a, 'b> {
     /// eligibility checks and NULL-binding sweeps never call the
     /// allocating `TpState::vars()`.
     tp_vars: Vec<Vec<(VarId, Dimension)>>,
-    /// Set once [`JoinInputs::deadline`] is observed to have passed, so
-    /// every worker (and the chunk-claim loop) stops promptly without
-    /// each having to re-read the clock.
-    expired: AtomicBool,
 }
 
 impl<'a, 'b> Shared<'a, 'b> {
@@ -482,14 +169,11 @@ impl<'a, 'b> Shared<'a, 'b> {
             sn_remaining0,
             sn_vars,
             tp_vars,
-            expired: AtomicBool::new(false),
         }
     }
 }
 
-/// Per-worker join state: the variable map and the recursion bookkeeping.
-/// Creating one from a [`Shared`] is cheap (a few vecs), so every worker
-/// owns its own and no state is shared mutably across threads.
+/// The mutable join state: the variable map and the recursion bookkeeping.
 struct Ctx<'s, 'a, 'b> {
     sh: &'s Shared<'a, 'b>,
     slots: Vec<Slot>,
@@ -510,6 +194,9 @@ struct Ctx<'s, 'a, 'b> {
     /// Deadline-poll counter: [`Ctx::full`] reads the wall clock only
     /// every `DEADLINE_POLL_MASK + 1` calls.
     poll: Cell<u32>,
+    /// Set once [`JoinInputs::deadline`] is observed to have passed, so
+    /// every later poll stops without re-reading the clock.
+    expired: Cell<bool>,
     stats: ExecStats,
 }
 
@@ -527,6 +214,7 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
             failed: Vec::new(),
             row_buf: Vec::new(),
             poll: Cell::new(0),
+            expired: Cell::new(false),
             stats: ExecStats::default(),
         }
     }
@@ -564,12 +252,10 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
             .expect("a master-complete unvisited TP exists")
     }
 
-    /// True once the row quota (if any) is met for this context's rows —
-    /// enumeration must stop claiming new subtrees. Per-worker rows are
-    /// per-chunk, so a parallel chunk is also individually bounded by the
-    /// quota (sound: only the first `quota` merged rows are ever used).
-    /// Doubles as the deadline poll: a passed deadline also stops the
-    /// enumeration (the caller then discards the partial rows).
+    /// True once the row quota (if any) is met — enumeration must stop
+    /// starting new subtrees. Doubles as the deadline poll: a passed
+    /// deadline also stops the enumeration (the caller then discards the
+    /// partial rows).
     fn full(&self) -> bool {
         if self.sh.inp.quota.is_some_and(|q| self.rows.len() >= q) {
             return true;
@@ -578,13 +264,12 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
     }
 
     /// Polls the execution deadline, rate-limited to one wall-clock read
-    /// per `DEADLINE_POLL_MASK + 1` calls; a hit is published through the
-    /// shared flag so sibling workers stop claiming subtrees too.
+    /// per `DEADLINE_POLL_MASK + 1` calls; a hit is latched.
     fn deadline_hit(&self) -> bool {
         let Some(deadline) = self.sh.inp.deadline else {
             return false;
         };
-        if self.sh.expired.load(Ordering::Relaxed) {
+        if self.expired.get() {
             return true;
         }
         let n = self.poll.get().wrapping_add(1);
@@ -593,7 +278,7 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
             return false;
         }
         if Instant::now() >= deadline {
-            self.sh.expired.store(true, Ordering::Relaxed);
+            self.expired.set(true);
             return true;
         }
         false
@@ -613,8 +298,8 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
 
     /// Emits one result row: failure closure → FaN filters → nullification
     /// → global filters → push. The failure map and the row are assembled
-    /// in reusable per-worker buffers; only a surviving row is cloned into
-    /// the output, so filtered rows cost no allocation at all.
+    /// in reusable buffers; only a surviving row is cloned into the output,
+    /// so filtered rows cost no allocation at all.
     fn emit(&mut self) {
         if self.full() {
             return; // quota met (and handles the degenerate quota of 0)
@@ -754,18 +439,14 @@ impl VarLookup for RowLookup<'_> {
     }
 }
 
-// lbr-lint: no_alloc — the serial recursion and its TP descent: all masks,
-// cursors and row buffers come from per-worker scratch.
+// lbr-lint: no_alloc — the recursion and its TP descent: all masks,
+// cursors and row buffers come from the context's scratch.
 /// One recursion level of Algorithm 5.4.
 ///
 /// Candidate enumeration cursors directly over the compressed matrix rows
 /// (forward: the TP's own matrix; reverse: its transposed copy) — no
 /// candidate vector or adjacency list is materialized or cloned, so the
 /// steady-state loop body performs no heap allocation.
-///
-/// The all-`Free` enumeration arms (the root-level cases) are mirrored by
-/// [`RootUnits::run`] for the parallel path — keep the two in sync (see
-/// the note there).
 fn recurse(ctx: &mut Ctx<'_, '_, '_>) {
     let sh = ctx.sh;
     if ctx.n_visited == sh.stps.len() {
@@ -1072,12 +753,14 @@ mod tests {
         .encode()
     }
 
-    fn run_threads(
+    /// Plans `query` over `g`, runs init → prune → adjacency and then the
+    /// join under `quota`.
+    fn join(
+        g: &lbr_rdf::EncodedGraph,
         query: &str,
-        threads: usize,
-    ) -> (Vec<String>, Vec<Vec<Option<String>>>, ExecStats) {
-        let g = graph();
-        let store = BitMatStore::build(&g);
+        quota: Option<usize>,
+    ) -> (Vec<String>, Vec<Vec<Option<Binding>>>, ExecStats) {
+        let store = BitMatStore::build(g);
         let q = parse_query(query).unwrap();
         let a = analyze(&q.pattern).unwrap();
         let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
@@ -1103,11 +786,17 @@ mod tests {
             dims: store.dims(),
             dict: &g.dict,
             fan_filters: Vec::new(),
-            quota: None,
+            quota,
             deadline: None,
         };
-        let (rows, stats) = multi_way_join_with(&inputs, threads);
-        let decoded: Vec<Vec<Option<String>>> = rows
+        let (rows, stats) = multi_way_join(&inputs);
+        (vt.names().to_vec(), rows, stats)
+    }
+
+    fn run(query: &str) -> (Vec<String>, Vec<Vec<Option<String>>>, ExecStats) {
+        let g = graph();
+        let (vars, rows, stats) = join(&g, query, None);
+        let decoded = rows
             .iter()
             .map(|r| {
                 r.iter()
@@ -1115,11 +804,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        (vt.names().to_vec(), decoded, stats)
-    }
-
-    fn run(query: &str) -> (Vec<String>, Vec<Vec<Option<String>>>, ExecStats) {
-        run_threads(query, 1)
+        (vars, decoded, stats)
     }
 
     /// The paper's running example: exactly {(Larry, NULL), (Julia,
@@ -1183,12 +868,9 @@ mod tests {
         assert_eq!(rows.len(), 2, "membership true: acts as a no-op gate");
     }
 
-    /// Regression: when the unit count exceeds `threads * 8` with a
-    /// non-aligned remainder, ceil-division makes the last chunks start
-    /// past the unit count (100 units / 16 chunks → size 7 → chunk 15
-    /// would start at 105); the bounds must be clamped, not panic.
-    #[test]
-    fn many_units_with_ragged_tail_chunks() {
+    /// Joins `?s <p> ?o` over a 100-triple graph (one row per seed) under
+    /// the given quota.
+    fn run_quota(quota: Option<usize>) -> (Vec<Vec<Option<Binding>>>, ExecStats) {
         let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
         let g = Graph::from_triples(
             (0..100)
@@ -1196,154 +878,26 @@ mod tests {
                 .collect::<Vec<_>>(),
         )
         .encode();
-        let store = BitMatStore::build(&g);
-        let q = parse_query("SELECT * WHERE { ?s <p> ?o . }").unwrap();
-        let a = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
-        let est = estimate_all(a.gosn.tps(), &g.dict, &store);
-        let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
-        let mut out = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
-        prune_triples(
-            &mut out.tps,
-            &a.gosn,
-            &a.goj,
-            &vt,
-            &jorder,
-            &store.dims(),
-            &mut PruneScratch::new(),
-        );
-        for tp in &mut out.tps {
-            tp.build_adjacency();
-        }
-        let inputs = JoinInputs {
-            tps: &out.tps,
-            gosn: &a.gosn,
-            vt: &vt,
-            dims: store.dims(),
-            dict: &g.dict,
-            fan_filters: Vec::new(),
-            quota: None,
-            deadline: None,
-        };
-        let (serial, _) = multi_way_join_with(&inputs, 1);
-        assert_eq!(serial.len(), 100);
-        for threads in [2, 3, 7, 16] {
-            let (parallel, _) = multi_way_join_with(&inputs, threads);
-            assert_eq!(parallel, serial, "threads={threads}");
-        }
+        let (_, rows, stats) = join(&g, "SELECT * WHERE { ?s <p> ?o . }", quota);
+        (rows, stats)
     }
 
-    /// Builds the join inputs for a 100-triple star graph and runs the
-    /// join with the given quota and thread count, returning `(rows,
-    /// stats)`.
-    fn run_quota(quota: Option<usize>, threads: usize) -> (Vec<Vec<Option<Binding>>>, ExecStats) {
-        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
-        let g = Graph::from_triples(
-            (0..100)
-                .map(|i| t(&format!("s{i}"), "p", &format!("o{i}")))
-                .collect::<Vec<_>>(),
-        )
-        .encode();
-        let store = BitMatStore::build(&g);
-        let q = parse_query("SELECT * WHERE { ?s <p> ?o . }").unwrap();
-        let a = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
-        let est = estimate_all(a.gosn.tps(), &g.dict, &store);
-        let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
-        let mut out = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
-        prune_triples(
-            &mut out.tps,
-            &a.gosn,
-            &a.goj,
-            &vt,
-            &jorder,
-            &store.dims(),
-            &mut PruneScratch::new(),
-        );
-        for tp in &mut out.tps {
-            tp.build_adjacency();
-        }
-        let inputs = JoinInputs {
-            tps: &out.tps,
-            gosn: &a.gosn,
-            vt: &vt,
-            dims: store.dims(),
-            dict: &g.dict,
-            fan_filters: Vec::new(),
-            quota,
-            deadline: None,
-        };
-        multi_way_join_with(&inputs, threads)
-    }
-
-    /// The LIMIT/ASK pushdown contract at `threads = 1`: the join stops
-    /// *exactly* at the quota — rows and enumerated seeds both equal it.
+    /// The LIMIT/ASK pushdown contract: the join stops *exactly* at the
+    /// quota — rows and enumerated seeds both equal it.
     #[test]
-    fn quota_stops_serial_enumeration_exactly() {
-        let (all_rows, full) = run_quota(None, 1);
+    fn quota_stops_enumeration_exactly() {
+        let (all_rows, full) = run_quota(None);
         assert_eq!(all_rows.len(), 100);
         assert_eq!(full.seeds_enumerated, 100);
         for quota in [0, 1, 10, 99, 100, 1000] {
-            let (rows, stats) = run_quota(Some(quota), 1);
+            let (rows, stats) = run_quota(Some(quota));
             let expect = quota.min(100);
             assert_eq!(rows.len(), expect, "quota={quota}");
             assert_eq!(
                 stats.seeds_enumerated, expect as u64,
                 "one row per seed here, so seeds must stop exactly at the quota"
             );
-            assert_eq!(rows, all_rows[..expect], "prefix of the serial order");
-        }
-    }
-
-    /// With N workers the produced rows may overshoot the quota
-    /// (bounded by the chunks in flight), but the first `quota` rows are
-    /// always exactly the serial prefix — what the modifier seam keeps.
-    #[test]
-    fn quota_parallel_prefix_matches_serial() {
-        let (all_rows, _) = run_quota(None, 1);
-        for threads in [2, 3, 8] {
-            for quota in [1, 7, 25, 100] {
-                let (rows, stats) = run_quota(Some(quota), threads);
-                assert!(rows.len() >= quota.min(100), "threads={threads}");
-                assert_eq!(
-                    rows[..quota.min(rows.len())],
-                    all_rows[..quota.min(all_rows.len())],
-                    "threads={threads} quota={quota}: not a serial prefix"
-                );
-                assert!(
-                    stats.seeds_enumerated <= 100,
-                    "never enumerates more than the full candidate set"
-                );
-            }
-        }
-    }
-
-    /// The tentpole's determinism guarantee: any thread count produces
-    /// rows byte-identical (same order, same values) to the serial run.
-    #[test]
-    fn parallel_is_byte_identical_to_serial() {
-        let queries = [
-            "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?friend .
-               OPTIONAL { ?friend :actedIn ?sitcom . ?sitcom :location :NewYorkCity . } }",
-            "PREFIX : <> SELECT * WHERE { ?f :actedIn ?s . ?s :location ?where . }",
-            "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?friend .
-               OPTIONAL { ?friend :actedIn ?sitcom . OPTIONAL { ?sitcom :location ?loc . } } }",
-            "PREFIX : <> SELECT * WHERE { ?s ?p ?o . }",
-            "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?friend .
-               OPTIONAL { ?friend :location ?loc . } }",
-        ];
-        for query in queries {
-            let (_, serial, s_stats) = run_threads(query, 1);
-            for threads in [2, 3, 8] {
-                let (_, parallel, p_stats) = run_threads(query, threads);
-                assert_eq!(parallel, serial, "threads={threads} on: {query}");
-                assert_eq!(
-                    p_stats.nullification_fired, s_stats.nullification_fired,
-                    "stats diverge at threads={threads}"
-                );
-                assert_eq!(p_stats.rows_filtered, s_stats.rows_filtered);
-                assert_eq!(p_stats.seeds_enumerated, s_stats.seeds_enumerated);
-            }
+            assert_eq!(rows, all_rows[..expect], "prefix of the unbounded order");
         }
     }
 }

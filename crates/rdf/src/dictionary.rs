@@ -97,16 +97,6 @@ impl DictionaryBuilder {
         }
     }
 
-    // Interns a term with a pre-merged role bit-set (S=1, P=2, O=4). Used
-    // by the parallel loader, whose slot-ordered merge already knows each
-    // term's full role set when it replays first-seen order.
-    pub(crate) fn intern_roles(&mut self, t: &Term, roles: u8) {
-        debug_assert!(!self.index.contains_key(t), "merged terms are distinct");
-        let i = self.terms.len() as u32;
-        self.index.insert(t.clone(), i);
-        self.terms.push((t.clone(), Roles(roles)));
-    }
-
     /// Performs the Appendix-D assignment and freezes the dictionary.
     ///
     /// ID layout per dimension (0-based):

@@ -72,16 +72,6 @@ impl Graph {
             .collect();
         EncodedGraph { dict, triples }
     }
-
-    /// Like [`Graph::encode`] but builds the dictionary and encodes the
-    /// triples on `threads` workers. Output is byte-identical to the serial
-    /// path at any thread count (see [`crate::parallel`] for why).
-    pub fn encode_with_threads(mut self, threads: usize) -> EncodedGraph {
-        self.finish();
-        let dict = crate::parallel::build_dictionary_parallel(&self.triples, threads);
-        let triples = crate::parallel::encode_triples_parallel(&dict, &self.triples, threads);
-        EncodedGraph { dict, triples }
-    }
 }
 
 impl FromIterator<Triple> for Graph {

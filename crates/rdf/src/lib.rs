@@ -22,7 +22,6 @@ pub mod dictionary;
 pub mod error;
 pub mod graph;
 pub mod ntriples;
-pub mod parallel;
 pub mod term;
 pub mod triple;
 
@@ -30,7 +29,6 @@ pub use dictionary::{Dictionary, DictionaryBuilder, Dimension};
 pub use error::RdfError;
 pub use graph::{EncodedGraph, Graph};
 pub use ntriples::{parse_ntriples, write_ntriples};
-pub use parallel::{load_ntriples_parallel, parse_ntriples_parallel};
 pub use term::Term;
 pub use triple::{EncodedTriple, Triple};
 

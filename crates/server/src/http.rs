@@ -4,150 +4,8 @@
 //! typed [`HttpError`] all live in [`lbr_net`] (the event-driven
 //! connection layer) and are re-exported here so server code and
 //! downstream users keep one import path.
-//!
-//! What remains local are the **blocking writer helpers** —
-//! [`write_head`], [`write_text`], [`write_error`] — for code that
-//! serializes a response straight onto an `io::Write` (scripts, tests,
-//! one-shot tools). Since the keep-alive rewrite they frame responses
-//! properly: `write_head` takes the body length and the keep-alive
-//! decision and emits `Content-Length` and `Connection` headers, so
-//! their output is interchangeable with the event loop's encoder.
-
-use std::io::{self, Write};
 
 pub use lbr_net::http::{
     parse_form, percent_decode, reason, HttpError, Parse, Request, RequestParser, Response,
     MAX_BODY, MAX_HEAD, MAX_HEADERS,
 };
-
-/// Writes a response head: status line, `Content-Type`,
-/// `Content-Length` (when the body length is known), `Connection:
-/// keep-alive|close`, any extra headers, and the terminating blank
-/// line. The caller writes exactly `content_length` body bytes after.
-pub fn write_head(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    content_length: Option<usize>,
-    keep_alive: bool,
-    extra: &[(&str, &str)],
-) -> io::Result<()> {
-    write!(w, "HTTP/1.1 {} {}\r\n", status, reason(status))?;
-    write!(w, "Content-Type: {content_type}\r\n")?;
-    if let Some(len) = content_length {
-        write!(w, "Content-Length: {len}\r\n")?;
-    }
-    write!(
-        w,
-        "Connection: {}\r\n",
-        // Without a length the body is close-delimited: the connection
-        // cannot be kept alive regardless of what the caller asked for.
-        if keep_alive && content_length.is_some() {
-            "keep-alive"
-        } else {
-            "close"
-        }
-    )?;
-    for (name, value) in extra {
-        write!(w, "{name}: {value}\r\n")?;
-    }
-    w.write_all(b"\r\n")
-}
-
-/// Writes a complete framed plain-text response.
-pub fn write_text(w: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
-    write_head(
-        w,
-        status,
-        "text/plain; charset=utf-8",
-        Some(body.len()),
-        true,
-        &[],
-    )?;
-    w.write_all(body.as_bytes())
-}
-
-/// Writes a complete framed error response for an [`HttpError`],
-/// carrying `Allow` on 405s and closing the connection when the error
-/// marks the stream unrecoverable.
-pub fn write_error(w: &mut impl Write, err: &HttpError) -> io::Result<()> {
-    let body = format!("{}\n", err.message);
-    let extra: &[(&str, &str)] = match err.allow {
-        Some(allow) => &[("Allow", allow)],
-        None => &[],
-    };
-    write_head(
-        w,
-        err.status,
-        "text/plain; charset=utf-8",
-        Some(body.len()),
-        !err.must_close,
-        extra,
-    )?;
-    w.write_all(body.as_bytes())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rendered(f: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
-        let mut out = Vec::new();
-        f(&mut out).unwrap();
-        String::from_utf8(out).unwrap()
-    }
-
-    #[test]
-    fn head_carries_length_and_connection() {
-        let text = rendered(|w| write_head(w, 200, "application/json", Some(12), true, &[]));
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-        assert!(text.contains("Content-Type: application/json\r\n"));
-        assert!(text.contains("Content-Length: 12\r\n"));
-        assert!(text.contains("Connection: keep-alive\r\n"));
-        assert!(text.ends_with("\r\n\r\n"));
-
-        let text = rendered(|w| write_head(w, 200, "text/plain", Some(0), false, &[]));
-        assert!(text.contains("Connection: close\r\n"), "{text}");
-    }
-
-    #[test]
-    fn unknown_length_forces_close() {
-        // A close-delimited body cannot coexist with keep-alive.
-        let text = rendered(|w| write_head(w, 200, "text/plain", None, true, &[]));
-        assert!(!text.contains("Content-Length"), "{text}");
-        assert!(text.contains("Connection: close\r\n"), "{text}");
-    }
-
-    #[test]
-    fn extra_headers_appended() {
-        let text =
-            rendered(|w| write_head(w, 503, "text/plain", Some(3), true, &[("Retry-After", "1")]));
-        assert!(
-            text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
-            "{text}"
-        );
-        assert!(text.contains("Retry-After: 1\r\n"), "{text}");
-    }
-
-    #[test]
-    fn text_is_fully_framed() {
-        let text = rendered(|w| write_text(w, 200, "ok\n"));
-        assert!(text.contains("Content-Length: 3\r\n"), "{text}");
-        assert!(text.ends_with("\r\n\r\nok\n"), "{text}");
-    }
-
-    #[test]
-    fn error_carries_allow_and_close_policy() {
-        let text = rendered(|w| write_error(w, &HttpError::method_not_allowed("GET, POST")));
-        assert!(
-            text.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"),
-            "{text}"
-        );
-        assert!(text.contains("Allow: GET, POST\r\n"), "{text}");
-        assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
-
-        let text = rendered(|w| write_error(w, &HttpError::fatal(400, "desynced")));
-        assert!(text.contains("Connection: close\r\n"), "{text}");
-        assert!(text.ends_with("desynced\n"), "{text}");
-    }
-}

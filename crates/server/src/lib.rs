@@ -105,7 +105,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: lbr::core::api::default_threads().max(2),
+            workers: std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
             cache_capacity: 256,
             result_cache_capacity: 256,
             result_cache_bytes: 64 * 1024 * 1024,
@@ -464,8 +464,7 @@ impl Service {
     /// insertion order is the document shape) and as the `/metrics`
     /// Prometheus text exposition (family grouping and escaping handled
     /// by [`lbr_obs::Exposition`]). Durations are integer microseconds on
-    /// both surfaces (`_us`); `queries.t_total_ms` stays as the one
-    /// legacy millisecond alias.
+    /// both surfaces (`_us`).
     fn exposition(&self) -> lbr_obs::Exposition {
         let cache = self.cache.stats();
         let results = self.results.stats();
@@ -710,8 +709,6 @@ impl Service {
             t_total_us,
         );
         x.json_u64("queries.avg_us", avg_us);
-        // Legacy millisecond alias (documented; everything else is µs).
-        x.json_f64("queries.t_total_ms", agg.t_total.as_secs_f64() * 1e3, 3);
 
         x.counter(
             "lbr_updates_requests_total",
@@ -738,12 +735,6 @@ impl Service {
             "database.triples",
             "Triples in the current snapshot.",
             self.db.len() as u64,
-        );
-        x.gauge(
-            "lbr_worker_threads",
-            "database.threads",
-            "Engine worker threads.",
-            self.db.threads() as u64,
         );
         x.gauge(
             "lbr_store_epoch",

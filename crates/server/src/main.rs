@@ -21,8 +21,8 @@
 //! `503` + `Retry-After`), `--request-timeout-ms MS` (per-request
 //! execution budget; exceeded → `504`; `0` disables),
 //! `--header-timeout-ms MS` (slow-loris cutoff → `408`), `--engine
-//! lbr|pairwise|query-order|reordered|reference`, `--threads N`
-//! (intra-query join workers), `--index path.lbr`, `--wal-dir dir`
+//! lbr|pairwise|query-order|reordered|reference`, `--index path.lbr`,
+//! `--wal-dir dir`
 //! (accept SPARQL 1.1 Update on `POST /update`, journal committed
 //! updates to a write-ahead log in `dir` and replay them on restart),
 //! `--slow-query-ms MS` (requests at least this slow always publish an
@@ -49,7 +49,6 @@ struct Options {
     wal_dir: Option<String>,
     addr: String,
     engine: EngineKind,
-    threads: Option<usize>,
     config: ServerConfig,
 }
 
@@ -60,7 +59,6 @@ fn parse_args() -> Result<Options, String> {
         wal_dir: None,
         addr: "127.0.0.1:7878".into(),
         engine: EngineKind::Lbr,
-        threads: None,
         config: ServerConfig::default(),
     };
     let mut args = std::env::args().skip(1);
@@ -100,10 +98,6 @@ fn parse_args() -> Result<Options, String> {
                 let ms = parse_nonzero(&n, "--header-timeout-ms")? as u64;
                 o.config.header_timeout = std::time::Duration::from_millis(ms);
             }
-            "--threads" => {
-                let n = args.next().ok_or("--threads needs a value")?;
-                o.threads = Some(parse_nonzero(&n, "--threads")?);
-            }
             "--slow-query-ms" => {
                 let n = args.next().ok_or("--slow-query-ms needs a value")?;
                 let ms: u64 = n
@@ -131,6 +125,7 @@ fn parse_args() -> Result<Options, String> {
             "--index" => o.index = Some(args.next().ok_or("--index needs a value")?),
             "--wal-dir" => o.wal_dir = Some(args.next().ok_or("--wal-dir needs a value")?),
             "--help" | "-h" => return Err("help".into()),
+            flag if flag.starts_with("--") => return Err(format!("unexpected argument '{flag}'")),
             _ if o.data.is_none() => o.data = Some(a),
             other => return Err(format!("unexpected argument '{other}'")),
         }
@@ -150,7 +145,7 @@ fn usage() {
     eprintln!(
         "usage: lbr-server <data.nt> [--addr HOST:PORT] [--workers N] [--cache N] \
          [--result-cache N] [--queue N] [--request-timeout-ms MS] [--header-timeout-ms MS] \
-         [--engine lbr|pairwise|query-order|reordered|reference] [--threads N] \
+         [--engine lbr|pairwise|query-order|reordered|reference] \
          [--index path.lbr] [--wal-dir dir] \
          [--slow-query-ms MS] [--trace-ring N] [--trace-sample PER1024]"
     );
@@ -180,9 +175,6 @@ fn run() -> Result<ExitCode, String> {
     };
 
     let mut builder = Database::builder().engine(opts.engine).ntriples_file(data);
-    if let Some(threads) = opts.threads {
-        builder = builder.threads(threads);
-    }
     if let Some(index) = &opts.index {
         builder = builder.disk_index(index);
     }
@@ -191,10 +183,9 @@ fn run() -> Result<ExitCode, String> {
     }
     let db = Arc::new(builder.build().map_err(|e| e.to_string())?);
     eprintln!(
-        "lbr-server: {} triples, engine {}, {} join threads",
+        "lbr-server: {} triples, engine {}",
         db.len(),
-        db.engine_kind(),
-        db.threads()
+        db.engine_kind()
     );
     if opts.wal_dir.is_some() {
         eprintln!(

@@ -14,11 +14,9 @@
 //! ```
 //!
 //! Options: `--engine lbr|pairwise|query-order|reordered|reference`
-//! (default lbr), `--threads N` (worker threads for the multi-way join's
-//! root partitioning; default: available parallelism, `1` = exact serial
-//! path, results identical either way), `--format table|json|tsv`
-//! (default table; `json` is W3C SPARQL 1.1 Query Results JSON, `tsv` the
-//! W3C TSV format — both consumable by standard tooling), `--explain`
+//! (default lbr), `--format table|json|tsv` (default table; `json` is
+//! W3C SPARQL 1.1 Query Results JSON, `tsv` the W3C TSV format — both
+//! consumable by standard tooling), `--explain`
 //! (print the plan instead of executing), `--analyze` (EXPLAIN ANALYZE:
 //! execute the query and print the plan annotated with actual per-stage
 //! timings and estimated-vs-actual cardinalities; implies `--explain`),
@@ -60,7 +58,6 @@ struct Options {
     query_file: Option<String>,
     update_file: Option<String>,
     engine: EngineKind,
-    threads: Option<usize>,
     format: OutputFormat,
     explain: bool,
     analyze: bool,
@@ -79,7 +76,6 @@ fn parse_args() -> Result<Options, String> {
         query_file: None,
         update_file: None,
         engine: EngineKind::Lbr,
-        threads: None,
         format: OutputFormat::Table,
         explain: false,
         analyze: false,
@@ -97,16 +93,6 @@ fn parse_args() -> Result<Options, String> {
                 let name = args.next().ok_or("--format needs a value")?;
                 o.format = OutputFormat::from_name(&name)
                     .ok_or_else(|| format!("unknown format '{name}' (table, json or tsv)"))?;
-            }
-            "--threads" => {
-                let n = args.next().ok_or("--threads needs a value")?;
-                let n: usize = n
-                    .parse()
-                    .map_err(|_| format!("bad --threads value '{n}'"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                o.threads = Some(n);
             }
             "--file" => o.query_file = Some(args.next().ok_or("--file needs a value")?),
             "--update-file" => {
@@ -133,6 +119,7 @@ fn parse_args() -> Result<Options, String> {
             "update" if !o.update_mode && o.data.is_none() && o.query.is_none() => {
                 o.update_mode = true
             }
+            flag if flag.starts_with("--") => return Err(format!("unexpected argument '{flag}'")),
             _ if o.data.is_none() && a.ends_with(".nt") => o.data = Some(a),
             _ if o.query.is_none() => o.query = Some(a),
             other => return Err(format!("unexpected argument '{other}'")),
@@ -145,7 +132,7 @@ fn usage() {
     let engines: Vec<&str> = EngineKind::all().iter().map(|k| k.name()).collect();
     eprintln!(
         "usage: lbr-cli <data.nt> [QUERY] [--file query.rq] [--engine {}] \
-         [--threads N] [--format table|json|tsv] [--explain] [--analyze] [--stats] \
+         [--format table|json|tsv] [--explain] [--analyze] [--stats] \
          [--repeat N] [--save-index path] [--index path.lbr] [--wal-dir dir]\n\
          \x20      lbr-cli update <data.nt> --wal-dir dir [UPDATE] [--update-file changes.ru]",
         engines.join("|")
@@ -175,9 +162,6 @@ fn run() -> Result<ExitCode, String> {
     // Assemble the database: N-Triples data, optionally backed by the
     // lazily-read on-disk index.
     let mut builder = Database::builder().engine(opts.engine);
-    if let Some(threads) = opts.threads {
-        builder = builder.threads(threads);
-    }
     match &opts.data {
         Some(path) => builder = builder.ntriples_file(path),
         None => {
@@ -322,19 +306,11 @@ fn run() -> Result<ExitCode, String> {
         );
     }
     if opts.stats {
-        // Only the LBR engine consumes the thread setting; labelling the
-        // serial baselines with it would be misleading.
-        let threads_note = if opts.engine == EngineKind::Lbr {
-            format!(" ({} threads)", db.threads())
-        } else {
-            String::new()
-        };
         eprintln!(
-            "engine {}{}  init {:?}  prune {:?}  join {:?}  total {:?}\n\
+            "engine {}  init {:?}  prune {:?}  join {:?}  total {:?}\n\
              candidates {} → {}  best-match required: {}\n\
              kernel: {} prune intersections, {} scratch reuses",
             opts.engine,
-            threads_note,
             stats.t_init,
             stats.t_prune,
             stats.t_join,

@@ -154,7 +154,6 @@ use std::sync::Arc;
 pub struct Database {
     backend: Backend,
     default_engine: EngineKind,
-    threads: usize,
 }
 
 enum Backend {
@@ -259,7 +258,6 @@ pub struct DatabaseBuilder {
     wal_dir: Option<PathBuf>,
     updatable: bool,
     engine: EngineKind,
-    threads: Option<usize>,
 }
 
 impl DatabaseBuilder {
@@ -326,12 +324,11 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Sets the worker-thread count engines created by this database use
-    /// for intra-query parallelism (default: the machine's available
-    /// parallelism; `1` = the exact serial path). Results are
-    /// byte-identical at every thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+    // Kept only because the frozen `benchmark/` (its one caller) still
+    // sets it: there is one serial join, so the argument is ignored. Goes
+    // with `core.mt_ratio` in the next benchmark issue.
+    #[doc(hidden)]
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -391,7 +388,6 @@ impl DatabaseBuilder {
         Ok(Database {
             backend,
             default_engine: self.engine,
-            threads: self.threads.unwrap_or_else(core::api::default_threads),
         })
     }
 }
@@ -405,7 +401,6 @@ impl Database {
             wal_dir: None,
             updatable: false,
             engine: EngineKind::Lbr,
-            threads: None,
         }
     }
 
@@ -453,28 +448,14 @@ impl Database {
         }
     }
 
-    fn engine_options(&self) -> EngineOptions {
-        EngineOptions {
-            threads: self.threads,
-            ..EngineOptions::default()
-        }
-    }
-
     /// The default engine, ready to run queries.
     pub fn engine(&self) -> Box<dyn Engine + '_> {
         self.engine_of(self.default_engine)
     }
 
-    /// A specific engine over this database's catalog (using the
-    /// database's configured thread count).
+    /// A specific engine over this database's catalog.
     pub fn engine_of(&self, kind: EngineKind) -> Box<dyn Engine + '_> {
-        self.engine_with(
-            kind,
-            &EngineOptions {
-                threads: self.threads,
-                ..EngineOptions::default()
-            },
-        )
+        self.engine_with(kind, &EngineOptions::default())
     }
 
     /// A specific engine with explicit [`EngineOptions`].
@@ -502,9 +483,11 @@ impl Database {
         self.default_engine
     }
 
-    /// The worker-thread count engines created by this database use.
+    // Kept only because the frozen `benchmark/` (its one caller) still
+    // reads it; see `DatabaseBuilder::threads`.
+    #[doc(hidden)]
     pub fn threads(&self) -> usize {
-        self.threads
+        1
     }
 
     /// Parses and executes a query on the default engine.
@@ -526,11 +509,7 @@ impl Database {
         match self.mutable_store() {
             Some(store) => {
                 let snap = store.current_ref();
-                let engine = self.default_engine.build_with(
-                    snap.catalog(),
-                    snap.dict(),
-                    &self.engine_options(),
-                );
+                let engine = self.default_engine.build(snap.catalog(), snap.dict());
                 Ok(engine.execute(&query)?.into_solutions(snap.dict()))
             }
             None => Ok(self.execute_query(&query)?.into_solutions(self.dict())),
@@ -726,7 +705,7 @@ impl ReadView<'_> {
 
     /// A specific engine over this view's data.
     pub fn engine_of(&self, kind: EngineKind) -> Box<dyn Engine + '_> {
-        self.engine_with(kind, &self.db.engine_options())
+        self.engine_with(kind, &EngineOptions::default())
     }
 
     /// A specific engine over this view's data with explicit
@@ -764,7 +743,7 @@ impl ReadView<'_> {
     ) -> Result<QueryOutput, core::LbrError> {
         let options = EngineOptions {
             deadline,
-            ..self.db.engine_options()
+            ..EngineOptions::default()
         };
         let engine = self.engine_with(cached.engine_kind(), &options);
         if cached.epoch() != self.epoch() {
@@ -1008,7 +987,6 @@ impl Database {
             pattern: GraphPattern::Bgp(tps.to_vec()),
             modifiers: Modifiers::default(),
         };
-        let options = self.engine_options();
         let staged_vec: Vec<(Triple, bool)> = staged.iter().map(|(t, p)| (t.clone(), *p)).collect();
         // Fast path: compose the staged ops into a delta overlay sharing
         // the snapshot's segments + dictionary. Falls back to indexing a
@@ -1016,9 +994,7 @@ impl Database {
         // term the snapshot's dictionary cannot encode.
         let (vars, rows) = match snap.overlay_with(&staged_vec) {
             Some(catalog) => {
-                let engine = self
-                    .default_engine
-                    .build_with(&catalog, snap.dict(), &options);
+                let engine = self.default_engine.build(&catalog, snap.dict());
                 let out = engine.execute(&query).map_err(UpdateError::Eval)?;
                 let rows = out.decode(snap.dict());
                 (out.vars, rows)
@@ -1034,9 +1010,7 @@ impl Database {
                 }
                 let graph = Graph::from_triples(view.into_iter().collect()).encode();
                 let segments = BitMatStore::build(&graph);
-                let engine = self
-                    .default_engine
-                    .build_with(&segments, &graph.dict, &options);
+                let engine = self.default_engine.build(&segments, &graph.dict);
                 let out = engine.execute(&query).map_err(UpdateError::Eval)?;
                 let rows = out.decode(&graph.dict);
                 (out.vars, rows)

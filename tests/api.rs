@@ -313,3 +313,43 @@ fn engine_trait_objects_expose_names_and_dict() {
         assert!(std::ptr::eq(engine.dict(), db.dict()));
     }
 }
+
+/// Runs `run` under a forced trace and returns the drained span names.
+fn traced_span_names(run: impl FnOnce() -> lbr::QueryOutput) -> Vec<&'static str> {
+    lbr::obs::trace_begin(0);
+    let out = run();
+    let (mut spans, mut label) = (Vec::new(), String::new());
+    lbr::obs::trace_drain(&mut spans, &mut label);
+    assert_eq!(out.len(), 1);
+    spans.iter().map(|s| s.name).collect()
+}
+
+/// Every stage of a traced execution shows up in the drained spans on
+/// both entry points: one-shot `Database::execute` and the prepared
+/// (cached-plan) path the server and the benchmark use. `finalize` is
+/// emitted by the shared modifier seam, so neither path can miss it.
+#[test]
+fn traced_execution_spans_every_stage() {
+    const QUERY: &str = "PREFIX : <> SELECT ?friend ?s WHERE { :Jerry :hasFriend ?friend .
+        ?friend :actedIn ?s . } ORDER BY ?friend LIMIT 1";
+    let db = Database::from_triples(triples());
+    let prepared = db.prepare(QUERY).unwrap();
+    for (path, names) in [
+        (
+            "Database::execute",
+            traced_span_names(|| db.execute(QUERY).unwrap()),
+        ),
+        (
+            "PreparedQuery::execute",
+            traced_span_names(|| prepared.execute().unwrap()),
+        ),
+    ] {
+        for stage in ["init", "prune", "join", "finalize"] {
+            assert_eq!(
+                names.iter().filter(|n| **n == stage).count(),
+                1,
+                "{path}: want one `{stage}` span in {names:?}"
+            );
+        }
+    }
+}

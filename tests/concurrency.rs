@@ -33,8 +33,8 @@ fn lubm_db() -> (Arc<Database>, Vec<String>) {
     (db, queries)
 }
 
-/// The single-threaded oracle: the same data, forced to the exact serial
-/// code path (`threads = 1`).
+/// The single-threaded oracle: the same data in a database of its own,
+/// queried from one thread.
 fn oracle(queries: &[String]) -> Vec<QueryOutput> {
     let ds = lubm::dataset(&lubm::LubmConfig {
         universities: 1,
@@ -43,7 +43,6 @@ fn oracle(queries: &[String]) -> Vec<QueryOutput> {
     });
     let db = Database::builder()
         .encoded(ds.graph.encode())
-        .threads(1)
         .build()
         .unwrap();
     queries.iter().map(|q| db.execute(q).unwrap()).collect()

@@ -88,12 +88,11 @@ fn all_var_pattern_on_disk() {
 }
 
 /// The PR-10 acceptance bar: the mmap'd store answers **byte-equal** to
-/// the heap store on every engine behind `EngineKind`, at every thread
-/// count — compared at the ID level (raw result rows), before any
-/// decode, so the equality really is byte-for-byte.
+/// the heap store on every engine behind `EngineKind` — compared at the
+/// ID level (raw result rows), before any decode, so the equality really
+/// is byte-for-byte.
 #[test]
-fn every_engine_and_thread_count_agrees_on_mmap() {
-    use lbr::baseline::EngineOptions;
+fn every_engine_agrees_on_mmap() {
     use lbr::EngineKind;
 
     let ds = lubm::dataset(&lubm::LubmConfig {
@@ -114,25 +113,19 @@ fn every_engine_and_thread_count_agrees_on_mmap() {
     for q in &ds.queries {
         let query = parse_query(&q.text).unwrap();
         for kind in EngineKind::all() {
-            for threads in [1usize, 2, 8] {
-                let opts = EngineOptions {
-                    threads,
-                    ..EngineOptions::default()
-                };
-                let mut a = heap
-                    .engine_with(kind, &opts)
-                    .execute(&query)
-                    .unwrap_or_else(|e| panic!("heap {kind} t{threads} {}: {e}", q.id))
-                    .rows;
-                let mut b = mapped
-                    .engine_with(kind, &opts)
-                    .execute(&query)
-                    .unwrap_or_else(|e| panic!("mmap {kind} t{threads} {}: {e}", q.id))
-                    .rows;
-                a.sort();
-                b.sort();
-                assert_eq!(a, b, "{kind} (threads={threads}) diverges on {}", q.id);
-            }
+            let mut a = heap
+                .engine_of(kind)
+                .execute(&query)
+                .unwrap_or_else(|e| panic!("heap {kind} {}: {e}", q.id))
+                .rows;
+            let mut b = mapped
+                .engine_of(kind)
+                .execute(&query)
+                .unwrap_or_else(|e| panic!("mmap {kind} {}: {e}", q.id))
+                .rows;
+            a.sort();
+            b.sort();
+            assert_eq!(a, b, "{kind} diverges on {}", q.id);
         }
     }
     std::fs::remove_file(&path).ok();

@@ -12,31 +12,14 @@
 use lbr::baseline::{EngineOptions, Semantics};
 use lbr::{parse_query, Database, EngineKind, Term, Triple};
 
-/// The intra-query parallelism axis: the serial path, a small fan-out and
-/// an oversubscribed one. Only the LBR engine parallelizes today, but the
-/// axis runs every kind so an engine gaining threads later is covered
-/// automatically.
-const THREADS_AXIS: [usize; 3] = [1, 2, 8];
-
 /// Renders an engine's sorted rows (lexical forms, NULL as None) for bag
 /// comparison, going through the unified `Engine` trait.
-fn engine_rows_with(
-    db: &Database,
-    kind: EngineKind,
-    threads: usize,
-    query: &str,
-) -> Vec<Vec<Option<String>>> {
+fn engine_rows(db: &Database, kind: EngineKind, query: &str) -> Vec<Vec<Option<String>>> {
     let q = parse_query(query).unwrap();
     let out = db
-        .engine_with(
-            kind,
-            &EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            },
-        )
+        .engine_of(kind)
         .execute(&q)
-        .unwrap_or_else(|e| panic!("{kind} (threads={threads}) failed on {query}: {e}"));
+        .unwrap_or_else(|e| panic!("{kind} failed on {query}: {e}"));
     let mut rows: Vec<Vec<Option<String>>> = out
         .decode(db.dict())
         .into_iter()
@@ -46,11 +29,7 @@ fn engine_rows_with(
     rows
 }
 
-fn engine_rows(db: &Database, kind: EngineKind, query: &str) -> Vec<Vec<Option<String>>> {
-    engine_rows_with(db, kind, 1, query)
-}
-
-/// Asserts every engine × thread count agrees with the reference oracle
+/// Asserts every engine agrees with the reference oracle
 /// (SPARQL semantics — the ground truth for well-designed queries), and
 /// that the streaming `Solutions` path is row-for-row identical to the
 /// materialized `QueryOutput` path.
@@ -58,13 +37,11 @@ fn engine_rows(db: &Database, kind: EngineKind, query: &str) -> Vec<Vec<Option<S
 fn assert_all_agree(db: &Database, query: &str) {
     let truth = engine_rows(db, EngineKind::Reference, query);
     for kind in EngineKind::all() {
-        for threads in THREADS_AXIS {
-            assert_eq!(
-                engine_rows_with(db, kind, threads, query),
-                truth,
-                "{kind} (threads={threads}) deviates on: {query}"
-            );
-        }
+        assert_eq!(
+            engine_rows(db, kind, query),
+            truth,
+            "{kind} deviates on: {query}"
+        );
         assert_streaming_matches_materialized(db, kind, query);
     }
 }
@@ -464,56 +441,9 @@ fn rule3_minimum_union_over_full_schema_before_projection() {
     assert_eq!(engine_rows(&db2, EngineKind::Lbr, query).len(), 1);
 }
 
-/// The public-API determinism guarantee: the parallel multi-way join
-/// returns rows byte-identical — same order, same encoded values — to the
-/// serial engine.
-#[test]
-fn lbr_parallel_rows_identical_in_order() {
-    let db = sitcom_db();
-    let queries = [
-        "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?f .
-           OPTIONAL { ?f :actedIn ?s . ?s :location :NewYorkCity . } }",
-        "PREFIX : <> SELECT * WHERE { ?f :actedIn ?s . ?s :location ?where . }",
-        "PREFIX : <> SELECT * WHERE { ?s ?p ?o . }",
-        "PREFIX : <> SELECT * WHERE {
-           { ?f :actedIn ?s . ?s :location :NewYorkCity . }
-           UNION { ?f :actedIn ?s . ?s :location :LosAngeles . } }",
-    ];
-    for query in queries {
-        let q = parse_query(query).unwrap();
-        let serial = db
-            .engine_with(
-                EngineKind::Lbr,
-                &EngineOptions {
-                    threads: 1,
-                    ..EngineOptions::default()
-                },
-            )
-            .execute(&q)
-            .unwrap();
-        for threads in [2, 8] {
-            let parallel = db
-                .engine_with(
-                    EngineKind::Lbr,
-                    &EngineOptions {
-                        threads,
-                        ..EngineOptions::default()
-                    },
-                )
-                .execute(&q)
-                .unwrap();
-            assert_eq!(parallel.vars, serial.vars);
-            assert_eq!(
-                parallel.rows, serial.rows,
-                "threads={threads} changes row order or content on: {query}"
-            );
-        }
-    }
-}
-
 /// For queries whose ORDER BY keys determine the row sequence up to
-/// identical rows, every engine × thread count must return the exact same
-/// decoded sequence (no sorting before comparison).
+/// identical rows, every engine must return the exact same decoded
+/// sequence (no sorting before comparison).
 #[track_caller]
 fn assert_all_agree_in_order(db: &Database, query: &str) {
     let q = parse_query(query).unwrap();
@@ -523,23 +453,8 @@ fn assert_all_agree_in_order(db: &Database, query: &str) {
         .unwrap()
         .render(db.dict());
     for kind in EngineKind::all() {
-        for threads in THREADS_AXIS {
-            let rows = db
-                .engine_with(
-                    kind,
-                    &EngineOptions {
-                        threads,
-                        ..EngineOptions::default()
-                    },
-                )
-                .execute(&q)
-                .unwrap()
-                .render(db.dict());
-            assert_eq!(
-                rows, truth,
-                "{kind} (threads={threads}) sequence deviates on: {query}"
-            );
-        }
+        let rows = db.engine_of(kind).execute(&q).unwrap().render(db.dict());
+        assert_eq!(rows, truth, "{kind} sequence deviates on: {query}");
     }
 }
 
@@ -638,85 +553,34 @@ fn ask_queries_agree() {
     for (query, expect) in cases {
         let q = parse_query(query).unwrap();
         for kind in EngineKind::all() {
-            for threads in THREADS_AXIS {
-                let out = db
-                    .engine_with(
-                        kind,
-                        &EngineOptions {
-                            threads,
-                            ..EngineOptions::default()
-                        },
-                    )
-                    .execute(&q)
-                    .unwrap();
-                assert_eq!(
-                    out.boolean(),
-                    Some(expect),
-                    "{kind} (threads={threads}) deviates on: {query}"
-                );
-            }
+            let out = db.engine_of(kind).execute(&q).unwrap();
+            assert_eq!(out.boolean(), Some(expect), "{kind} deviates on: {query}");
         }
         assert_eq!(db.ask(query).unwrap(), expect, "{query}");
     }
 }
 
-/// The acceptance criterion for the LIMIT pushdown: at `threads = 1` the
-/// multi-way join enumerates no more seeds than needed, and boundedly
-/// more at N threads — while returning exactly the rows of the unbounded
+/// The acceptance criterion for the LIMIT pushdown: the multi-way join
+/// enumerates exactly the seeds needed, and returns exactly the unbounded
 /// run's prefix.
 #[test]
 fn limit_pushdown_terminates_early() {
     let triples: Vec<Triple> = (0..200).map(|i| t(&format!("s{i}"), "p", "o")).collect();
     let db = Database::from_triples(triples);
-    let full = db.execute("SELECT * WHERE { ?s <p> <o> . }").unwrap();
+    let full = db.execute("SELECT ?s WHERE { ?s <p> <o> . }").unwrap();
     assert_eq!(full.len(), 200);
     assert_eq!(full.stats.join_seeds, 200);
 
-    let q = parse_query("SELECT ?s WHERE { ?s <p> <o> . } LIMIT 10 OFFSET 5").unwrap();
-    let serial = db
-        .engine_with(
-            EngineKind::Lbr,
-            &EngineOptions {
-                threads: 1,
-                ..EngineOptions::default()
-            },
-        )
-        .execute(&q)
+    let limited = db
+        .execute("SELECT ?s WHERE { ?s <p> <o> . } LIMIT 10 OFFSET 5")
         .unwrap();
-    assert_eq!(serial.len(), 10);
+    assert_eq!(limited.rows, full.rows[5..15]);
     assert_eq!(
-        serial.stats.join_seeds, 15,
-        "threads=1 stops exactly at offset+limit seeds"
+        limited.stats.join_seeds, 15,
+        "stops exactly at offset+limit seeds"
     );
-    for threads in [2, 8] {
-        let parallel = db
-            .engine_with(
-                EngineKind::Lbr,
-                &EngineOptions {
-                    threads,
-                    ..EngineOptions::default()
-                },
-            )
-            .execute(&q)
-            .unwrap();
-        assert_eq!(parallel.rows, serial.rows, "threads={threads}");
-        assert!(
-            parallel.stats.join_seeds <= 200,
-            "bounded overshoot at threads={threads}"
-        );
-    }
-    // ASK short-circuits to a single seed (exact only at threads = 1;
-    // N workers may claim a couple of chunks before the counter gates).
-    let ask = db
-        .engine_with(
-            EngineKind::Lbr,
-            &EngineOptions {
-                threads: 1,
-                ..EngineOptions::default()
-            },
-        )
-        .execute(&parse_query("ASK { ?s <p> <o> . }").unwrap())
-        .unwrap();
+    // ASK short-circuits to a single seed.
+    let ask = db.execute("ASK { ?s <p> <o> . }").unwrap();
     assert_eq!(ask.boolean(), Some(true));
     assert_eq!(ask.stats.join_seeds, 1, "existence needs one seed");
     // ORDER BY disables the pushdown: every seed must be enumerated.

@@ -4,7 +4,7 @@
 //! baseline. Random queries cover nested/sibling OPTIONALs, inner joins,
 //! acyclic and cyclic shapes — the whole Figure 3.1 well-designed family.
 
-use lbr::baseline::{evaluate_reference, EngineOptions, JoinOrder, PairwiseEngine, Semantics};
+use lbr::baseline::{evaluate_reference, JoinOrder, PairwiseEngine, Semantics};
 use lbr::sparql::algebra::{
     Dedup, GraphPattern, Modifiers, OrderKey, Query, TermPattern, TriplePattern,
 };
@@ -263,25 +263,14 @@ proptest! {
 }
 
 /// Decoded rows of one engine run (in the engine's output order).
-fn decoded_rows(
-    db: &Database,
-    kind: EngineKind,
-    threads: usize,
-    query: &Query,
-) -> Vec<Vec<Option<String>>> {
-    db.engine_with(
-        kind,
-        &EngineOptions {
-            threads,
-            ..EngineOptions::default()
-        },
-    )
-    .execute(query)
-    .unwrap_or_else(|e| panic!("{kind} (threads={threads}) failed on {query}: {e}"))
-    .decode(db.dict())
-    .into_iter()
-    .map(|r| r.into_iter().map(|t| t.map(|x| x.to_string())).collect())
-    .collect()
+fn decoded_rows(db: &Database, kind: EngineKind, query: &Query) -> Vec<Vec<Option<String>>> {
+    db.engine_of(kind)
+        .execute(query)
+        .unwrap_or_else(|e| panic!("{kind} failed on {query}: {e}"))
+        .decode(db.dict())
+        .into_iter()
+        .map(|r| r.into_iter().map(|t| t.map(|x| x.to_string())).collect())
+        .collect()
 }
 
 fn counted(rows: &[Vec<Option<String>>]) -> HashMap<&[Option<String>], isize> {
@@ -300,8 +289,8 @@ proptest! {
     })]
 
     /// Random DISTINCT / ORDER BY / LIMIT / OFFSET combinations over
-    /// random well-designed patterns: every `EngineKind` × threads
-    /// {1, 2, 8} must match the reference oracle — exactly (sequence) when
+    /// random well-designed patterns: every `EngineKind` must match the
+    /// reference oracle — exactly (sequence) when
     /// ORDER BY covers all projected columns, set-equal under DISTINCT,
     /// and prefix-of-the-full-bag (right count, right multiplicities)
     /// under un-ordered LIMIT/OFFSET where engines may legitimately pick
@@ -355,39 +344,37 @@ proptest! {
         let mut unsliced = query.clone();
         unsliced.modifiers.limit = None;
         unsliced.modifiers.offset = 0;
-        let full = decoded_rows(&db, EngineKind::Reference, 1, &unsliced);
+        let full = decoded_rows(&db, EngineKind::Reference, &unsliced);
         let expect_len = full.len().saturating_sub(offset).min(limit.unwrap_or(usize::MAX));
-        let truth = decoded_rows(&db, EngineKind::Reference, 1, &query);
+        let truth = decoded_rows(&db, EngineKind::Reference, &query);
         prop_assert_eq!(truth.len(), expect_len, "oracle slice length on {}", query);
 
         for kind in EngineKind::all() {
-            for threads in [1usize, 2, 8] {
-                let rows = decoded_rows(&db, kind, threads, &query);
-                if ordered {
-                    // Fully-ordered: exact sequence equality.
-                    prop_assert_eq!(
-                        &rows, &truth,
-                        "{} (threads={}) ordered sequence deviates on {}",
-                        kind, threads, query
+            let rows = decoded_rows(&db, kind, &query);
+            if ordered {
+                // Fully-ordered: exact sequence equality.
+                prop_assert_eq!(
+                    &rows, &truth,
+                    "{} ordered sequence deviates on {}",
+                    kind, query
+                );
+            } else {
+                prop_assert_eq!(
+                    rows.len(), expect_len,
+                    "{} row count deviates on {}",
+                    kind, query
+                );
+                // Every returned row (with multiplicity) comes from the
+                // full answer bag; without LIMIT/OFFSET that pins the
+                // exact bag (set under DISTINCT).
+                let have = counted(&rows);
+                let avail = counted(&full);
+                for (row, n) in have {
+                    prop_assert!(
+                        avail.get(row).copied().unwrap_or(0) >= n,
+                        "{} invents row {:?} on {}",
+                        kind, row, query
                     );
-                } else {
-                    prop_assert_eq!(
-                        rows.len(), expect_len,
-                        "{} (threads={}) row count deviates on {}",
-                        kind, threads, query
-                    );
-                    // Every returned row (with multiplicity) comes from the
-                    // full answer bag; without LIMIT/OFFSET that pins the
-                    // exact bag (set under DISTINCT).
-                    let have = counted(&rows);
-                    let avail = counted(&full);
-                    for (row, n) in have {
-                        prop_assert!(
-                            avail.get(row).copied().unwrap_or(0) >= n,
-                            "{} (threads={}) invents row {:?} on {}",
-                            kind, threads, row, query
-                        );
-                    }
                 }
             }
         }

@@ -1,9 +1,9 @@
 //! The updatable store, end to end through the `Database` facade:
 //!
-//! * **overlay equivalence** — every engine behind [`EngineKind`], at
-//!   every thread count, must answer queries over (base segments +
-//!   delta memtable) exactly as it answers them over a database built
-//!   from scratch on the merged triples — the delta must be invisible;
+//! * **overlay equivalence** — every engine behind [`EngineKind`] must
+//!   answer queries over (base segments + delta memtable) exactly as it
+//!   answers them over a database built from scratch on the merged
+//!   triples — the delta must be invisible;
 //! * **byte-level equivalence after compaction** — folding the delta
 //!   into fresh segments keeps the same dictionary, so the ID-level
 //!   result rows before and after compaction must be identical;
@@ -13,34 +13,19 @@
 //! * **SPARQL 1.1 Update semantics** — `INSERT DATA` / `DELETE DATA` /
 //!   `DELETE WHERE` and `;`-sequences through [`Database::update`].
 
-use lbr::baseline::EngineOptions;
 use lbr::{parse_query, Database, EngineKind, Term, Triple};
-
-/// Same axis as the cross-engine equivalence suite.
-const THREADS_AXIS: [usize; 3] = [1, 2, 8];
 
 fn t(s: &str, p: &str, o: &str) -> Triple {
     Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
 }
 
 /// Sorted decoded rows through the unified `Engine` trait.
-fn engine_rows(
-    db: &Database,
-    kind: EngineKind,
-    threads: usize,
-    query: &str,
-) -> Vec<Vec<Option<String>>> {
+fn engine_rows(db: &Database, kind: EngineKind, query: &str) -> Vec<Vec<Option<String>>> {
     let q = parse_query(query).unwrap();
     let out = db
-        .engine_with(
-            kind,
-            &EngineOptions {
-                threads,
-                ..EngineOptions::default()
-            },
-        )
+        .engine_of(kind)
         .execute(&q)
-        .unwrap_or_else(|e| panic!("{kind} (threads={threads}) failed on {query}: {e}"));
+        .unwrap_or_else(|e| panic!("{kind} failed on {query}: {e}"));
     let mut rows: Vec<Vec<Option<String>>> = out
         .decode(db.dict())
         .into_iter()
@@ -50,20 +35,18 @@ fn engine_rows(
     rows
 }
 
-/// Every engine × thread count must answer `query` identically on the
-/// delta-resident database and on a from-scratch database over the same
+/// Every engine must answer `query` identically on the delta-resident
+/// database and on a from-scratch database over the same
 /// logical triples.
 #[track_caller]
 fn assert_equivalent(updatable: &Database, query: &str) {
     let rebuilt = Database::from_triples(updatable.triples());
     for kind in EngineKind::all() {
-        for threads in THREADS_AXIS {
-            assert_eq!(
-                engine_rows(updatable, kind, threads, query),
-                engine_rows(&rebuilt, kind, threads, query),
-                "{kind} (threads={threads}) sees the delta on: {query}"
-            );
-        }
+        assert_eq!(
+            engine_rows(updatable, kind, query),
+            engine_rows(&rebuilt, kind, query),
+            "{kind} sees the delta on: {query}"
+        );
     }
 }
 
@@ -238,7 +221,7 @@ fn concurrent_readers_and_writer_never_see_torn_state() {
                     // would decode garbage or panic.
                     let snap = store.snapshot();
                     let out = EngineKind::Lbr
-                        .build_with(snap.catalog(), snap.dict(), &EngineOptions::default())
+                        .build(snap.catalog(), snap.dict())
                         .execute(&q)
                         .unwrap();
                     assert!(out.rows.len() <= writer_rounds);
