@@ -1,4 +1,4 @@
-//! The five lint families. Every lint works on a [`Scrub`](crate::lex::Scrub)
+//! The five lint families. Every lint works on a [`Scrub`]
 //! of one file: code is matched against the scrubbed text (so strings and
 //! comments can't fire lints), comments are consulted only for `SAFETY:`
 //! justifications and `// lbr-lint:` markers, and `#[cfg(test)]` lines are

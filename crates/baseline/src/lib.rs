@@ -15,7 +15,7 @@
 //!   (Rao et al. / Galindo-Legaria): left-outer joins are aggressively
 //!   reordered by selectivity, then **nullification** restores consistency
 //!   and **best-match** removes subsumed rows;
-//! * [`reference`] — a deliberately simple nested-loop evaluator of the
+//! * [`mod@reference`] — a deliberately simple nested-loop evaluator of the
 //!   SPARQL algebra used as the correctness oracle in tests, with both
 //!   SPARQL (compatible-mappings) and SQL (null-intolerant) semantics
 //!   (Appendix C).

@@ -181,7 +181,7 @@ impl VarLookup for MapLookup<'_> {
     }
 }
 
-/// Convenience: evaluates an [`Expr`]-free pattern and renders lexical
+/// Convenience: evaluates an `Expr`-free pattern and renders lexical
 /// forms for test assertions.
 pub fn rendered_rows(rel: &Relation, dict: &Dictionary) -> Vec<Vec<Option<String>>> {
     let mut rows: Vec<Vec<Option<String>>> = rel

@@ -1,5 +1,5 @@
 //! The outer-join **reordering** baseline of §3.1 (Rao et al. [38, 39],
-//! Galindo-Legaria & Rosenthal [26]): evaluate triple patterns in
+//! Galindo-Legaria & Rosenthal \[26\]): evaluate triple patterns in
 //! selectivity order regardless of OPTIONAL nesting, then repair the damage
 //! with **nullification** (restore binding consistency with the original
 //! join order) and **best-match** (drop subsumed rows).
@@ -12,7 +12,7 @@
 
 use crate::hash_join::{hash_join, Kind, Relation};
 use crate::scan::scan_tp;
-use lbr_bitmat::Catalog;
+use lbr_bitmat::{Catalog, Family};
 use lbr_core::best_match::best_match;
 use lbr_core::bindings::Binding;
 use lbr_core::LbrError;
@@ -308,7 +308,7 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
         let o = resolve(&tp.o, Dimension::Object)?;
         let hit = self
             .catalog
-            .load_po_row(s, p)
+            .row(Family::Po, s, p)
             .ok()?
             .is_some_and(|r| r.contains(o));
         Some(hit)

@@ -3,7 +3,7 @@
 //! evaluation compares executors, not storage.
 
 use crate::hash_join::Relation;
-use lbr_bitmat::Catalog;
+use lbr_bitmat::{Catalog, Family};
 use lbr_core::bindings::Binding;
 use lbr_core::LbrError;
 use lbr_rdf::{Dictionary, Dimension};
@@ -45,28 +45,28 @@ pub fn scan_tp(
     match (sv, pv, ov) {
         (None, None, None) => {
             let hit = catalog
-                .load_po_row(s_id.unwrap(), p_id.unwrap())?
+                .row(Family::Po, s_id.unwrap(), p_id.unwrap())?
                 .is_some_and(|row| row.contains(o_id.unwrap()));
             if hit {
                 rel.rows.push(Vec::new());
             }
         }
         (Some(_), None, None) => {
-            if let Some(row) = catalog.load_ps_row(o_id.unwrap(), p_id.unwrap())? {
+            if let Some(row) = catalog.row(Family::Ps, o_id.unwrap(), p_id.unwrap())? {
                 for s in row.iter_ones() {
                     rel.rows.push(vec![b(s, Dimension::Subject)]);
                 }
             }
         }
         (None, None, Some(_)) => {
-            if let Some(row) = catalog.load_po_row(s_id.unwrap(), p_id.unwrap())? {
+            if let Some(row) = catalog.row(Family::Po, s_id.unwrap(), p_id.unwrap())? {
                 for o in row.iter_ones() {
                     rel.rows.push(vec![b(o, Dimension::Object)]);
                 }
             }
         }
         (Some(s), None, Some(o)) if s != o => {
-            if let Some(mat) = catalog.load_so(p_id.unwrap())? {
+            if let Some(mat) = catalog.matrix(Family::So, p_id.unwrap())? {
                 for (r, c) in mat.iter() {
                     rel.rows
                         .push(vec![b(r, Dimension::Subject), b(c, Dimension::Object)]);
@@ -75,7 +75,7 @@ pub fn scan_tp(
         }
         // (?x p ?x): diagonal.
         (Some(_), None, Some(_)) => {
-            if let Some(mat) = catalog.load_so(p_id.unwrap())? {
+            if let Some(mat) = catalog.matrix(Family::So, p_id.unwrap())? {
                 for (r, c) in mat.iter() {
                     if r == c && r < n_shared {
                         rel.rows.push(vec![b(r, Dimension::Subject)]);
@@ -84,7 +84,7 @@ pub fn scan_tp(
             }
         }
         (None, Some(p), Some(o)) if p != o => {
-            if let Some(mat) = catalog.load_po(s_id.unwrap())? {
+            if let Some(mat) = catalog.matrix(Family::Po, s_id.unwrap())? {
                 for (r, c) in mat.iter() {
                     rel.rows
                         .push(vec![b(r, Dimension::Predicate), b(c, Dimension::Object)]);
@@ -92,7 +92,7 @@ pub fn scan_tp(
             }
         }
         (Some(s), Some(p), None) if p != s => {
-            if let Some(mat) = catalog.load_ps(o_id.unwrap())? {
+            if let Some(mat) = catalog.matrix(Family::Ps, o_id.unwrap())? {
                 for (r, c) in mat.iter() {
                     rel.rows
                         .push(vec![b(r, Dimension::Predicate), b(c, Dimension::Subject)]);
@@ -100,7 +100,7 @@ pub fn scan_tp(
             }
         }
         (None, Some(_), None) => {
-            if let Some(mat) = catalog.load_po(s_id.unwrap())? {
+            if let Some(mat) = catalog.matrix(Family::Po, s_id.unwrap())? {
                 let o = o_id.unwrap();
                 for (r, c) in mat.iter() {
                     if c == o {
@@ -114,7 +114,7 @@ pub fn scan_tp(
             // paper, mirrored by the LBR engine's Unsupported error — the
             // baselines support it so the oracle can cover more ground).
             for pid in 0..dims.n_predicates {
-                if let Some(mat) = catalog.load_so(pid)? {
+                if let Some(mat) = catalog.matrix(Family::So, pid)? {
                     for (r, c) in mat.iter() {
                         rel.rows.push(vec![
                             b(r, Dimension::Subject),

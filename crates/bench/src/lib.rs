@@ -329,7 +329,7 @@ fn geomean_facade(db: &lbr::Database, queries: &[lbr_datagen::BenchQuery]) -> f6
 /// path so they live in the delta memtable, and times every benchmark
 /// query at each fraction; then compacts the largest delta and times
 /// again. The holdout is role-compatible by construction (see
-/// [`pick_holdout`]) so the inserts ride the fast delta path instead of
+/// `pick_holdout`) so the inserts ride the fast delta path instead of
 /// a dictionary rebuild, and auto-compaction is disabled for the run so
 /// the delta stays where the benchmark put it.
 pub fn run_delta(p: &Prepared) -> DeltaReport {

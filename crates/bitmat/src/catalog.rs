@@ -3,15 +3,25 @@
 //! §5 of the paper: *"with `init`, we load a BitMat for each TP in the
 //! query that contains the triples matching that TP"* — only the matrices a
 //! query touches are ever loaded, which is why a 41 GB index works on an
-//! 8 GB laptop. [`crate::BitMatStore`] serves loads from memory;
-//! [`crate::DiskCatalog`] reads them lazily from the on-disk index, and the
-//! `count_*` methods answer selectivity questions from metadata alone
-//! (Appendix D: *"condensed representation … helps us in quickly
-//! determining the number of triples in each BitMat and its selectivity"*).
+//! 8 GB laptop. The whole storage contract is four methods keyed by a
+//! [`Family`] value: one whole matrix ([`Catalog::matrix`]), one row of it
+//! ([`Catalog::row`]), and the two counts that answer selectivity questions
+//! from metadata alone (Appendix D: *"condensed representation … helps us
+//! in quickly determining the number of triples in each BitMat and its
+//! selectivity"*).
+//!
+//! Loads are [`Cow`]s because the three catalogs produce them differently:
+//! [`crate::BitMatStore`] **lends** the matrix it holds, [`crate::DiskCatalog`]
+//! **decodes** one from its mapped bytes, and `lbr-store`'s overlay
+//! **merges** a delta into whichever of the two it got. A reader uses the
+//! value as a borrow; `init`, which prunes destructively, takes
+//! `.into_owned()` — one copy per triple pattern on every medium.
 
 use crate::error::BitMatError;
 use crate::matrix::BitMat;
 use crate::row::BitRow;
+use lbr_rdf::EncodedTriple;
+use std::borrow::Cow;
 
 /// Dimensions of the 3-D bitcube.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -28,12 +38,57 @@ pub struct CubeDims {
     pub n_triples: u64,
 }
 
+/// One of the four BitMat families of §4. The discriminants are the
+/// on-disk TOC order of the segment format and must not change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Family {
+    /// S-O matrix per predicate (rows = subjects, cols = objects).
+    So = 0,
+    /// O-S matrix per predicate — the transpose of S-O.
+    Os = 1,
+    /// P-O matrix per subject (rows = predicates, cols = objects).
+    Po = 2,
+    /// P-S matrix per object (rows = predicates, cols = subjects).
+    Ps = 3,
+}
+
+impl Family {
+    /// Every family, in discriminant (= serialization) order.
+    pub const ALL: [Family; 4] = [Family::So, Family::Os, Family::Po, Family::Ps];
+
+    /// The paper's name of the family.
+    pub fn name(self) -> &'static str {
+        ["S-O", "O-S", "P-O", "P-S"][self as usize]
+    }
+
+    /// `(n_keys, n_rows, n_cols)`: how many matrices the family has and
+    /// the shape each of them shares.
+    pub fn shape(self, d: &CubeDims) -> (u32, u32, u32) {
+        match self {
+            Family::So => (d.n_predicates, d.n_subjects, d.n_objects),
+            Family::Os => (d.n_predicates, d.n_objects, d.n_subjects),
+            Family::Po => (d.n_subjects, d.n_predicates, d.n_objects),
+            Family::Ps => (d.n_objects, d.n_predicates, d.n_subjects),
+        }
+    }
+
+    /// `(key, row, col)`: the matrix of this family that holds `t`, and
+    /// the bit it sets there.
+    pub fn project(self, t: &EncodedTriple) -> (u32, u32, u32) {
+        match self {
+            Family::So => (t.p, t.s, t.o),
+            Family::Os => (t.p, t.o, t.s),
+            Family::Po => (t.s, t.p, t.o),
+            Family::Ps => (t.o, t.p, t.s),
+        }
+    }
+}
+
 /// A source of BitMats and selectivity metadata.
 ///
-/// All `load_*` methods hand out owned values because the engine prunes
-/// them destructively per query. `Option::None` means "no triples" (e.g. a
-/// subject that never occurs); out-of-range keys are also `None` so the
-/// engine can treat unknown constants as empty patterns.
+/// `Option::None` means "no triples" (e.g. a subject that never occurs);
+/// out-of-range keys are also `None` so the engine can treat unknown
+/// constants as empty patterns.
 ///
 /// A catalog is `Sync`: every engine holds `&C` and a query service
 /// (`lbr-server`'s worker pool) shares one catalog across threads, so
@@ -44,39 +99,19 @@ pub trait Catalog: Sync {
     /// Bitcube dimensions.
     fn dims(&self) -> CubeDims;
 
-    /// S-O BitMat of predicate `p` (rows = subjects, cols = objects).
-    fn load_so(&self, p: u32) -> Result<Option<BitMat>, BitMatError>;
+    /// The BitMat of `key` in family `f` (§5: one whole matrix for a
+    /// pattern with two variable positions).
+    fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError>;
 
-    /// O-S BitMat of predicate `p` (rows = objects, cols = subjects).
-    fn load_os(&self, p: u32) -> Result<Option<BitMat>, BitMatError>;
+    /// Row `r` of that BitMat: the candidates of a pattern with two fixed
+    /// positions — `(s p ?o)` is row `p` of the P-O BitMat of `s`, `(?s p
+    /// o)` row `p` of the P-S BitMat of `o` (§5 loading rules).
+    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError>;
 
-    /// P-O BitMat of subject `s` (rows = predicates, cols = objects).
-    fn load_po(&self, s: u32) -> Result<Option<BitMat>, BitMatError>;
+    /// Triple count of the BitMat of `key` without loading it.
+    fn count(&self, f: Family, key: u32) -> u64;
 
-    /// P-S BitMat of object `o` (rows = predicates, cols = subjects).
-    fn load_ps(&self, o: u32) -> Result<Option<BitMat>, BitMatError>;
-
-    /// Single row `p` of the P-O BitMat of subject `s`: the object
-    /// candidates of a `(s p ?o)` pattern (§5 loading rules).
-    fn load_po_row(&self, s: u32, p: u32) -> Result<Option<BitRow>, BitMatError>;
-
-    /// Single row `p` of the P-S BitMat of object `o`: the subject
-    /// candidates of a `(?s p o)` pattern.
-    fn load_ps_row(&self, o: u32, p: u32) -> Result<Option<BitRow>, BitMatError>;
-
-    /// Triple count of the S-O BitMat of `p` without loading it.
-    fn count_so(&self, p: u32) -> u64;
-
-    /// Triple count of the P-O BitMat of subject `s` without loading it.
-    fn count_po(&self, s: u32) -> u64;
-
-    /// Triple count of the P-S BitMat of object `o` without loading it.
-    fn count_ps(&self, o: u32) -> u64;
-
-    /// Set-bit count of row `p` in the P-O BitMat of `s` (selectivity of a
-    /// `(s p ?o)` pattern) without loading the matrix body.
-    fn count_po_row(&self, s: u32, p: u32) -> u64;
-
-    /// Set-bit count of row `p` in the P-S BitMat of `o`.
-    fn count_ps_row(&self, o: u32, p: u32) -> u64;
+    /// Set-bit count of row `r` of that BitMat without loading the matrix
+    /// body.
+    fn row_count(&self, f: Family, key: u32, r: u32) -> u64;
 }

@@ -31,19 +31,20 @@
 //! The v1 format (`LBRBM001`, byte-packed rows behind a seeking file
 //! handle) is superseded; v1 files are rejected with a clear error.
 //!
-//! The row directory allows `load_*_row` (the paper's single-row loads for
-//! two-fixed-position patterns) and `count_*_row` (selectivity metadata) to
-//! binary-search a mapped directory plus touch one row, never the whole
-//! matrix — and since the mapping is shared and immutable, the catalog
-//! needs no locks at all.
+//! The row directory allows [`Catalog::row`] (the paper's single-row loads
+//! for two-fixed-position patterns) and [`Catalog::row_count`] (selectivity
+//! metadata) to binary-search a mapped directory plus touch one row, never
+//! the whole matrix — and since the mapping is shared and immutable, the
+//! catalog needs no locks at all.
 
-use crate::catalog::{Catalog, CubeDims};
+use crate::catalog::{Catalog, CubeDims, Family};
 use crate::error::BitMatError;
 use crate::kernel::RowCursor;
 use crate::matrix::BitMat;
 use crate::mmap::{words_of, Mmap};
 use crate::row::BitRow;
 use crate::store::BitMatStore;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
@@ -63,9 +64,6 @@ const FIXED_HEADER: usize = 48;
 const MAT_HEADER: usize = 24;
 /// Bytes per row-directory entry.
 const DIR_ENTRY: usize = 12;
-
-/// Family tags used in the TOC, in serialization order.
-const FAMILIES: [&str; 4] = ["S-O", "O-S", "P-O", "P-S"];
 
 #[derive(Debug, Clone, Copy)]
 struct TocEntry {
@@ -324,8 +322,8 @@ impl<'a> MappedMatrix<'a> {
 ///
 /// The TOC (a few entries per matrix) lives in memory; matrix bodies stay
 /// on their mapped pages and are either viewed zero-copy
-/// ([`DiskCatalog::mapped_so`] and friends) or decoded on demand for the
-/// owned [`Catalog`] loads. The kernel page cache does the tiering.
+/// ([`DiskCatalog::mapped`]) or decoded on demand for the owned
+/// [`Catalog`] loads. The kernel page cache does the tiering.
 pub struct DiskCatalog {
     map: Mmap,
     dims: CubeDims,
@@ -398,7 +396,7 @@ impl DiskCatalog {
         let blob_len = bytes.len() - blob_base;
         let mut toc: [HashMap<u32, TocEntry>; 4] = Default::default();
         let mut at = FIXED_HEADER;
-        for fam in toc.iter_mut() {
+        for (f, fam) in Family::ALL.into_iter().zip(toc.iter_mut()) {
             let n = u32_at(at)? as usize;
             at += 4;
             for _ in 0..n {
@@ -411,7 +409,10 @@ impl DiskCatalog {
                     .checked_add(len)
                     .ok_or_else(|| corrupt("TOC overflow"))?;
                 if end > blob_len as u64 || offset % 4 != 0 {
-                    return Err(corrupt("TOC entry out of bounds"));
+                    return Err(corrupt(format!(
+                        "{} TOC entry of key {key} out of bounds",
+                        f.name()
+                    )));
                 }
                 fam.insert(key, TocEntry { offset, len, count });
             }
@@ -432,8 +433,10 @@ impl DiskCatalog {
         self.map.len() as u64
     }
 
-    fn mapped(&self, fam: u8, key: u32) -> Result<Option<MappedMatrix<'_>>, BitMatError> {
-        let Some(e) = self.toc[fam as usize].get(&key) else {
+    /// Zero-copy view of the matrix of `key` in family `f`, validated on
+    /// this touch.
+    pub fn mapped(&self, f: Family, key: u32) -> Result<Option<MappedMatrix<'_>>, BitMatError> {
+        let Some(e) = self.toc[f as usize].get(&key) else {
             return Ok(None);
         };
         let start = self.blob_base + e.offset as usize;
@@ -441,49 +444,8 @@ impl DiskCatalog {
             .map
             .as_slice()
             .get(start..start + e.len as usize)
-            .ok_or_else(|| corrupt("blob out of bounds"))?;
+            .ok_or_else(|| corrupt(format!("{} blob of key {key} out of bounds", f.name())))?;
         MappedMatrix::from_blob(bytes).map(Some)
-    }
-
-    /// Zero-copy view of the S-O matrix of predicate `p`.
-    pub fn mapped_so(&self, p: u32) -> Result<Option<MappedMatrix<'_>>, BitMatError> {
-        self.mapped(0, p)
-    }
-
-    /// Zero-copy view of the O-S matrix of predicate `p`.
-    pub fn mapped_os(&self, p: u32) -> Result<Option<MappedMatrix<'_>>, BitMatError> {
-        self.mapped(1, p)
-    }
-
-    /// Zero-copy view of the P-O matrix of subject `s`.
-    pub fn mapped_po(&self, s: u32) -> Result<Option<MappedMatrix<'_>>, BitMatError> {
-        self.mapped(2, s)
-    }
-
-    /// Zero-copy view of the P-S matrix of object `o`.
-    pub fn mapped_ps(&self, o: u32) -> Result<Option<MappedMatrix<'_>>, BitMatError> {
-        self.mapped(3, o)
-    }
-
-    fn load_matrix(&self, fam: u8, key: u32) -> Result<Option<BitMat>, BitMatError> {
-        match self.mapped(fam, key)? {
-            None => Ok(None),
-            Some(m) => m.to_bitmat().map(Some),
-        }
-    }
-
-    fn load_row(&self, fam: u8, key: u32, row_id: u32) -> Result<Option<BitRow>, BitMatError> {
-        match self.mapped(fam, key)? {
-            None => Ok(None),
-            Some(m) => m.row(row_id),
-        }
-    }
-
-    fn count_row(&self, fam: u8, key: u32, row_id: u32) -> u64 {
-        match self.mapped(fam, key) {
-            Ok(Some(m)) => m.row_count(row_id) as u64,
-            _ => 0,
-        }
     }
 }
 
@@ -492,56 +454,30 @@ impl Catalog for DiskCatalog {
         self.dims
     }
 
-    fn load_so(&self, p: u32) -> Result<Option<BitMat>, BitMatError> {
-        self.load_matrix(0, p)
+    fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError> {
+        match self.mapped(f, key)? {
+            None => Ok(None),
+            Some(m) => Ok(Some(Cow::Owned(m.to_bitmat()?))),
+        }
     }
 
-    fn load_os(&self, p: u32) -> Result<Option<BitMat>, BitMatError> {
-        self.load_matrix(1, p)
+    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {
+        match self.mapped(f, key)? {
+            None => Ok(None),
+            Some(m) => Ok(m.row(r)?.map(Cow::Owned)),
+        }
     }
 
-    fn load_po(&self, s: u32) -> Result<Option<BitMat>, BitMatError> {
-        self.load_matrix(2, s)
+    fn count(&self, f: Family, key: u32) -> u64 {
+        self.toc[f as usize].get(&key).map_or(0, |e| e.count)
     }
 
-    fn load_ps(&self, o: u32) -> Result<Option<BitMat>, BitMatError> {
-        self.load_matrix(3, o)
+    fn row_count(&self, f: Family, key: u32, r: u32) -> u64 {
+        match self.mapped(f, key) {
+            Ok(Some(m)) => m.row_count(r) as u64,
+            _ => 0,
+        }
     }
-
-    fn load_po_row(&self, s: u32, p: u32) -> Result<Option<BitRow>, BitMatError> {
-        self.load_row(2, s, p)
-    }
-
-    fn load_ps_row(&self, o: u32, p: u32) -> Result<Option<BitRow>, BitMatError> {
-        self.load_row(3, o, p)
-    }
-
-    fn count_so(&self, p: u32) -> u64 {
-        self.toc[0].get(&p).map_or(0, |e| e.count)
-    }
-
-    fn count_po(&self, s: u32) -> u64 {
-        self.toc[2].get(&s).map_or(0, |e| e.count)
-    }
-
-    fn count_ps(&self, o: u32) -> u64 {
-        self.toc[3].get(&o).map_or(0, |e| e.count)
-    }
-
-    fn count_po_row(&self, s: u32, p: u32) -> u64 {
-        self.count_row(2, s, p)
-    }
-
-    fn count_ps_row(&self, o: u32, p: u32) -> u64 {
-        self.count_row(3, o, p)
-    }
-}
-
-// Keep the family-tag table referenced so the serialization order stays
-// documented next to the format. (Used in error paths and tests.)
-#[allow(dead_code)]
-fn family_name(fam: u8) -> &'static str {
-    FAMILIES[fam as usize]
 }
 
 #[cfg(test)]
@@ -577,31 +513,46 @@ mod tests {
         assert_eq!(cat.dims(), store.dims());
         assert_eq!(cat.mapped_bytes(), bytes);
         let dims = store.dims();
-        for p in 0..dims.n_predicates {
-            assert_eq!(cat.count_so(p), store.count_so(p), "count_so({p})");
-            match (cat.load_so(p).unwrap(), store.load_so(p).unwrap()) {
-                (Some(a), Some(b)) => assert_eq!(a, b, "so({p})"),
-                (None, None) => {}
-                other => panic!("mismatch for so({p}): {other:?}"),
-            }
-            assert_eq!(cat.load_os(p).unwrap(), store.load_os(p).unwrap());
-        }
-        for s in 0..dims.n_subjects {
-            assert_eq!(cat.count_po(s), store.count_po(s));
-            assert_eq!(cat.load_po(s).unwrap(), store.load_po(s).unwrap());
-            for p in 0..dims.n_predicates {
-                assert_eq!(cat.count_po_row(s, p), store.count_po_row(s, p));
+        for f in Family::ALL {
+            let (n_keys, n_rows, _) = f.shape(&dims);
+            for key in 0..n_keys {
+                let name = f.name();
                 assert_eq!(
-                    cat.load_po_row(s, p).unwrap(),
-                    store.load_po_row(s, p).unwrap()
+                    cat.count(f, key),
+                    store.count(f, key),
+                    "{name} count({key})"
                 );
+                assert_eq!(
+                    cat.matrix(f, key).unwrap(),
+                    store.matrix(f, key).unwrap(),
+                    "{name} matrix({key})"
+                );
+                for r in 0..n_rows {
+                    assert_eq!(cat.row_count(f, key, r), store.row_count(f, key, r));
+                    assert_eq!(cat.row(f, key, r).unwrap(), store.row(f, key, r).unwrap());
+                }
             }
         }
-        for o in 0..dims.n_objects {
-            assert_eq!(cat.count_ps(o), store.count_ps(o));
-            assert_eq!(cat.load_ps(o).unwrap(), store.load_ps(o).unwrap());
-        }
+        // The mmap side decodes what the heap side lends.
+        assert!(matches!(cat.matrix(Family::So, 0), Ok(Some(Cow::Owned(_)))));
         std::fs::remove_file(&dir).ok();
+    }
+
+    /// The v2 byte layout, pinned: the Figure 3.2 graph serializes to
+    /// exactly these bytes (length and FNV-1a-64 recorded before `Family`
+    /// existed). A reordered discriminant, TOC or blob change fails here
+    /// rather than as a benchmark digest mismatch.
+    #[test]
+    fn segment_format_is_pinned() {
+        let store = BitMatStore::build(&crate::store::tests::figure_3_2_graph());
+        let path = std::env::temp_dir().join("lbr_bitmat_test_pin.idx");
+        assert_eq!(save_store(&store, &path).unwrap(), 5872);
+        let bytes = std::fs::read(&path).unwrap();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (5872, 0x2e6e_e5d2_26e2_7ac8));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -612,10 +563,10 @@ mod tests {
         let cat = DiskCatalog::open(&path).unwrap();
         let dims = store.dims();
         for p in 0..dims.n_predicates {
-            let Some(mapped) = cat.mapped_so(p).unwrap() else {
+            let Some(mapped) = cat.mapped(Family::So, p).unwrap() else {
                 continue;
             };
-            let owned = store.load_so(p).unwrap().unwrap();
+            let owned = store.matrix(Family::So, p).unwrap().unwrap();
             assert_eq!(mapped.triple_count(), owned.triple_count());
             for (id, row) in owned.rows() {
                 // Zero-copy cursor walks the same positions.
@@ -666,8 +617,8 @@ mod tests {
             if let Ok(cat) = DiskCatalog::open(&path) {
                 let dims = cat.dims();
                 for p in 0..dims.n_predicates {
-                    let _ = cat.load_so(p);
-                    let _ = cat.load_os(p);
+                    let _ = cat.matrix(Family::So, p);
+                    let _ = cat.matrix(Family::Os, p);
                 }
             }
         }
@@ -680,10 +631,9 @@ mod tests {
         let path = std::env::temp_dir().join("lbr_bitmat_test_missing.idx");
         save_store(&store, &path).unwrap();
         let cat = DiskCatalog::open(&path).unwrap();
-        assert!(cat.load_so(9999).unwrap().is_none());
-        assert!(cat.load_po_row(0, 9999).unwrap().is_none());
-        assert_eq!(cat.count_ps_row(9999, 0), 0);
-        assert_eq!(family_name(0), "S-O");
+        assert!(cat.matrix(Family::So, 9999).unwrap().is_none());
+        assert!(cat.row(Family::Po, 0, 9999).unwrap().is_none());
+        assert_eq!(cat.row_count(Family::Ps, 9999, 0), 0);
         std::fs::remove_file(&path).ok();
     }
 }

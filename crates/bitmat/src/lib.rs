@@ -14,6 +14,14 @@
 //!
 //! for a total of `2·|Vp| + |Vs| + |Vo|` matrices ([`BitMatStore`]).
 //!
+//! The family is a value ([`Family`]), so the storage contract
+//! ([`Catalog`]) is four methods — `matrix(f, key)`, `row(f, key, r)`,
+//! `count(f, key)`, `row_count(f, key, r)` — that the heap store, the
+//! mmap'd [`DiskCatalog`] and `lbr-store`'s delta overlay each implement
+//! once. Loads are `Cow`s: the heap store lends its matrix, the mmap
+//! catalog decodes one, the overlay merges a delta into either, and only a
+//! caller that mutates (the engine's `init`) pays for an owned copy.
+//!
 //! Each matrix row is compressed with the paper's *hybrid* scheme
 //! ([`BitRow`]): run-length encoding with 4-byte run lengths, or a plain
 //! list of set-bit positions when that is smaller (the paper reports ≈40 %
@@ -65,11 +73,11 @@ pub mod row;
 pub mod store;
 
 pub use bitvec::BitVec;
-pub use catalog::{Catalog, CubeDims};
+pub use catalog::{Catalog, CubeDims, Family};
 pub use disk::{DiskCatalog, MappedMatrix};
 pub use error::BitMatError;
 pub use kernel::{RowCursor, SetScratch};
 pub use matrix::{BitMat, RetainDim};
 pub use mmap::Mmap;
 pub use row::BitRow;
-pub use store::{compute_shard_ranges, BitMatStore, SizeReport, DEFAULT_SHARDS};
+pub use store::{BitMatStore, SizeReport};

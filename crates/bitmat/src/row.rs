@@ -139,7 +139,7 @@ impl BitRow {
 
     /// `acc |= self` — the building block of [`crate::BitMat::fold`].
     ///
-    /// Runs are blitted word-wise ([`BitVec::set_range`]); sparse positions
+    /// Runs are blitted word-wise (`BitVec::set_range`); sparse positions
     /// are batched into one word-level write per occupied word.
     pub fn or_into(&self, acc: &mut BitVec) {
         match &self.repr {

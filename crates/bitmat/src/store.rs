@@ -1,31 +1,21 @@
 //! In-memory BitMat store: builds and holds all four index families.
 
-use crate::catalog::{Catalog, CubeDims};
+use crate::catalog::{Catalog, CubeDims, Family};
 use crate::error::BitMatError;
 use crate::matrix::BitMat;
 use crate::row::BitRow;
 use lbr_rdf::{EncodedGraph, EncodedTriple};
+use std::borrow::Cow;
 
-/// The complete index set of §4: `2·|Vp| + |Vs| + |Vo|` BitMats.
-///
-/// * `so[p]` / `os[p]` — S-O and O-S matrices per predicate,
-/// * `po[s]` — P-O matrix per subject,
-/// * `ps[o]` — P-S matrix per object.
+/// The complete index set of §4: `2·|Vp| + |Vs| + |Vo|` BitMats, one
+/// densely keyed `Vec` per [`Family`] (S-O and O-S per predicate, P-O per
+/// subject, P-S per object).
 #[derive(Debug, Clone)]
 pub struct BitMatStore {
     dims: CubeDims,
-    so: Vec<BitMat>,
-    os: Vec<BitMat>,
-    po: Vec<BitMat>,
-    ps: Vec<BitMat>,
-    /// Predicate-family shards: contiguous predicate-ID ranges `[lo, hi)`
-    /// balanced by triple mass. Purely a partitioning of the predicate
-    /// space — matrices stay densely indexed, and queries are unaffected.
-    shards: Vec<(u32, u32)>,
+    /// Indexed by `Family as usize`, then by key.
+    families: [Vec<BitMat>; 4],
 }
-
-/// Default shard count for the predicate-family partitioning.
-pub const DEFAULT_SHARDS: usize = 8;
 
 impl BitMatStore {
     /// Builds all four families from an encoded graph. The four
@@ -40,114 +30,27 @@ impl BitMatStore {
             n_triples: graph.triples.len() as u64,
         };
         let t = &graph.triples;
-        let (so, os, po, ps) = std::thread::scope(|scope| {
-            let h_so = scope.spawn(|| {
-                family(
-                    t,
-                    dims.n_predicates,
-                    |x| (x.p, x.s, x.o),
-                    dims.n_subjects,
-                    dims.n_objects,
-                )
-            });
-            let h_os = scope.spawn(|| {
-                family(
-                    t,
-                    dims.n_predicates,
-                    |x| (x.p, x.o, x.s),
-                    dims.n_objects,
-                    dims.n_subjects,
-                )
-            });
-            let h_po = scope.spawn(|| {
-                family(
-                    t,
-                    dims.n_subjects,
-                    |x| (x.s, x.p, x.o),
-                    dims.n_predicates,
-                    dims.n_objects,
-                )
-            });
-            let h_ps = scope.spawn(|| {
-                family(
-                    t,
-                    dims.n_objects,
-                    |x| (x.o, x.p, x.s),
-                    dims.n_predicates,
-                    dims.n_subjects,
-                )
-            });
-            (
-                h_so.join().expect("S-O build panicked"),
-                h_os.join().expect("O-S build panicked"),
-                h_po.join().expect("P-O build panicked"),
-                h_ps.join().expect("P-S build panicked"),
-            )
+        // `map` spawns all four before the second `map` joins the first.
+        let families = std::thread::scope(|scope| {
+            Family::ALL
+                .map(|f| scope.spawn(move || family(t, f, &dims)))
+                .map(|h| h.join().expect("family build panicked"))
         });
-        let shards = compute_shards(&so, DEFAULT_SHARDS);
-        BitMatStore {
-            dims,
-            so,
-            os,
-            po,
-            ps,
-            shards,
-        }
+        BitMatStore { dims, families }
     }
 
-    /// Number of predicate-family shards (≥ 1 whenever predicates exist).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
+    /// Direct read access to the matrix of `key` in family `f` (empty
+    /// matrices included; `None` only when `key` is out of range).
+    pub fn get(&self, f: Family, key: u32) -> Option<&BitMat> {
+        self.families[f as usize].get(key as usize)
     }
 
-    /// The contiguous predicate-ID ranges `[lo, hi)` of every shard.
-    pub fn shard_ranges(&self) -> &[(u32, u32)] {
-        &self.shards
-    }
-
-    /// The shard a predicate belongs to (`None` if `p` is out of range).
-    pub fn shard_of(&self, p: u32) -> Option<usize> {
-        if p >= self.dims.n_predicates {
-            return None;
-        }
-        Some(self.shards.partition_point(|&(_, hi)| hi <= p))
-    }
-
-    /// Iterates one shard's per-predicate matrices: `(p, so, os)`.
-    pub fn iter_shard(&self, shard: usize) -> impl Iterator<Item = (u32, &BitMat, &BitMat)> {
-        let (lo, hi) = self.shards.get(shard).copied().unwrap_or((0, 0));
-        (lo..hi).map(move |p| (p, &self.so[p as usize], &self.os[p as usize]))
-    }
-
-    /// Direct read access to an S-O matrix (bench/inspection use).
-    pub fn so(&self, p: u32) -> Option<&BitMat> {
-        self.so.get(p as usize)
-    }
-
-    /// Direct read access to an O-S matrix.
-    pub fn os(&self, p: u32) -> Option<&BitMat> {
-        self.os.get(p as usize)
-    }
-
-    /// Direct read access to a P-O matrix.
-    pub fn po(&self, s: u32) -> Option<&BitMat> {
-        self.po.get(s as usize)
-    }
-
-    /// Direct read access to a P-S matrix.
-    pub fn ps(&self, o: u32) -> Option<&BitMat> {
-        self.ps.get(o as usize)
-    }
-
-    /// Iterates the four families for serialization: `(family tag, key, mat)`.
-    pub(crate) fn iter_families(&self) -> impl Iterator<Item = (u8, u32, &BitMat)> {
-        self.so
-            .iter()
-            .enumerate()
-            .map(|(k, m)| (0u8, k as u32, m))
-            .chain(self.os.iter().enumerate().map(|(k, m)| (1u8, k as u32, m)))
-            .chain(self.po.iter().enumerate().map(|(k, m)| (2u8, k as u32, m)))
-            .chain(self.ps.iter().enumerate().map(|(k, m)| (3u8, k as u32, m)))
+    /// Iterates the four families in serialization order: `(family, key, mat)`.
+    pub(crate) fn iter_families(&self) -> impl Iterator<Item = (Family, u32, &BitMat)> {
+        Family::ALL.into_iter().flat_map(move |f| {
+            let mats = self.families[f as usize].iter().enumerate();
+            mats.map(move |(k, m)| (f, k as u32, m))
+        })
     }
 
     /// Total index size under the hybrid encoding vs pure RLE — the §4
@@ -157,8 +60,8 @@ impl BitMatStore {
         for (_, _, m) in self.iter_families() {
             r.hybrid_bytes += m.encoded_bytes() as u64;
             r.rle_only_bytes += m.rle_only_bytes() as u64;
+            r.n_matrices += 1;
         }
-        r.n_matrices = (self.so.len() + self.os.len() + self.po.len() + self.ps.len()) as u64;
         r
     }
 }
@@ -185,16 +88,11 @@ impl SizeReport {
     }
 }
 
-/// Builds one family: group triples by `key`, emit a `(row, col)` BitMat
-/// per key. `extract` maps a triple to `(key, row, col)`.
-fn family(
-    triples: &[EncodedTriple],
-    n_keys: u32,
-    extract: impl Fn(&EncodedTriple) -> (u32, u32, u32),
-    n_rows: u32,
-    n_cols: u32,
-) -> Vec<BitMat> {
-    let mut tuples: Vec<(u32, u32, u32)> = triples.iter().map(&extract).collect();
+/// Builds one family: group triples by their key in `f`, emit a
+/// `(row, col)` BitMat per key.
+fn family(triples: &[EncodedTriple], f: Family, dims: &CubeDims) -> Vec<BitMat> {
+    let (n_keys, n_rows, n_cols) = f.shape(dims);
+    let mut tuples: Vec<(u32, u32, u32)> = triples.iter().map(|t| f.project(t)).collect();
     tuples.sort_unstable();
     let mut mats: Vec<BitMat> = Vec::with_capacity(n_keys as usize);
     let mut i = 0;
@@ -214,105 +112,33 @@ fn family(
     mats
 }
 
-/// Partitions predicates into up to `target` contiguous shards balanced by
-/// per-predicate triple mass (greedy accumulation toward the mean).
-fn compute_shards(so: &[BitMat], target: usize) -> Vec<(u32, u32)> {
-    let counts: Vec<u64> = so.iter().map(|m| m.triple_count()).collect();
-    compute_shard_ranges(&counts, target)
-}
-
-/// Partitions a per-predicate triple-count histogram into up to `target`
-/// contiguous shards balanced by triple mass — the same ranges
-/// [`BitMatStore::shard_ranges`] carries, computable from any
-/// [`Catalog`]'s `count_so` histogram (how `lbr-store` shards a mapped
-/// on-disk catalog without rebuilding the heap store).
-pub fn compute_shard_ranges(counts: &[u64], target: usize) -> Vec<(u32, u32)> {
-    let n_preds = counts.len() as u32;
-    if n_preds == 0 {
-        return Vec::new();
-    }
-    let total: u64 = counts.iter().sum();
-    let target = target.clamp(1, n_preds as usize);
-    let per_shard = (total / target as u64).max(1);
-    let mut shards: Vec<(u32, u32)> = Vec::with_capacity(target);
-    let mut lo = 0u32;
-    let mut acc = 0u64;
-    for p in 0..n_preds {
-        acc += counts[p as usize];
-        // Close the shard once it carries its share, keeping the final
-        // shard open so it absorbs the tail.
-        if acc >= per_shard && shards.len() + 1 < target {
-            shards.push((lo, p + 1));
-            lo = p + 1;
-            acc = 0;
-        }
-    }
-    if lo < n_preds {
-        shards.push((lo, n_preds));
-    }
-    debug_assert_eq!(shards.first().map(|s| s.0), Some(0));
-    debug_assert_eq!(shards.last().map(|s| s.1), Some(n_preds));
-    shards
-}
-
 impl Catalog for BitMatStore {
     fn dims(&self) -> CubeDims {
         self.dims
     }
 
-    fn load_so(&self, p: u32) -> Result<Option<BitMat>, BitMatError> {
-        Ok(self.so.get(p as usize).filter(|m| !m.is_empty()).cloned())
+    fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError> {
+        let mat = self.get(f, key).filter(|m| !m.is_empty());
+        Ok(mat.map(Cow::Borrowed))
     }
 
-    fn load_os(&self, p: u32) -> Result<Option<BitMat>, BitMatError> {
-        Ok(self.os.get(p as usize).filter(|m| !m.is_empty()).cloned())
+    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {
+        let row = self.get(f, key).and_then(|m| m.row(r));
+        Ok(row.map(Cow::Borrowed))
     }
 
-    fn load_po(&self, s: u32) -> Result<Option<BitMat>, BitMatError> {
-        Ok(self.po.get(s as usize).filter(|m| !m.is_empty()).cloned())
+    fn count(&self, f: Family, key: u32) -> u64 {
+        self.get(f, key).map_or(0, BitMat::triple_count)
     }
 
-    fn load_ps(&self, o: u32) -> Result<Option<BitMat>, BitMatError> {
-        Ok(self.ps.get(o as usize).filter(|m| !m.is_empty()).cloned())
-    }
-
-    fn load_po_row(&self, s: u32, p: u32) -> Result<Option<BitRow>, BitMatError> {
-        Ok(self.po.get(s as usize).and_then(|m| m.row(p)).cloned())
-    }
-
-    fn load_ps_row(&self, o: u32, p: u32) -> Result<Option<BitRow>, BitMatError> {
-        Ok(self.ps.get(o as usize).and_then(|m| m.row(p)).cloned())
-    }
-
-    fn count_so(&self, p: u32) -> u64 {
-        self.so.get(p as usize).map_or(0, |m| m.triple_count())
-    }
-
-    fn count_po(&self, s: u32) -> u64 {
-        self.po.get(s as usize).map_or(0, |m| m.triple_count())
-    }
-
-    fn count_ps(&self, o: u32) -> u64 {
-        self.ps.get(o as usize).map_or(0, |m| m.triple_count())
-    }
-
-    fn count_po_row(&self, s: u32, p: u32) -> u64 {
-        self.po
-            .get(s as usize)
-            .and_then(|m| m.row(p))
-            .map_or(0, |r| r.count_ones() as u64)
-    }
-
-    fn count_ps_row(&self, o: u32, p: u32) -> u64 {
-        self.ps
-            .get(o as usize)
-            .and_then(|m| m.row(p))
-            .map_or(0, |r| r.count_ones() as u64)
+    fn row_count(&self, f: Family, key: u32, r: u32) -> u64 {
+        let row = self.get(f, key).and_then(|m| m.row(r));
+        row.map_or(0, |r| r.count_ones() as u64)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lbr_rdf::{Graph, Term, Triple};
 
@@ -352,21 +178,24 @@ mod tests {
         let friend = d
             .id(&Term::iri("hasFriend"), lbr_rdf::Dimension::Predicate)
             .unwrap();
-        assert_eq!(store.count_so(acted), 5);
-        assert_eq!(store.count_so(loc), 4);
-        assert_eq!(store.count_so(friend), 2);
+        assert_eq!(store.count(Family::So, acted), 5);
+        assert_eq!(store.count(Family::So, loc), 4);
+        assert_eq!(store.count(Family::So, friend), 2);
         // O-S is the transpose of S-O.
         assert_eq!(
-            store.so(acted).unwrap().transpose(),
-            *store.os(acted).unwrap()
+            store.get(Family::So, acted).unwrap().transpose(),
+            *store.get(Family::Os, acted).unwrap()
         );
-        // Totals across any family equal the dataset size.
-        let total: u64 = (0..g.dict.n_predicates()).map(|p| store.count_so(p)).sum();
-        assert_eq!(total, 11);
-        let total_po: u64 = (0..g.dict.n_subjects()).map(|s| store.count_po(s)).sum();
-        assert_eq!(total_po, 11);
-        let total_ps: u64 = (0..g.dict.n_objects()).map(|o| store.count_ps(o)).sum();
-        assert_eq!(total_ps, 11);
+        assert_family_totals(&store, 11);
+    }
+
+    /// Totals across any family equal the dataset size.
+    fn assert_family_totals(store: &BitMatStore, n_triples: u64) {
+        for f in Family::ALL {
+            let (n_keys, _, _) = f.shape(&store.dims());
+            let total: u64 = (0..n_keys).map(|key| store.count(f, key)).sum();
+            assert_eq!(total, n_triples, "{}", f.name());
+        }
     }
 
     #[test]
@@ -381,9 +210,9 @@ mod tests {
             .id(&Term::iri("hasFriend"), lbr_rdf::Dimension::Predicate)
             .unwrap();
         // (Jerry hasFriend ?f): two candidate objects.
-        let row = store.load_po_row(jerry, friend).unwrap().unwrap();
+        let row = store.row(Family::Po, jerry, friend).unwrap().unwrap();
         assert_eq!(row.count_ones(), 2);
-        assert_eq!(store.count_po_row(jerry, friend), 2);
+        assert_eq!(store.row_count(Family::Po, jerry, friend), 2);
         // (?sitcom location NewYorkCity): one candidate subject.
         let nyc = d
             .id(&Term::iri("NewYorkCity"), lbr_rdf::Dimension::Object)
@@ -391,24 +220,30 @@ mod tests {
         let loc = d
             .id(&Term::iri("location"), lbr_rdf::Dimension::Predicate)
             .unwrap();
-        let row = store.load_ps_row(nyc, loc).unwrap().unwrap();
+        let row = store.row(Family::Ps, nyc, loc).unwrap().unwrap();
         assert_eq!(row.count_ones(), 1);
-        assert_eq!(store.count_ps_row(nyc, loc), 1);
+        assert_eq!(store.row_count(Family::Ps, nyc, loc), 1);
         // Missing combinations are None / zero.
-        assert!(store.load_po_row(jerry, loc).unwrap().is_none());
-        assert_eq!(store.count_po_row(jerry, loc), 0);
-        assert_eq!(store.count_so(999), 0);
+        assert!(store.row(Family::Po, jerry, loc).unwrap().is_none());
+        assert_eq!(store.row_count(Family::Po, jerry, loc), 0);
+        assert_eq!(store.count(Family::So, 999), 0);
     }
 
     #[test]
-    fn catalog_loads_are_owned_copies() {
+    fn catalog_loads_are_lent_and_owned_on_demand() {
         let g = figure_3_2_graph();
         let store = BitMatStore::build(&g);
-        let mut m = store.load_so(0).unwrap().unwrap();
-        let before = store.count_so(0);
+        let lent = store.matrix(Family::So, 0).unwrap().unwrap();
+        assert!(matches!(lent, Cow::Borrowed(_)), "the heap store lends");
+        let mut m = lent.into_owned();
+        let before = store.count(Family::So, 0);
         m.unfold(&crate::BitVec::zeros(m.n_cols()), crate::RetainDim::Col);
         assert!(m.is_empty());
-        assert_eq!(store.count_so(0), before, "store must be unaffected");
+        assert_eq!(
+            store.count(Family::So, 0),
+            before,
+            "store must be unaffected"
+        );
     }
 
     /// The four family threads slice one triple set: on a graph with many
@@ -434,55 +269,20 @@ mod tests {
         let dims = store.dims();
         for p in 0..dims.n_predicates {
             assert_eq!(
-                store.so(p).unwrap().transpose(),
-                *store.os(p).unwrap(),
+                store.get(Family::So, p).unwrap().transpose(),
+                *store.get(Family::Os, p).unwrap(),
                 "os({p})"
             );
         }
-        let n = g.triples.len() as u64;
-        assert_eq!(
-            (0..dims.n_predicates)
-                .map(|p| store.count_so(p))
-                .sum::<u64>(),
-            n
-        );
-        assert_eq!(
-            (0..dims.n_subjects).map(|s| store.count_po(s)).sum::<u64>(),
-            n
-        );
-        assert_eq!(
-            (0..dims.n_objects).map(|o| store.count_ps(o)).sum::<u64>(),
-            n
-        );
-    }
-
-    #[test]
-    fn shards_partition_the_predicate_space() {
-        let g = figure_3_2_graph();
-        let store = BitMatStore::build(&g);
-        let dims = store.dims();
-        assert!(store.n_shards() >= 1);
-        // Ranges are contiguous, ordered, and cover 0..n_predicates.
-        let mut next = 0u32;
-        for &(lo, hi) in store.shard_ranges() {
-            assert_eq!(lo, next);
-            assert!(hi > lo);
-            next = hi;
-        }
-        assert_eq!(next, dims.n_predicates);
-        // Every predicate maps to the shard whose range holds it, and
-        // shard iteration yields exactly that range's matrices.
-        let mut total = 0u64;
-        for shard in 0..store.n_shards() {
-            let (lo, hi) = store.shard_ranges()[shard];
-            for (p, so, _os) in store.iter_shard(shard) {
-                assert!((lo..hi).contains(&p));
-                assert_eq!(store.shard_of(p), Some(shard));
-                total += so.triple_count();
+        assert_family_totals(&store, g.triples.len() as u64);
+        // Every triple is the bit `Family::project` says it is, in every
+        // family — the four threads sliced the same set four ways.
+        for t in &g.triples {
+            for f in Family::ALL {
+                let (key, row, col) = f.project(t);
+                assert!(store.get(f, key).unwrap().get(row, col), "{f:?} {t:?}");
             }
         }
-        assert_eq!(total, dims.n_triples);
-        assert_eq!(store.shard_of(dims.n_predicates), None);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::bindings::{VarId, VarTable};
 use crate::error::LbrError;
 use crate::jvar_order::JvarOrder;
-use lbr_bitmat::{BitMat, BitVec, Catalog, CubeDims, RetainDim, SetScratch};
+use lbr_bitmat::{BitMat, BitVec, Catalog, CubeDims, Family, RetainDim, SetScratch};
 use lbr_rdf::{Dictionary, Dimension};
 use lbr_sparql::algebra::{TermPattern, TriplePattern};
 use lbr_sparql::gosn::{Gosn, TpId};
@@ -294,27 +294,10 @@ impl TpState {
         }
     }
 
-    /// The compressed row of columns adjacent to `row` (`Two` only; `None`
-    /// when the row is empty).
-    pub fn cols_row(&self, row: u32) -> Option<&lbr_bitmat::BitRow> {
-        match &self.data {
-            TpData::Two { mat, .. } => mat.row(row),
-            _ => None,
-        }
-    }
-
     /// The compressed row of rows adjacent to `col` (`Two` only; requires
     /// [`TpState::build_adjacency`]).
     pub fn rows_col(&self, col: u32) -> Option<&lbr_bitmat::BitRow> {
         self.transposed.as_ref().and_then(|t| t.row(col))
-    }
-
-    /// Membership test in the `Two` matrix.
-    pub fn has_pair(&self, row: u32, col: u32) -> bool {
-        match &self.data {
-            TpData::Two { mat, .. } => mat.get(row, col),
-            _ => false,
-        }
     }
 }
 
@@ -399,6 +382,23 @@ fn const_id(dict: &Dictionary, t: &TermPattern, dim: Dimension) -> Option<u32> {
     t.as_const().and_then(|c| dict.id(c, dim))
 }
 
+/// The whole BitMat of `key` in family `f` as the owned, pruneable copy a
+/// TP keeps (empty when the key's constant is unknown to the dictionary,
+/// or has no triples).
+fn load_owned(
+    catalog: &impl Catalog,
+    dims: &CubeDims,
+    f: Family,
+    key: Option<u32>,
+) -> Result<BitMat, LbrError> {
+    let loaded = match key {
+        Some(key) => catalog.matrix(f, key)?,
+        None => None,
+    };
+    let (_, n_rows, n_cols) = f.shape(dims);
+    Ok(loaded.map_or_else(|| BitMat::empty(n_rows, n_cols), |m| m.into_owned()))
+}
+
 /// Loads one TP per the §5 rules (missing constants yield empty data).
 #[allow(clippy::too_many_arguments)]
 fn load_tp(
@@ -424,16 +424,15 @@ fn load_tp(
         // (f1 f2 f3): membership test.
         (None, None, None) => {
             let present = known
-                && match catalog.load_po_row(s_id.unwrap(), p_id.unwrap())? {
-                    Some(row) => row.contains(o_id.unwrap()),
-                    None => false,
-                };
+                && catalog
+                    .row(Family::Po, s_id.unwrap(), p_id.unwrap())?
+                    .is_some_and(|row| row.contains(o_id.unwrap()));
             TpData::Zero { present }
         }
         // (?v f1 f2): subject candidates from one P-S row.
         (Some(v), None, None) => {
             let cands = if known {
-                match catalog.load_ps_row(o_id.unwrap(), p_id.unwrap())? {
+                match catalog.row(Family::Ps, o_id.unwrap(), p_id.unwrap())? {
                     Some(row) => row.to_bitvec(),
                     None => BitVec::zeros(dims.n_subjects),
                 }
@@ -449,7 +448,7 @@ fn load_tp(
         // (f1 f2 ?v): object candidates from one P-O row.
         (None, None, Some(v)) => {
             let cands = if known {
-                match catalog.load_po_row(s_id.unwrap(), p_id.unwrap())? {
+                match catalog.row(Family::Po, s_id.unwrap(), p_id.unwrap())? {
                     Some(row) => row.to_bitvec(),
                     None => BitVec::zeros(dims.n_objects),
                 }
@@ -468,21 +467,8 @@ fn load_tp(
             // sole join variable wins; default to the subject.
             let (a_pos, b_pos) = (jorder.first_pos(a), jorder.first_pos(b));
             let subject_rows = a_pos <= b_pos;
-            let loaded = if known {
-                if subject_rows {
-                    catalog.load_so(p_id.unwrap())?
-                } else {
-                    catalog.load_os(p_id.unwrap())?
-                }
-            } else {
-                None
-            };
-            let (n_rows, n_cols) = if subject_rows {
-                (dims.n_subjects, dims.n_objects)
-            } else {
-                (dims.n_objects, dims.n_subjects)
-            };
-            let mat = loaded.unwrap_or_else(|| BitMat::empty(n_rows, n_cols));
+            let f = if subject_rows { Family::So } else { Family::Os };
+            let mat = load_owned(catalog, dims, f, p_id)?;
             if subject_rows {
                 TpData::Two {
                     row_var: a,
@@ -505,7 +491,7 @@ fn load_tp(
         (Some(a), None, Some(_)) => {
             let mut cands = BitVec::zeros(dims.n_subjects);
             if known {
-                if let Some(mat) = catalog.load_so(p_id.unwrap())? {
+                if let Some(mat) = catalog.matrix(Family::So, p_id.unwrap())? {
                     for &(r, ref row) in mat.rows() {
                         if r < dims.n_shared && row.contains(r) {
                             cands.set(r);
@@ -521,12 +507,7 @@ fn load_tp(
         }
         // (f ?p ?o): the P-O BitMat of the subject.
         (None, Some(p), Some(o)) if p != o => {
-            let mat = if known {
-                catalog.load_po(s_id.unwrap())?
-            } else {
-                None
-            }
-            .unwrap_or_else(|| BitMat::empty(dims.n_predicates, dims.n_objects));
+            let mat = load_owned(catalog, dims, Family::Po, s_id)?;
             TpData::Two {
                 row_var: p,
                 row_dim: Dimension::Predicate,
@@ -537,12 +518,7 @@ fn load_tp(
         }
         // (?s ?p f): the P-S BitMat of the object.
         (Some(s), Some(p), None) if p != s => {
-            let mat = if known {
-                catalog.load_ps(o_id.unwrap())?
-            } else {
-                None
-            }
-            .unwrap_or_else(|| BitMat::empty(dims.n_predicates, dims.n_subjects));
+            let mat = load_owned(catalog, dims, Family::Ps, o_id)?;
             TpData::Two {
                 row_var: p,
                 row_dim: Dimension::Predicate,
@@ -556,7 +532,7 @@ fn load_tp(
         (None, Some(p), None) => {
             let mut cands = BitVec::zeros(dims.n_predicates);
             if known {
-                if let Some(mat) = catalog.load_po(s_id.unwrap())? {
+                if let Some(mat) = catalog.matrix(Family::Po, s_id.unwrap())? {
                     let o = o_id.unwrap();
                     for &(r, ref row) in mat.rows() {
                         if row.contains(o) {
@@ -576,9 +552,9 @@ fn load_tp(
         (Some(s), Some(pv), Some(o)) if s != pv && pv != o && s != o => {
             let mut mats = Vec::new();
             for pid in 0..dims.n_predicates {
-                if let Some(m) = catalog.load_so(pid)? {
+                if let Some(m) = catalog.matrix(Family::So, pid)? {
                     if !m.is_empty() {
-                        mats.push((pid, m));
+                        mats.push((pid, m.into_owned()));
                     }
                 }
             }
@@ -600,7 +576,6 @@ fn load_tp(
             )));
         }
     };
-    let _ = tp_id;
     Ok(TpState {
         id: tp_id,
         data,
@@ -709,15 +684,10 @@ mod tests {
         };
         let (r, c) = mat.iter().next().unwrap();
         assert_eq!(
-            tp1.cols_row(r).unwrap().iter_ones().collect::<Vec<_>>(),
-            vec![c]
-        );
-        assert_eq!(
             tp1.rows_col(c).unwrap().iter_ones().collect::<Vec<_>>(),
             vec![r]
         );
-        assert!(tp1.has_pair(r, c) && !tp1.has_pair(9999, c));
-        assert!(tp1.cols_row(9999).is_none());
+        assert!(tp1.rows_col(9999).is_none());
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub struct JoinInputs<'a> {
     /// prefix of the unbounded enumeration. `None` = run to completion.
     pub quota: Option<usize>,
     /// Execution deadline: once it passes, enumeration stops starting new
-    /// subtrees (polled every [`DEADLINE_POLL_MASK`]+1 quota checks) and
+    /// subtrees (polled every `DEADLINE_POLL_MASK`+1 quota checks) and
     /// [`ExecStats::deadline_expired`] is set. The rows produced so far are
     /// discarded by the engine, which surfaces
     /// `LbrError::DeadlineExceeded` instead. `None` = no limit.

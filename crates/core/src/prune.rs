@@ -310,7 +310,7 @@ pub struct PlannedPruneOps {
 }
 
 /// Statically enumerates the prune operations: **the same holder and
-/// peer-group sweep as [`prune_one_jvar`]** — keep the two in lock-step
+/// peer-group sweep as `prune_one_jvar`** — keep the two in lock-step
 /// (the `planned_ops_match_runtime_intersections` test ties them
 /// together: on data where no fold is empty,
 /// `semi_joins + clustered_folds` equals the runtime

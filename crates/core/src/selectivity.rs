@@ -6,7 +6,7 @@
 //! the queries". A triple pattern is *highly selective* when few triples
 //! match it (footnote 2).
 
-use lbr_bitmat::Catalog;
+use lbr_bitmat::{Catalog, Family};
 use lbr_rdf::{Dictionary, Dimension};
 use lbr_sparql::algebra::{TermPattern, TriplePattern};
 
@@ -34,17 +34,19 @@ pub fn estimated_count(tp: &TriplePattern, dict: &Dictionary, catalog: &impl Cat
         // (s p o): membership, 0 or 1 — report 1 (checked at init).
         (Some(_), Some(_), Some(_)) => 1,
         // (?v p o): one P-S row.
-        (None, Some(p), Some(o)) => catalog.count_ps_row(o, p),
+        (None, Some(p), Some(o)) => catalog.row_count(Family::Ps, o, p),
         // (s p ?v): one P-O row.
-        (Some(s), Some(p), None) => catalog.count_po_row(s, p),
+        (Some(s), Some(p), None) => catalog.row_count(Family::Po, s, p),
         // (?a p ?b): the whole S-O BitMat of p.
-        (None, Some(p), None) => catalog.count_so(p),
+        (None, Some(p), None) => catalog.count(Family::So, p),
         // (s ?p ?o): the P-O BitMat of s.
-        (Some(s), None, None) => catalog.count_po(s),
+        (Some(s), None, None) => catalog.count(Family::Po, s),
         // (?s ?p o): the P-S BitMat of o.
-        (None, None, Some(o)) => catalog.count_ps(o),
+        (None, None, Some(o)) => catalog.count(Family::Ps, o),
         // (s ?p o): bounded by both totals.
-        (Some(s), None, Some(o)) => catalog.count_po(s).min(catalog.count_ps(o)),
+        (Some(s), None, Some(o)) => catalog
+            .count(Family::Po, s)
+            .min(catalog.count(Family::Ps, o)),
         // (?s ?p ?o): the full dataset.
         (None, None, None) => catalog.dims().n_triples,
     }

@@ -25,13 +25,13 @@
 //!   never resynchronized by guesswork.
 //!
 //! The crate is deliberately free of external dependencies: the epoll
-//! and eventfd bindings are hand-declared in [`sys`] against the C
+//! and eventfd bindings are hand-declared in `sys` against the C
 //! library the binary already links, and everything above them is safe
 //! Rust over `std::net` types.
 //!
 //! ## Layering
 //!
-//! [`sys`] (FFI) → [`poller`] ([`Poller`]/[`Waker`]) → [`server`]
+//! `sys` (FFI) → [`poller`] ([`Poller`]/[`Waker`]) → [`server`]
 //! ([`NetServer`] readiness loop + worker pool) with [`http`]
 //! (incremental [`RequestParser`], [`Response`] encoder), [`queue`]
 //! ([`AdmissionQueue`]) and [`metrics`] ([`LatencyHistogram`],

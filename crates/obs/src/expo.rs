@@ -2,7 +2,7 @@
 //! two ways — Prometheus text format (`GET /metrics`) and the nested JSON
 //! document `/stats` has always served.
 //!
-//! Each [`Metric`] carries both a Prometheus identity (family name +
+//! Each `Metric` carries both a Prometheus identity (family name +
 //! labels; empty name = JSON-only) and a JSON identity (a dotted path
 //! like `cache.hits`; empty path = Prometheus-only). The JSON renderer
 //! walks the dotted paths in insertion order, opening and closing nested

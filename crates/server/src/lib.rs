@@ -28,7 +28,7 @@
 //!   result-cache counters, admission counters (including
 //!   `dropped_requests`), per-endpoint latency percentiles
 //!   (p50/p95/p99/max), update counters, the storage epoch, and
-//!   aggregated [`StatsAggregate`](lbr_core::StatsAggregate) query
+//!   aggregated [`lbr_core::StatsAggregate`] query
 //!   statistics as JSON.
 //!
 //! Concurrency model (see [`lbr_net`] for the full picture): one epoll

@@ -19,7 +19,7 @@
 //!   (GoJ) with acyclicity tests (§3.1, Lemma 3.2);
 //! * [`well_designed`] — Pérez et al.'s well-designedness test and the
 //!   Appendix-B transformation for non-well-designed queries;
-//! * [`classify`] — the Figure 3.1 classification that decides whether
+//! * [`mod@classify`] — the Figure 3.1 classification that decides whether
 //!   nullification / best-match can be avoided;
 //! * [`rewrite`] — the §5.2 UNION-normal-form and filter push-in rewrites.
 //!

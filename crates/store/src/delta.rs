@@ -2,14 +2,15 @@
 //!
 //! A [`TripleSet`] keeps every triple under three orderings — `(p,s,o)`,
 //! `(s,p,o)` and `(o,p,s)` — so each of the four BitMat families can range
-//! over exactly the triples it needs (`so`/`os` by predicate, `po` by
-//! subject, `ps` by object) without scanning the whole delta. The sets are
+//! over exactly the triples it needs (S-O / O-S by predicate, P-O by
+//! subject, P-S by object) without scanning the whole delta. The sets are
 //! `BTreeSet`s: deltas are small by design (compaction folds them away),
 //! and ordered range scans produce the sorted position lists the
 //! compressed-row constructors want.
 
+use lbr_bitmat::Family;
 use lbr_rdf::EncodedTriple;
-use std::collections::BTreeSet;
+use std::collections::btree_set::{BTreeSet, Range};
 
 /// A set of encoded triples indexed for all four BitMat access paths.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -70,64 +71,53 @@ impl TripleSet {
             .map(|&(p, s, o)| EncodedTriple::new(s, p, o))
     }
 
-    /// `(s, o)` pairs of predicate `p`, ascending — the S-O family's order.
-    pub fn pairs_of_p(&self, p: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.by_pso
-            .range((p, 0, 0)..=(p, u32::MAX, u32::MAX))
-            .map(|&(_, s, o)| (s, o))
+    /// Every triple of `key` in family `f`, in the ordering that leads
+    /// with that key (S-O and O-S share the per-predicate one).
+    fn of_key(&self, f: Family, key: u32) -> Range<'_, (u32, u32, u32)> {
+        let set = match f {
+            Family::So | Family::Os => &self.by_pso,
+            Family::Po => &self.by_spo,
+            Family::Ps => &self.by_ops,
+        };
+        set.range((key, 0, 0)..=(key, u32::MAX, u32::MAX))
     }
 
-    /// `(p, o)` pairs of subject `s`, ascending — the P-O family's order.
-    pub fn pairs_of_s(&self, s: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.by_spo
-            .range((s, 0, 0)..=(s, u32::MAX, u32::MAX))
-            .map(|&(_, p, o)| (p, o))
+    /// The `(row, col)` pairs this set holds in the matrix of `key` in
+    /// family `f`, ascending — what the compressed-row constructors want.
+    /// O-S has no ordering of its own: its pairs are the S-O pairs of the
+    /// predicate swapped and re-sorted.
+    pub fn pairs(&self, f: Family, key: u32) -> Vec<(u32, u32)> {
+        let of_key = self.of_key(f, key);
+        if f == Family::Os {
+            let mut swapped: Vec<(u32, u32)> = of_key.map(|&(_, s, o)| (o, s)).collect();
+            swapped.sort_unstable();
+            swapped
+        } else {
+            of_key.map(|&(_, r, c)| (r, c)).collect()
+        }
     }
 
-    /// `(p, s)` pairs of object `o`, ascending — the P-S family's order.
-    pub fn pairs_of_o(&self, o: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.by_ops
-            .range((o, 0, 0)..=(o, u32::MAX, u32::MAX))
-            .map(|&(_, p, s)| (p, s))
+    /// Triple count of that matrix.
+    pub fn count(&self, f: Family, key: u32) -> u64 {
+        self.of_key(f, key).count() as u64
     }
 
-    /// Objects of `(s, p, ?o)`, ascending.
-    pub fn objects_of_sp(&self, s: u32, p: u32) -> impl Iterator<Item = u32> + '_ {
-        self.by_spo
-            .range((s, p, 0)..=(s, p, u32::MAX))
-            .map(|&(_, _, o)| o)
+    /// The columns set in row `row` of that matrix, ascending. A row of an
+    /// O-S matrix is `(o, p, ·)` in the per-object ordering, with the key
+    /// in the middle; the other families lead with `(key, row)`.
+    pub fn cols(&self, f: Family, key: u32, row: u32) -> impl Iterator<Item = u32> + '_ {
+        let (set, a, b) = match f {
+            Family::So => (&self.by_pso, key, row),
+            Family::Os => (&self.by_ops, row, key),
+            Family::Po => (&self.by_spo, key, row),
+            Family::Ps => (&self.by_ops, key, row),
+        };
+        set.range((a, b, 0)..=(a, b, u32::MAX)).map(|&(_, _, c)| c)
     }
 
-    /// Subjects of `(?s, p, o)`, ascending.
-    pub fn subjects_of_po(&self, p: u32, o: u32) -> impl Iterator<Item = u32> + '_ {
-        self.by_ops
-            .range((o, p, 0)..=(o, p, u32::MAX))
-            .map(|&(_, _, s)| s)
-    }
-
-    /// Triple count of predicate `p`.
-    pub fn count_p(&self, p: u32) -> u64 {
-        self.pairs_of_p(p).count() as u64
-    }
-
-    /// Triple count of subject `s`.
-    pub fn count_s(&self, s: u32) -> u64 {
-        self.pairs_of_s(s).count() as u64
-    }
-
-    /// Triple count of object `o`.
-    pub fn count_o(&self, o: u32) -> u64 {
-        self.pairs_of_o(o).count() as u64
-    }
-
-    /// Count of `(s, p, ?o)` matches.
-    pub fn count_sp(&self, s: u32, p: u32) -> u64 {
-        self.objects_of_sp(s, p).count() as u64
-    }
-
-    /// Count of `(?s, p, o)` matches.
-    pub fn count_po(&self, p: u32, o: u32) -> u64 {
-        self.subjects_of_po(p, o).count() as u64
+    /// Set-bit count of that row.
+    pub fn row_count(&self, f: Family, key: u32, row: u32) -> u64 {
+        self.cols(f, key, row).count() as u64
     }
 }
 
@@ -189,16 +179,27 @@ mod tests {
         assert!(!set.insert(t(1, 0, 2)), "duplicate insert is a no-op");
         assert_eq!(set.len(), 3);
 
-        assert_eq!(set.pairs_of_p(0).collect::<Vec<_>>(), vec![(1, 2), (3, 2)]);
-        assert_eq!(set.pairs_of_s(1).collect::<Vec<_>>(), vec![(0, 2), (1, 4)]);
-        assert_eq!(set.pairs_of_o(2).collect::<Vec<_>>(), vec![(0, 1), (0, 3)]);
-        assert_eq!(set.objects_of_sp(1, 0).collect::<Vec<_>>(), vec![2]);
-        assert_eq!(set.subjects_of_po(0, 2).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(set.pairs(Family::So, 0), vec![(1, 2), (3, 2)]);
+        assert_eq!(set.pairs(Family::Os, 0), vec![(2, 1), (2, 3)]);
+        assert_eq!(set.pairs(Family::Po, 1), vec![(0, 2), (1, 4)]);
+        assert_eq!(set.pairs(Family::Ps, 2), vec![(0, 1), (0, 3)]);
+        // Every triple is one bit in one matrix of each family, and the
+        // row view agrees with the pair view.
+        for f in Family::ALL {
+            for t in set.iter() {
+                let (key, row, col) = f.project(&t);
+                assert!(set.pairs(f, key).contains(&(row, col)), "{f:?} {t:?}");
+                assert!(set.cols(f, key, row).any(|c| c == col), "{f:?} {t:?}");
+                let in_row = set.pairs(f, key).iter().filter(|p| p.0 == row).count();
+                assert_eq!(set.row_count(f, key, row), in_row as u64);
+                assert_eq!(set.count(f, key), set.pairs(f, key).len() as u64);
+            }
+        }
 
         assert!(set.remove(t(3, 0, 2)));
         assert!(!set.remove(t(3, 0, 2)));
-        assert_eq!(set.count_p(0), 1);
-        assert_eq!(set.count_o(2), 1);
+        assert_eq!(set.count(Family::So, 0), 1);
+        assert_eq!(set.count(Family::Ps, 2), 1);
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![t(1, 0, 2), t(1, 1, 4)]);
     }
 

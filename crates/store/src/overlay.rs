@@ -2,32 +2,27 @@
 //!
 //! Engines never see the delta: they consume the [`Catalog`] trait, and
 //! this implementation answers every load with *base segments + inserts −
-//! tombstones*, materialized per query exactly like [`BitMatStore`]
-//! answers them (owned matrices, `None` for empty). Rows untouched by the
-//! delta are cloned from the compressed base row verbatim; touched rows
-//! are re-compressed from the merged sorted position list — so the result
-//! of every load is **bit-for-bit identical** to what a `BitMatStore`
-//! built from the merged triples would return, which is what keeps all
-//! five engines byte-equivalent to a from-scratch rebuild.
+//! tombstones*, exactly like [`BitMatStore`] answers them (`None` for
+//! empty). Rows untouched by the delta are cloned from the compressed base
+//! row verbatim; touched rows are re-compressed from the merged sorted
+//! position list — so the result of every load is **bit-for-bit
+//! identical** to what a `BitMatStore` built from the merged triples would
+//! return, which is what keeps all five engines byte-equivalent to a
+//! from-scratch rebuild.
 //!
-//! With an empty delta every method is a pure delegation to the base
-//! store: the 0 %-delta overhead on the PR 5 kernel numbers is one branch
-//! per load.
+//! A load the delta does not touch is the base catalog's own `Cow` handed
+//! through — borrowed from a heap store, decoded once from a mapped one —
+//! so the overlay never adds a copy of a base matrix on either medium, and
+//! with an empty delta its overhead on the PR 5 kernel numbers is one
+//! branch per load.
 
 use crate::delta::Delta;
 use lbr_bitmat::{
-    compute_shard_ranges, BitMat, BitMatError, BitMatStore, BitRow, Catalog, CubeDims, DiskCatalog,
-    DEFAULT_SHARDS,
+    BitMat, BitMatError, BitMatStore, BitRow, Catalog, CubeDims, DiskCatalog, Family,
 };
 use lbr_rdf::EncodedTriple;
+use std::borrow::Cow;
 use std::sync::Arc;
-
-/// Sorted `(row, col)` delta pairs of one per-predicate family.
-type PairList = Vec<(u32, u32)>;
-
-/// One shard's merged matrices: `(p, S-O, O-S)` per predicate, as
-/// returned by [`OverlayCatalog::shard_matrices`].
-pub type ShardMatrices = Vec<(u32, Option<BitMat>, Option<BitMat>)>;
 
 /// Where the immutable base segments live: built on the heap, or mmap'd
 /// from an on-disk segment file written by `lbr_bitmat::disk::save_store`.
@@ -71,33 +66,13 @@ impl SegmentSource {
         }
     }
 
-    /// True when the base segments contain the encoded triple.
-    pub fn contains(&self, e: EncodedTriple) -> bool {
-        match self {
-            SegmentSource::Heap(s) => s.po(e.s).is_some_and(|m| m.get(e.p, e.o)),
-            // Mapped path: one row materialization; a read error on a
-            // validated mapping cannot happen, so it degrades to absent.
-            SegmentSource::Disk(d) => d
-                .load_po_row(e.s, e.p)
-                .ok()
-                .flatten()
-                .is_some_and(|row| row.contains(e.o)),
-        }
-    }
-
-    /// The predicate-family shard ranges of the base segments: the heap
-    /// store's precomputed ranges, or (for a mapped catalog) the same
-    /// mass-balanced partition recomputed from the per-predicate counts
-    /// in the segment TOC.
-    pub fn shard_ranges(&self) -> Vec<(u32, u32)> {
-        match self {
-            SegmentSource::Heap(s) => s.shard_ranges().to_vec(),
-            SegmentSource::Disk(d) => {
-                let n = d.dims().n_predicates;
-                let counts: Vec<u64> = (0..n).map(|p| d.count_so(p)).collect();
-                compute_shard_ranges(&counts, DEFAULT_SHARDS)
-            }
-        }
+    /// True when the base segments contain the encoded triple. A mapped
+    /// blob is validated on this touch, not at open, so a corrupt one is
+    /// an error here — never "absent", which would let a commit record a
+    /// base triple as an insert.
+    pub fn contains(&self, e: EncodedTriple) -> Result<bool, BitMatError> {
+        let row = self.catalog().row(Family::Po, e.s, e.p)?;
+        Ok(row.is_some_and(|r| r.contains(e.o)))
     }
 }
 
@@ -111,9 +86,6 @@ pub struct OverlayCatalog {
     segments: SegmentSource,
     delta: Arc<Delta>,
     dims: CubeDims,
-    /// Predicate-family shard ranges of the base segments, shared across
-    /// snapshot clones.
-    shards: Arc<Vec<(u32, u32)>>,
 }
 
 impl OverlayCatalog {
@@ -127,12 +99,10 @@ impl OverlayCatalog {
     pub fn with_source(segments: SegmentSource, delta: Arc<Delta>) -> Self {
         let mut dims = segments.dims();
         dims.n_triples = (dims.n_triples as i64 + delta.net()) as u64;
-        let shards = Arc::new(segments.shard_ranges());
         OverlayCatalog {
             segments,
             delta,
             dims,
-            shards,
         }
     }
 
@@ -145,148 +115,6 @@ impl OverlayCatalog {
     pub fn delta(&self) -> &Arc<Delta> {
         &self.delta
     }
-
-    /// Number of predicate-family shards (0 only with no predicates).
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The contiguous predicate-ID ranges `[lo, hi)` of every shard.
-    pub fn shard_ranges(&self) -> &[(u32, u32)] {
-        &self.shards
-    }
-
-    /// The shard a predicate belongs to (`None` if `p` is out of range).
-    pub fn shard_of(&self, p: u32) -> Option<usize> {
-        if p >= self.dims.n_predicates {
-            return None;
-        }
-        Some(self.shards.partition_point(|&(_, hi)| hi <= p))
-    }
-
-    /// Materializes one shard's per-predicate matrices **with the delta
-    /// merged in**: `(p, S-O, O-S)` for every predicate of the shard.
-    /// This is the unit of work for shard-parallel consumers (bulk
-    /// exports, shard-local statistics); rows are bit-for-bit what
-    /// [`Catalog::load_so`]/[`Catalog::load_os`] return.
-    pub fn shard_matrices(&self, shard: usize) -> Result<ShardMatrices, BitMatError> {
-        let (lo, hi) = self.shards.get(shard).copied().unwrap_or((0, 0));
-        (lo..hi)
-            .map(|p| Ok((p, self.load_so(p)?, self.load_os(p)?)))
-            .collect()
-    }
-
-    /// Merges per-key delta changes into a base matrix.
-    ///
-    /// `ins` / `tomb` are `(row, col)` lists sorted ascending; rows they
-    /// touch are rebuilt from the merged sorted positions, all other rows
-    /// are cloned from the compressed base row as-is.
-    fn merge_matrix(
-        base: Option<&BitMat>,
-        n_rows: u32,
-        n_cols: u32,
-        ins: &[(u32, u32)],
-        tomb: &[(u32, u32)],
-    ) -> Option<BitMat> {
-        if ins.is_empty() && tomb.is_empty() {
-            return base.filter(|m| !m.is_empty()).cloned();
-        }
-        let base_rows: &[(u32, BitRow)] = base.map_or(&[], |m| m.rows());
-        let mut out: Vec<(u32, BitRow)> = Vec::with_capacity(base_rows.len() + ins.len());
-        let (mut bi, mut ii, mut ti) = (0usize, 0usize, 0usize);
-        let mut cols: Vec<u32> = Vec::new();
-        loop {
-            // The next row index any of the three sorted streams mentions.
-            let next_row = [
-                base_rows.get(bi).map(|&(r, _)| r),
-                ins.get(ii).map(|&(r, _)| r),
-                tomb.get(ti).map(|&(r, _)| r),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let Some(r) = next_row else { break };
-
-            let base_row = if base_rows.get(bi).is_some_and(|&(br, _)| br == r) {
-                let row = &base_rows[bi].1;
-                bi += 1;
-                Some(row)
-            } else {
-                None
-            };
-            let ins_start = ii;
-            while ins.get(ii).is_some_and(|&(ir, _)| ir == r) {
-                ii += 1;
-            }
-            let tomb_start = ti;
-            while tomb.get(ti).is_some_and(|&(tr, _)| tr == r) {
-                ti += 1;
-            }
-            if ins_start == ii && tomb_start == ti {
-                // Untouched row: keep the compressed base row verbatim.
-                out.push((
-                    r,
-                    base_row.expect("row came from one of the streams").clone(),
-                ));
-                continue;
-            }
-
-            // Touched row: merge sorted base positions with the inserted
-            // columns, masking out the tombstoned ones.
-            cols.clear();
-            let mut add = ins[ins_start..ii].iter().map(|&(_, c)| c).peekable();
-            let dead: &[(u32, u32)] = &tomb[tomb_start..ti];
-            let mut di = 0usize;
-            let mut push = |c: u32, di: &mut usize| {
-                while dead.get(*di).is_some_and(|&(_, dc)| dc < c) {
-                    *di += 1;
-                }
-                if dead.get(*di).is_none_or(|&(_, dc)| dc != c) {
-                    cols.push(c);
-                }
-            };
-            if let Some(row) = base_row {
-                for c in row.iter_ones() {
-                    while add.peek().is_some_and(|&a| a < c) {
-                        push(add.next().unwrap(), &mut di);
-                    }
-                    if add.peek() == Some(&c) {
-                        add.next();
-                    }
-                    push(c, &mut di);
-                }
-            }
-            for c in add {
-                push(c, &mut di);
-            }
-            if !cols.is_empty() {
-                out.push((r, BitRow::from_sorted_positions(n_cols, &cols)));
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(BitMat::from_rows(n_rows, n_cols, out))
-        }
-    }
-
-    /// `(row, col)` delta lists for a per-predicate family; `swap` flips
-    /// `(s, o)` into `(o, s)` for the O-S family.
-    fn p_changes(&self, p: u32, swap: bool) -> (PairList, PairList) {
-        let reorder = |it: &mut Vec<(u32, u32)>| {
-            if swap {
-                for pair in it.iter_mut() {
-                    *pair = (pair.1, pair.0);
-                }
-                it.sort_unstable();
-            }
-        };
-        let mut ins: Vec<(u32, u32)> = self.delta.inserts.pairs_of_p(p).collect();
-        let mut tomb: Vec<(u32, u32)> = self.delta.tombstones.pairs_of_p(p).collect();
-        reorder(&mut ins);
-        reorder(&mut tomb);
-        (ins, tomb)
-    }
 }
 
 impl Catalog for OverlayCatalog {
@@ -294,205 +122,141 @@ impl Catalog for OverlayCatalog {
         self.dims
     }
 
-    fn load_so(&self, p: u32) -> Result<Option<BitMat>, BitMatError> {
+    fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError> {
+        let base = self.segments.catalog().matrix(f, key)?;
         if self.delta.is_empty() {
-            return self.segments.catalog().load_so(p);
+            return Ok(base);
         }
-        let (ins, tomb) = self.p_changes(p, false);
-        let d = self.dims;
-        let owned;
-        let base: Option<&BitMat> = match &self.segments {
-            SegmentSource::Heap(s) => s.so(p),
-            SegmentSource::Disk(dk) => {
-                owned = dk.load_so(p)?;
-                owned.as_ref()
-            }
-        };
-        Ok(Self::merge_matrix(
-            base,
-            d.n_subjects,
-            d.n_objects,
-            &ins,
-            &tomb,
-        ))
+        let ins = self.delta.inserts.pairs(f, key);
+        let tomb = self.delta.tombstones.pairs(f, key);
+        if ins.is_empty() && tomb.is_empty() {
+            return Ok(base);
+        }
+        let (_, n_rows, n_cols) = f.shape(&self.dims);
+        let merged = merge_matrix(base.as_deref(), n_rows, n_cols, &ins, &tomb);
+        Ok(merged.map(Cow::Owned))
     }
 
-    fn load_os(&self, p: u32) -> Result<Option<BitMat>, BitMatError> {
+    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {
+        let base = self.segments.catalog().row(f, key, r)?;
         if self.delta.is_empty() {
-            return self.segments.catalog().load_os(p);
+            return Ok(base);
         }
-        let (ins, tomb) = self.p_changes(p, true);
-        let d = self.dims;
-        let owned;
-        let base: Option<&BitMat> = match &self.segments {
-            SegmentSource::Heap(s) => s.os(p),
-            SegmentSource::Disk(dk) => {
-                owned = dk.load_os(p)?;
-                owned.as_ref()
-            }
-        };
-        Ok(Self::merge_matrix(
-            base,
-            d.n_objects,
-            d.n_subjects,
-            &ins,
-            &tomb,
-        ))
-    }
-
-    fn load_po(&self, s: u32) -> Result<Option<BitMat>, BitMatError> {
-        if self.delta.is_empty() {
-            return self.segments.catalog().load_po(s);
-        }
-        let ins: Vec<(u32, u32)> = self.delta.inserts.pairs_of_s(s).collect();
-        let tomb: Vec<(u32, u32)> = self.delta.tombstones.pairs_of_s(s).collect();
-        let d = self.dims;
-        let owned;
-        let base: Option<&BitMat> = match &self.segments {
-            SegmentSource::Heap(st) => st.po(s),
-            SegmentSource::Disk(dk) => {
-                owned = dk.load_po(s)?;
-                owned.as_ref()
-            }
-        };
-        Ok(Self::merge_matrix(
-            base,
-            d.n_predicates,
-            d.n_objects,
-            &ins,
-            &tomb,
-        ))
-    }
-
-    fn load_ps(&self, o: u32) -> Result<Option<BitMat>, BitMatError> {
-        if self.delta.is_empty() {
-            return self.segments.catalog().load_ps(o);
-        }
-        let ins: Vec<(u32, u32)> = self.delta.inserts.pairs_of_o(o).collect();
-        let tomb: Vec<(u32, u32)> = self.delta.tombstones.pairs_of_o(o).collect();
-        let d = self.dims;
-        let owned;
-        let base: Option<&BitMat> = match &self.segments {
-            SegmentSource::Heap(st) => st.ps(o),
-            SegmentSource::Disk(dk) => {
-                owned = dk.load_ps(o)?;
-                owned.as_ref()
-            }
-        };
-        Ok(Self::merge_matrix(
-            base,
-            d.n_predicates,
-            d.n_subjects,
-            &ins,
-            &tomb,
-        ))
-    }
-
-    fn load_po_row(&self, s: u32, p: u32) -> Result<Option<BitRow>, BitMatError> {
-        if self.delta.is_empty() {
-            return self.segments.catalog().load_po_row(s, p);
-        }
-        let owned;
-        let base: Option<&BitRow> = match &self.segments {
-            SegmentSource::Heap(st) => st.po(s).and_then(|m| m.row(p)),
-            SegmentSource::Disk(dk) => {
-                owned = dk.load_po_row(s, p)?;
-                owned.as_ref()
-            }
-        };
-        let mut ins = self.delta.inserts.objects_of_sp(s, p).peekable();
+        let mut ins = self.delta.inserts.cols(f, key, r).peekable();
         if base.is_none() && ins.peek().is_none() {
             return Ok(None);
         }
-        let tomb: Vec<u32> = self.delta.tombstones.objects_of_sp(s, p).collect();
-        Ok(merge_row(base, ins, &tomb, self.dims.n_objects))
-    }
-
-    fn load_ps_row(&self, o: u32, p: u32) -> Result<Option<BitRow>, BitMatError> {
-        if self.delta.is_empty() {
-            return self.segments.catalog().load_ps_row(o, p);
+        let mut tomb = self.delta.tombstones.cols(f, key, r).peekable();
+        if ins.peek().is_none() && tomb.peek().is_none() {
+            return Ok(base);
         }
-        let owned;
-        let base: Option<&BitRow> = match &self.segments {
-            SegmentSource::Heap(st) => st.ps(o).and_then(|m| m.row(p)),
-            SegmentSource::Disk(dk) => {
-                owned = dk.load_ps_row(o, p)?;
-                owned.as_ref()
-            }
-        };
-        let mut ins = self.delta.inserts.subjects_of_po(p, o).peekable();
-        if base.is_none() && ins.peek().is_none() {
-            return Ok(None);
-        }
-        let tomb: Vec<u32> = self.delta.tombstones.subjects_of_po(p, o).collect();
-        Ok(merge_row(base, ins, &tomb, self.dims.n_subjects))
+        let (_, _, n_cols) = f.shape(&self.dims);
+        let merged = merge_row(base.as_deref(), ins, tomb, n_cols, &mut Vec::new());
+        Ok(merged.map(Cow::Owned))
     }
 
-    fn count_so(&self, p: u32) -> u64 {
-        self.segments.catalog().count_so(p) + self.delta.inserts.count_p(p)
-            - self.delta.tombstones.count_p(p)
+    fn count(&self, f: Family, key: u32) -> u64 {
+        self.segments.catalog().count(f, key) + self.delta.inserts.count(f, key)
+            - self.delta.tombstones.count(f, key)
     }
 
-    fn count_po(&self, s: u32) -> u64 {
-        self.segments.catalog().count_po(s) + self.delta.inserts.count_s(s)
-            - self.delta.tombstones.count_s(s)
-    }
-
-    fn count_ps(&self, o: u32) -> u64 {
-        self.segments.catalog().count_ps(o) + self.delta.inserts.count_o(o)
-            - self.delta.tombstones.count_o(o)
-    }
-
-    fn count_po_row(&self, s: u32, p: u32) -> u64 {
-        self.segments.catalog().count_po_row(s, p) + self.delta.inserts.count_sp(s, p)
-            - self.delta.tombstones.count_sp(s, p)
-    }
-
-    fn count_ps_row(&self, o: u32, p: u32) -> u64 {
-        self.segments.catalog().count_ps_row(o, p) + self.delta.inserts.count_po(p, o)
-            - self.delta.tombstones.count_po(p, o)
+    fn row_count(&self, f: Family, key: u32, r: u32) -> u64 {
+        self.segments.catalog().row_count(f, key, r) + self.delta.inserts.row_count(f, key, r)
+            - self.delta.tombstones.row_count(f, key, r)
     }
 }
 
-/// Merges one compressed row with sorted inserted and tombstoned
-/// positions; `None` when the result has no set bit (matching what a
-/// rebuilt store returns for an absent row).
+/// Merges per-key delta changes into a base matrix; `None` when nothing is
+/// left.
+///
+/// `ins` / `tomb` are `(row, col)` lists sorted ascending; rows they
+/// touch are rebuilt from the merged sorted positions, all other rows
+/// are cloned from the compressed base row as-is.
+fn merge_matrix(
+    base: Option<&BitMat>,
+    n_rows: u32,
+    n_cols: u32,
+    ins: &[(u32, u32)],
+    tomb: &[(u32, u32)],
+) -> Option<BitMat> {
+    let base_rows: &[(u32, BitRow)] = base.map_or(&[], |m| m.rows());
+    let mut out: Vec<(u32, BitRow)> = Vec::with_capacity(base_rows.len() + ins.len());
+    let (mut bi, mut ii, mut ti) = (0usize, 0usize, 0usize);
+    // One position buffer reused across every touched row.
+    let mut cols: Vec<u32> = Vec::new();
+    loop {
+        // The next row index any of the three sorted streams mentions.
+        let next_row = [
+            base_rows.get(bi).map(|&(r, _)| r),
+            ins.get(ii).map(|&(r, _)| r),
+            tomb.get(ti).map(|&(r, _)| r),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        let Some(r) = next_row else { break };
+
+        let base_row = match base_rows.get(bi) {
+            Some((br, row)) if *br == r => {
+                bi += 1;
+                Some(row)
+            }
+            _ => None,
+        };
+        let ins_start = ii;
+        while ins.get(ii).is_some_and(|&(ir, _)| ir == r) {
+            ii += 1;
+        }
+        let tomb_start = ti;
+        while tomb.get(ti).is_some_and(|&(tr, _)| tr == r) {
+            ti += 1;
+        }
+        let row = if ins_start == ii && tomb_start == ti {
+            // Untouched row: keep the compressed base row verbatim.
+            base_row.cloned()
+        } else {
+            let add = ins[ins_start..ii].iter().map(|&(_, c)| c);
+            let dead = tomb[tomb_start..ti].iter().map(|&(_, c)| c);
+            merge_row(base_row, add, dead, n_cols, &mut cols)
+        };
+        if let Some(row) = row {
+            out.push((r, row));
+        }
+    }
+    (!out.is_empty()).then(|| BitMat::from_rows(n_rows, n_cols, out))
+}
+
+/// Merges one compressed row with ascending inserted and tombstoned
+/// positions, through the caller's `positions` buffer; `None` when the
+/// result has no set bit (matching what a rebuilt store returns for an
+/// absent row).
 fn merge_row(
     base: Option<&BitRow>,
     ins: impl Iterator<Item = u32>,
-    tomb: &[u32],
+    tomb: impl Iterator<Item = u32>,
     universe: u32,
+    positions: &mut Vec<u32>,
 ) -> Option<BitRow> {
-    let mut ins = ins.peekable();
-    let mut positions: Vec<u32> = Vec::new();
-    let mut ti = 0usize;
-    let mut push = |pos: u32, ti: &mut usize| {
-        while tomb.get(*ti).is_some_and(|&t| t < pos) {
-            *ti += 1;
-        }
-        if tomb.get(*ti) != Some(&pos) {
+    let (mut ins, mut tomb) = (ins.peekable(), tomb.peekable());
+    positions.clear();
+    // Keeps `pos` unless it is tombstoned; called with ascending `pos`.
+    let mut push = |pos: u32| {
+        while tomb.next_if(|&t| t < pos).is_some() {}
+        if tomb.peek() != Some(&pos) {
             positions.push(pos);
         }
     };
     if let Some(row) = base {
         for pos in row.iter_ones() {
-            while ins.peek().is_some_and(|&a| a < pos) {
-                push(ins.next().unwrap(), &mut ti);
+            while let Some(added) = ins.next_if(|&a| a < pos) {
+                push(added);
             }
-            if ins.peek() == Some(&pos) {
-                ins.next();
-            }
-            push(pos, &mut ti);
+            ins.next_if_eq(&pos);
+            push(pos);
         }
     }
-    for pos in ins {
-        push(pos, &mut ti);
-    }
-    if positions.is_empty() {
-        None
-    } else {
-        Some(BitRow::from_sorted_positions(universe, &positions))
-    }
+    ins.for_each(push);
+    (!positions.is_empty()).then(|| BitRow::from_sorted_positions(universe, positions))
 }
 
 #[cfg(test)]
@@ -500,15 +264,19 @@ mod tests {
     use super::*;
     use crate::delta::Delta;
     use lbr_rdf::{EncodedGraph, EncodedTriple, Graph, Term, Triple};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
     }
 
-    /// Builds the overlay (base minus `del`, plus `add`) and the
-    /// from-scratch store over the merged triples **with the same
-    /// dictionary**, then asserts every load and count is identical.
+    /// Builds the overlay (base minus `del`, plus `add`) over **both
+    /// media** — the heap segments, and the same segments saved and
+    /// mmap'd — and the from-scratch store over the merged triples with
+    /// the same dictionary, then asserts every load and count of every
+    /// family is identical.
     fn assert_overlay_matches_rebuild(base: Vec<Triple>, add: Vec<Triple>, del: Vec<Triple>) {
+        static NEXT_FILE: AtomicUsize = AtomicUsize::new(0);
         let graph = Graph::from_triples(base).encode();
         let segments = Arc::new(BitMatStore::build(&graph));
 
@@ -521,6 +289,7 @@ mod tests {
             let e = graph.dict.encode(tr).expect("insert uses base terms");
             delta.inserts.insert(e);
         }
+        let delta = Arc::new(delta);
 
         // From-scratch: same dictionary, merged triple set.
         let mut merged: Vec<EncodedTriple> = graph
@@ -536,36 +305,46 @@ mod tests {
             triples: merged,
         });
 
-        let overlay = OverlayCatalog::new(segments, Arc::new(delta));
-        let d = overlay.dims();
-        assert_eq!(d, rebuilt.dims());
-        for p in 0..d.n_predicates {
-            assert_eq!(overlay.load_so(p).unwrap(), rebuilt.load_so(p).unwrap());
-            assert_eq!(overlay.load_os(p).unwrap(), rebuilt.load_os(p).unwrap());
-            assert_eq!(overlay.count_so(p), rebuilt.count_so(p));
-        }
-        for s in 0..d.n_subjects {
-            assert_eq!(overlay.load_po(s).unwrap(), rebuilt.load_po(s).unwrap());
-            assert_eq!(overlay.count_po(s), rebuilt.count_po(s));
-            for p in 0..d.n_predicates {
-                assert_eq!(
-                    overlay.load_po_row(s, p).unwrap(),
-                    rebuilt.load_po_row(s, p).unwrap()
-                );
-                assert_eq!(overlay.count_po_row(s, p), rebuilt.count_po_row(s, p));
+        let path = std::env::temp_dir().join(format!(
+            "lbr-overlay-{}-{}.seg",
+            std::process::id(),
+            NEXT_FILE.fetch_add(1, Ordering::Relaxed)
+        ));
+        lbr_bitmat::disk::save_store(&segments, &path).unwrap();
+        let mapped = SegmentSource::Disk(Arc::new(DiskCatalog::open(&path).unwrap()));
+        let overlays = [
+            ("heap", OverlayCatalog::new(segments, Arc::clone(&delta))),
+            ("mmap", OverlayCatalog::with_source(mapped, delta)),
+        ];
+        for (medium, overlay) in &overlays {
+            let d = overlay.dims();
+            assert_eq!(d, rebuilt.dims(), "{medium}");
+            for f in Family::ALL {
+                let (n_keys, n_rows, _) = f.shape(&d);
+                for key in 0..n_keys {
+                    let at = format!("{medium} {} {key}", f.name());
+                    assert_eq!(
+                        overlay.matrix(f, key).unwrap(),
+                        rebuilt.matrix(f, key).unwrap(),
+                        "{at}"
+                    );
+                    assert_eq!(overlay.count(f, key), rebuilt.count(f, key), "{at}");
+                    for r in 0..n_rows {
+                        assert_eq!(
+                            overlay.row(f, key, r).unwrap(),
+                            rebuilt.row(f, key, r).unwrap(),
+                            "{at} row {r}"
+                        );
+                        assert_eq!(
+                            overlay.row_count(f, key, r),
+                            rebuilt.row_count(f, key, r),
+                            "{at} row {r}"
+                        );
+                    }
+                }
             }
         }
-        for o in 0..d.n_objects {
-            assert_eq!(overlay.load_ps(o).unwrap(), rebuilt.load_ps(o).unwrap());
-            assert_eq!(overlay.count_ps(o), rebuilt.count_ps(o));
-            for p in 0..d.n_predicates {
-                assert_eq!(
-                    overlay.load_ps_row(o, p).unwrap(),
-                    rebuilt.load_ps_row(o, p).unwrap()
-                );
-                assert_eq!(overlay.count_ps_row(o, p), rebuilt.count_ps_row(o, p));
-            }
-        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     fn sitcom_base() -> Vec<Triple> {
@@ -642,56 +421,7 @@ mod tests {
             .id(&Term::iri("location"), lbr_rdf::Dimension::Predicate)
             .unwrap();
         let overlay = OverlayCatalog::new(segments, Arc::new(delta));
-        assert_eq!(overlay.load_so(p).unwrap(), None);
-        assert_eq!(overlay.count_so(p), 0);
-    }
-
-    /// Heap- and disk-backed overlays agree shard for shard: same ranges
-    /// (the mass-balanced partition is recomputed from the disk TOC's
-    /// per-predicate counts) and same merged matrices under a live delta.
-    #[test]
-    fn shard_iteration_agrees_across_heap_and_disk_sources() {
-        let graph = Graph::from_triples(sitcom_base()).encode();
-        let segments = Arc::new(BitMatStore::build(&graph));
-
-        let path =
-            std::env::temp_dir().join(format!("lbr-overlay-shard-{}.seg", std::process::id()));
-        lbr_bitmat::disk::save_store(&segments, &path).unwrap();
-        let catalog = Arc::new(lbr_bitmat::DiskCatalog::open(&path).unwrap());
-
-        let mut delta = Delta::new();
-        delta.inserts.insert(
-            graph
-                .dict
-                .encode(&t("Jerry", "hasFriend", "Seinfeld"))
-                .unwrap(),
-        );
-        delta.tombstones.insert(
-            graph
-                .dict
-                .encode(&t("Jerry", "actedIn", "Seinfeld"))
-                .unwrap(),
-        );
-        let delta = Arc::new(delta);
-
-        let heap = OverlayCatalog::new(segments, Arc::clone(&delta));
-        let disk = OverlayCatalog::with_source(SegmentSource::Disk(catalog), delta);
-
-        assert_eq!(heap.dims(), disk.dims());
-        assert_eq!(heap.shard_ranges(), disk.shard_ranges());
-        assert!(heap.n_shards() >= 1);
-        for shard in 0..heap.n_shards() {
-            let h = heap.shard_matrices(shard).unwrap();
-            let d = disk.shard_matrices(shard).unwrap();
-            assert_eq!(h, d, "shard {shard} differs between heap and disk");
-        }
-        // Every predicate maps into exactly one shard.
-        for p in 0..heap.dims().n_predicates {
-            let s = heap.shard_of(p).expect("in-range predicate has a shard");
-            let (lo, hi) = heap.shard_ranges()[s];
-            assert!(lo <= p && p < hi);
-        }
-        assert_eq!(heap.shard_of(heap.dims().n_predicates), None);
-        std::fs::remove_file(&path).unwrap();
+        assert_eq!(overlay.matrix(Family::So, p).unwrap(), None);
+        assert_eq!(overlay.count(Family::So, p), 0);
     }
 }

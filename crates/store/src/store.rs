@@ -47,7 +47,7 @@
 use crate::delta::Delta;
 use crate::overlay::{OverlayCatalog, SegmentSource};
 use crate::wal::{self, Wal, WalOp, WalOpKind};
-use lbr_bitmat::{BitMatStore, Catalog, CubeDims, DiskCatalog};
+use lbr_bitmat::{BitMatError, BitMatStore, Catalog, CubeDims, DiskCatalog};
 use lbr_rdf::{Dictionary, EncodedGraph, EncodedTriple, Graph, Triple};
 use std::collections::HashSet;
 use std::fmt;
@@ -117,17 +117,13 @@ impl Snapshot {
         self.catalog.dims().n_triples
     }
 
-    /// True when `t` is in the merged view.
-    pub fn contains(&self, t: &Triple) -> bool {
+    /// True when `t` is in the merged view. `Err` when the base segments
+    /// cannot answer (a corrupt mapped blob).
+    pub fn contains(&self, t: &Triple) -> Result<bool, StoreError> {
         match self.graph.dict.encode(t) {
-            None => false,
-            Some(e) => self.contains_encoded(e),
+            None => Ok(false),
+            Some(e) => present_in(self.segments(), self.delta(), e),
         }
-    }
-
-    fn contains_encoded(&self, e: EncodedTriple) -> bool {
-        let delta = self.catalog.delta();
-        delta.inserts.contains(e) || (self.segments().contains(e) && !delta.tombstones.contains(e))
     }
 
     /// Materializes the merged view as term-level triples (sorted) — the
@@ -153,24 +149,27 @@ impl Snapshot {
     /// Lets a multi-operation update evaluate patterns against its own
     /// uncommitted effects without committing anything.
     ///
-    /// Returns `None` when a staged **insert** is not encodable in this
-    /// dictionary (new term, or an old term in a new role) — the caller
-    /// must fall back to a materialized view. Unencodable *deletes* are
-    /// vacuous: the triple cannot be present.
-    pub fn overlay_with(&self, staged: &[(Triple, bool)]) -> Option<OverlayCatalog> {
+    /// Returns `Ok(None)` when a staged **insert** is not encodable in
+    /// this dictionary (new term, or an old term in a new role) — the
+    /// caller must fall back to a materialized view. Unencodable *deletes*
+    /// are vacuous: the triple cannot be present.
+    pub fn overlay_with(
+        &self,
+        staged: &[(Triple, bool)],
+    ) -> Result<Option<OverlayCatalog>, StoreError> {
         if staged.is_empty() {
-            return Some(self.catalog.clone());
+            return Ok(Some(self.catalog.clone()));
         }
         let mut delta = self.delta().clone();
         for (t, present) in staged {
             match self.graph.dict.encode(t) {
                 None => {
                     if *present {
-                        return None;
+                        return Ok(None);
                     }
                 }
                 Some(e) => {
-                    if self.segments().contains(e) {
+                    if self.segments().contains(e)? {
                         if *present {
                             delta.tombstones.remove(e);
                         } else {
@@ -185,11 +184,20 @@ impl Snapshot {
                 }
             }
         }
-        Some(OverlayCatalog::with_source(
+        Ok(Some(OverlayCatalog::with_source(
             self.catalog.segments().clone(),
             Arc::new(delta),
-        ))
+        )))
     }
+}
+
+/// True when `e` is in the view `segments + delta`.
+fn present_in(
+    segments: &SegmentSource,
+    delta: &Delta,
+    e: EncodedTriple,
+) -> Result<bool, StoreError> {
+    Ok(delta.inserts.contains(e) || (segments.contains(e)? && !delta.tombstones.contains(e)))
 }
 
 /// A set of concrete triples to apply atomically. Deletes are applied
@@ -257,12 +265,16 @@ pub struct StoreObs {
 pub enum StoreError {
     /// Writing or syncing the WAL failed; the commit did not publish.
     Io(std::io::Error),
+    /// The base segments could not be read (a corrupt mapped blob); the
+    /// commit did not log or publish anything.
+    Segment(BitMatError),
 }
 
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "write-ahead log error: {e}"),
+            StoreError::Segment(e) => write!(f, "base segment error: {e}"),
         }
     }
 }
@@ -272,6 +284,12 @@ impl std::error::Error for StoreError {}
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
+    }
+}
+
+impl From<BitMatError> for StoreError {
+    fn from(e: BitMatError) -> Self {
+        StoreError::Segment(e)
     }
 }
 
@@ -536,9 +554,7 @@ impl Store {
             let Some(e) = dict.encode(t) else {
                 continue; // unknown term in that role ⇒ cannot be present
             };
-            let present = working.inserts.contains(e)
-                || (snap.segments().contains(e) && !working.tombstones.contains(e));
-            if !present {
+            if !present_in(snap.segments(), &working, e)? {
                 continue;
             }
             if !working.inserts.remove(e) {
@@ -554,9 +570,7 @@ impl Store {
                 needs_rebuild = true; // new term, or an old term in a new role
                 break;
             };
-            let present = working.inserts.contains(e)
-                || (snap.segments().contains(e) && !working.tombstones.contains(e));
-            if present {
+            if present_in(snap.segments(), &working, e)? {
                 continue;
             }
             if !working.tombstones.remove(e) {
@@ -732,6 +746,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lbr_bitmat::Family;
     use lbr_rdf::Term;
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
@@ -762,7 +777,7 @@ mod tests {
         assert!(!info.rebuilt);
         assert_eq!(info.epoch, 1);
         let snap = store.snapshot();
-        assert!(snap.contains(&t("a", "p", "c")));
+        assert!(snap.contains(&t("a", "p", "c")).unwrap());
         assert_eq!(snap.n_triples(), 4);
 
         let info = store
@@ -777,7 +792,7 @@ mod tests {
             "unknown term delete is a no-op"
         );
         assert_eq!(store.epoch(), 2);
-        assert!(!store.snapshot().contains(&t("a", "p", "b")));
+        assert!(!store.snapshot().contains(&t("a", "p", "b")).unwrap());
     }
 
     #[test]
@@ -804,7 +819,7 @@ mod tests {
         let snap = store.snapshot();
         assert!(snap.delta().is_empty());
         assert_eq!(snap.n_triples(), 4);
-        assert!(snap.contains(&t("new", "p", "a")));
+        assert!(snap.contains(&t("new", "p", "a")).unwrap());
         // Role change (object-only term used as subject) also rebuilds
         // when it is not encodable… "c" appears as S already; use a pure
         // object term: "b" is S and O; add literal object term first.
@@ -816,7 +831,7 @@ mod tests {
             .apply(UpdateBatch::insert(vec![t("lit-only", "p", "a")]))
             .unwrap();
         assert!(info.rebuilt, "O-only term used as S breaks the Vso prefix");
-        assert!(store.snapshot().contains(&t("lit-only", "p", "a")));
+        assert!(store.snapshot().contains(&t("lit-only", "p", "a")).unwrap());
     }
 
     #[test]
@@ -1054,8 +1069,8 @@ mod tests {
         reopened
             .apply(UpdateBatch::delete(vec![t("a", "q", "c")]))
             .unwrap();
-        assert!(!reopened.snapshot().contains(&t("a", "q", "c")));
-        assert!(reopened.snapshot().contains(&t("fresh", "p", "a")));
+        assert!(!reopened.snapshot().contains(&t("a", "q", "c")).unwrap());
+        assert!(reopened.snapshot().contains(&t("fresh", "p", "a")).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1082,6 +1097,70 @@ mod tests {
             "mismatched segment pin falls back to a heap rebuild"
         );
         assert_eq!(reopened.snapshot().triples(), view);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Mapped blobs are validated on first touch, not at open. A corrupt
+    /// P-O row directory must fail the commit — read as "absent", it would
+    /// log and stage a triple the base already holds as an insert.
+    #[test]
+    fn corrupt_mapped_blob_fails_the_commit() {
+        let dir = std::env::temp_dir().join(format!("lbr-store-blobcor-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let graph = base();
+        let a = graph
+            .dict
+            .id(&Term::iri("a"), lbr_rdf::Dimension::Subject)
+            .unwrap();
+        let seg = dir.join("index.seg");
+        lbr_bitmat::disk::save_store(&BitMatStore::build(&graph), &seg).unwrap();
+
+        // Walk the v2 TOC (48-byte fixed header, then per family
+        // `n u32 | (key u32, offset u64, len u64, count u64) × n`) to the
+        // P-O blob of subject `a`, and push the first row id of its
+        // directory (24 bytes in) out of range.
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+        let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let blob_base = u64_at(&bytes, 16) as usize;
+        let mut at = 48;
+        let mut blob = None;
+        for f in Family::ALL {
+            let n = u32_at(&bytes, at) as usize;
+            at += 4;
+            for _ in 0..n {
+                if f == Family::Po && u32_at(&bytes, at) == a {
+                    blob = Some(blob_base + u64_at(&bytes, at + 4) as usize);
+                }
+                at += 28;
+            }
+        }
+        let dir_at = blob.expect("subject `a` has a P-O blob") + 24;
+        bytes[dir_at..dir_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&seg, &bytes).unwrap();
+
+        // The header is intact, so the store opens over the mapping.
+        let source = SegmentSource::Disk(Arc::new(DiskCatalog::open(&seg).unwrap()));
+        let store = Store::open_with_segments(graph, Some(source), Some(&dir)).unwrap();
+        assert!(store.snapshot().segments().is_disk());
+        let wal_len = || std::fs::metadata(dir.join(wal::WAL_FILE)).unwrap().len();
+        let before = wal_len();
+
+        let held = t("a", "p", "b");
+        let err = store.apply(UpdateBatch::insert(vec![held.clone()]));
+        assert!(matches!(err, Err(StoreError::Segment(_))), "{err:?}");
+        assert_eq!(store.epoch(), 0, "nothing published");
+        assert_eq!(wal_len(), before, "nothing logged");
+        let snap = store.snapshot();
+        assert!(snap.delta().is_empty());
+        assert!(matches!(snap.contains(&held), Err(StoreError::Segment(_))));
+        assert!(snap.overlay_with(&[(held, false)]).is_err());
+        // Other subjects' blobs are untouched and still commit.
+        let info = store
+            .apply(UpdateBatch::delete(vec![t("b", "p", "c")]))
+            .unwrap();
+        assert_eq!((info.deleted, info.epoch), (1, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

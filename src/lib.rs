@@ -98,7 +98,7 @@
 //!   nullification, best-match), the [`Engine`] trait, the shared
 //!   form/modifier seam (`lbr_core::modifiers`) and the streaming
 //!   [`Solutions`] API;
-//! * [`format`] — W3C SPARQL 1.1 Results JSON / TSV serialization,
+//! * [`mod@format`] — W3C SPARQL 1.1 Results JSON / TSV serialization,
 //!   streaming over any `io::Write` (what `lbr-cli --format` emits and
 //!   `lbr-server` streams onto the socket);
 //! * [`cache`] — the thread-safe LRU plan cache serving layers share
@@ -131,7 +131,7 @@ pub mod format;
 pub use cache::{canonicalize, CacheStats, CachedPlan, PlanCache, ResultCache, ResultCacheStats};
 pub use format::OutputFormat;
 pub use lbr_baseline::{EngineKind, EngineOptions};
-pub use lbr_bitmat::{BitMatStore, Catalog, DiskCatalog};
+pub use lbr_bitmat::{BitMatStore, Catalog, DiskCatalog, Family};
 pub use lbr_core::{Engine, LbrEngine, QueryOutput, QueryStats, Row, Solutions, StatsAggregate};
 pub use lbr_rdf::{Dictionary, EncodedGraph, Graph, Term, Triple};
 pub use lbr_sparql::{parse_query, Dedup, Modifiers, OrderKey, Query, QueryForm};
@@ -774,7 +774,8 @@ pub enum UpdateError {
     ReadOnly,
     /// Evaluating a `DELETE WHERE` pattern failed.
     Eval(core::LbrError),
-    /// Committing to the store (WAL write/sync) failed.
+    /// Committing to the store failed (WAL write/sync, or a corrupt
+    /// base segment).
     Store(StoreError),
 }
 
@@ -851,27 +852,31 @@ impl Database {
         let mut staged: HashMap<Triple, bool> = HashMap::new();
         let (mut inserted, mut deleted) = (0u64, 0u64);
         let stage = |staged: &mut HashMap<Triple, bool>, t: &Triple, to: bool, n: &mut u64| {
-            let present = staged.get(t).copied().unwrap_or_else(|| snap.contains(t));
+            let present = match staged.get(t) {
+                Some(&present) => present,
+                None => snap.contains(t)?,
+            };
             if present != to {
                 *n += 1;
                 staged.insert(t.clone(), to);
             }
+            Ok::<(), UpdateError>(())
         };
         for op in &update.ops {
             match op {
                 UpdateOp::InsertData(ts) => {
                     for t in ts {
-                        stage(&mut staged, t, true, &mut inserted);
+                        stage(&mut staged, t, true, &mut inserted)?;
                     }
                 }
                 UpdateOp::DeleteData(ts) => {
                     for t in ts {
-                        stage(&mut staged, t, false, &mut deleted);
+                        stage(&mut staged, t, false, &mut deleted)?;
                     }
                 }
                 UpdateOp::DeleteWhere(tps) => {
                     for t in self.resolve_delete_where(&snap, &staged, tps)? {
-                        stage(&mut staged, &t, false, &mut deleted);
+                        stage(&mut staged, &t, false, &mut deleted)?;
                     }
                 }
             }
@@ -880,7 +885,7 @@ impl Database {
         // same request (or vice versa) cancels out entirely.
         let mut batch = UpdateBatch::default();
         for (t, present) in staged {
-            match (present, snap.contains(&t)) {
+            match (present, snap.contains(&t)?) {
                 (true, false) => batch.inserts.push(t),
                 (false, true) => batch.deletes.push(t),
                 _ => {}
@@ -992,7 +997,7 @@ impl Database {
         // the snapshot's segments + dictionary. Falls back to indexing a
         // scratch copy of the staged view when a staged insert carries a
         // term the snapshot's dictionary cannot encode.
-        let (vars, rows) = match snap.overlay_with(&staged_vec) {
+        let (vars, rows) = match snap.overlay_with(&staged_vec)? {
             Some(catalog) => {
                 let engine = self.default_engine.build(&catalog, snap.dict());
                 let out = engine.execute(&query).map_err(UpdateError::Eval)?;

@@ -66,7 +66,7 @@ fn uniprot_queries_identical_on_disk() {
 
 #[test]
 fn all_var_pattern_on_disk() {
-    // The (?s ?p ?o) extension exercises load_so across every predicate.
+    // The (?s ?p ?o) extension loads the S-O matrix of every predicate.
     let ds = lubm::dataset(&lubm::LubmConfig {
         universities: 1,
         departments: 1,
