@@ -22,15 +22,14 @@
 
 #![forbid(unsafe_code)]
 
-pub mod hash_join;
 pub mod kind;
 pub mod pairwise;
 pub mod reference;
 pub mod reordered;
 pub mod scan;
 
-pub use hash_join::Relation;
 pub use kind::{EngineKind, EngineOptions, ReferenceEngine};
+pub use lbr_core::hash_join::{self, Relation};
 pub use pairwise::{JoinOrder, PairwiseEngine};
 pub use reference::{evaluate_reference, Semantics};
 pub use reordered::ReorderedEngine;

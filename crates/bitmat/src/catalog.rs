@@ -20,7 +20,7 @@
 use crate::error::BitMatError;
 use crate::matrix::BitMat;
 use crate::row::BitRow;
-use lbr_rdf::EncodedTriple;
+use lbr_rdf::{EncodedGraph, EncodedTriple};
 use std::borrow::Cow;
 
 /// Dimensions of the 3-D bitcube.
@@ -36,6 +36,20 @@ pub struct CubeDims {
     pub n_shared: u32,
     /// Total number of triples in the dataset.
     pub n_triples: u64,
+}
+
+impl CubeDims {
+    /// The dimensions of the cube an encoded graph spans — what an index
+    /// built from (or claiming to describe) `graph` must report.
+    pub fn of(graph: &EncodedGraph) -> CubeDims {
+        CubeDims {
+            n_subjects: graph.dict.n_subjects(),
+            n_predicates: graph.dict.n_predicates(),
+            n_objects: graph.dict.n_objects(),
+            n_shared: graph.dict.n_shared(),
+            n_triples: graph.triples.len() as u64,
+        }
+    }
 }
 
 /// One of the four BitMat families of §4. The discriminants are the

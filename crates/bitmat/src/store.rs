@@ -22,13 +22,7 @@ impl BitMatStore {
     /// sort-and-slice family passes are independent, so each runs on its
     /// own scoped thread.
     pub fn build(graph: &EncodedGraph) -> Self {
-        let dims = CubeDims {
-            n_subjects: graph.dict.n_subjects(),
-            n_predicates: graph.dict.n_predicates(),
-            n_objects: graph.dict.n_objects(),
-            n_shared: graph.dict.n_shared(),
-            n_triples: graph.triples.len() as u64,
-        };
+        let dims = CubeDims::of(graph);
         let t = &graph.triples;
         // `map` spawns all four before the second `map` joins the first.
         let families = std::thread::scope(|scope| {

@@ -19,6 +19,7 @@ use crate::best_match::best_match;
 use crate::bindings::{Binding, QueryOutput, VarTable};
 use crate::error::LbrError;
 use crate::filter_eval::{self, VarLookup};
+use crate::hash_join::{hash_join, Kind, Relation};
 use crate::init::{absolute_master_empty, init, TpState};
 use crate::jvar_order::{get_jvar_order, JvarOrder};
 use crate::multiway::{multi_way_join, JoinInputs};
@@ -71,8 +72,8 @@ pub struct LbrPlan {
     form: QueryForm,
     /// The solution modifiers.
     modifiers: Modifiers,
-    any_rule3: bool,
-    branches: Vec<PlanNode>,
+    pub(crate) any_rule3: bool,
+    pub(crate) branches: Vec<PlanNode>,
 }
 
 impl LbrPlan {
@@ -100,7 +101,7 @@ impl LbrPlan {
 
 /// One planned evaluation step, mirroring the §5.2 recursion.
 #[derive(Debug, Clone)]
-enum PlanNode {
+pub(crate) enum PlanNode {
     /// A variable-connected, union-free pattern: Algorithm 5.1 proper.
     Connected(Box<ConnectedPlan>),
     /// Cartesian fallback: inner join of two disconnected parts.
@@ -115,17 +116,16 @@ enum PlanNode {
 
 /// The cached analysis of one connected pattern.
 #[derive(Debug, Clone)]
-struct ConnectedPlan {
-    analyzed: Analyzed,
-    vt: VarTable,
-    estimates: Vec<u64>,
-    jorder: JvarOrder,
+pub(crate) struct ConnectedPlan {
+    pub(crate) analyzed: Analyzed,
+    pub(crate) vt: VarTable,
+    pub(crate) estimates: Vec<u64>,
+    pub(crate) jorder: JvarOrder,
 }
 
 /// Result of evaluating one union-free / connected sub-pattern.
 struct PartResult {
-    vars: Vec<String>,
-    rows: Vec<Vec<Option<Binding>>>,
+    rel: Relation,
     stats: QueryStats,
     /// Whether this part may contain subsumed rows (nullification fired or
     /// a FaN filter nullified a slave).
@@ -234,16 +234,17 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             let mut part = self.exec_node(branch, remaining)?;
             if part.needs_best_match {
                 let t_bm = Instant::now();
-                best_match(&mut part.rows);
-                lbr_obs::span_since("best_match", t_bm, &[("rows", part.rows.len() as u64)]);
+                best_match(&mut part.rel.rows);
+                lbr_obs::span_since("best_match", t_bm, &[("rows", part.rel.rows.len() as u64)]);
             }
             if let Some(r) = remaining {
-                remaining = Some(r.saturating_sub(part.rows.len()));
+                remaining = Some(r.saturating_sub(part.rel.rows.len()));
             }
             merge_stats(&mut stats, &part.stats);
             parts.push(part);
         }
-        let all_rows = if plan.any_rule3 {
+        let mut all_rows = Vec::new();
+        if plan.any_rule3 {
             // Rule (3) branches can produce spurious subsumed rows across
             // branches; minimum-union them away (§5.2). Subsumption is
             // defined over the branches' *full* schemas, so the branches
@@ -251,53 +252,27 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             // best-matched there *before* projection — projecting first
             // could erase a column that distinguishes two rows and drop a
             // row that is only spuriously subsumed post-projection.
-            let mut full_vars: Vec<String> = Vec::new();
-            for part in &parts {
-                for v in &part.vars {
-                    if !full_vars.contains(v) {
-                        full_vars.push(v.clone());
-                    }
+            let mut full = Relation::empty(Vec::new());
+            for v in parts.iter().flat_map(|part| &part.rel.vars) {
+                if !full.vars.contains(v) {
+                    full.vars.push(v.clone());
                 }
             }
-            let mut full_rows: Vec<Vec<Option<Binding>>> = Vec::new();
             for part in &parts {
-                let col_of: Vec<Option<usize>> = full_vars
-                    .iter()
-                    .map(|v| part.vars.iter().position(|x| x == v))
-                    .collect();
-                for row in &part.rows {
-                    full_rows.push(col_of.iter().map(|c| c.and_then(|i| row[i])).collect());
-                }
+                part.rel.project_into(&full.vars, &mut full.rows);
             }
             let t_bm = Instant::now();
-            best_match(&mut full_rows);
-            lbr_obs::span_since("best_match", t_bm, &[("rows", full_rows.len() as u64)]);
-            let col_of: Vec<Option<usize>> = plan
-                .exec_vars
-                .iter()
-                .map(|v| full_vars.iter().position(|x| x == v))
-                .collect();
-            full_rows
-                .iter()
-                .map(|row| col_of.iter().map(|c| c.and_then(|i| row[i])).collect())
-                .collect()
+            best_match(&mut full.rows);
+            lbr_obs::span_since("best_match", t_bm, &[("rows", full.rows.len() as u64)]);
+            full.project_into(&plan.exec_vars, &mut all_rows);
         } else {
             // Re-project each branch's rows onto the execution schema
             // (the projection plus any non-projected ORDER BY key — the
             // shared seam drops the extras after sorting).
-            let mut all: Vec<Vec<Option<Binding>>> = Vec::new();
             for part in &parts {
-                let col_of: Vec<Option<usize>> = plan
-                    .exec_vars
-                    .iter()
-                    .map(|v| part.vars.iter().position(|x| x == v))
-                    .collect();
-                for row in &part.rows {
-                    all.push(col_of.iter().map(|c| c.and_then(|i| row[i])).collect());
-                }
+                part.rel.project_into(&plan.exec_vars, &mut all_rows);
             }
-            all
-        };
+        }
         stats.n_results = all_rows.len();
         stats.n_results_with_nulls = all_rows
             .iter()
@@ -369,24 +344,25 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             PlanNode::Join(l, r) => {
                 let a = self.exec_node(l, None)?;
                 let b = self.exec_node(r, None)?;
-                Ok(combine(a, b, JoinKind::Inner))
+                Ok(combine(a, b, Kind::Inner))
             }
             PlanNode::LeftJoin(l, r) => {
                 let a = self.exec_node(l, None)?;
                 let b = self.exec_node(r, None)?;
-                Ok(combine(a, b, JoinKind::LeftOuter))
+                Ok(combine(a, b, Kind::LeftOuter))
             }
             PlanNode::Filter(inner, e) => {
                 let mut part = self.exec_node(inner, None)?;
                 // One name → column map per filter, not one linear scan
                 // per variable per row.
                 let columns: HashMap<&str, usize> = part
+                    .rel
                     .vars
                     .iter()
                     .enumerate()
                     .map(|(i, v)| (v.as_str(), i))
                     .collect();
-                part.rows.retain(|row| {
+                part.rel.rows.retain(|row| {
                     let lk = IndexedRowLookup {
                         columns: &columns,
                         row,
@@ -402,7 +378,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
                     let part = self.exec_node(comp, None)?;
                     acc = Some(match acc {
                         None => part,
-                        Some(prev) => combine(prev, part, JoinKind::Inner),
+                        Some(prev) => combine(prev, part, Kind::Inner),
                     });
                 }
                 Ok(acc.expect("BGP has at least one component"))
@@ -458,8 +434,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             stats.aborted_empty = true;
             stats.t_total = stats.t_init;
             return Ok(PartResult {
-                vars: vt.names().to_vec(),
-                rows: Vec::new(),
+                rel: Relation::empty(vt.names().to_vec()),
                 stats,
                 needs_best_match: false,
             });
@@ -530,8 +505,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             // them instead of a zero total.
             stats.t_total = stats.t_init + stats.t_prune;
             return Ok(PartResult {
-                vars: vt.names().to_vec(),
-                rows: Vec::new(),
+                rel: Relation::empty(vt.names().to_vec()),
                 stats,
                 needs_best_match: false,
             });
@@ -588,18 +562,20 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         stats.t_total = stats.t_init + stats.t_prune + stats.t_join;
 
         Ok(PartResult {
-            vars: vt.names().to_vec(),
-            rows,
+            rel: Relation {
+                vars: vt.names().to_vec(),
+                rows,
+            },
             stats,
             needs_best_match: analyzed.class.nb_required || exec.nullification_fired > 0,
         })
     }
 
-    /// EXPLAIN ANALYZE: plans the query, executes it under a forced local
-    /// trace (no sampler involved — the spans are consumed directly), and
-    /// renders the planned tree annotated with actual per-stage wall
-    /// time, per-TP and per-jvar estimated-vs-actual cardinalities, and
-    /// join seeds/rows.
+    /// EXPLAIN ANALYZE: plans the query once, executes that plan under a
+    /// forced local trace (no sampler involved — the spans are consumed
+    /// directly), and renders the same plan annotated with actual
+    /// per-stage wall time, per-TP and per-jvar estimated-vs-actual
+    /// cardinalities, and join seeds/rows.
     pub fn explain_analyze(&self, query: &Query) -> Result<String, LbrError> {
         let plan = self.plan(query)?;
         // Forced trace id 0: collection on, publication bypassed. This
@@ -613,7 +589,9 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         let mut label = String::new();
         lbr_obs::trace_drain(&mut spans, &mut label);
         let output = result?;
-        crate::explain::render_analyze(query, self.dict, self.catalog, &spans, total, &output)
+        Ok(crate::explain::render_analyze(
+            query, &plan, &spans, total, &output,
+        ))
     }
 
     /// Applies a single-variable filter as an init-time candidate mask on
@@ -691,7 +669,7 @@ impl<C: Catalog> Engine for LbrEngine<'_, C> {
     }
 
     fn explain(&self, query: &Query) -> Result<String, LbrError> {
-        crate::explain::explain(query, self.dict, self.catalog)
+        Ok(crate::explain::explain(query, &self.plan(query)?))
     }
 
     fn explain_analyze(&self, query: &Query) -> Result<String, LbrError> {
@@ -754,79 +732,14 @@ fn merge_stats(acc: &mut QueryStats, part: &QueryStats) {
     acc.aborted_empty |= part.aborted_empty;
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum JoinKind {
-    Inner,
-    LeftOuter,
-}
-
 /// Pairwise combination of two part results on their shared variables —
 /// the "standard relational technique" fallback for Cartesian patterns
 /// (§5.2). Null-intolerant on the join keys, as in Appendix B.
-fn combine(a: PartResult, b: PartResult, kind: JoinKind) -> PartResult {
-    let shared: Vec<(usize, usize)> = a
-        .vars
-        .iter()
-        .enumerate()
-        .filter_map(|(i, v)| b.vars.iter().position(|x| x == v).map(|j| (i, j)))
-        .collect();
-    let b_only: Vec<usize> = (0..b.vars.len())
-        .filter(|j| !shared.iter().any(|&(_, sj)| sj == *j))
-        .collect();
-
-    let mut vars = a.vars.clone();
-    vars.extend(b_only.iter().map(|&j| b.vars[j].clone()));
-
-    // Hash the right side on the shared key.
-    let mut table: HashMap<Vec<Binding>, Vec<usize>> = HashMap::new();
-    for (idx, row) in b.rows.iter().enumerate() {
-        let Some(key) = shared
-            .iter()
-            .map(|&(_, j)| row[j])
-            .collect::<Option<Vec<Binding>>>()
-        else {
-            continue; // NULL join key: null-intolerant
-        };
-        table.entry(key).or_default().push(idx);
-    }
-
-    // No shared vars ⇒ cross product with all of b.
-    let cross: Vec<usize> = (0..b.rows.len()).collect();
-    let empty: Vec<usize> = Vec::new();
-    let mut rows = Vec::new();
-    for arow in &a.rows {
-        let matches: &[usize] = if shared.is_empty() {
-            &cross
-        } else {
-            match shared
-                .iter()
-                .map(|&(i, _)| arow[i])
-                .collect::<Option<Vec<Binding>>>()
-            {
-                Some(k) => table.get(&k).unwrap_or(&empty),
-                None => &empty, // NULL join key: null-intolerant
-            }
-        };
-        if matches.is_empty() {
-            if kind == JoinKind::LeftOuter {
-                let mut row = arow.clone();
-                row.extend(b_only.iter().map(|_| None));
-                rows.push(row);
-            }
-        } else {
-            for &m in matches {
-                let mut row = arow.clone();
-                row.extend(b_only.iter().map(|&j| b.rows[m][j]));
-                rows.push(row);
-            }
-        }
-    }
-
-    let mut stats = a.stats.clone();
+fn combine(a: PartResult, b: PartResult, kind: Kind) -> PartResult {
+    let mut stats = a.stats;
     merge_stats(&mut stats, &b.stats);
     PartResult {
-        vars,
-        rows,
+        rel: hash_join(&a.rel, &b.rel, kind),
         stats,
         needs_best_match: a.needs_best_match || b.needs_best_match,
     }

@@ -3,44 +3,30 @@
 //! classification, the jvar orders, the per-TP selectivity estimates, and
 //! the load order. (The paper inspects Virtuoso's plans with its `explain`
 //! tool; this is the LBR equivalent.)
+//!
+//! Both renderers read the [`LbrPlan`] the engine built — the plan that
+//! runs is the plan that is shown, TP and variable ids included: the
+//! executor numbers them per connected component, so a Cartesian branch
+//! is rendered component by component.
 
-use crate::bindings::VarTable;
-use crate::error::LbrError;
+use crate::engine::{ConnectedPlan, LbrPlan, PlanNode};
 use crate::init::load_order;
-use crate::jvar_order::get_jvar_order;
-use crate::selectivity::estimate_all;
-use lbr_bitmat::Catalog;
-use lbr_rdf::Dictionary;
 use lbr_sparql::algebra::Query;
-use lbr_sparql::classify::analyze;
-use lbr_sparql::rewrite::rewrite_to_unf;
 use std::fmt::Write as _;
 
 /// Renders the plan of a query as text (one section per UNF branch).
-pub fn explain(
-    query: &Query,
-    dict: &Dictionary,
-    catalog: &impl Catalog,
-) -> Result<String, LbrError> {
+pub fn explain(query: &Query, plan: &LbrPlan) -> String {
     let mut out = String::new();
-    let branches = rewrite_to_unf(&query.pattern);
-    let any_rule3 = branches.iter().any(|b| b.used_rule3);
     let _ = writeln!(
         out,
         "query: {query}\nUNION normal form: {} branch(es){}",
-        branches.len(),
-        if any_rule3 {
+        plan.branches.len(),
+        if plan.any_rule3 {
             " [rule 3 used → cross-branch best-match]"
         } else {
             ""
         }
     );
-    // One analysis per branch, reused by the pushdown summary below and
-    // the per-branch detail sections.
-    let analyzed_branches = branches
-        .iter()
-        .map(|b| analyze(&b.pattern))
-        .collect::<Result<Vec<_>, _>>()?;
     // Query form + solution modifiers and whether they push into the join
     // — mirroring execution exactly: rule 3 disables the quota globally,
     // and a branch only exploits it when its pattern is
@@ -53,16 +39,12 @@ pub fn explain(
     } else {
         format!("SELECT ({:?} dedup)", query.dedup())
     };
-    let quota = if any_rule3 {
-        None
-    } else {
-        crate::modifiers::row_quota(&query.form, &query.modifiers)
-    };
-    let branch_pushes: Vec<bool> = analyzed_branches
+    let branch_pushes: Vec<bool> = plan
+        .branches
         .iter()
-        .map(|a| a.class.connected && !a.class.nb_required)
+        .map(|b| matches!(b, PlanNode::Connected(cp) if !cp.analyzed.class.nb_required))
         .collect();
-    let pushdown = match quota {
+    let pushdown = match plan.row_quota() {
         Some(_) if !branch_pushes.iter().any(|&p| p) => {
             "none (no branch is eligible: best-match may drop rows, or the quota cannot \
              reach a Cartesian-product plan)"
@@ -87,102 +69,134 @@ pub fn explain(
         query.modifiers.limit,
         query.modifiers.offset,
     );
-    for (i, analyzed) in analyzed_branches.iter().enumerate() {
+    for (i, branch) in plan.branches.iter().enumerate() {
         let _ = writeln!(out, "\n── branch {i} ──");
-        let gosn = &analyzed.gosn;
-        let _ = writeln!(out, "GoSN: {}", gosn.serialized());
-        for sn in 0..gosn.n_supernodes() {
-            let kind = if gosn.is_absolute_master(sn) {
-                "absolute master".to_string()
-            } else {
-                format!(
-                    "slave of {:?}",
-                    gosn.masters_of(sn).iter().collect::<Vec<_>>()
-                )
-            };
-            let tps: Vec<String> = gosn
-                .tps_of_sn(sn)
-                .iter()
-                .map(|&t| gosn.tp(t).to_string())
-                .collect();
-            let _ = writeln!(out, "  SN{sn} ({kind}): {}", tps.join(" . "));
+        let comps = connected_plans(branch);
+        if let [cp] = comps.as_slice() {
+            explain_connected(&mut out, cp);
+            continue;
         }
-        let c = &analyzed.class;
         let _ = writeln!(
             out,
-            "class: {}, GoJ {}, {}; max slave-SN jvars = {}; NB-reqd = {}",
-            if c.well_designed {
-                "well-designed"
-            } else {
-                "non-well-designed (App. B transformed)"
-            },
-            if c.cyclic { "cyclic" } else { "acyclic" },
-            if c.connected {
-                "connected"
-            } else {
-                "Cartesian product present"
-            },
-            c.max_slave_sn_jvars,
-            c.nb_required,
+            "Cartesian product present: {} connected components, each run through \
+             Algorithm 5.1 and combined pairwise (§5.2)",
+            comps.len(),
         );
-
-        let vt = VarTable::from_tps(gosn.tps())?;
-        let estimates = estimate_all(gosn.tps(), dict, catalog);
-        let _ = writeln!(out, "TP selectivity estimates:");
-        for (tp_id, est) in estimates.iter().enumerate() {
-            let _ = writeln!(out, "  tp{tp_id} {}  ≈{est}", gosn.tp(tp_id));
+        for (k, cp) in comps.iter().enumerate() {
+            let _ = writeln!(out, "· component c{k} ·");
+            explain_connected(&mut out, cp);
         }
-        let jorder = get_jvar_order(gosn, &analyzed.goj, &vt, &estimates);
-        let names = |vars: &[usize]| -> String {
-            vars.iter()
-                .map(|&v| format!("?{}", vt.name(v)))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        if jorder.greedy {
-            let _ = writeln!(
-                out,
-                "jvar order (greedy, cyclic): {}",
-                names(&jorder.bottom_up)
-            );
-        } else {
-            let _ = writeln!(out, "jvar order bottom-up: {}", names(&jorder.bottom_up));
-            let _ = writeln!(out, "jvar order top-down:  {}", names(&jorder.top_down));
-        }
-        let order = load_order(gosn, &estimates);
-        let order_s: Vec<String> = order.iter().map(|t| format!("tp{t}")).collect();
-        let _ = writeln!(out, "init load order: {}", order_s.join(" → "));
-
-        // Planned kernel work of the prune phase, statically derivable
-        // from the GoSN/GoJ via the sweep shared with `prune_triples`
-        // (the runtime `prune_intersections` / `scratch_reuses` counters
-        // in `--stats` and `/stats` report what actually ran —
-        // data-empty folds can skip planned operations).
-        let ops = crate::prune::planned_prune_ops(gosn, &analyzed.goj, &vt, &jorder);
-        let _ = writeln!(
-            out,
-            "prune plan: {} semi-join(s) + {} clustered-semi-join(s) \
-             over both jvar passes (run-aware compressed-set kernels)",
-            ops.semi_joins, ops.clustered_groups,
-        );
     }
-    Ok(out)
+    out
+}
+
+/// The connected components of one branch, in the executor's evaluation
+/// order (depth-first, left to right) — which is also the order their
+/// span groups appear in a trace.
+fn connected_plans(node: &PlanNode) -> Vec<&ConnectedPlan> {
+    match node {
+        PlanNode::Connected(cp) => vec![cp],
+        PlanNode::Join(l, r) | PlanNode::LeftJoin(l, r) => {
+            let mut out = connected_plans(l);
+            out.extend(connected_plans(r));
+            out
+        }
+        PlanNode::Filter(inner, _) => connected_plans(inner),
+        PlanNode::Product(comps) => comps.iter().flat_map(connected_plans).collect(),
+    }
+}
+
+/// The planned detail of one connected pattern.
+fn explain_connected(out: &mut String, cp: &ConnectedPlan) {
+    let ConnectedPlan {
+        analyzed,
+        vt,
+        estimates,
+        jorder,
+    } = cp;
+    let gosn = &analyzed.gosn;
+    let _ = writeln!(out, "GoSN: {}", gosn.serialized());
+    for sn in 0..gosn.n_supernodes() {
+        let kind = if gosn.is_absolute_master(sn) {
+            "absolute master".to_string()
+        } else {
+            format!(
+                "slave of {:?}",
+                gosn.masters_of(sn).iter().collect::<Vec<_>>()
+            )
+        };
+        let tps: Vec<String> = gosn
+            .tps_of_sn(sn)
+            .iter()
+            .map(|&t| gosn.tp(t).to_string())
+            .collect();
+        let _ = writeln!(out, "  SN{sn} ({kind}): {}", tps.join(" . "));
+    }
+    let c = &analyzed.class;
+    let _ = writeln!(
+        out,
+        "class: {}, GoJ {}, connected; max slave-SN jvars = {}; NB-reqd = {}",
+        if c.well_designed {
+            "well-designed"
+        } else {
+            "non-well-designed (App. B transformed)"
+        },
+        if c.cyclic { "cyclic" } else { "acyclic" },
+        c.max_slave_sn_jvars,
+        c.nb_required,
+    );
+
+    let _ = writeln!(out, "TP selectivity estimates:");
+    for (tp_id, est) in estimates.iter().enumerate() {
+        let _ = writeln!(out, "  tp{tp_id} {}  ≈{est}", gosn.tp(tp_id));
+    }
+    let names = |vars: &[usize]| -> String {
+        vars.iter()
+            .map(|&v| format!("?{}", vt.name(v)))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    if jorder.greedy {
+        let _ = writeln!(
+            out,
+            "jvar order (greedy, cyclic): {}",
+            names(&jorder.bottom_up)
+        );
+    } else {
+        let _ = writeln!(out, "jvar order bottom-up: {}", names(&jorder.bottom_up));
+        let _ = writeln!(out, "jvar order top-down:  {}", names(&jorder.top_down));
+    }
+    let order = load_order(gosn, estimates);
+    let order_s: Vec<String> = order.iter().map(|t| format!("tp{t}")).collect();
+    let _ = writeln!(out, "init load order: {}", order_s.join(" → "));
+
+    // Planned kernel work of the prune phase, statically derivable
+    // from the GoSN/GoJ via the sweep shared with `prune_triples`
+    // (the runtime `prune_intersections` / `scratch_reuses` counters
+    // in `--stats` and `/stats` report what actually ran —
+    // data-empty folds can skip planned operations).
+    let ops = crate::prune::planned_prune_ops(gosn, &analyzed.goj, vt, jorder);
+    let _ = writeln!(
+        out,
+        "prune plan: {} semi-join(s) + {} clustered-semi-join(s) \
+         over both jvar passes (run-aware compressed-set kernels)",
+        ops.semi_joins, ops.clustered_groups,
+    );
 }
 
 /// Renders the planned tree annotated with what execution actually did:
 /// per-stage wall time, per-TP and per-jvar estimated-vs-actual
 /// cardinalities (the selectivity-error feed for adaptive ordering), and
 /// join seeds/rows — assembled from the spans a forced trace collected
-/// around [`crate::engine::LbrEngine::execute_plan`].
+/// around [`crate::engine::LbrEngine::execute_plan`] of this very `plan`.
 pub fn render_analyze(
     query: &Query,
-    dict: &Dictionary,
-    catalog: &impl Catalog,
+    plan: &LbrPlan,
     spans: &[lbr_obs::Span],
     total: std::time::Duration,
     output: &crate::bindings::QueryOutput,
-) -> Result<String, LbrError> {
-    let mut out = explain(query, dict, catalog)?;
+) -> String {
+    let mut out = explain(query, plan);
     let _ = writeln!(out, "\n══ ANALYZE (executed) ══");
     let _ = writeln!(
         out,
@@ -199,123 +213,24 @@ pub fn render_analyze(
     let _ = writeln!(out, "finalize (modifier seam): {finalize_us}µs");
 
     // Branch sections are delimited by the zero-duration `branch` markers
-    // the executor stamps; spans between marker i and i+1 belong to
-    // branch i.
-    let marks: Vec<usize> = spans
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.name == "branch")
-        .map(|(i, _)| i)
-        .collect();
-    let branches = rewrite_to_unf(&query.pattern);
-    for (b, &start) in marks.iter().enumerate() {
-        let end = marks.get(b + 1).copied().unwrap_or(spans.len());
+    // the executor stamps; spans between marker i and i+1 belong to the
+    // branch the marker names.
+    let marks = positions(spans, "branch");
+    for (m, &start) in marks.iter().enumerate() {
+        let end = marks.get(m + 1).copied().unwrap_or(spans.len());
         let section = &spans[start + 1..end];
+        let b = spans[start].attr("branch").unwrap_or(0) as usize;
         let _ = writeln!(out, "── branch {b} actuals ──");
-        for s in section.iter().filter(|s| s.name == "init") {
-            let _ = writeln!(out, "  init: {}µs", s.dur_us);
-        }
-        for s in section.iter().filter(|s| s.name == "prune") {
-            let _ = writeln!(
-                out,
-                "  prune: {}µs, {} → {} triples ({} intersections)",
-                s.dur_us,
-                s.attr("initial_triples").unwrap_or(0),
-                s.attr("triples_after_pruning").unwrap_or(0),
-                s.attr("intersections").unwrap_or(0),
-            );
-        }
-        for s in section.iter().filter(|s| s.name == "prune_pass") {
-            let pass = s.attr("pass").unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "    pass {} ({}): {}µs over {} jvar(s)",
-                pass + 1,
-                if pass == 0 { "bottom-up" } else { "top-down" },
-                s.dur_us,
-                s.attr("jvars").unwrap_or(0),
-            );
-        }
-        // The plan-side estimates this branch ran with, for the
-        // estimate-vs-actual comparison.
-        let branch_info = branches.get(b).and_then(|br| {
-            let analyzed = analyze(&br.pattern).ok()?;
-            let vt = VarTable::from_tps(analyzed.gosn.tps()).ok()?;
-            let estimates = estimate_all(analyzed.gosn.tps(), dict, catalog);
-            Some((analyzed, vt, estimates))
-        });
-        let tp_spans: Vec<_> = section.iter().filter(|s| s.name == "tp").collect();
-        if !tp_spans.is_empty() {
-            let _ = writeln!(out, "  TP cardinality, estimated vs actual:");
-            for s in &tp_spans {
-                let (est, actual) = (s.attr("est").unwrap_or(0), s.attr("actual").unwrap_or(0));
-                let _ = writeln!(
-                    out,
-                    "    tp{}  est≈{est}  actual={actual}  {}",
-                    s.attr("tp").unwrap_or(0),
-                    selectivity_error(est, actual),
-                );
+        // Every connected component opens its span group with `init`, in
+        // the order `connected_plans` lists them.
+        let comps = plan.branches.get(b).map_or(Vec::new(), connected_plans);
+        let starts = positions(section, "init");
+        for (k, (&from, cp)) in starts.iter().zip(&comps).enumerate() {
+            let to = starts.get(k + 1).copied().unwrap_or(section.len());
+            if comps.len() > 1 {
+                let _ = writeln!(out, "  · component c{k} ·");
             }
-        }
-        let jvar_spans: Vec<_> = section.iter().filter(|s| s.name == "jvar").collect();
-        if let Some((analyzed, vt, estimates)) = &branch_info {
-            if !jvar_spans.is_empty() {
-                let _ = writeln!(out, "  jvar cardinality, estimated vs actual candidates:");
-                // One line per jvar, in first-recorded order; the actual
-                // is the final pass's surviving candidate count.
-                let mut seen: Vec<u64> = Vec::new();
-                for s in &jvar_spans {
-                    let var = s.attr("var").unwrap_or(0);
-                    if seen.contains(&var) {
-                        continue;
-                    }
-                    seen.push(var);
-                    let name = vt.name(var as usize);
-                    // Planner-side bound: the smallest estimate among the
-                    // TPs that bind this variable.
-                    let est = analyzed
-                        .gosn
-                        .tps()
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, tp)| tp.has_var(name))
-                        .map(|(i, _)| estimates.get(i).copied().unwrap_or(0))
-                        .min()
-                        .unwrap_or(0);
-                    let per_pass: Vec<String> = jvar_spans
-                        .iter()
-                        .filter(|s| s.attr("var") == Some(var))
-                        .map(|s| {
-                            format!(
-                                "pass{}={}",
-                                s.attr("pass").unwrap_or(0) + 1,
-                                s.attr("cand").unwrap_or(0)
-                            )
-                        })
-                        .collect();
-                    let actual = jvar_spans
-                        .iter()
-                        .rev()
-                        .find(|s| s.attr("var") == Some(var))
-                        .and_then(|s| s.attr("cand"))
-                        .unwrap_or(0);
-                    let _ = writeln!(
-                        out,
-                        "    ?{name}  est≈{est}  actual={actual} ({})  {}",
-                        per_pass.join(", "),
-                        selectivity_error(est, actual),
-                    );
-                }
-            }
-        }
-        for s in section.iter().filter(|s| s.name == "join") {
-            let _ = writeln!(
-                out,
-                "  join: {}µs, seeds={} rows={}",
-                s.dur_us,
-                s.attr("seeds").unwrap_or(0),
-                s.attr("rows").unwrap_or(0),
-            );
+            render_component(&mut out, cp, &section[from..to]);
         }
         for s in section.iter().filter(|s| s.name == "best_match") {
             let _ = writeln!(
@@ -329,7 +244,111 @@ pub fn render_analyze(
     if marks.is_empty() {
         let _ = writeln!(out, "(no branch executed — empty-result early abort)");
     }
-    Ok(out)
+    out
+}
+
+/// Where the spans called `name` — the group delimiters — sit in `spans`.
+fn positions(spans: &[lbr_obs::Span], name: &str) -> Vec<usize> {
+    let named = spans.iter().enumerate().filter(|(_, s)| s.name == name);
+    named.map(|(i, _)| i).collect()
+}
+
+/// One connected component's actuals: its span group read against the
+/// `ConnectedPlan` it ran with, whose variable table and estimates the
+/// spans' `tp` / `var` ids index.
+fn render_component(out: &mut String, cp: &ConnectedPlan, group: &[lbr_obs::Span]) {
+    for s in group.iter().filter(|s| s.name == "init") {
+        let _ = writeln!(out, "  init: {}µs", s.dur_us);
+    }
+    for s in group.iter().filter(|s| s.name == "prune") {
+        let _ = writeln!(
+            out,
+            "  prune: {}µs, {} → {} triples ({} intersections)",
+            s.dur_us,
+            s.attr("initial_triples").unwrap_or(0),
+            s.attr("triples_after_pruning").unwrap_or(0),
+            s.attr("intersections").unwrap_or(0),
+        );
+    }
+    for s in group.iter().filter(|s| s.name == "prune_pass") {
+        let pass = s.attr("pass").unwrap_or(0);
+        let _ = writeln!(
+            out,
+            "    pass {} ({}): {}µs over {} jvar(s)",
+            pass + 1,
+            if pass == 0 { "bottom-up" } else { "top-down" },
+            s.dur_us,
+            s.attr("jvars").unwrap_or(0),
+        );
+    }
+    let tps = cp.analyzed.gosn.tps();
+    let tp_spans: Vec<_> = group.iter().filter(|s| s.name == "tp").collect();
+    if !tp_spans.is_empty() {
+        let _ = writeln!(out, "  TP cardinality, estimated vs actual:");
+        for s in &tp_spans {
+            let (est, actual) = (s.attr("est").unwrap_or(0), s.attr("actual").unwrap_or(0));
+            let tp_id = s.attr("tp").unwrap_or(0) as usize;
+            let _ = writeln!(
+                out,
+                "    tp{tp_id} {}  est≈{est}  actual={actual}  {}",
+                tps.get(tp_id).map(ToString::to_string).unwrap_or_default(),
+                selectivity_error(est, actual),
+            );
+        }
+    }
+    let jvar_spans: Vec<_> = group.iter().filter(|s| s.name == "jvar").collect();
+    if !jvar_spans.is_empty() {
+        let _ = writeln!(out, "  jvar cardinality, estimated vs actual candidates:");
+        // One line per jvar, in first-recorded order; the actual
+        // is the final pass's surviving candidate count.
+        let mut seen: Vec<u64> = Vec::new();
+        for s in &jvar_spans {
+            let var = s.attr("var").unwrap_or(0);
+            if seen.contains(&var) {
+                continue;
+            }
+            seen.push(var);
+            let name = cp.vt.name(var as usize);
+            // Planner-side bound: the smallest estimate among the
+            // TPs that bind this variable.
+            let est = tps
+                .iter()
+                .zip(&cp.estimates)
+                .filter(|(tp, _)| tp.has_var(name))
+                .map(|(_, &est)| est)
+                .min()
+                .unwrap_or(0);
+            let of_var = || jvar_spans.iter().filter(|s| s.attr("var") == Some(var));
+            let per_pass: Vec<String> = of_var()
+                .map(|s| {
+                    format!(
+                        "pass{}={}",
+                        s.attr("pass").unwrap_or(0) + 1,
+                        s.attr("cand").unwrap_or(0)
+                    )
+                })
+                .collect();
+            let actual = of_var()
+                .next_back()
+                .and_then(|s| s.attr("cand"))
+                .unwrap_or(0);
+            let _ = writeln!(
+                out,
+                "    ?{name}  est≈{est}  actual={actual} ({})  {}",
+                per_pass.join(", "),
+                selectivity_error(est, actual),
+            );
+        }
+    }
+    for s in group.iter().filter(|s| s.name == "join") {
+        let _ = writeln!(
+            out,
+            "  join: {}µs, seeds={} rows={}",
+            s.dur_us,
+            s.attr("seeds").unwrap_or(0),
+            s.attr("rows").unwrap_or(0),
+        );
+    }
 }
 
 /// Formats the estimate-vs-actual selectivity error as a direction and a
@@ -349,9 +368,15 @@ fn selectivity_error(est: u64, actual: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::LbrEngine;
     use lbr_bitmat::BitMatStore;
-    use lbr_rdf::{Graph, Term, Triple};
+    use lbr_rdf::{Dictionary, Graph, Term, Triple};
     use lbr_sparql::parse_query;
+
+    /// Plans `q` on an LBR engine and renders that plan.
+    fn explain(q: &Query, dict: &Dictionary, store: &BitMatStore) -> String {
+        super::explain(q, &LbrEngine::new(store, dict).plan(q).unwrap())
+    }
 
     #[test]
     fn explains_the_running_example() {
@@ -379,7 +404,7 @@ mod tests {
                OPTIONAL { ?friend :actedIn ?sitcom . ?sitcom :location :NYC . } }",
         )
         .unwrap();
-        let text = explain(&q, &g.dict, &store).unwrap();
+        let text = explain(&q, &g.dict, &store);
         assert!(text.contains("GoSN: (SN0 ⟕ SN1)"), "{text}");
         assert!(text.contains("absolute master"));
         assert!(text.contains("slave of [0]"));
@@ -407,17 +432,17 @@ mod tests {
         .encode();
         let store = BitMatStore::build(&g);
         let q = parse_query("SELECT * WHERE { ?a <p> ?b . } LIMIT 3 OFFSET 2").unwrap();
-        let text = explain(&q, &g.dict, &store).unwrap();
+        let text = explain(&q, &g.dict, &store);
         assert!(text.contains("row-quota pushdown: 5 rows"), "{text}");
         let q = parse_query("ASK { ?a <p> ?b . }").unwrap();
-        let text = explain(&q, &g.dict, &store).unwrap();
+        let text = explain(&q, &g.dict, &store);
         assert!(text.contains("form: ASK"), "{text}");
         assert!(text.contains("row-quota pushdown: 1 rows"), "{text}");
         let q = parse_query("SELECT DISTINCT ?a WHERE { ?a <p> ?b . } LIMIT 3").unwrap();
-        let text = explain(&q, &g.dict, &store).unwrap();
+        let text = explain(&q, &g.dict, &store);
         assert!(text.contains("row-quota pushdown: none"), "{text}");
         let q = parse_query("SELECT * WHERE { ?a <p> ?b . } ORDER BY DESC(?b) LIMIT 3").unwrap();
-        let text = explain(&q, &g.dict, &store).unwrap();
+        let text = explain(&q, &g.dict, &store);
         assert!(text.contains("order_by=[\"-b\"]"), "{text}");
         assert!(text.contains("row-quota pushdown: none"), "{text}");
         // NB-required branches disable the quota — explain must say so
@@ -426,7 +451,7 @@ mod tests {
             "SELECT * WHERE { ?a <p> ?b . OPTIONAL { ?b <q> ?c . ?c <r> ?a . } } LIMIT 1",
         )
         .unwrap();
-        let text = explain(&q, &g.dict, &store).unwrap();
+        let text = explain(&q, &g.dict, &store);
         assert!(text.contains("NB-reqd = true"), "{text}");
         assert!(
             text.contains("row-quota pushdown: none (no branch is eligible"),
@@ -436,7 +461,7 @@ mod tests {
         // node, which never receives the quota — explain must not
         // advertise an early exit there either.
         let q = parse_query("SELECT * WHERE { ?a <p> ?b . ?c <q> ?d . } LIMIT 1").unwrap();
-        let text = explain(&q, &g.dict, &store).unwrap();
+        let text = explain(&q, &g.dict, &store);
         assert!(
             text.contains("row-quota pushdown: none (no branch is eligible"),
             "{text}"
@@ -474,7 +499,7 @@ mod tests {
                OPTIONAL { ?friend :actedIn ?sitcom . ?sitcom :location :NYC . } }",
         )
         .unwrap();
-        let engine = crate::engine::LbrEngine::new(&store, &g.dict);
+        let engine = LbrEngine::new(&store, &g.dict);
         let text = engine.explain_analyze(&q).unwrap();
         // Planned tree still present…
         assert!(text.contains("GoSN: (SN0 ⟕ SN1)"), "{text}");
@@ -490,7 +515,10 @@ mod tests {
             text.contains("TP cardinality, estimated vs actual:"),
             "{text}"
         );
-        assert!(text.contains("tp0  est≈"), "{text}");
+        assert!(
+            text.contains("tp0 <Jerry> <hasFriend> ?friend  est≈"),
+            "{text}"
+        );
         assert!(
             text.contains("jvar cardinality, estimated vs actual candidates:"),
             "{text}"
@@ -501,6 +529,51 @@ mod tests {
         assert!(text.contains("seeds="), "{text}");
         // The forced trace is drained: nothing left active on the thread.
         assert!(!lbr_obs::trace_active());
+    }
+
+    /// A Cartesian branch runs one Algorithm 5.1 per connected component,
+    /// each numbering its TPs and variables from zero. The renderer must
+    /// read every component's spans against that component's own plan:
+    /// resolved against a whole-branch variable table, the second
+    /// component's jvar `?y` (id 1 there) was printed as `?b` — or
+    /// dropped as already seen — with `?b`'s estimate.
+    #[test]
+    fn explain_analyze_attributes_cartesian_components_to_their_own_plans() {
+        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
+        let g = Graph::from_triples(vec![
+            t("a1", "p", "b1"),
+            t("b1", "q", "c1"),
+            t("x1", "r", "y1"),
+            t("x2", "r", "y1"),
+            t("x3", "r", "y2"),
+            t("y1", "s", "z1"),
+        ])
+        .encode();
+        let store = BitMatStore::build(&g);
+        let q = parse_query("SELECT * WHERE { ?a <p> ?b . ?b <q> ?c . ?x <r> ?y . ?y <s> ?z . }")
+            .unwrap();
+        let text = LbrEngine::new(&store, &g.dict).explain_analyze(&q).unwrap();
+        assert!(text.contains("rows 2 "), "{text}");
+        // The plan side shows the component tree and one section each.
+        assert!(
+            text.contains("Cartesian product present: 2 connected"),
+            "{text}"
+        );
+        assert!(text.contains("· component c1 ·"), "{text}");
+        let actuals = text.split("══ ANALYZE (executed) ══").nth(1).unwrap();
+        let (c0, c1) = actuals.split_once("· component c1 ·").unwrap();
+        // Component 0 joins on ?b, component 1 on ?y — each under its
+        // own name, with its own TPs' estimates (1 ⋈ 1 vs 3 ⋈ 1).
+        assert!(c0.contains("?b  est≈1  actual=1"), "{text}");
+        assert!(!c0.contains("?y"), "{text}");
+        assert!(c1.contains("?y  est≈1  actual=1"), "{text}");
+        assert!(!c1.contains("?b"), "{text}");
+        assert!(c0.contains("tp0 ?a <p> ?b  est≈1  actual=1"), "{text}");
+        assert!(c1.contains("tp0 ?x <r> ?y  est≈3  actual=2"), "{text}");
+        assert!(c1.contains("tp1 ?y <s> ?z  est≈1  actual=1"), "{text}");
+        // One init / prune / join group per component.
+        assert_eq!(actuals.matches("  init: ").count(), 2, "{text}");
+        assert_eq!(actuals.matches("  join: ").count(), 2, "{text}");
     }
 
     #[test]
@@ -525,7 +598,7 @@ mod tests {
                { ?a :p ?b . ?b :p ?c . ?a :q ?c . } UNION { ?a :p ?b . } }",
         )
         .unwrap();
-        let text = explain(&q, &g.dict, &store).unwrap();
+        let text = explain(&q, &g.dict, &store);
         assert!(text.contains("2 branch(es)"));
         assert!(text.contains("greedy, cyclic"));
     }

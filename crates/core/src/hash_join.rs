@@ -1,6 +1,8 @@
-//! Relations and hash-join operators for the baseline engines.
+//! Relations and the pairwise hash join: the "standard relational
+//! technique" the LBR engine falls back to at Cartesian disconnection
+//! points (§5.2), and the operator the baseline engines are built from.
 
-use lbr_core::bindings::Binding;
+use crate::bindings::Binding;
 
 /// A named-column relation; cells are `None` for NULLs produced by
 /// left-outer joins.
@@ -37,15 +39,20 @@ impl Relation {
 
     /// Projects the relation onto `names` (missing columns become NULL).
     pub fn project(&self, names: &[String]) -> Relation {
-        let cols: Vec<Option<usize>> = names.iter().map(|n| self.col(n)).collect();
+        let mut rows = Vec::with_capacity(self.rows.len());
+        self.project_into(names, &mut rows);
         Relation {
             vars: names.to_vec(),
-            rows: self
-                .rows
-                .iter()
-                .map(|r| cols.iter().map(|c| c.and_then(|i| r[i])).collect())
-                .collect(),
+            rows,
         }
+    }
+
+    /// Appends this relation's rows, projected onto `names`, to `out`.
+    pub fn project_into(&self, names: &[String], out: &mut Vec<Vec<Option<Binding>>>) {
+        let cols: Vec<Option<usize>> = names.iter().map(|n| self.col(n)).collect();
+        let project =
+            |r: &Vec<Option<Binding>>| cols.iter().map(|c| c.and_then(|i| r[i])).collect();
+        out.extend(self.rows.iter().map(project));
     }
 }
 
@@ -123,7 +130,7 @@ pub fn hash_join(left: &Relation, right: &Relation, kind: Kind) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lbr_core::bindings::BindingSpace;
+    use crate::bindings::BindingSpace;
 
     fn b(id: u32) -> Option<Binding> {
         Some(Binding {

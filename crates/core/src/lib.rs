@@ -43,6 +43,7 @@ pub mod engine;
 pub mod error;
 pub mod explain;
 pub mod filter_eval;
+pub mod hash_join;
 pub mod init;
 pub mod jvar_order;
 pub mod modifiers;
@@ -56,6 +57,7 @@ pub use bindings::{Binding, BindingSpace, QueryOutput, VarSpace, VarTable};
 pub use engine::{LbrEngine, LbrPlan};
 pub use error::LbrError;
 pub use explain::explain;
+pub use hash_join::Relation;
 pub use jvar_order::JvarOrder;
 pub use multiway::ExecStats;
 pub use solutions::{Row, RowSchema, Solutions};

@@ -57,6 +57,7 @@
 pub mod http;
 
 use http::{parse_form, HttpError, Request, Response};
+use lbr::cache::locked;
 use lbr::core::{LbrError, StatsAggregate};
 use lbr::{Database, OutputFormat, PlanCache, ResultCache, UpdateError};
 use lbr_net::{Handler, LatencyHistogram, NetCounters, NetServer, Shutdown};
@@ -260,7 +261,7 @@ impl ServerHandle {
 
     /// Aggregated query statistics (what `/stats` reports).
     pub fn query_stats(&self) -> StatsAggregate {
-        self.service.agg.lock().expect("stats poisoned").clone()
+        locked(&self.service.agg).clone()
     }
 
     /// Connection/admission counters maintained by the event loop.
@@ -398,10 +399,7 @@ impl Service {
         let output = view
             .execute_plan_deadline(&cached, deadline)
             .map_err(|e| self.query_error(e))?;
-        self.agg
-            .lock()
-            .expect("stats poisoned")
-            .record(&output.stats);
+        locked(&self.agg).record(&output.stats);
         let t_serialize = Instant::now();
         let rendered = format.render(cached.query(), &output, view.dict());
         lbr_obs::span_since(
@@ -435,7 +433,7 @@ impl Service {
     }
 
     fn query_error(&self, e: LbrError) -> HttpError {
-        self.agg.lock().expect("stats poisoned").record_error();
+        locked(&self.agg).record_error();
         match e {
             // The client's query is at fault.
             LbrError::Sparql(_) | LbrError::Unsupported(_) => HttpError::new(400, e.to_string()),
@@ -468,7 +466,7 @@ impl Service {
     fn exposition(&self) -> lbr_obs::Exposition {
         let cache = self.cache.stats();
         let results = self.results.stats();
-        let agg = self.agg.lock().expect("stats poisoned").clone();
+        let agg = locked(&self.agg).clone();
         let net = &self.counters;
         let mut x = lbr_obs::Exposition::new();
         let plan = || vec![("cache", "plan".to_string())];

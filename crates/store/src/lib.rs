@@ -1,8 +1,12 @@
 //! # lbr-store
 //!
-//! Updatable, durable storage for the LBR engine: an LSM-style **delta
-//! memtable over the immutable compressed BitMat segments**, fronted by a
-//! write-ahead log and published through epoch-stamped snapshots.
+//! The one storage backend under every `lbr::Database`: an LSM-style
+//! **delta memtable over the immutable compressed BitMat segments**
+//! (heap-built or mmap'd), optionally fronted by a write-ahead log, and
+//! published through epoch-stamped snapshots. A read-only database is a
+//! [`Store`] nobody writes to — its delta stays empty, its epoch stays 0,
+//! and [`OverlayCatalog`] hands every load of the base segments straight
+//! through — so there is exactly one catalog type on the query path.
 //!
 //! The paper's index ([`lbr_bitmat::BitMatStore`]) is built once from a
 //! dictionary-encoded graph and never changes — that immutability is what

@@ -75,7 +75,7 @@ impl Snapshot {
     fn new(epoch: u64, graph: Arc<EncodedGraph>, segments: SegmentSource, delta: Delta) -> Self {
         Snapshot {
             epoch,
-            catalog: OverlayCatalog::with_source(segments, Arc::new(delta)),
+            catalog: OverlayCatalog::new(segments, Arc::new(delta)),
             graph,
         }
     }
@@ -184,7 +184,7 @@ impl Snapshot {
                 }
             }
         }
-        Ok(Some(OverlayCatalog::with_source(
+        Ok(Some(OverlayCatalog::new(
             self.catalog.segments().clone(),
             Arc::new(delta),
         )))
@@ -293,8 +293,10 @@ impl From<BitMatError> for StoreError {
     }
 }
 
-/// The updatable store: immutable segments + delta + WAL behind an
-/// epoch-stamped `Arc` swap.
+/// The store: immutable segments + delta (+ optional WAL) behind an
+/// epoch-stamped `Arc` swap. Whether anyone may commit to it is the
+/// caller's policy (`lbr::Database` keeps a read-only bit); a store that
+/// is never written to serves its base segments unchanged at epoch 0.
 pub struct Store {
     current: RwLock<Arc<Snapshot>>,
     /// Snapshots that have been vended as plain borrows, in vend order.
@@ -320,27 +322,28 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens a store over a loaded base graph. With a `wal_dir`, the log
-    /// is created (or recovered — torn tail truncated, committed records
-    /// replayed) and every future commit is logged there. When the
-    /// directory holds a checkpoint, it replaces `base`: the checkpoint
-    /// is the merged view as of the last compaction, and the (truncated)
-    /// log holds only the updates since. A v2 checkpoint ships with a
-    /// compacted on-disk segment file (`lbr.seg`), which reopen `mmap`s
-    /// directly — the BitMat rebuild is skipped entirely.
-    pub fn open(base: EncodedGraph, wal_dir: Option<&Path>) -> Result<Store, StoreError> {
-        Self::open_with_segments(base, None, wal_dir)
-    }
-
-    /// [`Store::open`] with pre-opened immutable segments for `base`
-    /// (e.g. an mmap'd disk index built by `lbr_bitmat::disk::save_store`
-    /// over the same data). The segments are used only when their
-    /// dimensions match the graph that actually boots the store — a
+    /// Opens a store over a loaded base graph — the one way to get a
+    /// [`Store`].
+    ///
+    /// `segments` are pre-opened immutable segments for `base` (an mmap'd
+    /// disk index written by `lbr_bitmat::disk::save_store` over the same
+    /// data); `None` builds them on the heap. They are used only when
+    /// their dimensions match the graph that actually boots the store — a
     /// checkpoint in `wal_dir` supersedes `base`, and then the
     /// checkpoint's own segment file is preferred. On any mismatch the
     /// store falls back to building heap segments, which is always
     /// correct, just slower.
-    pub fn open_with_segments(
+    ///
+    /// With a `wal_dir`, the log is created (or recovered — torn tail
+    /// truncated, committed records replayed) and every future commit is
+    /// logged there. When the directory holds a checkpoint, it replaces
+    /// `base`: the checkpoint is the merged view as of the last
+    /// compaction, and the (truncated) log holds only the updates since.
+    /// A v2 checkpoint ships with a compacted on-disk segment file
+    /// (`lbr.seg`), which reopen `mmap`s directly — the BitMat rebuild is
+    /// skipped entirely. Without one, commits are in-memory only (lost on
+    /// drop) and opening cannot fail.
+    pub fn open(
         base: EncodedGraph,
         segments: Option<SegmentSource>,
         wal_dir: Option<&Path>,
@@ -357,7 +360,7 @@ impl Store {
         };
         let graph = Arc::new(graph);
         let source = match source {
-            Some(s) if s.dims() == graph_dims(&graph) => s,
+            Some(s) if s.dims() == CubeDims::of(&graph) => s,
             _ => SegmentSource::Heap(Arc::new(BitMatStore::build(&graph))),
         };
         let snapshot = Arc::new(Snapshot::new(0, graph, source, Delta::new()));
@@ -387,11 +390,6 @@ impl Store {
             *store.writer.lock().expect("store lock poisoned") = Some(wal);
         }
         Ok(store)
-    }
-
-    /// An in-memory store (no WAL; updates are lost on drop).
-    pub fn in_memory(base: EncodedGraph) -> Store {
-        Store::open(base, None).expect("in-memory open cannot fail")
     }
 
     /// The current snapshot; callers keep a consistent view for as long
@@ -703,18 +701,6 @@ fn fold(snap: &Snapshot, epoch: u64) -> Snapshot {
     Snapshot::new(epoch, graph, segments, Delta::new())
 }
 
-/// The cube dimensions a segment source must have to serve `graph`.
-fn graph_dims(graph: &EncodedGraph) -> CubeDims {
-    let dict = &graph.dict;
-    CubeDims {
-        n_subjects: dict.n_subjects(),
-        n_predicates: dict.n_predicates(),
-        n_objects: dict.n_objects(),
-        n_shared: dict.n_shared(),
-        n_triples: graph.triples.len() as u64,
-    }
-}
-
 /// Tries to `mmap` the segment file a v2 checkpoint ships with. `None`
 /// whenever anything disagrees with the checkpoint image (missing file,
 /// stale length or header checksum, dimension mismatch, corrupt format):
@@ -733,7 +719,7 @@ fn open_checkpoint_segments(dir: &Path, image: &wal::CheckpointImage) -> Option<
         return None;
     }
     let catalog = DiskCatalog::open(&path).ok()?;
-    (catalog.dims() == graph_dims(&image.graph)).then(|| SegmentSource::Disk(Arc::new(catalog)))
+    (catalog.dims() == CubeDims::of(&image.graph)).then(|| SegmentSource::Disk(Arc::new(catalog)))
 }
 
 // The facade shares one `Store` across `lbr-server`'s worker pool.
@@ -757,9 +743,14 @@ mod tests {
         Graph::from_triples(vec![t("a", "p", "b"), t("b", "p", "c"), t("a", "q", "c")]).encode()
     }
 
+    /// A store without a WAL: heap segments, commits lost on drop.
+    fn mem() -> Store {
+        Store::open(base(), None, None).unwrap()
+    }
+
     #[test]
     fn fast_path_insert_and_delete() {
-        let store = Store::in_memory(base());
+        let store = mem();
         assert_eq!(store.epoch(), 0);
 
         // Insert with existing terms in existing roles: no rebuild.
@@ -797,7 +788,7 @@ mod tests {
 
     #[test]
     fn insert_then_delete_cancels_in_the_delta() {
-        let store = Store::in_memory(base());
+        let store = mem();
         store
             .apply(UpdateBatch::insert(vec![t("b", "q", "c")]))
             .unwrap();
@@ -811,7 +802,7 @@ mod tests {
 
     #[test]
     fn new_term_forces_rebuild_with_empty_delta() {
-        let store = Store::in_memory(base());
+        let store = mem();
         let info = store
             .apply(UpdateBatch::insert(vec![t("new", "p", "a")]))
             .unwrap();
@@ -836,7 +827,7 @@ mod tests {
 
     #[test]
     fn noop_batch_keeps_epoch_and_writes_nothing() {
-        let store = Store::in_memory(base());
+        let store = mem();
         let info = store
             .apply(UpdateBatch::insert(vec![t("a", "p", "b")]))
             .unwrap();
@@ -850,7 +841,7 @@ mod tests {
 
     #[test]
     fn compaction_folds_and_preserves_the_view() {
-        let store = Store::in_memory(base());
+        let store = mem();
         store.set_compact_threshold(1_000_000);
         store
             .apply(UpdateBatch::insert(vec![
@@ -880,7 +871,7 @@ mod tests {
     #[test]
     fn obs_counters_track_wal_compaction_and_checkpoint_activity() {
         // In-memory store: no WAL, so only compactions count.
-        let store = Store::in_memory(base());
+        let store = mem();
         store.set_compact_threshold(1_000_000);
         assert_eq!(store.obs(), StoreObs::default());
         store
@@ -905,7 +896,7 @@ mod tests {
         // WAL-backed store: appends and checkpoints count too.
         let dir = std::env::temp_dir().join(format!("lbr-store-obs-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let store = Store::open(base(), Some(&dir)).unwrap();
+        let store = Store::open(base(), None, Some(&dir)).unwrap();
         store.set_compact_threshold(2);
         store
             .apply(UpdateBatch::insert(vec![t("a", "p", "c")]))
@@ -927,7 +918,7 @@ mod tests {
 
     #[test]
     fn auto_compaction_triggers_at_threshold() {
-        let store = Store::in_memory(base());
+        let store = mem();
         store.set_compact_threshold(2);
         store
             .apply(UpdateBatch::insert(vec![t("a", "p", "c")]))
@@ -943,7 +934,7 @@ mod tests {
 
     #[test]
     fn current_ref_survives_epoch_swaps() {
-        let store = Store::in_memory(base());
+        let store = mem();
         let before = store.current_ref();
         let epoch0 = before.epoch();
         // Base roles: subjects {a, b}, predicates {p, q}, objects {b, c};
@@ -963,12 +954,25 @@ mod tests {
         assert_eq!(store.current_ref().n_triples(), 8);
     }
 
+    /// A store nobody writes to is what every read-only `Database` sits
+    /// on: its borrow-shaped accessors (`dict()`, `engine_of()`) vend the
+    /// one snapshot over and over, which must pin it exactly once.
+    #[test]
+    fn read_only_use_retains_one_snapshot() {
+        let store = mem();
+        assert!(store.retained.lock().unwrap().is_empty());
+        for _ in 0..1000 {
+            assert_eq!(store.current_ref().dict().n_predicates(), 2);
+        }
+        assert_eq!(store.retained.lock().unwrap().len(), 1);
+    }
+
     #[test]
     fn wal_roundtrip_replays_to_the_same_state() {
         let dir = std::env::temp_dir().join(format!("lbr-store-walrt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let view = {
-            let store = Store::open(base(), Some(&dir)).unwrap();
+            let store = Store::open(base(), None, Some(&dir)).unwrap();
             store
                 .apply(UpdateBatch::insert(vec![
                     t("a", "p", "c"),
@@ -980,7 +984,7 @@ mod tests {
                 .unwrap();
             store.snapshot().triples()
         };
-        let reopened = Store::open(base(), Some(&dir)).unwrap();
+        let reopened = Store::open(base(), None, Some(&dir)).unwrap();
         assert_eq!(reopened.snapshot().triples(), view);
         // The zz-insert was a rebuild ⇒ checkpointed + truncated the log,
         // so only the later delete replays: epoch 1, not 2.
@@ -990,7 +994,7 @@ mod tests {
 
     #[test]
     fn snapshots_not_vended_as_borrows_are_freed() {
-        let store = Store::in_memory(base());
+        let store = mem();
         store
             .apply(UpdateBatch::insert(vec![t("a", "p", "c")]))
             .unwrap();
@@ -1018,7 +1022,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lbr-store-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let view = {
-            let store = Store::open(base(), Some(&dir)).unwrap();
+            let store = Store::open(base(), None, Some(&dir)).unwrap();
             let info = store
                 .apply(UpdateBatch::insert(vec![t("fresh", "p", "a")]))
                 .unwrap();
@@ -1035,7 +1039,7 @@ mod tests {
         };
         let ckpt = wal::read_checkpoint(&dir).unwrap().expect("image exists");
         assert!(ckpt.contains(&t("fresh", "p", "a")));
-        let reopened = Store::open(base(), Some(&dir)).unwrap();
+        let reopened = Store::open(base(), None, Some(&dir)).unwrap();
         assert_eq!(reopened.snapshot().triples(), view);
         assert_eq!(reopened.epoch(), 1, "only the tail record replays");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1046,7 +1050,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lbr-store-seg-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let view = {
-            let store = Store::open(base(), Some(&dir)).unwrap();
+            let store = Store::open(base(), None, Some(&dir)).unwrap();
             let info = store
                 .apply(UpdateBatch::insert(vec![t("fresh", "p", "a")]))
                 .unwrap();
@@ -1059,7 +1063,7 @@ mod tests {
         );
         // Reopen: the checkpointed segments are mmap'd instead of rebuilt,
         // and the merged view is identical.
-        let reopened = Store::open(base(), Some(&dir)).unwrap();
+        let reopened = Store::open(base(), None, Some(&dir)).unwrap();
         assert!(
             reopened.snapshot().segments().is_disk(),
             "reopen serves the checkpointed segments zero-copy"
@@ -1079,7 +1083,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lbr-store-segcor-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let view = {
-            let store = Store::open(base(), Some(&dir)).unwrap();
+            let store = Store::open(base(), None, Some(&dir)).unwrap();
             store
                 .apply(UpdateBatch::insert(vec![t("fresh", "p", "a")]))
                 .unwrap();
@@ -1091,7 +1095,7 @@ mod tests {
         let mut bytes = std::fs::read(&seg).unwrap();
         bytes[0] ^= 0xFF;
         std::fs::write(&seg, &bytes).unwrap();
-        let reopened = Store::open(base(), Some(&dir)).unwrap();
+        let reopened = Store::open(base(), None, Some(&dir)).unwrap();
         assert!(
             !reopened.snapshot().segments().is_disk(),
             "mismatched segment pin falls back to a heap rebuild"
@@ -1142,7 +1146,7 @@ mod tests {
 
         // The header is intact, so the store opens over the mapping.
         let source = SegmentSource::Disk(Arc::new(DiskCatalog::open(&seg).unwrap()));
-        let store = Store::open_with_segments(graph, Some(source), Some(&dir)).unwrap();
+        let store = Store::open(graph, Some(source), Some(&dir)).unwrap();
         assert!(store.snapshot().segments().is_disk());
         let wal_len = || std::fs::metadata(dir.join(wal::WAL_FILE)).unwrap().len();
         let before = wal_len();

@@ -28,14 +28,30 @@
 //! Hit / miss / eviction counters are monotone atomics, surfaced by
 //! [`PlanCache::stats`] in `lbr-server`'s `/stats` endpoint and in
 //! `lbr-cli --repeat` output.
+//!
+//! [`ResultCache`] — serialized response bytes, one level up — is the
+//! same epoch-pinned LRU with a byte weight per entry; both are thin
+//! wrappers over one private implementation.
 
-use crate::{Database, EngineKind, Query};
+use crate::{Database, EngineKind, Query, ReadView};
 use lbr_core::LbrError;
 use std::any::Any;
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the guard from a poisoned mutex instead of
+/// panicking: the serving path must stay panic-free. Only for state every
+/// update leaves valid at every step — the caches' maps (entries are
+/// immutable once inserted and epoch-checked on every read; the worst a
+/// panic mid-edit leaves behind is a weight meter that drifts from the
+/// map, kept safe by saturating arithmetic and rebuilt by eviction churn)
+/// and plain counter structs (`lbr-server`'s stats aggregate).
+pub fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One cached planning result: the parsed query, the engine kind it was
 /// planned on, and that engine's opaque plan.
@@ -52,6 +68,19 @@ pub struct CachedPlan {
 }
 
 impl CachedPlan {
+    /// Plans `query` on `view`'s default engine, stamped with the epoch
+    /// of the very snapshot its constant IDs were encoded in.
+    pub(crate) fn prepare(view: &ReadView<'_>, query: Query) -> Result<CachedPlan, LbrError> {
+        let engine = view.engine();
+        let plan = engine.plan_query(&query)?;
+        Ok(CachedPlan {
+            query,
+            kind: view.db.engine_kind(),
+            epoch: view.epoch(),
+            plan,
+        })
+    }
+
     /// The parsed query.
     pub fn query(&self) -> &Query {
         &self.query
@@ -75,6 +104,155 @@ impl CachedPlan {
     }
 }
 
+struct Slot<V> {
+    value: V,
+    epoch: u64,
+    weight: usize,
+    last_used: u64,
+}
+
+struct LruInner<K, V> {
+    entries: HashMap<K, Slot<V>>,
+    /// Sum of `weight` over `entries` (the weight budget's meter).
+    weight: usize,
+    /// Logical clock: bumped per touch, orders entries for LRU eviction.
+    clock: u64,
+}
+
+/// The epoch-pinned LRU both caches are: every entry carries the database
+/// epoch it was computed at and a weight; a lookup at another epoch drops
+/// the entry instead of serving it; inserts evict least-recently-used
+/// entries until both the entry and the weight budget hold.
+///
+/// Interior locking: one `Mutex` guards the map (callers compute values
+/// *outside* it, so a slow plan never serializes unrelated hits), and the
+/// counters are relaxed atomics. Eviction scans for the LRU entry, which
+/// is O(capacity) — capacities are small (tens to thousands), misses are
+/// rare by design, and the scan only runs on insert-over-budget.
+struct EpochLru<K, V> {
+    capacity: usize,
+    max_weight: usize,
+    inner: Mutex<LruInner<K, V>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    epoch_evictions: AtomicU64,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> EpochLru<K, V> {
+    fn new(capacity: usize, max_weight: usize) -> Self {
+        EpochLru {
+            capacity: capacity.max(1),
+            max_weight,
+            inner: Mutex::new(LruInner {
+                entries: HashMap::new(),
+                weight: 0,
+                clock: 0,
+            }),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            epoch_evictions: AtomicU64::new(0),
+        }
+    }
+
+    /// The value cached under `key` at exactly `epoch` (counted as a
+    /// hit). An entry found at a different epoch is dropped and counted
+    /// as an `epoch_eviction`. The caller counts the miss ([`Self::miss`])
+    /// once it knows the lookup has to be paid for.
+    fn get(&self, key: &K, epoch: u64) -> Option<V> {
+        let mut inner = locked(&self.inner);
+        inner.clock += 1;
+        let clock = inner.clock;
+        let slot = inner.entries.get_mut(key)?;
+        if slot.epoch == epoch {
+            slot.last_used = clock;
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(slot.value.clone());
+        }
+        let stale = inner.entries.remove(key).map_or(0, |s| s.weight);
+        inner.weight = inner.weight.saturating_sub(stale);
+        self.epoch_evictions.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+
+    fn miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Caches `value` under `key` at `epoch` and returns what the cache
+    /// now holds there: an incumbent at least as fresh wins a race and is
+    /// returned instead, so concurrent misses on one key never leave
+    /// duplicates. Evicts LRU entries to respect both budgets; a value
+    /// heavier than the whole weight budget is not cached.
+    fn insert(&self, key: K, epoch: u64, value: V, weight: usize) -> V {
+        if weight > self.max_weight {
+            return value;
+        }
+        let mut inner = locked(&self.inner);
+        inner.clock += 1;
+        let fresh = Slot {
+            value: value.clone(),
+            epoch,
+            weight,
+            last_used: inner.clock,
+        };
+        let replaced = match inner.entries.entry(key) {
+            MapEntry::Occupied(mut incumbent) if incumbent.get().epoch >= epoch => {
+                incumbent.get_mut().last_used = fresh.last_used;
+                return incumbent.get().value.clone();
+            }
+            MapEntry::Occupied(mut stale) => {
+                self.epoch_evictions.fetch_add(1, Ordering::Relaxed);
+                stale.insert(fresh).weight
+            }
+            MapEntry::Vacant(vacant) => {
+                vacant.insert(fresh);
+                0
+            }
+        };
+        inner.weight = inner.weight.saturating_sub(replaced) + weight;
+        while inner.entries.len() > self.capacity || inner.weight > self.max_weight {
+            let Some(lru) = inner
+                .entries
+                .iter()
+                .min_by_key(|(_, s)| s.last_used)
+                .map(|(k, _)| k.clone())
+            else {
+                break; // over-budget implies non-empty, but stay panic-free
+            };
+            let freed = inner.entries.remove(&lru).map_or(0, |s| s.weight);
+            inner.weight = inner.weight.saturating_sub(freed);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// Snapshots the counters plus occupancy (weight reads as bytes).
+    fn stats(&self) -> ResultCacheStats {
+        let (len, weight) = {
+            let inner = locked(&self.inner);
+            (inner.entries.len(), inner.weight)
+        };
+        ResultCacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            epoch_evictions: self.epoch_evictions.load(Ordering::Relaxed),
+            len,
+            capacity: self.capacity,
+            bytes: weight as u64,
+            max_bytes: self.max_weight as u64,
+        }
+    }
+
+    fn clear(&self) {
+        let mut inner = locked(&self.inner);
+        inner.entries.clear();
+        inner.weight = 0;
+    }
+}
+
 /// A monotone snapshot of the cache counters plus current occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -93,53 +271,23 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-struct Entry {
-    cached: Arc<CachedPlan>,
-    last_used: u64,
-}
-
-struct Inner {
-    entries: HashMap<String, Entry>,
-    /// Logical clock: bumped per touch, orders entries for LRU eviction.
-    clock: u64,
-}
-
-/// A fixed-capacity, thread-safe, least-recently-used plan cache.
-///
-/// Interior locking: one `Mutex` guards the map (planning itself runs
-/// *outside* the lock so a slow plan never serializes unrelated hits),
-/// and the counters are relaxed atomics. Eviction scans for the LRU
-/// entry, which is O(capacity) — capacities are small (tens to
-/// thousands), misses are rare by design, and the scan only runs on
-/// insert-over-capacity.
+/// A fixed-capacity, thread-safe, least-recently-used plan cache: an
+/// epoch-pinned LRU of weightless entries keyed by canonicalized text.
 pub struct PlanCache {
-    capacity: usize,
-    inner: Mutex<Inner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    epoch_evictions: AtomicU64,
+    lru: EpochLru<String, Arc<CachedPlan>>,
 }
 
 impl PlanCache {
     /// Creates a cache holding at most `capacity` plans (minimum 1).
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(Inner {
-                entries: HashMap::new(),
-                clock: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            epoch_evictions: AtomicU64::new(0),
+            lru: EpochLru::new(capacity, usize::MAX),
         }
     }
 
     /// Maximum number of cached plans.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lru.capacity
     }
 
     /// Returns the cached plan for `text`, planning (and caching) it on
@@ -155,22 +303,8 @@ impl PlanCache {
         // an update landing mid-plan cannot stamp the entry fresher than
         // the dictionary its constant IDs were encoded in.
         let view = db.read();
-        let epoch = view.epoch();
-        {
-            let mut inner = self.inner.lock().expect("plan cache poisoned");
-            inner.clock += 1;
-            let clock = inner.clock;
-            if let Some(entry) = inner.entries.get_mut(&key) {
-                if entry.cached.epoch == epoch {
-                    entry.last_used = clock;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(&entry.cached));
-                }
-                // Planned at an older epoch: the plan may bake in stale
-                // dictionary IDs. Drop it and re-plan.
-                inner.entries.remove(&key);
-                self.epoch_evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(cached) = self.lru.get(&key, view.epoch()) {
+            return Ok(cached);
         }
 
         // Miss: run the planning pipeline outside the lock, on the view
@@ -180,83 +314,29 @@ impl PlanCache {
         let t_parse = std::time::Instant::now();
         let query = crate::parse_query(text)?;
         lbr_obs::span_since("parse", t_parse, &[("bytes", text.len() as u64)]);
-        let engine = view.engine();
         let t_plan = std::time::Instant::now();
-        let plan = engine.plan_query(&query)?;
+        let cached = Arc::new(CachedPlan::prepare(&view, query)?);
         lbr_obs::span_since("plan", t_plan, &[]);
-        let cached = Arc::new(CachedPlan {
-            query,
-            kind: db.engine_kind(),
-            epoch,
-            plan,
-        });
-        self.misses.fetch_add(1, Ordering::Relaxed);
-
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.entries.entry(key) {
-            MapEntry::Occupied(mut occupied) if occupied.get().cached.epoch >= epoch => {
-                // Raced with another planner: keep the incumbent (it is
-                // at least as fresh as ours).
-                occupied.get_mut().last_used = clock;
-                return Ok(Arc::clone(&occupied.get().cached));
-            }
-            MapEntry::Occupied(mut occupied) => {
-                // The incumbent is from an older epoch: replace it.
-                self.epoch_evictions.fetch_add(1, Ordering::Relaxed);
-                *occupied.get_mut() = Entry {
-                    cached: Arc::clone(&cached),
-                    last_used: clock,
-                };
-            }
-            MapEntry::Vacant(vacant) => {
-                vacant.insert(Entry {
-                    cached: Arc::clone(&cached),
-                    last_used: clock,
-                });
-            }
-        }
-        while inner.entries.len() > self.capacity {
-            let Some(lru) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break; // len > capacity ≥ 0 implies non-empty, but stay panic-free
-            };
-            inner.entries.remove(&lru);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(cached)
+        self.lru.miss();
+        Ok(self.lru.insert(key, view.epoch(), cached, 0))
     }
 
     /// Snapshots the counters (hits/misses/evictions are monotone).
     pub fn stats(&self) -> CacheStats {
-        let len = self
-            .inner
-            .lock()
-            .expect("plan cache poisoned")
-            .entries
-            .len();
+        let s = self.lru.stats();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            epoch_evictions: self.epoch_evictions.load(Ordering::Relaxed),
-            len,
-            capacity: self.capacity,
+            hits: s.hits,
+            misses: s.misses,
+            evictions: s.evictions,
+            epoch_evictions: s.epoch_evictions,
+            len: s.len,
+            capacity: s.capacity,
         }
     }
 
     /// Drops every entry (counters keep their values).
     pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("plan cache poisoned")
-            .entries
-            .clear();
+        self.lru.clear();
     }
 }
 
@@ -283,22 +363,6 @@ pub struct ResultCacheStats {
     pub max_bytes: u64,
 }
 
-struct ResultEntry {
-    body: Arc<Vec<u8>>,
-    epoch: u64,
-    last_used: u64,
-}
-
-struct ResultInner {
-    /// Keyed by `(canonicalized query text, media type)` — the same text
-    /// normalization as the plan cache, so `curl`-reformatted repeats of
-    /// one query share an entry per `Accept` type.
-    entries: HashMap<(String, String), ResultEntry>,
-    /// Sum of `body.len()` over `entries` (the byte budget's meter).
-    bytes: usize,
-    clock: u64,
-}
-
 /// A fixed-capacity LRU **result cache** layered over [`PlanCache`]:
 /// `(canonicalized query text, response media type, store epoch)` →
 /// serialized response bytes.
@@ -316,42 +380,18 @@ struct ResultInner {
 /// cached body bytes (a response larger than the whole byte budget is
 /// simply not cached). Eviction is LRU under both limits.
 pub struct ResultCache {
-    capacity: usize,
-    max_bytes: usize,
-    inner: Mutex<ResultInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    epoch_evictions: AtomicU64,
+    /// Keyed by `(canonicalized query text, media type)` — the same text
+    /// normalization as the plan cache, so `curl`-reformatted repeats of
+    /// one query share an entry per `Accept` type; weighed by body bytes.
+    lru: EpochLru<(String, String), Arc<Vec<u8>>>,
 }
 
 impl ResultCache {
-    /// The map lock, recovering from poisoning instead of panicking: the
-    /// serving path must stay panic-free, and the worst a panic mid-edit
-    /// leaves behind is a byte meter that drifts from the map (kept safe
-    /// by saturating arithmetic and rebuilt by eviction churn) — never a
-    /// wrong response body, since entries are immutable once inserted.
-    fn locked(&self) -> std::sync::MutexGuard<'_, ResultInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Creates a cache of at most `capacity` entries (minimum 1) and
     /// `max_bytes` of cached response bytes.
     pub fn new(capacity: usize, max_bytes: usize) -> ResultCache {
         ResultCache {
-            capacity: capacity.max(1),
-            max_bytes,
-            inner: Mutex::new(ResultInner {
-                entries: HashMap::new(),
-                bytes: 0,
-                clock: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            epoch_evictions: AtomicU64::new(0),
+            lru: EpochLru::new(capacity, max_bytes),
         }
     }
 
@@ -362,97 +402,33 @@ impl ResultCache {
     /// at a different epoch is dropped and counted as an
     /// `epoch_eviction`.
     pub fn get(&self, key: &str, media: &str, epoch: u64) -> Option<Arc<Vec<u8>>> {
-        let mut inner = self.locked();
-        inner.clock += 1;
-        let clock = inner.clock;
-        // Borrow-checker note: the map key is owned, so lookups build a
-        // transient pair; entries are few and hits dominate, so the two
-        // small clones are noise next to the execution they avoid.
-        let map_key = (key.to_string(), media.to_string());
-        if let Some(entry) = inner.entries.get_mut(&map_key) {
-            if entry.epoch == epoch {
-                entry.last_used = clock;
-                let body = Arc::clone(&entry.body);
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(body);
-            }
-            let stale = inner.entries.remove(&map_key).map_or(0, |e| e.body.len());
-            inner.bytes = inner.bytes.saturating_sub(stale);
-            self.epoch_evictions.fetch_add(1, Ordering::Relaxed);
+        // The map key is owned, so lookups build a transient pair;
+        // entries are few and hits dominate, so the two small clones are
+        // noise next to the execution they avoid.
+        let hit = self.lru.get(&(key.to_string(), media.to_string()), epoch);
+        if hit.is_none() {
+            self.lru.miss();
         }
-        drop(inner);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        hit
     }
 
     /// Caches the serialized response for `(key, media)` computed at
     /// `epoch`, evicting LRU entries to respect both budgets. A body
     /// larger than the whole byte budget is not cached.
     pub fn insert(&self, key: String, media: &str, epoch: u64, body: Arc<Vec<u8>>) {
-        if body.len() > self.max_bytes {
-            return;
-        }
-        let mut inner = self.locked();
-        inner.clock += 1;
-        let clock = inner.clock;
-        let map_key = (key, media.to_string());
-        if let Some(old) = inner.entries.remove(&map_key) {
-            inner.bytes = inner.bytes.saturating_sub(old.body.len());
-            if old.epoch > epoch {
-                // Raced with a fresher computation: keep the incumbent.
-                inner.bytes += old.body.len();
-                inner.entries.insert(map_key, old);
-                return;
-            }
-        }
-        inner.bytes += body.len();
-        inner.entries.insert(
-            map_key,
-            ResultEntry {
-                body,
-                epoch,
-                last_used: clock,
-            },
-        );
-        while inner.entries.len() > self.capacity || inner.bytes > self.max_bytes {
-            let Some(lru) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break; // over-budget implies non-empty, but stay panic-free
-            };
-            let freed = inner.entries.remove(&lru).map_or(0, |e| e.body.len());
-            inner.bytes = inner.bytes.saturating_sub(freed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        let weight = body.len();
+        self.lru
+            .insert((key, media.to_string()), epoch, body, weight);
     }
 
     /// Snapshots the counters (hits/misses/evictions are monotone).
     pub fn stats(&self) -> ResultCacheStats {
-        let (len, bytes) = {
-            let inner = self.locked();
-            (inner.entries.len(), inner.bytes)
-        };
-        ResultCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            epoch_evictions: self.epoch_evictions.load(Ordering::Relaxed),
-            len,
-            capacity: self.capacity,
-            bytes: bytes as u64,
-            max_bytes: self.max_bytes as u64,
-        }
+        self.lru.stats()
     }
 
     /// Drops every entry (counters keep their values).
     pub fn clear(&self) {
-        let mut inner = self.locked();
-        inner.entries.clear();
-        inner.bytes = 0;
+        self.lru.clear();
     }
 }
 

@@ -104,10 +104,12 @@
 //! * [`cache`] — the thread-safe LRU plan cache serving layers share
 //!   ([`PlanCache`], keyed by canonicalized query text and pinned to the
 //!   database epoch);
-//! * [`storage`] — the updatable store: WAL + delta memtable layered
-//!   over immutable BitMat segments, snapshot isolation via epoch'd
-//!   `Arc` swaps, compaction (what [`DatabaseBuilder::wal_dir`] /
-//!   [`DatabaseBuilder::updatable`] and [`Database::update`] sit on);
+//! * [`storage`] — the one backend under every [`Database`]: immutable
+//!   BitMat segments (heap-built or mmap'd) + delta memtable (+ WAL),
+//!   snapshot isolation via epoch'd `Arc` swaps, compaction. A read-only
+//!   database is a store without a writer: [`DatabaseBuilder::wal_dir`]
+//!   / [`DatabaseBuilder::updatable`] only decide whether
+//!   [`Database::update`] may commit to it;
 //! * [`baseline`] — comparator engines behind [`EngineKind`] (pairwise
 //!   hash joins; outer-join reordering with repair operators; the
 //!   reference oracle);
@@ -138,13 +140,19 @@ pub use lbr_sparql::{parse_query, Dedup, Modifiers, OrderKey, Query, QueryForm};
 pub use lbr_sparql::{parse_update, Update, UpdateOp};
 pub use lbr_store::{CommitInfo, SegmentSource, Snapshot, Store, StoreError, UpdateBatch};
 
-use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// An RDF database: encoded graph + BitMat catalog + a default engine.
+/// An RDF database: a [`Store`] (segments + delta memtable, published as
+/// epoch-stamped snapshots) + a default engine.
+///
+/// Every database sits on the same backend and every query runs over
+/// the current snapshot's [`storage::OverlayCatalog`]; a read-only
+/// database is simply one whose store nobody may write to, so its delta
+/// stays empty, its epoch stays 0 and every load is the base segments'
+/// own.
 ///
 /// [`Database::builder`] is the front door; [`Database::from_triples`],
 /// [`Database::from_ntriples`] and [`Database::from_encoded`] remain as
@@ -152,24 +160,10 @@ use std::sync::Arc;
 /// underlying pieces stay public for users who need the catalog, the
 /// baselines, or the disk index directly.
 pub struct Database {
-    backend: Backend,
+    store: Store,
+    /// Policy, not mechanism: built without `wal_dir()` / `updatable()`.
+    read_only: bool,
     default_engine: EngineKind,
-}
-
-enum Backend {
-    /// Fixed in-memory segments over a fixed graph.
-    Memory {
-        graph: EncodedGraph,
-        store: BitMatStore,
-    },
-    /// Fixed on-disk segments; the graph provides the dictionary.
-    Disk {
-        graph: EncodedGraph,
-        catalog: DiskCatalog,
-    },
-    /// The updatable store: segments + delta memtable (+ optional WAL),
-    /// published as epoch-stamped snapshots.
-    Mutable(Store),
 }
 
 /// Everything that can go wrong assembling a [`Database`].
@@ -292,7 +286,7 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Makes the database updatable **and durable**: updates are logged
+    /// Lets the database accept updates, **durably**: updates are logged
     /// to a write-ahead log in `dir` (created if missing) and fsynced
     /// before they are visible; on the next open with the same `dir`
     /// the log is replayed over the triple source, so the database
@@ -308,10 +302,11 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Makes the database updatable without durability: updates go to
+    /// Lets the database accept updates without durability: they go to
     /// the in-memory delta only and die with the process. Useful for
     /// tests and scratch stores; use [`DatabaseBuilder::wal_dir`] to
-    /// persist updates.
+    /// persist updates. (Without either, the same store is read-only:
+    /// [`Database::update`] returns [`UpdateError::ReadOnly`].)
     pub fn updatable(mut self) -> Self {
         self.updatable = true;
         self
@@ -350,43 +345,24 @@ impl DatabaseBuilder {
         // An on-disk index must describe exactly the triple source's
         // dictionary — querying a mismatched index would silently return
         // wrong results.
-        let catalog = match &self.index {
+        let segments = match &self.index {
             Some(path) => {
                 let catalog = DiskCatalog::open(Path::new(path))?;
-                let index = catalog.dims();
-                let dict = &graph.dict;
-                let data = bitmat::CubeDims {
-                    n_subjects: dict.n_subjects(),
-                    n_predicates: dict.n_predicates(),
-                    n_objects: dict.n_objects(),
-                    n_shared: dict.n_shared(),
-                    n_triples: graph.triples.len() as u64,
-                };
+                let (index, data) = (catalog.dims(), bitmat::CubeDims::of(&graph));
                 if index != data {
                     return Err(DatabaseError::IndexMismatch { index, data });
                 }
-                Some(catalog)
+                Some(SegmentSource::Disk(Arc::new(catalog)))
             }
             None => None,
         };
-        let backend = if self.updatable || self.wal_dir.is_some() {
-            // The updatable store layers its delta over either segment
-            // medium; mmap'd segments from disk_index() skip the build.
-            let segments = catalog.map(|c| SegmentSource::Disk(Arc::new(c)));
-            let store = Store::open_with_segments(graph, segments, self.wal_dir.as_deref())
-                .map_err(DatabaseError::Wal)?;
-            Backend::Mutable(store)
-        } else {
-            match catalog {
-                Some(catalog) => Backend::Disk { graph, catalog },
-                None => {
-                    let store = BitMatStore::build(&graph);
-                    Backend::Memory { graph, store }
-                }
-            }
-        };
+        // The store layers its delta over either segment medium; mmap'd
+        // segments from disk_index() skip the build.
+        let store =
+            Store::open(graph, segments, self.wal_dir.as_deref()).map_err(DatabaseError::Wal)?;
         Ok(Database {
-            backend,
+            store,
+            read_only: !self.updatable && self.wal_dir.is_none(),
             default_engine: self.engine,
         })
     }
@@ -414,11 +390,7 @@ impl Database {
 
     /// Shortcut: in-memory database over an N-Triples document, LBR engine.
     pub fn from_ntriples(text: &str) -> Result<Database, rdf::RdfError> {
-        match Self::builder().ntriples(text).build() {
-            Ok(db) => Ok(db),
-            Err(DatabaseError::Rdf(e)) => Err(e),
-            Err(other) => unreachable!("ntriples build only fails on parse: {other}"),
-        }
+        Ok(Self::from_triples(rdf::parse_ntriples(text)?))
     }
 
     /// Shortcut: in-memory database over an encoded graph, LBR engine.
@@ -431,20 +403,18 @@ impl Database {
 
     /// Pins one consistent view of the database for a whole request.
     ///
-    /// On an updatable database this captures the current snapshot
-    /// **once**: every engine built from the view, every epoch check and
-    /// every dictionary decode then agree on the same data, no matter
-    /// how many updates commit concurrently. (The borrow-shaped
-    /// accessors [`Database::dict`] / [`Database::engine_of`] each pin
-    /// the snapshot current at *their* call — correct in isolation, but
-    /// two calls can straddle a commit; a `ReadView` is how the serving
-    /// layers make validate-then-execute-then-decode atomic.)
-    ///
-    /// On a read-only database the view is free and trivially stable.
+    /// This captures the current snapshot **once**: every engine built
+    /// from the view, every epoch check and every dictionary decode then
+    /// agree on the same data, no matter how many updates commit
+    /// concurrently. (The borrow-shaped accessors [`Database::dict`] /
+    /// [`Database::engine_of`] each pin the snapshot current at *their*
+    /// call — correct in isolation, but two calls can straddle a commit;
+    /// a `ReadView` is how the serving layers make
+    /// validate-then-execute-then-decode atomic.)
     pub fn read(&self) -> ReadView<'_> {
         ReadView {
             db: self,
-            snap: self.mutable_store().map(Store::snapshot),
+            snap: self.store.snapshot(),
         }
     }
 
@@ -460,22 +430,15 @@ impl Database {
 
     /// A specific engine with explicit [`EngineOptions`].
     ///
-    /// On an updatable database the engine is bound to the snapshot
-    /// current at this call: it sees that snapshot's triples for its
-    /// whole lifetime, unaffected by concurrent updates (snapshot
-    /// isolation — each epoch vended this way stays readable, and
-    /// allocated, until the database is dropped; serving loops should
-    /// prefer [`Database::read`], whose snapshots are freed when the
-    /// view drops).
+    /// The engine is bound to the snapshot current at this call: it
+    /// sees that snapshot's triples for its whole lifetime, unaffected
+    /// by concurrent updates (snapshot isolation — each epoch vended
+    /// this way stays readable, and allocated, until the database is
+    /// dropped; serving loops should prefer [`Database::read`], whose
+    /// snapshots are freed when the view drops).
     pub fn engine_with(&self, kind: EngineKind, options: &EngineOptions) -> Box<dyn Engine + '_> {
-        match &self.backend {
-            Backend::Memory { graph, store } => kind.build_with(store, &graph.dict, options),
-            Backend::Disk { graph, catalog } => kind.build_with(catalog, &graph.dict, options),
-            Backend::Mutable(store) => {
-                let snap = store.current_ref();
-                kind.build_with(snap.catalog(), snap.dict(), options)
-            }
-        }
+        let snap = self.store.current_ref();
+        kind.build_with(snap.catalog(), snap.dict(), options)
     }
 
     /// The default engine's kind.
@@ -506,14 +469,9 @@ impl Database {
     /// the two cannot mismatch IDs and dictionary.
     pub fn solutions(&self, query_text: &str) -> Result<Solutions<'_>, core::LbrError> {
         let query = parse_query(query_text)?;
-        match self.mutable_store() {
-            Some(store) => {
-                let snap = store.current_ref();
-                let engine = self.default_engine.build(snap.catalog(), snap.dict());
-                Ok(engine.execute(&query)?.into_solutions(snap.dict()))
-            }
-            None => Ok(self.execute_query(&query)?.into_solutions(self.dict())),
-        }
+        let snap = self.store.current_ref();
+        let engine = self.default_engine.build(snap.catalog(), snap.dict());
+        Ok(engine.execute(&query)?.into_solutions(snap.dict()))
     }
 
     /// Parses and executes an existence query, returning its boolean
@@ -570,13 +528,9 @@ impl Database {
 
     /// Prepares an already-parsed query on the default engine.
     pub fn prepare_query(&self, query: Query) -> Result<PreparedQuery<'_>, core::LbrError> {
-        let engine = self.engine();
-        let plan = engine.plan_query(&query)?;
         Ok(PreparedQuery {
-            kind: self.default_engine,
-            engine,
-            query,
-            plan,
+            db: self,
+            cached: CachedPlan::prepare(&self.read(), query)?,
         })
     }
 
@@ -598,71 +552,51 @@ impl Database {
 
     /// The dictionary (for decoding results).
     ///
-    /// On an updatable database: the current snapshot's dictionary. It
-    /// stays valid for the database's lifetime even across updates that
+    /// The current snapshot's dictionary. It stays valid for the database's lifetime even across updates that
     /// rebuild the dictionary (each epoch vended this way is retained
     /// until the database drops — prefer [`Database::read`] for
     /// request-scoped work), but IDs it hands out describe the snapshot
     /// it came from. To decode results, take the dictionary and the
     /// engine from one [`ReadView`] so they cannot straddle an update.
     pub fn dict(&self) -> &Dictionary {
-        match &self.backend {
-            Backend::Memory { graph, .. } | Backend::Disk { graph, .. } => &graph.dict,
-            Backend::Mutable(store) => store.current_ref().dict(),
-        }
+        self.store.current_ref().dict()
     }
 
     /// The in-memory BitMat store (for baselines, benches, size reports).
     ///
-    /// On an updatable database this is the current snapshot's immutable
-    /// *segment* store — the compacted base, **without** the delta
-    /// memtable. Use [`Database::engine_of`] (which layers the delta) to
-    /// query; use this only for size/shape inspection.
+    /// This is the current snapshot's immutable *segment* store — the
+    /// compacted base, **without** the delta memtable. Use
+    /// [`Database::engine_of`] (which layers the delta) to query; use
+    /// this only for size/shape inspection.
     ///
     /// # Panics
     ///
-    /// Panics when the database was built with
-    /// [`DatabaseBuilder::disk_index`] (updatable or not) — the segments
-    /// are mmap'd, there is no in-memory store; use
-    /// [`Database::engine_of`] which works over either medium.
+    /// Panics when the current segments are mmap'd (a
+    /// [`DatabaseBuilder::disk_index`], or a reopened checkpoint) —
+    /// there is no in-memory store; use [`Database::engine_of`], which
+    /// works over either medium.
     pub fn store(&self) -> &BitMatStore {
-        match &self.backend {
-            Backend::Memory { store, .. } => store,
-            Backend::Disk { .. } => panic!(
-                "Database::store(): this database reads a disk index and has no \
+        match self.store.current_ref().segments().as_heap() {
+            Some(segments) => segments,
+            None => panic!(
+                "Database::store(): this database serves mmap'd segments and has no \
                  in-memory BitMat store; go through Database::engine_of instead"
             ),
-            Backend::Mutable(store) => match store.current_ref().segments().as_heap() {
-                Some(segments) => segments,
-                None => panic!(
-                    "Database::store(): this updatable database serves mmap'd \
-                     segments and has no in-memory BitMat store; go through \
-                     Database::engine_of instead"
-                ),
-            },
         }
     }
 
     /// The encoded graph.
     ///
-    /// On an updatable database: the current snapshot's *base* graph —
-    /// delta-resident updates are not reflected here until a rebuild or
+    /// The current snapshot's *base* graph — delta-resident updates are not reflected here until a rebuild or
     /// compaction folds them in. [`Database::triples`] gives the merged
     /// view.
     pub fn graph(&self) -> &EncodedGraph {
-        match &self.backend {
-            Backend::Memory { graph, .. } | Backend::Disk { graph, .. } => graph,
-            Backend::Mutable(store) => store.current_ref().graph(),
-        }
+        self.store.current_ref().graph()
     }
 
-    /// Number of triples (on an updatable database: of the current
-    /// snapshot, delta included).
+    /// Number of triples (of the current snapshot, delta included).
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Memory { graph, .. } | Backend::Disk { graph, .. } => graph.len(),
-            Backend::Mutable(store) => store.snapshot().n_triples() as usize,
-        }
+        self.store.snapshot().n_triples() as usize
     }
 
     /// True when the database has no triples.
@@ -673,29 +607,25 @@ impl Database {
 
 /// One consistent view of a [`Database`], created by [`Database::read`].
 ///
-/// Holds the snapshot `Arc` current when it was created (on an
-/// updatable database), so execution, plan-epoch validation and result
-/// decoding all run against the same data — and the snapshot is freed
-/// when the last view/reader drops it.
+/// Holds the snapshot `Arc` current when it was created, so execution,
+/// plan-epoch validation and result decoding all run against the same
+/// data — and the snapshot is freed when the last view/reader drops it.
 pub struct ReadView<'db> {
     db: &'db Database,
-    snap: Option<Arc<Snapshot>>,
+    snap: Arc<Snapshot>,
 }
 
 impl ReadView<'_> {
     /// The storage epoch this view is pinned to (`0` on a read-only
     /// database, which never changes epoch).
     pub fn epoch(&self) -> u64 {
-        self.snap.as_ref().map_or(0, |s| s.epoch())
+        self.snap.epoch()
     }
 
     /// This view's dictionary — decodes exactly the IDs engines built
     /// from this view produce.
     pub fn dict(&self) -> &Dictionary {
-        match &self.snap {
-            Some(snap) => snap.dict(),
-            None => self.db.dict(),
-        }
+        self.snap.dict()
     }
 
     /// The default engine over this view's data.
@@ -712,10 +642,7 @@ impl ReadView<'_> {
     /// [`EngineOptions`] — how the serving layer threads per-request
     /// deadlines into execution without giving up the pinned snapshot.
     pub fn engine_with(&self, kind: EngineKind, options: &EngineOptions) -> Box<dyn Engine + '_> {
-        match &self.snap {
-            Some(snap) => kind.build_with(snap.catalog(), snap.dict(), options),
-            None => self.db.engine_with(kind, options),
-        }
+        kind.build_with(self.snap.catalog(), self.snap.dict(), options)
     }
 
     /// Executes a parsed query on this view's default engine.
@@ -741,16 +668,28 @@ impl ReadView<'_> {
         cached: &CachedPlan,
         deadline: Option<std::time::Instant>,
     ) -> Result<QueryOutput, core::LbrError> {
-        let options = EngineOptions {
-            deadline,
-            ..EngineOptions::default()
-        };
-        let engine = self.engine_with(cached.engine_kind(), &options);
-        if cached.epoch() != self.epoch() {
-            return engine.execute(cached.query());
-        }
-        engine.execute_planned(cached.query(), cached.plan())
+        execute_plan_on(&self.snap, cached, deadline)
     }
+}
+
+/// Runs `cached` against `snap`: as planned when it was planned at
+/// `snap`'s epoch, re-planned otherwise.
+fn execute_plan_on(
+    snap: &Snapshot,
+    cached: &CachedPlan,
+    deadline: Option<std::time::Instant>,
+) -> Result<QueryOutput, core::LbrError> {
+    let options = EngineOptions {
+        deadline,
+        ..EngineOptions::default()
+    };
+    let engine = cached
+        .engine_kind()
+        .build_with(snap.catalog(), snap.dict(), &options);
+    if cached.epoch() != snap.epoch() {
+        return engine.execute(cached.query());
+    }
+    engine.execute_planned(cached.query(), cached.plan())
 }
 
 /// What a [`Database::update`] did, summed over its operations.
@@ -809,12 +748,10 @@ impl From<StoreError> for UpdateError {
 /// Updates (SPARQL 1.1 Update) — only on databases built with
 /// [`DatabaseBuilder::wal_dir`] or [`DatabaseBuilder::updatable`].
 impl Database {
-    /// The updatable store, when this database has one.
+    /// The store, when this database may commit to it (`None` on a
+    /// read-only database).
     pub fn mutable_store(&self) -> Option<&Store> {
-        match &self.backend {
-            Backend::Mutable(store) => Some(store),
-            _ => None,
-        }
+        (!self.read_only).then_some(&self.store)
     }
 
     fn mutable(&self) -> Result<&Store, UpdateError> {
@@ -824,7 +761,7 @@ impl Database {
     /// The storage epoch: bumped by every effective update, `0` forever
     /// on a read-only database. [`PlanCache`] keys plans to this.
     pub fn epoch(&self) -> u64 {
-        self.mutable_store().map_or(0, Store::epoch)
+        self.store.epoch()
     }
 
     /// Parses and executes a SPARQL 1.1 Update request (`INSERT DATA`,
@@ -893,13 +830,7 @@ impl Database {
         }
         batch.inserts.sort_unstable();
         batch.deletes.sort_unstable();
-        if batch.inserts.is_empty() && batch.deletes.is_empty() {
-            return Ok(UpdateOutcome {
-                inserted,
-                deleted,
-                epoch: store.epoch(),
-            });
-        }
+        // An empty batch commits nothing: no WAL record, same epoch.
         let info = store.apply(batch)?;
         Ok(UpdateOutcome {
             inserted,
@@ -940,18 +871,7 @@ impl Database {
     /// database the merged (segments + delta) view of the current
     /// snapshot. A test/inspection substrate, not a hot path.
     pub fn triples(&self) -> Vec<Triple> {
-        match &self.backend {
-            Backend::Memory { graph, .. } | Backend::Disk { graph, .. } => {
-                let mut out: Vec<Triple> = graph
-                    .triples
-                    .iter()
-                    .map(|e| graph.dict.decode(e).expect("graph IDs decode"))
-                    .collect();
-                out.sort_unstable();
-                out
-            }
-            Backend::Mutable(store) => store.snapshot().triples(),
-        }
+        self.store.snapshot().triples()
     }
 
     /// Evaluates a `DELETE WHERE` pattern to the concrete triples it
@@ -997,13 +917,9 @@ impl Database {
         // the snapshot's segments + dictionary. Falls back to indexing a
         // scratch copy of the staged view when a staged insert carries a
         // term the snapshot's dictionary cannot encode.
-        let (vars, rows) = match snap.overlay_with(&staged_vec)? {
-            Some(catalog) => {
-                let engine = self.default_engine.build(&catalog, snap.dict());
-                let out = engine.execute(&query).map_err(UpdateError::Eval)?;
-                let rows = out.decode(snap.dict());
-                (out.vars, rows)
-            }
+        let scratch;
+        let (catalog, dict) = match snap.overlay_with(&staged_vec)? {
+            Some(catalog) => (catalog, snap.dict()),
             None => {
                 let mut view: HashSet<Triple> = snap.triples().into_iter().collect();
                 for (t, present) in staged {
@@ -1014,13 +930,13 @@ impl Database {
                     }
                 }
                 let graph = Graph::from_triples(view.into_iter().collect()).encode();
-                let segments = BitMatStore::build(&graph);
-                let engine = self.default_engine.build(&segments, &graph.dict);
-                let out = engine.execute(&query).map_err(UpdateError::Eval)?;
-                let rows = out.decode(&graph.dict);
-                (out.vars, rows)
+                scratch = Store::open(graph, None, None)?.snapshot();
+                (scratch.catalog().clone(), scratch.dict())
             }
         };
+        let engine = self.default_engine.build(&catalog, dict);
+        let out = engine.execute(&query).map_err(UpdateError::Eval)?;
+        let (vars, rows) = (&out.vars, out.decode(dict));
         let var_slot: Vec<Option<usize>> = {
             let slot_of = |v: &str| vars.iter().position(|name| name == v);
             tps.iter()
@@ -1056,16 +972,17 @@ impl Database {
 
 /// A query whose planning pipeline already ran.
 ///
-/// Created by [`Database::prepare`]; holds the parsed query, the engine
-/// it was prepared on, and the engine's cached plan (for the LBR engine:
-/// the UNF branches with their GoSN/GoJ analyses, variable tables,
-/// selectivity estimates and jvar orders). Re-executing costs only the
-/// data phases — the million-execution serving path.
+/// Created by [`Database::prepare`]; holds the parsed query and the
+/// default engine's plan for it (for the LBR engine: the UNF branches
+/// with their GoSN/GoJ analyses, variable tables, selectivity estimates
+/// and jvar orders), stamped with the epoch it was planned at.
+/// Re-executing costs only the data phases — the million-execution
+/// serving path. Every execution reads the snapshot current at *that*
+/// call: after an update the query sees the new data (and re-plans,
+/// since the plan's constant IDs belong to the old dictionary).
 pub struct PreparedQuery<'db> {
-    kind: EngineKind,
-    engine: Box<dyn Engine + 'db>,
-    query: Query,
-    plan: Box<dyn Any + Send + Sync>,
+    db: &'db Database,
+    cached: CachedPlan,
 }
 
 // The serving layer (`lbr-server`, the shared plan cache, the concurrency
@@ -1093,32 +1010,38 @@ const _: () = {
 impl PreparedQuery<'_> {
     /// Executes the prepared query to a materialized [`QueryOutput`].
     pub fn execute(&self) -> Result<QueryOutput, core::LbrError> {
-        self.engine.execute_planned(&self.query, self.plan.as_ref())
+        self.db.read().execute_plan(&self.cached)
     }
 
-    /// Executes the prepared query, streaming the solutions.
+    /// Executes the prepared query, streaming the solutions (execution
+    /// and decoding share one snapshot).
     pub fn solutions(&self) -> Result<Solutions<'_>, core::LbrError> {
-        Ok(self.execute()?.into_solutions(self.engine.dict()))
+        let snap = self.db.store.current_ref();
+        Ok(execute_plan_on(snap, &self.cached, None)?.into_solutions(snap.dict()))
     }
 
     /// EXPLAIN ANALYZE for the prepared query: re-executes it under a
     /// forced trace and renders actual timings and cardinalities.
     pub fn explain_analyze(&self) -> Result<String, core::LbrError> {
-        self.engine.explain_analyze(&self.query)
+        let view = self.db.read();
+        let engine = view.engine_of(self.engine_kind());
+        engine.explain_analyze(self.query())
     }
 
     /// Renders the plan this query will run with.
     pub fn explain(&self) -> Result<String, core::LbrError> {
-        self.engine.explain(&self.query)
+        let view = self.db.read();
+        let engine = view.engine_of(self.engine_kind());
+        engine.explain(self.query())
     }
 
     /// The parsed query.
     pub fn query(&self) -> &Query {
-        &self.query
+        self.cached.query()
     }
 
     /// The kind of engine the query was prepared on.
     pub fn engine_kind(&self) -> EngineKind {
-        self.kind
+        self.cached.engine_kind()
     }
 }

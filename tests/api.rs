@@ -1,7 +1,8 @@
 //! Tests of the public API redesign: the `Database` builder,
 //! `PreparedQuery` plan caching, and the streaming `Solutions` path.
 
-use lbr::{parse_query, Database, EngineKind, Term, Triple};
+use lbr::{parse_query, BitMatStore, Database, EngineKind, Graph, Term, Triple, UpdateError};
+use std::sync::Arc;
 
 fn t(s: &str, p: &str, o: &str) -> Triple {
     Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
@@ -117,6 +118,50 @@ fn builder_rejects_mismatched_disk_index() {
         panic!("mismatched disk index must be rejected");
     };
     assert!(err.to_string().contains("does not match the data"), "{err}");
+}
+
+/// Every database sits on the one store backend; a read-only one —
+/// whichever medium its segments live on — must answer exactly like an
+/// engine built directly over the plain BitMat index, and stay
+/// unwritable at epoch 0.
+#[test]
+fn read_only_databases_match_a_direct_bitmat_engine_on_every_kind() {
+    let dir = std::env::temp_dir().join("lbr-api-test-read-only");
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = Graph::from_triples(triples()).encode();
+    let direct = BitMatStore::build(&graph);
+    let idx = dir.join("data.lbr");
+    lbr::bitmat::disk::save_store(&direct, &idx).unwrap();
+
+    let heap = Database::builder().triples(triples()).build().unwrap();
+    let disk = Database::builder()
+        .triples(triples())
+        .disk_index(&idx)
+        .build()
+        .unwrap();
+    for (source, db) in [("heap", &heap), ("disk_index", &disk)] {
+        for kind in EngineKind::all() {
+            let reference = kind.build(&direct, &graph.dict);
+            let engine = db.engine_of(kind);
+            for text in WORKLOAD {
+                let query = parse_query(text).unwrap();
+                let mut want = reference.execute(&query).unwrap().render(&graph.dict);
+                let mut got = engine.execute(&query).unwrap().render(db.dict());
+                want.sort();
+                got.sort();
+                assert_eq!(got, want, "{source} / {kind} on {text}");
+            }
+        }
+        let refused = db.update("INSERT DATA { <Jerry> <hasFriend> <Seinfeld> }");
+        assert!(matches!(refused, Err(UpdateError::ReadOnly)), "{source}");
+        assert!(
+            matches!(db.compact(), Err(UpdateError::ReadOnly)),
+            "{source}"
+        );
+        assert_eq!(db.epoch(), 0, "{source}");
+        assert!(db.mutable_store().is_none(), "{source}");
+        assert_eq!(db.len(), triples().len(), "{source}");
+    }
 }
 
 #[test]
@@ -240,6 +285,42 @@ fn prepared_solutions_and_stats() {
     assert_eq!(solutions.stats().n_results, 2);
     assert_eq!(solutions.stats().n_results_with_nulls, 1);
     assert_eq!(solutions.count(), 2);
+}
+
+/// A prepared query is a plan, not a pinned engine: every execution reads
+/// the snapshot current at that call (re-planning once the plan's epoch is
+/// stale), and neither preparing nor executing keeps a superseded
+/// snapshot alive.
+#[test]
+fn prepared_query_sees_updates_and_pins_no_snapshot() {
+    let db = Database::builder()
+        .triples(triples())
+        .updatable()
+        .build()
+        .unwrap();
+    let prepared = db
+        .prepare("SELECT ?f WHERE { <Jerry> <hasFriend> ?f . }")
+        .unwrap();
+    assert_eq!(prepared.execute().unwrap().len(), 2);
+    let superseded = Arc::downgrade(&db.mutable_store().unwrap().snapshot());
+
+    // Existing terms in existing roles: a delta-only commit.
+    db.update("INSERT DATA { <Jerry> <hasFriend> <Seinfeld> }")
+        .unwrap();
+    assert_eq!(prepared.execute().unwrap().len(), 3, "new row visible");
+    assert!(
+        superseded.upgrade().is_none(),
+        "the snapshot the query was prepared on must be freed once superseded"
+    );
+
+    // A new term rebuilds the dictionary: the plan's baked IDs are stale
+    // and must not be run against the new one.
+    db.update("INSERT DATA { <Jerry> <hasFriend> <Newman> }")
+        .unwrap();
+    let mut rows = prepared.execute().unwrap().render(db.dict());
+    rows.sort();
+    assert_eq!(rows, ["<Julia>", "<Larry>", "<Newman>", "<Seinfeld>"]);
+    assert_eq!(prepared.solutions().unwrap().count(), 4);
 }
 
 #[test]
