@@ -225,7 +225,7 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
                 // Peer groups fail as a unit.
                 for sn in 0..failed.len() {
                     if failed[sn] {
-                        for p in gosn.peers_of(sn) {
+                        for &p in gosn.peers_of(sn) {
                             failed[p] = true;
                         }
                     }

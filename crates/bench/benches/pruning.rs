@@ -8,7 +8,7 @@ use lbr_bitmat::{BitMatStore, Catalog};
 use lbr_core::bindings::VarTable;
 use lbr_core::init::init;
 use lbr_core::jvar_order::get_jvar_order;
-use lbr_core::multiway::{multi_way_join, JoinInputs};
+use lbr_core::multiway::{multi_way_join, schedule, JoinInputs};
 use lbr_core::prune::{prune_triples, PruneScratch};
 use lbr_core::selectivity::estimate_all;
 use lbr_datagen::lubm;
@@ -65,13 +65,12 @@ fn bench_phases(c: &mut Criterion) {
         &store.dims(),
         &mut scratch,
     );
-    for tp in &mut pruned {
-        tp.build_adjacency();
-    }
+    let order = schedule(&mut pruned, gosn);
     c.bench_function("lubm_q1_multiway_join", |b| {
         b.iter(|| {
             let inputs = JoinInputs {
                 tps: &pruned,
+                order: &order,
                 gosn,
                 vt: &vt,
                 dims: store.dims(),

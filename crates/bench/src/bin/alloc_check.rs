@@ -13,10 +13,24 @@
 //! allocation trips CI instead of silently regressing. Loads during
 //! `init` (the engine prunes owned BitMat copies destructively) dominate
 //! the remaining number — that is inherent to the §5 design, not churn.
+//!
+//! Two exact gates check the `no_alloc` regions' promise stage by stage,
+//! driving init → prune → schedule → join through `lbr_core` directly: a
+//! warm `prune_triples` allocates nothing, and the join's enumeration
+//! allocates at most once per emitted row plus [`JOIN_CONSTANT`].
 
-use lbr_bench::{allocation_count, prepare};
+use lbr_bench::{allocation_count, prepare, Prepared};
+use lbr_bitmat::Catalog;
+use lbr_core::bindings::VarTable;
+use lbr_core::init::init;
+use lbr_core::jvar_order::get_jvar_order;
+use lbr_core::multiway::{multi_way_join, schedule, JoinInputs};
+use lbr_core::prune::{prune_triples, PruneScratch};
+use lbr_core::selectivity::estimate_all;
 use lbr_core::LbrEngine;
 use lbr_datagen::lubm;
+use lbr_sparql::algebra::Query;
+use lbr_sparql::classify::analyze;
 use lbr_sparql::parse_query;
 
 #[global_allocator]
@@ -34,6 +48,12 @@ const BASE_CEILING: u64 = 1_000;
 /// means per-row churn crept back into the join.
 const PER_ROW: u64 = 4;
 
+/// Per-join allowance of the exact join gate, beside one allocation per
+/// emitted row: the join state's set-up (variable map, filter scopes,
+/// failure and row buffers) and the output vector's doublings. It does
+/// not grow with the rows.
+const JOIN_CONSTANT: u64 = 64;
+
 fn main() {
     let ds = lubm::dataset(&lubm::LubmConfig {
         universities: 1,
@@ -45,7 +65,8 @@ fn main() {
     let mut failed = false;
     println!(
         "allocation check: LUBM sample, cached-plan steady state, \
-         ceiling {BASE_CEILING} + {PER_ROW}/result-row"
+         ceiling {BASE_CEILING} + {PER_ROW}/result-row; \
+         warm prune 0, join ≤ rows + {JOIN_CONSTANT}"
     );
     for q in &p.dataset.queries {
         let query = parse_query(&q.text).expect("workload query parses");
@@ -61,18 +82,61 @@ fn main() {
             best = best.min(allocation_count() - a0);
         }
         let ceiling = BASE_CEILING + PER_ROW * rows;
-        let verdict = if best <= ceiling { "ok" } else { "FAIL" };
+        let (prune, join, join_rows) = stage_allocs(&p, &query);
+        let ok = best <= ceiling && prune == 0 && join <= join_rows + JOIN_CONSTANT;
         println!(
-            "{:<4} {:>8} allocs/query  (ceiling {ceiling:>6}, {rows} rows)  [{verdict}]",
-            q.id, best
+            "{:<4} {best:>8} allocs/query (ceiling {ceiling:>6}, {rows} rows)  \
+             prune {prune}  join {join} ({join_rows} rows)  [{}]",
+            q.id,
+            if ok { "ok" } else { "FAIL" }
         );
-        failed |= best > ceiling;
+        failed |= !ok;
     }
     if failed {
         eprintln!(
-            "FAIL: steady-state allocs-per-query exceeded the committed ceiling \
-             ({BASE_CEILING} + {PER_ROW}/row)"
+            "FAIL: allocations exceeded a committed ceiling \
+             ({BASE_CEILING} + {PER_ROW}/row per query, 0 per warm prune, \
+             rows + {JOIN_CONSTANT} per join)"
         );
         std::process::exit(1);
     }
+}
+
+/// The exact gates' measurements for one query, stage by stage as
+/// `tests/prop_minimality.rs` drives them: allocations of a warm
+/// `prune_triples`, and of the join's enumeration alone with the number
+/// of rows it emitted.
+fn stage_allocs(p: &Prepared, query: &Query) -> (u64, u64, u64) {
+    let a = analyze(&query.pattern).expect("workload query analyzes");
+    assert!(a.class.connected, "the LUBM sample queries are connected");
+    let (gosn, goj, dict) = (&a.gosn, &a.goj, &p.graph.dict);
+    let vt = VarTable::from_tps(gosn.tps()).expect("variable table");
+    let est = estimate_all(gosn.tps(), dict, &p.store);
+    let jorder = get_jvar_order(gosn, goj, &vt, &est);
+    let loaded = init(gosn, &vt, &jorder, &est, dict, &p.store).expect("init");
+    let dims = p.store.dims();
+    let mut scratch = PruneScratch::new();
+    let mut warm = loaded.tps.clone();
+    prune_triples(&mut warm, gosn, goj, &vt, &jorder, &dims, &mut scratch);
+    let mut tps = loaded.tps.clone();
+    let a0 = allocation_count();
+    prune_triples(&mut tps, gosn, goj, &vt, &jorder, &dims, &mut scratch);
+    let prune = allocation_count() - a0;
+
+    let order = schedule(&mut tps, gosn);
+    let inputs = JoinInputs {
+        tps: &tps,
+        order: &order,
+        gosn,
+        vt: &vt,
+        dims,
+        dict,
+        fan_filters: Vec::new(),
+        quota: None,
+        deadline: None,
+    };
+    let a0 = allocation_count();
+    let (rows, _) = multi_way_join(&inputs);
+    let join = allocation_count() - a0;
+    (prune, join, rows.len() as u64)
 }

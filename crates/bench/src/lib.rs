@@ -61,7 +61,8 @@ pub struct QueryRow {
     pub t_init: f64,
     /// LBR `prune_triples` time, averaged.
     pub t_prune: f64,
-    /// LBR multi-way-join (+ best-match) time, averaged.
+    /// LBR multi-way-join time (schedule included, best-match not),
+    /// averaged.
     pub t_join: f64,
     /// LBR end-to-end time, averaged.
     pub t_total: f64,

@@ -22,7 +22,7 @@ use crate::filter_eval::{self, VarLookup};
 use crate::hash_join::{hash_join, Kind, Relation};
 use crate::init::{absolute_master_empty, init, TpState};
 use crate::jvar_order::{get_jvar_order, JvarOrder};
-use crate::multiway::{multi_way_join, JoinInputs};
+use crate::multiway::{multi_way_join, schedule, JoinInputs};
 use crate::prune::{prune_triples, PruneOutcome, PruneScratch};
 use crate::selectivity::estimate_all;
 use crate::QueryStats;
@@ -511,14 +511,13 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             });
         }
 
-        // Multi-way pipelined join.
+        // Multi-way pipelined join, over the schedule fixed once here.
         let t = Instant::now();
-        for tp in &mut loaded.tps {
-            tp.build_adjacency();
-        }
+        let order = schedule(&mut loaded.tps, gosn);
         let quota = quota.filter(|_| !analyzed.class.nb_required);
         let inputs = JoinInputs {
             tps: &loaded.tps,
+            order: &order,
             gosn,
             vt,
             dims,

@@ -29,6 +29,33 @@ use lbr_rdf::{Dictionary, Dimension};
 use lbr_sparql::algebra::{TermPattern, TriplePattern};
 use lbr_sparql::gosn::{Gosn, TpId};
 
+/// The oriented shape of a two-dimensional TP matrix: its rows bind
+/// `row_var` in `row_dim`, its columns bind `col_var` in `col_dim`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Axes {
+    /// Row variable.
+    pub row_var: VarId,
+    /// Row dimension.
+    pub row_dim: Dimension,
+    /// Column variable.
+    pub col_var: VarId,
+    /// Column dimension.
+    pub col_dim: Dimension,
+}
+
+impl Axes {
+    /// The matrix dimension holding `var`, if either does.
+    fn retain_dim(&self, var: VarId) -> Option<RetainDim> {
+        if self.row_var == var {
+            Some(RetainDim::Row)
+        } else if self.col_var == var {
+            Some(RetainDim::Col)
+        } else {
+            None
+        }
+    }
+}
+
 /// Loaded, pruneable state of one triple pattern.
 #[derive(Debug, Clone)]
 pub enum TpData {
@@ -48,51 +75,38 @@ pub enum TpData {
     },
     /// Two variable positions: a 2-D BitMat.
     Two {
-        /// Row variable.
-        row_var: VarId,
-        /// Row dimension.
-        row_dim: Dimension,
-        /// Column variable.
-        col_var: VarId,
-        /// Column dimension.
-        col_dim: Dimension,
-        /// The matrix (rows = `row_var` bindings).
+        /// Which variable the rows and the columns bind.
+        axes: Axes,
+        /// The matrix.
         mat: BitMat,
     },
     /// All three positions variable: `(?s ?p ?o)` — one S-O BitMat per
     /// predicate. The paper lists this shape as "currently under
     /// development"; here it is supported as a documented extension.
     Three {
-        /// Subject variable.
-        s_var: VarId,
         /// Predicate variable.
         p_var: VarId,
-        /// Object variable.
-        o_var: VarId,
-        /// `(predicate id, S-O matrix)` per non-empty predicate.
+        /// Subject/object roles shared by every slice (subject rows as
+        /// loaded).
+        axes: Axes,
+        /// `(predicate id, matrix)` per non-empty predicate.
         mats: Vec<(u32, BitMat)>,
     },
 }
 
-/// A loaded triple pattern plus (post-pruning) transposed matrices for the
-/// join's reverse lookups.
+/// A loaded triple pattern.
 ///
 /// The multi-way join iterates candidates **directly off the compressed
-/// rows** (cursor-based, no materialized `row → cols` vectors): forward
-/// lookups read the `Two`/`Three` matrices themselves, reverse lookups
-/// read the transposed copies built by [`TpState::build_adjacency`].
+/// rows** of the `Two`/`Three` matrices, always forward (row → columns),
+/// with no transposed copy beside them: the join's schedule
+/// ([`crate::multiway::schedule`]) transposes a TP in place, once, when it
+/// reaches it through the column variable alone.
 #[derive(Debug, Clone)]
 pub struct TpState {
     /// TP index in the query.
     pub id: TpId,
     /// Loaded data.
     pub data: TpData,
-    /// Transposed copy of the `Two` matrix (`col → rows` cursor source;
-    /// built by [`TpState::build_adjacency`]).
-    pub transposed: Option<BitMat>,
-    /// Transposed copy of each predicate slice (`Three` only), parallel to
-    /// `mats`.
-    pub per_pred_t: Vec<BitMat>,
 }
 
 impl TpState {
@@ -111,39 +125,25 @@ impl TpState {
         self.count() == 0
     }
 
-    /// Variables with their position dimensions.
-    pub fn vars(&self) -> Vec<(VarId, Dimension)> {
-        match &self.data {
-            TpData::Zero { .. } => Vec::new(),
-            TpData::One { var, dim, .. } => vec![(*var, *dim)],
-            TpData::Two {
-                row_var,
-                row_dim,
-                col_var,
-                col_dim,
-                ..
-            } => {
-                vec![(*row_var, *row_dim), (*col_var, *col_dim)]
+    /// Variables with their position dimensions (an owned, non-allocating
+    /// iterator).
+    pub fn vars(&self) -> impl Iterator<Item = (VarId, Dimension)> {
+        let row = |a: &Axes| (a.row_var, a.row_dim);
+        let col = |a: &Axes| (a.col_var, a.col_dim);
+        let (vars, n) = match &self.data {
+            TpData::Zero { .. } => ([(0, Dimension::Subject); 3], 0),
+            TpData::One { var, dim, .. } => ([(*var, *dim); 3], 1),
+            TpData::Two { axes, .. } => ([row(axes), col(axes), col(axes)], 2),
+            TpData::Three { p_var, axes, .. } => {
+                ([row(axes), (*p_var, Dimension::Predicate), col(axes)], 3)
             }
-            TpData::Three {
-                s_var,
-                p_var,
-                o_var,
-                ..
-            } => vec![
-                (*s_var, Dimension::Subject),
-                (*p_var, Dimension::Predicate),
-                (*o_var, Dimension::Object),
-            ],
-        }
+        };
+        vars.into_iter().take(n)
     }
 
     /// The dimension `var` occupies in this TP (`None` if absent).
     pub fn dim_of(&self, var: VarId) -> Option<Dimension> {
-        self.vars()
-            .into_iter()
-            .find(|&(v, _)| v == var)
-            .map(|(_, d)| d)
+        self.vars().find(|&(v, _)| v == var).map(|(_, d)| d)
     }
 
     /// The paper's `fold(BMtp, dim?j)`: projects the bindings of `var` as a
@@ -172,29 +172,15 @@ impl TpState {
                 acc.or_clipped(cands);
                 true
             }
-            TpData::Two {
-                row_var,
-                col_var,
-                mat,
-                ..
-            } => {
-                let dim = if *row_var == var {
-                    RetainDim::Row
-                } else if *col_var == var {
-                    RetainDim::Col
-                } else {
+            TpData::Two { axes, mat } => {
+                let Some(dim) = axes.retain_dim(var) else {
                     return false;
                 };
                 acc.reset(space_len);
                 mat.fold_or_clipped(dim, acc);
                 true
             }
-            TpData::Three {
-                s_var,
-                p_var,
-                o_var,
-                mats,
-            } => {
+            TpData::Three { p_var, axes, mats } => {
                 if *p_var == var {
                     acc.reset(space_len);
                     for (pid, m) in mats {
@@ -203,12 +189,7 @@ impl TpState {
                         }
                     }
                     true
-                } else if *s_var == var || *o_var == var {
-                    let dim = if *s_var == var {
-                        RetainDim::Row
-                    } else {
-                        RetainDim::Col
-                    };
+                } else if let Some(dim) = axes.retain_dim(var) {
                     acc.reset(space_len);
                     for (_, m) in mats {
                         m.fold_or_clipped(dim, acc);
@@ -236,10 +217,6 @@ impl TpState {
     /// with clipped-mask semantics, so no mask copy and no row rebuild is
     /// allocated in the steady state.
     pub fn unfold_var_with(&mut self, var: VarId, mask: &BitVec, scratch: &mut SetScratch) {
-        // Any transposed copies are invalidated by pruning; they are only
-        // built (after the prune phase) by `build_adjacency`.
-        self.transposed = None;
-        self.per_pred_t.clear();
         match &mut self.data {
             TpData::Zero { .. } => {}
             TpData::One { var: v, cands, .. } => {
@@ -247,32 +224,15 @@ impl TpState {
                     cands.and_clipped(mask);
                 }
             }
-            TpData::Two {
-                row_var,
-                col_var,
-                mat,
-                ..
-            } => {
-                if *row_var == var {
-                    mat.unfold_with(mask, RetainDim::Row, scratch);
-                } else if *col_var == var {
-                    mat.unfold_with(mask, RetainDim::Col, scratch);
+            TpData::Two { axes, mat } => {
+                if let Some(dim) = axes.retain_dim(var) {
+                    mat.unfold_with(mask, dim, scratch);
                 }
             }
-            TpData::Three {
-                s_var,
-                p_var,
-                o_var,
-                mats,
-            } => {
+            TpData::Three { p_var, axes, mats } => {
                 if *p_var == var {
                     mats.retain(|(pid, _)| mask.get(*pid));
-                } else if *s_var == var || *o_var == var {
-                    let dim = if *s_var == var {
-                        RetainDim::Row
-                    } else {
-                        RetainDim::Col
-                    };
+                } else if let Some(dim) = axes.retain_dim(var) {
                     for (_, m) in mats.iter_mut() {
                         m.unfold_with(mask, dim, scratch);
                     }
@@ -282,22 +242,26 @@ impl TpState {
         }
     }
 
-    /// Builds the transposed matrices the multi-way join needs for reverse
-    /// (`col → rows`) lookups. Forward lookups cursor over the data
-    /// matrices themselves — nothing else is materialized.
-    pub fn build_adjacency(&mut self) {
-        if let TpData::Two { mat, .. } = &self.data {
-            self.transposed = Some(mat.transpose());
+    /// Swaps the row and column roles of a `Two`/`Three` TP in place —
+    /// matrices and [`Axes`] together, so every fold, unfold and read sees
+    /// the same triples. A no-op for `Zero`/`One`.
+    pub(crate) fn transpose(&mut self) {
+        fn flip<'m>(axes: &mut Axes, mats: impl Iterator<Item = &'m mut BitMat>) {
+            *axes = Axes {
+                row_var: axes.col_var,
+                row_dim: axes.col_dim,
+                col_var: axes.row_var,
+                col_dim: axes.row_dim,
+            };
+            for m in mats {
+                *m = m.transpose();
+            }
         }
-        if let TpData::Three { mats, .. } = &self.data {
-            self.per_pred_t = mats.iter().map(|(_, m)| m.transpose()).collect();
+        match &mut self.data {
+            TpData::Zero { .. } | TpData::One { .. } => {}
+            TpData::Two { axes, mat } => flip(axes, std::iter::once(mat)),
+            TpData::Three { axes, mats, .. } => flip(axes, mats.iter_mut().map(|(_, m)| m)),
         }
-    }
-
-    /// The compressed row of rows adjacent to `col` (`Two` only; requires
-    /// [`TpState::build_adjacency`]).
-    pub fn rows_col(&self, col: u32) -> Option<&lbr_bitmat::BitRow> {
-        self.transposed.as_ref().and_then(|t| t.row(col))
     }
 }
 
@@ -469,23 +433,22 @@ fn load_tp(
             let subject_rows = a_pos <= b_pos;
             let f = if subject_rows { Family::So } else { Family::Os };
             let mat = load_owned(catalog, dims, f, p_id)?;
-            if subject_rows {
-                TpData::Two {
+            let axes = if subject_rows {
+                Axes {
                     row_var: a,
                     row_dim: Dimension::Subject,
                     col_var: b,
                     col_dim: Dimension::Object,
-                    mat,
                 }
             } else {
-                TpData::Two {
+                Axes {
                     row_var: b,
                     row_dim: Dimension::Object,
                     col_var: a,
                     col_dim: Dimension::Subject,
-                    mat,
                 }
-            }
+            };
+            TpData::Two { axes, mat }
         }
         // (?x f ?x): the diagonal of the S-O BitMat (shared IDs only).
         (Some(a), None, Some(_)) => {
@@ -508,24 +471,24 @@ fn load_tp(
         // (f ?p ?o): the P-O BitMat of the subject.
         (None, Some(p), Some(o)) if p != o => {
             let mat = load_owned(catalog, dims, Family::Po, s_id)?;
-            TpData::Two {
+            let axes = Axes {
                 row_var: p,
                 row_dim: Dimension::Predicate,
                 col_var: o,
                 col_dim: Dimension::Object,
-                mat,
-            }
+            };
+            TpData::Two { axes, mat }
         }
         // (?s ?p f): the P-S BitMat of the object.
         (Some(s), Some(p), None) if p != s => {
             let mat = load_owned(catalog, dims, Family::Ps, o_id)?;
-            TpData::Two {
+            let axes = Axes {
                 row_var: p,
                 row_dim: Dimension::Predicate,
                 col_var: s,
                 col_dim: Dimension::Subject,
-                mat,
-            }
+            };
+            TpData::Two { axes, mat }
         }
         // (f1 ?p f2): predicate candidates — the P-O BitMat of f1 masked to
         // column f2.
@@ -558,10 +521,15 @@ fn load_tp(
                     }
                 }
             }
+            let axes = Axes {
+                row_var: s,
+                row_dim: Dimension::Subject,
+                col_var: o,
+                col_dim: Dimension::Object,
+            };
             TpData::Three {
-                s_var: s,
                 p_var: pv,
-                o_var: o,
+                axes,
                 mats,
             }
         }
@@ -576,12 +544,7 @@ fn load_tp(
             )));
         }
     };
-    Ok(TpState {
-        id: tp_id,
-        data,
-        transposed: None,
-        per_pred_t: Vec::new(),
-    })
+    Ok(TpState { id: tp_id, data })
 }
 
 #[cfg(test)]
@@ -674,20 +637,49 @@ mod tests {
         assert_eq!(tp1.count(), before, "self-mask is a no-op");
     }
 
+    /// `transpose` swaps matrix and roles together: the same triples, the
+    /// same per-variable folds, rows now keyed by the old column variable.
     #[test]
-    fn adjacency_lookups() {
-        let (_, _, mut out, _, _) = setup(Q2);
-        let tp1 = &mut out.tps[1];
-        tp1.build_adjacency();
-        let TpData::Two { mat, .. } = &tp1.data else {
-            panic!("expected Two")
-        };
-        let (r, c) = mat.iter().next().unwrap();
-        assert_eq!(
-            tp1.rows_col(c).unwrap().iter_ones().collect::<Vec<_>>(),
-            vec![r]
-        );
-        assert!(tp1.rows_col(9999).is_none());
+    fn transpose_swaps_roles_not_triples() {
+        // `(predicate, row, col)` of every stored bit, plus the axes.
+        fn cells(tp: &TpState) -> (Axes, Vec<(u32, u32, u32)>) {
+            match &tp.data {
+                TpData::Two { axes, mat } => (*axes, mat.iter().map(|(r, c)| (0, r, c)).collect()),
+                TpData::Three { axes, mats, .. } => (
+                    *axes,
+                    mats.iter()
+                        .flat_map(|(p, m)| m.iter().map(move |(r, c)| (*p, r, c)))
+                        .collect(),
+                ),
+                _ => panic!("expected a matrix TP"),
+            }
+        }
+        let (_, _, q2, ..) = setup(Q2);
+        let (_, _, all, ..) = setup("SELECT * WHERE { ?s ?p ?o . }");
+        for mut tp in [q2.tps[1].clone(), all.tps[0].clone()] {
+            let (axes, before) = cells(&tp);
+            let vars: Vec<_> = tp.vars().collect();
+            let folds: Vec<_> = vars.iter().map(|&(v, _)| tp.fold_var(v, 64)).collect();
+            tp.transpose();
+            let (t_axes, mut after) = cells(&tp);
+            assert_eq!(
+                (t_axes.row_var, t_axes.row_dim),
+                (axes.col_var, axes.col_dim)
+            );
+            assert_eq!(
+                (t_axes.col_var, t_axes.col_dim),
+                (axes.row_var, axes.row_dim)
+            );
+            after.iter_mut().for_each(|(_, r, c)| std::mem::swap(r, c));
+            after.sort_unstable();
+            assert_eq!(after, before, "same triples, rows and columns swapped");
+            for (&(v, d), fold) in vars.iter().zip(&folds) {
+                assert_eq!(tp.dim_of(v), Some(d));
+                assert_eq!(&tp.fold_var(v, 64), fold, "fold of var {v} changed");
+            }
+            tp.transpose();
+            assert_eq!(cells(&tp), (axes, before), "transpose is an involution");
+        }
     }
 
     #[test]

@@ -69,7 +69,8 @@ pub struct QueryStats {
     pub t_init: std::time::Duration,
     /// Time of `prune_triples`.
     pub t_prune: std::time::Duration,
-    /// Time of the multi-way join (plus best-match when used).
+    /// Time of the multi-way join, including its schedule. Best-match is
+    /// not in it: it runs afterwards, under its own `best_match` span.
     pub t_join: std::time::Duration,
     /// End-to-end time.
     pub t_total: std::time::Duration,
@@ -121,7 +122,7 @@ pub struct StatsAggregate {
     pub rows_with_nulls: u64,
     /// Σ end-to-end execution time of successful queries.
     pub t_total: std::time::Duration,
-    /// Σ multi-way-join (+ best-match) time.
+    /// Σ multi-way-join time (schedule included, best-match not).
     pub t_join: std::time::Duration,
     /// Σ root seeds the multi-way join enumerated.
     pub join_seeds: u64,

@@ -1,36 +1,40 @@
 //! The multi-way pipelined join (Algorithm 5.4), with nullification and
 //! the FaN (filter-and-nullification) hook of §5.2.
 //!
-//! TPs are visited depth-first in `stps` order (selective absolute masters
-//! first, then down the master-slave hierarchy). Each recursion level
-//! handles exactly one TP — the first unvisited one with at least one bound
-//! variable — enumerating its triples consistent with the current variable
-//! map. A slave TP with no consistent triple binds its remaining variables
-//! to NULL; an absolute-master TP with no consistent triple rolls the
-//! branch back. No pairwise intermediate results or hash tables are
-//! materialized: the only extra memory is one slot per query variable
-//! (the paper's `vmap`).
+//! TPs are visited depth-first in one static order, [`schedule`]d once per
+//! join from `stps` (selective absolute masters first, then down the
+//! master-slave hierarchy). Each recursion level handles exactly one TP,
+//! enumerating its triples consistent with the current variable map. A
+//! slave TP with no consistent triple binds its remaining variables to
+//! NULL; an absolute-master TP with no consistent triple rolls the branch
+//! back. No pairwise intermediate results or hash tables are materialized:
+//! the only extra memory is one slot per query variable (the paper's
+//! `vmap`).
 //!
 //! Because masters precede slaves in `stps` and a level only binds
 //! still-free variables, master bindings win over slave bindings for
 //! shared variables — the paper's output rule.
 //!
-//! ## Cursor-based enumeration, zero-allocation steady state
+//! ## One schedule, forward-only cursors, zero-allocation steady state
 //!
-//! The recursion enumerates candidates **directly off the compressed
-//! BitMat rows**: forward lookups iterate a TP's own matrix rows
-//! ([`lbr_bitmat::BitRow::iter_ones`] cursors), reverse lookups iterate
-//! the transposed copies built by `TpState::build_adjacency`, and
-//! membership tests binary-search the compressed representation. No
-//! candidate ID vectors or adjacency lists are materialized or cloned per
-//! recursion level; the only per-row allocation left in the steady state
-//! is the pushed result row itself (assembled in a reusable buffer first —
+//! Algorithm 5.4 takes, at each level, the first unvisited TP in `stps`
+//! order that has a bound variable. Visiting a TP leaves every one of its
+//! variables bound or NULL, so that choice depends only on *which* TPs are
+//! visited: [`schedule`] makes it once, before any enumeration, and level
+//! `d` of the recursion takes `order[d]`. The same pass fixes each matrix
+//! TP's read direction — one reached through its column variable alone is
+//! transposed in place (`TpState::transpose`) — so every candidate is
+//! read **forward, directly off the compressed BitMat rows**
+//! ([`lbr_bitmat::BitRow::iter_ones`] cursors), or tested by a membership
+//! probe. There are no transposed copies, candidate vectors or adjacency
+//! lists; the only per-row allocation left in the steady state is the
+//! pushed result row itself (assembled in a reusable buffer first —
 //! [`ExecStats::scratch_reuses`] counts those reuses).
 
 use crate::bindings::{Binding, VarId, VarTable};
 use crate::filter_eval::{self, VarLookup};
-use crate::init::{TpData, TpState};
-use lbr_bitmat::CubeDims;
+use crate::init::{Axes, TpData, TpState};
+use lbr_bitmat::{BitMat, BitRow, CubeDims};
 use lbr_rdf::{Dictionary, Dimension, Term};
 use lbr_sparql::algebra::Expr;
 use lbr_sparql::gosn::{Gosn, SnId, TpId};
@@ -55,8 +59,10 @@ enum Slot {
 
 /// Inputs of the join phase.
 pub struct JoinInputs<'a> {
-    /// Loaded and pruned TPs (adjacency built).
+    /// Loaded and pruned TPs, oriented by [`schedule`].
     pub tps: &'a [TpState],
+    /// The visit order [`schedule`] returned for `tps`.
+    pub order: &'a [TpId],
     /// The query's GoSN.
     pub gosn: &'a Gosn,
     /// Variable table.
@@ -120,71 +126,76 @@ pub fn sort_tps(tps: &[TpState], gosn: &Gosn) -> Vec<TpId> {
     order
 }
 
+/// Fixes the join's visit order and read directions, once per join.
+///
+/// The order is Algorithm 5.4's rule over `stps` ([`sort_tps`]): next
+/// comes the first unvisited TP whose master supernodes are fully visited
+/// (the strengthened form of "masters generate variable bindings before
+/// slaves") and that has a bound variable or none at all; failing that —
+/// the root, and defensively Cartesian shapes the engine normally splits
+/// beforehand — the first such master-complete TP. Visiting a TP binds
+/// (or NULLs) all its variables, so the rule depends on the visited set
+/// alone and this is the order the recursion would pick at every partial
+/// binding.
+///
+/// A `Two`/`Three` TP reached through its column variable alone is
+/// transposed in place; every other TP stays as `init` left it. The join
+/// then reads every matrix forward.
+pub fn schedule(tps: &mut [TpState], gosn: &Gosn) -> Vec<TpId> {
+    let stps = sort_tps(tps, gosn);
+    let mut order: Vec<TpId> = Vec::with_capacity(stps.len());
+    let mut bound: Vec<VarId> = Vec::new();
+    while order.len() < stps.len() {
+        let ready = |tp: &TpId| {
+            !order.contains(tp)
+                && gosn
+                    .masters_of(gosn.sn_of_tp(*tp))
+                    .iter()
+                    .all(|&m| gosn.tps_of_sn(m).iter().all(|t| order.contains(t)))
+        };
+        let reached = |tp: &TpId| {
+            let mut vars = tps[*tp].vars().peekable();
+            vars.peek().is_none() || vars.any(|(v, _)| bound.contains(&v))
+        };
+        let tp = stps
+            .iter()
+            .copied()
+            .filter(ready)
+            .find(reached)
+            .or_else(|| stps.iter().copied().find(ready))
+            .expect("a master-complete unvisited TP exists");
+        let state = &mut tps[tp];
+        if let TpData::Two { axes, .. } | TpData::Three { axes, .. } = &state.data {
+            if bound.contains(&axes.col_var) && !bound.contains(&axes.row_var) {
+                state.transpose();
+            }
+        }
+        bound.extend(state.vars().map(|(v, _)| v));
+        order.push(tp);
+    }
+    order
+}
+
 /// Runs the multi-way join, returning full-width rows (one column per
 /// variable in [`VarTable`] order).
 pub fn multi_way_join(inp: &JoinInputs<'_>) -> (Vec<Vec<Option<Binding>>>, ExecStats) {
-    let sh = Shared::new(inp);
-    let mut ctx = Ctx::new(&sh);
-    recurse(&mut ctx);
+    let mut ctx = Ctx::new(inp);
+    recurse(&mut ctx, 0);
     ctx.stats.deadline_expired = ctx.expired.get();
     (ctx.rows, ctx.stats)
 }
 
-/// The read-only part of the join state, precomputed once per join and
-/// borrowed apart from the mutable [`Ctx`] so the recursion can hold TP data
-/// while it rebinds slots.
-struct Shared<'a, 'b> {
+/// The join state: the variable map, the output and its scratch. The
+/// inputs are reached through a shared reference the recursion copies out,
+/// so it can hold TP data while it rebinds slots.
+struct Ctx<'b, 'a> {
     inp: &'b JoinInputs<'a>,
-    stps: Vec<TpId>,
-    /// Unvisited-TP count per supernode at the start of the join.
-    sn_remaining0: Vec<usize>,
     /// `sn_vars[sn][var]`: does `var` occur in a TP of `sn`? The FILTER
     /// visibility scope for supernode filters.
     sn_vars: Vec<Vec<bool>>,
-    /// Per-TP `(var, dim)` lists, precomputed once so the recursion's
-    /// eligibility checks and NULL-binding sweeps never call the
-    /// allocating `TpState::vars()`.
-    tp_vars: Vec<Vec<(VarId, Dimension)>>,
-}
-
-impl<'a, 'b> Shared<'a, 'b> {
-    fn new(inp: &'b JoinInputs<'a>) -> Shared<'a, 'b> {
-        let stps = sort_tps(inp.tps, inp.gosn);
-        let n_sn = inp.gosn.n_supernodes();
-        let mut sn_remaining0 = vec![0usize; n_sn];
-        let mut sn_vars = vec![vec![false; inp.vt.len()]; n_sn];
-        let mut tp_vars = Vec::with_capacity(inp.tps.len());
-        for (tp, state) in inp.tps.iter().enumerate() {
-            let sn = inp.gosn.sn_of_tp(tp);
-            sn_remaining0[sn] += 1;
-            let vars = state.vars();
-            for &(v, _) in &vars {
-                sn_vars[sn][v] = true;
-            }
-            tp_vars.push(vars);
-        }
-        Shared {
-            inp,
-            stps,
-            sn_remaining0,
-            sn_vars,
-            tp_vars,
-        }
-    }
-}
-
-/// The mutable join state: the variable map and the recursion bookkeeping.
-struct Ctx<'s, 'a, 'b> {
-    sh: &'s Shared<'a, 'b>,
     slots: Vec<Slot>,
     binder: Vec<TpId>,
-    visited: Vec<bool>,
-    n_visited: usize,
     nulled: Vec<bool>,
-    /// Unvisited TP count per supernode; a TP only becomes eligible once
-    /// every TP of every *master* supernode is visited, so a failing slave
-    /// can never poison a master's variable with NULL.
-    sn_remaining: Vec<usize>,
     rows: Vec<Vec<Option<Binding>>>,
     /// Reusable failed-supernode buffer of [`Ctx::emit`].
     failed: Vec<bool>,
@@ -200,16 +211,20 @@ struct Ctx<'s, 'a, 'b> {
     stats: ExecStats,
 }
 
-impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
-    fn new(sh: &'s Shared<'a, 'b>) -> Ctx<'s, 'a, 'b> {
+impl<'b, 'a> Ctx<'b, 'a> {
+    fn new(inp: &'b JoinInputs<'a>) -> Ctx<'b, 'a> {
+        let mut sn_vars = vec![vec![false; inp.vt.len()]; inp.gosn.n_supernodes()];
+        for (tp, state) in inp.tps.iter().enumerate() {
+            for (v, _) in state.vars() {
+                sn_vars[inp.gosn.sn_of_tp(tp)][v] = true;
+            }
+        }
         Ctx {
-            sh,
-            slots: vec![Slot::Free; sh.inp.vt.len()],
-            binder: vec![usize::MAX; sh.inp.vt.len()],
-            visited: vec![false; sh.inp.tps.len()],
-            n_visited: 0,
-            nulled: vec![false; sh.inp.tps.len()],
-            sn_remaining: sh.sn_remaining0.clone(),
+            inp,
+            sn_vars,
+            slots: vec![Slot::Free; inp.vt.len()],
+            binder: vec![usize::MAX; inp.vt.len()],
+            nulled: vec![false; inp.tps.len()],
             rows: Vec::new(),
             failed: Vec::new(),
             row_buf: Vec::new(),
@@ -219,45 +234,13 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
         }
     }
 
-    // lbr-lint: no_alloc — TP selection and binding bookkeeping on the hot path.
-    /// The first unvisited TP in `stps` order that (a) has a bound variable
-    /// or no variables at all, and (b) whose master supernodes are fully
-    /// visited — the strengthened form of the paper's "masters generate
-    /// variable bindings before slaves" invariant. Falls back to the first
-    /// master-complete unvisited TP (the very first call, and defensively
-    /// for Cartesian shapes the engine normally splits beforehand).
-    fn select_next(&self) -> TpId {
-        let gosn = self.sh.inp.gosn;
-        let masters_done = |tp: TpId| {
-            gosn.masters_of(gosn.sn_of_tp(tp))
-                .iter()
-                .all(|&m| self.sn_remaining[m] == 0)
-        };
-        for &tp in &self.sh.stps {
-            if self.visited[tp] || !masters_done(tp) {
-                continue;
-            }
-            let vars = &self.sh.tp_vars[tp];
-            if vars.is_empty() || vars.iter().any(|&(v, _)| self.slots[v] != Slot::Free) {
-                return tp;
-            }
-        }
-        // Nothing bound anywhere yet: the first master-complete unvisited
-        // TP (also the very first call).
-        *self
-            .sh
-            .stps
-            .iter()
-            .find(|&&tp| !self.visited[tp] && masters_done(tp))
-            .expect("a master-complete unvisited TP exists")
-    }
-
+    // lbr-lint: no_alloc — quota/deadline polls and binding bookkeeping on the hot path.
     /// True once the row quota (if any) is met — enumeration must stop
     /// starting new subtrees. Doubles as the deadline poll: a passed
     /// deadline also stops the enumeration (the caller then discards the
     /// partial rows).
     fn full(&self) -> bool {
-        if self.sh.inp.quota.is_some_and(|q| self.rows.len() >= q) {
+        if self.inp.quota.is_some_and(|q| self.rows.len() >= q) {
             return true;
         }
         self.deadline_hit()
@@ -266,7 +249,7 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
     /// Polls the execution deadline, rate-limited to one wall-clock read
     /// per `DEADLINE_POLL_MASK + 1` calls; a hit is latched.
     fn deadline_hit(&self) -> bool {
-        let Some(deadline) = self.sh.inp.deadline else {
+        let Some(deadline) = self.inp.deadline else {
             return false;
         };
         if self.expired.get() {
@@ -304,8 +287,8 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
         if self.full() {
             return; // quota met (and handles the degenerate quota of 0)
         }
-        let sh = self.sh;
-        let gosn = sh.inp.gosn;
+        let inp = self.inp;
+        let gosn = inp.gosn;
         let n_sn = gosn.n_supernodes();
         // 1. Failed supernodes: any nulled TP fails its supernode; failure
         //    spreads across peer groups (an inner-join group produces rows
@@ -322,7 +305,7 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
         // 2. FaN: supernode filters, evaluated over the supernode's own
         //    variable scope (a variable bound only outside the supernode
         //    reads as unbound, like in the reference oracle).
-        for (sn_opt, expr) in &sh.inp.fan_filters {
+        for (sn_opt, expr) in &inp.fan_filters {
             let Some(sn) = sn_opt else { continue };
             if self.failed[*sn] {
                 continue; // already NULL, nothing to test
@@ -331,7 +314,7 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
                 let lk = SnScopedLookup {
                     ctx: self,
                     sn: *sn,
-                    dict: sh.inp.dict,
+                    dict: inp.dict,
                 };
                 filter_eval::eval(expr, &lk)
             };
@@ -370,15 +353,15 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
         }
 
         // 4. Global filters over the (possibly nullified) row.
-        for (sn_opt, expr) in &sh.inp.fan_filters {
+        for (sn_opt, expr) in &inp.fan_filters {
             if sn_opt.is_some() {
                 continue;
             }
             let ok = {
                 let lk = RowLookup {
                     row: &self.row_buf,
-                    vt: sh.inp.vt,
-                    dict: sh.inp.dict,
+                    vt: inp.vt,
+                    dict: inp.dict,
                 };
                 filter_eval::eval(expr, &lk)
             };
@@ -397,7 +380,7 @@ impl<'s, 'a, 'b> Ctx<'s, 'a, 'b> {
 fn close_over_peers(failed: &mut [bool], gosn: &Gosn) {
     for sn in 0..failed.len() {
         if failed[sn] {
-            for peer in gosn.peers_of(sn) {
+            for &peer in gosn.peers_of(sn) {
                 failed[peer] = true;
             }
         }
@@ -406,17 +389,17 @@ fn close_over_peers(failed: &mut [bool], gosn: &Gosn) {
 
 /// Variable lookup for a supernode filter: only variables occurring in a
 /// TP of `sn` are visible (§5.2 FILTER scope).
-struct SnScopedLookup<'c, 's, 'a, 'b> {
-    ctx: &'c Ctx<'s, 'a, 'b>,
+struct SnScopedLookup<'c, 'b, 'a> {
+    ctx: &'c Ctx<'b, 'a>,
     sn: SnId,
     dict: &'c Dictionary,
 }
 
 // lbr-lint: end
-impl VarLookup for SnScopedLookup<'_, '_, '_, '_> {
+impl VarLookup for SnScopedLookup<'_, '_, '_> {
     fn term(&self, name: &str) -> Option<&Term> {
-        let id = self.ctx.sh.inp.vt.id(name)?;
-        if !self.ctx.sh.sn_vars[self.sn][id] {
+        let id = self.ctx.inp.vt.id(name)?;
+        if !self.ctx.sn_vars[self.sn][id] {
             return None;
         }
         match self.ctx.slots[id] {
@@ -441,40 +424,35 @@ impl VarLookup for RowLookup<'_> {
 
 // lbr-lint: no_alloc — the recursion and its TP descent: all masks,
 // cursors and row buffers come from the context's scratch.
-/// One recursion level of Algorithm 5.4.
+/// One recursion level of Algorithm 5.4: the TP at `order[depth]`.
 ///
-/// Candidate enumeration cursors directly over the compressed matrix rows
-/// (forward: the TP's own matrix; reverse: its transposed copy) — no
-/// candidate vector or adjacency list is materialized or cloned, so the
-/// steady-state loop body performs no heap allocation.
-fn recurse(ctx: &mut Ctx<'_, '_, '_>) {
-    let sh = ctx.sh;
-    if ctx.n_visited == sh.stps.len() {
+/// Candidate enumeration cursors directly over the compressed matrix rows,
+/// always forward — no candidate vector or adjacency list is materialized
+/// or cloned, so the steady-state loop body performs no heap allocation.
+fn recurse(ctx: &mut Ctx<'_, '_>, depth: usize) {
+    let inp = ctx.inp;
+    let Some(&tp) = inp.order.get(depth) else {
         ctx.emit();
         return;
-    }
+    };
     if ctx.full() {
         return; // quota met: unwind without starting new subtrees
     }
-    let tp = ctx.select_next();
-    let n_shared = sh.inp.dims.n_shared;
-    let matched = match &sh.inp.tps[tp].data {
+    let n_shared = inp.dims.n_shared;
+    let matched = match &inp.tps[tp].data {
         TpData::Zero { present } => {
             if *present {
-                descend(ctx, tp, &[]);
-                true
-            } else {
-                false
+                descend(ctx, depth, &[]);
             }
+            *present
         }
         TpData::One { var, dim, cands } => match ctx.slots[*var] {
             Slot::Val(b) => {
-                if b.probes(*dim) && cands.get(b.id) {
-                    descend(ctx, tp, &[]);
-                    true
-                } else {
-                    false
+                let hit = b.probes(*dim) && cands.get(b.id);
+                if hit {
+                    descend(ctx, depth, &[]);
                 }
+                hit
             }
             Slot::Null => false,
             Slot::Free => {
@@ -482,7 +460,7 @@ fn recurse(ctx: &mut Ctx<'_, '_, '_>) {
                 for id in cands.iter_ones() {
                     any = true;
                     ctx.bind(*var, Slot::Val(Binding::new(id, *dim, n_shared)), tp);
-                    descend(ctx, tp, &[*var]);
+                    descend(ctx, depth, &[*var]);
                     if ctx.full() {
                         break;
                     }
@@ -490,18 +468,13 @@ fn recurse(ctx: &mut Ctx<'_, '_, '_>) {
                 any
             }
         },
-        TpData::Three {
-            s_var,
-            p_var,
-            o_var,
-            mats,
-        } => {
-            let (sv, pv, ov) = (*s_var, *p_var, *o_var);
-            let state = &sh.inp.tps[tp];
+        TpData::Two { axes, mat } => read_forward(ctx, depth, tp, *axes, mat),
+        TpData::Three { p_var, axes, mats } => {
+            let pv = *p_var;
             let mut any = false;
-            // Enumerate per predicate; each predicate slice behaves like a
-            // Two-variable matrix with the predicate binding layered on.
-            for (idx, (pid, mat)) in mats.iter().enumerate() {
+            // Each predicate slice is a `Two` matrix with the predicate
+            // binding layered on.
+            for (pid, mat) in mats {
                 if ctx.full() {
                     break;
                 }
@@ -515,168 +488,22 @@ fn recurse(ctx: &mut Ctx<'_, '_, '_>) {
                     }
                     Slot::Null => continue,
                     Slot::Free => {
-                        ctx.bind(
-                            pv,
-                            Slot::Val(Binding::new(*pid, Dimension::Predicate, n_shared)),
-                            tp,
-                        );
+                        let b = Binding::new(*pid, Dimension::Predicate, n_shared);
+                        ctx.bind(pv, Slot::Val(b), tp);
                         true
                     }
                 };
-                match (ctx.slots[sv], ctx.slots[ov]) {
-                    (Slot::Null, _) | (_, Slot::Null) => {}
-                    (Slot::Val(r), Slot::Val(c)) => {
-                        if r.probes(Dimension::Subject)
-                            && c.probes(Dimension::Object)
-                            && mat.get(r.id, c.id)
-                        {
-                            any = true;
-                            descend(ctx, tp, &[]);
-                        }
-                    }
-                    (Slot::Val(r), Slot::Free) => {
-                        if r.probes(Dimension::Subject) {
-                            if let Some(row) = mat.row(r.id) {
-                                for c in row.iter_ones() {
-                                    any = true;
-                                    ctx.bind(
-                                        ov,
-                                        Slot::Val(Binding::new(c, Dimension::Object, n_shared)),
-                                        tp,
-                                    );
-                                    descend(ctx, tp, &[ov]);
-                                    if ctx.full() {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (Slot::Free, Slot::Val(c)) => {
-                        if c.probes(Dimension::Object) {
-                            if let Some(col) = state.per_pred_t[idx].row(c.id) {
-                                for r in col.iter_ones() {
-                                    any = true;
-                                    ctx.bind(
-                                        sv,
-                                        Slot::Val(Binding::new(r, Dimension::Subject, n_shared)),
-                                        tp,
-                                    );
-                                    descend(ctx, tp, &[sv]);
-                                    if ctx.full() {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (Slot::Free, Slot::Free) => {
-                        for (r, cols) in mat.rows() {
-                            if ctx.full() {
-                                break;
-                            }
-                            ctx.bind(
-                                sv,
-                                Slot::Val(Binding::new(*r, Dimension::Subject, n_shared)),
-                                tp,
-                            );
-                            for c in cols.iter_ones() {
-                                any = true;
-                                ctx.bind(
-                                    ov,
-                                    Slot::Val(Binding::new(c, Dimension::Object, n_shared)),
-                                    tp,
-                                );
-                                descend(ctx, tp, &[ov]);
-                                if ctx.full() {
-                                    break;
-                                }
-                            }
-                            ctx.unbind(sv);
-                        }
-                    }
-                }
+                any |= read_forward(ctx, depth, tp, *axes, mat);
                 if p_bound_here {
                     ctx.unbind(pv);
                 }
             }
             any
         }
-        TpData::Two {
-            row_var,
-            row_dim,
-            col_var,
-            col_dim,
-            mat,
-        } => {
-            let state = &sh.inp.tps[tp];
-            let (rv, cv, rd, cd) = (*row_var, *col_var, *row_dim, *col_dim);
-            match (ctx.slots[rv], ctx.slots[cv]) {
-                (Slot::Null, _) | (_, Slot::Null) => false,
-                (Slot::Val(r), Slot::Val(c)) => {
-                    let hit = r.probes(rd) && c.probes(cd) && mat.get(r.id, c.id);
-                    if hit {
-                        descend(ctx, tp, &[]);
-                    }
-                    hit
-                }
-                (Slot::Val(r), Slot::Free) => {
-                    match r.probes(rd).then(|| mat.row(r.id)).flatten() {
-                        None => false,
-                        Some(row) => {
-                            for c in row.iter_ones() {
-                                ctx.bind(cv, Slot::Val(Binding::new(c, cd, n_shared)), tp);
-                                descend(ctx, tp, &[cv]);
-                                if ctx.full() {
-                                    break;
-                                }
-                            }
-                            true // a stored row is never empty
-                        }
-                    }
-                }
-                (Slot::Free, Slot::Val(c)) => {
-                    match c.probes(cd).then(|| state.rows_col(c.id)).flatten() {
-                        None => false,
-                        Some(col) => {
-                            for r in col.iter_ones() {
-                                ctx.bind(rv, Slot::Val(Binding::new(r, rd, n_shared)), tp);
-                                descend(ctx, tp, &[rv]);
-                                if ctx.full() {
-                                    break;
-                                }
-                            }
-                            true
-                        }
-                    }
-                }
-                (Slot::Free, Slot::Free) => {
-                    // Only the pipeline's first TP (or a defensive
-                    // Cartesian fallback) enumerates both dimensions.
-                    let mut any = false;
-                    for (r, cols) in mat.rows() {
-                        if ctx.full() {
-                            break;
-                        }
-                        ctx.bind(rv, Slot::Val(Binding::new(*r, rd, n_shared)), tp);
-                        for c in cols.iter_ones() {
-                            any = true;
-                            ctx.bind(cv, Slot::Val(Binding::new(c, cd, n_shared)), tp);
-                            descend(ctx, tp, &[cv]);
-                            if ctx.full() {
-                                break;
-                            }
-                        }
-                        ctx.unbind(rv);
-                    }
-                    any
-                }
-            }
-        }
     };
 
     if !matched {
-        if sh.inp.gosn.tp_in_absolute_master(tp) {
+        if inp.gosn.tp_in_absolute_master(tp) {
             // ln 27–28: an absolute master cannot have NULL bindings —
             // roll back this branch.
             return;
@@ -685,7 +512,7 @@ fn recurse(ctx: &mut Ctx<'_, '_, '_>) {
         // (at most three — a stack array, not a collect).
         let mut free = [0 as VarId; 3];
         let mut n_free = 0usize;
-        for &(v, _) in &sh.tp_vars[tp] {
+        for (v, _) in inp.tps[tp].vars() {
             if ctx.slots[v] == Slot::Free {
                 free[n_free] = v;
                 n_free += 1;
@@ -695,27 +522,74 @@ fn recurse(ctx: &mut Ctx<'_, '_, '_>) {
             ctx.bind(v, Slot::Null, tp);
         }
         ctx.nulled[tp] = true;
-        descend(ctx, tp, &free[..n_free]);
+        descend(ctx, depth, &free[..n_free]);
         ctx.nulled[tp] = false;
     }
 }
 
-/// Marks `tp` visited, recurses, then restores `tp` and the vars this
-/// frame bound.
-fn descend(ctx: &mut Ctx<'_, '_, '_>, tp: TpId, bound_here: &[VarId]) {
-    if ctx.n_visited == 0 {
+/// The one read of an oriented matrix — a `Two` TP or one predicate slice
+/// of a `Three` — and it is always forward: a membership probe when both
+/// variables are bound, the bound row's columns, or (the schedule's root)
+/// every row. Returns whether a triple matched.
+fn read_forward(ctx: &mut Ctx<'_, '_>, depth: usize, tp: TpId, axes: Axes, mat: &BitMat) -> bool {
+    let n_shared = ctx.inp.dims.n_shared;
+    match (ctx.slots[axes.row_var], ctx.slots[axes.col_var]) {
+        (Slot::Null, _) | (_, Slot::Null) => false,
+        (Slot::Val(r), Slot::Val(c)) => {
+            let hit = r.probes(axes.row_dim) && c.probes(axes.col_dim) && mat.get(r.id, c.id);
+            if hit {
+                descend(ctx, depth, &[]);
+            }
+            hit
+        }
+        (Slot::Val(r), Slot::Free) => match r.probes(axes.row_dim).then(|| mat.row(r.id)) {
+            Some(Some(row)) => {
+                read_row(ctx, depth, tp, axes, row);
+                true // a stored row is never empty
+            }
+            _ => false,
+        },
+        (Slot::Free, Slot::Free) => {
+            let mut any = false;
+            for (r, row) in mat.rows() {
+                if ctx.full() {
+                    break;
+                }
+                any = true;
+                let b = Binding::new(*r, axes.row_dim, n_shared);
+                ctx.bind(axes.row_var, Slot::Val(b), tp);
+                read_row(ctx, depth, tp, axes, row);
+                ctx.unbind(axes.row_var);
+            }
+            any
+        }
+        (Slot::Free, Slot::Val(_)) => {
+            unreachable!("schedule() transposes a TP reached through its column")
+        }
+    }
+}
+
+/// Binds the column variable to each ID of `row` in turn and descends.
+fn read_row(ctx: &mut Ctx<'_, '_>, depth: usize, tp: TpId, axes: Axes, row: &BitRow) {
+    let n_shared = ctx.inp.dims.n_shared;
+    for c in row.iter_ones() {
+        let b = Binding::new(c, axes.col_dim, n_shared);
+        ctx.bind(axes.col_var, Slot::Val(b), tp);
+        descend(ctx, depth, &[axes.col_var]);
+        if ctx.full() {
+            break;
+        }
+    }
+}
+
+/// Recurses one level deeper, then unbinds the vars this frame bound.
+fn descend(ctx: &mut Ctx<'_, '_>, depth: usize, bound_here: &[VarId]) {
+    if depth == 0 {
         // This frame is the root TP: each descend from here starts one
         // independent subtree — a *seed* of the enumeration.
         ctx.stats.seeds_enumerated += 1;
     }
-    let sn = ctx.sh.inp.gosn.sn_of_tp(tp);
-    ctx.visited[tp] = true;
-    ctx.n_visited += 1;
-    ctx.sn_remaining[sn] -= 1;
-    recurse(ctx);
-    ctx.sn_remaining[sn] += 1;
-    ctx.n_visited -= 1;
-    ctx.visited[tp] = false;
+    recurse(ctx, depth + 1);
     for &v in bound_here {
         ctx.unbind(v);
     }
@@ -731,11 +605,11 @@ mod tests {
     use crate::prune::{prune_triples, PruneScratch};
     use crate::selectivity::estimate_all;
     use lbr_bitmat::{BitMatStore, Catalog as _};
-    use lbr_rdf::{Graph, Triple};
-    use lbr_sparql::classify::analyze;
+    use lbr_rdf::{EncodedGraph, Graph, Triple};
+    use lbr_sparql::classify::{analyze, Analyzed};
     use lbr_sparql::parse_query;
 
-    fn graph() -> lbr_rdf::EncodedGraph {
+    fn graph() -> EncodedGraph {
         let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
         Graph::from_triples(vec![
             t("Julia", "actedIn", "Seinfeld"),
@@ -753,13 +627,32 @@ mod tests {
         .encode()
     }
 
-    /// Plans `query` over `g`, runs init → prune → adjacency and then the
-    /// join under `quota`.
-    fn join(
-        g: &lbr_rdf::EncodedGraph,
-        query: &str,
-        quota: Option<usize>,
-    ) -> (Vec<String>, Vec<Vec<Option<Binding>>>, ExecStats) {
+    const Q2: &str = "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?friend .
+        OPTIONAL { ?friend :actedIn ?sitcom . ?sitcom :location :NewYorkCity . } }";
+
+    /// `s{i} <p> o{i}` and `o{i} <q> <c>` for `i < n`.
+    fn chain_graph(n: usize) -> EncodedGraph {
+        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
+        Graph::from_triples(
+            (0..n)
+                .flat_map(|i| {
+                    [
+                        t(&format!("s{i}"), "p", &format!("o{i}")),
+                        t(&format!("o{i}"), "q", "c"),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        )
+        .encode()
+    }
+
+    /// Two TPs; the second, `(?o ?r <c>)`, loads as P-S with `?r` rows and
+    /// is reached through `?o`, its column variable.
+    const CHAIN: &str = "SELECT * WHERE { ?s <p> ?o . OPTIONAL { ?o ?r <c> . } }";
+
+    /// Plans `query` over `g` and runs init → prune: the join's input
+    /// before [`schedule`].
+    fn pruned(g: &EncodedGraph, query: &str) -> (Analyzed, VarTable, Vec<TpState>, CubeDims) {
         let store = BitMatStore::build(g);
         let q = parse_query(query).unwrap();
         let a = analyze(&q.pattern).unwrap();
@@ -776,14 +669,23 @@ mod tests {
             &store.dims(),
             &mut PruneScratch::new(),
         );
-        for tp in &mut out.tps {
-            tp.build_adjacency();
-        }
+        (a, vt, out.tps, store.dims())
+    }
+
+    /// Runs init → prune → schedule → join for `query` under `quota`.
+    fn join(
+        g: &EncodedGraph,
+        query: &str,
+        quota: Option<usize>,
+    ) -> (Vec<String>, Vec<Vec<Option<Binding>>>, ExecStats) {
+        let (a, vt, mut tps, dims) = pruned(g, query);
+        let order = schedule(&mut tps, &a.gosn);
         let inputs = JoinInputs {
-            tps: &out.tps,
+            tps: &tps,
+            order: &order,
             gosn: &a.gosn,
             vt: &vt,
-            dims: store.dims(),
+            dims,
             dict: &g.dict,
             fan_filters: Vec::new(),
             quota,
@@ -807,13 +709,18 @@ mod tests {
         (vars, decoded, stats)
     }
 
+    fn axes(tp: &TpState) -> Axes {
+        match &tp.data {
+            TpData::Two { axes, .. } | TpData::Three { axes, .. } => *axes,
+            _ => panic!("tp{} is not a matrix TP", tp.id),
+        }
+    }
+
     /// The paper's running example: exactly {(Larry, NULL), (Julia,
     /// Seinfeld)}, with no nullification (Lemma 3.3).
     #[test]
     fn q2_final_results() {
-        let (vars, mut rows, stats) =
-            run("PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?friend .
-               OPTIONAL { ?friend :actedIn ?sitcom . ?sitcom :location :NewYorkCity . } }");
+        let (vars, mut rows, stats) = run(Q2);
         assert_eq!(vars, vec!["friend", "sitcom"]);
         rows.sort();
         assert_eq!(
@@ -824,6 +731,83 @@ mod tests {
             ]
         );
         assert_eq!(stats.nullification_fired, 0);
+    }
+
+    /// The schedule is Algorithm 5.4's per-binding rule, fixed once: the
+    /// orders below are what that rule picks, worked out by hand from the
+    /// pruned counts (`stps` sorts by master depth, then count).
+    #[test]
+    fn schedule_is_the_per_binding_rule() {
+        let cases = [
+            // Q2: tp0 is the only absolute master; tp1 is reached
+            // through ?friend and binds ?sitcom for tp2.
+            (Q2, vec![0, 1, 2]),
+            // Nested OPTIONAL: counts put the inner supernode's tp3 (2
+            // triples) before tp2 (5); both are reached through ?friend.
+            (
+                "PREFIX : <> SELECT * WHERE { ?sitcom :location ?loc .
+                 OPTIONAL { ?friend :actedIn ?sitcom .
+                   OPTIONAL { ?friend :actedIn ?other . :Jerry :hasFriend ?friend . } } }",
+                vec![0, 1, 3, 2],
+            ),
+            // Cyclic GoJ with a two-jvar slave (best-match required):
+            // stps is [1, 0, 3, 2] — location before actedIn in each
+            // supernode — and each TP shares a bound var with its
+            // predecessors.
+            (
+                "PREFIX : <> SELECT * WHERE { ?f :actedIn ?s . ?s :location ?w .
+                 OPTIONAL { ?f :actedIn ?s2 . ?s2 :location ?w . } }",
+                vec![1, 0, 3, 2],
+            ),
+            // One supernode, stps [2, 1, 0]: after tp2 binds ?f, tp1
+            // (?s, ?w) has nothing bound yet and is passed over for tp0.
+            (
+                "PREFIX : <> SELECT * WHERE { ?f :actedIn ?s . ?s :location ?w .
+                 :Jerry :hasFriend ?f . }",
+                vec![2, 0, 1],
+            ),
+        ];
+        let g = graph();
+        for (query, want) in &cases {
+            let (a, _, mut tps, _) = pruned(&g, query);
+            let order = schedule(&mut tps, &a.gosn);
+            assert_eq!(&order, want, "{query}");
+            // Forward reads only: a matrix TP reached with one of its
+            // variables bound has that variable as its rows.
+            let mut bound: Vec<VarId> = Vec::new();
+            for &tp in &order {
+                if let TpData::Two { axes, .. } | TpData::Three { axes, .. } = &tps[tp].data {
+                    assert!(
+                        bound.contains(&axes.row_var) || !bound.contains(&axes.col_var),
+                        "tp{tp} of {query} would need a reverse read"
+                    );
+                }
+                bound.extend(tps[tp].vars().map(|(v, _)| v));
+            }
+        }
+        let q = parse_query(cases[2].0).unwrap();
+        assert!(analyze(&q.pattern).unwrap().class.nb_required);
+    }
+
+    /// Transposition happens only on demand: Q2's tp1 is reached through
+    /// its row variable and keeps its loaded orientation; CHAIN's second
+    /// TP is reached through its column variable and is transposed.
+    #[test]
+    fn only_a_tp_reached_through_its_column_is_transposed() {
+        let (a, vt, mut tps, _) = pruned(&graph(), Q2);
+        let loaded = axes(&tps[1]);
+        assert_eq!(loaded.row_var, vt.id("friend").unwrap());
+        schedule(&mut tps, &a.gosn);
+        assert_eq!(axes(&tps[1]), loaded, "reached through its rows");
+
+        let (a, vt, mut tps, _) = pruned(&chain_graph(3), CHAIN);
+        let (o, r) = (vt.id("o").unwrap(), vt.id("r").unwrap());
+        let loaded = axes(&tps[1]);
+        assert_eq!((loaded.row_var, loaded.col_var), (r, o));
+        assert_eq!(schedule(&mut tps, &a.gosn), vec![0, 1]);
+        let read = axes(&tps[1]);
+        assert_eq!((read.row_var, read.row_dim), (o, Dimension::Subject));
+        assert_eq!((read.col_var, read.col_dim), (r, Dimension::Predicate));
     }
 
     #[test]
@@ -868,30 +852,17 @@ mod tests {
         assert_eq!(rows.len(), 2, "membership true: acts as a no-op gate");
     }
 
-    /// Joins `?s <p> ?o` over a 100-triple graph (one row per seed) under
-    /// the given quota.
-    fn run_quota(quota: Option<usize>) -> (Vec<Vec<Option<Binding>>>, ExecStats) {
-        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
-        let g = Graph::from_triples(
-            (0..100)
-                .map(|i| t(&format!("s{i}"), "p", &format!("o{i}")))
-                .collect::<Vec<_>>(),
-        )
-        .encode();
-        let (_, rows, stats) = join(&g, "SELECT * WHERE { ?s <p> ?o . }", quota);
-        (rows, stats)
-    }
-
-    /// The LIMIT/ASK pushdown contract: the join stops *exactly* at the
-    /// quota — rows and enumerated seeds both equal it.
-    #[test]
-    fn quota_stops_enumeration_exactly() {
-        let (all_rows, full) = run_quota(None);
-        assert_eq!(all_rows.len(), 100);
-        assert_eq!(full.seeds_enumerated, 100);
-        for quota in [0, 1, 10, 99, 100, 1000] {
-            let (rows, stats) = run_quota(Some(quota));
-            let expect = quota.min(100);
+    /// The LIMIT/ASK pushdown contract on `query` over `g`, which yields
+    /// one row per seed: the join stops *exactly* at the quota — rows and
+    /// enumerated seeds both equal it — and the rows are a prefix of the
+    /// unbounded order.
+    fn assert_quota_exact(g: &EncodedGraph, query: &str, n: usize) {
+        let (_, all_rows, full) = join(g, query, None);
+        assert_eq!(all_rows.len(), n);
+        assert_eq!(full.seeds_enumerated, n as u64);
+        for quota in [0, 1, 10, n - 1, n, 10 * n] {
+            let (_, rows, stats) = join(g, query, Some(quota));
+            let expect = quota.min(n);
             assert_eq!(rows.len(), expect, "quota={quota}");
             assert_eq!(
                 stats.seeds_enumerated, expect as u64,
@@ -899,5 +870,24 @@ mod tests {
             );
             assert_eq!(rows, all_rows[..expect], "prefix of the unbounded order");
         }
+    }
+
+    #[test]
+    fn quota_stops_enumeration_exactly() {
+        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
+        let g = Graph::from_triples(
+            (0..100)
+                .map(|i| t(&format!("s{i}"), "p", &format!("o{i}")))
+                .collect::<Vec<_>>(),
+        )
+        .encode();
+        assert_quota_exact(&g, "SELECT * WHERE { ?s <p> ?o . }", 100);
+    }
+
+    /// The same contract when the second TP is read through its
+    /// transposed matrix.
+    #[test]
+    fn quota_stops_exactly_through_a_transposed_tp() {
+        assert_quota_exact(&chain_graph(100), CHAIN, 100);
     }
 }

@@ -67,6 +67,9 @@ pub struct Gosn {
     bi: Vec<(SnId, SnId)>,
     masters: Vec<BTreeSet<SnId>>,
     peer_group: Vec<usize>,
+    /// Members of each peer group, ascending, indexed by the group's
+    /// `peer_group` root (empty for non-roots).
+    peer_members: Vec<Vec<SnId>>,
     tree: SnTree,
     /// Filters that live entirely inside one supernode.
     sn_filters: Vec<Vec<Expr>>,
@@ -92,6 +95,7 @@ impl Gosn {
             bi: Vec::new(),
             masters: Vec::new(),
             peer_group: Vec::new(),
+            peer_members: Vec::new(),
             tree,
             sn_filters: b.sn_filters,
             global_filters: b.global_filters,
@@ -120,6 +124,10 @@ impl Gosn {
             }
         }
         self.peer_group = (0..n).map(|x| find(&mut pg, x)).collect();
+        self.peer_members = vec![Vec::new(); n];
+        for (sn, &g) in self.peer_group.iter().enumerate() {
+            self.peer_members[g].push(sn);
+        }
 
         // Masters: reachability with ≥1 unidirectional edge.
         // BFS over states (node, crossed_uni_edge_yet).
@@ -194,11 +202,8 @@ impl Gosn {
     }
 
     /// Supernodes in the same peer group (including `sn` itself).
-    pub fn peers_of(&self, sn: SnId) -> Vec<SnId> {
-        let g = self.peer_group[sn];
-        (0..self.n_supernodes())
-            .filter(|&x| self.peer_group[x] == g)
-            .collect()
+    pub fn peers_of(&self, sn: SnId) -> &[SnId] {
+        &self.peer_members[self.peer_group[sn]]
     }
 
     /// True when two supernodes are peers (connected via only bi edges).

@@ -133,7 +133,7 @@ proptest! {
             if gosn.is_absolute_master(sn) {
                 prop_assert!(gosn.masters_of(sn).is_empty());
             }
-            for peer in gosn.peers_of(sn) {
+            for &peer in gosn.peers_of(sn) {
                 prop_assert_eq!(gosn.masters_of(sn), gosn.masters_of(peer),
                     "peers must share master sets");
             }

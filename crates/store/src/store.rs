@@ -477,11 +477,7 @@ impl Store {
         let epoch = next.epoch();
         self.publish(Arc::clone(&next));
         self.compactions.fetch_add(1, Ordering::Relaxed);
-        lbr_obs::span_since(
-            "compact",
-            t_compact,
-            &[("triples", next.triples().len() as u64)],
-        );
+        lbr_obs::span_since("compact", t_compact, &[("triples", next.n_triples())]);
         let checkpointed = self.checkpoint_with(&mut writer, &next);
         Ok(CommitInfo {
             epoch,
@@ -529,11 +525,7 @@ impl Store {
         // fresh checkpoint is idempotent (absolute term-level ops).
         let _ = wal.reset();
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        lbr_obs::span_since(
-            "checkpoint",
-            t_checkpoint,
-            &[("triples", snap.triples().len() as u64)],
-        );
+        lbr_obs::span_since("checkpoint", t_checkpoint, &[("triples", snap.n_triples())]);
         true
     }
 

@@ -5,9 +5,9 @@
 //! reducer*. Checked on random graphs × random well-designed queries.
 
 use lbr::core::bindings::{Binding, VarTable};
-use lbr::core::init::{init, TpData};
+use lbr::core::init::{init, Axes, TpData};
 use lbr::core::jvar_order::get_jvar_order;
-use lbr::core::multiway::{multi_way_join, JoinInputs};
+use lbr::core::multiway::{multi_way_join, schedule, JoinInputs};
 use lbr::core::prune::{prune_triples, PruneOutcome, PruneScratch};
 use lbr::core::selectivity::estimate_all;
 use lbr::sparql::algebra::{GraphPattern, TermPattern, TriplePattern};
@@ -85,11 +85,10 @@ proptest! {
         if outcome == PruneOutcome::EmptyAbsoluteMaster {
             return Ok(()); // nothing left to be minimal about
         }
-        for tp in &mut loaded.tps {
-            tp.build_adjacency();
-        }
+        let order = schedule(&mut loaded.tps, gosn);
         let inputs = JoinInputs {
             tps: &loaded.tps,
+            order: &order,
             gosn,
             vt: &vt,
             dims: db.store().dims(),
@@ -118,7 +117,7 @@ proptest! {
                         );
                     }
                 }
-                TpData::Two { row_var, row_dim, col_var, col_dim, mat } => {
+                TpData::Two { axes: Axes { row_var, row_dim, col_var, col_dim }, mat } => {
                     for (r, c) in mat.iter() {
                         let wr = Binding::new(r, *row_dim, n_shared);
                         let wc = Binding::new(c, *col_dim, n_shared);
