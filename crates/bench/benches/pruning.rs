@@ -34,15 +34,18 @@ fn bench_phases(c: &mut Criterion) {
     c.bench_function("lubm_q1_init_active_pruning", |b| {
         b.iter(|| {
             let out = init(gosn, &vt, &jorder, &est, &graph.dict, &store).unwrap();
-            std::hint::black_box(out.tps.len())
+            std::hint::black_box(out.tps_loaded)
         })
     });
 
-    let loaded = init(gosn, &vt, &jorder, &est, &graph.dict, &store).unwrap();
+    let loaded = init(gosn, &vt, &jorder, &est, &graph.dict, &store)
+        .unwrap()
+        .tps
+        .expect("Q1 has answers");
     let mut scratch = PruneScratch::new();
     c.bench_function("lubm_q1_prune_triples", |b| {
         b.iter(|| {
-            let mut tps = loaded.tps.clone();
+            let mut tps = loaded.clone();
             std::hint::black_box(prune_triples(
                 &mut tps,
                 gosn,
@@ -55,7 +58,7 @@ fn bench_phases(c: &mut Criterion) {
         })
     });
 
-    let mut pruned = loaded.tps.clone();
+    let mut pruned = loaded.clone();
     prune_triples(
         &mut pruned,
         gosn,

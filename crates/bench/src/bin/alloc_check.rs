@@ -10,19 +10,19 @@
 //! The ceiling is deliberately a hard-committed constant: it encodes the
 //! post-kernel-layer steady state (prune scratch pools + cursor-based
 //! join), so any change that reintroduces per-semi-join or per-recursion
-//! allocation trips CI instead of silently regressing. Loads during
-//! `init` (the engine prunes owned BitMat copies destructively) dominate
-//! the remaining number — that is inherent to the §5 design, not churn.
+//! allocation trips CI instead of silently regressing.
 //!
-//! Two exact gates check the `no_alloc` regions' promise stage by stage,
-//! driving init → prune → schedule → join through `lbr_core` directly: a
-//! warm `prune_triples` allocates nothing, and the join's enumeration
+//! Three exact gates check the stages one by one, driving init → prune →
+//! schedule → join through `lbr_core` directly: `init` allocates at most
+//! once per matrix row its masked loads keep plus [`INIT_PER_TP`] per
+//! loaded TP (a row the masks drop is never copied), a warm
+//! `prune_triples` allocates nothing, and the join's enumeration
 //! allocates at most once per emitted row plus [`JOIN_CONSTANT`].
 
 use lbr_bench::{allocation_count, prepare, Prepared};
 use lbr_bitmat::Catalog;
 use lbr_core::bindings::VarTable;
-use lbr_core::init::init;
+use lbr_core::init::{init, TpData, TpState};
 use lbr_core::jvar_order::get_jvar_order;
 use lbr_core::multiway::{multi_way_join, schedule, JoinInputs};
 use lbr_core::prune::{prune_triples, PruneScratch};
@@ -48,6 +48,12 @@ const BASE_CEILING: u64 = 1_000;
 /// means per-row churn crept back into the join.
 const PER_ROW: u64 = 4;
 
+/// Per-TP allowance of the exact init gate, beside one allocation per
+/// kept matrix row: the TP's candidate vector or row list, the first
+/// growth of the mask buffers and kernel scratch, and a share of `init`'s
+/// order and result vectors. It does not grow with the data.
+const INIT_PER_TP: u64 = 8;
+
 /// Per-join allowance of the exact join gate, beside one allocation per
 /// emitted row: the join state's set-up (variable map, filter scopes,
 /// failure and row buffers) and the output vector's doublings. It does
@@ -66,7 +72,7 @@ fn main() {
     println!(
         "allocation check: LUBM sample, cached-plan steady state, \
          ceiling {BASE_CEILING} + {PER_ROW}/result-row; \
-         warm prune 0, join ≤ rows + {JOIN_CONSTANT}"
+         init ≤ kept rows + {INIT_PER_TP}/TP, warm prune 0, join ≤ rows + {JOIN_CONSTANT}"
     );
     for q in &p.dataset.queries {
         let query = parse_query(&q.text).expect("workload query parses");
@@ -82,12 +88,22 @@ fn main() {
             best = best.min(allocation_count() - a0);
         }
         let ceiling = BASE_CEILING + PER_ROW * rows;
-        let (prune, join, join_rows) = stage_allocs(&p, &query);
-        let ok = best <= ceiling && prune == 0 && join <= join_rows + JOIN_CONSTANT;
+        let s = stage_allocs(&p, &query);
+        let init_ceiling = s.kept_rows + INIT_PER_TP * s.tps;
+        let ok = best <= ceiling
+            && s.init <= init_ceiling
+            && s.prune == 0
+            && s.join <= s.join_rows + JOIN_CONSTANT;
         println!(
             "{:<4} {best:>8} allocs/query (ceiling {ceiling:>6}, {rows} rows)  \
-             prune {prune}  join {join} ({join_rows} rows)  [{}]",
+             init {} ({} kept rows, {} TPs)  prune {}  join {} ({} rows)  [{}]",
             q.id,
+            s.init,
+            s.kept_rows,
+            s.tps,
+            s.prune,
+            s.join,
+            s.join_rows,
             if ok { "ok" } else { "FAIL" }
         );
         failed |= !ok;
@@ -95,33 +111,63 @@ fn main() {
     if failed {
         eprintln!(
             "FAIL: allocations exceeded a committed ceiling \
-             ({BASE_CEILING} + {PER_ROW}/row per query, 0 per warm prune, \
-             rows + {JOIN_CONSTANT} per join)"
+             ({BASE_CEILING} + {PER_ROW}/row per query, kept rows + \
+             {INIT_PER_TP}/TP per init, 0 per warm prune, rows + \
+             {JOIN_CONSTANT} per join)"
         );
         std::process::exit(1);
     }
 }
 
-/// The exact gates' measurements for one query, stage by stage as
-/// `tests/prop_minimality.rs` drives them: allocations of a warm
-/// `prune_triples`, and of the join's enumeration alone with the number
-/// of rows it emitted.
-fn stage_allocs(p: &Prepared, query: &Query) -> (u64, u64, u64) {
+/// The exact gates' measurements for one query.
+struct StageAllocs {
+    /// Allocations of one `init`.
+    init: u64,
+    /// Matrix rows the masked loads kept (bounded by the kept triples
+    /// when the load aborted and dropped them).
+    kept_rows: u64,
+    /// TPs `init` loaded.
+    tps: u64,
+    /// Allocations of a warm `prune_triples`.
+    prune: u64,
+    /// Allocations of the join's enumeration alone.
+    join: u64,
+    /// Rows the join emitted.
+    join_rows: u64,
+}
+
+/// Measures the stages one by one, as `tests/prop_minimality.rs` drives
+/// them.
+fn stage_allocs(p: &Prepared, query: &Query) -> StageAllocs {
     let a = analyze(&query.pattern).expect("workload query analyzes");
     assert!(a.class.connected, "the LUBM sample queries are connected");
     let (gosn, goj, dict) = (&a.gosn, &a.goj, &p.graph.dict);
     let vt = VarTable::from_tps(gosn.tps()).expect("variable table");
     let est = estimate_all(gosn.tps(), dict, &p.store);
     let jorder = get_jvar_order(gosn, goj, &vt, &est);
+    let a0 = allocation_count();
     let loaded = init(gosn, &vt, &jorder, &est, dict, &p.store).expect("init");
+    let init_allocs = allocation_count() - a0;
+    let mut s = StageAllocs {
+        init: init_allocs,
+        kept_rows: loaded.triples_loaded,
+        tps: loaded.tps_loaded,
+        prune: 0,
+        join: 0,
+        join_rows: 0,
+    };
+    let Some(loaded) = loaded.tps else {
+        return s;
+    };
+    s.kept_rows = loaded.iter().map(matrix_rows).sum();
     let dims = p.store.dims();
     let mut scratch = PruneScratch::new();
-    let mut warm = loaded.tps.clone();
+    let mut warm = loaded.clone();
     prune_triples(&mut warm, gosn, goj, &vt, &jorder, &dims, &mut scratch);
-    let mut tps = loaded.tps.clone();
+    let mut tps = loaded;
     let a0 = allocation_count();
     prune_triples(&mut tps, gosn, goj, &vt, &jorder, &dims, &mut scratch);
-    let prune = allocation_count() - a0;
+    s.prune = allocation_count() - a0;
 
     let order = schedule(&mut tps, gosn);
     let inputs = JoinInputs {
@@ -137,6 +183,16 @@ fn stage_allocs(p: &Prepared, query: &Query) -> (u64, u64, u64) {
     };
     let a0 = allocation_count();
     let (rows, _) = multi_way_join(&inputs);
-    let join = allocation_count() - a0;
-    (prune, join, rows.len() as u64)
+    s.join = allocation_count() - a0;
+    s.join_rows = rows.len() as u64;
+    s
+}
+
+/// Matrix rows a loaded TP holds.
+fn matrix_rows(tp: &TpState) -> u64 {
+    match &tp.data {
+        TpData::Zero { .. } | TpData::One { .. } => 0,
+        TpData::Two { mat, .. } => mat.rows().len() as u64,
+        TpData::Three { mats, .. } => mats.iter().map(|(_, m)| m.rows().len() as u64).sum(),
+    }
 }

@@ -14,8 +14,10 @@
 //! [`crate::BitMatStore`] **lends** the matrix it holds, [`crate::DiskCatalog`]
 //! **decodes** one from its mapped bytes, and `lbr-store`'s overlay
 //! **merges** a delta into whichever of the two it got. A reader uses the
-//! value as a borrow; `init`, which prunes destructively, takes
-//! `.into_owned()` — one copy per triple pattern on every medium.
+//! value as a borrow. `init`, which prunes destructively, copies a lent
+//! matrix only through its active-pruning masks ([`BitMat::masked`]: rows
+//! the masks drop are never cloned), and unfolds a decoded or merged one
+//! in place, so no load pays for a second copy.
 
 use crate::error::BitMatError;
 use crate::matrix::BitMat;

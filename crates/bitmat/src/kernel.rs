@@ -8,7 +8,9 @@
 //!   positions probe single bits. *This is the engine's semi-join
 //!   workhorse*: `fold` ORs compressed rows into a dense β mask, the
 //!   masks AND word-wise, and `unfold` pushes the result back through
-//!   this kernel row by row.
+//!   this kernel row by row. Its copying form
+//!   ([`BitRow::and_mask_copy`]) copies a lent row through a mask, which
+//!   is how `init` loads a matrix through its active-pruning masks.
 //! * **run × run** — interval clipping: walk both run lists once,
 //!   emitting the overlap of the current pair (`O(r₁ + r₂)`);
 //! * **run × sparse** — probing: merge-walk the sparse positions against
@@ -106,6 +108,34 @@ enum Computed {
     Pos,
     /// Result is `scratch.runs`.
     Runs,
+}
+
+impl BitRow {
+    /// `self & mask` as a new row, `None` when empty — the copying form of
+    /// [`BitRow::and_mask_in_place`] for a row the caller only borrows
+    /// (a lent catalog matrix). The result is computed in `scratch` and
+    /// allocated once, at its exact size, only when it is non-empty; mask
+    /// clipping and the representation rule are the in-place kernel's.
+    pub fn and_mask_copy(&self, mask: &BitVec, scratch: &mut SetScratch) -> Option<BitRow> {
+        let caps = scratch.caps();
+        and_mask_compute(self, mask, scratch);
+        let count = scratch.pos.len() as u32;
+        let out = (count > 0).then(|| {
+            let repr = if (count as usize) < 2 * count_runs(&scratch.pos) {
+                Repr::Sparse(scratch.pos.to_vec())
+            } else {
+                runs_of_into(&scratch.pos, &mut scratch.runs);
+                Repr::Runs(scratch.runs.to_vec())
+            };
+            BitRow {
+                universe: self.universe,
+                count,
+                repr,
+            }
+        });
+        scratch.account(caps);
+        out
+    }
 }
 
 // lbr-lint: no_alloc — steady-state row kernels: every operation below

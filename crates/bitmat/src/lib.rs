@@ -19,8 +19,9 @@
 //! `count(f, key)`, `row_count(f, key, r)` — that the heap store, the
 //! mmap'd [`DiskCatalog`] and `lbr-store`'s delta overlay each implement
 //! once. Loads are `Cow`s: the heap store lends its matrix, the mmap
-//! catalog decodes one, the overlay merges a delta into either, and only a
-//! caller that mutates (the engine's `init`) pays for an owned copy.
+//! catalog decodes one, the overlay merges a delta into either. The one
+//! caller that mutates, the engine's `init`, copies a lent matrix only
+//! through its masks ([`BitMat::masked`]) and prunes a decoded one in place.
 //!
 //! Each matrix row is compressed with the paper's *hybrid* scheme
 //! ([`BitRow`]): run-length encoding with 4-byte run lengths, or a plain

@@ -192,6 +192,49 @@ impl BitMat {
         self.count = self.rows.iter().map(|(_, r)| r.count_ones() as u64).sum();
     }
 
+    /// A copy holding only the triples the masks keep: the same matrix as
+    /// `clone()` followed by [`BitMat::unfold_with`] on the row mask and
+    /// on the column mask (`None` keeps that dimension whole; masks are
+    /// clipped the same way), without cloning a row the masks drop.
+    ///
+    /// Kept rows are found by probing the row mask's set bits when it has
+    /// fewer of them than the matrix has rows, and by walking the rows
+    /// otherwise. Each is ANDed with the column mask by
+    /// [`BitRow::and_mask_copy`], so only non-empty rows are allocated.
+    pub fn masked(
+        &self,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> BitMat {
+        let candidates = rows.map_or(usize::MAX, |m| m.count_ones() as usize);
+        let mut kept = Vec::with_capacity(candidates.min(self.rows.len()));
+        let mut keep = |r: u32, row: &BitRow| {
+            let row = match cols {
+                Some(mask) => row.and_mask_copy(mask, scratch),
+                None => Some(row.clone()),
+            };
+            kept.extend(row.map(|row| (r, row)));
+        };
+        match rows {
+            Some(mask) if candidates < self.rows.len() => {
+                for r in mask.iter_ones() {
+                    if let Some(row) = self.row(r) {
+                        keep(r, row);
+                    }
+                }
+            }
+            _ => {
+                for (r, row) in &self.rows {
+                    if rows.is_none_or(|mask| mask.get(*r)) {
+                        keep(*r, row);
+                    }
+                }
+            }
+        }
+        BitMat::from_rows(self.n_rows, self.n_cols, kept)
+    }
+
     /// Transposed copy (rows ↔ columns). An O-S BitMat is the transpose of
     /// the corresponding S-O BitMat (§4).
     pub fn transpose(&self) -> BitMat {

@@ -102,9 +102,9 @@ proptest! {
         prop_assert_eq!(out, expect);
     }
 
-    /// The rewritten `and_mask` (and its in-place form) against the dense
-    /// oracle, including masks shorter and longer than the universe for the
-    /// clipped in-place semantics.
+    /// The rewritten `and_mask` (and its in-place and copying forms)
+    /// against the dense oracle, including masks shorter and longer than
+    /// the universe for the clipped semantics.
     #[test]
     fn and_mask_in_place_matches_dense_oracle(
         a in arb_blocky_positions(320),
@@ -121,7 +121,11 @@ proptest! {
         got.and_mask_in_place(&mask, &mut scratch);
         prop_assert_eq!(got.iter_ones().collect::<Vec<_>>(), expect.clone());
         prop_assert_eq!(got.universe(), 320);
-        prop_assert_eq!(got, BitRow::from_sorted_positions(320, &expect));
+        prop_assert_eq!(&got, &BitRow::from_sorted_positions(320, &expect));
+        // The copying kernel: the same row, representation included, and
+        // no row at all when the result is empty.
+        let copy = row.and_mask_copy(&mask, &mut scratch);
+        prop_assert_eq!(copy.as_ref(), (!expect.is_empty()).then_some(&got));
         // Exact-length mask: the allocating wrapper agrees.
         if mask_len == 320 {
             prop_assert_eq!(row.and_mask(&mask), got);
@@ -180,9 +184,22 @@ proptest! {
         prop_assert_eq!(&a, &b);
         let mut a = m.clone();
         a.unfold_with(&mask, RetainDim::Row, &mut scratch);
-        let mut b = m;
+        let mut b = m.clone();
         b.unfold(&mask.resized(64), RetainDim::Row);
         prop_assert_eq!(a, b);
+        // `masked` copies exactly what the two unfolds leave, whichever
+        // way it finds the kept rows (probing a sparse row mask or
+        // walking the rows).
+        for (rows, cols) in [(Some(&mask), None), (None, Some(&mask)), (Some(&mask), Some(&mask))] {
+            let mut want = m.clone();
+            for (mask, dim) in [(rows, RetainDim::Row), (cols, RetainDim::Col)] {
+                if let Some(mask) = mask {
+                    want.unfold_with(mask, dim, &mut scratch);
+                }
+            }
+            prop_assert_eq!(m.masked(rows, cols, &mut scratch), want);
+        }
+        prop_assert_eq!(m.masked(None, None, &mut scratch), m);
     }
 
     /// k-way leapfrog against the iterated dense oracle for 1–5 operands of

@@ -411,15 +411,37 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             ..Default::default()
         };
 
-        // init with active pruning.
+        // An empty part: §5's early abort, once an absolute master is empty.
+        // The abort still spent the stages that ran — report them instead
+        // of a zero total.
+        let aborted = |mut stats: QueryStats| {
+            stats.aborted_empty = true;
+            stats.t_total = stats.t_init + stats.t_prune;
+            Ok(PartResult {
+                rel: Relation::empty(vt.names().to_vec()),
+                stats,
+                needs_best_match: false,
+            })
+        };
+
+        // init with active pruning; it stops at an empty absolute master.
         let t = Instant::now();
-        let mut loaded = init(gosn, vt, jorder, estimates, self.dict, self.catalog)?;
+        let loaded = init(gosn, vt, jorder, estimates, self.dict, self.catalog)?;
+        let init_attrs = [
+            ("tps_loaded", loaded.tps_loaded),
+            ("triples_loaded", loaded.triples_loaded),
+        ];
+        let Some(mut tps) = loaded.tps else {
+            stats.t_init = t.elapsed();
+            lbr_obs::span_at("init", t, stats.t_init, &init_attrs);
+            return aborted(stats);
+        };
         // Single-variable supernode filters become init-time masks; the
         // rest go to the FaN hook.
         let mut fan_filters: Vec<(Option<usize>, &Expr)> = Vec::new();
         for sn in 0..gosn.n_supernodes() {
             for expr in gosn.sn_filters(sn) {
-                if !self.apply_filter_mask(sn, expr, gosn, vt, &mut loaded.tps) {
+                if !self.apply_filter_mask(sn, expr, gosn, vt, &mut tps) {
                     fan_filters.push((Some(sn), expr));
                 }
             }
@@ -428,16 +450,10 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             fan_filters.push((None, expr));
         }
         stats.t_init = t.elapsed();
-        lbr_obs::span_at("init", t, stats.t_init, &[]);
+        lbr_obs::span_at("init", t, stats.t_init, &init_attrs);
 
-        if absolute_master_empty(gosn, &loaded.tps) {
-            stats.aborted_empty = true;
-            stats.t_total = stats.t_init;
-            return Ok(PartResult {
-                rel: Relation::empty(vt.names().to_vec()),
-                stats,
-                needs_best_match: false,
-            });
+        if absolute_master_empty(gosn, &tps) {
+            return aborted(stats);
         }
 
         // prune_triples, through the thread's long-lived scratch pool:
@@ -451,7 +467,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         let (outcome, pstats) = PRUNE_SCRATCH.with_borrow_mut(|prune_scratch| {
             let before = prune_scratch.stats();
             let outcome = prune_triples(
-                &mut loaded.tps,
+                &mut tps,
                 gosn,
                 &analyzed.goj,
                 vt,
@@ -471,7 +487,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         stats.t_prune = t.elapsed();
         stats.prune_intersections = pstats.intersections;
         stats.scratch_reuses = pstats.scratch_reuses;
-        stats.triples_after_pruning = loaded.tps.iter().map(TpState::count).sum();
+        stats.triples_after_pruning = tps.iter().map(TpState::count).sum();
         lbr_obs::span_at(
             "prune",
             t,
@@ -486,7 +502,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             // Per-TP estimate-vs-actual cardinality (the EXPLAIN ANALYZE
             // feed, and ROADMAP item 4's selectivity-error signal).
             // Zero-duration markers stamped at the prune boundary.
-            for (tp_id, tp) in loaded.tps.iter().enumerate() {
+            for (tp_id, tp) in tps.iter().enumerate() {
                 lbr_obs::span_at(
                     "tp",
                     t,
@@ -500,23 +516,15 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             }
         }
         if outcome == PruneOutcome::EmptyAbsoluteMaster {
-            stats.aborted_empty = true;
-            // The abort still spent the init and prune phases — report
-            // them instead of a zero total.
-            stats.t_total = stats.t_init + stats.t_prune;
-            return Ok(PartResult {
-                rel: Relation::empty(vt.names().to_vec()),
-                stats,
-                needs_best_match: false,
-            });
+            return aborted(stats);
         }
 
         // Multi-way pipelined join, over the schedule fixed once here.
         let t = Instant::now();
-        let order = schedule(&mut loaded.tps, gosn);
+        let order = schedule(&mut tps, gosn);
         let quota = quota.filter(|_| !analyzed.class.nb_required);
         let inputs = JoinInputs {
-            tps: &loaded.tps,
+            tps: &tps,
             order: &order,
             gosn,
             vt,

@@ -166,7 +166,7 @@ fn explain_connected(out: &mut String, cp: &ConnectedPlan) {
         let _ = writeln!(out, "jvar order bottom-up: {}", names(&jorder.bottom_up));
         let _ = writeln!(out, "jvar order top-down:  {}", names(&jorder.top_down));
     }
-    let order = load_order(gosn, estimates);
+    let order = load_order(gosn, vt, estimates);
     let order_s: Vec<String> = order.iter().map(|t| format!("tp{t}")).collect();
     let _ = writeln!(out, "init load order: {}", order_s.join(" → "));
 
@@ -258,7 +258,14 @@ fn positions(spans: &[lbr_obs::Span], name: &str) -> Vec<usize> {
 /// spans' `tp` / `var` ids index.
 fn render_component(out: &mut String, cp: &ConnectedPlan, group: &[lbr_obs::Span]) {
     for s in group.iter().filter(|s| s.name == "init") {
-        let _ = writeln!(out, "  init: {}µs", s.dur_us);
+        let _ = writeln!(
+            out,
+            "  init: {}µs, {}/{} TP(s) loaded, {} triple(s) kept",
+            s.dur_us,
+            s.attr("tps_loaded").unwrap_or(0),
+            cp.analyzed.gosn.n_tps(),
+            s.attr("triples_loaded").unwrap_or(0),
+        );
     }
     for s in group.iter().filter(|s| s.name == "prune") {
         let _ = writeln!(
@@ -507,7 +514,10 @@ mod tests {
         assert!(text.contains("══ ANALYZE (executed) ══"), "{text}");
         assert!(text.contains("rows 2"), "{text}");
         assert!(text.contains("── branch 0 actuals ──"), "{text}");
-        assert!(text.contains("init: "), "{text}");
+        assert!(
+            text.contains("init: ") && text.contains("µs, 3/3 TP(s) loaded, 4 triple(s) kept"),
+            "{text}"
+        );
         assert!(text.contains("prune: "), "{text}");
         assert!(text.contains("pass 1 (bottom-up)"), "{text}");
         assert!(text.contains("pass 2 (top-down)"), "{text}");
@@ -529,6 +539,21 @@ mod tests {
         assert!(text.contains("seeds="), "{text}");
         // The forced trace is drained: nothing left active on the thread.
         assert!(!lbr_obs::trace_active());
+
+        // An early abort shows how far the load got: Seinfeld is no
+        // friend of Jerry's, so the second master TP empties on load and
+        // the slave is never read.
+        let q = parse_query(
+            "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?friend . ?friend :location :NYC .
+               OPTIONAL { ?friend :actedIn ?sitcom . } }",
+        )
+        .unwrap();
+        let text = engine.explain_analyze(&q).unwrap();
+        assert!(
+            text.contains("µs, 2/3 TP(s) loaded, 1 triple(s) kept"),
+            "{text}"
+        );
+        assert!(!text.contains("prune: "), "{text}");
     }
 
     /// A Cartesian branch runs one Algorithm 5.1 per connected component,

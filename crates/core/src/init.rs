@@ -13,21 +13,27 @@
 //! * `(f1  ?p f2)` — the P-O BitMat of `f1` masked to column `f2`
 //!   (predicate candidates);
 //! * `(f1 f2 f3)` — a membership test;
-//! * `(?s ?p ?o)` — unsupported, as in the paper ("currently under
-//!   development").
+//! * `(?s ?p ?o)` — one S-O BitMat per predicate, an extension (the paper
+//!   lists this shape as "currently under development").
 //!
-//! *Active pruning*: while loading `BM_tpj`, the variable bindings of every
-//! already-loaded master or peer TP sharing a variable are applied as
-//! unfold masks, so empty results surface before any join work (§5's
-//! "simple optimization" aborts when an absolute-master TP empties out).
+//! *Active pruning* happens inside the load. Before `BM_tpj` is read, each
+//! of its variables gets one mask: the AND of the folds of that variable
+//! over every already-loaded master or peer TP holding it. The load copies
+//! only what the masks keep ([`load_masked`]): a lent matrix is copied row
+//! by row through them, and a decoded or merged one is unfolded in place.
+//! [`load_order`] loads TPs so that as many of them as possible are masked,
+//! and the first absolute-master TP that is empty after its load ends
+//! `init`: §5's "simple optimization" aborts before the remaining TPs are
+//! read.
 
-use crate::bindings::{VarId, VarTable};
+use crate::bindings::{op_space_len, VarId, VarTable};
 use crate::error::LbrError;
 use crate::jvar_order::JvarOrder;
 use lbr_bitmat::{BitMat, BitVec, Catalog, CubeDims, Family, RetainDim, SetScratch};
 use lbr_rdf::{Dictionary, Dimension};
 use lbr_sparql::algebra::{TermPattern, TriplePattern};
 use lbr_sparql::gosn::{Gosn, TpId};
+use std::borrow::Cow;
 
 /// The oriented shape of a two-dimensional TP matrix: its rows bind
 /// `row_var` in `row_dim`, its columns bind `col_var` in `col_dim`.
@@ -268,23 +274,69 @@ impl TpState {
 /// Result of the init phase.
 #[derive(Debug)]
 pub struct InitOutcome {
-    /// Loaded TPs, indexed by TpId.
-    pub tps: Vec<TpState>,
+    /// Every TP, indexed by TpId — or `None` when §5's early abort fired:
+    /// a TP of an absolute-master supernode was empty after its masked
+    /// load, so the pattern has no answer and the TPs after it in
+    /// [`load_order`] were never read.
+    pub tps: Option<Vec<TpState>>,
+    /// TPs loaded: the TP count, or fewer when the load aborted.
+    pub tps_loaded: u64,
+    /// Triples the masked loads kept, summed over the loaded TPs.
+    pub triples_loaded: u64,
 }
 
-/// The order TPs are loaded in: absolute masters first (ascending estimated
-/// count), then slaves by master-hierarchy depth and estimated count — so
-/// selective masters prune their slaves during the load.
-pub fn load_order(gosn: &Gosn, estimates: &[u64]) -> Vec<TpId> {
-    let mut order: Vec<TpId> = (0..gosn.n_tps()).collect();
-    order.sort_by_key(|&tp| {
-        let sn = gosn.sn_of_tp(tp);
-        (gosn.masters_of(sn).len(), estimates[tp], tp)
-    });
+/// The order TPs are loaded in, chosen greedily so that each load is
+/// masked by as much as possible: repeatedly the not-yet-ordered TP with
+/// the smallest `(master depth, neither cheap nor fed, estimate, id)`.
+///
+/// * *cheap* — answered by one [`Catalog::row`] or a membership test
+///   (`(?v f1 f2)`, `(f1 f2 ?v)`, `(f1 f2 f3)`), or estimated empty;
+/// * *fed* — sharing a variable with an already-ordered master or peer,
+///   whose folds will mask it.
+///
+/// Master depth comes first, so a slave never loads before a master. The
+/// order reads only the GoSN, the TP shapes and the estimates, and
+/// allocates only the result.
+pub fn load_order(gosn: &Gosn, vt: &VarTable, estimates: &[u64]) -> Vec<TpId> {
+    let n = gosn.n_tps();
+    let mut order: Vec<TpId> = Vec::with_capacity(n);
+    while order.len() < n {
+        let key = |tp: TpId| {
+            let fed = || {
+                let vars = var_ids(gosn.tp(tp), vt);
+                order.iter().any(|&o| {
+                    (gosn.tp_is_master_of(o, tp) || gosn.tp_are_peers(o, tp))
+                        && var_ids(gosn.tp(o), vt)
+                            .iter()
+                            .any(|v| v.is_some() && vars.contains(v))
+                })
+            };
+            let cheap = is_cheap(gosn.tp(tp)) || estimates[tp] == 0;
+            let depth = gosn.masters_of(gosn.sn_of_tp(tp)).len();
+            (depth, !(cheap || fed()), estimates[tp], tp)
+        };
+        let next = (0..n)
+            .filter(|tp| !order.contains(tp))
+            .min_by_key(|&tp| key(tp))
+            .expect("an unordered TP remains");
+        order.push(next);
+    }
     order
 }
 
-/// Loads every TP with active pruning.
+/// True when a TP loads from one catalog row or a membership test: a
+/// constant predicate with at most one variable position.
+fn is_cheap(tp: &TriplePattern) -> bool {
+    tp.p.as_var().is_none() && (tp.s.as_var().is_none() || tp.o.as_var().is_none())
+}
+
+/// The variable of each position of `tp`, `None` for a constant.
+fn var_ids(tp: &TriplePattern, vt: &VarTable) -> [Option<VarId>; 3] {
+    [&tp.s, &tp.p, &tp.o].map(|t| t.as_var().map(|v| vt.id(v).expect("var interned")))
+}
+
+/// Loads every TP with active pruning, in [`load_order`], stopping at the
+/// first absolute-master TP that is empty after its load.
 pub fn init(
     gosn: &Gosn,
     vt: &VarTable,
@@ -294,45 +346,36 @@ pub fn init(
     catalog: &impl Catalog,
 ) -> Result<InitOutcome, LbrError> {
     let dims = catalog.dims();
-    let order = load_order(gosn, estimates);
+    let order = load_order(gosn, vt, estimates);
     let mut tps: Vec<Option<TpState>> = vec![None; gosn.n_tps()];
-    // One fold accumulator + kernel scratch reused across the whole load:
-    // active pruning allocates only up to the high-water mask size.
-    let mut mask = BitVec::zeros(0);
+    // Mask buffers and kernel scratch reused across every TP: masking
+    // allocates only up to the high-water mask size.
+    let mut masks = Masks::default();
     let mut scratch = SetScratch::default();
+    let mut out = InitOutcome {
+        tps: None,
+        tps_loaded: 0,
+        triples_loaded: 0,
+    };
     for &tp_id in &order {
-        let mut state = load_tp(tp_id, gosn.tp(tp_id), vt, jorder, dict, catalog, &dims)?;
-        // Active pruning against already-loaded masters and peers. The
-        // mask domain is per-pair: the two positions' common dimension
-        // (full S / full O, or the shared prefix for mixed joins).
-        for (v, v_dim) in state.vars() {
-            for (other_id, other) in tps.iter().enumerate() {
-                let Some(other) = other else { continue };
-                if other_id == tp_id {
-                    continue;
-                }
-                let masterish =
-                    gosn.tp_is_master_of(other_id, tp_id) || gosn.tp_are_peers(other_id, tp_id);
-                if !masterish {
-                    continue;
-                }
-                let Some(o_dim) = other.dim_of(v) else {
-                    continue;
-                };
-                let space_len = crate::bindings::op_space_len(&dims, [v_dim, o_dim]);
-                if other.fold_var_into(v, space_len, &mut mask) {
-                    state.unfold_var_with(v, &mask, &mut scratch);
-                }
-            }
+        let feed = Feed {
+            tp: tp_id,
+            gosn,
+            loaded: &tps,
+            dims: &dims,
+        };
+        let state = load_tp(vt, jorder, dict, catalog, &feed, &mut masks, &mut scratch)?;
+        let kept = state.count();
+        out.tps_loaded += 1;
+        out.triples_loaded += kept;
+        if kept == 0 && gosn.tp_in_absolute_master(tp_id) {
+            return Ok(out);
         }
         tps[tp_id] = Some(state);
     }
-    Ok(InitOutcome {
-        tps: tps
-            .into_iter()
-            .map(|t| t.expect("all TPs loaded"))
-            .collect(),
-    })
+    // `order` is a permutation, so every slot is filled.
+    out.tps = tps.into_iter().collect();
+    Ok(out)
 }
 
 /// True when some TP inside an absolute-master supernode is empty — the
@@ -346,36 +389,111 @@ fn const_id(dict: &Dictionary, t: &TermPattern, dim: Dimension) -> Option<u32> {
     t.as_const().and_then(|c| dict.id(c, dim))
 }
 
-/// The whole BitMat of `key` in family `f` as the owned, pruneable copy a
-/// TP keeps (empty when the key's constant is unknown to the dictionary,
-/// or has no triples).
-fn load_owned(
+/// The BitMat of `key` in family `f`, holding only the triples whose row
+/// is set in `row_mask` and whose column is set in `col_mask` (`None`
+/// keeps a dimension whole; masks are clipped as in
+/// [`BitMat::unfold_with`]). Empty when the key's constant is unknown to
+/// the dictionary or has no triples.
+///
+/// A lent matrix (the heap store, or an overlay whose delta leaves the key
+/// untouched) is copied through the masks ([`BitMat::masked`]): rows they
+/// drop are never cloned. A matrix the catalog had to build anyway (mmap
+/// decode, delta merge) is already private and is unfolded in place.
+pub fn load_masked(
     catalog: &impl Catalog,
     dims: &CubeDims,
     f: Family,
     key: Option<u32>,
+    row_mask: Option<&BitVec>,
+    col_mask: Option<&BitVec>,
+    scratch: &mut SetScratch,
 ) -> Result<BitMat, LbrError> {
     let loaded = match key {
         Some(key) => catalog.matrix(f, key)?,
         None => None,
     };
     let (_, n_rows, n_cols) = f.shape(dims);
-    Ok(loaded.map_or_else(|| BitMat::empty(n_rows, n_cols), |m| m.into_owned()))
+    Ok(match loaded {
+        None => BitMat::empty(n_rows, n_cols),
+        Some(Cow::Borrowed(m)) => m.masked(row_mask, col_mask, scratch),
+        Some(Cow::Owned(mut m)) => {
+            if let Some(mask) = row_mask {
+                m.unfold_with(mask, RetainDim::Row, scratch);
+            }
+            if let Some(mask) = col_mask {
+                m.unfold_with(mask, RetainDim::Col, scratch);
+            }
+            m
+        }
+    })
 }
 
-/// Loads one TP per the §5 rules (missing constants yield empty data).
-#[allow(clippy::too_many_arguments)]
+/// The mask buffers of the TP being loaded, one per variable position
+/// (`preds` serves `(?s ?p ?o)`'s predicate), plus a fold buffer.
+#[derive(Default)]
+struct Masks {
+    rows: BitVec,
+    cols: BitVec,
+    preds: BitVec,
+    fold: BitVec,
+}
+
+/// What active pruning knows when TP `tp` is about to load: the TPs loaded
+/// so far, of which its masters and peers mask it.
+struct Feed<'a> {
+    tp: TpId,
+    gosn: &'a Gosn,
+    loaded: &'a [Option<TpState>],
+    dims: &'a CubeDims,
+}
+
+impl Feed<'_> {
+    /// The mask of `var` at dimension `dim` of the TP being loaded, built in
+    /// `acc`: the clipped AND of `fold_var_into` over every loaded master
+    /// or peer holding `var`, each fold in the pair's common space (full S,
+    /// full O, or the shared prefix of a mixed join). `None` when no such
+    /// TP exists, and the dimension loads unmasked.
+    fn mask<'m>(
+        &self,
+        var: VarId,
+        dim: Dimension,
+        acc: &'m mut BitVec,
+        fold: &mut BitVec,
+    ) -> Option<&'m BitVec> {
+        let mut any = false;
+        for (id, other) in self.loaded.iter().enumerate() {
+            let Some(other) = other else { continue };
+            if !(self.gosn.tp_is_master_of(id, self.tp) || self.gosn.tp_are_peers(id, self.tp)) {
+                continue;
+            }
+            let Some(o_dim) = other.dim_of(var) else {
+                continue;
+            };
+            let space_len = op_space_len(self.dims, [dim, o_dim]);
+            if any {
+                other.fold_var_into(var, space_len, fold);
+                acc.and_clipped(fold);
+            } else {
+                any = other.fold_var_into(var, space_len, acc);
+            }
+        }
+        any.then_some(&*acc)
+    }
+}
+
+/// Loads `feed`'s TP per the §5 rules (missing constants yield empty
+/// data), through the masks `feed` gives each of its variables.
 fn load_tp(
-    tp_id: TpId,
-    tp: &TriplePattern,
     vt: &VarTable,
     jorder: &JvarOrder,
     dict: &Dictionary,
     catalog: &impl Catalog,
-    dims: &CubeDims,
+    feed: &Feed,
+    masks: &mut Masks,
+    scratch: &mut SetScratch,
 ) -> Result<TpState, LbrError> {
-    let var_of = |t: &TermPattern| t.as_var().map(|v| vt.id(v).expect("var interned"));
-    let (sv, pv, ov) = (var_of(&tp.s), var_of(&tp.p), var_of(&tp.o));
+    let (tp_id, tp, dims) = (feed.tp, feed.gosn.tp(feed.tp), feed.dims);
+    let [sv, pv, ov] = var_ids(tp, vt);
     let s_id = const_id(dict, &tp.s, Dimension::Subject);
     let p_id = const_id(dict, &tp.p, Dimension::Predicate);
     let o_id = const_id(dict, &tp.o, Dimension::Object);
@@ -383,8 +501,22 @@ fn load_tp(
     let p_known = tp.p.as_var().is_some() || p_id.is_some();
     let o_known = tp.o.as_var().is_some() || o_id.is_some();
     let known = s_known && p_known && o_known;
+    let Masks {
+        rows,
+        cols,
+        preds,
+        fold,
+    } = masks;
+    // A two-variable TP: the matrix of `key` in `f`, loaded through the
+    // masks of its row and column variables.
+    let mut two = |f: Family, key: Option<u32>, axes: Axes| -> Result<TpData, LbrError> {
+        let row_mask = feed.mask(axes.row_var, axes.row_dim, rows, fold);
+        let col_mask = feed.mask(axes.col_var, axes.col_dim, cols, fold);
+        let mat = load_masked(catalog, dims, f, key, row_mask, col_mask, scratch)?;
+        Ok(TpData::Two { axes, mat })
+    };
 
-    let data = match (sv, pv, ov) {
+    let mut data = match (sv, pv, ov) {
         // (f1 f2 f3): membership test.
         (None, None, None) => {
             let present = known
@@ -430,25 +562,23 @@ fn load_tp(
             // Row dimension: the variable that comes first in orderbu; a
             // sole join variable wins; default to the subject.
             let (a_pos, b_pos) = (jorder.first_pos(a), jorder.first_pos(b));
-            let subject_rows = a_pos <= b_pos;
-            let f = if subject_rows { Family::So } else { Family::Os };
-            let mat = load_owned(catalog, dims, f, p_id)?;
-            let axes = if subject_rows {
-                Axes {
+            if a_pos <= b_pos {
+                let axes = Axes {
                     row_var: a,
                     row_dim: Dimension::Subject,
                     col_var: b,
                     col_dim: Dimension::Object,
-                }
+                };
+                two(Family::So, p_id, axes)?
             } else {
-                Axes {
+                let axes = Axes {
                     row_var: b,
                     row_dim: Dimension::Object,
                     col_var: a,
                     col_dim: Dimension::Subject,
-                }
-            };
-            TpData::Two { axes, mat }
+                };
+                two(Family::Os, p_id, axes)?
+            }
         }
         // (?x f ?x): the diagonal of the S-O BitMat (shared IDs only).
         (Some(a), None, Some(_)) => {
@@ -470,25 +600,23 @@ fn load_tp(
         }
         // (f ?p ?o): the P-O BitMat of the subject.
         (None, Some(p), Some(o)) if p != o => {
-            let mat = load_owned(catalog, dims, Family::Po, s_id)?;
             let axes = Axes {
                 row_var: p,
                 row_dim: Dimension::Predicate,
                 col_var: o,
                 col_dim: Dimension::Object,
             };
-            TpData::Two { axes, mat }
+            two(Family::Po, s_id, axes)?
         }
         // (?s ?p f): the P-S BitMat of the object.
         (Some(s), Some(p), None) if p != s => {
-            let mat = load_owned(catalog, dims, Family::Ps, o_id)?;
             let axes = Axes {
                 row_var: p,
                 row_dim: Dimension::Predicate,
                 col_var: s,
                 col_dim: Dimension::Subject,
             };
-            TpData::Two { axes, mat }
+            two(Family::Ps, o_id, axes)?
         }
         // (f1 ?p f2): predicate candidates — the P-O BitMat of f1 masked to
         // column f2.
@@ -511,14 +639,28 @@ fn load_tp(
             }
         }
         // (?s ?p ?o): one S-O BitMat per predicate (extension; the paper
-        // lists this shape as under development).
+        // lists this shape as under development), each slice loaded like
+        // a two-variable TP; predicates the `?p` mask excludes are skipped.
         (Some(s), Some(pv), Some(o)) if s != pv && pv != o && s != o => {
+            let p_mask = feed.mask(pv, Dimension::Predicate, preds, fold);
+            let s_mask = feed.mask(s, Dimension::Subject, rows, fold);
+            let o_mask = feed.mask(o, Dimension::Object, cols, fold);
             let mut mats = Vec::new();
             for pid in 0..dims.n_predicates {
-                if let Some(m) = catalog.matrix(Family::So, pid)? {
-                    if !m.is_empty() {
-                        mats.push((pid, m.into_owned()));
-                    }
+                if p_mask.is_some_and(|m| !m.get(pid)) {
+                    continue;
+                }
+                let m = load_masked(
+                    catalog,
+                    dims,
+                    Family::So,
+                    Some(pid),
+                    s_mask,
+                    o_mask,
+                    scratch,
+                )?;
+                if !m.is_empty() {
+                    mats.push((pid, m));
                 }
             }
             let axes = Axes {
@@ -544,6 +686,12 @@ fn load_tp(
             )));
         }
     };
+    // One-variable TPs take their mask once.
+    if let TpData::One { var, dim, cands } = &mut data {
+        if let Some(mask) = feed.mask(*var, *dim, rows, fold) {
+            cands.and_clipped(mask);
+        }
+    }
     Ok(TpState { id: tp_id, data })
 }
 
@@ -581,56 +729,158 @@ mod tests {
           OPTIONAL { ?friend :actedIn ?sitcom . ?sitcom :location :NewYorkCity . } }
     "#;
 
-    fn setup(
-        query: &str,
-    ) -> (
-        lbr_rdf::EncodedGraph,
-        BitMatStore,
-        InitOutcome,
-        Gosn,
-        VarTable,
-    ) {
+    /// Plans `query` over `catalog` (built from [`graph`]) and runs init.
+    fn run(query: &str, catalog: &impl Catalog) -> (InitOutcome, Gosn, VarTable) {
         let g = graph();
-        let store = BitMatStore::build(&g);
         let q = parse_query(query).unwrap();
         let analyzed = analyze(&q.pattern).unwrap();
         let vt = VarTable::from_tps(analyzed.gosn.tps()).unwrap();
-        let est = crate::selectivity::estimate_all(analyzed.gosn.tps(), &g.dict, &store);
+        let est = crate::selectivity::estimate_all(analyzed.gosn.tps(), &g.dict, catalog);
         let jorder = crate::jvar_order::get_jvar_order(&analyzed.gosn, &analyzed.goj, &vt, &est);
-        let out = init(&analyzed.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
-        (g, store, out, analyzed.gosn, vt)
+        let out = init(&analyzed.gosn, &vt, &jorder, &est, &g.dict, catalog).unwrap();
+        (out, analyzed.gosn, vt)
+    }
+
+    /// The TPs init loads for `query` over the heap store; it must not
+    /// abort.
+    fn setup(query: &str) -> (Vec<TpState>, Gosn, VarTable) {
+        let (out, gosn, vt) = run(query, &BitMatStore::build(&graph()));
+        (out.tps.expect("init did not abort"), gosn, vt)
     }
 
     #[test]
     fn loads_q2_with_active_pruning() {
-        let (_, _, out, gosn, _) = setup(Q2);
+        let (tps, gosn, _) = setup(Q2);
         // tp0 = (:Jerry :hasFriend ?friend): 2 candidates.
-        assert_eq!(out.tps[0].count(), 2);
+        assert_eq!(tps[0].count(), 2);
         // tp2 = (?sitcom :location :NewYorkCity): 1 candidate.
-        assert_eq!(out.tps[2].count(), 1);
+        assert_eq!(tps[2].count(), 1);
         // tp1 = (?friend :actedIn ?sitcom): actively pruned by its master
         // (2 friend values) and by its peer tp2 (1 sitcom value): Julia's
         // Seinfeld role is all that is left.
-        assert_eq!(out.tps[1].count(), 1);
-        assert!(!absolute_master_empty(&gosn, &out.tps));
+        assert_eq!(tps[1].count(), 1);
+        assert!(!absolute_master_empty(&gosn, &tps));
     }
 
     #[test]
     fn unknown_constant_gives_empty_and_abort_signal() {
-        let (_, _, out, gosn, _) = setup(
+        let (out, ..) = run(
             "PREFIX : <> SELECT * WHERE { :Nobody :hasFriend ?friend . OPTIONAL { ?friend :actedIn ?s . } }",
+            &BitMatStore::build(&graph()),
         );
-        assert!(out.tps[0].is_empty());
-        assert!(absolute_master_empty(&gosn, &out.tps));
+        // Estimated empty, so loaded first; empty, so nothing after it.
+        assert!(out.tps.is_none());
+        assert_eq!((out.tps_loaded, out.triples_loaded), (1, 0));
+    }
+
+    /// A catalog that counts the loads `init` issues.
+    struct Counting {
+        inner: BitMatStore,
+        loads: std::sync::atomic::AtomicU64,
+    }
+
+    impl Counting {
+        fn count(&self) {
+            self.loads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl Catalog for Counting {
+        fn dims(&self) -> CubeDims {
+            self.inner.dims()
+        }
+        fn matrix(
+            &self,
+            f: Family,
+            key: u32,
+        ) -> Result<Option<Cow<'_, BitMat>>, lbr_bitmat::BitMatError> {
+            self.count();
+            self.inner.matrix(f, key)
+        }
+        fn row(
+            &self,
+            f: Family,
+            key: u32,
+            r: u32,
+        ) -> Result<Option<Cow<'_, lbr_bitmat::BitRow>>, lbr_bitmat::BitMatError> {
+            self.count();
+            self.inner.row(f, key, r)
+        }
+        fn count(&self, f: Family, key: u32) -> u64 {
+            self.inner.count(f, key)
+        }
+        fn row_count(&self, f: Family, key: u32, r: u32) -> u64 {
+            self.inner.row_count(f, key, r)
+        }
+    }
+
+    /// §5's early abort inside init: Larry acted only in CurbYourEnthu,
+    /// which is not in NewYorkCity. The two one-row TPs load first; the
+    /// second is empty after its mask, so the `?a :actedIn ?s` matrix is
+    /// never read.
+    #[test]
+    fn nothing_loads_after_an_empty_absolute_master() {
+        let catalog = Counting {
+            inner: BitMatStore::build(&graph()),
+            loads: 0.into(),
+        };
+        let (out, gosn, vt) = run(
+            "PREFIX : <> SELECT * WHERE { :Larry :actedIn ?s . ?s :location :NewYorkCity . ?a :actedIn ?s . }",
+            &catalog,
+        );
+        assert!(out.tps.is_none());
+        assert_eq!((out.tps_loaded, out.triples_loaded), (2, 1));
+        assert_eq!(catalog.loads.into_inner(), 2, "one row load per loaded TP");
+        // Without the empty master the matrix TP is loaded too.
+        let catalog = Counting {
+            inner: BitMatStore::build(&graph()),
+            loads: 0.into(),
+        };
+        let (out, ..) = run(
+            "PREFIX : <> SELECT * WHERE { :Larry :actedIn ?s . ?s :location :LosAngeles . ?a :actedIn ?s . }",
+            &catalog,
+        );
+        assert_eq!(out.tps.map(|tps| tps.len()), Some(3));
+        assert_eq!(catalog.loads.into_inner(), 3);
+        assert_eq!(
+            load_order(&gosn, &vt, &[1, 1, 5]),
+            vec![0, 1, 2],
+            "the one-row TPs load first"
+        );
+    }
+
+    /// The greedy load order: cheap TPs first, a fed TP before an unfed one
+    /// with a smaller estimate, and no slave before an absolute master.
+    #[test]
+    fn load_order_feeds_the_masks() {
+        let q = parse_query(
+            "PREFIX : <> SELECT * WHERE { ?a :p ?b . ?b :q ?c . ?c :r ?e . :k :s ?a .
+               OPTIONAL { ?c :t ?d . } }",
+        )
+        .unwrap();
+        let gosn = analyze(&q.pattern).unwrap().gosn;
+        let vt = VarTable::from_tps(gosn.tps()).unwrap();
+        // tp3 is a one-row load, so first despite the largest master
+        // estimate. It feeds tp0 (?a), which then goes before the smaller,
+        // unfed tp1 and tp2; tp0 feeds tp1 (?b), tp1 feeds tp2 (?c). The
+        // slave tp4 goes last although its estimate is the smallest.
+        let est = [50, 40, 30, 100, 1];
+        assert_eq!(load_order(&gosn, &vt, &est), vec![3, 0, 1, 2, 4]);
+        // An estimated-empty TP is cheap: it loads first, where it aborts
+        // early, and the chain it feeds (tp1 through ?c, tp0 through ?b)
+        // goes before the larger one-row TP.
+        let est = [50, 40, 0, 100, 1];
+        assert_eq!(load_order(&gosn, &vt, &est), vec![2, 1, 0, 3, 4]);
     }
 
     #[test]
     fn fold_unfold_roundtrip_on_state() {
-        let (_, _, mut out, _, vt) = setup(Q2);
+        let (mut tps, _, vt) = setup(Q2);
         let friend = vt.id("friend").unwrap();
         let space = vt.space(friend);
         assert_eq!(space, VarSpace::Shared);
-        let tp1 = &mut out.tps[1];
+        let tp1 = &mut tps[1];
         let before = tp1.count();
         let mask = tp1.fold_var(friend, 100).unwrap().resized(100);
         tp1.unfold_var(friend, &mask);
@@ -654,9 +904,9 @@ mod tests {
                 _ => panic!("expected a matrix TP"),
             }
         }
-        let (_, _, q2, ..) = setup(Q2);
-        let (_, _, all, ..) = setup("SELECT * WHERE { ?s ?p ?o . }");
-        for mut tp in [q2.tps[1].clone(), all.tps[0].clone()] {
+        let (q2, ..) = setup(Q2);
+        let (all, ..) = setup("SELECT * WHERE { ?s ?p ?o . }");
+        for mut tp in [q2[1].clone(), all[0].clone()] {
             let (axes, before) = cells(&tp);
             let vars: Vec<_> = tp.vars().collect();
             let folds: Vec<_> = vars.iter().map(|&(v, _)| tp.fold_var(v, 64)).collect();
@@ -684,51 +934,30 @@ mod tests {
 
     #[test]
     fn membership_and_predicate_var_patterns() {
-        let g = graph();
-        let store = BitMatStore::build(&g);
-        // Membership: true case and false case.
-        let q = parse_query(
+        // Membership: true case.
+        let (tps, ..) = setup(
             "PREFIX : <> SELECT * WHERE { { :Jerry :hasFriend :Julia . } { ?x :actedIn ?y . } }",
-        )
-        .unwrap();
-        let analyzed = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(analyzed.gosn.tps()).unwrap();
-        let est = crate::selectivity::estimate_all(analyzed.gosn.tps(), &g.dict, &store);
-        let jorder = crate::jvar_order::get_jvar_order(&analyzed.gosn, &analyzed.goj, &vt, &est);
-        let out = init(&analyzed.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
-        assert!(matches!(out.tps[0].data, TpData::Zero { present: true }));
+        );
+        assert!(matches!(tps[0].data, TpData::Zero { present: true }));
 
         // (s ?p ?o) and (?s ?p o) and (s ?p o).
-        let q = parse_query(
+        let (tps, ..) = setup(
             "PREFIX : <> SELECT * WHERE { { :Julia ?p ?o . } { ?s ?q :CurbYourEnthu . } { :Seinfeld ?r :NewYorkCity . } }",
-        )
-        .unwrap();
-        let analyzed = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(analyzed.gosn.tps()).unwrap();
-        let est = crate::selectivity::estimate_all(analyzed.gosn.tps(), &g.dict, &store);
-        let jorder = crate::jvar_order::get_jvar_order(&analyzed.gosn, &analyzed.goj, &vt, &est);
-        let out = init(&analyzed.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
-        assert_eq!(out.tps[0].count(), 4, "Julia has four triples");
+        );
+        assert_eq!(tps[0].count(), 4, "Julia has four triples");
         assert_eq!(
-            out.tps[1].count(),
+            tps[1].count(),
             2,
             "CurbYourEnthu as object: actedIn + location... "
         );
-        assert_eq!(out.tps[2].count(), 1, "Seinfeld –location→ NYC");
+        assert_eq!(tps[2].count(), 1, "Seinfeld –location→ NYC");
     }
 
     #[test]
     fn all_var_tp_loads_every_predicate_slice() {
-        let g = graph();
-        let store = BitMatStore::build(&g);
-        let q = parse_query("SELECT * WHERE { ?s ?p ?o . }").unwrap();
-        let analyzed = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(analyzed.gosn.tps()).unwrap();
-        let est = crate::selectivity::estimate_all(analyzed.gosn.tps(), &g.dict, &store);
-        let jorder = crate::jvar_order::get_jvar_order(&analyzed.gosn, &analyzed.goj, &vt, &est);
-        let out = init(&analyzed.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
+        let (tps, ..) = setup("SELECT * WHERE { ?s ?p ?o . }");
         // (?s ?p ?o) matches the whole dataset: 11 triples over 3 predicates.
-        assert_eq!(out.tps[0].count(), 11);
-        assert!(matches!(&out.tps[0].data, TpData::Three { mats, .. } if mats.len() == 3));
+        assert_eq!(tps[0].count(), 11);
+        assert!(matches!(&tps[0].data, TpData::Three { mats, .. } if mats.len() == 3));
     }
 }

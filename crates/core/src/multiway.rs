@@ -659,9 +659,12 @@ mod tests {
         let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
         let est = estimate_all(a.gosn.tps(), &g.dict, &store);
         let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
-        let mut out = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
+        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store)
+            .unwrap()
+            .tps
+            .unwrap();
         prune_triples(
-            &mut out.tps,
+            &mut tps,
             &a.gosn,
             &a.goj,
             &vt,
@@ -669,7 +672,7 @@ mod tests {
             &store.dims(),
             &mut PruneScratch::new(),
         );
-        (a, vt, out.tps, store.dims())
+        (a, vt, tps, store.dims())
     }
 
     /// Runs init → prune → schedule → join for `query` under `quota`.

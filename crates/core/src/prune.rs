@@ -418,9 +418,12 @@ mod tests {
         let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
         let est = estimate_all(a.gosn.tps(), &g.dict, &store);
         let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
-        let mut out = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
+        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store)
+            .unwrap()
+            .tps
+            .unwrap();
         let outcome = prune_triples(
-            &mut out.tps,
+            &mut tps,
             &a.gosn,
             &a.goj,
             &vt,
@@ -430,12 +433,12 @@ mod tests {
         );
         assert_eq!(outcome, PruneOutcome::Done);
         assert_eq!(
-            out.tps[0].count(),
+            tps[0].count(),
             2,
             "master keeps both friends (Larry → NULL row)"
         );
-        assert_eq!(out.tps[1].count(), 1, "only (Julia, Seinfeld) remains");
-        assert_eq!(out.tps[2].count(), 1);
+        assert_eq!(tps[1].count(), 1, "only (Julia, Seinfeld) remains");
+        assert_eq!(tps[2].count(), 1);
     }
 
     /// The master must never be pruned by its slave.
@@ -455,9 +458,12 @@ mod tests {
         let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
         let est = estimate_all(a.gosn.tps(), &g.dict, &store);
         let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
-        let mut out = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
+        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store)
+            .unwrap()
+            .tps
+            .unwrap();
         prune_triples(
-            &mut out.tps,
+            &mut tps,
             &a.gosn,
             &a.goj,
             &vt,
@@ -465,9 +471,9 @@ mod tests {
             &store.dims(),
             &mut PruneScratch::new(),
         );
-        assert_eq!(out.tps[0].count(), 5, "all actedIn triples survive");
+        assert_eq!(tps[0].count(), 5, "all actedIn triples survive");
         assert_eq!(
-            out.tps[1].count(),
+            tps[1].count(),
             1,
             "slave restricted to master's sitcoms ∩ NYC"
         );
@@ -486,9 +492,12 @@ mod tests {
         let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
         let est = estimate_all(a.gosn.tps(), &g.dict, &store);
         let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
-        let mut out = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
+        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store)
+            .unwrap()
+            .tps
+            .unwrap();
         prune_triples(
-            &mut out.tps,
+            &mut tps,
             &a.gosn,
             &a.goj,
             &vt,
@@ -496,8 +505,8 @@ mod tests {
             &store.dims(),
             &mut PruneScratch::new(),
         );
-        assert_eq!(out.tps[0].count(), 1, "only Julia–Seinfeld joins NYC");
-        assert_eq!(out.tps[1].count(), 1);
+        assert_eq!(tps[0].count(), 1, "only Julia–Seinfeld joins NYC");
+        assert_eq!(tps[1].count(), 1);
     }
 
     /// The static plan and the runtime sweep must stay in lock-step: on
@@ -521,10 +530,13 @@ mod tests {
             let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
             let est = estimate_all(a.gosn.tps(), &g.dict, &store);
             let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
-            let mut out = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
+            let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store)
+                .unwrap()
+                .tps
+                .unwrap();
             let mut scratch = PruneScratch::new();
             let outcome = prune_triples(
-                &mut out.tps,
+                &mut tps,
                 &a.gosn,
                 &a.goj,
                 &vt,
@@ -542,26 +554,41 @@ mod tests {
         }
     }
 
-    /// Early abort: an absolute-master TP emptied by pruning.
+    /// Early abort: an absolute-master TP emptied by pruning. Each of
+    /// tp0's two triples is matched by one of its peers, but no triple by
+    /// both — init's one-directional masks cannot see that, the semi-joins
+    /// back into tp0 do.
     #[test]
     fn empty_absolute_master_detected() {
-        let g = graph();
+        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
+        let g = Graph::from_triples(vec![
+            t("a1", "p", "b1"),
+            t("a2", "p", "b2"),
+            t("a1", "q", "x"),
+            t("z1", "q", "x"),
+            t("z2", "q", "x"),
+            t("b2", "r", "y"),
+            t("w1", "r", "y"),
+            t("w2", "r", "y"),
+        ])
+        .encode();
         let store = BitMatStore::build(&g);
-        // Larry acted only in CurbYourEnthu, which is in LosAngeles; the
-        // peer join on ?s empties the second TP.
-        let q = parse_query(
-            "PREFIX : <> SELECT * WHERE { :Larry :actedIn ?s . ?s :location :NewYorkCity . }",
-        )
-        .unwrap();
+        let q =
+            parse_query("PREFIX : <> SELECT * WHERE { ?a :p ?b . ?a :q ?x . ?b :r ?y . }").unwrap();
         let a = analyze(&q.pattern).unwrap();
         let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
         let est = estimate_all(a.gosn.tps(), &g.dict, &store);
         let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
-        let mut out = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store).unwrap();
-        // Active pruning already empties it at init; prune_triples must
-        // report the abort either way.
+        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store)
+            .unwrap()
+            .tps
+            .unwrap();
+        assert_eq!(
+            tps.iter().map(TpState::count).collect::<Vec<_>>(),
+            [2, 1, 1]
+        );
         let outcome = prune_triples(
-            &mut out.tps,
+            &mut tps,
             &a.gosn,
             &a.goj,
             &vt,
