@@ -15,14 +15,18 @@
 //! Three exact gates check the stages one by one, driving init → prune →
 //! schedule → join through `lbr_core` directly: `init` allocates at most
 //! once per matrix row its masked loads keep plus [`INIT_PER_TP`] per
-//! loaded TP (a row the masks drop is never copied), a warm
+//! loaded TP (a row the masks drop is never copied or decoded), a warm
 //! `prune_triples` allocates nothing, and the join's enumeration
-//! allocates at most once per emitted row plus [`JOIN_CONSTANT`].
+//! allocates at most once per emitted row plus [`JOIN_CONSTANT`]. The
+//! `init` gate runs twice: over the heap store, and over the same store
+//! saved to a segment and mmap'd, where a kept row is decoded from its
+//! mapped words and a dropped one is never read.
 
 use lbr_bench::{allocation_count, prepare, Prepared};
-use lbr_bitmat::Catalog;
+use lbr_bitmat::disk::save_store;
+use lbr_bitmat::{Catalog, DiskCatalog};
 use lbr_core::bindings::VarTable;
-use lbr_core::init::{init, TpData, TpState};
+use lbr_core::init::{init, InitOutcome, TpData, TpState};
 use lbr_core::jvar_order::get_jvar_order;
 use lbr_core::multiway::{multi_way_join, schedule, JoinInputs};
 use lbr_core::prune::{prune_triples, PruneScratch};
@@ -67,12 +71,16 @@ fn main() {
         seed: 3,
     });
     let p = prepare(ds);
+    let seg = std::env::temp_dir().join(format!("lbr-alloc-check-{}.seg", std::process::id()));
+    save_store(&p.store, &seg).expect("save the sample segment");
+    let disk = DiskCatalog::open(&seg).expect("open the sample segment");
     let engine = LbrEngine::new(&p.store, &p.graph.dict);
     let mut failed = false;
     println!(
         "allocation check: LUBM sample, cached-plan steady state, \
          ceiling {BASE_CEILING} + {PER_ROW}/result-row; \
-         init ≤ kept rows + {INIT_PER_TP}/TP, warm prune 0, join ≤ rows + {JOIN_CONSTANT}"
+         init ≤ kept rows + {INIT_PER_TP}/TP on heap and mmap, warm prune 0, \
+         join ≤ rows + {JOIN_CONSTANT}"
     );
     for q in &p.dataset.queries {
         let query = parse_query(&q.text).expect("workload query parses");
@@ -88,19 +96,22 @@ fn main() {
             best = best.min(allocation_count() - a0);
         }
         let ceiling = BASE_CEILING + PER_ROW * rows;
-        let s = stage_allocs(&p, &query);
-        let init_ceiling = s.kept_rows + INIT_PER_TP * s.tps;
+        let s = stage_allocs(&p, &disk, &query);
         let ok = best <= ceiling
-            && s.init <= init_ceiling
+            && s.init.within_gate()
+            && s.mmap_init.within_gate()
             && s.prune == 0
             && s.join <= s.join_rows + JOIN_CONSTANT;
         println!(
             "{:<4} {best:>8} allocs/query (ceiling {ceiling:>6}, {rows} rows)  \
-             init {} ({} kept rows, {} TPs)  prune {}  join {} ({} rows)  [{}]",
+             init {} ({} kept rows, {} TPs)  mmap init {} ({} kept rows)  \
+             prune {}  join {} ({} rows)  [{}]",
             q.id,
-            s.init,
-            s.kept_rows,
-            s.tps,
+            s.init.allocs,
+            s.init.kept_rows,
+            s.init.tps,
+            s.mmap_init.allocs,
+            s.mmap_init.kept_rows,
             s.prune,
             s.join,
             s.join_rows,
@@ -108,12 +119,13 @@ fn main() {
         );
         failed |= !ok;
     }
+    std::fs::remove_file(&seg).ok();
     if failed {
         eprintln!(
             "FAIL: allocations exceeded a committed ceiling \
              ({BASE_CEILING} + {PER_ROW}/row per query, kept rows + \
-             {INIT_PER_TP}/TP per init, 0 per warm prune, rows + \
-             {JOIN_CONSTANT} per join)"
+             {INIT_PER_TP}/TP per init on heap and mmap, 0 per warm prune, \
+             rows + {JOIN_CONSTANT} per join)"
         );
         std::process::exit(1);
     }
@@ -121,13 +133,10 @@ fn main() {
 
 /// The exact gates' measurements for one query.
 struct StageAllocs {
-    /// Allocations of one `init`.
-    init: u64,
-    /// Matrix rows the masked loads kept (bounded by the kept triples
-    /// when the load aborted and dropped them).
-    kept_rows: u64,
-    /// TPs `init` loaded.
-    tps: u64,
+    /// `init` over the heap store.
+    init: InitAllocs,
+    /// `init` over the mmap'd segment.
+    mmap_init: InitAllocs,
     /// Allocations of a warm `prune_triples`.
     prune: u64,
     /// Allocations of the join's enumeration alone.
@@ -136,30 +145,63 @@ struct StageAllocs {
     join_rows: u64,
 }
 
+/// One `init`'s allocations and what its gate allows them.
+struct InitAllocs {
+    allocs: u64,
+    /// Matrix rows the masked loads kept (bounded by the kept triples
+    /// when the load aborted and dropped them).
+    kept_rows: u64,
+    /// TPs `init` loaded.
+    tps: u64,
+}
+
+impl InitAllocs {
+    fn within_gate(&self) -> bool {
+        self.allocs <= self.kept_rows + INIT_PER_TP * self.tps
+    }
+}
+
+/// Counts the allocations of `run` (one `init`), and its gate's inputs.
+fn measured_init(run: impl FnOnce() -> InitOutcome) -> (InitAllocs, Option<Vec<TpState>>) {
+    let a0 = allocation_count();
+    let out = run();
+    let allocs = allocation_count() - a0;
+    let kept_rows = match &out.tps {
+        Some(tps) => tps.iter().map(matrix_rows).sum(),
+        None => out.triples_loaded,
+    };
+    let init = InitAllocs {
+        allocs,
+        kept_rows,
+        tps: out.tps_loaded,
+    };
+    (init, out.tps)
+}
+
 /// Measures the stages one by one, as `tests/prop_minimality.rs` drives
-/// them.
-fn stage_allocs(p: &Prepared, query: &Query) -> StageAllocs {
+/// them; `init` runs over the heap store and over `disk`, its mmap'd copy,
+/// with the same plan.
+fn stage_allocs(p: &Prepared, disk: &DiskCatalog, query: &Query) -> StageAllocs {
     let a = analyze(&query.pattern).expect("workload query analyzes");
     assert!(a.class.connected, "the LUBM sample queries are connected");
     let (gosn, goj, dict) = (&a.gosn, &a.goj, &p.graph.dict);
     let vt = VarTable::from_tps(gosn.tps()).expect("variable table");
     let est = estimate_all(gosn.tps(), dict, &p.store);
     let jorder = get_jvar_order(gosn, goj, &vt, &est);
-    let a0 = allocation_count();
-    let loaded = init(gosn, &vt, &jorder, &est, dict, &p.store).expect("init");
-    let init_allocs = allocation_count() - a0;
+    let (mmap_init, _) =
+        measured_init(|| init(gosn, &vt, &jorder, &est, dict, disk).expect("mmap init"));
+    let (heap_init, loaded) =
+        measured_init(|| init(gosn, &vt, &jorder, &est, dict, &p.store).expect("init"));
     let mut s = StageAllocs {
-        init: init_allocs,
-        kept_rows: loaded.triples_loaded,
-        tps: loaded.tps_loaded,
+        init: heap_init,
+        mmap_init,
         prune: 0,
         join: 0,
         join_rows: 0,
     };
-    let Some(loaded) = loaded.tps else {
+    let Some(loaded) = loaded else {
         return s;
     };
-    s.kept_rows = loaded.iter().map(matrix_rows).sum();
     let dims = p.store.dims();
     let mut scratch = PruneScratch::new();
     let mut warm = loaded.clone();

@@ -3,23 +3,30 @@
 //! §5 of the paper: *"with `init`, we load a BitMat for each TP in the
 //! query that contains the triples matching that TP"* — only the matrices a
 //! query touches are ever loaded, which is why a 41 GB index works on an
-//! 8 GB laptop. The whole storage contract is four methods keyed by a
-//! [`Family`] value: one whole matrix ([`Catalog::matrix`]), one row of it
+//! 8 GB laptop. The whole storage contract is five methods keyed by a
+//! [`Family`] value: one whole matrix ([`Catalog::matrix`]), the part of it
+//! a pair of masks keeps ([`Catalog::masked`]), one row of it
 //! ([`Catalog::row`]), and the two counts that answer selectivity questions
 //! from metadata alone (Appendix D: *"condensed representation … helps us
 //! in quickly determining the number of triples in each BitMat and its
 //! selectivity"*).
 //!
-//! Loads are [`Cow`]s because the three catalogs produce them differently:
-//! [`crate::BitMatStore`] **lends** the matrix it holds, [`crate::DiskCatalog`]
-//! **decodes** one from its mapped bytes, and `lbr-store`'s overlay
-//! **merges** a delta into whichever of the two it got. A reader uses the
-//! value as a borrow. `init`, which prunes destructively, copies a lent
-//! matrix only through its active-pruning masks ([`BitMat::masked`]: rows
-//! the masks drop are never cloned), and unfolds a decoded or merged one
-//! in place, so no load pays for a second copy.
+//! Whole loads are [`Cow`]s because the three catalogs produce them
+//! differently: [`crate::BitMatStore`] **lends** the matrix it holds,
+//! [`crate::DiskCatalog`] **decodes** one from its mapped bytes, and
+//! `lbr-store`'s overlay **merges** a delta into whichever of the two it
+//! got. A reader uses the value as a borrow. `init`, which prunes
+//! destructively, needs a private copy of only what its active-pruning
+//! masks keep, so it asks for exactly that: [`Catalog::masked`] is the
+//! masked load as a catalog operation, and each medium reads only the rows
+//! the masks keep — the heap store copies them ([`BitMat::masked`]), the
+//! mmap catalog decodes them from their mapped words, and the overlay
+//! masks its base and merges only the delta pairs the masks keep. A row
+//! the masks drop is never copied, decoded or merged.
 
+use crate::bitvec::BitVec;
 use crate::error::BitMatError;
+use crate::kernel::SetScratch;
 use crate::matrix::BitMat;
 use crate::row::BitRow;
 use lbr_rdf::{EncodedGraph, EncodedTriple};
@@ -118,6 +125,26 @@ pub trait Catalog: Sync {
     /// The BitMat of `key` in family `f` (§5: one whole matrix for a
     /// pattern with two variable positions).
     fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError>;
+
+    /// The BitMat of `key` in family `f`, holding only the triples whose
+    /// row is set in `rows` and whose column is set in `cols` — `init`'s
+    /// active-pruning load (§5). `None` keeps a dimension whole; a mask
+    /// shorter or longer than its dimension is clipped, as in
+    /// [`BitMat::unfold_with`]. The result is the matrix a full
+    /// [`Catalog::matrix`] load followed by `unfold_with` on each mask
+    /// yields, or `None` when no triple survives (an absent key included).
+    ///
+    /// Only what the masks keep is read: a row they drop is not copied,
+    /// decoded or merged, so on a mapped segment a corrupt row they drop is
+    /// not an error. Kernel buffers come from `scratch`.
+    fn masked(
+        &self,
+        f: Family,
+        key: u32,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> Result<Option<BitMat>, BitMatError>;
 
     /// Row `r` of that BitMat: the candidates of a pattern with two fixed
     /// positions — `(s p ?o)` is row `p` of the P-O BitMat of `s`, `(?s p

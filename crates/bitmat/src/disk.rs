@@ -26,23 +26,29 @@
 //!                  (BitRow::write_words_to — all fields full words)
 //! ```
 //!
-//! All lengths and offsets are validated at open / first touch: a
-//! truncated or corrupt file yields [`BitMatError::Corrupt`], never UB.
-//! The v1 format (`LBRBM001`, byte-packed rows behind a seeking file
+//! Every length and offset is validated before it is used: the header and
+//! TOC at open, a matrix's row directory on every touch
+//! ([`DiskCatalog::mapped`]), and a row's payload when a load reads that
+//! row. A truncated or corrupt file yields [`BitMatError::Corrupt`], never
+//! UB. The v1 format (`LBRBM001`, byte-packed rows behind a seeking file
 //! handle) is superseded; v1 files are rejected with a clear error.
 //!
 //! The row directory allows [`Catalog::row`] (the paper's single-row loads
 //! for two-fixed-position patterns) and [`Catalog::row_count`] (selectivity
 //! metadata) to binary-search a mapped directory plus touch one row, never
-//! the whole matrix — and since the mapping is shared and immutable, the
+//! the whole matrix. [`Catalog::masked`] (`init`'s active-pruning load)
+//! uses it the same way: rows are decoded and validated only when the
+//! load's masks keep them ([`MappedMatrix::masked`]), so a row the masks
+//! drop is never read. Since the mapping is shared and immutable, the
 //! catalog needs no locks at all.
 
+use crate::bitvec::BitVec;
 use crate::catalog::{Catalog, CubeDims, Family};
 use crate::error::BitMatError;
-use crate::kernel::RowCursor;
+use crate::kernel::{RowCursor, SetScratch};
 use crate::matrix::BitMat;
 use crate::mmap::{words_of, Mmap};
-use crate::row::BitRow;
+use crate::row::{BitRow, WordRow};
 use crate::store::BitMatStore;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -285,36 +291,68 @@ impl<'a> MappedMatrix<'a> {
 
     /// Decodes one row into an owned [`BitRow`] (`None` when absent).
     pub fn row(&self, row_id: u32) -> Result<Option<BitRow>, BitMatError> {
-        let Some(k) = self.dir_slot(row_id) else {
-            return Ok(None);
-        };
+        self.dir_slot(row_id)
+            .map(|k| Ok(self.word_row(k)?.decode()))
+            .transpose()
+    }
+
+    /// The row in directory slot `k`, validated but not decoded.
+    fn word_row(&self, k: usize) -> Result<WordRow<'a>, BitMatError> {
         let rel = self.dir[3 * k + 2] as usize;
         let words = self
             .payload
             .get(rel..)
             .ok_or_else(|| corrupt("row offset out of bounds"))?;
-        let (row, _) = BitRow::read_from_words(words, self.n_cols)
-            .ok_or_else(|| corrupt("bad row payload"))?;
-        Ok(Some(row))
+        WordRow::parse(words, self.n_cols).ok_or_else(|| corrupt("bad row payload"))
     }
 
-    /// Decodes the whole matrix into an owned [`BitMat`] (for callers that
-    /// mutate rows destructively, e.g. the prune passes).
-    pub fn to_bitmat(&self) -> Result<BitMat, BitMatError> {
+    /// An owned matrix holding only the triples whose row is set in `rows`
+    /// and whose column is set in `cols` (`None` keeps a dimension whole;
+    /// masks are clipped as in [`BitMat::unfold_with`]): the masked load of
+    /// [`Catalog::masked`], read off the mapped pages.
+    ///
+    /// It takes [`BitMat::masked`]'s two walks: the row mask's set bits are
+    /// probed in the directory when there are fewer of them than present
+    /// rows, and the directory is walked otherwise. Each kept row is
+    /// validated from its words, then ANDed with the column mask straight
+    /// from them, so it is allocated once, at its exact size, and only when
+    /// something is left of it. A corrupt row the masks keep is an error;
+    /// one they drop is never read.
+    pub fn masked(
+        &self,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> Result<BitMat, BitMatError> {
         let n = self.n_present();
-        let mut rows: Vec<(u32, BitRow)> = Vec::with_capacity(n);
-        for k in 0..n {
-            let id = self.dir[3 * k];
-            let rel = self.dir[3 * k + 2] as usize;
-            let words = self
-                .payload
-                .get(rel..)
-                .ok_or_else(|| corrupt("row offset out of bounds"))?;
-            let (row, _) = BitRow::read_from_words(words, self.n_cols)
-                .ok_or_else(|| corrupt("bad row payload"))?;
-            rows.push((id, row));
+        let candidates = rows.map_or(usize::MAX, |m| m.count_ones() as usize);
+        let mut kept = Vec::with_capacity(candidates.min(n));
+        let mut keep = |k: usize| -> Result<(), BitMatError> {
+            let row = self.word_row(k)?;
+            let row = match cols {
+                Some(mask) => row.and_mask_copy(mask, scratch),
+                None => Some(row.decode()),
+            };
+            kept.extend(row.map(|row| (self.dir[3 * k], row)));
+            Ok(())
+        };
+        match rows {
+            Some(mask) if candidates < n => {
+                for r in mask.iter_ones() {
+                    if let Some(k) = self.dir_slot(r) {
+                        keep(k)?;
+                    }
+                }
+            }
+            _ => {
+                for k in 0..n {
+                    if rows.is_none_or(|mask| mask.get(self.dir[3 * k])) {
+                        keep(k)?;
+                    }
+                }
+            }
         }
-        Ok(BitMat::from_rows(self.n_rows, self.n_cols, rows))
+        Ok(BitMat::from_rows(self.n_rows, self.n_cols, kept))
     }
 }
 
@@ -322,8 +360,11 @@ impl<'a> MappedMatrix<'a> {
 ///
 /// The TOC (a few entries per matrix) lives in memory; matrix bodies stay
 /// on their mapped pages and are either viewed zero-copy
-/// ([`DiskCatalog::mapped`]) or decoded on demand for the owned
-/// [`Catalog`] loads. The kernel page cache does the tiering.
+/// ([`DiskCatalog::mapped`]) or decoded for the owned [`Catalog`] loads.
+/// A row is decoded and validated only when a load reads it: a masked
+/// load ([`Catalog::masked`]) reads only the rows its masks keep, and
+/// [`Catalog::matrix`] is the masked load with no mask. The kernel page
+/// cache does the tiering.
 pub struct DiskCatalog {
     map: Mmap,
     dims: CubeDims,
@@ -342,9 +383,9 @@ impl std::fmt::Debug for DiskCatalog {
 
 impl DiskCatalog {
     /// Opens (mmaps) a segment written by [`save_store`]. Every header
-    /// field and TOC entry is bounds-validated here; per-matrix internals
-    /// are validated on first touch. Corrupt input errors — it never
-    /// causes an out-of-bounds access.
+    /// field and TOC entry is bounds-validated here; a matrix's directory
+    /// and rows are validated when a load reads them. Corrupt input errors
+    /// — it never causes an out-of-bounds access.
     pub fn open(path: &Path) -> Result<Self, BitMatError> {
         let file = File::open(path)?;
         let map = Mmap::map(&file)?;
@@ -455,10 +496,23 @@ impl Catalog for DiskCatalog {
     }
 
     fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError> {
-        match self.mapped(f, key)? {
-            None => Ok(None),
-            Some(m) => Ok(Some(Cow::Owned(m.to_bitmat()?))),
-        }
+        let mat = self.masked(f, key, None, None, &mut SetScratch::default())?;
+        Ok(mat.map(Cow::Owned))
+    }
+
+    fn masked(
+        &self,
+        f: Family,
+        key: u32,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> Result<Option<BitMat>, BitMatError> {
+        let Some(mapped) = self.mapped(f, key)? else {
+            return Ok(None);
+        };
+        let mat = mapped.masked(rows, cols, scratch)?;
+        Ok((!mat.is_empty()).then_some(mat))
     }
 
     fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {
@@ -622,6 +676,67 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A row's payload is read only when a masked load keeps the row: with
+    /// one row corrupt, masks that drop it load exactly what the heap store
+    /// loads, on both walks, and masks that keep it are `Corrupt`.
+    #[test]
+    fn masked_load_reads_only_the_rows_it_keeps() {
+        let store = sample_store();
+        let path = std::env::temp_dir().join("lbr_bitmat_test_masked_corrupt.idx");
+        save_store(&store, &path).unwrap();
+        // The S-O matrix with the most rows; its first row gets an unknown
+        // payload tag.
+        let (key, bad, n_rows) = {
+            let cat = DiskCatalog::open(&path).unwrap();
+            let present = |p| {
+                cat.mapped(Family::So, p)
+                    .unwrap()
+                    .map_or(0, |m| m.n_present())
+            };
+            let key = (0..cat.dims().n_predicates)
+                .max_by_key(|&p| present(p))
+                .unwrap();
+            let m = cat.mapped(Family::So, key).unwrap().unwrap();
+            let blob = cat.blob_base + cat.toc[Family::So as usize][&key].offset as usize;
+            let tag_at = blob + MAT_HEADER + m.n_present() * DIR_ENTRY + 4 * m.dir[2] as usize;
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[tag_at..tag_at + 4].copy_from_slice(&7u32.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            (key, m.dir[0], m.n_rows())
+        };
+        let cat = DiskCatalog::open(&path).unwrap();
+        let heap = store.get(Family::So, key).unwrap();
+        assert!(heap.rows().len() >= 3, "the sweep needs a multi-row matrix");
+        let mut scratch = SetScratch::default();
+        // Fewer set bits than present rows (probed), then more (walked).
+        let others = BitVec::from_positions(n_rows, heap.rows()[1..].iter().map(|&(r, _)| r));
+        let mut all_but = BitVec::ones(n_rows);
+        all_but.clear(bad);
+        // Every other column the matrix uses.
+        let used = heap.fold(crate::RetainDim::Col);
+        let half = BitVec::from_positions(heap.n_cols(), used.iter_ones().step_by(2));
+        for rows in [&others, &all_but] {
+            for cols in [None, Some(&half)] {
+                let got = cat.masked(Family::So, key, Some(rows), cols, &mut scratch);
+                let want = store.masked(Family::So, key, Some(rows), cols, &mut scratch);
+                let want = want.unwrap().expect("the masks keep some triples");
+                assert_eq!(got.unwrap(), Some(want));
+            }
+        }
+        let only_bad = BitVec::from_positions(n_rows, [bad]);
+        for rows in [Some(&only_bad), Some(&BitVec::ones(n_rows)), None] {
+            for cols in [None, Some(&half)] {
+                let got = cat.masked(Family::So, key, rows, cols, &mut scratch);
+                assert!(matches!(got, Err(BitMatError::Corrupt(_))), "{got:?}");
+            }
+        }
+        assert!(matches!(
+            cat.matrix(Family::So, key),
+            Err(BitMatError::Corrupt(_))
+        ));
         std::fs::remove_file(&path).ok();
     }
 

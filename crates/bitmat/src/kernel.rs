@@ -9,8 +9,9 @@
 //!   workhorse*: `fold` ORs compressed rows into a dense β mask, the
 //!   masks AND word-wise, and `unfold` pushes the result back through
 //!   this kernel row by row. Its copying form
-//!   ([`BitRow::and_mask_copy`]) copies a lent row through a mask, which
-//!   is how `init` loads a matrix through its active-pruning masks.
+//!   ([`BitRow::and_mask_copy`]) copies a lent row, or a mapped row
+//!   straight from its segment words, through a mask: that is how `init`
+//!   loads a matrix through its active-pruning masks.
 //! * **run × run** — interval clipping: walk both run lists once,
 //!   emitting the overlap of the current pair (`O(r₁ + r₂)`);
 //! * **run × sparse** — probing: merge-walk the sparse positions against
@@ -37,7 +38,7 @@
 //! kernel results are bit-for-bit identical to the allocating paths.
 
 use crate::bitvec::BitVec;
-use crate::row::{runs_of_into, BitRow, Repr};
+use crate::row::{runs_of_into, BitRow, Repr, WordRow};
 
 /// Caller-owned scratch buffers for the in-place kernels.
 ///
@@ -119,23 +120,47 @@ impl BitRow {
     pub fn and_mask_copy(&self, mask: &BitVec, scratch: &mut SetScratch) -> Option<BitRow> {
         let caps = scratch.caps();
         and_mask_compute(self, mask, scratch);
-        let count = scratch.pos.len() as u32;
-        let out = (count > 0).then(|| {
-            let repr = if (count as usize) < 2 * count_runs(&scratch.pos) {
-                Repr::Sparse(scratch.pos.to_vec())
-            } else {
-                runs_of_into(&scratch.pos, &mut scratch.runs);
-                Repr::Runs(scratch.runs.to_vec())
-            };
-            BitRow {
-                universe: self.universe,
-                count,
-                repr,
-            }
-        });
+        let out = copy_out(scratch, self.universe);
         scratch.account(caps);
         out
     }
+}
+
+impl WordRow<'_> {
+    /// [`BitRow::and_mask_copy`] of a row still in its serialized words:
+    /// the mask is applied to the words directly, so the row is allocated
+    /// once, at the result's size, and not at all when the mask empties it.
+    pub(crate) fn and_mask_copy(&self, mask: &BitVec, scratch: &mut SetScratch) -> Option<BitRow> {
+        let caps = scratch.caps();
+        scratch.pos.clear();
+        if self.runs {
+            and_mask_runs(self.run_pairs(), mask, &mut scratch.pos);
+        } else {
+            and_mask_sparse(self.body, mask, &mut scratch.pos);
+        }
+        let out = copy_out(scratch, self.universe);
+        scratch.account(caps);
+        out
+    }
+}
+
+/// The positions in `scratch.pos` as a new row at its exact size under the
+/// hybrid rule, `None` when there are none.
+fn copy_out(scratch: &mut SetScratch, universe: u32) -> Option<BitRow> {
+    let count = scratch.pos.len() as u32;
+    (count > 0).then(|| {
+        let repr = if (count as usize) < 2 * count_runs(&scratch.pos) {
+            Repr::Sparse(scratch.pos.to_vec())
+        } else {
+            runs_of_into(&scratch.pos, &mut scratch.runs);
+            Repr::Runs(scratch.runs.to_vec())
+        };
+        BitRow {
+            universe,
+            count,
+            repr,
+        }
+    })
 }
 
 // lbr-lint: no_alloc — steady-state row kernels: every operation below
@@ -198,38 +223,45 @@ impl BitRow {
 /// `self & mask` into `scratch.pos` (clipped to `mask.len()`).
 fn and_mask_compute(row: &BitRow, mask: &BitVec, scratch: &mut SetScratch) {
     scratch.pos.clear();
-    let positions = &mut scratch.pos;
     match &row.repr {
-        Repr::Sparse(ps) => {
-            positions.extend(ps.iter().copied().filter(|&p| mask.get(p)));
+        Repr::Sparse(ps) => and_mask_sparse(ps, mask, &mut scratch.pos),
+        Repr::Runs(rs) => and_mask_runs(rs.iter().copied(), mask, &mut scratch.pos),
+    }
+}
+
+/// Sparse positions kept by `mask` (probed bit by bit), appended to `out`.
+fn and_mask_sparse(ps: &[u32], mask: &BitVec, out: &mut Vec<u32>) {
+    out.extend(ps.iter().copied().filter(|&p| mask.get(p)));
+}
+
+/// The positions of ascending `[start, end)` runs kept by `mask`, appended
+/// to `out`: each run window streams the mask's words (clipped to
+/// `mask.len()`).
+fn and_mask_runs(runs: impl Iterator<Item = (u32, u32)>, mask: &BitVec, out: &mut Vec<u32>) {
+    let words = mask.words();
+    for (s, e) in runs {
+        let e = e.min(mask.len());
+        if s >= e {
+            break;
         }
-        Repr::Runs(rs) => {
-            let words = mask.words();
-            for &(s, e) in rs {
-                let e = e.min(mask.len());
-                if s >= e {
-                    break;
-                }
-                let mut w_idx = (s / 64) as usize;
-                let last = ((e - 1) / 64) as usize;
-                while w_idx <= last {
-                    let mut w = words[w_idx];
-                    // Clip to the run window within this word.
-                    let base = w_idx as u32 * 64;
-                    if s > base {
-                        w &= u64::MAX << (s - base);
-                    }
-                    if e < base + 64 {
-                        w &= u64::MAX >> (base + 64 - e);
-                    }
-                    while w != 0 {
-                        let b = w.trailing_zeros();
-                        positions.push(base + b);
-                        w &= w - 1;
-                    }
-                    w_idx += 1;
-                }
+        let mut w_idx = (s / 64) as usize;
+        let last = ((e - 1) / 64) as usize;
+        while w_idx <= last {
+            let mut w = words[w_idx];
+            // Clip to the run window within this word.
+            let base = w_idx as u32 * 64;
+            if s > base {
+                w &= u64::MAX << (s - base);
             }
+            if e < base + 64 {
+                w &= u64::MAX >> (base + 64 - e);
+            }
+            while w != 0 {
+                let b = w.trailing_zeros();
+                out.push(base + b);
+                w &= w - 1;
+            }
+            w_idx += 1;
         }
     }
 }

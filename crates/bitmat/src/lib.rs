@@ -15,13 +15,17 @@
 //! for a total of `2·|Vp| + |Vs| + |Vo|` matrices ([`BitMatStore`]).
 //!
 //! The family is a value ([`Family`]), so the storage contract
-//! ([`Catalog`]) is four methods — `matrix(f, key)`, `row(f, key, r)`,
-//! `count(f, key)`, `row_count(f, key, r)` — that the heap store, the
-//! mmap'd [`DiskCatalog`] and `lbr-store`'s delta overlay each implement
-//! once. Loads are `Cow`s: the heap store lends its matrix, the mmap
-//! catalog decodes one, the overlay merges a delta into either. The one
-//! caller that mutates, the engine's `init`, copies a lent matrix only
-//! through its masks ([`BitMat::masked`]) and prunes a decoded one in place.
+//! ([`Catalog`]) is five methods — `matrix(f, key)`, `masked(f, key,
+//! rows, cols, ..)`, `row(f, key, r)`, `count(f, key)`, `row_count(f,
+//! key, r)` — that the heap store, the mmap'd [`DiskCatalog`] and
+//! `lbr-store`'s delta overlay each implement once. Whole loads are
+//! `Cow`s: the heap store lends its matrix, the mmap catalog decodes one,
+//! the overlay merges a delta into either. The one caller that mutates,
+//! the engine's `init`, asks for a masked load instead, and every medium
+//! reads only the rows its masks keep: the heap store copies them
+//! ([`BitMat::masked`]), the mmap catalog decodes them
+//! ([`MappedMatrix::masked`]), the overlay merges only the delta pairs
+//! they keep.
 //!
 //! Each matrix row is compressed with the paper's *hybrid* scheme
 //! ([`BitRow`]): run-length encoding with 4-byte run lengths, or a plain

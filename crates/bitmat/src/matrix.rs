@@ -102,6 +102,11 @@ impl BitMat {
         &self.rows
     }
 
+    /// The non-empty rows, moved out.
+    pub fn into_rows(self) -> Vec<(u32, BitRow)> {
+        self.rows
+    }
+
     /// Fetches a row by index (binary search; `None` if empty).
     pub fn row(&self, r: u32) -> Option<&BitRow> {
         self.rows

@@ -325,60 +325,6 @@ impl BitRow {
         }
     }
 
-    /// Deserializes a row written by [`BitRow::write_words_to`] from a word
-    /// slice; returns the row and the number of **words** consumed. All
-    /// invariants (tag validity, lengths, ascending positions, well-formed
-    /// runs, universe bounds) are validated — corrupt input yields `None`,
-    /// never a malformed row.
-    pub fn read_from_words(words: &[u32], universe: u32) -> Option<(BitRow, usize)> {
-        let tag = *words.first()?;
-        let n = *words.get(1)? as usize;
-        match tag {
-            0 => {
-                let ps = words.get(2..2 + n)?;
-                if !ps.windows(2).all(|w| w[0] < w[1]) {
-                    return None;
-                }
-                if ps.last().is_some_and(|&p| p >= universe) {
-                    return None;
-                }
-                Some((
-                    BitRow {
-                        universe,
-                        count: n as u32,
-                        repr: Repr::Sparse(ps.to_vec()),
-                    },
-                    2 + n,
-                ))
-            }
-            1 => {
-                let flat = words.get(2..2 + 2 * n)?;
-                let mut rs = Vec::with_capacity(n);
-                let mut count = 0u32;
-                let mut prev_end = 0u32;
-                for pair in flat.chunks_exact(2) {
-                    let (s, e) = (pair[0], pair[1]);
-                    // Runs must ascend, be disjoint and non-adjacent.
-                    if s >= e || e > universe || (!rs.is_empty() && s <= prev_end) {
-                        return None;
-                    }
-                    count = count.checked_add(e - s)?;
-                    prev_end = e;
-                    rs.push((s, e));
-                }
-                Some((
-                    BitRow {
-                        universe,
-                        count,
-                        repr: Repr::Runs(rs),
-                    },
-                    2 + 2 * n,
-                ))
-            }
-            _ => None,
-        }
-    }
-
     /// Size in bytes if the row were forced into run-length encoding —
     /// the ablation baseline for the paper's "40 % smaller" hybrid claim.
     pub fn rle_only_bytes(&self) -> usize {
@@ -387,6 +333,81 @@ impl BitRow {
             Repr::Sparse(ps) => runs_of(ps).len(),
         };
         1 + 4 * 2 * n_runs
+    }
+}
+
+/// A row still in the words [`BitRow::write_words_to`] serialized it to —
+/// a mapped segment's payload — validated but not decoded.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WordRow<'a> {
+    pub(crate) universe: u32,
+    count: u32,
+    /// Tag 1: `body` is flattened `[start, end)` run pairs; tag 0:
+    /// ascending positions.
+    pub(crate) runs: bool,
+    pub(crate) body: &'a [u32],
+}
+
+impl<'a> WordRow<'a> {
+    /// Validates the row at the start of `words` — tag, lengths, ascending
+    /// positions, ascending disjoint non-adjacent runs, universe bounds;
+    /// `None` when corrupt, never a malformed row.
+    pub(crate) fn parse(words: &'a [u32], universe: u32) -> Option<WordRow<'a>> {
+        let tag = *words.first()?;
+        let n = *words.get(1)? as usize;
+        let (runs, count, body) = match tag {
+            0 => {
+                let ps = words.get(2..2 + n)?;
+                if !ps.windows(2).all(|w| w[0] < w[1]) {
+                    return None;
+                }
+                if ps.last().is_some_and(|&p| p >= universe) {
+                    return None;
+                }
+                (false, n as u32, ps)
+            }
+            1 => {
+                let flat = words.get(2..2 + 2 * n)?;
+                let mut count = 0u32;
+                let mut prev_end = None;
+                for pair in flat.chunks_exact(2) {
+                    let (s, e) = (pair[0], pair[1]);
+                    // Runs must ascend, be disjoint and non-adjacent.
+                    if s >= e || e > universe || prev_end.is_some_and(|p| s <= p) {
+                        return None;
+                    }
+                    count = count.checked_add(e - s)?;
+                    prev_end = Some(e);
+                }
+                (true, count, flat)
+            }
+            _ => return None,
+        };
+        Some(WordRow {
+            universe,
+            count,
+            runs,
+            body,
+        })
+    }
+
+    /// The `[start, end)` runs of a runs row.
+    pub(crate) fn run_pairs(&self) -> impl Iterator<Item = (u32, u32)> + 'a {
+        self.body.chunks_exact(2).map(|p| (p[0], p[1]))
+    }
+
+    /// Decodes the row, allocating it once at its exact size.
+    pub(crate) fn decode(&self) -> BitRow {
+        let repr = if self.runs {
+            Repr::Runs(self.run_pairs().collect())
+        } else {
+            Repr::Sparse(self.body.to_vec())
+        };
+        BitRow {
+            universe: self.universe,
+            count: self.count,
+            repr,
+        }
     }
 }
 

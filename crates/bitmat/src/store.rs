@@ -1,7 +1,9 @@
 //! In-memory BitMat store: builds and holds all four index families.
 
+use crate::bitvec::BitVec;
 use crate::catalog::{Catalog, CubeDims, Family};
 use crate::error::BitMatError;
+use crate::kernel::SetScratch;
 use crate::matrix::BitMat;
 use crate::row::BitRow;
 use lbr_rdf::{EncodedGraph, EncodedTriple};
@@ -114,6 +116,18 @@ impl Catalog for BitMatStore {
     fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError> {
         let mat = self.get(f, key).filter(|m| !m.is_empty());
         Ok(mat.map(Cow::Borrowed))
+    }
+
+    fn masked(
+        &self,
+        f: Family,
+        key: u32,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> Result<Option<BitMat>, BitMatError> {
+        let mat = self.get(f, key).map(|m| m.masked(rows, cols, scratch));
+        Ok(mat.filter(|m| !m.is_empty()))
     }
 
     fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {

@@ -18,9 +18,10 @@
 //!
 //! *Active pruning* happens inside the load. Before `BM_tpj` is read, each
 //! of its variables gets one mask: the AND of the folds of that variable
-//! over every already-loaded master or peer TP holding it. The load copies
-//! only what the masks keep ([`load_masked`]): a lent matrix is copied row
-//! by row through them, and a decoded or merged one is unfolded in place.
+//! over every already-loaded master or peer TP holding it. The catalog
+//! reads only what the masks keep ([`Catalog::masked`]), on every medium:
+//! the heap store copies the kept rows, an mmap'd segment decodes only
+//! those, and the delta overlay merges only the delta pairs they keep.
 //! [`load_order`] loads TPs so that as many of them as possible are masked,
 //! and the first absolute-master TP that is empty after its load ends
 //! `init`: §5's "simple optimization" aborts before the remaining TPs are
@@ -33,7 +34,6 @@ use lbr_bitmat::{BitMat, BitVec, Catalog, CubeDims, Family, RetainDim, SetScratc
 use lbr_rdf::{Dictionary, Dimension};
 use lbr_sparql::algebra::{TermPattern, TriplePattern};
 use lbr_sparql::gosn::{Gosn, TpId};
-use std::borrow::Cow;
 
 /// The oriented shape of a two-dimensional TP matrix: its rows bind
 /// `row_var` in `row_dim`, its columns bind `col_var` in `col_dim`.
@@ -389,45 +389,6 @@ fn const_id(dict: &Dictionary, t: &TermPattern, dim: Dimension) -> Option<u32> {
     t.as_const().and_then(|c| dict.id(c, dim))
 }
 
-/// The BitMat of `key` in family `f`, holding only the triples whose row
-/// is set in `row_mask` and whose column is set in `col_mask` (`None`
-/// keeps a dimension whole; masks are clipped as in
-/// [`BitMat::unfold_with`]). Empty when the key's constant is unknown to
-/// the dictionary or has no triples.
-///
-/// A lent matrix (the heap store, or an overlay whose delta leaves the key
-/// untouched) is copied through the masks ([`BitMat::masked`]): rows they
-/// drop are never cloned. A matrix the catalog had to build anyway (mmap
-/// decode, delta merge) is already private and is unfolded in place.
-pub fn load_masked(
-    catalog: &impl Catalog,
-    dims: &CubeDims,
-    f: Family,
-    key: Option<u32>,
-    row_mask: Option<&BitVec>,
-    col_mask: Option<&BitVec>,
-    scratch: &mut SetScratch,
-) -> Result<BitMat, LbrError> {
-    let loaded = match key {
-        Some(key) => catalog.matrix(f, key)?,
-        None => None,
-    };
-    let (_, n_rows, n_cols) = f.shape(dims);
-    Ok(match loaded {
-        None => BitMat::empty(n_rows, n_cols),
-        Some(Cow::Borrowed(m)) => m.masked(row_mask, col_mask, scratch),
-        Some(Cow::Owned(mut m)) => {
-            if let Some(mask) = row_mask {
-                m.unfold_with(mask, RetainDim::Row, scratch);
-            }
-            if let Some(mask) = col_mask {
-                m.unfold_with(mask, RetainDim::Col, scratch);
-            }
-            m
-        }
-    })
-}
-
 /// The mask buffers of the TP being loaded, one per variable position
 /// (`preds` serves `(?s ?p ?o)`'s predicate), plus a fold buffer.
 #[derive(Default)]
@@ -508,11 +469,17 @@ fn load_tp(
         fold,
     } = masks;
     // A two-variable TP: the matrix of `key` in `f`, loaded through the
-    // masks of its row and column variables.
+    // masks of its row and column variables; empty when the key's constant
+    // is unknown to the dictionary or nothing survives the masks.
     let mut two = |f: Family, key: Option<u32>, axes: Axes| -> Result<TpData, LbrError> {
         let row_mask = feed.mask(axes.row_var, axes.row_dim, rows, fold);
         let col_mask = feed.mask(axes.col_var, axes.col_dim, cols, fold);
-        let mat = load_masked(catalog, dims, f, key, row_mask, col_mask, scratch)?;
+        let mat = match key {
+            Some(key) => catalog.masked(f, key, row_mask, col_mask, scratch)?,
+            None => None,
+        };
+        let (_, n_rows, n_cols) = f.shape(dims);
+        let mat = mat.unwrap_or_else(|| BitMat::empty(n_rows, n_cols));
         Ok(TpData::Two { axes, mat })
     };
 
@@ -650,16 +617,7 @@ fn load_tp(
                 if p_mask.is_some_and(|m| !m.get(pid)) {
                     continue;
                 }
-                let m = load_masked(
-                    catalog,
-                    dims,
-                    Family::So,
-                    Some(pid),
-                    s_mask,
-                    o_mask,
-                    scratch,
-                )?;
-                if !m.is_empty() {
+                if let Some(m) = catalog.masked(Family::So, pid, s_mask, o_mask, scratch)? {
                     mats.push((pid, m));
                 }
             }
@@ -794,16 +752,28 @@ mod tests {
             &self,
             f: Family,
             key: u32,
-        ) -> Result<Option<Cow<'_, BitMat>>, lbr_bitmat::BitMatError> {
+        ) -> Result<Option<std::borrow::Cow<'_, BitMat>>, lbr_bitmat::BitMatError> {
             self.count();
             self.inner.matrix(f, key)
+        }
+        fn masked(
+            &self,
+            f: Family,
+            key: u32,
+            rows: Option<&BitVec>,
+            cols: Option<&BitVec>,
+            scratch: &mut SetScratch,
+        ) -> Result<Option<BitMat>, lbr_bitmat::BitMatError> {
+            self.count();
+            self.inner.masked(f, key, rows, cols, scratch)
         }
         fn row(
             &self,
             f: Family,
             key: u32,
             r: u32,
-        ) -> Result<Option<Cow<'_, lbr_bitmat::BitRow>>, lbr_bitmat::BitMatError> {
+        ) -> Result<Option<std::borrow::Cow<'_, lbr_bitmat::BitRow>>, lbr_bitmat::BitMatError>
+        {
             self.count();
             self.inner.row(f, key, r)
         }

@@ -3,22 +3,29 @@
 //! Engines never see the delta: they consume the [`Catalog`] trait, and
 //! this implementation answers every load with *base segments + inserts −
 //! tombstones*, exactly like [`BitMatStore`] answers them (`None` for
-//! empty). Rows untouched by the delta are cloned from the compressed base
-//! row verbatim; touched rows are re-compressed from the merged sorted
+//! empty). Rows untouched by the delta are the base's compressed rows
+//! as they are; touched rows are re-compressed from the merged sorted
 //! position list — so the result of every load is **bit-for-bit
 //! identical** to what a `BitMatStore` built from the merged triples would
 //! return, which is what keeps all five engines byte-equivalent to a
 //! from-scratch rebuild.
 //!
-//! A load the delta does not touch is the base catalog's own `Cow` handed
-//! through — borrowed from a heap store, decoded once from a mapped one —
-//! so the overlay never adds a copy of a base matrix on either medium, and
-//! with an empty delta its overhead on the PR 5 kernel numbers is one
-//! branch per load.
+//! A load the delta does not touch is the base catalog's own answer
+//! handed through — a heap matrix borrowed, a mapped one decoded once — so
+//! the overlay never adds a copy of a base matrix on either medium, and
+//! with an empty delta its overhead is one branch per load.
+//!
+//! `init`'s masked load ([`Catalog::masked`]) is where the merge happens:
+//! the base answers its own masked load (reading only the rows the masks
+//! keep), and only the delta pairs the masks keep are merged in, since
+//! `((base ∪ ins) ∖ tomb) ∧ M = ((base ∧ M) ∪ (ins ∧ M)) ∖ tomb`. The
+//! masked base is private, so its untouched rows move into the result. A
+//! whole-matrix load of a touched key is the masked load with no mask.
 
 use crate::delta::Delta;
 use lbr_bitmat::{
-    BitMat, BitMatError, BitMatStore, BitRow, Catalog, CubeDims, DiskCatalog, Family,
+    BitMat, BitMatError, BitMatStore, BitRow, BitVec, Catalog, CubeDims, DiskCatalog, Family,
+    SetScratch,
 };
 use lbr_rdf::EncodedTriple;
 use std::borrow::Cow;
@@ -93,7 +100,7 @@ impl OverlayCatalog {
     /// the segments' ID space and satisfy the [`Delta`] invariants.
     pub fn new(segments: SegmentSource, delta: Arc<Delta>) -> Self {
         let mut dims = segments.dims();
-        dims.n_triples = (dims.n_triples as i64 + delta.net()) as u64;
+        dims.n_triples = dims.n_triples.saturating_add_signed(delta.net());
         OverlayCatalog {
             segments,
             delta,
@@ -118,18 +125,41 @@ impl Catalog for OverlayCatalog {
     }
 
     fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError> {
-        let base = self.segments.catalog().matrix(f, key)?;
+        if self.delta.inserts.count(f, key) == 0 && self.delta.tombstones.count(f, key) == 0 {
+            return self.segments.catalog().matrix(f, key);
+        }
+        let merged = self.masked(f, key, None, None, &mut SetScratch::default())?;
+        Ok(merged.map(Cow::Owned))
+    }
+
+    fn masked(
+        &self,
+        f: Family,
+        key: u32,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> Result<Option<BitMat>, BitMatError> {
+        let base = self
+            .segments
+            .catalog()
+            .masked(f, key, rows, cols, scratch)?;
         if self.delta.is_empty() {
             return Ok(base);
         }
-        let ins = self.delta.inserts.pairs(f, key);
-        let tomb = self.delta.tombstones.pairs(f, key);
+        // ((base ∪ ins) ∖ tomb) ∧ M = ((base ∧ M) ∪ (ins ∧ M)) ∖ tomb: only
+        // the delta pairs the masks keep are merged into the masked base.
+        let kept =
+            |&(r, c): &(u32, u32)| rows.is_none_or(|m| m.get(r)) && cols.is_none_or(|m| m.get(c));
+        let mut ins = self.delta.inserts.pairs(f, key);
+        ins.retain(kept);
+        let mut tomb = self.delta.tombstones.pairs(f, key);
+        tomb.retain(kept);
         if ins.is_empty() && tomb.is_empty() {
             return Ok(base);
         }
         let (_, n_rows, n_cols) = f.shape(&self.dims);
-        let merged = merge_matrix(base.as_deref(), n_rows, n_cols, &ins, &tomb);
-        Ok(merged.map(Cow::Owned))
+        Ok(merge_matrix(base, n_rows, n_cols, &ins, &tomb))
     }
 
     fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {
@@ -150,14 +180,19 @@ impl Catalog for OverlayCatalog {
         Ok(merged.map(Cow::Owned))
     }
 
+    /// Base plus inserts minus tombstones, saturating: the base counts of a
+    /// mapped segment are untrusted bytes (a corrupt TOC count, or a blob
+    /// that reads as 0), so they may undercount the tombstones.
     fn count(&self, f: Family, key: u32) -> u64 {
-        self.segments.catalog().count(f, key) + self.delta.inserts.count(f, key)
-            - self.delta.tombstones.count(f, key)
+        let base = self.segments.catalog().count(f, key);
+        base.saturating_add(self.delta.inserts.count(f, key))
+            .saturating_sub(self.delta.tombstones.count(f, key))
     }
 
     fn row_count(&self, f: Family, key: u32, r: u32) -> u64 {
-        self.segments.catalog().row_count(f, key, r) + self.delta.inserts.row_count(f, key, r)
-            - self.delta.tombstones.row_count(f, key, r)
+        let base = self.segments.catalog().row_count(f, key, r);
+        base.saturating_add(self.delta.inserts.row_count(f, key, r))
+            .saturating_sub(self.delta.tombstones.row_count(f, key, r))
     }
 }
 
@@ -166,23 +201,24 @@ impl Catalog for OverlayCatalog {
 ///
 /// `ins` / `tomb` are `(row, col)` lists sorted ascending; rows they
 /// touch are rebuilt from the merged sorted positions, all other rows
-/// are cloned from the compressed base row as-is.
+/// are moved from the base as they are.
 fn merge_matrix(
-    base: Option<&BitMat>,
+    base: Option<BitMat>,
     n_rows: u32,
     n_cols: u32,
     ins: &[(u32, u32)],
     tomb: &[(u32, u32)],
 ) -> Option<BitMat> {
-    let base_rows: &[(u32, BitRow)] = base.map_or(&[], |m| m.rows());
+    let base_rows = base.map_or_else(Vec::new, BitMat::into_rows);
     let mut out: Vec<(u32, BitRow)> = Vec::with_capacity(base_rows.len() + ins.len());
-    let (mut bi, mut ii, mut ti) = (0usize, 0usize, 0usize);
+    let mut base_rows = base_rows.into_iter().peekable();
+    let (mut ii, mut ti) = (0usize, 0usize);
     // One position buffer reused across every touched row.
     let mut cols: Vec<u32> = Vec::new();
     loop {
         // The next row index any of the three sorted streams mentions.
         let next_row = [
-            base_rows.get(bi).map(|&(r, _)| r),
+            base_rows.peek().map(|&(r, _)| r),
             ins.get(ii).map(|&(r, _)| r),
             tomb.get(ti).map(|&(r, _)| r),
         ]
@@ -191,13 +227,7 @@ fn merge_matrix(
         .min();
         let Some(r) = next_row else { break };
 
-        let base_row = match base_rows.get(bi) {
-            Some((br, row)) if *br == r => {
-                bi += 1;
-                Some(row)
-            }
-            _ => None,
-        };
+        let base_row = base_rows.next_if(|&(br, _)| br == r).map(|(_, row)| row);
         let ins_start = ii;
         while ins.get(ii).is_some_and(|&(ir, _)| ir == r) {
             ii += 1;
@@ -207,12 +237,12 @@ fn merge_matrix(
             ti += 1;
         }
         let row = if ins_start == ii && tomb_start == ti {
-            // Untouched row: keep the compressed base row verbatim.
-            base_row.cloned()
+            // Untouched row: move the compressed base row over.
+            base_row
         } else {
             let add = ins[ins_start..ii].iter().map(|&(_, c)| c);
             let dead = tomb[tomb_start..ti].iter().map(|&(_, c)| c);
-            merge_row(base_row, add, dead, n_cols, &mut cols)
+            merge_row(base_row.as_ref(), add, dead, n_cols, &mut cols)
         };
         if let Some(row) = row {
             out.push((r, row));
@@ -314,6 +344,7 @@ mod tests {
             ),
             ("mmap", OverlayCatalog::new(mapped, delta)),
         ];
+        let mut scratch = SetScratch::default();
         for (medium, overlay) in &overlays {
             let d = overlay.dims();
             assert_eq!(d, rebuilt.dims(), "{medium}");
@@ -321,11 +352,14 @@ mod tests {
                 let (n_keys, n_rows, _) = f.shape(&d);
                 for key in 0..n_keys {
                     let at = format!("{medium} {} {key}", f.name());
+                    let whole = overlay.matrix(f, key).unwrap().map(Cow::into_owned);
                     assert_eq!(
-                        overlay.matrix(f, key).unwrap(),
-                        rebuilt.matrix(f, key).unwrap(),
+                        whole.as_ref(),
+                        rebuilt.matrix(f, key).unwrap().as_deref(),
                         "{at}"
                     );
+                    let unmasked = overlay.masked(f, key, None, None, &mut scratch);
+                    assert_eq!(whole, unmasked.unwrap(), "{at}");
                     assert_eq!(overlay.count(f, key), rebuilt.count(f, key), "{at}");
                     for r in 0..n_rows {
                         assert_eq!(
@@ -421,6 +455,39 @@ mod tests {
         let overlay = OverlayCatalog::new(SegmentSource::Heap(segments), Arc::new(delta));
         assert_eq!(overlay.matrix(Family::So, p).unwrap(), None);
         assert_eq!(overlay.count(Family::So, p), 0);
+    }
+
+    /// A mapped base may undercount the tombstones: its TOC count is never
+    /// checked against the blob, and a row the directory lacks counts 0.
+    /// The overlay's counts saturate at zero instead of underflowing.
+    #[test]
+    fn corrupt_base_counts_saturate() {
+        let graph = Graph::from_triples(sitcom_base()).encode();
+        let store = BitMatStore::build(&graph);
+        let path =
+            std::env::temp_dir().join(format!("lbr-overlay-corrupt-{}.seg", std::process::id()));
+        lbr_bitmat::disk::save_store(&store, &path).unwrap();
+        // Segment layout: the blob base is the u64 at byte 16, and the TOC
+        // starts at byte 48 with the S-O family: n_mats u32, then per
+        // matrix key u32 | offset u64 | len u64 | count u64. A blob starts
+        // n_rows u32 | n_cols u32 | count u64 | n_present u32.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let key = u32::from_le_bytes(bytes[52..56].try_into().unwrap());
+        let blob = (u64_at(&bytes, 16) + u64_at(&bytes, 56)) as usize;
+        bytes[72..80].fill(0); // the TOC count
+        bytes[blob + 16..blob + 20].fill(0); // n_present: no row is listed
+        std::fs::write(&path, &bytes).unwrap();
+        let disk = DiskCatalog::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+
+        let (s, o) = store.get(Family::So, key).unwrap().iter().next().unwrap();
+        let mut delta = Delta::new();
+        delta.tombstones.insert(EncodedTriple::new(s, key, o));
+        let overlay = OverlayCatalog::new(SegmentSource::Disk(Arc::new(disk)), Arc::new(delta));
+        assert_eq!(overlay.count(Family::So, key), 0);
+        assert_eq!(overlay.row_count(Family::So, key, s), 0);
+        assert_eq!(overlay.matrix(Family::So, key).unwrap(), None);
     }
 
     /// Every read-only database queries through this path, so the

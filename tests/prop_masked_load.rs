@@ -1,21 +1,22 @@
 //! Property test of `init`'s masked load: loading a matrix through row and
-//! column masks (`lbr_core::init::load_masked`) yields exactly the matrix
-//! a full load followed by the paper's `unfold` on each mask yields — on
-//! every catalog a query can run over:
+//! column masks ([`Catalog::masked`]) yields exactly the matrix a full
+//! load followed by the paper's `unfold` on each mask yields (`None` when
+//! nothing is left) — on every catalog a query can run over:
 //!
-//! * the heap [`BitMatStore`], which lends its matrices (copied row by row
-//!   through the masks);
-//! * an mmap'd [`DiskCatalog`], which decodes them (unfolded in place);
+//! * the heap [`BitMatStore`], which copies the kept rows of the matrix it
+//!   holds;
+//! * an mmap'd [`DiskCatalog`], which decodes only the kept rows;
 //! * an `OverlayCatalog` with inserts and tombstones over either medium,
-//!   which lends the keys its delta leaves untouched and merges the rest.
+//!   which masks its base and merges only the delta pairs the masks keep.
 //!
 //! Masks take every shape active pruning produces: absent (the dimension
 //! loads whole), empty, full, shorter than the dimension (a shared S-O
-//! prefix) and longer than it.
+//! prefix) and longer than it. Every key the delta touches is also loaded
+//! under a sparse row mask drawn from the delta's own rows, so the merge
+//! of a masked base is exercised on every case.
 
 use lbr::bitmat::disk::save_store;
 use lbr::bitmat::{BitMat, BitVec, RetainDim, SetScratch};
-use lbr::core::init::load_masked;
 use lbr::rdf::EncodedTriple;
 use lbr::storage::{Delta, OverlayCatalog};
 use lbr::{BitMatStore, Catalog, DiskCatalog, Family, Graph, SegmentSource, Term, Triple};
@@ -70,12 +71,42 @@ impl Drop for TempSeg {
     }
 }
 
-/// Every matrix of `cat`, masked-loaded, against its full load unfolded.
+/// The masked load of `key` in `f` against the full load unfolded by each
+/// mask.
+fn check_key(
+    cat: &impl Catalog,
+    medium: &str,
+    f: Family,
+    key: u32,
+    rows: Option<&BitVec>,
+    cols: Option<&BitVec>,
+    scratch: &mut SetScratch,
+) -> Result<(), TestCaseError> {
+    let want = cat.matrix(f, key).unwrap().map(|m| {
+        let mut m: BitMat = m.into_owned();
+        if let Some(mask) = rows {
+            m.unfold_with(mask, RetainDim::Row, scratch);
+        }
+        if let Some(mask) = cols {
+            m.unfold_with(mask, RetainDim::Col, scratch);
+        }
+        m
+    });
+    let want = want.filter(|m| !m.is_empty());
+    let got = cat.masked(f, key, rows, cols, scratch).unwrap();
+    prop_assert_eq!(got, want, "{} {} key {}", medium, f.name(), key);
+    Ok(())
+}
+
+/// Every matrix of `cat`, masked-loaded, against its full load unfolded;
+/// then every key `delta` touches under a sparse row mask over the rows
+/// of half its pairs.
 fn check(
     cat: &impl Catalog,
     medium: &str,
     shapes: (u8, u8),
     bits: &BTreeSet<u32>,
+    delta: &Delta,
 ) -> Result<(), TestCaseError> {
     let dims = cat.dims();
     let mut scratch = SetScratch::default();
@@ -84,30 +115,35 @@ fn check(
         let rows = mask(shapes.0, bits, n_rows);
         let cols = mask(shapes.1, bits, n_cols);
         for key in 0..n_keys {
-            let mut want = cat
-                .matrix(f, key)
-                .unwrap()
-                .map_or_else(|| BitMat::empty(n_rows, n_cols), |m| m.into_owned());
-            if let Some(m) = &rows {
-                want.unfold_with(m, RetainDim::Row, &mut scratch);
-            }
-            if let Some(m) = &cols {
-                want.unfold_with(m, RetainDim::Col, &mut scratch);
-            }
-            let got = load_masked(
+            check_key(
                 cat,
-                &dims,
+                medium,
                 f,
-                Some(key),
+                key,
                 rows.as_ref(),
                 cols.as_ref(),
                 &mut scratch,
-            )
-            .unwrap();
-            prop_assert_eq!(&got, &want, "{} {} key {}", medium, f.name(), key);
+            )?;
         }
-        let unknown = load_masked(cat, &dims, f, None, rows.as_ref(), None, &mut scratch);
-        prop_assert_eq!(unknown.unwrap(), BitMat::empty(n_rows, n_cols));
+        let unknown = cat.masked(f, n_keys, rows.as_ref(), None, &mut scratch);
+        prop_assert_eq!(
+            unknown.unwrap(),
+            None,
+            "{} {}: out-of-range key",
+            medium,
+            f.name()
+        );
+
+        for key in 0..n_keys {
+            let pairs = [&delta.inserts, &delta.tombstones].map(|set| set.pairs(f, key));
+            let touched = pairs.iter().flatten().step_by(2).map(|&(r, _)| r);
+            let sparse = BitVec::from_positions(n_rows, touched);
+            if sparse.count_ones() > 0 {
+                for cols in [None, cols.as_ref()] {
+                    check_key(cat, medium, f, key, Some(&sparse), cols, &mut scratch)?;
+                }
+            }
+        }
     }
     Ok(())
 }
@@ -151,12 +187,12 @@ proptest! {
         }
         let delta = Arc::new(delta);
 
-        check(store.as_ref(), "heap", shapes, &bits)?;
-        check(disk.as_ref(), "mmap", shapes, &bits)?;
+        check(store.as_ref(), "heap", shapes, &bits, &delta)?;
+        check(disk.as_ref(), "mmap", shapes, &bits, &delta)?;
         let heap_overlay =
             OverlayCatalog::new(SegmentSource::Heap(Arc::clone(&store)), Arc::clone(&delta));
-        check(&heap_overlay, "overlay(heap)", shapes, &bits)?;
-        let mmap_overlay = OverlayCatalog::new(SegmentSource::Disk(disk), delta);
-        check(&mmap_overlay, "overlay(mmap)", shapes, &bits)?;
+        check(&heap_overlay, "overlay(heap)", shapes, &bits, &delta)?;
+        let mmap_overlay = OverlayCatalog::new(SegmentSource::Disk(disk), Arc::clone(&delta));
+        check(&mmap_overlay, "overlay(mmap)", shapes, &bits, &delta)?;
     }
 }

@@ -13,6 +13,7 @@
 //!   before it is dereferenced.
 
 use lbr::bitmat::disk::save_store;
+use lbr::bitmat::{BitVec, SetScratch};
 use lbr::{BitMatStore, Catalog, DiskCatalog, Family, Graph, Term, Triple};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -89,13 +90,26 @@ impl Drop for TempSeg {
 
 /// Exercises every load and count of a catalog, comparing nothing —
 /// the property is that none of them panics on hostile bytes. Keys and
-/// rows are capped because a flipped header bit can claim billions.
+/// rows are capped because a flipped header bit can claim billions. The
+/// masked load runs with no mask, a sparse one (every third row and
+/// column: probed rows) and a full one (walked rows).
 fn drain_catalog(cat: &DiskCatalog) {
     let dims = cat.dims();
+    let mut scratch = SetScratch::default();
     for f in Family::ALL {
-        let (n_keys, n_rows, _) = f.shape(&dims);
+        let (n_keys, n_rows, n_cols) = f.shape(&dims);
+        let (n_rows_m, n_cols_m) = (n_rows.min(4096), n_cols.min(4096));
+        let sparse = (
+            BitVec::from_positions(n_rows_m, (0..n_rows_m).step_by(3)),
+            BitVec::from_positions(n_cols_m, (0..n_cols_m).step_by(3)),
+        );
+        let full = (BitVec::ones(n_rows_m), BitVec::ones(n_cols_m));
         for key in 0..n_keys.min(128) {
             let _ = cat.matrix(f, key);
+            let _ = cat.masked(f, key, None, None, &mut scratch);
+            for (rows, cols) in [&sparse, &full] {
+                let _ = cat.masked(f, key, Some(rows), Some(cols), &mut scratch);
+            }
             let _ = cat.count(f, key);
             for r in 0..n_rows.min(128) {
                 let _ = cat.row(f, key, r);
