@@ -18,13 +18,21 @@
 //! loaded TP (a row the masks drop is never copied or decoded), a warm
 //! `prune_triples` allocates nothing, and the join's enumeration
 //! allocates at most once per emitted row plus [`JOIN_CONSTANT`]. The
-//! `init` gate runs twice: over the heap store, and over the same store
+//! `init` gate runs three times: over the heap store; over the same store
 //! saved to a segment and mmap'd, where a kept row is decoded from its
-//! mapped words and a dropped one is never read.
+//! mapped words and a dropped one is never read; and over that segment
+//! under a dirty delta overlay (5% of the triples re-paired within their
+//! predicate as inserts, 1% deleted, as the `disk_overlay` benchmark
+//! builds its overlay), where a kept row the delta touches may be
+//! allocated once more, when its edit is written, and no other row moves.
 
-use lbr_bench::{allocation_count, prepare, Prepared};
+use lbr::storage::{Delta, OverlayCatalog};
+use lbr::SegmentSource;
+use lbr_bench::{allocation_count, prepare, splitmix64, Prepared};
 use lbr_bitmat::disk::save_store;
-use lbr_bitmat::{Catalog, DiskCatalog};
+use lbr_bitmat::{
+    BitMat, BitMatError, BitRow, BitVec, Catalog, CubeDims, DiskCatalog, Family, SetScratch,
+};
 use lbr_core::bindings::VarTable;
 use lbr_core::init::{init, InitOutcome, TpData, TpState};
 use lbr_core::jvar_order::get_jvar_order;
@@ -36,6 +44,10 @@ use lbr_datagen::lubm;
 use lbr_sparql::algebra::Query;
 use lbr_sparql::classify::analyze;
 use lbr_sparql::parse_query;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: lbr_bench::CountingAlloc = lbr_bench::CountingAlloc;
@@ -53,9 +65,10 @@ const BASE_CEILING: u64 = 1_000;
 const PER_ROW: u64 = 4;
 
 /// Per-TP allowance of the exact init gate, beside one allocation per
-/// kept matrix row: the TP's candidate vector or row list, the first
-/// growth of the mask buffers and kernel scratch, and a share of `init`'s
-/// order and result vectors. It does not grow with the data.
+/// kept matrix row (and, over the overlay, one per row the delta touches):
+/// the TP's candidate vector or row list, the first growth of the mask
+/// buffers and kernel scratch, and a share of `init`'s order and result
+/// vectors. It does not grow with the data.
 const INIT_PER_TP: u64 = 8;
 
 /// Per-join allowance of the exact join gate, beside one allocation per
@@ -73,14 +86,15 @@ fn main() {
     let p = prepare(ds);
     let seg = std::env::temp_dir().join(format!("lbr-alloc-check-{}.seg", std::process::id()));
     save_store(&p.store, &seg).expect("save the sample segment");
-    let disk = DiskCatalog::open(&seg).expect("open the sample segment");
+    let disk = Arc::new(DiskCatalog::open(&seg).expect("open the sample segment"));
+    let overlay = dirty_overlay(&p, Arc::clone(&disk));
     let engine = LbrEngine::new(&p.store, &p.graph.dict);
     let mut failed = false;
     println!(
         "allocation check: LUBM sample, cached-plan steady state, \
          ceiling {BASE_CEILING} + {PER_ROW}/result-row; \
-         init ≤ kept rows + {INIT_PER_TP}/TP on heap and mmap, warm prune 0, \
-         join ≤ rows + {JOIN_CONSTANT}"
+         init ≤ kept rows + {INIT_PER_TP}/TP on heap and mmap, \
+         + touched rows over a dirty overlay, warm prune 0, join ≤ rows + {JOIN_CONSTANT}"
     );
     for q in &p.dataset.queries {
         let query = parse_query(&q.text).expect("workload query parses");
@@ -96,15 +110,17 @@ fn main() {
             best = best.min(allocation_count() - a0);
         }
         let ceiling = BASE_CEILING + PER_ROW * rows;
-        let s = stage_allocs(&p, &disk, &query);
+        let s = stage_allocs(&p, &disk, &overlay, &query);
         let ok = best <= ceiling
             && s.init.within_gate()
             && s.mmap_init.within_gate()
+            && s.overlay_init.within_gate()
             && s.prune == 0
             && s.join <= s.join_rows + JOIN_CONSTANT;
         println!(
             "{:<4} {best:>8} allocs/query (ceiling {ceiling:>6}, {rows} rows)  \
              init {} ({} kept rows, {} TPs)  mmap init {} ({} kept rows)  \
+             overlay init {} ({} kept, {} touched rows)  \
              prune {}  join {} ({} rows)  [{}]",
             q.id,
             s.init.allocs,
@@ -112,6 +128,9 @@ fn main() {
             s.init.tps,
             s.mmap_init.allocs,
             s.mmap_init.kept_rows,
+            s.overlay_init.allocs,
+            s.overlay_init.kept_rows,
+            s.overlay_init.touched_rows,
             s.prune,
             s.join,
             s.join_rows,
@@ -124,8 +143,8 @@ fn main() {
         eprintln!(
             "FAIL: allocations exceeded a committed ceiling \
              ({BASE_CEILING} + {PER_ROW}/row per query, kept rows + \
-             {INIT_PER_TP}/TP per init on heap and mmap, 0 per warm prune, \
-             rows + {JOIN_CONSTANT} per join)"
+             {INIT_PER_TP}/TP per init on heap and mmap, + touched rows over \
+             the overlay, 0 per warm prune, rows + {JOIN_CONSTANT} per join)"
         );
         std::process::exit(1);
     }
@@ -137,6 +156,8 @@ struct StageAllocs {
     init: InitAllocs,
     /// `init` over the mmap'd segment.
     mmap_init: InitAllocs,
+    /// `init` over the mmap'd segment under the dirty delta.
+    overlay_init: InitAllocs,
     /// Allocations of a warm `prune_triples`.
     prune: u64,
     /// Allocations of the join's enumeration alone.
@@ -153,11 +174,14 @@ struct InitAllocs {
     kept_rows: u64,
     /// TPs `init` loaded.
     tps: u64,
+    /// Rows of the masked loads that the delta touches and the row masks
+    /// keep (0 without a delta).
+    touched_rows: u64,
 }
 
 impl InitAllocs {
     fn within_gate(&self) -> bool {
-        self.allocs <= self.kept_rows + INIT_PER_TP * self.tps
+        self.allocs <= self.kept_rows + self.touched_rows + INIT_PER_TP * self.tps
     }
 }
 
@@ -174,14 +198,20 @@ fn measured_init(run: impl FnOnce() -> InitOutcome) -> (InitAllocs, Option<Vec<T
         allocs,
         kept_rows,
         tps: out.tps_loaded,
+        touched_rows: 0,
     };
     (init, out.tps)
 }
 
 /// Measures the stages one by one, as `tests/prop_minimality.rs` drives
-/// them; `init` runs over the heap store and over `disk`, its mmap'd copy,
-/// with the same plan.
-fn stage_allocs(p: &Prepared, disk: &DiskCatalog, query: &Query) -> StageAllocs {
+/// them; `init` runs over the heap store, over `disk`, its mmap'd copy,
+/// and over `overlay`, that copy under a dirty delta, with the same plan.
+fn stage_allocs(
+    p: &Prepared,
+    disk: &DiskCatalog,
+    overlay: &OverlayCatalog,
+    query: &Query,
+) -> StageAllocs {
     let a = analyze(&query.pattern).expect("workload query analyzes");
     assert!(a.class.connected, "the LUBM sample queries are connected");
     let (gosn, goj, dict) = (&a.gosn, &a.goj, &p.graph.dict);
@@ -190,11 +220,19 @@ fn stage_allocs(p: &Prepared, disk: &DiskCatalog, query: &Query) -> StageAllocs 
     let jorder = get_jvar_order(gosn, goj, &vt, &est);
     let (mmap_init, _) =
         measured_init(|| init(gosn, &vt, &jorder, &est, dict, disk).expect("mmap init"));
+    let touching = Touching {
+        overlay,
+        touched_rows: AtomicU64::new(0),
+    };
+    let (mut overlay_init, _) =
+        measured_init(|| init(gosn, &vt, &jorder, &est, dict, &touching).expect("overlay init"));
+    overlay_init.touched_rows = touching.touched_rows.into_inner();
     let (heap_init, loaded) =
         measured_init(|| init(gosn, &vt, &jorder, &est, dict, &p.store).expect("init"));
     let mut s = StageAllocs {
         init: heap_init,
         mmap_init,
+        overlay_init,
         prune: 0,
         join: 0,
         join_rows: 0,
@@ -236,5 +274,79 @@ fn matrix_rows(tp: &TpState) -> u64 {
         TpData::Zero { .. } | TpData::One { .. } => 0,
         TpData::Two { mat, .. } => mat.rows().len() as u64,
         TpData::Three { mats, .. } => mats.iter().map(|(_, m)| m.rows().len() as u64).sum(),
+    }
+}
+
+/// The sample store's segment under a seeded delta of the shape the
+/// `disk_overlay` benchmark builds: 5% of the triples re-paired within
+/// their predicate (the subject of one with the object of another) as
+/// inserts, and 1% of the triples deleted.
+fn dirty_overlay(p: &Prepared, disk: Arc<DiskCatalog>) -> OverlayCatalog {
+    let triples = &p.graph.triples;
+    let base: HashSet<_> = triples.iter().copied().collect();
+    let mut by_predicate: HashMap<u32, Vec<usize>> = HashMap::new();
+    for (i, t) in triples.iter().enumerate() {
+        by_predicate.entry(t.p).or_default().push(i);
+    }
+    let mut draws = (0u64..).map(splitmix64);
+    let mut pick = |n: usize| (draws.next().expect("endless draws") % n as u64) as usize;
+    let mut delta = Delta::new();
+    while delta.inserts.len() < triples.len() / 20 {
+        let a = triples[pick(triples.len())];
+        let group = &by_predicate[&a.p];
+        let b = triples[group[pick(group.len())]];
+        let e = lbr_rdf::EncodedTriple::new(a.s, a.p, b.o);
+        if !base.contains(&e) {
+            delta.inserts.insert(e);
+        }
+    }
+    while delta.tombstones.len() < triples.len() / 100 {
+        delta.tombstones.insert(triples[pick(triples.len())]);
+    }
+    OverlayCatalog::new(SegmentSource::Disk(disk), Arc::new(delta))
+}
+
+/// An overlay that counts, per masked load, the rows its delta touches and
+/// the row mask keeps: the rows the merge may edit. Counting walks the
+/// delta's ordered sets and allocates nothing.
+struct Touching<'a> {
+    overlay: &'a OverlayCatalog,
+    touched_rows: AtomicU64,
+}
+
+impl Catalog for Touching<'_> {
+    fn dims(&self) -> CubeDims {
+        self.overlay.dims()
+    }
+
+    fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError> {
+        self.overlay.matrix(f, key)
+    }
+
+    fn masked(
+        &self,
+        f: Family,
+        key: u32,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> Result<Option<BitMat>, BitMatError> {
+        let changed = self.overlay.delta().changed_rows(f, key);
+        let touched = changed.filter(|row| rows.is_none_or(|m| m.get(row.0)));
+        self.touched_rows
+            .fetch_add(touched.count() as u64, Ordering::Relaxed);
+        self.overlay.masked(f, key, rows, cols, scratch)
+    }
+
+    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {
+        self.overlay.row(f, key, r)
+    }
+
+    fn count(&self, f: Family, key: u32) -> u64 {
+        self.overlay.count(f, key)
+    }
+
+    fn row_count(&self, f: Family, key: u32, r: u32) -> u64 {
+        self.overlay.row_count(f, key, r)
     }
 }

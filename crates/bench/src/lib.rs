@@ -265,8 +265,9 @@ pub struct DeltaReport {
 }
 
 /// SplitMix64 — a tiny deterministic mixer used to spread the held-out
-/// triples across the dataset instead of clustering them at one end.
-fn splitmix64(mut x: u64) -> u64 {
+/// triples across the dataset instead of clustering them at one end (and
+/// to draw `alloc_check`'s seeded delta).
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

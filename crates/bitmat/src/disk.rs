@@ -27,11 +27,14 @@
 //! ```
 //!
 //! Every length and offset is validated before it is used: the header and
-//! TOC at open, a matrix's row directory on every touch
-//! ([`DiskCatalog::mapped`]), and a row's payload when a load reads that
-//! row. A truncated or corrupt file yields [`BitMatError::Corrupt`], never
-//! UB. The v1 format (`LBRBM001`, byte-packed rows behind a seeking file
-//! handle) is superseded; v1 files are rejected with a clear error.
+//! TOC at open, a matrix's row directory once per open catalog, on the
+//! first touch that finds it sound ([`DiskCatalog::mapped`]), and a row's
+//! payload — tag, non-zero length, order, bounds, and its directory count —
+//! each time a load reads that row. A truncated or corrupt file yields
+//! [`BitMatError::Corrupt`], never UB; a corrupt directory does so on every
+//! touch, since only a passed check is remembered. The v1 format
+//! (`LBRBM001`, byte-packed rows behind a seeking file handle) is
+//! superseded; v1 files are rejected with a clear error.
 //!
 //! The row directory allows [`Catalog::row`] (the paper's single-row loads
 //! for two-fixed-position patterns) and [`Catalog::row_count`] (selectivity
@@ -55,6 +58,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const MAGIC: &[u8; 8] = b"LBRBM002";
 const MAGIC_V1: &[u8; 8] = b"LBRBM001";
@@ -71,11 +75,13 @@ const MAT_HEADER: usize = 24;
 /// Bytes per row-directory entry.
 const DIR_ENTRY: usize = 12;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct TocEntry {
     offset: u64,
     len: u64,
     count: u64,
+    /// Set once the matrix's row directory has passed its check.
+    validated: AtomicBool,
 }
 
 fn corrupt(m: impl Into<String>) -> BitMatError {
@@ -169,7 +175,10 @@ pub struct MappedMatrix<'a> {
 }
 
 impl<'a> MappedMatrix<'a> {
-    fn from_blob(bytes: &'a [u8]) -> Result<MappedMatrix<'a>, BitMatError> {
+    /// The matrix in `bytes`. Its header and bounds are checked on every
+    /// call; its row directory is walked only while `validated` is unset,
+    /// and `validated` is set once that walk succeeds.
+    fn from_blob(bytes: &'a [u8], validated: &AtomicBool) -> Result<MappedMatrix<'a>, BitMatError> {
         if bytes.len() < MAT_HEADER || !bytes.len().is_multiple_of(4) {
             return Err(corrupt("matrix blob too short or misaligned"));
         }
@@ -194,11 +203,16 @@ impl<'a> MappedMatrix<'a> {
         let payload =
             words_of(&bytes[dir_end..]).ok_or_else(|| corrupt("misaligned row payload"))?;
         // Directory row ids must ascend (binary-searched) and stay in range.
-        for k in 0..n_present {
-            let id = dir[3 * k];
-            if id >= n_rows || (k > 0 && dir[3 * (k - 1)] >= id) {
-                return Err(corrupt("row directory not ascending"));
+        // The bytes never change, so one successful walk holds for good; a
+        // failed one is not recorded and fails again on the next touch.
+        if !validated.load(Ordering::Relaxed) {
+            for k in 0..n_present {
+                let id = dir[3 * k];
+                if id >= n_rows || (k > 0 && dir[3 * (k - 1)] >= id) {
+                    return Err(corrupt("row directory not ascending"));
+                }
             }
+            validated.store(true, Ordering::Relaxed);
         }
         Ok(MappedMatrix {
             n_rows,
@@ -251,32 +265,11 @@ impl<'a> MappedMatrix<'a> {
 
     /// The `(tag, body)` words of one row's payload: tag 0 = ascending
     /// sparse positions, tag 1 = flattened `[start, end)` run pairs.
-    /// Returns an error (not UB) when the stored offsets are corrupt.
+    /// The row is validated first, so a corrupt one is an error (not UB).
     pub fn row_words(&self, row_id: u32) -> Result<Option<(u32, &'a [u32])>, BitMatError> {
-        let Some(k) = self.dir_slot(row_id) else {
-            return Ok(None);
-        };
-        let rel = self.dir[3 * k + 2] as usize;
-        let tag = *self
-            .payload
-            .get(rel)
-            .ok_or_else(|| corrupt("row offset out of bounds"))?;
-        let n = *self
-            .payload
-            .get(rel + 1)
-            .ok_or_else(|| corrupt("row length out of bounds"))? as usize;
-        let body_len = match tag {
-            0 => n,
-            1 => n
-                .checked_mul(2)
-                .ok_or_else(|| corrupt("run count overflow"))?,
-            _ => return Err(corrupt("unknown row tag")),
-        };
-        let body = self
-            .payload
-            .get(rel + 2..rel + 2 + body_len)
-            .ok_or_else(|| corrupt("row body out of bounds"))?;
-        Ok(Some((tag, body)))
+        self.dir_slot(row_id)
+            .map(|k| self.word_row(k).map(|row| (row.runs as u32, row.body)))
+            .transpose()
     }
 
     /// A zero-copy [`RowCursor`] over one row's mapped words (`None` when
@@ -296,14 +289,19 @@ impl<'a> MappedMatrix<'a> {
             .transpose()
     }
 
-    /// The row in directory slot `k`, validated but not decoded.
+    /// The row in directory slot `k`, validated but not decoded: its
+    /// payload must parse, and hold the bits its directory entry counts.
     fn word_row(&self, k: usize) -> Result<WordRow<'a>, BitMatError> {
         let rel = self.dir[3 * k + 2] as usize;
         let words = self
             .payload
             .get(rel..)
             .ok_or_else(|| corrupt("row offset out of bounds"))?;
-        WordRow::parse(words, self.n_cols).ok_or_else(|| corrupt("bad row payload"))
+        let row = WordRow::parse(words, self.n_cols).ok_or_else(|| corrupt("bad row payload"))?;
+        if row.count_ones() != self.dir[3 * k + 1] {
+            return Err(corrupt("row payload disagrees with its directory count"));
+        }
+        Ok(row)
     }
 
     /// An owned matrix holding only the triples whose row is set in `rows`
@@ -361,10 +359,12 @@ impl<'a> MappedMatrix<'a> {
 /// The TOC (a few entries per matrix) lives in memory; matrix bodies stay
 /// on their mapped pages and are either viewed zero-copy
 /// ([`DiskCatalog::mapped`]) or decoded for the owned [`Catalog`] loads.
-/// A row is decoded and validated only when a load reads it: a masked
-/// load ([`Catalog::masked`]) reads only the rows its masks keep, and
-/// [`Catalog::matrix`] is the masked load with no mask. The kernel page
-/// cache does the tiering.
+/// Each matrix's row directory is validated once per open catalog, on its
+/// first touch, not at open (which would page in every directory) and not
+/// on every load. A row is decoded and validated only when a load reads
+/// it: a masked load ([`Catalog::masked`]) reads only the rows its masks
+/// keep, and [`Catalog::matrix`] is the masked load with no mask. The
+/// kernel page cache does the tiering.
 pub struct DiskCatalog {
     map: Mmap,
     dims: CubeDims,
@@ -384,8 +384,8 @@ impl std::fmt::Debug for DiskCatalog {
 impl DiskCatalog {
     /// Opens (mmaps) a segment written by [`save_store`]. Every header
     /// field and TOC entry is bounds-validated here; a matrix's directory
-    /// and rows are validated when a load reads them. Corrupt input errors
-    /// — it never causes an out-of-bounds access.
+    /// is validated on its first touch and its rows when a load reads
+    /// them. Corrupt input errors — it never causes an out-of-bounds access.
     pub fn open(path: &Path) -> Result<Self, BitMatError> {
         let file = File::open(path)?;
         let map = Mmap::map(&file)?;
@@ -455,7 +455,16 @@ impl DiskCatalog {
                         f.name()
                     )));
                 }
-                fam.insert(key, TocEntry { offset, len, count });
+                let validated = AtomicBool::new(false);
+                fam.insert(
+                    key,
+                    TocEntry {
+                        offset,
+                        len,
+                        count,
+                        validated,
+                    },
+                );
             }
             if at > blob_base {
                 return Err(corrupt("TOC extends past blob base"));
@@ -474,8 +483,9 @@ impl DiskCatalog {
         self.map.len() as u64
     }
 
-    /// Zero-copy view of the matrix of `key` in family `f`, validated on
-    /// this touch.
+    /// Zero-copy view of the matrix of `key` in family `f`. Its header is
+    /// checked on every touch, its row directory on the first touch that
+    /// passes (a corrupt directory is an error on every touch).
     pub fn mapped(&self, f: Family, key: u32) -> Result<Option<MappedMatrix<'_>>, BitMatError> {
         let Some(e) = self.toc[f as usize].get(&key) else {
             return Ok(None);
@@ -486,7 +496,7 @@ impl DiskCatalog {
             .as_slice()
             .get(start..start + e.len as usize)
             .ok_or_else(|| corrupt(format!("{} blob of key {key} out of bounds", f.name())))?;
-        MappedMatrix::from_blob(bytes).map(Some)
+        MappedMatrix::from_blob(bytes, &e.validated).map(Some)
     }
 }
 
@@ -679,18 +689,18 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A row's payload is read only when a masked load keeps the row: with
-    /// one row corrupt, masks that drop it load exactly what the heap store
-    /// loads, on both walks, and masks that keep it are `Corrupt`.
-    #[test]
-    fn masked_load_reads_only_the_rows_it_keeps() {
-        let store = sample_store();
-        let path = std::env::temp_dir().join("lbr_bitmat_test_masked_corrupt.idx");
-        save_store(&store, &path).unwrap();
-        // The S-O matrix with the most rows; its first row gets an unknown
-        // payload tag.
-        let (key, bad, n_rows) = {
-            let cat = DiskCatalog::open(&path).unwrap();
+    /// Saves `store` to `path`, then patches the S-O matrix with the most
+    /// rows: `patch(file, dir_at, row_at)` gets the file's bytes, the
+    /// offset of that matrix's row directory and that of its first row's
+    /// payload. Returns the matrix's key and its directory as saved.
+    fn save_patched(
+        store: &BitMatStore,
+        path: &Path,
+        patch: impl FnOnce(&mut [u8], usize, usize),
+    ) -> (u32, Vec<u32>) {
+        save_store(store, path).unwrap();
+        let (key, dir, dir_at) = {
+            let cat = DiskCatalog::open(path).unwrap();
             let present = |p| {
                 cat.mapped(Family::So, p)
                     .unwrap()
@@ -701,14 +711,34 @@ mod tests {
                 .unwrap();
             let m = cat.mapped(Family::So, key).unwrap().unwrap();
             let blob = cat.blob_base + cat.toc[Family::So as usize][&key].offset as usize;
-            let tag_at = blob + MAT_HEADER + m.n_present() * DIR_ENTRY + 4 * m.dir[2] as usize;
-            let mut bytes = std::fs::read(&path).unwrap();
-            bytes[tag_at..tag_at + 4].copy_from_slice(&7u32.to_le_bytes());
-            std::fs::write(&path, &bytes).unwrap();
-            (key, m.dir[0], m.n_rows())
+            (key, m.dir.to_vec(), blob + MAT_HEADER)
         };
+        let row_at = dir_at + dir.len() / 3 * DIR_ENTRY + 4 * dir[2] as usize;
+        let mut bytes = std::fs::read(path).unwrap();
+        patch(&mut bytes, dir_at, row_at);
+        std::fs::write(path, &bytes).unwrap();
+        (key, dir)
+    }
+
+    fn is_corrupt<T>(got: Result<T, BitMatError>) -> bool {
+        matches!(got, Err(BitMatError::Corrupt(_)))
+    }
+
+    /// A row's payload is read only when a masked load keeps the row: with
+    /// one row corrupt, masks that drop it load exactly what the heap store
+    /// loads, on both walks, and masks that keep it are `Corrupt`.
+    #[test]
+    fn masked_load_reads_only_the_rows_it_keeps() {
+        let store = sample_store();
+        let path = std::env::temp_dir().join("lbr_bitmat_test_masked_corrupt.idx");
+        // The first row gets an unknown payload tag.
+        let (key, dir) = save_patched(&store, &path, |bytes, _, row_at| {
+            bytes[row_at..row_at + 4].copy_from_slice(&7u32.to_le_bytes());
+        });
+        let bad = dir[0];
         let cat = DiskCatalog::open(&path).unwrap();
         let heap = store.get(Family::So, key).unwrap();
+        let n_rows = heap.n_rows();
         assert!(heap.rows().len() >= 3, "the sweep needs a multi-row matrix");
         let mut scratch = SetScratch::default();
         // Fewer set bits than present rows (probed), then more (walked).
@@ -737,6 +767,99 @@ mod tests {
             cat.matrix(Family::So, key),
             Err(BitMatError::Corrupt(_))
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A stored row is never empty, and holds the bits its directory entry
+    /// counts. A row whose payload length is zero, or whose directory count
+    /// disagrees with its payload, is `Corrupt` — not a stored row with no
+    /// bits, which the join would take for a match.
+    #[test]
+    fn empty_or_miscounted_row_payload_is_corrupt() {
+        let store = sample_store();
+        let path = std::env::temp_dir().join("lbr_bitmat_test_empty_row.idx");
+        let zero_length = |bytes: &mut [u8], _, row_at: usize| {
+            bytes[row_at + 4..row_at + 8].fill(0);
+        };
+        let miscount = |bytes: &mut [u8], dir_at: usize, _| {
+            let count = u32::from_le_bytes(bytes[dir_at + 4..dir_at + 8].try_into().unwrap());
+            bytes[dir_at + 4..dir_at + 8].copy_from_slice(&(count + 1).to_le_bytes());
+        };
+        for patch in [&zero_length as &dyn Fn(&mut [u8], usize, usize), &miscount] {
+            let (key, dir) = save_patched(&store, &path, patch);
+            let cat = DiskCatalog::open(&path).unwrap();
+            let mut scratch = SetScratch::default();
+            let got = cat.masked(Family::So, key, None, None, &mut scratch);
+            assert!(is_corrupt(got));
+            assert!(is_corrupt(cat.row(Family::So, key, dir[0])));
+            let mapped = cat.mapped(Family::So, key).unwrap().unwrap();
+            assert!(is_corrupt(mapped.cursor(dir[0])));
+            // The other rows still load.
+            assert_eq!(
+                cat.row(Family::So, key, dir[3]).unwrap(),
+                store.row(Family::So, key, dir[3]).unwrap()
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A row directory is walked once per open catalog: a corrupt one is
+    /// `Corrupt` on every touch, since a failed check is not remembered,
+    /// and a sound one loads the same before and after the touch that
+    /// checked it.
+    #[test]
+    fn row_directory_is_validated_once() {
+        let store = sample_store();
+        let path = std::env::temp_dir().join("lbr_bitmat_test_dir_once.idx");
+        // The first two directory row ids swap: the directory no longer
+        // ascends.
+        let (key, _) = save_patched(&store, &path, |bytes, dir_at, _| {
+            let (first, second) = bytes[dir_at..].split_at_mut(DIR_ENTRY);
+            first[..4].swap_with_slice(&mut second[..4]);
+        });
+        let cat = DiskCatalog::open(&path).unwrap();
+        let validated =
+            |f: Family, key: u32| cat.toc[f as usize][&key].validated.load(Ordering::Relaxed);
+        let mut scratch = SetScratch::default();
+        let (_, n_rows, _) = Family::So.shape(&cat.dims());
+        for _ in 0..3 {
+            assert!(is_corrupt(cat.mapped(Family::So, key)));
+            assert!(is_corrupt(cat.masked(
+                Family::So,
+                key,
+                None,
+                None,
+                &mut scratch
+            )));
+            assert!(is_corrupt(cat.row(Family::So, key, 0)));
+            assert!((0..n_rows).all(|r| cat.row_count(Family::So, key, r) == 0));
+            assert!(!validated(Family::So, key));
+        }
+        // Every sound matrix: the touch that validates it and every later
+        // one load what the heap store holds.
+        let dims = cat.dims();
+        for f in Family::ALL {
+            let (n_keys, n_rows, _) = f.shape(&dims);
+            for k in (0..n_keys).filter(|&k| (f, k) != (Family::So, key)) {
+                let Some(heap) = store.get(f, k) else {
+                    continue;
+                };
+                let rows =
+                    BitVec::from_positions(n_rows, heap.rows().iter().map(|&(r, _)| r).step_by(2));
+                assert!(!validated(f, k));
+                for _ in 0..3 {
+                    for r in 0..n_rows {
+                        assert_eq!(cat.row_count(f, k, r), store.row_count(f, k, r));
+                    }
+                    assert!(validated(f, k));
+                    for mask in [None, Some(&rows)] {
+                        let got = cat.masked(f, k, mask, None, &mut scratch).unwrap();
+                        let want = store.masked(f, k, mask, None, &mut scratch).unwrap();
+                        assert_eq!(got, want, "{} {k}", f.name());
+                    }
+                }
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

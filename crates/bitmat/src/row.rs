@@ -10,7 +10,9 @@
 //!   represent it, then we simply store the set bit positions"*.
 //!
 //! All operations (`or_into`, `and_mask`, iteration, membership) walk the
-//! compressed representation; a row is never expanded into raw bits.
+//! compressed representation; a row is never expanded into raw bits. So
+//! does the edit a delta makes to a stored row ([`BitRow::edit`]: `(base ∪
+//! ins) ∖ tomb`), which merges and cuts runs instead of decoding them.
 
 use crate::bitvec::BitVec;
 
@@ -334,6 +336,201 @@ impl BitRow {
         };
         1 + 4 * 2 * n_runs
     }
+
+    /// `(base ∪ ins) ∖ tomb` as a new row, `None` when it is empty — the
+    /// edit a delta makes to one stored row (`base` `None`: the row is new).
+    /// `ins` and `tomb` are ascending positions below `universe`; a
+    /// position in both is removed.
+    ///
+    /// The work grows with the changes and the base's compressed size, not
+    /// with its bits: a runs base is edited run by run (the inserted
+    /// positions merge into maximal runs, each tombstone inside one splits
+    /// it), and a sparse base is copied a slice at a time between changed
+    /// positions. One pass counts the result's bits and runs, a second
+    /// writes it, allocated once at its exact size in the representation
+    /// [`BitRow::from_sorted_positions`] picks.
+    pub fn edit(
+        base: Option<&BitRow>,
+        universe: u32,
+        ins: impl Iterator<Item = u32> + Clone,
+        tomb: impl Iterator<Item = u32> + Clone,
+    ) -> Option<BitRow> {
+        let (count, repr) = match base.map(|b| &b.repr) {
+            Some(Repr::Runs(rs)) => {
+                let edited = EditRuns {
+                    runs: rs,
+                    ins: ins.peekable(),
+                    tomb: tomb.peekable(),
+                    rest: None,
+                };
+                let (mut count, mut n_runs) = (0u32, 0usize);
+                for (s, e) in edited.clone() {
+                    count += e - s;
+                    n_runs += 1;
+                }
+                let repr = if (count as usize) < 2 * n_runs {
+                    let mut ps = Vec::with_capacity(count as usize);
+                    edited.for_each(|(s, e)| ps.extend(s..e));
+                    Repr::Sparse(ps)
+                } else {
+                    let mut rs = Vec::with_capacity(n_runs);
+                    rs.extend(edited);
+                    Repr::Runs(rs)
+                };
+                (count, repr)
+            }
+            base => {
+                let base = match base {
+                    Some(Repr::Sparse(ps)) => &ps[..],
+                    _ => &[],
+                };
+                let (mut count, mut n_runs, mut next) = (0u32, 0usize, None);
+                edit_positions(base, ins.clone(), tomb.clone(), |chunk| {
+                    if let (Some(&first), Some(&last)) = (chunk.first(), chunk.last()) {
+                        let breaks = chunk.windows(2).filter(|w| w[1] != w[0] + 1).count();
+                        n_runs += usize::from(next != Some(first)) + breaks;
+                        next = Some(last + 1);
+                        count += chunk.len() as u32;
+                    }
+                });
+                let repr = if (count as usize) < 2 * n_runs {
+                    let mut ps = Vec::with_capacity(count as usize);
+                    edit_positions(base, ins, tomb, |chunk| ps.extend_from_slice(chunk));
+                    Repr::Sparse(ps)
+                } else {
+                    let mut rs: Vec<(u32, u32)> = Vec::with_capacity(n_runs);
+                    edit_positions(base, ins, tomb, |chunk| {
+                        for &p in chunk {
+                            match rs.last_mut() {
+                                Some((_, e)) if *e == p => *e = p + 1,
+                                _ => rs.push((p, p + 1)),
+                            }
+                        }
+                    });
+                    Repr::Runs(rs)
+                };
+                (count, repr)
+            }
+        };
+        (count > 0).then_some(BitRow {
+            universe,
+            count,
+            repr,
+        })
+    }
+}
+
+/// Feeds `(ps ∪ ins) ∖ tomb` to `out` in ascending slices ([`BitRow::edit`]
+/// on a sparse base): the positions of `ps` between two changed positions
+/// are handed over as one slice, found by a binary search, so the work
+/// grows with the changes, not with `ps`.
+fn edit_positions(
+    ps: &[u32],
+    ins: impl Iterator<Item = u32>,
+    tomb: impl Iterator<Item = u32>,
+    mut out: impl FnMut(&[u32]),
+) {
+    let (mut ins, mut tomb) = (ins.peekable(), tomb.peekable());
+    let mut rest = ps;
+    loop {
+        let q = match (ins.peek(), tomb.peek()) {
+            (Some(&a), Some(&t)) => a.min(t),
+            (Some(&q), None) | (None, Some(&q)) => q,
+            (None, None) => break,
+        };
+        let (before, from_q) = rest.split_at(rest.partition_point(|&p| p < q));
+        out(before);
+        let in_base = from_q.first() == Some(&q);
+        rest = if in_base { &from_q[1..] } else { from_q };
+        let added = ins.next_if_eq(&q).is_some();
+        let removed = tomb.next_if_eq(&q).is_some();
+        if (in_base || added) && !removed {
+            out(std::slice::from_ref(&q));
+        }
+    }
+    out(rest);
+}
+
+/// The maximal runs of `(base ∪ ins) ∖ tomb` for a runs base, ascending
+/// ([`BitRow::edit`]). Base runs and inserted positions are merged into
+/// maximal runs of the union; tombstones then cut each union run into the
+/// pieces between them. Pieces of one union run are split by a tombstone,
+/// and union runs are apart, so the pieces come out maximal.
+#[derive(Clone)]
+struct EditRuns<'a, I, T>
+where
+    I: Iterator<Item = u32>,
+    T: Iterator<Item = u32>,
+{
+    /// The base runs not yet merged.
+    runs: &'a [(u32, u32)],
+    ins: std::iter::Peekable<I>,
+    tomb: std::iter::Peekable<T>,
+    /// What is left of the current union run after its last tombstone.
+    rest: Option<(u32, u32)>,
+}
+
+impl<I, T> EditRuns<'_, I, T>
+where
+    I: Iterator<Item = u32>,
+    T: Iterator<Item = u32>,
+{
+    /// The next base run, if it starts at or before `limit`.
+    fn next_base_if(&mut self, limit: u32) -> Option<(u32, u32)> {
+        let (&run, rest) = self.runs.split_first()?;
+        (run.0 <= limit).then(|| {
+            self.runs = rest;
+            run
+        })
+    }
+
+    /// The next maximal run of `base ∪ ins`.
+    fn next_union(&mut self) -> Option<(u32, u32)> {
+        let first_ins = self.ins.peek().copied().unwrap_or(u32::MAX);
+        let (s, mut e) = match self.next_base_if(first_ins) {
+            Some(run) => run,
+            None => self.ins.next().map(|p| (p, p + 1))?,
+        };
+        // Absorb every run and position that overlaps or touches [s, e).
+        loop {
+            if let Some((_, be)) = self.next_base_if(e) {
+                e = e.max(be);
+            } else if let Some(p) = self.ins.next_if(|&p| p <= e) {
+                e = e.max(p + 1);
+            } else {
+                return Some((s, e));
+            }
+        }
+    }
+}
+
+impl<I, T> Iterator for EditRuns<'_, I, T>
+where
+    I: Iterator<Item = u32>,
+    T: Iterator<Item = u32>,
+{
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        loop {
+            let (s, e) = match self.rest.take() {
+                Some(run) => run,
+                None => self.next_union()?,
+            };
+            while self.tomb.next_if(|&t| t < s).is_some() {}
+            match self.tomb.next_if(|&t| t < e) {
+                Some(t) => {
+                    if t + 1 < e {
+                        self.rest = Some((t + 1, e));
+                    }
+                    if s < t {
+                        return Some((s, t));
+                    }
+                }
+                None => return Some((s, e)),
+            }
+        }
+    }
 }
 
 /// A row still in the words [`BitRow::write_words_to`] serialized it to —
@@ -349,12 +546,16 @@ pub(crate) struct WordRow<'a> {
 }
 
 impl<'a> WordRow<'a> {
-    /// Validates the row at the start of `words` — tag, lengths, ascending
-    /// positions, ascending disjoint non-adjacent runs, universe bounds;
-    /// `None` when corrupt, never a malformed row.
+    /// Validates the row at the start of `words` — tag, a non-zero length,
+    /// ascending positions, ascending disjoint non-adjacent runs, universe
+    /// bounds; `None` when corrupt, never a malformed row. A stored row is
+    /// never empty, so a zero length is corrupt too.
     pub(crate) fn parse(words: &'a [u32], universe: u32) -> Option<WordRow<'a>> {
         let tag = *words.first()?;
         let n = *words.get(1)? as usize;
+        if n == 0 {
+            return None;
+        }
         let (runs, count, body) = match tag {
             0 => {
                 let ps = words.get(2..2 + n)?;
@@ -389,6 +590,11 @@ impl<'a> WordRow<'a> {
             runs,
             body,
         })
+    }
+
+    /// Number of set bits.
+    pub(crate) fn count_ones(&self) -> u32 {
+        self.count
     }
 
     /// The `[start, end)` runs of a runs row.
@@ -559,5 +765,33 @@ mod tests {
         // count 3 < 2*2 runs → sparse.
         let row = BitRow::from_sorted_positions(20, &[0, 1, 10]);
         assert!(row.is_sparse());
+    }
+
+    /// The edit lands on the hybrid boundary from every kind of base, and
+    /// picks what `from_sorted_positions` picks there.
+    #[test]
+    fn edit_picks_the_hybrid_boundary() {
+        let edit = |base: Option<&BitRow>, ins: &[u32], tomb: &[u32]| {
+            BitRow::edit(base, 20, ins.iter().copied(), tomb.iter().copied()).unwrap()
+        };
+        let sparse = BitRow::from_sorted_positions(20, &[0, 1, 10]);
+        let runs = BitRow::from_sorted_positions(20, &[0, 1, 10, 11, 15, 16]);
+        assert!(sparse.is_sparse() && !runs.is_sparse());
+        for got in [
+            edit(None, &[0, 1, 10, 11], &[]),
+            edit(Some(&sparse), &[11], &[]),
+            edit(Some(&runs), &[], &[15, 16]),
+        ] {
+            assert_eq!(got, BitRow::from_sorted_positions(20, &[0, 1, 10, 11]));
+            assert!(!got.is_sparse(), "count 4 == 2·2 runs → runs");
+        }
+        // One bit below the boundary → sparse, from each kind of base.
+        for got in [
+            edit(None, &[0, 1, 10], &[]),
+            edit(Some(&sparse), &[], &[]),
+            edit(Some(&runs), &[], &[11, 15, 16]),
+        ] {
+            assert_eq!(got, sparse);
+        }
     }
 }

@@ -220,6 +220,43 @@ proptest! {
         prop_assert_eq!(out, oracle.iter_ones().collect::<Vec<_>>());
     }
 
+    /// The delta edit `(base ∪ ins) ∖ tomb`, computed over runs, against
+    /// the positions it must hold: the same row, representation included,
+    /// for a base of either representation or none, and `None` exactly
+    /// when nothing is left. Inserts may repeat base bits and tombstones
+    /// may miss them, or hit inserts.
+    #[test]
+    fn row_edit_matches_rebuilt_positions(
+        base_kind in 0u8..4,
+        blocks in arb_blocky_positions(200),
+        bits in arb_positions(200),
+        ins in prop::collection::btree_set(0u32..200, 0..24),
+        tomb_blocks in arb_blocky_positions(200),
+        tomb_bits in arb_positions(200),
+    ) {
+        // No base, a runs-biased one, scattered bits (mostly sparse), or
+        // runs of one and two bits, near the hybrid rule's boundary.
+        let pairs: BTreeSet<u32> = bits
+            .iter()
+            .flat_map(|&b| if b % 3 == 0 { b..b + 1 } else { b..(b + 2).min(200) })
+            .collect();
+        let base = match base_kind {
+            0 => None,
+            1 => Some(BitRow::from_sorted_positions(200, &blocks)),
+            2 => Some(BitRow::from_sorted_positions(200, &bits)),
+            _ => Some(BitRow::from_sorted_positions(200, &pairs.into_iter().collect::<Vec<_>>())),
+        };
+        let tomb: BTreeSet<u32> = tomb_blocks.iter().chain(tomb_bits.iter().step_by(3)).copied().collect();
+        let want: BTreeSet<u32> = base.iter().flat_map(BitRow::iter_ones)
+            .chain(ins.iter().copied())
+            .filter(|p| !tomb.contains(p))
+            .collect();
+        let want: Vec<u32> = want.into_iter().collect();
+        let got = BitRow::edit(base.as_ref(), 200, ins.iter().copied(), tomb.iter().copied());
+        let want = (!want.is_empty()).then(|| BitRow::from_sorted_positions(200, &want));
+        prop_assert_eq!(got, want);
+    }
+
     #[test]
     fn row_codec_roundtrip(a in arb_blocky_positions(400)) {
         let row = BitRow::from_sorted_positions(400, &a);

@@ -1,26 +1,27 @@
 //! The delta memtable: insert and tombstone sets in the base ID space.
 //!
-//! A [`TripleSet`] keeps every triple under three orderings — `(p,s,o)`,
-//! `(s,p,o)` and `(o,p,s)` — so each of the four BitMat families can range
-//! over exactly the triples it needs (S-O / O-S by predicate, P-O by
-//! subject, P-S by object) without scanning the whole delta. The sets are
-//! `BTreeSet`s: deltas are small by design (compaction folds them away),
-//! and ordered range scans produce the sorted position lists the
-//! compressed-row constructors want.
+//! A [`TripleSet`] keeps every triple once per BitMat family, as the
+//! `(key, row, col)` that family projects it to ([`Family::project`]), so
+//! each family ranges over exactly the triples of one matrix, and over one
+//! row of it, in the order a row is built: S-O by `(p, s, o)`, O-S by
+//! `(p, o, s)`, P-O by `(s, p, o)`, P-S by `(o, p, s)`. Nothing is swapped
+//! or re-sorted on a load. A per-key count beside each ordering answers
+//! [`TripleSet::count`] without a scan. The orderings are `BTreeSet`s:
+//! deltas are small by design (compaction folds them away), and ordered
+//! range scans produce the sorted positions the compressed rows want.
 
 use lbr_bitmat::Family;
 use lbr_rdf::EncodedTriple;
-use std::collections::btree_set::{BTreeSet, Range};
+use std::collections::{BTreeSet, HashMap};
 
 /// A set of encoded triples indexed for all four BitMat access paths.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TripleSet {
-    /// `(p, s, o)` — serves the per-predicate S-O / O-S families.
-    by_pso: BTreeSet<(u32, u32, u32)>,
-    /// `(s, p, o)` — serves the per-subject P-O family.
-    by_spo: BTreeSet<(u32, u32, u32)>,
-    /// `(o, p, s)` — serves the per-object P-S family.
-    by_ops: BTreeSet<(u32, u32, u32)>,
+    /// Per family (by discriminant): every triple as its `(key, row, col)`.
+    by_family: [BTreeSet<(u32, u32, u32)>; 4],
+    /// Triples per key, for each key that has any: per predicate (the S-O
+    /// and O-S key), per subject (P-O) and per object (P-S).
+    counts: [HashMap<u32, u32>; 3],
 }
 
 impl TripleSet {
@@ -31,88 +32,85 @@ impl TripleSet {
 
     /// Number of triples.
     pub fn len(&self) -> usize {
-        self.by_pso.len()
+        self.by_family[Family::So as usize].len()
     }
 
     /// True when no triple is present.
     pub fn is_empty(&self) -> bool {
-        self.by_pso.is_empty()
+        self.len() == 0
     }
 
     /// Inserts a triple; returns `true` if it was new.
     pub fn insert(&mut self, t: EncodedTriple) -> bool {
-        let added = self.by_pso.insert((t.p, t.s, t.o));
+        let added = self.by_family[0].insert(Family::So.project(&t));
         if added {
-            self.by_spo.insert((t.s, t.p, t.o));
-            self.by_ops.insert((t.o, t.p, t.s));
+            for f in [Family::Os, Family::Po, Family::Ps] {
+                self.by_family[f as usize].insert(f.project(&t));
+            }
+            for (counts, key) in self.counts.iter_mut().zip([t.p, t.s, t.o]) {
+                *counts.entry(key).or_default() += 1;
+            }
         }
         added
     }
 
     /// Removes a triple; returns `true` if it was present.
     pub fn remove(&mut self, t: EncodedTriple) -> bool {
-        let removed = self.by_pso.remove(&(t.p, t.s, t.o));
+        let removed = self.by_family[0].remove(&Family::So.project(&t));
         if removed {
-            self.by_spo.remove(&(t.s, t.p, t.o));
-            self.by_ops.remove(&(t.o, t.p, t.s));
+            for f in [Family::Os, Family::Po, Family::Ps] {
+                self.by_family[f as usize].remove(&f.project(&t));
+            }
+            for (counts, key) in self.counts.iter_mut().zip([t.p, t.s, t.o]) {
+                match counts.get_mut(&key) {
+                    Some(n) if *n > 1 => *n -= 1,
+                    _ => {
+                        counts.remove(&key);
+                    }
+                }
+            }
         }
         removed
     }
 
     /// Membership test.
     pub fn contains(&self, t: EncodedTriple) -> bool {
-        self.by_pso.contains(&(t.p, t.s, t.o))
+        self.by_family[Family::So as usize].contains(&Family::So.project(&t))
     }
 
     /// All triples, ascending by `(p, s, o)`.
     pub fn iter(&self) -> impl Iterator<Item = EncodedTriple> + '_ {
-        self.by_pso
+        self.by_family[Family::So as usize]
             .iter()
             .map(|&(p, s, o)| EncodedTriple::new(s, p, o))
     }
 
-    /// Every triple of `key` in family `f`, in the ordering that leads
-    /// with that key (S-O and O-S share the per-predicate one).
-    fn of_key(&self, f: Family, key: u32) -> Range<'_, (u32, u32, u32)> {
-        let set = match f {
-            Family::So | Family::Os => &self.by_pso,
-            Family::Po => &self.by_spo,
-            Family::Ps => &self.by_ops,
-        };
-        set.range((key, 0, 0)..=(key, u32::MAX, u32::MAX))
-    }
-
     /// The `(row, col)` pairs this set holds in the matrix of `key` in
-    /// family `f`, ascending — what the compressed-row constructors want.
-    /// O-S has no ordering of its own: its pairs are the S-O pairs of the
-    /// predicate swapped and re-sorted.
-    pub fn pairs(&self, f: Family, key: u32) -> Vec<(u32, u32)> {
-        let of_key = self.of_key(f, key);
-        if f == Family::Os {
-            let mut swapped: Vec<(u32, u32)> = of_key.map(|&(_, s, o)| (o, s)).collect();
-            swapped.sort_unstable();
-            swapped
-        } else {
-            of_key.map(|&(_, r, c)| (r, c)).collect()
-        }
+    /// family `f`, ascending. Like [`TripleSet::cols`], one descent of the
+    /// ordering finds the first, and a walk reads on from there.
+    pub fn pairs(&self, f: Family, key: u32) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+        self.by_family[f as usize]
+            .range((key, 0, 0)..)
+            .map_while(move |&(k, r, c)| (k == key).then_some((r, c)))
     }
 
     /// Triple count of that matrix.
     pub fn count(&self, f: Family, key: u32) -> u64 {
-        self.of_key(f, key).count() as u64
+        let counts = match f {
+            Family::So | Family::Os => &self.counts[0],
+            Family::Po => &self.counts[1],
+            Family::Ps => &self.counts[2],
+        };
+        counts.get(&key).map_or(0, |&n| u64::from(n))
     }
 
-    /// The columns set in row `row` of that matrix, ascending. A row of an
-    /// O-S matrix is `(o, p, ·)` in the per-object ordering, with the key
-    /// in the middle; the other families lead with `(key, row)`.
-    pub fn cols(&self, f: Family, key: u32, row: u32) -> impl Iterator<Item = u32> + '_ {
-        let (set, a, b) = match f {
-            Family::So => (&self.by_pso, key, row),
-            Family::Os => (&self.by_ops, row, key),
-            Family::Po => (&self.by_spo, key, row),
-            Family::Ps => (&self.by_ops, key, row),
-        };
-        set.range((a, b, 0)..=(a, b, u32::MAX)).map(|&(_, _, c)| c)
+    /// The columns set in row `row` of that matrix, ascending: one
+    /// descent of the ordering to the row's first pair (a bounded range
+    /// would take two), then a walk that stops at the row's end.
+    pub fn cols(&self, f: Family, key: u32, row: u32) -> impl Iterator<Item = u32> + Clone + '_ {
+        self.by_family[f as usize]
+            .range((key, row, 0)..)
+            .map_while(move |&(k, r, c)| (k == key && r == row).then_some(c))
     }
 
     /// Set-bit count of that row.
@@ -160,6 +158,45 @@ impl Delta {
     pub fn net(&self) -> i64 {
         self.inserts.len() as i64 - self.tombstones.len() as i64
     }
+
+    /// Changes (inserts + tombstones) in the matrix of `key` in family `f`.
+    pub fn count(&self, f: Family, key: u32) -> u64 {
+        self.inserts.count(f, key) + self.tombstones.count(f, key)
+    }
+
+    /// The rows of that matrix an insert or a tombstone touches, ascending
+    /// and distinct, each with its inserted and its tombstoned columns,
+    /// ascending: one walk over the key's changes, with no lookup per row.
+    pub fn changed_rows(
+        &self,
+        f: Family,
+        key: u32,
+    ) -> impl Iterator<
+        Item = (
+            u32,
+            impl Iterator<Item = u32> + Clone + '_,
+            impl Iterator<Item = u32> + Clone + '_,
+        ),
+    > + '_ {
+        let mut ins = self.inserts.pairs(f, key).peekable();
+        let mut tomb = self.tombstones.pairs(f, key).peekable();
+        std::iter::from_fn(move || {
+            let r = match (ins.peek(), tomb.peek()) {
+                (Some(&(a, _)), Some(&(b, _))) => a.min(b),
+                (Some(&(r, _)), None) | (None, Some(&(r, _))) => r,
+                (None, None) => return None,
+            };
+            let of_row = |pairs: &std::iter::Peekable<_>| {
+                pairs
+                    .clone()
+                    .map_while(move |(pr, c)| (pr == r).then_some(c))
+            };
+            let row = (r, of_row(&ins), of_row(&tomb));
+            while ins.next_if(|&(pr, _)| pr == r).is_some() {}
+            while tomb.next_if(|&(pr, _)| pr == r).is_some() {}
+            Some(row)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -171,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn three_orderings_stay_in_sync() {
+    fn four_orderings_stay_in_sync() {
         let mut set = TripleSet::new();
         assert!(set.insert(t(1, 0, 2)));
         assert!(set.insert(t(3, 0, 2)));
@@ -179,20 +216,21 @@ mod tests {
         assert!(!set.insert(t(1, 0, 2)), "duplicate insert is a no-op");
         assert_eq!(set.len(), 3);
 
-        assert_eq!(set.pairs(Family::So, 0), vec![(1, 2), (3, 2)]);
-        assert_eq!(set.pairs(Family::Os, 0), vec![(2, 1), (2, 3)]);
-        assert_eq!(set.pairs(Family::Po, 1), vec![(0, 2), (1, 4)]);
-        assert_eq!(set.pairs(Family::Ps, 2), vec![(0, 1), (0, 3)]);
+        let pairs = |f, key| set.pairs(f, key).collect::<Vec<_>>();
+        assert_eq!(pairs(Family::So, 0), vec![(1, 2), (3, 2)]);
+        assert_eq!(pairs(Family::Os, 0), vec![(2, 1), (2, 3)]);
+        assert_eq!(pairs(Family::Po, 1), vec![(0, 2), (1, 4)]);
+        assert_eq!(pairs(Family::Ps, 2), vec![(0, 1), (0, 3)]);
         // Every triple is one bit in one matrix of each family, and the
         // row view agrees with the pair view.
         for f in Family::ALL {
             for t in set.iter() {
                 let (key, row, col) = f.project(&t);
-                assert!(set.pairs(f, key).contains(&(row, col)), "{f:?} {t:?}");
+                assert!(pairs(f, key).contains(&(row, col)), "{f:?} {t:?}");
                 assert!(set.cols(f, key, row).any(|c| c == col), "{f:?} {t:?}");
-                let in_row = set.pairs(f, key).iter().filter(|p| p.0 == row).count();
+                let in_row = pairs(f, key).iter().filter(|p| p.0 == row).count();
                 assert_eq!(set.row_count(f, key, row), in_row as u64);
-                assert_eq!(set.count(f, key), set.pairs(f, key).len() as u64);
+                assert_eq!(set.count(f, key), pairs(f, key).len() as u64);
             }
         }
 
@@ -200,7 +238,43 @@ mod tests {
         assert!(!set.remove(t(3, 0, 2)));
         assert_eq!(set.count(Family::So, 0), 1);
         assert_eq!(set.count(Family::Ps, 2), 1);
+        assert_eq!(set.count(Family::Po, 3), 0);
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![t(1, 0, 2), t(1, 1, 4)]);
+        // Removing what was inserted leaves the empty set, counts included.
+        assert!(set.remove(t(1, 0, 2)) && set.remove(t(1, 1, 4)));
+        assert_eq!(set, TripleSet::new());
+    }
+
+    #[test]
+    fn changed_rows_merge_inserts_and_tombstones() {
+        let mut d = Delta::new();
+        for e in [t(5, 0, 1), t(2, 0, 1), t(2, 0, 3), t(0, 1, 0)] {
+            d.inserts.insert(e);
+        }
+        for e in [t(2, 0, 4), t(7, 0, 0)] {
+            d.tombstones.insert(e);
+        }
+        let changed = |f, key| -> Vec<(u32, Vec<u32>, Vec<u32>)> {
+            let rows = d.changed_rows(f, key);
+            rows.map(|(r, ins, tomb)| (r, ins.collect(), tomb.collect()))
+                .collect()
+        };
+        let so = [
+            (2, vec![1, 3], vec![4]),
+            (5, vec![1], vec![]),
+            (7, vec![], vec![0]),
+        ];
+        assert_eq!(changed(Family::So, 0), so);
+        let os = [
+            (0, vec![], vec![7]),
+            (1, vec![2, 5], vec![]),
+            (3, vec![2], vec![]),
+            (4, vec![], vec![2]),
+        ];
+        assert_eq!(changed(Family::Os, 0), os);
+        assert_eq!(changed(Family::So, 2), []);
+        assert_eq!(d.count(Family::So, 0), 5);
+        assert_eq!(d.count(Family::Ps, 1), 2);
     }
 
     #[test]

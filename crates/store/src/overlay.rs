@@ -4,11 +4,12 @@
 //! this implementation answers every load with *base segments + inserts −
 //! tombstones*, exactly like [`BitMatStore`] answers them (`None` for
 //! empty). Rows untouched by the delta are the base's compressed rows
-//! as they are; touched rows are re-compressed from the merged sorted
-//! position list — so the result of every load is **bit-for-bit
-//! identical** to what a `BitMatStore` built from the merged triples would
-//! return, which is what keeps all five engines byte-equivalent to a
-//! from-scratch rebuild.
+//! as they are; a touched row is edited at run level ([`BitRow::edit`]:
+//! `(base ∪ ins) ∖ tomb` over runs or sparse positions, never decoded bit
+//! by bit) into the representation a rebuild would pick — so the result of
+//! every load is **bit-for-bit identical** to what a `BitMatStore` built
+//! from the merged triples would return, which is what keeps all five
+//! engines byte-equivalent to a from-scratch rebuild.
 //!
 //! A load the delta does not touch is the base catalog's own answer
 //! handed through — a heap matrix borrowed, a mapped one decoded once — so
@@ -17,10 +18,15 @@
 //!
 //! `init`'s masked load ([`Catalog::masked`]) is where the merge happens:
 //! the base answers its own masked load (reading only the rows the masks
-//! keep), and only the delta pairs the masks keep are merged in, since
-//! `((base ∪ ins) ∖ tomb) ∧ M = ((base ∧ M) ∪ (ins ∧ M)) ∖ tomb`. The
-//! masked base is private, so its untouched rows move into the result. A
-//! whole-matrix load of a touched key is the masked load with no mask.
+//! keep), and only the delta pairs the masks keep are read and merged in,
+//! since `((base ∪ ins) ∖ tomb) ∧ M = ((base ∧ M) ∪ (ins ∧ M)) ∖ tomb`.
+//! The delta is read per kept row, either by probing the row mask's set
+//! bits ([`crate::TripleSet::cols`]) or in one walk over the key's changes
+//! ([`Delta::changed_rows`]), whichever reads less; nothing is collected or
+//! re-sorted. The masked base is private, so the merge edits it in place:
+//! touched rows are rewritten where they stand, rows new to the base are
+//! merged in with one pass, and untouched rows never move. A whole-matrix
+//! load of a touched key is the masked load with no mask.
 
 use crate::delta::Delta;
 use lbr_bitmat::{
@@ -125,7 +131,7 @@ impl Catalog for OverlayCatalog {
     }
 
     fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError> {
-        if self.delta.inserts.count(f, key) == 0 && self.delta.tombstones.count(f, key) == 0 {
+        if self.delta.count(f, key) == 0 {
             return self.segments.catalog().matrix(f, key);
         }
         let merged = self.masked(f, key, None, None, &mut SetScratch::default())?;
@@ -144,22 +150,34 @@ impl Catalog for OverlayCatalog {
             .segments
             .catalog()
             .masked(f, key, rows, cols, scratch)?;
-        if self.delta.is_empty() {
+        let changes = self.delta.count(f, key);
+        if changes == 0 {
             return Ok(base);
         }
         // ((base ∪ ins) ∖ tomb) ∧ M = ((base ∧ M) ∪ (ins ∧ M)) ∖ tomb: only
-        // the delta pairs the masks keep are merged into the masked base.
-        let kept =
-            |&(r, c): &(u32, u32)| rows.is_none_or(|m| m.get(r)) && cols.is_none_or(|m| m.get(c));
-        let mut ins = self.delta.inserts.pairs(f, key);
-        ins.retain(kept);
-        let mut tomb = self.delta.tombstones.pairs(f, key);
-        tomb.retain(kept);
-        if ins.is_empty() && tomb.is_empty() {
-            return Ok(base);
-        }
+        // the rows the row mask keeps are edited, with only the inserts the
+        // column mask keeps. They are found by probing the mask's set bits,
+        // or by walking the key's changes, whichever reads less: a probe
+        // descends both ordered sets (about log₂ of the delta's size steps),
+        // a walk step reads one change.
         let (_, n_rows, n_cols) = f.shape(&self.dims);
-        Ok(merge_matrix(base, n_rows, n_cols, &ins, &tomb))
+        let base_rows = base.map_or_else(Vec::new, BitMat::into_rows);
+        let (ins, tomb) = (&self.delta.inserts, &self.delta.tombstones);
+        let probe_steps = u64::from(self.delta.len().max(2).ilog2());
+        let merged = match rows {
+            Some(mask) if u64::from(mask.count_ones()) * probe_steps < changes => {
+                let probed = mask
+                    .iter_ones()
+                    .map(|r| (r, ins.cols(f, key, r), tomb.cols(f, key, r)));
+                merge(base_rows, probed, cols, n_cols)
+            }
+            _ => {
+                let changed = self.delta.changed_rows(f, key);
+                let kept = changed.filter(|row| rows.is_none_or(|m| m.get(row.0)));
+                merge(base_rows, kept, cols, n_cols)
+            }
+        };
+        Ok((!merged.is_empty()).then(|| BitMat::from_rows(n_rows, n_cols, merged)))
     }
 
     fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {
@@ -167,17 +185,13 @@ impl Catalog for OverlayCatalog {
         if self.delta.is_empty() {
             return Ok(base);
         }
-        let mut ins = self.delta.inserts.cols(f, key, r).peekable();
-        if base.is_none() && ins.peek().is_none() {
-            return Ok(None);
-        }
-        let mut tomb = self.delta.tombstones.cols(f, key, r).peekable();
-        if ins.peek().is_none() && tomb.peek().is_none() {
+        let ins = self.delta.inserts.cols(f, key, r);
+        let tomb = self.delta.tombstones.cols(f, key, r);
+        if ins.clone().next().is_none() && tomb.clone().next().is_none() {
             return Ok(base);
         }
         let (_, _, n_cols) = f.shape(&self.dims);
-        let merged = merge_row(base.as_deref(), ins, tomb, n_cols, &mut Vec::new());
-        Ok(merged.map(Cow::Owned))
+        Ok(BitRow::edit(base.as_deref(), n_cols, ins, tomb).map(Cow::Owned))
     }
 
     /// Base plus inserts minus tombstones, saturating: the base counts of a
@@ -196,92 +210,80 @@ impl Catalog for OverlayCatalog {
     }
 }
 
-/// Merges per-key delta changes into a base matrix; `None` when nothing is
-/// left.
-///
-/// `ins` / `tomb` are `(row, col)` lists sorted ascending; rows they
-/// touch are rebuilt from the merged sorted positions, all other rows
-/// are moved from the base as they are.
-fn merge_matrix(
-    base: Option<BitMat>,
-    n_rows: u32,
+/// Merges `changes` — ascending rows, each with its inserted and its
+/// tombstoned columns — into `rows`, the masked base's non-empty rows
+/// (ascending), in place; only the inserts the column mask `cols` keeps
+/// are merged. A changed base row is rewritten by [`BitRow::edit`] where
+/// it stands, and dropped if nothing is left of it; rows new to the base
+/// are collected and merged in with one pass, only when there are any.
+/// Other rows do not move.
+fn merge<I, T>(
+    mut rows: Vec<(u32, BitRow)>,
+    changes: impl Iterator<Item = (u32, I, T)>,
+    cols: Option<&BitVec>,
     n_cols: u32,
-    ins: &[(u32, u32)],
-    tomb: &[(u32, u32)],
-) -> Option<BitMat> {
-    let base_rows = base.map_or_else(Vec::new, BitMat::into_rows);
-    let mut out: Vec<(u32, BitRow)> = Vec::with_capacity(base_rows.len() + ins.len());
-    let mut base_rows = base_rows.into_iter().peekable();
-    let (mut ii, mut ti) = (0usize, 0usize);
-    // One position buffer reused across every touched row.
-    let mut cols: Vec<u32> = Vec::new();
-    loop {
-        // The next row index any of the three sorted streams mentions.
-        let next_row = [
-            base_rows.peek().map(|&(r, _)| r),
-            ins.get(ii).map(|&(r, _)| r),
-            tomb.get(ti).map(|&(r, _)| r),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        let Some(r) = next_row else { break };
-
-        let base_row = base_rows.next_if(|&(br, _)| br == r).map(|(_, row)| row);
-        let ins_start = ii;
-        while ins.get(ii).is_some_and(|&(ir, _)| ir == r) {
-            ii += 1;
+) -> Vec<(u32, BitRow)>
+where
+    I: Iterator<Item = u32> + Clone,
+    T: Iterator<Item = u32> + Clone,
+{
+    let mut new_rows: Vec<(u32, BitRow)> = Vec::new();
+    let (mut at, mut emptied) = (0usize, false);
+    for (r, ins, tomb) in changes {
+        let ins = ins.filter(|&c| cols.is_none_or(|m| m.get(c)));
+        if ins.clone().next().is_none() && tomb.clone().next().is_none() {
+            continue;
         }
-        let tomb_start = ti;
-        while tomb.get(ti).is_some_and(|&(tr, _)| tr == r) {
-            ti += 1;
-        }
-        let row = if ins_start == ii && tomb_start == ti {
-            // Untouched row: move the compressed base row over.
-            base_row
-        } else {
-            let add = ins[ins_start..ii].iter().map(|&(_, c)| c);
-            let dead = tomb[tomb_start..ti].iter().map(|&(_, c)| c);
-            merge_row(base_row.as_ref(), add, dead, n_cols, &mut cols)
-        };
-        if let Some(row) = row {
-            out.push((r, row));
+        at += seek(&rows[at..], r);
+        match rows.get_mut(at) {
+            Some((id, row)) if *id == r => {
+                *row = BitRow::edit(Some(&*row), n_cols, ins, tomb).unwrap_or_else(|| {
+                    emptied = true;
+                    BitRow::empty(n_cols)
+                });
+            }
+            _ => new_rows.extend(BitRow::edit(None, n_cols, ins, tomb).map(|row| (r, row))),
         }
     }
-    (!out.is_empty()).then(|| BitMat::from_rows(n_rows, n_cols, out))
+    if emptied {
+        rows.retain(|(_, row)| !row.is_empty());
+    }
+    if !new_rows.is_empty() {
+        merge_in(&mut rows, new_rows);
+    }
+    rows
 }
 
-/// Merges one compressed row with ascending inserted and tombstoned
-/// positions, through the caller's `positions` buffer; `None` when the
-/// result has no set bit (matching what a rebuilt store returns for an
-/// absent row).
-fn merge_row(
-    base: Option<&BitRow>,
-    ins: impl Iterator<Item = u32>,
-    tomb: impl Iterator<Item = u32>,
-    universe: u32,
-    positions: &mut Vec<u32>,
-) -> Option<BitRow> {
-    let (mut ins, mut tomb) = (ins.peekable(), tomb.peekable());
-    positions.clear();
-    // Keeps `pos` unless it is tombstoned; called with ascending `pos`.
-    let mut push = |pos: u32| {
-        while tomb.next_if(|&t| t < pos).is_some() {}
-        if tomb.peek() != Some(&pos) {
-            positions.push(pos);
-        }
-    };
-    if let Some(row) = base {
-        for pos in row.iter_ones() {
-            while let Some(added) = ins.next_if(|&a| a < pos) {
-                push(added);
-            }
-            ins.next_if_eq(&pos);
-            push(pos);
-        }
+/// Index of the first row at or after `r` in ascending `rows`: an
+/// exponential probe from the front, then a binary search inside the
+/// bracket, so a walk over ascending touched rows costs what the rows it
+/// skips imply.
+fn seek(rows: &[(u32, BitRow)], r: u32) -> usize {
+    let mut bound = 1;
+    while bound < rows.len() && rows[bound].0 < r {
+        bound *= 2;
     }
-    ins.for_each(push);
-    (!positions.is_empty()).then(|| BitRow::from_sorted_positions(universe, positions))
+    let lo = bound / 2;
+    let hi = (bound + 1).min(rows.len());
+    lo + rows[lo..hi].partition_point(|&(id, _)| id < r)
+}
+
+/// Merges ascending `new_rows`, none of which is in `rows`, into ascending
+/// `rows` in place: one pass from the back, each row moved once.
+fn merge_in(rows: &mut Vec<(u32, BitRow)>, new_rows: Vec<(u32, BitRow)>) {
+    let mut old = rows.len();
+    rows.resize_with(old + new_rows.len(), || (0, BitRow::empty(0)));
+    // Slots `old..free` are free; the largest remaining row fills the last.
+    let mut free = rows.len();
+    for new in new_rows.into_iter().rev() {
+        while old > 0 && rows[old - 1].0 > new.0 {
+            old -= 1;
+            free -= 1;
+            rows.swap(old, free);
+        }
+        free -= 1;
+        rows[free] = new;
+    }
 }
 
 #[cfg(test)]

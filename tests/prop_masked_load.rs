@@ -9,15 +9,23 @@
 //! * an `OverlayCatalog` with inserts and tombstones over either medium,
 //!   which masks its base and merges only the delta pairs the masks keep.
 //!
+//! The oracle never runs the code under test: the heap and mmap catalogs
+//! are checked against the heap store's full loads, and the overlays
+//! against a `BitMatStore` rebuilt from the merged triples, as the overlay
+//! module's rebuild sweep does — not against the overlay's own merge.
+//!
 //! Masks take every shape active pruning produces: absent (the dimension
 //! loads whole), empty, full, shorter than the dimension (a shared S-O
 //! prefix) and longer than it. Every key the delta touches is also loaded
-//! under a sparse row mask drawn from the delta's own rows, so the merge
-//! of a masked base is exercised on every case.
+//! under a one-row mask per touched row (the overlay probes the mask when
+//! the key has more changes than a probe costs) and a full mask at least
+//! as long as the key's changes (it walks the changes), and the `row` and
+//! `row_count` of every touched row, and the key's `count`, are checked
+//! against the oracle.
 
 use lbr::bitmat::disk::save_store;
 use lbr::bitmat::{BitMat, BitVec, RetainDim, SetScratch};
-use lbr::rdf::EncodedTriple;
+use lbr::rdf::{EncodedGraph, EncodedTriple};
 use lbr::storage::{Delta, OverlayCatalog};
 use lbr::{BitMatStore, Catalog, DiskCatalog, Family, Graph, SegmentSource, Term, Triple};
 use proptest::prelude::*;
@@ -71,81 +79,93 @@ impl Drop for TempSeg {
     }
 }
 
-/// The masked load of `key` in `f` against the full load unfolded by each
-/// mask.
-fn check_key(
-    cat: &impl Catalog,
-    medium: &str,
-    f: Family,
-    key: u32,
-    rows: Option<&BitVec>,
-    cols: Option<&BitVec>,
-    scratch: &mut SetScratch,
-) -> Result<(), TestCaseError> {
-    let want = cat.matrix(f, key).unwrap().map(|m| {
-        let mut m: BitMat = m.into_owned();
-        if let Some(mask) = rows {
-            m.unfold_with(mask, RetainDim::Row, scratch);
-        }
-        if let Some(mask) = cols {
-            m.unfold_with(mask, RetainDim::Col, scratch);
-        }
-        m
-    });
-    let want = want.filter(|m| !m.is_empty());
-    let got = cat.masked(f, key, rows, cols, scratch).unwrap();
-    prop_assert_eq!(got, want, "{} {} key {}", medium, f.name(), key);
-    Ok(())
+/// One catalog under test and the store whose full loads are its oracle.
+struct Case<'a, C> {
+    cat: &'a C,
+    oracle: &'a BitMatStore,
+    medium: &'a str,
 }
 
-/// Every matrix of `cat`, masked-loaded, against its full load unfolded;
-/// then every key `delta` touches under a sparse row mask over the rows
-/// of half its pairs.
-fn check(
-    cat: &impl Catalog,
-    medium: &str,
-    shapes: (u8, u8),
-    bits: &BTreeSet<u32>,
-    delta: &Delta,
-) -> Result<(), TestCaseError> {
-    let dims = cat.dims();
-    let mut scratch = SetScratch::default();
-    for f in Family::ALL {
-        let (n_keys, n_rows, n_cols) = f.shape(&dims);
-        let rows = mask(shapes.0, bits, n_rows);
-        let cols = mask(shapes.1, bits, n_cols);
-        for key in 0..n_keys {
-            check_key(
-                cat,
-                medium,
-                f,
-                key,
-                rows.as_ref(),
-                cols.as_ref(),
-                &mut scratch,
-            )?;
-        }
-        let unknown = cat.masked(f, n_keys, rows.as_ref(), None, &mut scratch);
-        prop_assert_eq!(
-            unknown.unwrap(),
-            None,
-            "{} {}: out-of-range key",
-            medium,
-            f.name()
-        );
+impl<C: Catalog> Case<'_, C> {
+    /// The masked load of `key` in `f` against the oracle's full load of
+    /// it unfolded by each mask.
+    fn check_key(
+        &self,
+        f: Family,
+        key: u32,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> Result<(), TestCaseError> {
+        let want = self.oracle.matrix(f, key).unwrap().map(|m| {
+            let mut m: BitMat = m.into_owned();
+            if let Some(mask) = rows {
+                m.unfold_with(mask, RetainDim::Row, scratch);
+            }
+            if let Some(mask) = cols {
+                m.unfold_with(mask, RetainDim::Col, scratch);
+            }
+            m
+        });
+        let want = want.filter(|m| !m.is_empty());
+        let got = self.cat.masked(f, key, rows, cols, scratch).unwrap();
+        prop_assert_eq!(got, want, "{} {} key {}", self.medium, f.name(), key);
+        Ok(())
+    }
 
-        for key in 0..n_keys {
-            let pairs = [&delta.inserts, &delta.tombstones].map(|set| set.pairs(f, key));
-            let touched = pairs.iter().flatten().step_by(2).map(|&(r, _)| r);
-            let sparse = BitVec::from_positions(n_rows, touched);
-            if sparse.count_ones() > 0 {
-                for cols in [None, cols.as_ref()] {
-                    check_key(cat, medium, f, key, Some(&sparse), cols, &mut scratch)?;
+    /// Every matrix, masked-loaded, against the oracle; then every key
+    /// `delta` touches, under a one-row mask per touched row and a full
+    /// mask, with its touched rows and its count.
+    fn check(
+        &self,
+        shapes: (u8, u8),
+        bits: &BTreeSet<u32>,
+        delta: &Delta,
+    ) -> Result<(), TestCaseError> {
+        let (cat, oracle, medium) = (self.cat, self.oracle, self.medium);
+        let dims = cat.dims();
+        prop_assert_eq!(dims, oracle.dims(), "{}", medium);
+        let mut scratch = SetScratch::default();
+        for f in Family::ALL {
+            let (n_keys, n_rows, n_cols) = f.shape(&dims);
+            let rows = mask(shapes.0, bits, n_rows);
+            let cols = mask(shapes.1, bits, n_cols);
+            for key in 0..n_keys {
+                self.check_key(f, key, rows.as_ref(), cols.as_ref(), &mut scratch)?;
+            }
+            let unknown = cat.masked(f, n_keys, rows.as_ref(), None, &mut scratch);
+            prop_assert_eq!(
+                unknown.unwrap(),
+                None,
+                "{} {}: out-of-range key",
+                medium,
+                f.name()
+            );
+
+            for key in (0..n_keys).filter(|&key| delta.count(f, key) > 0) {
+                // A one-row mask is probed when the key has more changes
+                // than a probe costs; a mask with at least as many set bits
+                // as the key has changes makes the overlay walk them.
+                let changed = || delta.changed_rows(f, key).map(|(r, ..)| r);
+                let one_row = changed().map(|r| BitVec::from_positions(n_rows, [r]));
+                let full = BitVec::ones(n_rows.max(delta.count(f, key) as u32));
+                for rows in one_row.chain([full]) {
+                    for cols in [None, cols.as_ref()] {
+                        self.check_key(f, key, Some(&rows), cols, &mut scratch)?;
+                    }
+                }
+                let at = format!("{medium} {} key {key}", f.name());
+                prop_assert_eq!(cat.count(f, key), oracle.count(f, key), "{}", at);
+                for r in changed() {
+                    let (got, want) = (cat.row(f, key, r).unwrap(), oracle.row(f, key, r));
+                    prop_assert_eq!(got, want.unwrap(), "{} row {}", at, r);
+                    let (got, want) = (cat.row_count(f, key, r), oracle.row_count(f, key, r));
+                    prop_assert_eq!(got, want, "{} row {}", at, r);
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 proptest! {
@@ -159,7 +179,7 @@ proptest! {
         triples in arb_graph(),
         shapes in (0u8..6, 0u8..6),
         bits in prop::collection::btree_set(0u32..120, 0..60),
-        inserts in prop::collection::vec((0u32..64, 0u32..8, 0u32..64), 0..6),
+        inserts in prop::collection::vec((0u32..64, 0u32..8, 0u32..64), 0..20),
         tombstone_every in 2usize..9,
         tag in any::<u64>(),
     ) {
@@ -187,12 +207,31 @@ proptest! {
         }
         let delta = Arc::new(delta);
 
-        check(store.as_ref(), "heap", shapes, &bits, &delta)?;
-        check(disk.as_ref(), "mmap", shapes, &bits, &delta)?;
+        // The overlays' oracle: the merged triples, rebuilt from scratch
+        // under the same dictionary.
+        let mut merged: Vec<EncodedTriple> = graph
+            .triples
+            .iter()
+            .copied()
+            .filter(|e| !delta.tombstones.contains(*e))
+            .chain(delta.inserts.iter())
+            .collect();
+        merged.sort_unstable();
+        let rebuilt = BitMatStore::build(&EncodedGraph {
+            dict: graph.dict.clone(),
+            triples: merged,
+        });
+
         let heap_overlay =
             OverlayCatalog::new(SegmentSource::Heap(Arc::clone(&store)), Arc::clone(&delta));
-        check(&heap_overlay, "overlay(heap)", shapes, &bits, &delta)?;
-        let mmap_overlay = OverlayCatalog::new(SegmentSource::Disk(disk), Arc::clone(&delta));
-        check(&mmap_overlay, "overlay(mmap)", shapes, &bits, &delta)?;
+        let mmap_overlay =
+            OverlayCatalog::new(SegmentSource::Disk(Arc::clone(&disk)), Arc::clone(&delta));
+        let (store, disk) = (store.as_ref(), disk.as_ref());
+        Case { cat: store, oracle: store, medium: "heap" }.check(shapes, &bits, &delta)?;
+        Case { cat: disk, oracle: store, medium: "mmap" }.check(shapes, &bits, &delta)?;
+        Case { cat: &heap_overlay, oracle: &rebuilt, medium: "overlay(heap)" }
+            .check(shapes, &bits, &delta)?;
+        Case { cat: &mmap_overlay, oracle: &rebuilt, medium: "overlay(mmap)" }
+            .check(shapes, &bits, &delta)?;
     }
 }
