@@ -32,7 +32,9 @@ pub enum EngineKind {
     Reference,
 }
 
-/// Construction knobs that individual engines honor.
+/// Construction knobs of the comparator engines, for offline comparison.
+/// The LBR engine takes none: serving runs it directly, with a deadline
+/// set through [`LbrEngine::with_deadline`].
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Intermediate-row budget for the pairwise engines (`None` =
@@ -40,12 +42,6 @@ pub struct EngineOptions {
     pub row_limit: Option<usize>,
     /// Join semantics of the reference oracle.
     pub semantics: Semantics,
-    /// Execution deadline, honored by the LBR engine: evaluation past
-    /// this instant aborts with [`LbrError::DeadlineExceeded`] — the
-    /// multi-way join polls it on the quota seam so timed-out queries
-    /// stop enumerating seeds promptly. The baseline engines ignore it
-    /// (they exist for offline comparison, not serving).
-    pub deadline: Option<std::time::Instant>,
 }
 
 impl Default for EngineOptions {
@@ -53,7 +49,6 @@ impl Default for EngineOptions {
         EngineOptions {
             row_limit: None,
             semantics: Semantics::Sparql,
-            deadline: None,
         }
     }
 }
@@ -114,9 +109,7 @@ impl EngineKind {
         options: &EngineOptions,
     ) -> Box<dyn Engine + 'a> {
         match self {
-            EngineKind::Lbr => {
-                Box::new(LbrEngine::new(catalog, dict).with_deadline(options.deadline))
-            }
+            EngineKind::Lbr => Box::new(LbrEngine::new(catalog, dict)),
             EngineKind::PairwiseSelectivity | EngineKind::PairwiseQueryOrder => {
                 let order = if self == EngineKind::PairwiseSelectivity {
                     JoinOrder::Selectivity
@@ -139,8 +132,8 @@ impl EngineKind {
     }
 }
 
-// Every engine this seam can build is shared across server worker threads
-// behind `Box<dyn Engine>`; `Engine: Send + Sync` makes that a trait
+// Every engine this seam can build may be shared across threads behind
+// `Box<dyn Engine>`; `Engine: Send + Sync` makes that a trait
 // obligation, and these assertions pin the concrete types over both
 // catalog backends so a future non-sync field fails here, loudly.
 const _: () = {

@@ -31,7 +31,6 @@ use lbr_rdf::{Dictionary, Term};
 use lbr_sparql::algebra::{Expr, GraphPattern, Modifiers, Query, QueryForm};
 use lbr_sparql::classify::{analyze, Analyzed};
 use lbr_sparql::rewrite::rewrite_to_unf;
-use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -59,9 +58,11 @@ pub struct LbrEngine<'a, C: Catalog> {
 /// and solution modifiers, so a plan alone can be executed to a final
 /// answer (and the LIMIT/ASK row quota can be re-derived on every run).
 ///
-/// Plans embed per-TP selectivity estimates, so a plan is specific to the
-/// engine (catalog) that produced it. [`Engine::execute_planned`] falls
-/// back to unprepared execution when handed a foreign plan.
+/// Plans embed encoded constant IDs and per-TP selectivity estimates, so
+/// a plan is specific to the catalog and dictionary that produced it;
+/// callers that cache plans across updates (the `lbr::Database` facade)
+/// stamp them with the epoch they were planned at and re-plan on a
+/// mismatch.
 #[derive(Debug, Clone)]
 pub struct LbrPlan {
     /// Final projected variables (what the caller sees).
@@ -578,6 +579,11 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         })
     }
 
+    /// Renders the plan for a query as human-readable text (EXPLAIN).
+    pub fn explain(&self, query: &Query) -> Result<String, LbrError> {
+        Ok(crate::explain::explain(query, &self.plan(query)?))
+    }
+
     /// EXPLAIN ANALYZE: plans the query once, executes that plan under a
     /// forced local trace (no sampler involved — the spans are consumed
     /// directly), and renders the same plan annotated with actual
@@ -673,25 +679,6 @@ impl<C: Catalog> Engine for LbrEngine<'_, C> {
 
     fn execute(&self, query: &Query) -> Result<QueryOutput, LbrError> {
         LbrEngine::execute(self, query)
-    }
-
-    fn explain(&self, query: &Query) -> Result<String, LbrError> {
-        Ok(crate::explain::explain(query, &self.plan(query)?))
-    }
-
-    fn explain_analyze(&self, query: &Query) -> Result<String, LbrError> {
-        LbrEngine::explain_analyze(self, query)
-    }
-
-    fn plan_query(&self, query: &Query) -> Result<Box<dyn Any + Send + Sync>, LbrError> {
-        Ok(Box::new(self.plan(query)?))
-    }
-
-    fn execute_planned_raw(&self, query: &Query, plan: &dyn Any) -> Result<QueryOutput, LbrError> {
-        match plan.downcast_ref::<LbrPlan>() {
-            Some(plan) => self.execute_plan_raw(plan),
-            None => Engine::execute_raw(self, query),
-        }
     }
 }
 

@@ -18,7 +18,7 @@ pub enum LbrError {
     /// The request's execution deadline passed before evaluation
     /// finished. The serving layer maps this to HTTP `504`; the engine
     /// guarantees the join stopped enumerating seeds promptly after the
-    /// deadline (see `EngineOptions::deadline`).
+    /// deadline (see [`crate::LbrEngine::with_deadline`]).
     DeadlineExceeded,
 }
 

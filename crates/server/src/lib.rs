@@ -38,8 +38,9 @@
 //! `503` + `Retry-After` inline; admitted requests carry a deadline
 //! that propagates into the join kernels, so a query that outlives its
 //! budget is cut short and answered `504`. All workers share one
-//! `Arc<Database>` — engines are thin read-only borrows, and
-//! `Engine: Send + Sync` makes the sharing a compile-time guarantee.
+//! `Arc<Database>`; each request runs a thin, read-only `LbrEngine`
+//! over its pinned snapshot, and `Database: Send + Sync` is asserted at
+//! compile time.
 //!
 //! ```no_run
 //! use lbr::Database;
@@ -727,7 +728,6 @@ impl Service {
             self.update_deleted.load(Ordering::Relaxed),
         );
 
-        x.json_text("database.engine", self.db.engine_kind().to_string());
         x.gauge(
             "lbr_store_triples",
             "database.triples",

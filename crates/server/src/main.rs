@@ -20,9 +20,8 @@
 //! (result-cache entries), `--queue N` (bounded admission queue; full →
 //! `503` + `Retry-After`), `--request-timeout-ms MS` (per-request
 //! execution budget; exceeded → `504`; `0` disables),
-//! `--header-timeout-ms MS` (slow-loris cutoff → `408`), `--engine
-//! lbr|pairwise|query-order|reordered|reference`, `--index path.lbr`,
-//! `--wal-dir dir`
+//! `--header-timeout-ms MS` (slow-loris cutoff → `408`), `--index
+//! path.lbr`, `--wal-dir dir`
 //! (accept SPARQL 1.1 Update on `POST /update`, journal committed
 //! updates to a write-ahead log in `dir` and replay them on restart),
 //! `--slow-query-ms MS` (requests at least this slow always publish an
@@ -38,7 +37,7 @@
 
 #![forbid(unsafe_code)]
 
-use lbr::{Database, EngineKind};
+use lbr::Database;
 use lbr_server::{Server, ServerConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -48,7 +47,6 @@ struct Options {
     index: Option<String>,
     wal_dir: Option<String>,
     addr: String,
-    engine: EngineKind,
     config: ServerConfig,
 }
 
@@ -58,17 +56,12 @@ fn parse_args() -> Result<Options, String> {
         index: None,
         wal_dir: None,
         addr: "127.0.0.1:7878".into(),
-        engine: EngineKind::Lbr,
         config: ServerConfig::default(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--addr" => o.addr = args.next().ok_or("--addr needs a value")?,
-            "--engine" => {
-                let name = args.next().ok_or("--engine needs a value")?;
-                o.engine = name.parse()?;
-            }
             "--workers" => {
                 let n = args.next().ok_or("--workers needs a value")?;
                 o.config.workers = parse_nonzero(&n, "--workers")?;
@@ -145,7 +138,6 @@ fn usage() {
     eprintln!(
         "usage: lbr-server <data.nt> [--addr HOST:PORT] [--workers N] [--cache N] \
          [--result-cache N] [--queue N] [--request-timeout-ms MS] [--header-timeout-ms MS] \
-         [--engine lbr|pairwise|query-order|reordered|reference] \
          [--index path.lbr] [--wal-dir dir] \
          [--slow-query-ms MS] [--trace-ring N] [--trace-sample PER1024]"
     );
@@ -174,7 +166,7 @@ fn run() -> Result<ExitCode, String> {
         return Err("no input data (an .nt file)".into());
     };
 
-    let mut builder = Database::builder().engine(opts.engine).ntriples_file(data);
+    let mut builder = Database::builder().ntriples_file(data);
     if let Some(index) = &opts.index {
         builder = builder.disk_index(index);
     }
@@ -182,11 +174,7 @@ fn run() -> Result<ExitCode, String> {
         builder = builder.wal_dir(dir);
     }
     let db = Arc::new(builder.build().map_err(|e| e.to_string())?);
-    eprintln!(
-        "lbr-server: {} triples, engine {}",
-        db.len(),
-        db.engine_kind()
-    );
+    eprintln!("lbr-server: {} triples", db.len());
     if opts.wal_dir.is_some() {
         eprintln!(
             "lbr-server: updatable (WAL replayed to epoch {}); POST /update enabled",

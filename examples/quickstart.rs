@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use lbr::{Database, EngineKind};
+use lbr::Database;
 
 fn main() {
     let db = Database::builder()
@@ -20,7 +20,6 @@ fn main() {
             <Veep>     <location>  <WashingtonDC> .
             "#,
         )
-        .engine(EngineKind::Lbr)
         .build()
         .expect("valid N-Triples");
 

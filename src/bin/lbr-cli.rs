@@ -14,17 +14,17 @@
 //! ```
 //!
 //! Options: `--engine lbr|pairwise|query-order|reordered|reference`
-//! (default lbr), `--format table|json|tsv` (default table; `json` is
-//! W3C SPARQL 1.1 Query Results JSON, `tsv` the W3C TSV format — both
-//! consumable by standard tooling), `--explain`
-//! (print the plan instead of executing), `--analyze` (EXPLAIN ANALYZE:
-//! execute the query and print the plan annotated with actual per-stage
-//! timings and estimated-vs-actual cardinalities; implies `--explain`),
-//! `--stats`, `--repeat N` (re-run
-//! the query N times through the shared plan cache — planning runs once,
-//! repeats hit the cache — and report the average plus the cache's
-//! hit/miss/eviction counters), `--file <query.rq>`,
-//! `--save-index <path>`, `--index <path>`.
+//! (default lbr; the others are the §6 comparators), `--format
+//! table|json|tsv` (default table; `json` is W3C SPARQL 1.1 Query
+//! Results JSON, `tsv` the W3C TSV format — both consumable by standard
+//! tooling), `--explain` (print the plan instead of executing; lbr
+//! only), `--analyze` (EXPLAIN ANALYZE: execute the query and print the
+//! plan annotated with actual per-stage timings and estimated-vs-actual
+//! cardinalities; implies `--explain`), `--stats`, `--repeat N` (re-run
+//! the query N times and report the average; on lbr the runs go through
+//! the shared plan cache — planning runs once, repeats hit the cache —
+//! and the cache's hit/miss/eviction counters are reported too),
+//! `--file <query.rq>`, `--save-index <path>`, `--index <path>`.
 //!
 //! The `update` subcommand executes a SPARQL 1.1 Update request
 //! (`INSERT DATA` / `DELETE DATA` / `DELETE WHERE`, `;`-sequences)
@@ -37,8 +37,9 @@
 //!
 //! The full query spec is supported: `SELECT [DISTINCT|REDUCED]` / `ASK`
 //! with `ORDER BY` / `LIMIT` / `OFFSET` (`ASK` prints `true`/`false`).
-//! Every engine goes through the same [`lbr::Engine`] dispatch and the
-//! same result rendering — there is no per-engine result handling.
+//! A comparator runs through [`lbr::Database::engine_of`]; every engine
+//! shares the same result rendering — there is no per-engine result
+//! handling.
 
 #![forbid(unsafe_code)]
 
@@ -125,6 +126,13 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
+    if o.explain && o.engine != EngineKind::Lbr {
+        return Err(format!(
+            "usage: --explain/--analyze need --engine lbr (the only engine with a plan), \
+             not {}",
+            o.engine
+        ));
+    }
     Ok(o)
 }
 
@@ -161,7 +169,7 @@ fn run() -> Result<ExitCode, String> {
 
     // Assemble the database: N-Triples data, optionally backed by the
     // lazily-read on-disk index.
-    let mut builder = Database::builder().engine(opts.engine);
+    let mut builder = Database::builder();
     match &opts.data {
         Some(path) => builder = builder.ntriples_file(path),
         None => {
@@ -247,40 +255,43 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    // Executions go through a plan cache — the same seam `lbr-server`
+    // LBR executions go through a plan cache — the same seam `lbr-server`
     // serves from. Planning runs once here, *outside* the timing, so the
-    // reported average measures pure re-execution exactly like the old
-    // prepared-query path; every timed round below is a cache hit.
+    // reported average measures pure re-execution; every timed round
+    // below is a cache hit. A comparator has no plan: it just executes.
     let cache = PlanCache::new(4);
-    let cached = cache
-        .get_or_prepare(&db, &text)
-        .map_err(|e| e.to_string())?;
+    let comparator = (opts.engine != EngineKind::Lbr).then(|| db.engine_of(opts.engine));
+    let query = match &comparator {
+        None => cache.get_or_prepare(&db, &text).map(|c| c.query().clone()),
+        Some(_) => lbr::parse_query(&text).map_err(Into::into),
+    }
+    .map_err(|e: lbr::core::LbrError| e.to_string())?;
+    let run = || match &comparator {
+        None => db.execute_cached(&cache, &text),
+        Some(engine) => engine.execute(&query),
+    };
 
     // Warm re-execution rounds first (timed, results dropped), then one
     // final round that streams the rows to stdout outside the timing.
     let mut total = std::time::Duration::ZERO;
     for _ in 1..opts.repeat {
         let t = Instant::now();
-        db.execute_cached(&cache, &text)
-            .map_err(|e| e.to_string())?;
+        run().map_err(|e| e.to_string())?;
         total += t.elapsed();
     }
     let t = Instant::now();
-    let out = db
-        .execute_cached(&cache, &text)
-        .map_err(|e| e.to_string())?;
+    let out = run().map_err(|e| e.to_string())?;
     total += t.elapsed();
 
     let stats = out.stats.clone();
-    let query = cached.query();
     if query.is_ask() {
         // Boolean result: identical across formats except JSON.
-        print!("{}", opts.format.render(query, &out, db.dict()));
+        print!("{}", opts.format.render(&query, &out, db.dict()));
         eprintln!("boolean result");
     } else {
         match opts.format {
             // JSON is one object; render it whole.
-            OutputFormat::Json => print!("{}", opts.format.render(query, &out, db.dict())),
+            OutputFormat::Json => print!("{}", opts.format.render(&query, &out, db.dict())),
             // Table and TSV stream row-by-row — a multi-million-row
             // result is never re-materialized as one string.
             OutputFormat::Table | OutputFormat::Tsv => {
@@ -323,15 +334,16 @@ fn run() -> Result<ExitCode, String> {
         );
     }
     if opts.repeat > 1 {
-        let cs = cache.stats();
-        eprintln!(
-            "{} cached executions, avg {:?} (plan cache: {} hits / {} misses / {} evictions)",
-            opts.repeat,
-            total / opts.repeat,
-            cs.hits,
-            cs.misses,
-            cs.evictions,
-        );
+        let avg = total / opts.repeat;
+        if comparator.is_some() {
+            eprintln!("{} executions, avg {avg:?}", opts.repeat);
+        } else {
+            let cs = cache.stats();
+            eprintln!(
+                "{} cached executions, avg {avg:?} (plan cache: {} hits / {} misses / {} evictions)",
+                opts.repeat, cs.hits, cs.misses, cs.evictions,
+            );
+        }
     }
     Ok(ExitCode::SUCCESS)
 }

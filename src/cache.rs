@@ -5,16 +5,16 @@
 //! classification → selectivity estimates → jvar order) costs far more
 //! than re-executing a prepared plan, and a serving workload repeats a
 //! small set of query shapes millions of times. [`PlanCache`] memoizes
-//! [`Engine::plan_query`](lbr_core::Engine::plan_query) results keyed by
-//! the *canonicalized* query text (whitespace collapsed outside string
+//! [`LbrEngine::plan`](lbr_core::LbrEngine::plan) results keyed by the
+//! *canonicalized* query text (whitespace collapsed outside string
 //! literals), so `curl`-style reformatting still hits.
 //!
-//! The cache stores [`CachedPlan`]s — parsed [`Query`] + the engine's
-//! opaque `Send + Sync` plan — rather than borrowing engines, so one
-//! cache can outlive any particular engine instance and be shared freely
-//! across an `Arc<Database>` worker pool. A hit skips parsing and
-//! planning entirely; execution builds a fresh (thin, borrow-only)
-//! engine per call via [`Database::execute_plan`].
+//! The cache stores [`CachedPlan`]s — parsed [`Query`] + its
+//! [`LbrPlan`] — rather than borrowing engines, so one cache can outlive
+//! any particular engine instance and be shared freely across an
+//! `Arc<Database>` worker pool. A hit skips parsing and planning
+//! entirely; execution builds a fresh (thin, borrow-only) `LbrEngine`
+//! per call via [`Database::execute_plan`].
 //!
 //! Every entry is pinned to the **database epoch** it was planned at
 //! ([`Database::epoch`]). Plans bake in snapshot-specific facts —
@@ -33,9 +33,8 @@
 //! same epoch-pinned LRU with a byte weight per entry; both are thin
 //! wrappers over one private implementation.
 
-use crate::{Database, EngineKind, Query, ReadView};
-use lbr_core::LbrError;
-use std::any::Any;
+use crate::{Database, Query, ReadView};
+use lbr_core::{LbrError, LbrPlan};
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -53,29 +52,26 @@ pub fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One cached planning result: the parsed query, the engine kind it was
-/// planned on, and that engine's opaque plan.
+/// One cached planning result: the parsed query, the epoch it was
+/// planned at, and its [`LbrPlan`].
 ///
-/// Execution re-binds the plan to a fresh engine of the same kind
-/// ([`Database::execute_plan`]); engines fall back to unprepared
-/// execution when handed a foreign plan, so a stale entry can never
-/// produce wrong results — only wasted planning.
+/// Execution runs the plan on a fresh `LbrEngine` over the reader's
+/// snapshot when the epochs match, and re-plans otherwise
+/// ([`Database::execute_plan`]), so a stale entry can never produce
+/// wrong results — only wasted planning.
 pub struct CachedPlan {
     query: Query,
-    kind: EngineKind,
     epoch: u64,
-    plan: Box<dyn Any + Send + Sync>,
+    plan: LbrPlan,
 }
 
 impl CachedPlan {
-    /// Plans `query` on `view`'s default engine, stamped with the epoch
-    /// of the very snapshot its constant IDs were encoded in.
-    pub(crate) fn prepare(view: &ReadView<'_>, query: Query) -> Result<CachedPlan, LbrError> {
-        let engine = view.engine();
-        let plan = engine.plan_query(&query)?;
+    /// Plans `query` on `view`'s data, stamped with the epoch of the very
+    /// snapshot its constant IDs were encoded in.
+    pub(crate) fn prepare(view: &ReadView, query: Query) -> Result<CachedPlan, LbrError> {
+        let plan = crate::lbr(&view.snap).plan(&query)?;
         Ok(CachedPlan {
             query,
-            kind: view.db.engine_kind(),
             epoch: view.epoch(),
             plan,
         })
@@ -86,21 +82,14 @@ impl CachedPlan {
         &self.query
     }
 
-    /// The engine kind the plan was produced by.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.kind
-    }
-
     /// The database epoch the plan was produced at.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// The engine's opaque plan (what
-    /// [`Engine::execute_planned`](lbr_core::Engine::execute_planned)
-    /// downcasts).
-    pub fn plan(&self) -> &(dyn Any + Send + Sync) {
-        self.plan.as_ref()
+    /// The plan, valid only against a snapshot at [`CachedPlan::epoch`].
+    pub(crate) fn plan(&self) -> &LbrPlan {
+        &self.plan
     }
 }
 
@@ -290,8 +279,8 @@ impl PlanCache {
         self.lru.capacity
     }
 
-    /// Returns the cached plan for `text`, planning (and caching) it on
-    /// `db`'s default engine on a miss.
+    /// Returns the cached plan for `text`, planning (and caching) it over
+    /// `db`'s current snapshot on a miss.
     ///
     /// Two threads missing on the same key concurrently both plan, but
     /// only the first insert sticks — the loser adopts the winner's entry

@@ -13,7 +13,7 @@
 //! name-based accessors:
 //!
 //! ```
-//! use lbr::{Database, EngineKind};
+//! use lbr::Database;
 //!
 //! let db = Database::builder()
 //!     .ntriples(r#"
@@ -22,7 +22,6 @@
 //!         <Julia> <actedIn> <Seinfeld> .
 //!         <Seinfeld> <location> <NewYorkCity> .
 //!     "#)
-//!     .engine(EngineKind::Lbr)
 //!     .build()
 //!     .unwrap();
 //!
@@ -71,10 +70,11 @@
 //! assert_eq!(out.render(db.dict()), vec!["<Larry>".to_string()]);
 //! ```
 //!
-//! Every engine of the paper's evaluation — LBR, the two pairwise
-//! hash-join configurations, the outer-join reordering baseline and the
-//! nested-loop reference oracle — implements the same [`Engine`] trait
-//! and is selected with [`EngineKind`]:
+//! [`Database`] always runs the LBR engine. Every engine of the paper's
+//! evaluation — LBR, the two pairwise hash-join configurations, the
+//! outer-join reordering baseline and the nested-loop reference oracle —
+//! implements the same [`Engine`] trait, and the comparators are reached
+//! through one door, [`Database::engine_of`] with an [`EngineKind`]:
 //!
 //! ```
 //! use lbr::{Database, EngineKind};
@@ -146,10 +146,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// An RDF database: a [`Store`] (segments + delta memtable, published as
-/// epoch-stamped snapshots) + a default engine.
+/// epoch-stamped snapshots) queried by the LBR engine.
 ///
-/// Every database sits on the same backend and every query runs over
-/// the current snapshot's [`storage::OverlayCatalog`]; a read-only
+/// Every database sits on the same backend and every query runs an
+/// [`LbrEngine`] over the current snapshot's [`storage::OverlayCatalog`]
+/// (the comparator engines are reached through
+/// [`Database::engine_of`]); a read-only
 /// database is simply one whose store nobody may write to, so its delta
 /// stays empty, its epoch stays 0 and every load is the base segments'
 /// own.
@@ -163,7 +165,6 @@ pub struct Database {
     store: Store,
     /// Policy, not mechanism: built without `wal_dir()` / `updatable()`.
     read_only: bool,
-    default_engine: EngineKind,
 }
 
 /// Everything that can go wrong assembling a [`Database`].
@@ -251,7 +252,6 @@ pub struct DatabaseBuilder {
     index: Option<PathBuf>,
     wal_dir: Option<PathBuf>,
     updatable: bool,
-    engine: EngineKind,
 }
 
 impl DatabaseBuilder {
@@ -312,13 +312,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Sets the default engine queries run on (default:
-    /// [`EngineKind::Lbr`]).
-    pub fn engine(mut self, kind: EngineKind) -> Self {
-        self.engine = kind;
-        self
-    }
-
     // Kept only because the frozen `benchmark/` (its one caller) still
     // sets it: there is one serial join, so the argument is ignored. Goes
     // with `core.mt_ratio` in the next benchmark issue.
@@ -363,7 +356,6 @@ impl DatabaseBuilder {
         Ok(Database {
             store,
             read_only: !self.updatable && self.wal_dir.is_none(),
-            default_engine: self.engine,
         })
     }
 }
@@ -376,11 +368,10 @@ impl Database {
             index: None,
             wal_dir: None,
             updatable: false,
-            engine: EngineKind::Lbr,
         }
     }
 
-    /// Shortcut: in-memory database over raw triples, LBR engine.
+    /// Shortcut: in-memory database over raw triples.
     pub fn from_triples(triples: Vec<Triple>) -> Database {
         Self::builder()
             .triples(triples)
@@ -388,12 +379,12 @@ impl Database {
             .expect("in-memory build cannot fail")
     }
 
-    /// Shortcut: in-memory database over an N-Triples document, LBR engine.
+    /// Shortcut: in-memory database over an N-Triples document.
     pub fn from_ntriples(text: &str) -> Result<Database, rdf::RdfError> {
         Ok(Self::from_triples(rdf::parse_ntriples(text)?))
     }
 
-    /// Shortcut: in-memory database over an encoded graph, LBR engine.
+    /// Shortcut: in-memory database over an encoded graph.
     pub fn from_encoded(graph: EncodedGraph) -> Database {
         Self::builder()
             .encoded(graph)
@@ -403,27 +394,22 @@ impl Database {
 
     /// Pins one consistent view of the database for a whole request.
     ///
-    /// This captures the current snapshot **once**: every engine built
-    /// from the view, every epoch check and every dictionary decode then
+    /// This captures the current snapshot **once**: every execution on
+    /// the view, every epoch check and every dictionary decode then
     /// agree on the same data, no matter how many updates commit
     /// concurrently. (The borrow-shaped accessors [`Database::dict`] /
     /// [`Database::engine_of`] each pin the snapshot current at *their*
     /// call — correct in isolation, but two calls can straddle a commit;
     /// a `ReadView` is how the serving layers make
     /// validate-then-execute-then-decode atomic.)
-    pub fn read(&self) -> ReadView<'_> {
+    pub fn read(&self) -> ReadView {
         ReadView {
-            db: self,
             snap: self.store.snapshot(),
         }
     }
 
-    /// The default engine, ready to run queries.
-    pub fn engine(&self) -> Box<dyn Engine + '_> {
-        self.engine_of(self.default_engine)
-    }
-
-    /// A specific engine over this database's catalog.
+    /// A specific engine over this database's catalog — the one door to
+    /// the comparator engines (`Database`'s own queries always run LBR).
     pub fn engine_of(&self, kind: EngineKind) -> Box<dyn Engine + '_> {
         self.engine_with(kind, &EngineOptions::default())
     }
@@ -441,11 +427,6 @@ impl Database {
         kind.build_with(snap.catalog(), snap.dict(), options)
     }
 
-    /// The default engine's kind.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.default_engine
-    }
-
     // Kept only because the frozen `benchmark/` (its one caller) still
     // reads it; see `DatabaseBuilder::threads`.
     #[doc(hidden)]
@@ -453,13 +434,13 @@ impl Database {
         1
     }
 
-    /// Parses and executes a query on the default engine.
+    /// Parses and executes a query.
     pub fn execute(&self, query_text: &str) -> Result<QueryOutput, core::LbrError> {
         let query = parse_query(query_text)?;
         self.execute_query(&query)
     }
 
-    /// Executes a parsed query on the default engine.
+    /// Executes a parsed query.
     pub fn execute_query(&self, query: &Query) -> Result<QueryOutput, core::LbrError> {
         self.read().execute_query(query)
     }
@@ -470,8 +451,7 @@ impl Database {
     pub fn solutions(&self, query_text: &str) -> Result<Solutions<'_>, core::LbrError> {
         let query = parse_query(query_text)?;
         let snap = self.store.current_ref();
-        let engine = self.default_engine.build(snap.catalog(), snap.dict());
-        Ok(engine.execute(&query)?.into_solutions(snap.dict()))
+        Ok(lbr(snap).execute(&query)?.into_solutions(snap.dict()))
     }
 
     /// Parses and executes an existence query, returning its boolean
@@ -509,24 +489,23 @@ impl Database {
         view.execute_plan(&cached)
     }
 
-    /// Executes a [`CachedPlan`] on a fresh engine of the kind it was
-    /// planned for, on one pinned view. The plan is only used when its
-    /// epoch matches the view's (see [`ReadView::execute_plan`]); a
-    /// foreign or stale plan falls back to unprepared execution, so this
-    /// is always correct — at worst it re-plans.
+    /// Executes a [`CachedPlan`] on a fresh LBR engine over one pinned
+    /// view. The plan is only used when its epoch matches the view's (see
+    /// [`ReadView::execute_plan`]); a stale plan falls back to unprepared
+    /// execution, so this is always correct — at worst it re-plans.
     pub fn execute_plan(&self, cached: &CachedPlan) -> Result<QueryOutput, core::LbrError> {
         self.read().execute_plan(cached)
     }
 
-    /// Parses and prepares a query on the default engine: the planning
-    /// pipeline (parse → UNF rewrite → analyze/classify → jvar order)
-    /// runs once here; [`PreparedQuery::execute`] /
-    /// [`PreparedQuery::solutions`] skip straight to execution.
+    /// Parses and prepares a query: the planning pipeline (parse → UNF
+    /// rewrite → analyze/classify → jvar order) runs once here;
+    /// [`PreparedQuery::execute`] / [`PreparedQuery::solutions`] skip
+    /// straight to execution.
     pub fn prepare(&self, query_text: &str) -> Result<PreparedQuery<'_>, core::LbrError> {
         self.prepare_query(parse_query(query_text)?)
     }
 
-    /// Prepares an already-parsed query on the default engine.
+    /// Prepares an already-parsed query.
     pub fn prepare_query(&self, query: Query) -> Result<PreparedQuery<'_>, core::LbrError> {
         Ok(PreparedQuery {
             db: self,
@@ -534,20 +513,18 @@ impl Database {
         })
     }
 
-    /// Renders the default engine's plan for a query.
+    /// Renders the LBR plan for a query.
     pub fn explain(&self, query_text: &str) -> Result<String, core::LbrError> {
         let query = parse_query(query_text)?;
-        self.engine().explain(&query)
+        lbr(&self.read().snap).explain(&query)
     }
 
-    /// EXPLAIN ANALYZE: executes the query on the default engine under a
-    /// forced trace and renders the plan annotated with actual per-stage
-    /// wall time and estimated-vs-actual cardinalities per TP and per
-    /// jvar. Only the LBR engine supports this; other engines return a
-    /// clear `Unsupported` error.
+    /// EXPLAIN ANALYZE: executes the query under a forced trace and
+    /// renders the plan annotated with actual per-stage wall time and
+    /// estimated-vs-actual cardinalities per TP and per jvar.
     pub fn explain_analyze(&self, query_text: &str) -> Result<String, core::LbrError> {
         let query = parse_query(query_text)?;
-        self.engine().explain_analyze(&query)
+        lbr(&self.read().snap).explain_analyze(&query)
     }
 
     /// The dictionary (for decoding results).
@@ -556,8 +533,8 @@ impl Database {
     /// rebuild the dictionary (each epoch vended this way is retained
     /// until the database drops — prefer [`Database::read`] for
     /// request-scoped work), but IDs it hands out describe the snapshot
-    /// it came from. To decode results, take the dictionary and the
-    /// engine from one [`ReadView`] so they cannot straddle an update.
+    /// it came from. To decode results, execute and take the dictionary
+    /// on one [`ReadView`] so they cannot straddle an update.
     pub fn dict(&self) -> &Dictionary {
         self.store.current_ref().dict()
     }
@@ -610,44 +587,26 @@ impl Database {
 /// Holds the snapshot `Arc` current when it was created, so execution,
 /// plan-epoch validation and result decoding all run against the same
 /// data — and the snapshot is freed when the last view/reader drops it.
-pub struct ReadView<'db> {
-    db: &'db Database,
+pub struct ReadView {
     snap: Arc<Snapshot>,
 }
 
-impl ReadView<'_> {
+impl ReadView {
     /// The storage epoch this view is pinned to (`0` on a read-only
     /// database, which never changes epoch).
     pub fn epoch(&self) -> u64 {
         self.snap.epoch()
     }
 
-    /// This view's dictionary — decodes exactly the IDs engines built
-    /// from this view produce.
+    /// This view's dictionary — decodes exactly the IDs executions on
+    /// this view produce.
     pub fn dict(&self) -> &Dictionary {
         self.snap.dict()
     }
 
-    /// The default engine over this view's data.
-    pub fn engine(&self) -> Box<dyn Engine + '_> {
-        self.engine_of(self.db.default_engine)
-    }
-
-    /// A specific engine over this view's data.
-    pub fn engine_of(&self, kind: EngineKind) -> Box<dyn Engine + '_> {
-        self.engine_with(kind, &EngineOptions::default())
-    }
-
-    /// A specific engine over this view's data with explicit
-    /// [`EngineOptions`] — how the serving layer threads per-request
-    /// deadlines into execution without giving up the pinned snapshot.
-    pub fn engine_with(&self, kind: EngineKind, options: &EngineOptions) -> Box<dyn Engine + '_> {
-        kind.build_with(self.snap.catalog(), self.snap.dict(), options)
-    }
-
-    /// Executes a parsed query on this view's default engine.
+    /// Executes a parsed query on this view's data.
     pub fn execute_query(&self, query: &Query) -> Result<QueryOutput, core::LbrError> {
-        self.engine().execute(query)
+        lbr(&self.snap).execute(query)
     }
 
     /// Executes a [`CachedPlan`] against this view. The plan's baked
@@ -672,6 +631,11 @@ impl ReadView<'_> {
     }
 }
 
+/// The LBR engine over `snap`'s data: what every `Database` query runs.
+fn lbr(snap: &Snapshot) -> LbrEngine<'_, storage::OverlayCatalog> {
+    LbrEngine::new(snap.catalog(), snap.dict())
+}
+
 /// Runs `cached` against `snap`: as planned when it was planned at
 /// `snap`'s epoch, re-planned otherwise.
 fn execute_plan_on(
@@ -679,17 +643,12 @@ fn execute_plan_on(
     cached: &CachedPlan,
     deadline: Option<std::time::Instant>,
 ) -> Result<QueryOutput, core::LbrError> {
-    let options = EngineOptions {
-        deadline,
-        ..EngineOptions::default()
-    };
-    let engine = cached
-        .engine_kind()
-        .build_with(snap.catalog(), snap.dict(), &options);
-    if cached.epoch() != snap.epoch() {
-        return engine.execute(cached.query());
+    let engine = lbr(snap).with_deadline(deadline);
+    if cached.epoch() == snap.epoch() {
+        engine.execute_plan(cached.plan())
+    } else {
+        engine.execute(cached.query())
     }
-    engine.execute_planned(cached.query(), cached.plan())
 }
 
 /// What a [`Database::update`] did, summed over its operations.
@@ -934,8 +893,9 @@ impl Database {
                 (scratch.catalog().clone(), scratch.dict())
             }
         };
-        let engine = self.default_engine.build(&catalog, dict);
-        let out = engine.execute(&query).map_err(UpdateError::Eval)?;
+        let out = LbrEngine::new(&catalog, dict)
+            .execute(&query)
+            .map_err(UpdateError::Eval)?;
         let (vars, rows) = (&out.vars, out.decode(dict));
         let var_slot: Vec<Option<usize>> = {
             let slot_of = |v: &str| vars.iter().position(|name| name == v);
@@ -972,10 +932,10 @@ impl Database {
 
 /// A query whose planning pipeline already ran.
 ///
-/// Created by [`Database::prepare`]; holds the parsed query and the
-/// default engine's plan for it (for the LBR engine: the UNF branches
-/// with their GoSN/GoJ analyses, variable tables, selectivity estimates
-/// and jvar orders), stamped with the epoch it was planned at.
+/// Created by [`Database::prepare`]; holds the parsed query and its LBR
+/// plan (the UNF branches with their GoSN/GoJ analyses, variable tables,
+/// selectivity estimates and jvar orders), stamped with the epoch it was
+/// planned at.
 /// Re-executing costs only the data phases — the million-execution
 /// serving path. Every execution reads the snapshot current at *that*
 /// call: after an update the query sees the new data (and re-plans,
@@ -995,7 +955,7 @@ const _: () = {
     assert_send_sync::<Database>();
     assert_send_sync::<DatabaseBuilder>();
     assert_send_sync::<PreparedQuery<'static>>();
-    assert_send_sync::<ReadView<'static>>();
+    assert_send_sync::<ReadView>();
     assert_send_sync::<cache::PlanCache>();
     assert_send_sync::<core::StatsAggregate>();
     assert_send_sync::<obs::Tracing>();
@@ -1023,25 +983,16 @@ impl PreparedQuery<'_> {
     /// EXPLAIN ANALYZE for the prepared query: re-executes it under a
     /// forced trace and renders actual timings and cardinalities.
     pub fn explain_analyze(&self) -> Result<String, core::LbrError> {
-        let view = self.db.read();
-        let engine = view.engine_of(self.engine_kind());
-        engine.explain_analyze(self.query())
+        lbr(&self.db.read().snap).explain_analyze(self.query())
     }
 
     /// Renders the plan this query will run with.
     pub fn explain(&self) -> Result<String, core::LbrError> {
-        let view = self.db.read();
-        let engine = view.engine_of(self.engine_kind());
-        engine.explain(self.query())
+        lbr(&self.db.read().snap).explain(self.query())
     }
 
     /// The parsed query.
     pub fn query(&self) -> &Query {
         self.cached.query()
-    }
-
-    /// The kind of engine the query was prepared on.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.cached.engine_kind()
     }
 }

@@ -121,7 +121,12 @@ fn compaction_preserves_results_byte_for_byte_and_empties_the_delta() {
     // be identical — the strongest equivalence the engines can show.
     let before: Vec<_> = QUERIES
         .iter()
-        .map(|q| db.engine().execute(&parse_query(q).unwrap()).unwrap().rows)
+        .map(|q| {
+            db.engine_of(EngineKind::Lbr)
+                .execute(&parse_query(q).unwrap())
+                .unwrap()
+                .rows
+        })
         .collect();
     let epoch_before = db.epoch();
     db.compact().unwrap();
@@ -132,7 +137,11 @@ fn compaction_preserves_results_byte_for_byte_and_empties_the_delta() {
     );
     assert!(store.current_ref().delta().is_empty(), "delta folded away");
     for (q, expected) in QUERIES.iter().zip(before) {
-        let after = db.engine().execute(&parse_query(q).unwrap()).unwrap().rows;
+        let after = db
+            .engine_of(EngineKind::Lbr)
+            .execute(&parse_query(q).unwrap())
+            .unwrap()
+            .rows;
         assert_eq!(after, expected, "compaction changed ID-level rows of {q}");
     }
     for query in QUERIES {
@@ -168,7 +177,7 @@ fn snapshot_isolation_pinned_reader_is_unaffected_by_commits() {
     let db = updatable();
     let q = parse_query("SELECT * WHERE { <Jerry> <hasFriend> ?f . }").unwrap();
     // Bind an engine to the current snapshot…
-    let pinned = db.engine();
+    let pinned = db.engine_of(EngineKind::Lbr);
     let before = pinned.execute(&q).unwrap();
     assert_eq!(before.rows.len(), 2);
 
@@ -184,7 +193,7 @@ fn snapshot_isolation_pinned_reader_is_unaffected_by_commits() {
     assert_eq!(after.rows, before.rows, "pinned snapshot drifted");
     // A fresh engine sees the new state.
     let fresh: Vec<_> = db
-        .engine()
+        .engine_of(EngineKind::Lbr)
         .execute(&q)
         .unwrap()
         .decode(db.dict())
