@@ -164,6 +164,32 @@ fn read_only_databases_match_a_direct_bitmat_engine_on_every_kind() {
     }
 }
 
+/// The builder has no engine knob: the database it builds runs LBR by
+/// default, and each engine behind `engine_of` is the kind asked for and
+/// agrees with it on Q2.
+#[test]
+fn builder_default_engine_is_honored() {
+    let db = Database::builder().triples(triples()).build().unwrap();
+    let expected = vec![
+        "<Julia>\t<Seinfeld>".to_string(),
+        "<Larry>\tNULL".to_string(),
+    ];
+    let mut rows = db.execute(Q2).unwrap().render(db.dict());
+    rows.sort();
+    assert_eq!(rows, expected);
+    let text = db.explain(Q2).unwrap();
+    assert!(text.contains("GoSN"), "{text}");
+
+    let query = parse_query(Q2).unwrap();
+    for kind in EngineKind::all() {
+        let engine = db.engine_of(kind);
+        assert_eq!(engine.name(), kind.name());
+        let mut rows = engine.execute(&query).unwrap().render(db.dict());
+        rows.sort();
+        assert_eq!(rows, expected, "{kind}");
+    }
+}
+
 /// `Database` runs LBR on every path: one-shot and prepared execution
 /// (re-executed, since the cached plan is not consumed) must each match
 /// every engine behind `engine_of`, on every workload query.
