@@ -14,17 +14,14 @@
 //! `LBR_SEED` (default 42) seeds them.
 
 use lbr_baseline::EngineKind;
-use lbr_bench::{
-    fmt_secs, parse_prev_allocs, prepare, render_table_with_prev, run_dataset, run_engine, run_lbr,
-    Prepared,
-};
+use lbr_bench::{fmt_secs, prepare, render_table, run_dataset, run_engine, run_lbr, Prepared};
 use lbr_bitmat::Catalog;
 use lbr_datagen::{all_datasets, Dataset};
 use lbr_sparql::parse_query;
 use std::time::Instant;
 
-/// Count heap allocations so the `allocs` column (and its before/after
-/// delta against the committed `BENCH_<dataset>.json`) is real data.
+/// Count heap allocations so the `allocs` column is real data; compare
+/// runs with `git diff BENCH_*.json`.
 #[global_allocator]
 static ALLOC: lbr_bench::CountingAlloc = lbr_bench::CountingAlloc;
 
@@ -100,17 +97,14 @@ fn table61(datasets: &[Dataset]) {
 
 /// Tables 6.2–6.4: per-query processing times. Each report (including the
 /// steady-state allocs-per-query) is also persisted as `BENCH_<dataset>.json` for
-/// EXPERIMENTS.md regeneration; when a previous baseline file exists, the
-/// `allocs` column prints the before→after delta against it.
+/// EXPERIMENTS.md regeneration; `git diff` shows the change against the
+/// committed one.
 fn table_queries(datasets: &[Dataset], idx: usize, label: &str, json: bool) {
     let p = prepare(datasets[idx].clone());
     println!("\n== Table {label}: query processing times ==");
     let report = run_dataset(&p);
     let path = format!("BENCH_{}.json", report.name);
-    let prev = std::fs::read_to_string(&path)
-        .map(|old| parse_prev_allocs(&old))
-        .unwrap_or_default();
-    print!("{}", render_table_with_prev(&report, &prev));
+    print!("{}", render_table(&report));
     match std::fs::write(&path, report.to_json()) {
         Ok(()) => eprintln!("# wrote {path}"),
         Err(e) => eprintln!("# could not write {path}: {e}"),

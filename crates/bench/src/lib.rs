@@ -15,9 +15,10 @@
 //! (cold) run is discarded and the remaining times averaged. Results are
 //! also emitted as JSON for EXPERIMENTS.md regeneration.
 
+use lbr::obs::{json_escape_into, stage_us, Span};
 use lbr_baseline::{EngineKind, EngineOptions};
 use lbr_bitmat::{BitMatStore, Catalog};
-use lbr_core::{LbrEngine, LbrError, QueryOutput};
+use lbr_core::{traced, LbrEngine, LbrError, QueryOutput};
 use lbr_datagen::Dataset;
 use lbr_rdf::EncodedGraph;
 use lbr_sparql::parse_query;
@@ -140,6 +141,11 @@ fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
+/// Seconds the `stage` spans of one traced execution add up to.
+fn stage_secs(spans: &[Span], stage: &str) -> f64 {
+    stage_us(spans, stage) as f64 * 1e-6
+}
+
 /// Averaged phase timings plus the steady-state allocation count of one
 /// LBR query ([`run_lbr`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -161,21 +167,25 @@ pub struct LbrTimes {
 /// stats and the last output.
 ///
 /// Each timed run is a full `execute` (planning included), matching how
-/// [`run_engine`] times the baselines — the columns stay comparable. The
-/// allocation count is measured separately over cached-plan executions
-/// (the plan-cache serving path): minimum across runs, so one-off lazy
-/// initialization does not pollute the steady-state number.
+/// [`run_engine`] times the baselines — the columns stay comparable. It
+/// runs under [`traced`], so the stage columns are its spans and the
+/// total is this function's own clock. The allocation count is measured
+/// separately over cached-plan executions (the plan-cache serving path):
+/// minimum across runs, so one-off lazy initialization does not pollute
+/// the steady-state number.
 pub fn run_lbr(p: &Prepared, text: &str) -> (QueryOutput, LbrTimes) {
     let query = parse_query(text).expect("benchmark query parses");
     let engine = LbrEngine::new(&p.store, &p.graph.dict);
     let mut out = engine.execute(&query).expect("warm-up run");
     let mut t = LbrTimes::default();
+    let mut spans = Vec::new();
     for _ in 0..RUNS {
-        out = engine.execute(&query).expect("timed run");
-        t.t_init += secs(out.stats.t_init);
-        t.t_prune += secs(out.stats.t_prune);
-        t.t_join += secs(out.stats.t_join);
-        t.t_total += secs(out.stats.t_total);
+        let t0 = Instant::now();
+        out = traced(&mut spans, || engine.execute(&query)).expect("timed run");
+        t.t_total += secs(t0.elapsed());
+        t.t_init += stage_secs(&spans, "init");
+        t.t_prune += stage_secs(&spans, "prune");
+        t.t_join += stage_secs(&spans, "join");
     }
     let n = RUNS as f64;
     t.t_init /= n;
@@ -204,8 +214,9 @@ pub fn run_lbr_limit10(p: &Prepared, text: &str) -> (f64, u64) {
     let mut out = engine.execute(&query).expect("warm-up run");
     let mut t_total = 0.0;
     for _ in 0..RUNS {
+        let t0 = Instant::now();
         out = engine.execute(&query).expect("timed run");
-        t_total += secs(out.stats.t_total);
+        t_total += secs(t0.elapsed());
     }
     (t_total / RUNS as f64, out.stats.join_seeds)
 }
@@ -474,14 +485,6 @@ pub fn fmt_secs(s: f64) -> String {
 /// Renders a dataset report as the Table 6.2-style fixed-width table
 /// (one column per baseline engine).
 pub fn render_table(r: &DatasetReport) -> String {
-    render_table_with_prev(r, &[])
-}
-
-/// [`render_table`] with a previous baseline's `(query id, allocs)` pairs
-/// (e.g. parsed from a committed `BENCH_<dataset>.json` via
-/// [`parse_prev_allocs`]): the `allocs` column then shows the
-/// before→after delta per query.
-pub fn render_table_with_prev(r: &DatasetReport, prev_allocs: &[(String, u64)]) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
@@ -497,10 +500,6 @@ pub fn render_table_with_prev(r: &DatasetReport, prev_allocs: &[(String, u64)]) 
         "#initial", "#aftPrune", "#results", "#nulls", "BM?"
     );
     for row in &r.rows {
-        let allocs = match prev_allocs.iter().find(|(id, _)| *id == row.id) {
-            Some(&(_, prev)) => format!("{}→{}", prev, row.allocs_per_query),
-            None => row.allocs_per_query.to_string(),
-        };
         let _ = write!(
             s,
             "{:<4} {:>9} {:>9} {:>9} {:>9} {:>9} {:>16}",
@@ -510,7 +509,7 @@ pub fn render_table_with_prev(r: &DatasetReport, prev_allocs: &[(String, u64)]) 
             fmt_secs(row.t_join),
             fmt_secs(row.t_total),
             fmt_secs(row.t_limit10),
-            allocs,
+            row.allocs_per_query,
         );
         for b in &row.baselines {
             let _ = write!(s, " {:>12}", b.secs.map_or(">budget".into(), fmt_secs));
@@ -560,57 +559,9 @@ pub fn render_table_with_prev(r: &DatasetReport, prev_allocs: &[(String, u64)]) 
     s
 }
 
-/// Extracts `(query id, allocs_per_query)` pairs from a previously
-/// committed `BENCH_<dataset>.json` — a targeted scan over the hand-rolled
-/// JSON this crate emits (the environment has no serde), used to print the
-/// before/after allocation delta in the bench table.
-pub fn parse_prev_allocs(json: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("{\"id\":\"") {
-        let after_id = &rest[i + 7..];
-        let Some(id_end) = after_id.find('"') else {
-            break;
-        };
-        let id = &after_id[..id_end];
-        let tail = &after_id[id_end..];
-        // The allocs field belongs to this row object: stop at the next row.
-        let row_end = tail.find("{\"id\":\"").unwrap_or(tail.len());
-        if let Some(j) = tail[..row_end].find("\"allocs_per_query\":") {
-            let digits: String = tail[j + 19..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect();
-            if let Ok(v) = digits.parse() {
-                out.push((id.to_string(), v));
-            }
-        }
-        rest = &after_id[id_end..];
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Minimal JSON emission (the environment has no serde; reports are flat
 // enough to serialize by hand).
-
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn json_f64(out: &mut String, x: f64) {
     if x.is_finite() {
@@ -630,7 +581,7 @@ fn json_opt_f64(out: &mut String, x: Option<f64>) {
 impl EngineTime {
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"engine\":");
-        json_str(out, self.engine);
+        json_escape_into(out, self.engine);
         out.push_str(",\"secs\":");
         json_opt_f64(out, self.secs);
         out.push('}');
@@ -640,7 +591,7 @@ impl EngineTime {
 impl QueryRow {
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"id\":");
-        json_str(out, &self.id);
+        json_escape_into(out, &self.id);
         let _ = write!(
             out,
             ",\"t_init\":{},\"t_prune\":{},\"t_join\":{},\"allocs_per_query\":{}",
@@ -677,7 +628,7 @@ impl DatasetReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\"name\":");
-        json_str(&mut out, &self.name);
+        json_escape_into(&mut out, &self.name);
         let _ = write!(
             out,
             ",\"n_triples\":{},\"n_subjects\":{},\"n_predicates\":{},\"n_objects\":{}",
@@ -745,6 +696,12 @@ mod tests {
                 assert_eq!(b.engine, kind.name());
             }
             assert!(row.t_limit10 > 0.0);
+            // The stage columns are disjoint spans inside the timed run.
+            assert!(
+                row.t_init + row.t_prune + row.t_join <= row.t_total,
+                "{}: stages exceed the total",
+                row.id
+            );
         }
         let table = render_table(&report);
         assert!(table.contains("Q1") && table.contains("Q6"));
@@ -760,18 +717,6 @@ mod tests {
         assert!(json.contains("\"t_join\"") && json.contains("\"allocs_per_query\""));
         assert!(table.contains("Tlim10"));
         assert!(table.contains("Tjoin") && table.contains("allocs"));
-        // The before/after delta renders when a previous baseline is known.
-        let prev = parse_prev_allocs(&json);
-        assert_eq!(prev.len(), report.rows.len());
-        assert_eq!(prev[0].0, "Q1");
-        let delta_table = render_table_with_prev(&report, &prev);
-        assert!(
-            delta_table.contains(&format!(
-                "{}→{}",
-                report.rows[0].allocs_per_query, report.rows[0].allocs_per_query
-            )),
-            "{delta_table}"
-        );
         // The updatable-store measurement: the larger fractions really
         // lived in the delta, and compaction yielded a follow-up number.
         let delta = &report.delta;
@@ -796,7 +741,7 @@ mod tests {
     #[test]
     fn json_escaping() {
         let mut out = String::new();
-        json_str(&mut out, "a\"b\\c\nd");
+        json_escape_into(&mut out, "a\"b\\c\nd");
         assert_eq!(out, r#""a\"b\\c\nd""#);
         let mut out = String::new();
         json_f64(&mut out, f64::NAN);

@@ -62,12 +62,6 @@ impl BitVec {
         self.len
     }
 
-    /// Capacity of the word buffer — lets scratch-pool owners observe
-    /// whether an in-place operation had to grow (allocate).
-    pub fn word_capacity(&self) -> usize {
-        self.words.capacity()
-    }
-
     /// True when `len == 0`.
     pub fn is_empty(&self) -> bool {
         self.len == 0

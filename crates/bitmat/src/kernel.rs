@@ -31,8 +31,7 @@
 //! [`SetScratch`] circulates position/run buffers between the kernel and
 //! the destination rows, so steady-state pruning performs **no heap
 //! allocation** — buffers grow to a high-water mark on the first pass and
-//! are reused afterwards ([`SetScratch::reuses`] / [`SetScratch::grows`]
-//! make that observable).
+//! are reused afterwards ([`SetScratch::grows`] makes that observable).
 //!
 //! Output representations follow the same hybrid rule as
 //! [`BitRow::from_sorted_positions`] (sparse iff `count < 2·n_runs`), so
@@ -58,8 +57,6 @@ pub struct SetScratch {
     spare_pos: Vec<u32>,
     /// Spare run buffer recycled through representation switches.
     spare_runs: Vec<[u32; 2]>,
-    /// Kernel calls served entirely from existing capacity.
-    reuses: u64,
     /// Kernel calls that had to grow a buffer (allocated).
     grows: u64,
     /// Set by the store step when writing the result grew a destination
@@ -68,18 +65,12 @@ pub struct SetScratch {
 }
 
 impl SetScratch {
-    /// Number of kernel calls served without growing any scratch buffer —
-    /// the steady-state counter surfaced as `scratch_reuses` in query
-    /// stats. (Tracks this scratch's four buffers; growth of a
-    /// *destination row's* own vector inside `extend_from_slice` is the
-    /// destination's capacity, not the pool's, and is not counted — the
-    /// bench counting allocator is the ground truth for total allocation.)
-    pub fn reuses(&self) -> u64 {
-        self.reuses
-    }
-
     /// Number of kernel calls that grew a scratch buffer (allocated).
     /// After the first pass over a workload this should stop increasing.
+    /// (Tracks this scratch's four buffers; growth of a *destination
+    /// row's* own vector inside `extend_from_slice` is the destination's
+    /// capacity, not the pool's, and is not counted — the bench counting
+    /// allocator is the ground truth for total allocation.)
     pub fn grows(&self) -> u64 {
         self.grows
     }
@@ -97,8 +88,6 @@ impl SetScratch {
     fn account(&mut self, before: (usize, usize)) {
         if self.caps() != before || self.grew_in_store {
             self.grows += 1;
-        } else {
-            self.reuses += 1;
         }
         self.grew_in_store = false;
     }
@@ -585,7 +574,6 @@ mod tests {
             a.and_row_into(&b, &mut dst, &mut scratch);
         }
         assert_eq!(scratch.grows(), before, "steady state must not grow");
-        assert!(scratch.reuses() >= 10);
     }
 
     #[test]

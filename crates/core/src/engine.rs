@@ -160,11 +160,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     /// Executes a query: plan, then run the plan (raw evaluation plus the
     /// shared form/modifier seam).
     pub fn execute(&self, query: &Query) -> Result<QueryOutput, LbrError> {
-        let t0 = Instant::now();
-        let plan = self.plan(query)?;
-        let mut out = self.execute_plan(&plan)?;
-        out.stats.t_total = t0.elapsed();
-        Ok(out)
+        self.execute_plan(&self.plan(query)?)
     }
 
     /// Runs the planning pipeline: UNF rewrite → per-branch GoSN/GoJ
@@ -191,17 +187,14 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     /// ([`LbrEngine::execute_plan_raw`]) followed by the shared
     /// form/modifier seam ([`crate::modifiers::finalize_parts`]).
     pub fn execute_plan(&self, plan: &LbrPlan) -> Result<QueryOutput, LbrError> {
-        let t0 = Instant::now();
         let raw = self.execute_plan_raw(plan)?;
-        let mut out = crate::modifiers::finalize_parts(
+        Ok(crate::modifiers::finalize_parts(
             raw,
             &plan.form,
             &plan.modifiers,
             &plan.projection,
             self.dict,
-        );
-        out.stats.t_total = t0.elapsed();
-        Ok(out)
+        ))
     }
 
     /// Raw evaluation of a cached plan: per-branch LBR evaluation →
@@ -279,7 +272,6 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             .iter()
             .filter(|r| r.iter().any(|c| c.is_none()))
             .count();
-        stats.t_total = t0.elapsed();
         Ok(QueryOutput {
             vars: plan.exec_vars.clone(),
             rows: all_rows,
@@ -413,11 +405,8 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         };
 
         // An empty part: §5's early abort, once an absolute master is empty.
-        // The abort still spent the stages that ran — report them instead
-        // of a zero total.
         let aborted = |mut stats: QueryStats| {
             stats.aborted_empty = true;
-            stats.t_total = stats.t_init + stats.t_prune;
             Ok(PartResult {
                 rel: Relation::empty(vt.names().to_vec()),
                 stats,
@@ -433,8 +422,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             ("triples_loaded", loaded.triples_loaded),
         ];
         let Some(mut tps) = loaded.tps else {
-            stats.t_init = t.elapsed();
-            lbr_obs::span_at("init", t, stats.t_init, &init_attrs);
+            lbr_obs::span_since("init", t, &init_attrs);
             return aborted(stats);
         };
         // Single-variable supernode filters become init-time masks; the
@@ -450,8 +438,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         for expr in gosn.global_filters() {
             fan_filters.push((None, expr));
         }
-        stats.t_init = t.elapsed();
-        lbr_obs::span_at("init", t, stats.t_init, &init_attrs);
+        lbr_obs::span_since("init", t, &init_attrs);
 
         if absolute_master_empty(gosn, &tps) {
             return aborted(stats);
@@ -461,12 +448,9 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         // fold masks, intersection results and work lists are reused
         // across every jvar of both passes — and, because the pool is
         // thread-local, across *queries* on a serving thread (no
-        // allocation in the steady-state inner loop once warm). The
-        // pool's counters are monotone, so this query's share is the
-        // before/after delta.
+        // allocation in the steady-state inner loop once warm).
         let t = Instant::now();
-        let (outcome, pstats) = PRUNE_SCRATCH.with_borrow_mut(|prune_scratch| {
-            let before = prune_scratch.stats();
+        let (outcome, intersections) = PRUNE_SCRATCH.with_borrow_mut(|prune_scratch| {
             let outcome = prune_triples(
                 &mut tps,
                 gosn,
@@ -476,27 +460,19 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
                 &dims,
                 prune_scratch,
             );
-            let after = prune_scratch.stats();
-            (
-                outcome,
-                crate::prune::PruneStats {
-                    intersections: after.intersections - before.intersections,
-                    scratch_reuses: after.scratch_reuses - before.scratch_reuses,
-                },
-            )
+            (outcome, prune_scratch.intersections())
         });
-        stats.t_prune = t.elapsed();
-        stats.prune_intersections = pstats.intersections;
-        stats.scratch_reuses = pstats.scratch_reuses;
+        let t_prune = t.elapsed();
+        stats.prune_intersections = intersections;
         stats.triples_after_pruning = tps.iter().map(TpState::count).sum();
         lbr_obs::span_at(
             "prune",
             t,
-            stats.t_prune,
+            t_prune,
             &[
                 ("initial_triples", stats.initial_triples),
                 ("triples_after_pruning", stats.triples_after_pruning),
-                ("intersections", pstats.intersections),
+                ("intersections", intersections),
             ],
         );
         if lbr_obs::trace_active() {
@@ -554,11 +530,9 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             // prefix the caller asked for — discard and report.
             return Err(LbrError::DeadlineExceeded);
         }
-        stats.t_join = t.elapsed();
-        lbr_obs::span_at(
+        lbr_obs::span_since(
             "join",
             t,
-            stats.t_join,
             &[
                 ("seeds", exec.seeds_enumerated),
                 ("rows", rows.len() as u64),
@@ -566,8 +540,6 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         );
         stats.nullification_fired = exec.nullification_fired;
         stats.join_seeds = exec.seeds_enumerated;
-        stats.scratch_reuses += exec.scratch_reuses;
-        stats.t_total = stats.t_init + stats.t_prune + stats.t_join;
 
         Ok(PartResult {
             rel: Relation {
@@ -591,16 +563,10 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     /// cardinalities, and join seeds/rows.
     pub fn explain_analyze(&self, query: &Query) -> Result<String, LbrError> {
         let plan = self.plan(query)?;
-        // Forced trace id 0: collection on, publication bypassed. This
-        // clobbers any sampler-owned trace on the thread (the serving
-        // layer documents `explain=analyze` requests as untraced).
-        lbr_obs::trace_begin(0);
-        let t0 = Instant::now();
-        let result = self.execute_plan(&plan);
-        let total = t0.elapsed();
         let mut spans = Vec::new();
-        let mut label = String::new();
-        lbr_obs::trace_drain(&mut spans, &mut label);
+        let t0 = Instant::now();
+        let result = traced(&mut spans, || self.execute_plan(&plan));
+        let total = t0.elapsed();
         let output = result?;
         Ok(crate::explain::render_analyze(
             query, &plan, &spans, total, &output,
@@ -663,6 +629,22 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     }
 }
 
+/// Runs `run` (an execution) under a forced local trace and leaves the
+/// spans it recorded in `spans`, replacing its contents: the one way
+/// EXPLAIN ANALYZE, `lbr-cli --stats` and `reproduce` read stage times.
+/// Sum a stage with [`lbr_obs::stage_us`]. A comparator engine records no
+/// `init` / `prune` / `join` spans.
+///
+/// Trace id 0 turns collection on and bypasses publication. This clobbers
+/// any sampler-owned trace on the thread (the serving layer documents
+/// `explain=analyze` requests as untraced).
+pub fn traced<T>(spans: &mut Vec<lbr_obs::Span>, run: impl FnOnce() -> T) -> T {
+    lbr_obs::trace_begin(0);
+    let out = run();
+    lbr_obs::trace_drain(spans, &mut String::new());
+    out
+}
+
 impl<C: Catalog> Engine for LbrEngine<'_, C> {
     fn name(&self) -> &'static str {
         "lbr"
@@ -709,20 +691,12 @@ impl VarLookup for IndexedRowLookup<'_> {
 }
 
 fn merge_stats(acc: &mut QueryStats, part: &QueryStats) {
-    acc.t_init += part.t_init;
-    acc.t_prune += part.t_prune;
-    acc.t_join += part.t_join;
-    // Keep totals additive too, so Cartesian-fallback parts report a
-    // nonzero `t_total` (the top-level callers overwrite it with the
-    // measured wall time at the end).
-    acc.t_total += part.t_total;
     acc.initial_triples += part.initial_triples;
     acc.triples_after_pruning += part.triples_after_pruning;
     acc.nb_required |= part.nb_required;
     acc.nullification_fired += part.nullification_fired;
     acc.join_seeds += part.join_seeds;
     acc.prune_intersections += part.prune_intersections;
-    acc.scratch_reuses += part.scratch_reuses;
     acc.aborted_empty |= part.aborted_empty;
 }
 

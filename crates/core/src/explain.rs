@@ -172,8 +172,8 @@ fn explain_connected(out: &mut String, cp: &ConnectedPlan) {
 
     // Planned kernel work of the prune phase, statically derivable
     // from the GoSN/GoJ via the sweep shared with `prune_triples`
-    // (the runtime `prune_intersections` / `scratch_reuses` counters
-    // in `--stats` and `/stats` report what actually ran —
+    // (the runtime `prune_intersections` counter in `--stats` and
+    // `/stats` reports what actually ran —
     // data-empty folds can skip planned operations).
     let ops = crate::prune::planned_prune_ops(gosn, &analyzed.goj, vt, jorder);
     let _ = writeln!(
@@ -187,7 +187,7 @@ fn explain_connected(out: &mut String, cp: &ConnectedPlan) {
 /// Renders the planned tree annotated with what execution actually did:
 /// per-stage wall time, per-TP and per-jvar estimated-vs-actual
 /// cardinalities (the selectivity-error feed for adaptive ordering), and
-/// join seeds/rows — assembled from the spans a forced trace collected
+/// join seeds/rows — assembled from the spans [`crate::traced`] collected
 /// around [`crate::engine::LbrEngine::execute_plan`] of this very `plan`.
 pub fn render_analyze(
     query: &Query,
@@ -205,11 +205,7 @@ pub fn render_analyze(
         output.rows.len(),
         output.rows_with_nulls(),
     );
-    let finalize_us: u64 = spans
-        .iter()
-        .filter(|s| s.name == "finalize")
-        .map(|s| s.dur_us)
-        .sum();
+    let finalize_us = lbr_obs::stage_us(spans, "finalize");
     let _ = writeln!(out, "finalize (modifier seam): {finalize_us}µs");
 
     // Branch sections are delimited by the zero-duration `branch` markers

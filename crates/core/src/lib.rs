@@ -54,7 +54,7 @@ pub mod solutions;
 
 pub use api::Engine;
 pub use bindings::{Binding, BindingSpace, QueryOutput, VarSpace, VarTable};
-pub use engine::{LbrEngine, LbrPlan};
+pub use engine::{traced, LbrEngine, LbrPlan};
 pub use error::LbrError;
 pub use explain::explain;
 pub use hash_join::Relation;
@@ -62,18 +62,14 @@ pub use jvar_order::JvarOrder;
 pub use multiway::ExecStats;
 pub use solutions::{Row, RowSchema, Solutions};
 
-/// Per-query statistics matching the columns of Tables 6.2–6.4.
+/// Per-query counts matching the cardinality columns of Tables 6.2–6.4.
+///
+/// Stage *times* are not here: the engine records each stage once, as an
+/// `lbr-obs` span (`init`, `prune`, `join`, `best_match`, `finalize`).
+/// Run a query under [`traced`] and sum a stage with
+/// [`lbr_obs::stage_us`]; take end-to-end time from the caller's clock.
 #[derive(Debug, Clone, Default)]
 pub struct QueryStats {
-    /// Time of the `init` phase (BitMat loading + active pruning).
-    pub t_init: std::time::Duration,
-    /// Time of `prune_triples`.
-    pub t_prune: std::time::Duration,
-    /// Time of the multi-way join, including its schedule. Best-match is
-    /// not in it: it runs afterwards, under its own `best_match` span.
-    pub t_join: std::time::Duration,
-    /// End-to-end time.
-    pub t_total: std::time::Duration,
     /// Σ triples matching each TP before init/pruning ("#initial triples").
     pub initial_triples: u64,
     /// Σ triples left in the TP BitMats after `prune_triples`.
@@ -93,21 +89,15 @@ pub struct QueryStats {
     /// Compressed-set intersections `prune_triples` performed through the
     /// kernel layer (semi-join mask ANDs + clustered-semi-join folds).
     pub prune_intersections: u64,
-    /// Scratch-pool activity: the prune phase counts operations served
-    /// entirely from existing buffer capacity (true no-alloc reuses,
-    /// capacity-checked), the join phase counts rows assembled in the
-    /// reusable row/failure buffers (the buffer is reused per emit; the
-    /// handful of first-use growths are included). The bench counting
-    /// allocator is the ground truth for total allocation.
-    pub scratch_reuses: u64,
     /// True when the empty-absolute-master shortcut aborted the query
     /// (§5 "simple optimization").
     pub aborted_empty: bool,
 }
 
 /// Monotone aggregation of [`QueryStats`] across many executions — what a
-/// long-lived query service (the `lbr-server` worker pool, `lbr-cli
-/// --repeat`) accumulates and surfaces in its `/stats` endpoint.
+/// long-lived query service (the `lbr-server` worker pool) accumulates and
+/// surfaces in its `/stats` endpoint. Counts only: the server times
+/// requests with its `lbr_request_duration_us` histogram.
 ///
 /// All counters only ever grow; snapshotting at any moment is sound.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -120,16 +110,10 @@ pub struct StatsAggregate {
     pub rows: u64,
     /// Σ result rows carrying at least one NULL binding.
     pub rows_with_nulls: u64,
-    /// Σ end-to-end execution time of successful queries.
-    pub t_total: std::time::Duration,
-    /// Σ multi-way-join time (schedule included, best-match not).
-    pub t_join: std::time::Duration,
     /// Σ root seeds the multi-way join enumerated.
     pub join_seeds: u64,
     /// Σ compressed-set intersections the prune phase performed.
     pub prune_intersections: u64,
-    /// Σ scratch-buffer reuses (prune pools + join row buffers).
-    pub scratch_reuses: u64,
     /// Queries whose classification required nullification/best-match.
     pub nb_required_queries: u64,
 }
@@ -140,24 +124,13 @@ impl StatsAggregate {
         self.queries += 1;
         self.rows += stats.n_results as u64;
         self.rows_with_nulls += stats.n_results_with_nulls as u64;
-        self.t_total += stats.t_total;
-        self.t_join += stats.t_join;
         self.join_seeds += stats.join_seeds;
         self.prune_intersections += stats.prune_intersections;
-        self.scratch_reuses += stats.scratch_reuses;
         self.nb_required_queries += u64::from(stats.nb_required);
     }
 
     /// Counts one failed query.
     pub fn record_error(&mut self) {
         self.errors += 1;
-    }
-
-    /// Mean end-to-end time of the successful queries (zero when none ran).
-    pub fn avg_total(&self) -> std::time::Duration {
-        match u32::try_from(self.queries) {
-            Ok(n) if n > 0 => self.t_total / n,
-            _ => std::time::Duration::ZERO,
-        }
     }
 }

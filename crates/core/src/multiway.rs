@@ -28,8 +28,7 @@
 //! ([`lbr_bitmat::BitRow::iter_ones`] cursors), or tested by a membership
 //! probe. There are no transposed copies, candidate vectors or adjacency
 //! lists; the only per-row allocation left in the steady state is the
-//! pushed result row itself (assembled in a reusable buffer first —
-//! [`ExecStats::scratch_reuses`] counts those reuses).
+//! pushed result row itself (assembled in a reusable buffer first).
 
 use crate::bindings::{Binding, VarId, VarTable};
 use crate::filter_eval::{self, VarLookup};
@@ -99,16 +98,11 @@ pub struct ExecStats {
     /// Rows whose bindings the nullification operator rewrote (0 for
     /// well-designed acyclic queries — Lemma 3.3 in action).
     pub nullification_fired: u64,
-    /// Rows dropped by FaN / global filters.
-    pub rows_filtered: u64,
     /// Root-TP seeds (independent subtrees) the enumeration started.
     /// Without a quota this equals the root TP's full candidate
     /// enumeration; with one it stops at the seed producing the last
     /// needed row — the verifiable early-exit evidence.
     pub seeds_enumerated: u64,
-    /// Rows assembled in the reusable row/failure scratch buffers instead
-    /// of a fresh allocation — one per emit that survives the FaN stage.
-    pub scratch_reuses: u64,
     /// Whether [`JoinInputs::deadline`] passed during the join — the rows
     /// returned alongside are then an arbitrary truncation, not an
     /// answer, and the caller must discard them.
@@ -320,7 +314,6 @@ impl<'b, 'a> Ctx<'b, 'a> {
             };
             if !ok {
                 if gosn.is_absolute_master(*sn) {
-                    self.stats.rows_filtered += 1;
                     return; // masters cannot be nullified: drop the row
                 }
                 self.failed[*sn] = true;
@@ -331,7 +324,6 @@ impl<'b, 'a> Ctx<'b, 'a> {
         // 3. Nullification: bindings produced by failed supernodes become
         //    NULL (Rao et al.'s operator; a no-op when nothing failed),
         //    assembled in the reusable buffer.
-        self.stats.scratch_reuses += 1;
         self.row_buf.clear();
         let mut rewrote = false;
         for (var, slot) in self.slots.iter().enumerate() {
@@ -366,7 +358,6 @@ impl<'b, 'a> Ctx<'b, 'a> {
                 filter_eval::eval(expr, &lk)
             };
             if !ok {
-                self.stats.rows_filtered += 1;
                 return;
             }
         }

@@ -18,8 +18,8 @@
 //! kernel scratch and the per-jvar TP work lists are reused across every
 //! semi-join of both passes, so the steady-state inner loop of
 //! `prune_one_jvar` performs **no heap allocation** (buffers grow to a
-//! high-water mark on the first jvar and circulate afterwards —
-//! [`PruneStats`] makes that observable).
+//! high-water mark on the first jvar and circulate afterwards; the
+//! `alloc_check` gate proves a warm prune allocates nothing).
 
 use crate::bindings::{op_space_len, VarTable};
 use crate::init::TpState;
@@ -36,18 +36,6 @@ pub enum PruneOutcome {
     /// A TP in an absolute-master supernode became empty — the query has no
     /// results (§5 "simple optimization").
     EmptyAbsoluteMaster,
-}
-
-/// Kernel/scratch counters of one pruning run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PruneStats {
-    /// Compressed-set intersections performed (one per semi-join mask AND,
-    /// one per clustered-semi-join member fold).
-    pub intersections: u64,
-    /// Scratch-pool acquisitions served without growing a buffer (kernel
-    /// scratch reuses plus fold-accumulator reuses). After the first jvar
-    /// pass this is the only counter that moves.
-    pub scratch_reuses: u64,
 }
 
 /// The per-query scratch pool of the pruning phase: fold accumulators, the
@@ -70,8 +58,9 @@ pub struct PruneScratch {
     groups_done: Vec<usize>,
     /// Members of the current clustered-semi-join.
     members: Vec<TpId>,
-    /// Counters accumulated across [`prune_triples`] calls.
-    stats: PruneStats,
+    /// Compressed-set intersections since the last [`prune_triples`]
+    /// began.
+    intersections: u64,
 }
 
 impl PruneScratch {
@@ -80,19 +69,11 @@ impl PruneScratch {
         PruneScratch::default()
     }
 
-    /// The counters accumulated so far.
-    pub fn stats(&self) -> PruneStats {
-        PruneStats {
-            scratch_reuses: self.stats.scratch_reuses + self.set.reuses(),
-            ..self.stats
-        }
-    }
-
-    /// Records a fold-accumulator reset: a reuse when nothing grew.
-    fn account(&mut self, grew: bool) {
-        if !grew {
-            self.stats.scratch_reuses += 1;
-        }
+    /// Compressed-set intersections (one per semi-join mask AND, one per
+    /// clustered-semi-join member fold) the last [`prune_triples`]
+    /// performed.
+    pub fn intersections(&self) -> u64 {
+        self.intersections
     }
 }
 // lbr-lint: no_alloc — Algorithm 5.2 steady state: semi-joins and per-jvar
@@ -112,16 +93,14 @@ pub fn semi_join(
         return;
     };
     let space_len = op_space_len(dims, [md, sd]);
-    let caps = (scratch.beta.word_capacity(), scratch.fold.word_capacity());
     if !master.fold_var_into(var, space_len, &mut scratch.beta) {
         return;
     }
     if !slave.fold_var_into(var, space_len, &mut scratch.fold) {
         return;
     }
-    scratch.account(caps != (scratch.beta.word_capacity(), scratch.fold.word_capacity()));
     scratch.beta.and_assign(&scratch.fold);
-    scratch.stats.intersections += 1;
+    scratch.intersections += 1;
     let PruneScratch { beta, set, .. } = scratch;
     slave.unfold_var_with(var, beta, set);
 }
@@ -139,17 +118,15 @@ pub fn clustered_semi_join(
         return;
     }
     let space_len = op_space_len(dims, members.iter().filter_map(|&m| tps[m].dim_of(var)));
-    let caps = (scratch.beta.word_capacity(), scratch.fold.word_capacity());
     scratch.beta.reset_ones(space_len);
     let mut any = false;
     for &m in members {
         if tps[m].fold_var_into(var, space_len, &mut scratch.fold) {
             scratch.beta.and_assign(&scratch.fold);
-            scratch.stats.intersections += 1;
+            scratch.intersections += 1;
             any = true;
         }
     }
-    scratch.account(caps != (scratch.beta.word_capacity(), scratch.fold.word_capacity()));
     if !any {
         return;
     }
@@ -160,8 +137,9 @@ pub fn clustered_semi_join(
 }
 
 /// Algorithm 3.2 over both passes of the [`JvarOrder`]. `scratch` carries
-/// every reusable buffer (and the [`PruneStats`] counters) across jvars,
-/// passes and — if the caller keeps it — queries.
+/// every reusable buffer across jvars, passes and — if the caller keeps
+/// it — queries, and counts this run's
+/// [`intersections`](PruneScratch::intersections).
 pub fn prune_triples(
     tps: &mut [TpState],
     gosn: &Gosn,
@@ -171,6 +149,7 @@ pub fn prune_triples(
     dims: &CubeDims,
     scratch: &mut PruneScratch,
 ) -> PruneOutcome {
+    scratch.intersections = 0;
     for (pass_id, pass) in [&order.bottom_up, &order.top_down].into_iter().enumerate() {
         let t_pass = std::time::Instant::now();
         for &var in pass.iter() {
@@ -314,7 +293,7 @@ pub struct PlannedPruneOps {
 /// (the `planned_ops_match_runtime_intersections` test ties them
 /// together: on data where no fold is empty,
 /// `semi_joins + clustered_folds` equals the runtime
-/// [`PruneStats::intersections`]). Used by `explain` to render the prune
+/// [`PruneScratch::intersections`]). Used by `explain` to render the prune
 /// plan.
 pub fn planned_prune_ops(
     gosn: &Gosn,
@@ -512,7 +491,7 @@ mod tests {
     /// The static plan and the runtime sweep must stay in lock-step: on
     /// data where no fold comes up empty, every planned operation runs
     /// exactly once, so `semi_joins + clustered_folds` equals the
-    /// [`PruneStats::intersections`] counter. A change to either sweep
+    /// [`PruneScratch::intersections`] counter. A change to either sweep
     /// that is not mirrored in the other trips this.
     #[test]
     fn planned_ops_match_runtime_intersections() {
@@ -547,7 +526,7 @@ mod tests {
             assert_eq!(outcome, PruneOutcome::Done);
             let planned = planned_prune_ops(&a.gosn, &a.goj, &vt, &jorder);
             assert_eq!(
-                scratch.stats().intersections as usize,
+                scratch.intersections() as usize,
                 planned.semi_joins + planned.clustered_folds,
                 "plan/runtime sweep diverged on: {query}"
             );

@@ -12,7 +12,8 @@
 //!
 //! All durations on the exposition surfaces are integer **microseconds**
 //! (`_us` suffix); see the README's Observability section for the span
-//! model and the documented legacy millisecond aliases.
+//! model. Spans are the only record of engine stage times: read them with
+//! [`stage_us`].
 
 #![forbid(unsafe_code)]
 
@@ -25,8 +26,9 @@ pub use expo::{
 };
 pub use lint::{lint_exposition, LintReport};
 pub use trace::{
-    render_traces_json, set_label, span_at, span_since, trace_abort, trace_active, trace_begin,
-    trace_drain, trace_id, trace_start, FinishedTrace, Span, Tracing, MAX_ATTRS, MAX_SPANS,
+    render_traces_json, set_label, span_at, span_since, stage_us, trace_abort, trace_active,
+    trace_begin, trace_drain, trace_id, trace_start, FinishedTrace, Span, Tracing, MAX_ATTRS,
+    MAX_SPANS,
 };
 
 /// Build identity baked in at compile time.

@@ -33,10 +33,11 @@ pub const MAX_ATTRS: usize = 4;
 pub const MAX_SPANS: usize = 256;
 
 /// One recorded stage of a trace. Stage names are stable, `'static`, and
-/// documented in the README's span model table (`parse`, `plan`, `init`,
-/// `prune_pass`, `join`, `best_match`, `finalize`, `serialize`,
-/// `wal_append`, `compact`, `checkpoint`, `queue_wait`, `read`, `write`,
-/// plus the per-TP / per-jvar cardinality markers `tp` and `jvar`).
+/// documented in the README's span model table (`read`, `queue_wait`,
+/// `parse`, `plan`, `init`, `prune`, `prune_pass`, `join`, `best_match`,
+/// `finalize`, `serialize`, `write`, `wal_append`, `compact`,
+/// `checkpoint`, plus the zero-duration markers `branch` (one per UNION
+/// branch) and `tp` / `jvar` (per-TP / per-jvar cardinalities)).
 #[derive(Debug, Clone, Copy)]
 pub struct Span {
     /// Stable stage name.
@@ -200,6 +201,17 @@ pub fn trace_drain(out: &mut Vec<Span>, label: &mut String) -> Option<u64> {
         label.push_str(&t.label);
         Some(t.id)
     })
+}
+
+/// Σ `dur_us` of the spans called `stage` — the one reader of a stage's
+/// time. A query with several connected components records one `init` /
+/// `prune` / `join` group each, and the sum covers all of them.
+pub fn stage_us(spans: &[Span], stage: &str) -> u64 {
+    spans
+        .iter()
+        .filter(|s| s.name == stage)
+        .map(|s| s.dur_us)
+        .sum()
 }
 
 /// A published trace in the bounded ring.
@@ -602,11 +614,14 @@ mod tests {
         trace_begin(42);
         let t0 = Instant::now();
         span_at("prune_pass", t0, Duration::from_micros(30), &[("pass", 0)]);
+        span_at("prune_pass", t0, Duration::from_micros(12), &[("pass", 1)]);
         set_label(|s| s.push_str("explain analyze"));
         let mut spans = Vec::new();
         let mut label = String::new();
         assert_eq!(trace_drain(&mut spans, &mut label), Some(42));
-        assert_eq!(spans.len(), 1);
+        assert_eq!(spans.len(), 2);
+        assert_eq!(stage_us(&spans, "prune_pass"), 42);
+        assert_eq!(stage_us(&spans, "join"), 0);
         assert_eq!(label, "explain analyze");
         assert!(!trace_active());
         assert_eq!(trace_drain(&mut spans, &mut label), None);

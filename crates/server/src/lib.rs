@@ -29,7 +29,7 @@
 //!   `dropped_requests`), per-endpoint latency percentiles
 //!   (p50/p95/p99/max), update counters, the storage epoch, and
 //!   aggregated [`lbr_core::StatsAggregate`] query
-//!   statistics as JSON.
+//!   counts as JSON.
 //!
 //! Concurrency model (see [`lbr_net`] for the full picture): one epoll
 //! readiness loop multiplexes every connection — HTTP/1.1 keep-alive
@@ -693,21 +693,6 @@ impl Service {
             "Compressed-set intersections during pruning.",
             agg.prune_intersections,
         );
-        x.counter(
-            "lbr_scratch_reuses_total",
-            "queries.scratch_reuses",
-            "Scratch-pool reuses (allocation-free executions).",
-            agg.scratch_reuses,
-        );
-        let t_total_us = agg.t_total.as_micros() as u64;
-        let avg_us = agg.avg_total().as_micros() as u64;
-        x.counter(
-            "lbr_query_duration_us_total",
-            "queries.t_total_us",
-            "Total query execution time, microseconds.",
-            t_total_us,
-        );
-        x.json_u64("queries.avg_us", avg_us);
 
         x.counter(
             "lbr_updates_requests_total",
@@ -1322,9 +1307,8 @@ mod tests {
         assert!(body.contains("\"rows\":2"), "{body}"); // 1 execution × 2 friends
 
         // Kernel observability: the prune phase ran compressed-set
-        // intersections and the scratch pools were reused.
+        // intersections.
         assert!(body.contains("\"prune_intersections\":"), "{body}");
-        assert!(body.contains("\"scratch_reuses\":"), "{body}");
         // The result hit skipped the plan cache: 1 miss, 0 hits.
         let stats = server.cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 1));

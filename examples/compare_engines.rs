@@ -9,7 +9,7 @@
 
 use lbr::datagen::uniprot;
 use lbr::{parse_query, Database, EngineKind};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
     let ds = uniprot::dataset(&uniprot::UniProtConfig {
@@ -38,9 +38,12 @@ fn main() {
     let mut n_rows: Option<usize> = None;
     for kind in contenders {
         let engine = db.engine_of(kind);
+        // Traced: LBR's stage times are its spans.
+        let mut spans = Vec::new();
         let t = Instant::now();
-        let out = engine.execute(&query).expect("query runs");
+        let out = lbr::core::traced(&mut spans, || engine.execute(&query)).expect("query runs");
         let elapsed = t.elapsed();
+        let stage = |name| Duration::from_micros(lbr::obs::stage_us(&spans, name));
         match n_rows {
             None => n_rows = Some(out.len()),
             Some(n) => assert_eq!(n, out.len(), "engines disagree"),
@@ -48,9 +51,9 @@ fn main() {
         let phases = if kind == EngineKind::Lbr {
             format!(
                 "  (init {:.2?}, prune {:.2?}, join {:.2?}; pruning {} → {} candidates)",
-                out.stats.t_init,
-                out.stats.t_prune,
-                out.stats.t_join,
+                stage("init"),
+                stage("prune"),
+                stage("join"),
                 out.stats.initial_triples,
                 out.stats.triples_after_pruning,
             )

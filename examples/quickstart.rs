@@ -6,6 +6,7 @@
 //! ```
 
 use lbr::Database;
+use std::time::Instant;
 
 fn main() {
     let db = Database::builder()
@@ -39,7 +40,9 @@ fn main() {
         .expect("query prepares");
 
     println!("?friend\t?sitcom");
+    let t = Instant::now();
     let solutions = prepared.solutions().expect("query runs");
+    let elapsed = t.elapsed();
     let stats = solutions.stats().clone();
     let mut rows: Vec<String> = solutions
         .map(|row| {
@@ -60,7 +63,7 @@ fn main() {
         "\n{} rows ({} with NULLs) in {:?}; pruned {} → {} candidate triples",
         stats.n_results,
         stats.n_results_with_nulls,
-        stats.t_total,
+        elapsed,
         stats.initial_triples,
         stats.triples_after_pruning,
     );

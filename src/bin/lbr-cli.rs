@@ -47,7 +47,7 @@ use lbr::bitmat::disk::save_store;
 use lbr::{Database, EngineKind, OutputFormat, PlanCache};
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 struct Options {
     update_mode: bool,
@@ -273,15 +273,24 @@ fn run() -> Result<ExitCode, String> {
 
     // Warm re-execution rounds first (timed, results dropped), then one
     // final round that streams the rows to stdout outside the timing.
-    let mut total = std::time::Duration::ZERO;
+    // With --stats the final round runs traced: its stage times are the
+    // engine's spans (a comparator records none).
+    let mut total = Duration::ZERO;
     for _ in 1..opts.repeat {
         let t = Instant::now();
         run().map_err(|e| e.to_string())?;
         total += t.elapsed();
     }
+    let mut spans = Vec::new();
     let t = Instant::now();
-    let out = run().map_err(|e| e.to_string())?;
-    total += t.elapsed();
+    let out = if opts.stats {
+        lbr::core::traced(&mut spans, run)
+    } else {
+        run()
+    }
+    .map_err(|e| e.to_string())?;
+    let last = t.elapsed();
+    total += last;
 
     let stats = out.stats.clone();
     if query.is_ask() {
@@ -317,21 +326,24 @@ fn run() -> Result<ExitCode, String> {
         );
     }
     if opts.stats {
-        eprintln!(
-            "engine {}  init {:?}  prune {:?}  join {:?}  total {:?}\n\
-             candidates {} → {}  best-match required: {}\n\
-             kernel: {} prune intersections, {} scratch reuses",
-            opts.engine,
-            stats.t_init,
-            stats.t_prune,
-            stats.t_join,
-            stats.t_total,
-            stats.initial_triples,
-            stats.triples_after_pruning,
-            stats.nb_required,
-            stats.prune_intersections,
-            stats.scratch_reuses,
-        );
+        let mut line = format!("engine {}", opts.engine);
+        if spans.iter().any(|s| s.name == "init") {
+            for stage in ["init", "prune", "join"] {
+                let us = lbr::obs::stage_us(&spans, stage);
+                line += &format!("  {stage} {:?}", Duration::from_micros(us));
+            }
+        }
+        eprintln!("{line}  total {last:?}");
+        if comparator.is_none() {
+            eprintln!(
+                "candidates {} → {}  best-match required: {}\n\
+                 kernel: {} prune intersections",
+                stats.initial_triples,
+                stats.triples_after_pruning,
+                stats.nb_required,
+                stats.prune_intersections,
+            );
+        }
     }
     if opts.repeat > 1 {
         let avg = total / opts.repeat;

@@ -377,42 +377,75 @@ fn engine_trait_objects_expose_names_and_dict() {
     }
 }
 
-/// Runs `run` under a forced trace and returns the drained span names.
-fn traced_span_names(run: impl FnOnce() -> lbr::QueryOutput) -> Vec<&'static str> {
-    lbr::obs::trace_begin(0);
-    let out = run();
-    let (mut spans, mut label) = (Vec::new(), String::new());
-    lbr::obs::trace_drain(&mut spans, &mut label);
-    assert_eq!(out.len(), 1);
-    spans.iter().map(|s| s.name).collect()
+/// Runs `run` under [`lbr::core::traced`]: its output and drained spans.
+fn traced_spans(run: impl FnOnce() -> lbr::QueryOutput) -> (lbr::QueryOutput, Vec<lbr::obs::Span>) {
+    let mut spans = Vec::new();
+    let out = lbr::core::traced(&mut spans, run);
+    (out, spans)
+}
+
+/// The `dur_us` of every span called `stage`, in recording order.
+fn durations(spans: &[lbr::obs::Span], stage: &str) -> Vec<u64> {
+    let named = spans.iter().filter(|s| s.name == stage);
+    named.map(|s| s.dur_us).collect()
 }
 
 /// Every stage of a traced execution shows up in the drained spans on
 /// both entry points: one-shot `Database::execute` and the prepared
 /// (cached-plan) path the server and the benchmark use. `finalize` is
 /// emitted by the shared modifier seam, so neither path can miss it.
+/// A Cartesian query records one stage group per component, an early
+/// abort stops after `init`, and a comparator records no stage span.
 #[test]
 fn traced_execution_spans_every_stage() {
     const QUERY: &str = "PREFIX : <> SELECT ?friend ?s WHERE { :Jerry :hasFriend ?friend .
         ?friend :actedIn ?s . } ORDER BY ?friend LIMIT 1";
+    const STAGES: [&str; 3] = ["init", "prune", "join"];
     let db = Database::from_triples(triples());
     let prepared = db.prepare(QUERY).unwrap();
-    for (path, names) in [
+    for (path, (out, spans)) in [
         (
             "Database::execute",
-            traced_span_names(|| db.execute(QUERY).unwrap()),
+            traced_spans(|| db.execute(QUERY).unwrap()),
         ),
         (
             "PreparedQuery::execute",
-            traced_span_names(|| prepared.execute().unwrap()),
+            traced_spans(|| prepared.execute().unwrap()),
         ),
     ] {
+        assert_eq!(out.len(), 1);
         for stage in ["init", "prune", "join", "finalize"] {
             assert_eq!(
-                names.iter().filter(|n| **n == stage).count(),
+                durations(&spans, stage).len(),
                 1,
-                "{path}: want one `{stage}` span in {names:?}"
+                "{path}: want one `{stage}` span in {spans:?}"
             );
         }
+    }
+
+    // Two connected components: two stage groups, summed by `stage_us`.
+    let cartesian = "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?f . ?s :location ?l . }";
+    let (out, spans) = traced_spans(|| db.execute(cartesian).unwrap());
+    assert_eq!(out.len(), 4, "2 friends × 2 locations");
+    for stage in STAGES {
+        let each = durations(&spans, stage);
+        assert_eq!(each.len(), 2, "want two `{stage}` spans in {spans:?}");
+        assert_eq!(lbr::obs::stage_us(&spans, stage), each[0] + each[1]);
+    }
+
+    // An empty absolute master aborts inside `init`: nothing is pruned
+    // or joined.
+    let empty = "PREFIX : <> SELECT * WHERE { :Julia :hasFriend ?f . ?f :actedIn ?s . }";
+    let (out, spans) = traced_spans(|| db.execute(empty).unwrap());
+    assert!(out.stats.aborted_empty);
+    assert_eq!(durations(&spans, "init").len(), 1, "{spans:?}");
+    assert!(durations(&spans, "join").is_empty(), "{spans:?}");
+
+    // A comparator keeps no stage times at all.
+    let pairwise = db.engine_of(EngineKind::PairwiseSelectivity);
+    let query = parse_query(Q2).unwrap();
+    let (_, spans) = traced_spans(|| pairwise.execute(&query).unwrap());
+    for stage in STAGES {
+        assert!(durations(&spans, stage).is_empty(), "{spans:?}");
     }
 }
