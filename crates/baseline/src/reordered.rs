@@ -310,7 +310,7 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
             .catalog
             .row(Family::Po, s, p)
             .ok()?
-            .is_some_and(|r| r.contains(o));
+            .is_some_and(|r| r.as_ref().contains(o));
         Some(hit)
     }
 }

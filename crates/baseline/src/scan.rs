@@ -46,21 +46,21 @@ pub fn scan_tp(
         (None, None, None) => {
             let hit = catalog
                 .row(Family::Po, s_id.unwrap(), p_id.unwrap())?
-                .is_some_and(|row| row.contains(o_id.unwrap()));
+                .is_some_and(|row| row.as_ref().contains(o_id.unwrap()));
             if hit {
                 rel.rows.push(Vec::new());
             }
         }
         (Some(_), None, None) => {
             if let Some(row) = catalog.row(Family::Ps, o_id.unwrap(), p_id.unwrap())? {
-                for s in row.iter_ones() {
+                for s in row.as_ref().iter_ones() {
                     rel.rows.push(vec![b(s, Dimension::Subject)]);
                 }
             }
         }
         (None, None, Some(_)) => {
             if let Some(row) = catalog.row(Family::Po, s_id.unwrap(), p_id.unwrap())? {
-                for o in row.iter_ones() {
+                for o in row.as_ref().iter_ones() {
                     rel.rows.push(vec![b(o, Dimension::Object)]);
                 }
             }

@@ -144,14 +144,15 @@ fn bench_kernels(c: &mut Criterion) {
             std::hint::black_box(dst.count_ones())
         })
     });
-    c.bench_function("kernel_and_mask_in_place", |b| {
-        // Re-clone per iteration: masking in place would otherwise collapse
-        // the runs row on the first call and time idempotent re-masks of
-        // the tiny result instead of the runs×mask kernel.
+    let run_a_mat = one_row_matrix(&run_a);
+    c.bench_function("kernel_unfold_with_runs", |b| {
+        // Re-clone per iteration: unfolding in place would otherwise
+        // collapse the runs row on the first call and time idempotent
+        // re-masks of the tiny result instead of the runs×mask kernel.
         b.iter(|| {
-            let mut row = run_a.clone();
-            row.and_mask_in_place(&mask, &mut scratch);
-            std::hint::black_box(row.count_ones())
+            let mut m = run_a_mat.clone();
+            m.unfold_with(&mask, RetainDim::Col, &mut scratch);
+            std::hint::black_box(m.triple_count())
         })
     });
     c.bench_function("kernel_kway_leapfrog_4", |b| {
@@ -161,6 +162,12 @@ fn bench_kernels(c: &mut Criterion) {
             std::hint::black_box(out.len())
         })
     });
+}
+
+/// A one-row matrix holding `row` (row 0).
+fn one_row_matrix(row: &BitRow) -> BitMat {
+    let pairs: Vec<(u32, u32)> = row.iter_ones().map(|c| (0, c)).collect();
+    BitMat::from_sorted_pairs(1, row.universe(), &pairs)
 }
 
 criterion_group!(

@@ -3,7 +3,7 @@
 //! run-friendly and scatter-friendly densities.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lbr_bitmat::{BitRow, BitVec, RowRef};
+use lbr_bitmat::{BitRow, BitVec, RowRef, SetScratch};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
@@ -43,11 +43,12 @@ fn bench_ops(c: &mut Criterion) {
     let runs = BitRow::from_sorted_positions(UNIVERSE, &runs_row(500, 64, 3));
     let sparse = BitRow::from_sorted_positions(UNIVERSE, &sparse_row(2_000, 4));
     let mask = BitVec::from_positions(UNIVERSE, sparse_row(100_000, 5));
+    let mut scratch = SetScratch::default();
     c.bench_function("row_and_mask_runs", |b| {
-        b.iter(|| std::hint::black_box(runs.and_mask(&mask).count_ones()))
+        b.iter(|| std::hint::black_box(runs.as_ref().and_mask_copy(&mask, &mut scratch)))
     });
     c.bench_function("row_and_mask_sparse", |b| {
-        b.iter(|| std::hint::black_box(sparse.and_mask(&mask).count_ones()))
+        b.iter(|| std::hint::black_box(sparse.as_ref().and_mask_copy(&mask, &mut scratch)))
     });
     c.bench_function("row_or_into_runs", |b| {
         b.iter(|| {

@@ -14,27 +14,27 @@
 //!
 //! Three exact gates check the stages one by one, driving init → prune →
 //! schedule → join through `lbr_core` directly: `init` allocates at most
-//! once per matrix row its masked loads keep plus [`INIT_PER_TP`] per
-//! loaded TP (a row the masks drop is never copied or decoded), a warm
-//! `prune_triples` allocates nothing, and the join's enumeration
-//! allocates at most once per emitted row plus [`JOIN_CONSTANT`]. The
-//! `init` gate runs three times: over the heap store; over the same store
-//! saved to a segment and mmap'd, where a kept row is decoded from its
-//! mapped words and a dropped one is never read; and over that segment
-//! under a dirty delta overlay (5% of the triples re-paired within their
-//! predicate as inserts, 1% deleted, as the `disk_overlay` benchmark
-//! builds its overlay), where a kept row the delta touches may be
-//! allocated once more, when its edit is written, and no other row moves.
+//! [`INIT_PER_TP`] times per loaded TP however many rows its masked loads
+//! keep (each loaded matrix is one arena), a warm `prune_triples`
+//! allocates nothing, and the join's enumeration allocates at most once
+//! per emitted row plus [`JOIN_CONSTANT`]. The `init` gate runs three
+//! times: over the heap store; over the same store saved to a segment and
+//! mmap'd, where a kept row is read from its mapped words into the arena
+//! and a dropped one is never read; and over that segment under a dirty
+//! delta overlay (5% of the triples re-paired within their predicate as
+//! inserts, 1% deleted, as the `disk_overlay` benchmark builds its
+//! overlay), where each kept row the delta touches is also allowed one
+//! allocation.
 
 use lbr::storage::{Delta, OverlayCatalog};
 use lbr::SegmentSource;
 use lbr_bench::{allocation_count, prepare, splitmix64, Prepared};
 use lbr_bitmat::disk::save_store;
 use lbr_bitmat::{
-    BitMat, BitMatError, BitRow, BitVec, Catalog, CubeDims, DiskCatalog, Family, SetScratch,
+    BitMat, BitMatError, BitVec, Catalog, CowRow, CubeDims, DiskCatalog, Family, SetScratch,
 };
 use lbr_core::bindings::VarTable;
-use lbr_core::init::{init, InitOutcome, TpData, TpState};
+use lbr_core::init::{init, InitOutcome, TpState};
 use lbr_core::jvar_order::get_jvar_order;
 use lbr_core::multiway::{multi_way_join, schedule, JoinInputs};
 use lbr_core::prune::{prune_triples, PruneScratch};
@@ -64,9 +64,9 @@ const BASE_CEILING: u64 = 1_000;
 /// means per-row churn crept back into the join.
 const PER_ROW: u64 = 4;
 
-/// Per-TP allowance of the exact init gate, beside one allocation per
-/// kept matrix row (and, over the overlay, one per row the delta touches):
-/// the TP's candidate vector or row list, the first growth of the mask
+/// Per-TP allowance of the exact init gate (over the overlay, beside one
+/// allocation per kept row the delta touches): the TP's candidate vector
+/// or its matrix's three arena vectors, the first growth of the mask
 /// buffers and kernel scratch, and a share of `init`'s order and result
 /// vectors. It does not grow with the data.
 const INIT_PER_TP: u64 = 8;
@@ -93,7 +93,7 @@ fn main() {
     println!(
         "allocation check: LUBM sample, cached-plan steady state, \
          ceiling {BASE_CEILING} + {PER_ROW}/result-row; \
-         init ≤ kept rows + {INIT_PER_TP}/TP on heap and mmap, \
+         init ≤ {INIT_PER_TP}/TP on heap and mmap, \
          + touched rows over a dirty overlay, warm prune 0, join ≤ rows + {JOIN_CONSTANT}"
     );
     for q in &p.dataset.queries {
@@ -119,17 +119,13 @@ fn main() {
             && s.join <= s.join_rows + JOIN_CONSTANT;
         println!(
             "{:<4} {best:>8} allocs/query (ceiling {ceiling:>6}, {rows} rows)  \
-             init {} ({} kept rows, {} TPs)  mmap init {} ({} kept rows)  \
-             overlay init {} ({} kept, {} touched rows)  \
+             init {} ({} TPs)  mmap init {}  overlay init {} ({} touched rows)  \
              prune {}  join {} ({} rows)  [{}]",
             q.id,
             s.init.allocs,
-            s.init.kept_rows,
             s.init.tps,
             s.mmap_init.allocs,
-            s.mmap_init.kept_rows,
             s.overlay_init.allocs,
-            s.overlay_init.kept_rows,
             s.overlay_init.touched_rows,
             s.prune,
             s.join,
@@ -142,9 +138,9 @@ fn main() {
     if failed {
         eprintln!(
             "FAIL: allocations exceeded a committed ceiling \
-             ({BASE_CEILING} + {PER_ROW}/row per query, kept rows + \
-             {INIT_PER_TP}/TP per init on heap and mmap, + touched rows over \
-             the overlay, 0 per warm prune, rows + {JOIN_CONSTANT} per join)"
+             ({BASE_CEILING} + {PER_ROW}/row per query, {INIT_PER_TP}/TP per \
+             init on heap and mmap, + touched rows over the overlay, 0 per \
+             warm prune, rows + {JOIN_CONSTANT} per join)"
         );
         std::process::exit(1);
     }
@@ -169,9 +165,6 @@ struct StageAllocs {
 /// One `init`'s allocations and what its gate allows them.
 struct InitAllocs {
     allocs: u64,
-    /// Matrix rows the masked loads kept (bounded by the kept triples
-    /// when the load aborted and dropped them).
-    kept_rows: u64,
     /// TPs `init` loaded.
     tps: u64,
     /// Rows of the masked loads that the delta touches and the row masks
@@ -181,7 +174,7 @@ struct InitAllocs {
 
 impl InitAllocs {
     fn within_gate(&self) -> bool {
-        self.allocs <= self.kept_rows + self.touched_rows + INIT_PER_TP * self.tps
+        self.allocs <= self.touched_rows + INIT_PER_TP * self.tps
     }
 }
 
@@ -190,13 +183,8 @@ fn measured_init(run: impl FnOnce() -> InitOutcome) -> (InitAllocs, Option<Vec<T
     let a0 = allocation_count();
     let out = run();
     let allocs = allocation_count() - a0;
-    let kept_rows = match &out.tps {
-        Some(tps) => tps.iter().map(matrix_rows).sum(),
-        None => out.triples_loaded,
-    };
     let init = InitAllocs {
         allocs,
-        kept_rows,
         tps: out.tps_loaded,
         touched_rows: 0,
     };
@@ -268,15 +256,6 @@ fn stage_allocs(
     s
 }
 
-/// Matrix rows a loaded TP holds.
-fn matrix_rows(tp: &TpState) -> u64 {
-    match &tp.data {
-        TpData::Zero { .. } | TpData::One { .. } => 0,
-        TpData::Two { mat, .. } => mat.rows().len() as u64,
-        TpData::Three { mats, .. } => mats.iter().map(|(_, m)| m.rows().len() as u64).sum(),
-    }
-}
-
 /// The sample store's segment under a seeded delta of the shape the
 /// `disk_overlay` benchmark builds: 5% of the triples re-paired within
 /// their predicate (the subject of one with the object of another) as
@@ -338,7 +317,7 @@ impl Catalog for Touching<'_> {
         self.overlay.masked(f, key, rows, cols, scratch)
     }
 
-    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {
+    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<CowRow<'_>>, BitMatError> {
         self.overlay.row(f, key, r)
     }
 

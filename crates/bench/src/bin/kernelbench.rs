@@ -14,7 +14,7 @@
 
 use lbr_bench::allocation_count;
 use lbr_bitmat::kernel::intersect_into;
-use lbr_bitmat::{BitRow, BitVec, RowRef, SetScratch};
+use lbr_bitmat::{BitMat, BitRow, BitVec, RetainDim, RowRef, SetScratch};
 use std::time::Instant;
 
 #[global_allocator]
@@ -82,10 +82,13 @@ fn main() {
         sp_a.and_row_into(&sp_b, &mut dst, &mut scratch);
         std::hint::black_box(dst.count_ones());
     });
-    bench("and_mask_in_place_runs", || {
-        let mut r = run_a.clone();
-        r.and_mask_in_place(&mask, &mut scratch);
-        std::hint::black_box(r.count_ones());
+    // The prune's in-place unfold, on a one-row matrix of the runs row.
+    let pairs: Vec<(u32, u32)> = run_a.iter_ones().map(|c| (0, c)).collect();
+    let run_a_mat = BitMat::from_sorted_pairs(1, UNIVERSE, &pairs);
+    bench("unfold_with_runs", || {
+        let mut m = run_a_mat.clone();
+        m.unfold_with(&mask, RetainDim::Col, &mut scratch);
+        std::hint::black_box(m.triple_count());
     });
     bench("kway_intersect_4", || {
         intersect_into(&[&run_a, &run_b, &sp_a, &sp_b], &mut pos_buf);
@@ -113,17 +116,17 @@ fn main() {
     });
 
     // Zero-allocation verification for the in-place kernels (the
-    // `and_mask_in_place_runs` bench above clones per call,
+    // `unfold_with_runs` bench above clones its matrix per call,
     // `kway_intersect_4` allocates its k cursor slots, and `and_mask_copy`
     // allocates its result row, so they are timed but excluded here). One
     // full round warms every buffer — including the representation-flip
     // spares — before the counter snapshot.
-    let mut r = run_a.clone();
+    let mut m = run_a_mat.clone();
     let mut round = |dst: &mut BitRow, scratch: &mut SetScratch, acc: &mut BitVec| {
         run_a.and_row_into(&run_b, dst, scratch);
         run_a.and_row_into(&sp_a, dst, scratch);
         sp_a.and_row_into(&sp_b, dst, scratch);
-        r.and_mask_in_place(&mask, scratch);
+        m.unfold_with(&mask, RetainDim::Col, scratch);
         acc.reset(UNIVERSE);
         run_b.as_ref().or_into_clipped(acc);
     };

@@ -12,25 +12,30 @@
 //! selectivity"*).
 //!
 //! Whole loads are [`Cow`]s because the three catalogs produce them
-//! differently: [`crate::BitMatStore`] **lends** the matrix it holds,
-//! [`crate::DiskCatalog`] **decodes** one from its mapped bytes, and
-//! `lbr-store`'s overlay **merges** a delta into whichever of the two it
-//! got. A reader uses the value as a borrow. `init`, which prunes
-//! destructively, needs a private copy of only what its active-pruning
-//! masks keep, so it asks for exactly that: [`Catalog::masked`] is the
-//! masked load as a catalog operation, and each medium reads only the rows
-//! the masks keep. The heap store and the mmap catalog take one shared
-//! walk ([`BitMat::masked`] is the heap's side of it) that views each kept
-//! row as a [`crate::RowRef`] — on the heap, or in place in its mapped
-//! words — and copies it through the column mask; the overlay masks its
-//! base and merges only the delta pairs the masks keep. A row the masks
-//! drop is never copied, parsed or merged.
+//! differently: [`crate::BitMatStore`] **lends** the matrix it holds (one
+//! arena per matrix, so lending it is lending three vectors),
+//! [`crate::DiskCatalog`] **decodes** one from its mapped bytes into a new
+//! arena, and `lbr-store`'s overlay **merges** a delta into whichever of
+//! the two it got. A reader uses the value as a borrow. A single row
+//! ([`Catalog::row`]) is a [`CowRow`]: the heap store lends it from its
+//! arena and the mmap catalog from its mapped words, and only a row the
+//! overlay's delta edited is owned. `init`, which prunes destructively,
+//! needs a private copy of only what its active-pruning masks keep, so it
+//! asks for exactly that: [`Catalog::masked`] is the masked load as a
+//! catalog operation, and each medium reads only the rows the masks keep.
+//! The heap store and the mmap catalog take one shared walk
+//! ([`BitMat::masked`] is the heap's side of it) that views each kept row
+//! as a [`crate::RowRef`] — in the store's arena, or in place in its
+//! mapped words — and appends it, through the column mask, to the new
+//! matrix's arena; the overlay masks its base and merges only the delta
+//! pairs the masks keep. A row the masks drop is never copied, parsed or
+//! merged.
 
 use crate::bitvec::BitVec;
 use crate::error::BitMatError;
 use crate::kernel::SetScratch;
 use crate::matrix::BitMat;
-use crate::row::BitRow;
+use crate::row::CowRow;
 use lbr_rdf::{EncodedGraph, EncodedTriple};
 use std::borrow::Cow;
 
@@ -151,7 +156,11 @@ pub trait Catalog: Sync {
     /// Row `r` of that BitMat: the candidates of a pattern with two fixed
     /// positions — `(s p ?o)` is row `p` of the P-O BitMat of `s`, `(?s p
     /// o)` row `p` of the P-S BitMat of `o` (§5 loading rules).
-    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError>;
+    ///
+    /// The heap store and the mmap catalog lend the row where it is
+    /// stored ([`CowRow::Borrowed`]); only a row a delta edited is built
+    /// ([`CowRow::Owned`]).
+    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<CowRow<'_>>, BitMatError>;
 
     /// Triple count of the BitMat of `key` without loading it.
     fn count(&self, f: Family, key: u32) -> u64;

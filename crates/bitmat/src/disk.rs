@@ -54,7 +54,7 @@ use crate::error::BitMatError;
 use crate::kernel::SetScratch;
 use crate::matrix::{masked_walk, BitMat, RowDirectory};
 use crate::mmap::{words_of, Mmap};
-use crate::row::{BitRow, RowRef};
+use crate::row::{CowRow, RowRef};
 use crate::store::BitMatStore;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -144,15 +144,15 @@ fn encode_matrix(mat: &BitMat, out: &mut Vec<u8>) {
     out.extend_from_slice(&mat.n_rows().to_le_bytes());
     out.extend_from_slice(&mat.n_cols().to_le_bytes());
     out.extend_from_slice(&mat.triple_count().to_le_bytes());
-    out.extend_from_slice(&(mat.rows().len() as u32).to_le_bytes());
+    out.extend_from_slice(&(mat.n_present() as u32).to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
     // Two passes: payloads first into a scratch buffer to learn offsets.
     let mut payload: Vec<u8> = Vec::new();
-    let mut dir: Vec<(u32, u32, u32)> = Vec::with_capacity(mat.rows().len());
+    let mut dir: Vec<(u32, u32, u32)> = Vec::with_capacity(mat.n_present());
     for (id, row) in mat.rows() {
         let rel_words = (payload.len() / 4) as u32;
-        row.as_ref().write_words_to(&mut payload);
-        dir.push((*id, row.count_ones(), rel_words));
+        row.write_words_to(&mut payload);
+        dir.push((id, row.count_ones(), rel_words));
     }
     for (id, cnt, rel) in dir {
         out.extend_from_slice(&id.to_le_bytes());
@@ -264,6 +264,11 @@ impl<'a> RowDirectory<'a> for MappedMatrix<'a> {
 
     fn n_present(&self) -> usize {
         self.dir.len()
+    }
+
+    /// The payload less each row's two header words.
+    fn body_words(&self) -> usize {
+        self.payload.len().saturating_sub(2 * self.dir.len())
     }
 
     fn id_at(&self, slot: usize) -> u32 {
@@ -464,10 +469,10 @@ impl Catalog for DiskCatalog {
         Ok((!mat.is_empty()).then_some(mat))
     }
 
-    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {
+    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<CowRow<'_>>, BitMatError> {
         match self.mapped(f, key)? {
             None => Ok(None),
-            Some(m) => Ok(m.row_ref(r)?.map(|row| Cow::Owned(row.to_owned()))),
+            Some(m) => Ok(m.row_ref(r)?.map(CowRow::Borrowed)),
         }
     }
 
@@ -574,14 +579,14 @@ mod tests {
             assert_eq!(mapped.triple_count(), owned.triple_count());
             for (id, row) in owned.rows() {
                 // Zero-copy cursor walks the same positions.
-                let mut cur = RowCursor::new(mapped.row_ref(*id).unwrap().unwrap());
+                let mut cur = RowCursor::new(mapped.row_ref(id).unwrap().unwrap());
                 let mut got = Vec::new();
                 while let Some(pos) = cur.peek() {
                     got.push(pos);
                     cur.advance();
                 }
                 assert_eq!(got, row.iter_ones().collect::<Vec<_>>(), "so({p}) row {id}");
-                assert_eq!(mapped.row_count(*id), row.count_ones());
+                assert_eq!(mapped.row_count(id), row.count_ones());
             }
             assert!(mapped.row_ref(u32::MAX).unwrap().is_none());
         }
@@ -679,10 +684,10 @@ mod tests {
         let cat = DiskCatalog::open(&path).unwrap();
         let heap = store.get(Family::So, key).unwrap();
         let n_rows = heap.n_rows();
-        assert!(heap.rows().len() >= 3, "the sweep needs a multi-row matrix");
+        assert!(heap.n_present() >= 3, "the sweep needs a multi-row matrix");
         let mut scratch = SetScratch::default();
         // Fewer set bits than present rows (probed), then more (walked).
-        let others = BitVec::from_positions(n_rows, heap.rows()[1..].iter().map(|&(r, _)| r));
+        let others = BitVec::from_positions(n_rows, heap.rows().skip(1).map(|(r, _)| r));
         let mut all_but = BitVec::ones(n_rows);
         all_but.clear(bad);
         // Every other column the matrix uses.
@@ -813,8 +818,7 @@ mod tests {
                 let Some(heap) = store.get(f, k) else {
                     continue;
                 };
-                let rows =
-                    BitVec::from_positions(n_rows, heap.rows().iter().map(|&(r, _)| r).step_by(2));
+                let rows = BitVec::from_positions(n_rows, heap.rows().map(|(r, _)| r).step_by(2));
                 assert!(!validated(f, k));
                 for _ in 0..3 {
                     for r in 0..n_rows {

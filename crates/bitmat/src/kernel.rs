@@ -3,15 +3,15 @@
 //! into raw bits, and nothing densifies on the way through. Dispatch
 //! follows the operand representations:
 //!
-//! * **row × dense mask** ([`BitRow::and_mask_in_place`]) — word
-//!   streaming: run windows AND the mask's words in place, sparse
-//!   positions probe single bits. *This is the engine's semi-join
-//!   workhorse*: `fold` ORs compressed rows into a dense β mask, the
-//!   masks AND word-wise, and `unfold` pushes the result back through
-//!   this kernel row by row. Its copying form
-//!   ([`RowRef::and_mask_copy`]) copies a borrowed row — a heap row, or a
-//!   mapped row straight from its segment words — through a mask: that is
-//!   how `init` loads a matrix through its active-pruning masks.
+//! * **row × dense mask** — word streaming: run windows AND the mask's
+//!   words, sparse positions probe single bits. *This is the engine's
+//!   semi-join workhorse*: `fold` ORs compressed rows into a dense β mask,
+//!   the masks AND word-wise, and `unfold` pushes the result back through
+//!   this kernel row by row, rewriting the matrix's arena in place
+//!   ([`crate::BitMat::unfold_with`]). The masked load runs it too, on a
+//!   borrowed row — a stored row, or a mapped row straight from its
+//!   segment words — appending what is left to the new matrix's arena;
+//!   [`RowRef::and_mask_copy`] is its form for one row.
 //! * **run × run** — interval clipping: walk both run lists once,
 //!   emitting the overlap of the current pair (`O(r₁ + r₂)`);
 //! * **run × sparse** — probing: merge-walk the sparse positions against
@@ -28,68 +28,62 @@
 //! compressed rows without a dense accumulator.
 //!
 //! The in-place entry points write into caller-owned buffers: a
-//! [`SetScratch`] circulates position/run buffers between the kernel and
-//! the destination rows, so steady-state pruning performs **no heap
-//! allocation** — buffers grow to a high-water mark on the first pass and
-//! are reused afterwards ([`SetScratch::grows`] makes that observable).
+//! [`SetScratch`] holds the kernels' position/run buffers, so steady-state
+//! pruning performs **no heap allocation** — buffers grow to a high-water
+//! mark on the first pass and are reused afterwards ([`SetScratch::grows`]
+//! makes that observable).
 //!
 //! Output representations follow the same hybrid rule as
 //! [`BitRow::from_sorted_positions`] (sparse iff `count < 2·n_runs`), so
 //! kernel results are bit-for-bit identical to the allocating paths.
 
 use crate::bitvec::BitVec;
-use crate::row::{count_runs, runs_of_into, BitRow, Body, Repr, RowRef};
+use crate::row::{BitRow, Body, Hybrid, RowRef};
 
 /// Caller-owned scratch buffers for the in-place kernels.
 ///
 /// One `SetScratch` serves any number of kernel calls; buffers are cleared
-/// (capacity kept) on each call. The spare buffers recycle a destination
-/// row's old vector whenever a result switches the row between the Runs
-/// and Sparse representations, so representation flips do not leak the
-/// replaced allocation.
+/// (capacity kept) on each call.
 #[derive(Debug, Default)]
 pub struct SetScratch {
     /// Kernel result as positions.
-    pos: Vec<u32>,
+    pub(crate) pos: Vec<u32>,
     /// Kernel result as runs.
     runs: Vec<[u32; 2]>,
-    /// Spare position buffer recycled through representation switches.
-    spare_pos: Vec<u32>,
-    /// Spare run buffer recycled through representation switches.
-    spare_runs: Vec<[u32; 2]>,
+    /// A result row's body, encoded for the arena.
+    pub(crate) body: Vec<u32>,
+    /// The bodies an in-place unfold has not read yet, moved aside when a
+    /// rewritten row outgrows the space it may be written into.
+    pub(crate) spill: Vec<u32>,
     /// Kernel calls that had to grow a buffer (allocated).
     grows: u64,
-    /// Set by the store step when writing the result grew a destination
-    /// or spare vector (cleared by [`SetScratch::account`]).
-    grew_in_store: bool,
 }
 
 impl SetScratch {
-    /// Number of kernel calls that grew a scratch buffer (allocated).
-    /// After the first pass over a workload this should stop increasing.
-    /// (Tracks this scratch's four buffers; growth of a *destination
-    /// row's* own vector inside `extend_from_slice` is the destination's
-    /// capacity, not the pool's, and is not counted — the bench counting
-    /// allocator is the ground truth for total allocation.)
+    /// Number of kernel calls that grew a scratch buffer or their
+    /// destination (allocated). After the first pass over a workload this
+    /// should stop increasing. The bench counting allocator is the ground
+    /// truth for total allocation.
     pub fn grows(&self) -> u64 {
         self.grows
     }
 
-    /// Compute-buffer capacities, for growth accounting (the spare
-    /// buffers swap vectors on representation flips without allocating,
-    /// so their growth is flagged at the extend sites instead).
-    fn caps(&self) -> (usize, usize) {
-        (self.pos.capacity(), self.runs.capacity())
+    /// Buffer capacities, for growth accounting.
+    pub(crate) fn caps(&self) -> [usize; 4] {
+        [
+            self.pos.capacity(),
+            self.runs.capacity(),
+            self.body.capacity(),
+            self.spill.capacity(),
+        ]
     }
 
-    /// Records whether this call allocated: a compute buffer grew since
-    /// `before`, or a store step flagged growth of a destination/spare
-    /// vector.
-    fn account(&mut self, before: (usize, usize)) {
-        if self.caps() != before || self.grew_in_store {
+    /// Records whether this call allocated: a buffer grew since `before`,
+    /// or `grew` (the destination's own buffer grew).
+    pub(crate) fn account(&mut self, before: [usize; 4], grew: bool) {
+        if self.caps() != before || grew {
             self.grows += 1;
         }
-        self.grew_in_store = false;
     }
 }
 
@@ -102,52 +96,31 @@ enum Computed {
 }
 
 impl RowRef<'_> {
-    /// `self & mask` as a new row, `None` when empty — the copying form of
-    /// [`BitRow::and_mask_in_place`] for a row the caller only borrows (a
-    /// lent heap matrix, or a mapped row, masked straight from its words).
-    /// The result is computed in `scratch` and allocated once, at its exact
-    /// size, only when it is non-empty; mask clipping and the
-    /// representation rule are the in-place kernel's.
+    /// `self & mask` as a new row, `None` when empty — the row×mask kernel
+    /// for one borrowed row (a stored row, or a mapped row masked straight
+    /// from its words). The result is computed in `scratch` and allocated
+    /// once, at its exact size, only when it is non-empty; mask clipping
+    /// and the representation rule are [`crate::BitMat::unfold_with`]'s.
     pub fn and_mask_copy(self, mask: &BitVec, scratch: &mut SetScratch) -> Option<BitRow> {
         let caps = scratch.caps();
         and_mask_compute(self, mask, &mut scratch.pos);
-        let count = scratch.pos.len() as u32;
-        let out = (count > 0).then(|| {
-            let repr = if (count as usize) < 2 * count_runs(&scratch.pos) {
-                Repr::Sparse(scratch.pos.to_vec())
-            } else {
-                runs_of_into(&scratch.pos, &mut scratch.runs);
-                Repr::Runs(scratch.runs.to_vec())
-            };
+        let shape = Hybrid::of(scratch.pos.iter().copied());
+        let out = (shape.count > 0).then(|| {
+            let mut words = Vec::with_capacity(shape.words());
+            shape.write(scratch.pos.iter().copied(), &mut words);
             BitRow {
                 universe: self.universe,
-                count,
-                repr,
+                count: shape.count,
+                runs: shape.runs(),
+                words,
             }
         });
-        scratch.account(caps);
+        scratch.account(caps, false);
         out
     }
 }
 
-// lbr-lint: no_alloc — steady-state row kernels: every operation below
-// reuses caller-owned scratch; the dynamic alloc_check gate measures the
-// same property at runtime.
 impl BitRow {
-    /// `self &= mask`, in place, reusing `scratch` buffers — the
-    /// zero-allocation form of [`BitRow::and_mask`].
-    ///
-    /// The mask may be shorter or longer than the row's universe: bits
-    /// beyond `mask.len()` read as zero (exactly the semantics of masking
-    /// with a zero-padded/truncated copy), which lets fold/unfold masks
-    /// live in a shared-prefix binding space without a resizing copy.
-    pub fn and_mask_in_place(&mut self, mask: &BitVec, scratch: &mut SetScratch) {
-        let caps = scratch.caps();
-        and_mask_compute(self.as_ref(), mask, &mut scratch.pos);
-        finish_into(scratch, Computed::Pos, self);
-        scratch.account(caps);
-    }
-
     /// `self & other` over the compressed representations (run×run
     /// clipping, run×sparse probing, sparse×sparse galloping), allocating
     /// the result row.
@@ -160,36 +133,42 @@ impl BitRow {
         self.and_row_into(other, &mut out, &mut scratch);
         out
     }
+}
 
+// lbr-lint: no_alloc — steady-state row kernels: every operation below
+// reuses caller-owned scratch; the dynamic alloc_check gate measures the
+// same property at runtime.
+impl BitRow {
     /// `*dst = self & other`, reusing `dst`'s and `scratch`'s buffers —
     /// the zero-allocation form of [`BitRow::and_row`]. `dst` may alias
     /// neither operand.
     pub fn and_row_into(&self, other: &BitRow, dst: &mut BitRow, scratch: &mut SetScratch) {
         debug_assert_eq!(self.universe, other.universe, "universe mismatch");
         let caps = scratch.caps();
-        let computed = match (&self.repr, &other.repr) {
-            (Repr::Runs(a), Repr::Runs(b)) => {
+        let computed = match (self.as_ref().body, other.as_ref().body) {
+            (Body::Runs(a), Body::Runs(b)) => {
                 intersect_runs_runs(a, b, &mut scratch.runs);
                 Computed::Runs
             }
-            (Repr::Runs(r), Repr::Sparse(s)) | (Repr::Sparse(s), Repr::Runs(r)) => {
+            (Body::Runs(r), Body::Sparse(s)) | (Body::Sparse(s), Body::Runs(r)) => {
                 probe_sparse_runs(s, r, &mut scratch.pos);
                 Computed::Pos
             }
-            (Repr::Sparse(a), Repr::Sparse(b)) => {
+            (Body::Sparse(a), Body::Sparse(b)) => {
                 gallop_sparse_sparse(a, b, &mut scratch.pos);
                 Computed::Pos
             }
         };
         dst.universe = self.universe;
+        let before = dst.words.capacity();
         finish_into(scratch, computed, dst);
-        scratch.account(caps);
+        scratch.account(caps, dst.words.capacity() != before);
     }
 }
 
 /// `row & mask` into `out` (clipped to `mask.len()`): sparse positions
 /// are probed bit by bit, each run window streams the mask's words.
-fn and_mask_compute(row: RowRef<'_>, mask: &BitVec, out: &mut Vec<u32>) {
+pub(crate) fn and_mask_compute(row: RowRef<'_>, mask: &BitVec, out: &mut Vec<u32>) {
     out.clear();
     match row.body {
         Body::Sparse(ps) => out.extend(ps.iter().copied().filter(|&p| mask.get(p))),
@@ -294,84 +273,35 @@ fn gallop_geq(a: &[u32], v: u32) -> usize {
     lo + a[lo..hi].partition_point(|&x| x < v)
 }
 
-/// Writes the scratch result into `dst` applying the hybrid rule (sparse
-/// iff `count < 2·n_runs`, as in [`BitRow::from_sorted_positions`]),
-/// reusing `dst`'s buffer when the representation kind is unchanged and
-/// swapping with a spare buffer when it flips.
-fn finish_into(scratch: &mut SetScratch, computed: Computed, dst: &mut BitRow) {
-    let (count, n_runs) = match computed {
-        Computed::Pos => (scratch.pos.len() as u32, count_runs(&scratch.pos)),
-        Computed::Runs => (
-            scratch.runs.iter().map(|&[s, e]| e - s).sum::<u32>(),
-            scratch.runs.len(),
-        ),
+/// Writes the scratch result into `dst`'s buffer under the hybrid rule
+/// (sparse iff `count < 2·n_runs`, as in [`BitRow::from_sorted_positions`]).
+fn finish_into(scratch: &SetScratch, computed: Computed, dst: &mut BitRow) {
+    dst.words.clear();
+    let shape = match computed {
+        Computed::Pos => {
+            let shape = Hybrid::of(scratch.pos.iter().copied());
+            shape.write(scratch.pos.iter().copied(), &mut dst.words);
+            shape
+        }
+        Computed::Runs => {
+            let count = scratch.runs.iter().map(|&[s, e]| e - s).sum::<u32>();
+            let shape = Hybrid {
+                count,
+                n_runs: scratch.runs.len(),
+            };
+            if shape.runs() {
+                dst.words.extend_from_slice(scratch.runs.as_flattened());
+            } else {
+                // count < 2·n_runs keeps this expansion cheap.
+                for &[s, e] in &scratch.runs {
+                    dst.words.extend(s..e);
+                }
+            }
+            shape
+        }
     };
-    dst.count = count;
-    if (count as usize) < 2 * n_runs {
-        // Sparse wins.
-        if let Computed::Runs = computed {
-            // Expand the (few) runs to positions; count < 2·n_runs keeps
-            // this cheap.
-            scratch.pos.clear();
-            for &[s, e] in &scratch.runs {
-                scratch.pos.extend(s..e);
-            }
-        }
-        store_sparse(scratch, dst);
-    } else {
-        // Runs win (including the canonical empty row).
-        if let Computed::Pos = computed {
-            let (pos, runs) = (&scratch.pos, &mut scratch.runs);
-            runs_of_into(pos, runs);
-        }
-        store_runs(scratch, dst);
-    }
-}
-
-fn store_sparse(scratch: &mut SetScratch, dst: &mut BitRow) {
-    match &mut dst.repr {
-        Repr::Sparse(v) => {
-            let c0 = v.capacity();
-            v.clear();
-            v.extend_from_slice(&scratch.pos);
-            scratch.grew_in_store |= v.capacity() != c0;
-        }
-        Repr::Runs(_) => {
-            let mut v = std::mem::take(&mut scratch.spare_pos);
-            let c0 = v.capacity();
-            v.clear();
-            v.extend_from_slice(&scratch.pos);
-            scratch.grew_in_store |= v.capacity() != c0;
-            if let Repr::Runs(old) = std::mem::replace(&mut dst.repr, Repr::Sparse(v)) {
-                if old.capacity() > scratch.spare_runs.capacity() {
-                    scratch.spare_runs = old;
-                }
-            }
-        }
-    }
-}
-
-fn store_runs(scratch: &mut SetScratch, dst: &mut BitRow) {
-    match &mut dst.repr {
-        Repr::Runs(v) => {
-            let c0 = v.capacity();
-            v.clear();
-            v.extend_from_slice(&scratch.runs);
-            scratch.grew_in_store |= v.capacity() != c0;
-        }
-        Repr::Sparse(_) => {
-            let mut v = std::mem::take(&mut scratch.spare_runs);
-            let c0 = v.capacity();
-            v.clear();
-            v.extend_from_slice(&scratch.runs);
-            scratch.grew_in_store |= v.capacity() != c0;
-            if let Repr::Sparse(old) = std::mem::replace(&mut dst.repr, Repr::Runs(v)) {
-                if old.capacity() > scratch.spare_pos.capacity() {
-                    scratch.spare_pos = old;
-                }
-            }
-        }
-    }
+    dst.count = shape.count;
+    dst.runs = shape.runs();
 }
 
 /// A seekable cursor over one compressed row of either medium (a
@@ -577,30 +507,30 @@ mod tests {
     }
 
     #[test]
-    fn and_mask_in_place_clipped_mask_lengths() {
-        let mut r = row(300, &[0, 1, 2, 3, 100, 290, 299]);
+    fn and_mask_clipped_mask_lengths() {
+        let r = row(300, &[0, 1, 2, 3, 100, 290, 299]);
         let mut scratch = SetScratch::default();
         // Shorter mask: bits beyond its length read as zero.
         let mask = BitVec::from_positions(128, [1, 2, 100, 127]);
-        r.and_mask_in_place(&mask, &mut scratch);
-        assert_eq!(r.iter_ones().collect::<Vec<_>>(), vec![1, 2, 100]);
-        assert_eq!(r.universe(), 300);
+        let out = r.as_ref().and_mask_copy(&mask, &mut scratch).unwrap();
+        assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![1, 2, 100]);
+        assert_eq!(out.universe(), 300);
         // Longer mask: extra bits are irrelevant.
-        let mut r2 = row(64, &[0, 63]);
+        let r2 = row(64, &[0, 63]);
         let mask = BitVec::from_positions(128, [63, 100]);
-        r2.and_mask_in_place(&mask, &mut scratch);
-        assert_eq!(r2.iter_ones().collect::<Vec<_>>(), vec![63]);
+        let out = r2.as_ref().and_mask_copy(&mask, &mut scratch).unwrap();
+        assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![63]);
     }
 
     #[test]
     fn representation_flip_roundtrip() {
         // Runs row masked down to isolated bits flips to Sparse, and the
         // hybrid rule matches from_sorted_positions exactly.
-        let mut r = row(256, &(0..100).collect::<Vec<_>>());
+        let r = row(256, &(0..100).collect::<Vec<_>>());
         assert!(!r.is_sparse());
         let mut scratch = SetScratch::default();
         let mask = BitVec::from_positions(256, [5, 50]);
-        r.and_mask_in_place(&mask, &mut scratch);
+        let r = r.as_ref().and_mask_copy(&mask, &mut scratch).unwrap();
         assert!(r.is_sparse());
         assert_eq!(r, row(256, &[5, 50]));
         // And back: intersect with a full row keeps it sparse; with a run
@@ -609,6 +539,9 @@ mod tests {
         let mut dst = BitRow::empty(256);
         r.and_row_into(&full, &mut dst, &mut scratch);
         assert_eq!(dst, r);
+        // A destination that flips back to runs reuses its buffer.
+        full.and_row_into(&full, &mut dst, &mut scratch);
+        assert_eq!(dst, full);
     }
 
     #[test]

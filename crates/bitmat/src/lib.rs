@@ -20,19 +20,25 @@
 //! key, r)` — that the heap store, the mmap'd [`DiskCatalog`] and
 //! `lbr-store`'s delta overlay each implement once. Whole loads are
 //! `Cow`s: the heap store lends its matrix, the mmap catalog decodes one,
-//! the overlay merges a delta into either. The one caller that mutates,
-//! the engine's `init`, asks for a masked load instead, and every medium
-//! reads only the rows its masks keep: the heap store and the mmap catalog
-//! take one shared walk over their row directories ([`BitMat::masked`] is
-//! the heap's side), copying only the kept rows, and the overlay merges
-//! only the delta pairs they keep.
+//! the overlay merges a delta into either; single rows are lent in place
+//! by both media ([`CowRow`]). The one caller that mutates, the engine's
+//! `init`, asks for a masked load instead, and every medium reads only the
+//! rows its masks keep: the heap store and the mmap catalog take one
+//! shared walk over their row directories ([`BitMat::masked`] is the
+//! heap's side), copying only the kept rows, and the overlay merges only
+//! the delta pairs they keep.
 //!
-//! Each matrix row is compressed with the paper's *hybrid* scheme
-//! ([`BitRow`]): run-length encoding with 4-byte run lengths, or a plain
-//! list of set-bit positions when that is smaller (the paper reports ≈40 %
-//! index-size reduction from the hybrid scheme; see
-//! [`BitMatStore::size_report`]). A row is read through one borrowed view,
-//! [`RowRef`], whether it lives on the heap ([`BitRow::as_ref`]) or in a
+//! Each matrix row is compressed with the paper's *hybrid* scheme:
+//! run-length encoding with 4-byte run lengths, or a plain list of set-bit
+//! positions when that is smaller (the paper reports ≈40 % index-size
+//! reduction from the hybrid scheme; see [`BitMatStore::size_report`]).
+//! A [`BitMat`] keeps all its rows in **one arena**: the ascending ids of
+//! its non-empty rows, one end offset and bit count per row (with the
+//! runs/sparse flag), and every row body back to back in one `Vec<u32>`.
+//! Building, masking, pruning and dropping a matrix therefore costs the
+//! same few allocations however many rows it has. A row is read through
+//! one borrowed view, [`RowRef`], whether it lives in a matrix's arena
+//! ([`BitMat::row`]), in an owned [`BitRow`] ([`BitRow::as_ref`]), or in a
 //! mapped segment's words ([`MappedMatrix::row_ref`]).
 //!
 //! The two primitives every LBR semi-join is built from operate directly on
@@ -50,16 +56,17 @@
 //! ever densifying a row. Each read kernel has one body, on [`RowRef`], so
 //! a heap row and a mapped one run the same code. The fold/unfold
 //! semi-join path runs on the row×mask kernel (the mask's words streamed
-//! through each run window), and so does the masked load
-//! ([`RowRef::and_mask_copy`]); the row-level forms — run×run interval
+//! through each run window), and so does the masked load, which appends
+//! each kept row to the new matrix's arena ([`RowRef::and_mask_copy`] is
+//! the kernel's form for one row); the row-level forms — run×run interval
 //! clipping, run×sparse probing, sparse×sparse galloping, and the k-way
 //! leapfrog cursor join — make up the general intersection layer. The
-//! in-place entry points ([`BitRow::and_mask_in_place`], [`BitRow::and_row_into`],
-//! [`kernel::intersect_into`], [`BitMat::unfold_with`],
-//! [`BitMat::fold_or_clipped`]) write into caller-owned [`SetScratch`] /
-//! accumulator buffers, so a steady-state pruning pass performs **zero
-//! heap allocation**: buffers grow to a high-water mark on the first use
-//! and circulate between scratch and destination rows afterwards.
+//! in-place entry points ([`BitMat::unfold_with`], which compacts a
+//! matrix's arena where it stands, [`BitMat::fold_or_clipped`],
+//! [`BitRow::and_row_into`], [`kernel::intersect_into`]) write into
+//! caller-owned [`SetScratch`] / accumulator buffers, so a steady-state
+//! pruning pass performs **zero heap allocation**: buffers grow to a
+//! high-water mark on the first use and are reused afterwards.
 
 //! ## Unsafe policy
 //!
@@ -88,5 +95,5 @@ pub use error::BitMatError;
 pub use kernel::{RowCursor, SetScratch};
 pub use matrix::{BitMat, RetainDim};
 pub use mmap::Mmap;
-pub use row::{BitRow, RowRef};
+pub use row::{BitRow, CowRow, RowRef};
 pub use store::{BitMatStore, SizeReport};

@@ -10,35 +10,32 @@
 //!   represent it, then we simply store the set bit positions"*.
 //!
 //! A row is read through one borrowed view, [`RowRef`], whichever medium
-//! holds it: [`BitRow::as_ref`] views a heap row, [`RowRef::parse`] a row
-//! still in the words [`RowRef::write_words_to`] serialized it to (a mapped
-//! segment's payload). Both encodings are the same slices — ascending
-//! positions, or `[start, end)` pairs — so every read kernel (iteration,
-//! membership, `or_into`, `and_mask_copy`, the cursor) has one body.
+//! holds it: a matrix's arena ([`crate::BitMat::row`]), an owned
+//! [`BitRow`] ([`BitRow::as_ref`]), or the words [`RowRef::write_words_to`]
+//! serialized it to (a mapped segment's payload, [`RowRef::parse`]). Every
+//! medium holds a body as the same flat `u32` words — ascending positions,
+//! or `[start, end)` pairs — so every read kernel (iteration, membership,
+//! `or_into`, `and_mask_copy`, the cursor) has one body. A row is owned
+//! ([`BitRow`], [`CowRow::Owned`]) only where it is built alone: a kernel's
+//! result, or a catalog row a delta edited.
 //!
 //! All operations walk the compressed representation; a row is never
 //! expanded into raw bits. So does the edit a delta makes to a stored row
-//! ([`BitRow::edit`]: `(base ∪ ins) ∖ tomb`), which merges and cuts runs
-//! instead of decoding them.
+//! ([`BitRow::edit`], [`crate::BitMat::push_edit`]: `(base ∪ ins) ∖
+//! tomb`), which merges and cuts runs instead of decoding them.
 
 use crate::bitvec::BitVec;
 
-/// Compressed representation of one row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Repr {
-    /// Maximal `[start, end)` intervals of set bits, ascending, disjoint,
-    /// non-adjacent.
-    Runs(Vec<[u32; 2]>),
-    /// Ascending set-bit positions.
-    Sparse(Vec<u32>),
-}
-
-/// One compressed bit row over a universe of `universe` bits.
+/// One compressed bit row over a universe of `universe` bits: the owned
+/// form of what a [`crate::BitMat`] stores per row in its arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitRow {
     pub(crate) universe: u32,
     pub(crate) count: u32,
-    pub(crate) repr: Repr,
+    /// True when `words` holds flattened `[start, end)` runs (ascending,
+    /// disjoint, non-adjacent), false when it holds ascending positions.
+    pub(crate) runs: bool,
+    pub(crate) words: Vec<u32>,
 }
 
 impl BitRow {
@@ -47,7 +44,8 @@ impl BitRow {
         BitRow {
             universe,
             count: 0,
-            repr: Repr::Sparse(Vec::new()),
+            runs: false,
+            words: Vec::new(),
         }
     }
 
@@ -59,7 +57,8 @@ impl BitRow {
         BitRow {
             universe,
             count: universe,
-            repr: Repr::Runs(vec![[0, universe]]),
+            runs: true,
+            words: vec![0, universe],
         }
     }
 
@@ -78,18 +77,14 @@ impl BitRow {
             positions.last().is_none_or(|&p| p < universe),
             "position out of range"
         );
-        let (count, n_runs) = (positions.len() as u32, count_runs(positions));
-        let repr = if (count as usize) < 2 * n_runs {
-            Repr::Sparse(positions.to_vec())
-        } else {
-            let mut runs = Vec::with_capacity(n_runs);
-            extend_runs(&mut runs, positions);
-            Repr::Runs(runs)
-        };
+        let shape = Hybrid::of(positions.iter().copied());
+        let mut words = Vec::with_capacity(shape.words());
+        shape.write(positions.iter().copied(), &mut words);
         BitRow {
             universe,
-            count,
-            repr,
+            count: shape.count,
+            runs: shape.runs(),
+            words,
         }
     }
 
@@ -102,15 +97,7 @@ impl BitRow {
     /// The borrowed view every read kernel runs on.
     #[inline]
     pub fn as_ref(&self) -> RowRef<'_> {
-        let body = match &self.repr {
-            Repr::Sparse(ps) => Body::Sparse(ps),
-            Repr::Runs(rs) => Body::Runs(rs),
-        };
-        RowRef {
-            universe: self.universe,
-            count: self.count,
-            body,
-        }
+        RowRef::from_body(self.universe, self.count, self.runs, &self.words)
     }
 
     /// Universe size in bits.
@@ -130,7 +117,7 @@ impl BitRow {
 
     /// True when the row currently uses the sparse-positions representation.
     pub fn is_sparse(&self) -> bool {
-        matches!(self.repr, Repr::Sparse(_))
+        !self.runs
     }
 
     /// [`RowRef::contains`].
@@ -138,8 +125,7 @@ impl BitRow {
         self.as_ref().contains(pos)
     }
 
-    /// [`RowRef::iter_ones`]. Inlined across crates, as a leaf would be:
-    /// the join walks every row it reads through this.
+    /// [`RowRef::iter_ones`]. Inlined across crates, as a leaf would be.
     #[inline]
     pub fn iter_ones(&self) -> RowOnesIter<'_> {
         self.as_ref().iter_ones()
@@ -150,99 +136,121 @@ impl BitRow {
         self.as_ref().to_bitvec()
     }
 
-    /// `self & mask` — the building block of [`crate::BitMat::unfold`].
-    ///
-    /// Runs through the same kernels as [`BitRow::and_mask_in_place`] (run
-    /// windows streamed word-by-word, sparse positions probed directly);
-    /// prefer the in-place variant on hot paths — this one allocates the
-    /// result row.
-    pub fn and_mask(&self, mask: &BitVec) -> BitRow {
-        debug_assert_eq!(mask.len(), self.universe, "mask/universe mismatch");
-        let mut out = self.clone();
-        let mut scratch = crate::kernel::SetScratch::default();
-        out.and_mask_in_place(mask, &mut scratch);
-        out
-    }
-
     /// `(base ∪ ins) ∖ tomb` as a new row, `None` when it is empty — the
     /// edit a delta makes to one stored row (`base` `None`: the row is new).
     /// `ins` and `tomb` are ascending positions below `universe`; a
-    /// position in both is removed.
-    ///
-    /// The work grows with the changes and the base's compressed size, not
-    /// with its bits: a runs base is edited run by run (the inserted
-    /// positions merge into maximal runs, each tombstone inside one splits
-    /// it), and a sparse base is copied a slice at a time between changed
-    /// positions. One pass counts the result's bits and runs, a second
-    /// writes it, allocated once at its exact size in the representation
-    /// [`BitRow::from_sorted_positions`] picks.
+    /// position in both is removed. The row is allocated once, at its
+    /// exact size; [`crate::BitMat::push_edit`] writes the same edit
+    /// straight into a matrix's arena.
     pub fn edit(
-        base: Option<&BitRow>,
+        base: Option<RowRef<'_>>,
         universe: u32,
         ins: impl Iterator<Item = u32> + Clone,
         tomb: impl Iterator<Item = u32> + Clone,
     ) -> Option<BitRow> {
-        let (count, repr) = match base.map(|b| &b.repr) {
-            Some(Repr::Runs(rs)) => {
-                let edited = EditRuns {
-                    runs: rs,
-                    ins: ins.peekable(),
-                    tomb: tomb.peekable(),
-                    rest: None,
-                };
-                let (mut count, mut n_runs) = (0u32, 0usize);
-                for [s, e] in edited.clone() {
-                    count += e - s;
-                    n_runs += 1;
-                }
-                let repr = if (count as usize) < 2 * n_runs {
-                    let mut ps = Vec::with_capacity(count as usize);
-                    edited.for_each(|[s, e]| ps.extend(s..e));
-                    Repr::Sparse(ps)
-                } else {
-                    let mut rs = Vec::with_capacity(n_runs);
-                    rs.extend(edited);
-                    Repr::Runs(rs)
-                };
-                (count, repr)
-            }
-            base => {
-                let base = match base {
-                    Some(Repr::Sparse(ps)) => &ps[..],
-                    _ => &[],
-                };
-                let (mut count, mut n_runs, mut next) = (0u32, 0usize, None);
-                edit_positions(base, ins.clone(), tomb.clone(), |chunk| {
-                    if let (Some(&first), Some(&last)) = (chunk.first(), chunk.last()) {
-                        let breaks = chunk.windows(2).filter(|w| w[1] != w[0] + 1).count();
-                        n_runs += usize::from(next != Some(first)) + breaks;
-                        next = Some(last + 1);
-                        count += chunk.len() as u32;
-                    }
-                });
-                let repr = if (count as usize) < 2 * n_runs {
-                    let mut ps = Vec::with_capacity(count as usize);
-                    edit_positions(base, ins, tomb, |chunk| ps.extend_from_slice(chunk));
-                    Repr::Sparse(ps)
-                } else {
-                    let mut rs: Vec<[u32; 2]> = Vec::with_capacity(n_runs);
-                    edit_positions(base, ins, tomb, |chunk| extend_runs(&mut rs, chunk));
-                    Repr::Runs(rs)
-                };
-                (count, repr)
-            }
-        };
-        (count > 0).then_some(BitRow {
+        let mut words = Vec::new();
+        let shape = edit_into(base, ins, tomb, &mut words);
+        (shape.count > 0).then_some(BitRow {
             universe,
-            count,
-            repr,
+            count: shape.count,
+            runs: shape.runs(),
+            words,
         })
     }
 }
 
-/// A borrowed, `Copy` view of one compressed row, on the heap
-/// ([`BitRow::as_ref`]) or in a mapped segment's words ([`RowRef::parse`]):
-/// the one type every read kernel is written on.
+/// A row a [`crate::Catalog`] returns: lent in place from the store's
+/// arena or a mapped segment, or owned when it had to be built (a row the
+/// overlay's delta edited).
+#[derive(Debug, Clone)]
+pub enum CowRow<'a> {
+    /// A row read where it is stored.
+    Borrowed(RowRef<'a>),
+    /// A row built for this load.
+    Owned(BitRow),
+}
+
+impl CowRow<'_> {
+    /// The borrowed view of either form.
+    pub fn as_ref(&self) -> RowRef<'_> {
+        match self {
+            CowRow::Borrowed(row) => *row,
+            CowRow::Owned(row) => row.as_ref(),
+        }
+    }
+}
+
+impl PartialEq for CowRow<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_ref() == other.as_ref()
+    }
+}
+
+impl Eq for CowRow<'_> {}
+
+/// The hybrid rule's verdict on a row: its bit and run counts decide the
+/// encoding — sparse iff `count < 2·n_runs`, runs otherwise (the canonical
+/// empty row included).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hybrid {
+    pub(crate) count: u32,
+    pub(crate) n_runs: usize,
+}
+
+impl Hybrid {
+    /// The counts of ascending positions.
+    pub(crate) fn of(positions: impl Iterator<Item = u32>) -> Hybrid {
+        let (mut count, mut n_runs, mut next) = (0u32, 0usize, None);
+        for p in positions {
+            n_runs += usize::from(next != Some(p));
+            next = Some(p + 1);
+            count += 1;
+        }
+        Hybrid { count, n_runs }
+    }
+
+    /// True when the runs encoding wins.
+    pub(crate) fn runs(self) -> bool {
+        self.count as usize >= 2 * self.n_runs
+    }
+
+    /// Words the body takes.
+    pub(crate) fn words(self) -> usize {
+        if self.runs() {
+            2 * self.n_runs
+        } else {
+            self.count as usize
+        }
+    }
+
+    /// Appends the body of `positions` (the ones this was counted from)
+    /// to `words` in the chosen encoding.
+    pub(crate) fn write(self, positions: impl Iterator<Item = u32>, words: &mut Vec<u32>) {
+        if self.runs() {
+            let body = words.len();
+            positions.for_each(|p| push_run_bit(words, body, p));
+        } else {
+            words.extend(positions);
+        }
+    }
+}
+
+/// Appends position `p`, past every bit already in the runs body that
+/// starts at `words[body]`, to that body: it extends the last run when it
+/// touches it, and opens a new run otherwise.
+fn push_run_bit(words: &mut Vec<u32>, body: usize, p: u32) {
+    let n = words.len();
+    if n > body && words[n - 1] == p {
+        words[n - 1] = p + 1;
+    } else {
+        words.extend([p, p + 1]);
+    }
+}
+
+/// A borrowed, `Copy` view of one compressed row — in a matrix's arena
+/// ([`crate::BitMat::row`]), in an owned row ([`BitRow::as_ref`]) or in a
+/// mapped segment's words ([`RowRef::parse`]): the one type every read
+/// kernel is written on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowRef<'a> {
     pub(crate) universe: u32,
@@ -260,6 +268,32 @@ pub(crate) enum Body<'a> {
 }
 
 impl<'a> RowRef<'a> {
+    /// The row whose body is `words`: flattened `[start, end)` runs when
+    /// `runs`, ascending positions otherwise. `count` is its bit count.
+    #[inline]
+    pub(crate) fn from_body(universe: u32, count: u32, runs: bool, words: &'a [u32]) -> Self {
+        let body = if runs {
+            let (rs, rest) = words.as_chunks::<2>();
+            debug_assert!(rest.is_empty(), "a runs body holds whole pairs");
+            Body::Runs(rs)
+        } else {
+            Body::Sparse(words)
+        };
+        RowRef {
+            universe,
+            count,
+            body,
+        }
+    }
+
+    /// The body as [`RowRef::from_body`] takes it: `(runs, words)`.
+    pub(crate) fn body_words(self) -> (bool, &'a [u32]) {
+        match self.body {
+            Body::Sparse(ps) => (false, ps),
+            Body::Runs(rs) => (true, rs.as_flattened()),
+        }
+    }
+
     /// Validates the row at the start of `words`, as
     /// [`RowRef::write_words_to`] lays it out (`[tag][n][n or 2n integers]`,
     /// tag 0 sparse, tag 1 runs) — tag, a non-zero length, ascending
@@ -318,14 +352,12 @@ impl<'a> RowRef<'a> {
 
     /// An owned copy, allocated once at its exact size.
     pub fn to_owned(self) -> BitRow {
-        let repr = match self.body {
-            Body::Sparse(ps) => Repr::Sparse(ps.to_vec()),
-            Body::Runs(rs) => Repr::Runs(rs.to_vec()),
-        };
+        let (runs, words) = self.body_words();
         BitRow {
             universe: self.universe,
             count: self.count,
-            repr,
+            runs,
+            words: words.to_vec(),
         }
     }
 
@@ -442,9 +474,77 @@ impl<'a> RowRef<'a> {
     pub fn rle_only_bytes(self) -> usize {
         let n_runs = match self.body {
             Body::Runs(rs) => rs.len(),
-            Body::Sparse(ps) => count_runs(ps),
+            Body::Sparse(ps) => Hybrid::of(ps.iter().copied()).n_runs,
         };
         1 + 4 * 2 * n_runs
+    }
+}
+
+/// Appends `(base ∪ ins) ∖ tomb` to `words` in the encoding the hybrid
+/// rule picks, after reserving its exact size, and returns its counts;
+/// nothing is appended when it is empty. The one body of [`BitRow::edit`]
+/// and [`crate::BitMat::push_edit`].
+///
+/// The work grows with the changes and the base's compressed size, not
+/// with its bits: a runs base is edited run by run (the inserted
+/// positions merge into maximal runs, each tombstone inside one splits
+/// it), and a sparse base is copied a slice at a time between changed
+/// positions. One pass counts the result's bits and runs, a second writes
+/// it.
+pub(crate) fn edit_into(
+    base: Option<RowRef<'_>>,
+    ins: impl Iterator<Item = u32> + Clone,
+    tomb: impl Iterator<Item = u32> + Clone,
+    words: &mut Vec<u32>,
+) -> Hybrid {
+    let body = words.len();
+    match base.map(|b| b.body) {
+        Some(Body::Runs(rs)) => {
+            let edited = EditRuns {
+                runs: rs,
+                ins: ins.peekable(),
+                tomb: tomb.peekable(),
+                rest: None,
+            };
+            let (mut count, mut n_runs) = (0u32, 0usize);
+            for [s, e] in edited.clone() {
+                count += e - s;
+                n_runs += 1;
+            }
+            let shape = Hybrid { count, n_runs };
+            words.reserve(shape.words());
+            if shape.runs() {
+                edited.for_each(|run| words.extend(run));
+            } else {
+                edited.for_each(|[s, e]| words.extend(s..e));
+            }
+            shape
+        }
+        base => {
+            let base = match base {
+                Some(Body::Sparse(ps)) => ps,
+                _ => &[],
+            };
+            let (mut count, mut n_runs, mut next) = (0u32, 0usize, None);
+            edit_positions(base, ins.clone(), tomb.clone(), |chunk| {
+                if let (Some(&first), Some(&last)) = (chunk.first(), chunk.last()) {
+                    let breaks = chunk.windows(2).filter(|w| w[1] != w[0] + 1).count();
+                    n_runs += usize::from(next != Some(first)) + breaks;
+                    next = Some(last + 1);
+                    count += chunk.len() as u32;
+                }
+            });
+            let shape = Hybrid { count, n_runs };
+            words.reserve(shape.words());
+            if shape.runs() {
+                edit_positions(base, ins, tomb, |chunk| {
+                    chunk.iter().for_each(|&p| push_run_bit(words, body, p))
+                });
+            } else {
+                edit_positions(base, ins, tomb, |chunk| words.extend_from_slice(chunk));
+            }
+            shape
+        }
     }
 }
 
@@ -561,30 +661,6 @@ where
     }
 }
 
-/// Number of maximal runs in an ascending position list.
-pub(crate) fn count_runs(positions: &[u32]) -> usize {
-    let breaks = positions.windows(2).filter(|w| w[1] != w[0] + 1).count();
-    usize::from(!positions.is_empty()) + breaks
-}
-
-/// The maximal `[start, end)` intervals of ascending positions, into a
-/// caller-owned buffer (cleared first).
-pub(crate) fn runs_of_into(positions: &[u32], runs: &mut Vec<[u32; 2]>) {
-    runs.clear();
-    extend_runs(runs, positions);
-}
-
-/// Appends ascending positions, all past `runs`' last run, to `runs`,
-/// extending that run where they touch it.
-fn extend_runs(runs: &mut Vec<[u32; 2]>, positions: &[u32]) {
-    for &p in positions {
-        match runs.last_mut() {
-            Some([_, e]) if *e == p => *e = p + 1,
-            _ => runs.push([p, p + 1]),
-        }
-    }
-}
-
 /// Iterator over the set bits of a row.
 pub enum RowOnesIter<'a> {
     /// Sparse representation.
@@ -673,7 +749,8 @@ mod tests {
         let positions: Vec<u32> = (60..140).collect();
         let row = BitRow::from_sorted_positions(256, &positions);
         let mask = BitVec::from_positions(256, [59, 60, 63, 64, 100, 139, 140, 200]);
-        let out = row.and_mask(&mask);
+        let mut scratch = crate::SetScratch::default();
+        let out = row.as_ref().and_mask_copy(&mask, &mut scratch).unwrap();
         assert_eq!(
             out.iter_ones().collect::<Vec<_>>(),
             vec![60, 63, 64, 100, 139]
@@ -684,7 +761,8 @@ mod tests {
     fn and_mask_sparse() {
         let row = BitRow::from_sorted_positions(64, &[1, 9, 33]);
         let mask = BitVec::from_positions(64, [9, 40]);
-        let out = row.and_mask(&mask);
+        let mut scratch = crate::SetScratch::default();
+        let out = row.as_ref().and_mask_copy(&mask, &mut scratch).unwrap();
         assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![9]);
         assert_eq!(out.count_ones(), 1);
     }
@@ -722,6 +800,7 @@ mod tests {
     #[test]
     fn edit_picks_the_hybrid_boundary() {
         let edit = |base: Option<&BitRow>, ins: &[u32], tomb: &[u32]| {
+            let base = base.map(BitRow::as_ref);
             BitRow::edit(base, 20, ins.iter().copied(), tomb.iter().copied()).unwrap()
         };
         let sparse = BitRow::from_sorted_positions(20, &[0, 1, 10]);

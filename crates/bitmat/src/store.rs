@@ -5,7 +5,7 @@ use crate::catalog::{Catalog, CubeDims, Family};
 use crate::error::BitMatError;
 use crate::kernel::SetScratch;
 use crate::matrix::BitMat;
-use crate::row::BitRow;
+use crate::row::CowRow;
 use lbr_rdf::{EncodedGraph, EncodedTriple};
 use std::borrow::Cow;
 
@@ -130,9 +130,9 @@ impl Catalog for BitMatStore {
         Ok(mat.filter(|m| !m.is_empty()))
     }
 
-    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {
+    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<CowRow<'_>>, BitMatError> {
         let row = self.get(f, key).and_then(|m| m.row(r));
-        Ok(row.map(Cow::Borrowed))
+        Ok(row.map(CowRow::Borrowed))
     }
 
     fn count(&self, f: Family, key: u32) -> u64 {
@@ -219,7 +219,7 @@ pub(crate) mod tests {
             .unwrap();
         // (Jerry hasFriend ?f): two candidate objects.
         let row = store.row(Family::Po, jerry, friend).unwrap().unwrap();
-        assert_eq!(row.count_ones(), 2);
+        assert_eq!(row.as_ref().count_ones(), 2);
         assert_eq!(store.row_count(Family::Po, jerry, friend), 2);
         // (?sitcom location NewYorkCity): one candidate subject.
         let nyc = d
@@ -229,7 +229,7 @@ pub(crate) mod tests {
             .id(&Term::iri("location"), lbr_rdf::Dimension::Predicate)
             .unwrap();
         let row = store.row(Family::Ps, nyc, loc).unwrap().unwrap();
-        assert_eq!(row.count_ones(), 1);
+        assert_eq!(row.as_ref().count_ones(), 1);
         assert_eq!(store.row_count(Family::Ps, nyc, loc), 1);
         // Missing combinations are None / zero.
         assert!(store.row(Family::Po, jerry, loc).unwrap().is_none());

@@ -72,7 +72,8 @@ proptest! {
             // AND against the mask, at the universe's length and at a
             // shorter or longer one (bits past the mask read as zero).
             let expect: Vec<u32> = a.iter().copied().filter(|p| b.contains(p)).collect();
-            prop_assert_eq!(row.and_mask(&mask).iter_ones().collect::<Vec<_>>(), expect);
+            let masked = view.and_mask_copy(&mask, &mut scratch);
+            prop_assert_eq!(masked.map_or_else(Vec::new, |r| r.iter_ones().collect()), expect);
             let expect: Vec<u32> =
                 a.iter().copied().filter(|&p| p < mask_len && b.contains(&p)).collect();
             let copy = view.and_mask_copy(&short_mask, &mut scratch);
@@ -157,11 +158,11 @@ proptest! {
         prop_assert_eq!(out, expect);
     }
 
-    /// The rewritten `and_mask` (and its in-place and copying forms)
-    /// against the dense oracle, including masks shorter and longer than
-    /// the universe for the clipped semantics.
+    /// The row×mask kernel against the dense oracle, in its copying form
+    /// and through a one-row matrix's in-place unfold, including masks
+    /// shorter and longer than the universe for the clipped semantics.
     #[test]
-    fn and_mask_in_place_matches_dense_oracle(
+    fn and_mask_matches_dense_oracle(
         a in arb_blocky_positions(320),
         b in arb_positions(320),
         mask_len in (0usize..4).prop_map(|i| [64u32, 256, 320, 448][i]),
@@ -171,26 +172,88 @@ proptest! {
         let expect: Vec<u32> = a.iter().copied()
             .filter(|&p| p < mask_len && b.contains(&p))
             .collect();
+        let want = (!expect.is_empty()).then(|| BitRow::from_sorted_positions(320, &expect));
         let mut scratch = SetScratch::default();
-        let mut got = row.clone();
-        got.and_mask_in_place(&mask, &mut scratch);
-        prop_assert_eq!(got.iter_ones().collect::<Vec<_>>(), expect.clone());
-        prop_assert_eq!(got.universe(), 320);
-        prop_assert_eq!(&got, &BitRow::from_sorted_positions(320, &expect));
         // The copying kernel: the same row, representation included, and
         // no row at all when the result is empty.
         let copy = row.as_ref().and_mask_copy(&mask, &mut scratch);
-        prop_assert_eq!(copy.as_ref(), (!expect.is_empty()).then_some(&got));
-        // Exact-length mask: the allocating wrapper agrees.
-        if mask_len == 320 {
-            prop_assert_eq!(row.and_mask(&mask), got);
-        }
-        // In-place repetition is idempotent and allocation-stable.
+        prop_assert_eq!(&copy, &want);
+        // The in-place unfold of a one-row matrix leaves that same row.
+        let pairs: Vec<(u32, u32)> = a.iter().map(|&c| (0, c)).collect();
+        let mut m = BitMat::from_sorted_pairs(1, 320, &pairs);
+        m.unfold_with(&mask, RetainDim::Col, &mut scratch);
+        prop_assert_eq!(m.row(0).map(RowRef::to_owned), want);
+        prop_assert_eq!(m.triple_count() as usize, expect.len());
+        // Repetition is idempotent and allocation-stable.
         let grows = scratch.grows();
-        let mut again = got.clone();
-        again.and_mask_in_place(&mask, &mut scratch);
-        prop_assert_eq!(again, got);
-        prop_assert!(scratch.grows() <= grows + 1);
+        let mut again = m.clone();
+        again.unfold_with(&mask, RetainDim::Col, &mut scratch);
+        prop_assert_eq!(&again, &m);
+        prop_assert_eq!(scratch.grows(), grows);
+    }
+
+    /// The arena's in-place unfold on both dimensions, with clipped masks,
+    /// against the dense oracle. A runs row sits mid-matrix, and a comb
+    /// column mask splits it into more words than its slot holds, so it
+    /// outgrows the space it may be written into. Every result is also
+    /// `==` to the matrix built from the surviving pairs: the compacted
+    /// arena is canonical, so `PartialEq` is set equality.
+    #[test]
+    fn arena_unfold_matches_dense_oracle_and_rebuild(
+        pairs in prop::collection::btree_set((0u32..24, 0u32..200), 0..160),
+        block_row in 1u32..23,
+        block in (0u32..150, 16u32..50),
+        col_bits in arb_positions(200),
+        row_bits in arb_positions(24),
+        col_len in (0usize..4).prop_map(|i| [64u32, 130, 200, 256][i]),
+        row_len in (0usize..3).prop_map(|i| [8u32, 24, 40][i]),
+        comb in any::<bool>(),
+        rows_first in any::<bool>(),
+    ) {
+        let mut model: BTreeSet<(u32, u32)> = pairs;
+        model.extend((block.0..block.0 + block.1).map(|c| (block_row, c)));
+        model.extend([(0, 7), (23, 9)]);
+        let pairs: Vec<(u32, u32)> = model.iter().copied().collect();
+        let m = BitMat::from_sorted_pairs(24, 200, &pairs);
+        prop_assert!(!m.row(block_row).unwrap().to_owned().is_sparse(), "the block is a runs row");
+
+        let col_set: BTreeSet<u32> = if comb {
+            (0..col_len).filter(|c| c % 2 == 1).collect()
+        } else {
+            col_bits.iter().copied().filter(|&c| c < col_len).collect()
+        };
+        let row_set: BTreeSet<u32> = row_bits.iter().copied().filter(|&r| r < row_len).collect();
+        let col_mask = BitVec::from_positions(col_len, col_set.iter().copied());
+        let row_mask = BitVec::from_positions(row_len, row_set.iter().copied());
+        let steps = if rows_first {
+            [(&row_mask, RetainDim::Row), (&col_mask, RetainDim::Col)]
+        } else {
+            [(&col_mask, RetainDim::Col), (&row_mask, RetainDim::Row)]
+        };
+        let mut scratch = SetScratch::default();
+        let mut got = m.clone();
+        for (mask, dim) in steps {
+            got.unfold_with(mask, dim, &mut scratch);
+            model.retain(|&(r, c)| match dim {
+                RetainDim::Row => row_set.contains(&r),
+                RetainDim::Col => col_set.contains(&c),
+            });
+            let survivors: Vec<(u32, u32)> = model.iter().copied().collect();
+            prop_assert_eq!(got.iter().collect::<Vec<_>>(), survivors.clone());
+            prop_assert_eq!(got.triple_count() as usize, survivors.len());
+            prop_assert_eq!(&got, &BitMat::from_sorted_pairs(24, 200, &survivors));
+            for (_, row) in got.rows() {
+                prop_assert!(row.count_ones() > 0, "no stored row is empty");
+            }
+        }
+        // A warm repeat changes nothing and allocates nothing.
+        let grows = scratch.grows();
+        let settled = got.clone();
+        for (mask, dim) in steps {
+            got.unfold_with(mask, dim, &mut scratch);
+        }
+        prop_assert_eq!(&got, &settled);
+        prop_assert_eq!(scratch.grows(), grows);
     }
 
     /// `or_into` (word-batched sparse path) and `or_into_clipped` against
@@ -307,7 +370,7 @@ proptest! {
             .filter(|p| !tomb.contains(p))
             .collect();
         let want: Vec<u32> = want.into_iter().collect();
-        let got = BitRow::edit(base.as_ref(), 200, ins.iter().copied(), tomb.iter().copied());
+        let got = BitRow::edit(base.as_ref().map(BitRow::as_ref), 200, ins.iter().copied(), tomb.iter().copied());
         let want = (!want.is_empty()).then(|| BitRow::from_sorted_positions(200, &want));
         prop_assert_eq!(got, want);
     }

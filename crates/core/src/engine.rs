@@ -262,9 +262,15 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         } else {
             // Re-project each branch's rows onto the execution schema
             // (the projection plus any non-projected ORDER BY key — the
-            // shared seam drops the extras after sorting).
-            for part in &parts {
-                part.rel.project_into(&plan.exec_vars, &mut all_rows);
+            // shared seam drops the extras after sorting). Rows already in
+            // that schema are moved, not copied, while nothing is ahead of
+            // them.
+            for part in &mut parts {
+                if part.rel.vars == plan.exec_vars && all_rows.is_empty() {
+                    all_rows = std::mem::take(&mut part.rel.rows);
+                } else {
+                    part.rel.project_into(&plan.exec_vars, &mut all_rows);
+                }
             }
         }
         stats.n_results = all_rows.len();

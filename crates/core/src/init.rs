@@ -218,9 +218,9 @@ impl TpState {
         self.unfold_var_with(var, mask, &mut scratch);
     }
 
-    /// [`TpState::unfold_var`] through caller-owned kernel scratch: rows
-    /// are rewritten in place ([`lbr_bitmat::BitRow::and_mask_in_place`])
-    /// with clipped-mask semantics, so no mask copy and no row rebuild is
+    /// [`TpState::unfold_var`] through caller-owned kernel scratch: each
+    /// matrix's arena is rewritten in place ([`BitMat::unfold_with`]) with
+    /// clipped-mask semantics, so no mask copy and no row rebuild is
     /// allocated in the steady state.
     pub fn unfold_var_with(&mut self, var: VarId, mask: &BitVec, scratch: &mut SetScratch) {
         match &mut self.data {
@@ -489,14 +489,14 @@ fn load_tp(
             let present = known
                 && catalog
                     .row(Family::Po, s_id.unwrap(), p_id.unwrap())?
-                    .is_some_and(|row| row.contains(o_id.unwrap()));
+                    .is_some_and(|row| row.as_ref().contains(o_id.unwrap()));
             TpData::Zero { present }
         }
         // (?v f1 f2): subject candidates from one P-S row.
         (Some(v), None, None) => {
             let cands = if known {
                 match catalog.row(Family::Ps, o_id.unwrap(), p_id.unwrap())? {
-                    Some(row) => row.to_bitvec(),
+                    Some(row) => row.as_ref().to_bitvec(),
                     None => BitVec::zeros(dims.n_subjects),
                 }
             } else {
@@ -512,7 +512,7 @@ fn load_tp(
         (None, None, Some(v)) => {
             let cands = if known {
                 match catalog.row(Family::Po, s_id.unwrap(), p_id.unwrap())? {
-                    Some(row) => row.to_bitvec(),
+                    Some(row) => row.as_ref().to_bitvec(),
                     None => BitVec::zeros(dims.n_objects),
                 }
             } else {
@@ -552,7 +552,7 @@ fn load_tp(
             let mut cands = BitVec::zeros(dims.n_subjects);
             if known {
                 if let Some(mat) = catalog.matrix(Family::So, p_id.unwrap())? {
-                    for &(r, ref row) in mat.rows() {
+                    for (r, row) in mat.rows() {
                         if r < dims.n_shared && row.contains(r) {
                             cands.set(r);
                         }
@@ -592,7 +592,7 @@ fn load_tp(
             if known {
                 if let Some(mat) = catalog.matrix(Family::Po, s_id.unwrap())? {
                     let o = o_id.unwrap();
-                    for &(r, ref row) in mat.rows() {
+                    for (r, row) in mat.rows() {
                         if row.contains(o) {
                             cands.set(r);
                         }
@@ -772,8 +772,7 @@ mod tests {
             f: Family,
             key: u32,
             r: u32,
-        ) -> Result<Option<std::borrow::Cow<'_, lbr_bitmat::BitRow>>, lbr_bitmat::BitMatError>
-        {
+        ) -> Result<Option<lbr_bitmat::CowRow<'_>>, lbr_bitmat::BitMatError> {
             self.count();
             self.inner.row(f, key, r)
         }

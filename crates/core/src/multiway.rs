@@ -24,8 +24,9 @@
 //! `d` of the recursion takes `order[d]`. The same pass fixes each matrix
 //! TP's read direction — one reached through its column variable alone is
 //! transposed in place (`TpState::transpose`) — so every candidate is
-//! read **forward, directly off the compressed BitMat rows**
-//! ([`lbr_bitmat::BitRow::iter_ones`] cursors), or tested by a membership
+//! read **forward, directly off the compressed rows in each BitMat's
+//! arena** ([`lbr_bitmat::RowRef::iter_ones`] cursors, lent without a
+//! copy), or tested by a membership
 //! probe. There are no transposed copies, candidate vectors or adjacency
 //! lists; the only per-row allocation left in the steady state is the
 //! pushed result row itself (assembled in a reusable buffer first).
@@ -33,7 +34,7 @@
 use crate::bindings::{Binding, VarId, VarTable};
 use crate::filter_eval::{self, VarLookup};
 use crate::init::{Axes, TpData, TpState};
-use lbr_bitmat::{BitMat, BitRow, CubeDims};
+use lbr_bitmat::{BitMat, CubeDims, RowRef};
 use lbr_rdf::{Dictionary, Dimension, Term};
 use lbr_sparql::algebra::Expr;
 use lbr_sparql::gosn::{Gosn, SnId, TpId};
@@ -547,7 +548,7 @@ fn read_forward(ctx: &mut Ctx<'_, '_>, depth: usize, tp: TpId, axes: Axes, mat: 
                     break;
                 }
                 any = true;
-                let b = Binding::new(*r, axes.row_dim, n_shared);
+                let b = Binding::new(r, axes.row_dim, n_shared);
                 ctx.bind(axes.row_var, Slot::Val(b), tp);
                 read_row(ctx, depth, tp, axes, row);
                 ctx.unbind(axes.row_var);
@@ -561,7 +562,7 @@ fn read_forward(ctx: &mut Ctx<'_, '_>, depth: usize, tp: TpId, axes: Axes, mat: 
 }
 
 /// Binds the column variable to each ID of `row` in turn and descends.
-fn read_row(ctx: &mut Ctx<'_, '_>, depth: usize, tp: TpId, axes: Axes, row: &BitRow) {
+fn read_row(ctx: &mut Ctx<'_, '_>, depth: usize, tp: TpId, axes: Axes, row: RowRef<'_>) {
     let n_shared = ctx.inp.dims.n_shared;
     for c in row.iter_ones() {
         let b = Binding::new(c, axes.col_dim, n_shared);

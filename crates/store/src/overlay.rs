@@ -4,17 +4,19 @@
 //! this implementation answers every load with *base segments + inserts −
 //! tombstones*, exactly like [`BitMatStore`] answers them (`None` for
 //! empty). Rows untouched by the delta are the base's compressed rows
-//! as they are; a touched row is edited at run level ([`BitRow::edit`]:
-//! `(base ∪ ins) ∖ tomb` over runs or sparse positions, never decoded bit
-//! by bit) into the representation a rebuild would pick — so the result of
-//! every load is **bit-for-bit identical** to what a `BitMatStore` built
-//! from the merged triples would return, which is what keeps all five
-//! engines byte-equivalent to a from-scratch rebuild.
+//! as they are; a touched row is edited at run level (`(base ∪ ins) ∖
+//! tomb` over runs or sparse positions, never decoded bit by bit) into the
+//! representation a rebuild would pick — so the result of every load is
+//! **bit-for-bit identical** to what a `BitMatStore` built from the merged
+//! triples would return, which is what keeps all five engines
+//! byte-equivalent to a from-scratch rebuild.
 //!
 //! A load the delta does not touch is the base catalog's own answer
-//! handed through — a heap matrix borrowed, a mapped one decoded once — so
-//! the overlay never adds a copy of a base matrix on either medium, and
-//! with an empty delta its overhead is one branch per load.
+//! handed through — a heap matrix or row lent, a mapped matrix decoded
+//! once, a mapped row lent in place — so the overlay never adds a copy of
+//! a base matrix or row on either medium, and with an empty delta its
+//! overhead is one branch per load. The one row it owns is a row the delta
+//! edited ([`BitRow::edit`]).
 //!
 //! `init`'s masked load ([`Catalog::masked`]) is where the merge happens:
 //! the base answers its own masked load (reading only the rows the masks
@@ -23,15 +25,17 @@
 //! The delta is read per kept row, either by probing the row mask's set
 //! bits ([`crate::TripleSet::cols`]) or in one walk over the key's changes
 //! ([`Delta::changed_rows`]), whichever reads less; nothing is collected or
-//! re-sorted. The masked base is private, so the merge edits it in place:
-//! touched rows are rewritten where they stand, rows new to the base are
-//! merged in with one pass, and untouched rows never move. A whole-matrix
-//! load of a touched key is the masked load with no mask.
+//! re-sorted. The merge is one pass that writes a new arena, sized up
+//! front: the masked base's rows are copied into it in order, and each
+//! touched or new row is edited straight into it ([`BitMat::push_edit`]),
+//! so a merge allocates the same few vectors however many rows it
+//! touches. A whole-matrix load of a touched key is the masked load with
+//! no mask.
 
 use crate::delta::Delta;
 use lbr_bitmat::{
-    BitMat, BitMatError, BitMatStore, BitRow, BitVec, Catalog, CubeDims, DiskCatalog, Family,
-    SetScratch,
+    BitMat, BitMatError, BitMatStore, BitRow, BitVec, Catalog, CowRow, CubeDims, DiskCatalog,
+    Family, SetScratch,
 };
 use lbr_rdf::EncodedTriple;
 use std::borrow::Cow;
@@ -85,7 +89,7 @@ impl SegmentSource {
     /// base triple as an insert.
     pub fn contains(&self, e: EncodedTriple) -> Result<bool, BitMatError> {
         let row = self.catalog().row(Family::Po, e.s, e.p)?;
-        Ok(row.is_some_and(|r| r.contains(e.o)))
+        Ok(row.is_some_and(|r| r.as_ref().contains(e.o)))
     }
 }
 
@@ -161,26 +165,29 @@ impl Catalog for OverlayCatalog {
         // descends both ordered sets (about log₂ of the delta's size steps),
         // a walk step reads one change.
         let (_, n_rows, n_cols) = f.shape(&self.dims);
-        let base_rows = base.map_or_else(Vec::new, BitMat::into_rows);
+        let base = base.unwrap_or_else(|| BitMat::empty(n_rows, n_cols));
         let (ins, tomb) = (&self.delta.inserts, &self.delta.tombstones);
         let probe_steps = u64::from(self.delta.len().max(2).ilog2());
+        // A change adds at most one row, and the row mask bounds them too.
+        let new_rows = rows.map_or(changes, |m| changes.min(u64::from(m.count_ones())));
+        let new_rows = usize::try_from(new_rows).unwrap_or(usize::MAX);
         let merged = match rows {
             Some(mask) if u64::from(mask.count_ones()) * probe_steps < changes => {
                 let probed = mask
                     .iter_ones()
                     .map(|r| (r, ins.cols(f, key, r), tomb.cols(f, key, r)));
-                merge(base_rows, probed, cols, n_cols)
+                merge(&base, probed, new_rows, cols)
             }
             _ => {
                 let changed = self.delta.changed_rows(f, key);
                 let kept = changed.filter(|row| rows.is_none_or(|m| m.get(row.0)));
-                merge(base_rows, kept, cols, n_cols)
+                merge(&base, kept, new_rows, cols)
             }
         };
-        Ok((!merged.is_empty()).then(|| BitMat::from_rows(n_rows, n_cols, merged)))
+        Ok((!merged.is_empty()).then_some(merged))
     }
 
-    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<Cow<'_, BitRow>>, BitMatError> {
+    fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<CowRow<'_>>, BitMatError> {
         let base = self.segments.catalog().row(f, key, r)?;
         if self.delta.is_empty() {
             return Ok(base);
@@ -191,7 +198,8 @@ impl Catalog for OverlayCatalog {
             return Ok(base);
         }
         let (_, _, n_cols) = f.shape(&self.dims);
-        Ok(BitRow::edit(base.as_deref(), n_cols, ins, tomb).map(Cow::Owned))
+        let base = base.as_ref().map(CowRow::as_ref);
+        Ok(BitRow::edit(base, n_cols, ins, tomb).map(CowRow::Owned))
     }
 
     /// Base plus inserts minus tombstones, saturating: the base counts of a
@@ -211,79 +219,45 @@ impl Catalog for OverlayCatalog {
 }
 
 /// Merges `changes` — ascending rows, each with its inserted and its
-/// tombstoned columns — into `rows`, the masked base's non-empty rows
-/// (ascending), in place; only the inserts the column mask `cols` keeps
-/// are merged. A changed base row is rewritten by [`BitRow::edit`] where
-/// it stands, and dropped if nothing is left of it; rows new to the base
-/// are collected and merged in with one pass, only when there are any.
-/// Other rows do not move.
+/// tombstoned columns — into `base`, the masked base, as a new matrix;
+/// only the inserts the column mask `cols` keeps are merged. Base rows
+/// are copied in order, and a changed or new row is edited straight into
+/// the new arena where it belongs (and left out if nothing is left of it).
+///
+/// The arena is allocated once for `base` plus `new_rows` more rows of
+/// two words each (a change that opens a run or splits one adds two);
+/// it grows only when the edits add more than that.
 fn merge<I, T>(
-    mut rows: Vec<(u32, BitRow)>,
+    base: &BitMat,
     changes: impl Iterator<Item = (u32, I, T)>,
+    new_rows: usize,
     cols: Option<&BitVec>,
-    n_cols: u32,
-) -> Vec<(u32, BitRow)>
+) -> BitMat
 where
     I: Iterator<Item = u32> + Clone,
     T: Iterator<Item = u32> + Clone,
 {
-    let mut new_rows: Vec<(u32, BitRow)> = Vec::new();
-    let (mut at, mut emptied) = (0usize, false);
+    let mut out = BitMat::with_capacity(
+        base.n_rows(),
+        base.n_cols(),
+        base.n_present().saturating_add(new_rows),
+        base.arena_words()
+            .saturating_add(new_rows.saturating_mul(2)),
+    );
+    let mut rows = base.rows().peekable();
     for (r, ins, tomb) in changes {
         let ins = ins.filter(|&c| cols.is_none_or(|m| m.get(c)));
         if ins.clone().next().is_none() && tomb.clone().next().is_none() {
             continue;
         }
-        at += seek(&rows[at..], r);
-        match rows.get_mut(at) {
-            Some((id, row)) if *id == r => {
-                *row = BitRow::edit(Some(&*row), n_cols, ins, tomb).unwrap_or_else(|| {
-                    emptied = true;
-                    BitRow::empty(n_cols)
-                });
-            }
-            _ => new_rows.extend(BitRow::edit(None, n_cols, ins, tomb).map(|row| (r, row))),
+        while let Some((id, row)) = rows.next_if(|&(id, _)| id < r) {
+            out.push_row(id, row);
         }
+        let old = rows.next_if(|&(id, _)| id == r).map(|(_, row)| row);
+        out.push_edit(r, old, ins, tomb);
     }
-    if emptied {
-        rows.retain(|(_, row)| !row.is_empty());
-    }
-    if !new_rows.is_empty() {
-        merge_in(&mut rows, new_rows);
-    }
-    rows
-}
-
-/// Index of the first row at or after `r` in ascending `rows`: an
-/// exponential probe from the front, then a binary search inside the
-/// bracket, so a walk over ascending touched rows costs what the rows it
-/// skips imply.
-fn seek(rows: &[(u32, BitRow)], r: u32) -> usize {
-    let mut bound = 1;
-    while bound < rows.len() && rows[bound].0 < r {
-        bound *= 2;
-    }
-    let lo = bound / 2;
-    let hi = (bound + 1).min(rows.len());
-    lo + rows[lo..hi].partition_point(|&(id, _)| id < r)
-}
-
-/// Merges ascending `new_rows`, none of which is in `rows`, into ascending
-/// `rows` in place: one pass from the back, each row moved once.
-fn merge_in(rows: &mut Vec<(u32, BitRow)>, new_rows: Vec<(u32, BitRow)>) {
-    let mut old = rows.len();
-    rows.resize_with(old + new_rows.len(), || (0, BitRow::empty(0)));
-    // Slots `old..free` are free; the largest remaining row fills the last.
-    let mut free = rows.len();
-    for new in new_rows.into_iter().rev() {
-        while old > 0 && rows[old - 1].0 > new.0 {
-            old -= 1;
-            free -= 1;
-            rows.swap(old, free);
-        }
-        free -= 1;
-        rows[free] = new;
-    }
+    rows.for_each(|(id, row)| out.push_row(id, row));
+    out
 }
 
 #[cfg(test)]
@@ -511,7 +485,7 @@ mod tests {
                 }
                 for r in 0..n_rows {
                     if let Some(row) = overlay.row(f, key, r).unwrap() {
-                        assert!(matches!(row, Cow::Borrowed(_)), "{} {key} {r}", f.name());
+                        assert!(matches!(row, CowRow::Borrowed(_)), "{} {key} {r}", f.name());
                         rows += 1;
                     }
                 }

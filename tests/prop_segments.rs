@@ -14,7 +14,7 @@
 //!   family's shape.
 
 use lbr::bitmat::disk::save_store;
-use lbr::bitmat::{BitMat, BitRow, BitVec, SetScratch};
+use lbr::bitmat::{BitMat, BitVec, RowRef, SetScratch};
 use lbr::{BitMatStore, Catalog, DiskCatalog, Family, Graph, Term, Triple};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -94,12 +94,12 @@ impl Drop for TempSeg {
 fn assert_in_shape(m: &BitMat, (n_rows, n_cols): (u32, u32)) {
     assert_eq!((m.n_rows(), m.n_cols()), (n_rows, n_cols), "matrix shape");
     for (r, row) in m.rows() {
-        assert!(*r < n_rows, "row {r} past {n_rows} rows");
+        assert!(r < n_rows, "row {r} past {n_rows} rows");
         assert_row_in_shape(row, n_cols);
     }
 }
 
-fn assert_row_in_shape(row: &BitRow, n_cols: u32) {
+fn assert_row_in_shape(row: RowRef<'_>, n_cols: u32) {
     assert_eq!(row.universe(), n_cols, "row universe");
     assert!(row.iter_ones().all(|c| c < n_cols), "column past {n_cols}");
 }
@@ -138,7 +138,7 @@ fn drain_catalog(cat: &DiskCatalog) {
             let _ = cat.count(f, key);
             for r in 0..n_rows.min(128) {
                 if let Ok(Some(row)) = cat.row(f, key, r) {
-                    assert_row_in_shape(&row, n_cols);
+                    assert_row_in_shape(row.as_ref(), n_cols);
                 }
                 let _ = cat.row_count(f, key, r);
             }
