@@ -24,7 +24,9 @@
 //! delta overlay (5% of the triples re-paired within their predicate as
 //! inserts, 1% deleted, as the `disk_overlay` benchmark builds its
 //! overlay), where each kept row the delta touches is also allowed one
-//! allocation.
+//! allocation. As on the query path, every stage runs through one warm
+//! `PruneScratch`: `init` fills its fold memo and the measured prune starts
+//! from those folds.
 
 use lbr::storage::{Delta, OverlayCatalog};
 use lbr::SegmentSource;
@@ -206,17 +208,28 @@ fn stage_allocs(
     let vt = VarTable::from_tps(gosn.tps()).expect("variable table");
     let est = estimate_all(gosn.tps(), dict, &p.store);
     let jorder = get_jvar_order(gosn, goj, &vt, &est);
-    let (mmap_init, _) =
-        measured_init(|| init(gosn, &vt, &jorder, &est, dict, disk).expect("mmap init"));
+    let dims = p.store.dims();
+    // Warm the pool the way a serving thread's earlier queries do: one
+    // init and one prune of what it loaded.
+    let mut scratch = PruneScratch::new();
+    let warm = init(gosn, &vt, &jorder, &est, dict, &p.store, &mut scratch).expect("warm-up init");
+    if let Some(mut warm) = warm.tps {
+        prune_triples(&mut warm, gosn, goj, &vt, &jorder, &dims, &mut scratch);
+    }
+    let (mmap_init, _) = measured_init(|| {
+        init(gosn, &vt, &jorder, &est, dict, disk, &mut scratch).expect("mmap init")
+    });
     let touching = Touching {
         overlay,
         touched_rows: AtomicU64::new(0),
     };
-    let (mut overlay_init, _) =
-        measured_init(|| init(gosn, &vt, &jorder, &est, dict, &touching).expect("overlay init"));
+    let (mut overlay_init, _) = measured_init(|| {
+        init(gosn, &vt, &jorder, &est, dict, &touching, &mut scratch).expect("overlay init")
+    });
     overlay_init.touched_rows = touching.touched_rows.into_inner();
-    let (heap_init, loaded) =
-        measured_init(|| init(gosn, &vt, &jorder, &est, dict, &p.store).expect("init"));
+    let (heap_init, loaded) = measured_init(|| {
+        init(gosn, &vt, &jorder, &est, dict, &p.store, &mut scratch).expect("init")
+    });
     let mut s = StageAllocs {
         init: heap_init,
         mmap_init,
@@ -225,14 +238,9 @@ fn stage_allocs(
         join: 0,
         join_rows: 0,
     };
-    let Some(loaded) = loaded else {
+    let Some(mut tps) = loaded else {
         return s;
     };
-    let dims = p.store.dims();
-    let mut scratch = PruneScratch::new();
-    let mut warm = loaded.clone();
-    prune_triples(&mut warm, gosn, goj, &vt, &jorder, &dims, &mut scratch);
-    let mut tps = loaded;
     let a0 = allocation_count();
     prune_triples(&mut tps, gosn, goj, &vt, &jorder, &dims, &mut scratch);
     s.prune = allocation_count() - a0;

@@ -166,24 +166,62 @@ impl BitVec {
 
     /// `self |= other`, clipped: bits of `other` beyond `self.len` are
     /// ignored (the in-place equivalent of `or_assign(&other.resized(..))`).
-    pub fn or_clipped(&mut self, other: &BitVec) {
+    /// Returns whether `other` had a set bit at or beyond `self.len`.
+    pub fn or_clipped(&mut self, other: &BitVec) -> bool {
         let n = self.words.len().min(other.words.len());
         for (a, b) in self.words[..n].iter_mut().zip(&other.words[..n]) {
             *a |= b;
         }
+        let mut clipped = other.words[n..].iter().any(|&w| w != 0);
+        let tail = self.len % 64;
+        if tail != 0 && n == self.words.len() {
+            clipped |= other.words[n - 1] >> tail != 0;
+        }
         self.trim_tail();
+        clipped
     }
 
     /// `self &= other`, clipped: bits beyond `other.len` read as zero (the
     /// in-place equivalent of `and_assign(&other.resized(self.len))`).
-    pub fn and_clipped(&mut self, other: &BitVec) {
+    /// Returns whether a set bit was cleared.
+    pub fn and_clipped(&mut self, other: &BitVec) -> bool {
         let n = self.words.len().min(other.words.len());
+        let mut cleared = false;
         for (a, b) in self.words[..n].iter_mut().zip(&other.words[..n]) {
+            cleared |= *a & !b != 0;
             *a &= b;
         }
         for a in self.words[n..].iter_mut() {
+            cleared |= *a != 0;
             *a = 0;
         }
+        cleared
+    }
+
+    /// `self = a & b` in one pass, clipped to `a`'s length: bits of `b`
+    /// beyond it are dropped, and bits of `a` beyond `b`'s length clear
+    /// (so with one `a` this equals `and_clipped` on a copy of it). `self`
+    /// keeps its capacity. Returns whether `b` lost a bit, that is whether
+    /// the result misses a bit set in `b`.
+    pub fn assign_and(&mut self, a: &BitVec, b: &BitVec) -> bool {
+        let n = a.words.len().min(b.words.len());
+        let mut lost = b.words[n..].iter().any(|&w| w != 0);
+        self.words.clear();
+        self.words
+            .extend(a.words[..n].iter().zip(&b.words[..n]).map(|(x, y)| {
+                lost |= y & !x != 0;
+                x & y
+            }));
+        self.words.resize(a.words.len(), 0);
+        self.len = a.len;
+        lost
+    }
+
+    /// `self = other`, reusing this vector's buffer.
+    pub fn copy_from(&mut self, other: &BitVec) {
+        self.words.clear();
+        self.words.extend_from_slice(&other.words);
+        self.len = other.len;
     }
 
     /// A copy resized to `len` bits: truncation drops high bits, extension
@@ -318,6 +356,51 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn set_out_of_range_panics() {
         BitVec::zeros(10).set(10);
+    }
+
+    /// The clipped operations report what they dropped, and `assign_and`
+    /// whether its second operand lost a bit.
+    #[test]
+    fn clipped_ops_report_changes() {
+        let wide = BitVec::from_positions(130, [3, 70]);
+        let mut short = BitVec::zeros(70);
+        assert!(short.or_clipped(&wide), "bit 70 lies beyond 70 bits");
+        assert_eq!(short.iter_ones().collect::<Vec<_>>(), vec![3]);
+        let mut exact = BitVec::zeros(71);
+        assert!(!exact.or_clipped(&wide));
+        let mut tiny = BitVec::zeros(64);
+        assert!(tiny.or_clipped(&wide), "a whole word beyond");
+        assert!(!BitVec::zeros(200).or_clipped(&wide));
+
+        let mut a = BitVec::from_positions(130, [3, 70, 129]);
+        assert!(!a.and_clipped(&BitVec::ones(130)));
+        assert!(
+            a.and_clipped(&BitVec::ones(100)),
+            "bit 129 is beyond the mask"
+        );
+        assert!(!a.and_clipped(&BitVec::ones(100)));
+        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![3, 70]);
+
+        let (x, y) = (
+            BitVec::from_positions(100, [1, 5, 64]),
+            BitVec::from_positions(100, [5, 64]),
+        );
+        let mut out = BitVec::default();
+        assert!(!out.assign_and(&x, &y), "y ⊆ x");
+        assert_eq!(out, y);
+        assert!(out.assign_and(&y, &x), "x loses bit 1");
+        assert_eq!(out, y);
+        let short = BitVec::from_positions(64, [5]);
+        assert!(out.assign_and(&short, &x), "x's bits past 64 are clipped");
+        assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![5]);
+        assert!(!out.assign_and(&x, &short));
+        assert_eq!(
+            (out.len(), out.iter_ones().collect::<Vec<_>>()),
+            (100, vec![5])
+        );
+        let mut copy = BitVec::zeros(3);
+        copy.copy_from(&x);
+        assert_eq!(copy, x);
     }
 
     #[test]

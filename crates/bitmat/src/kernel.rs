@@ -259,8 +259,10 @@ fn gallop_sparse_sparse(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 }
 
 /// Index of the first element `>= v` in ascending `a` (exponential probe,
-/// then binary search within the bracketed window).
-fn gallop_geq(a: &[u32], v: u32) -> usize {
+/// then binary search within the bracketed window). Shared by the
+/// sparse×sparse intersection, [`RowCursor::seek`] and
+/// [`crate::BitMat::seek_row`].
+pub(crate) fn gallop_geq(a: &[u32], v: u32) -> usize {
     if a.first().is_none_or(|&x| x >= v) {
         return 0;
     }

@@ -61,6 +61,9 @@
 //! the kernel's form for one row); the row-level forms — run×run interval
 //! clipping, run×sparse probing, sparse×sparse galloping, and the k-way
 //! leapfrog cursor join — make up the general intersection layer. The
+//! same galloping search serves the join's row lookups
+//! ([`BitMat::seek_row`], which seeks forward from the previous lookup's
+//! slot). The
 //! in-place entry points ([`BitMat::unfold_with`], which compacts a
 //! matrix's arena where it stands, [`BitMat::fold_or_clipped`],
 //! [`BitRow::and_row_into`], [`kernel::intersect_into`]) write into

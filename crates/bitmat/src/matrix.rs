@@ -10,7 +10,7 @@
 //! matrix costs O(1) allocations, not one per row.
 
 use crate::bitvec::BitVec;
-use crate::kernel::{and_mask_compute, SetScratch};
+use crate::kernel::{and_mask_compute, gallop_geq, SetScratch};
 use crate::row::{edit_into, Hybrid, RowRef};
 use std::convert::Infallible;
 
@@ -184,6 +184,24 @@ impl BitMat {
         self.ids.binary_search(&r).ok()
     }
 
+    // lbr-lint: no_alloc — the join's row lookup: a gallop over the ids.
+    /// [`BitMat::row`] for lookups that mostly ascend: `finger` is the slot
+    /// where the previous lookup on this matrix ended (start it at 0). The
+    /// search gallops forward from the finger, and binary-searches the
+    /// slots before it only when `r` lies there; either way the finger
+    /// ends at the first slot whose id is at least `r`.
+    pub fn seek_row(&self, r: u32, finger: &mut usize) -> Option<RowRef<'_>> {
+        let from = (*finger).min(self.ids.len());
+        let k = if from > 0 && self.ids[from - 1] >= r {
+            self.ids[..from].partition_point(|&id| id < r)
+        } else {
+            from + gallop_geq(&self.ids[from..], r)
+        };
+        *finger = k;
+        (self.ids.get(k) == Some(&r)).then(|| self.row_at(k))
+    }
+    // lbr-lint: end
+
     /// Where the body of the row in slot `k` starts.
     fn start_of(&self, k: usize) -> usize {
         k.checked_sub(1).map_or(0, |prev| self.spans[prev].end())
@@ -273,22 +291,26 @@ impl BitMat {
     /// `acc |= fold(BM, dim)`, clipped to `acc.len()` — the in-place fold
     /// kernel: projects straight into a caller-owned accumulator that may
     /// live in a shorter (shared-prefix) binding space, without allocating
-    /// the intermediate mask `fold().resized()` would.
-    pub fn fold_or_clipped(&self, dim: RetainDim, acc: &mut BitVec) {
+    /// the intermediate mask `fold().resized()` would. Returns whether a
+    /// coordinate was clipped.
+    pub fn fold_or_clipped(&self, dim: RetainDim, acc: &mut BitVec) -> bool {
         match dim {
             RetainDim::Row => {
                 // Rows ascend, so the first out-of-space row ends the scan.
                 for &r in &self.ids {
                     if r >= acc.len() {
-                        break;
+                        return true;
                     }
                     acc.set(r);
                 }
+                false
             }
             RetainDim::Col => {
+                let mut clipped = false;
                 for (_, row) in self.rows() {
-                    row.or_into_clipped(acc);
+                    clipped |= row.or_into_clipped(acc);
                 }
+                clipped
             }
         }
     }

@@ -389,11 +389,7 @@ impl<'a> RowRef<'a> {
     /// # Panics
     /// Panics if a set bit lies at or beyond `acc.len()`.
     pub fn or_into(self, acc: &mut BitVec) {
-        let end = match self.body {
-            Body::Sparse(ps) => ps.last().map(|&p| p + 1),
-            Body::Runs(rs) => rs.last().map(|r| r[1]),
-        };
-        if let Some(end) = end {
+        if let Some(end) = self.end() {
             assert!(
                 end <= acc.len(),
                 "bit {} out of range {}",
@@ -404,14 +400,23 @@ impl<'a> RowRef<'a> {
         self.or_into_clipped(acc);
     }
 
+    /// One past the last set bit (`None` for an empty row).
+    fn end(self) -> Option<u32> {
+        match self.body {
+            Body::Sparse(ps) => ps.last().map(|&p| p + 1),
+            Body::Runs(rs) => rs.last().map(|r| r[1]),
+        }
+    }
+
     /// `acc |= self`, clipped: positions at or beyond `acc.len()` are
     /// ignored — the in-place equivalent of OR-ing a truncated copy. The
     /// building block of [`crate::BitMat::fold`], which projects straight
     /// into a (possibly shorter) join-variable binding space.
     ///
     /// Runs are blitted word-wise (`BitVec::set_range`); sparse positions
-    /// are batched into one word-level write per occupied word.
-    pub fn or_into_clipped(self, acc: &mut BitVec) {
+    /// are batched into one word-level write per occupied word. Returns
+    /// whether a position was clipped.
+    pub fn or_into_clipped(self, acc: &mut BitVec) -> bool {
         let len = acc.len();
         match self.body {
             Body::Sparse(ps) => {
@@ -437,6 +442,7 @@ impl<'a> RowRef<'a> {
                 }
             }
         }
+        self.end().is_some_and(|end| end > len)
     }
 
     /// Expands to a dense mask (used by fold of single-row loads and tests).

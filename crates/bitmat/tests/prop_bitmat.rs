@@ -1,6 +1,7 @@
 //! Property tests: compressed rows and matrices must agree with a naive
 //! uncompressed model on every operation, the run-aware set-algebra
-//! kernels must agree with the dense [`BitVec`] oracle, a heap row and the
+//! kernels must agree with the dense [`BitVec`] oracle, the finger seek must
+//! agree with the plain row lookup, a heap row and the
 //! same row read from its segment words must agree on every read kernel,
 //! and the segment word codec must be lossless.
 
@@ -289,8 +290,11 @@ proptest! {
         let m = BitMat::from_sorted_pairs(64, 80, &pairs);
         for dim in [RetainDim::Row, RetainDim::Col] {
             let mut acc = BitVec::zeros(space);
-            m.fold_or_clipped(dim, &mut acc);
+            let clipped = m.fold_or_clipped(dim, &mut acc);
             prop_assert_eq!(acc, m.fold(dim).resized(space));
+            // It reports whether a coordinate lay beyond the space.
+            let coord = |&(r, c): &(u32, u32)| if dim == RetainDim::Row { r } else { c };
+            prop_assert_eq!(clipped, pairs.iter().map(coord).any(|x| x >= space));
         }
         // unfold_with on a short/long mask == unfold on the resized mask.
         let mask = BitVec::from_positions(space, mask_bits.iter().copied().filter(|&p| p < space));
@@ -391,6 +395,42 @@ proptest! {
         }
         for n in 0..words.len() {
             prop_assert!(RowRef::parse(&words[..n], 400).is_none(), "truncated to {} words", n);
+        }
+    }
+
+    /// `seek_row` answers what `row` does for any lookup sequence —
+    /// ascending, descending, repeated or arbitrary ids, present or absent,
+    /// from any starting finger including one past the last row — and
+    /// leaves the finger at the first slot whose id is at least the one
+    /// sought.
+    #[test]
+    fn seek_row_agrees_with_row(
+        pairs in prop::collection::btree_set((0u32..48, 0u32..20), 0..80),
+        lookups in prop::collection::vec(0u32..56, 0..40),
+        order in 0u8..3,
+        start in 0usize..64,
+    ) {
+        let pairs: Vec<(u32, u32)> = pairs.into_iter().collect();
+        let m = BitMat::from_sorted_pairs(56, 20, &pairs);
+        let ids: Vec<u32> = m.rows().map(|(id, _)| id).collect();
+        let mut lookups = lookups;
+        match order {
+            0 => lookups.sort_unstable(),
+            1 => lookups.sort_unstable_by(|a, b| b.cmp(a)),
+            _ => {}
+        }
+        // Repeat every other lookup at once.
+        let lookups: Vec<u32> = lookups
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &r)| std::iter::repeat_n(r, 1 + i % 2))
+            .collect();
+        let mut finger = start;
+        for r in lookups {
+            let got = m.seek_row(r, &mut finger).map(|row| row.iter_ones().collect::<Vec<_>>());
+            let want = m.row(r).map(|row| row.iter_ones().collect::<Vec<_>>());
+            prop_assert_eq!(got, want, "row {}", r);
+            prop_assert_eq!(finger, ids.partition_point(|&id| id < r), "finger after row {}", r);
         }
     }
 

@@ -36,10 +36,10 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 thread_local! {
-    /// Per-thread prune scratch pool: one per serving/worker thread, so
-    /// repeated queries reuse the fold/intersection buffers across
-    /// executions (the zero-allocation steady state on the cached-plan
-    /// serving path).
+    /// Per-thread scratch pool of `init` and prune: one per
+    /// serving/worker thread, so repeated queries reuse the fold memo's
+    /// buffers, the β mask and the work lists across executions (the
+    /// zero-allocation steady state on the cached-plan serving path).
     static PRUNE_SCRATCH: RefCell<PruneScratch> = RefCell::new(PruneScratch::new());
 }
 
@@ -339,7 +339,9 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     /// their children unbounded.
     fn exec_node(&self, node: &PlanNode, quota: Option<usize>) -> Result<PartResult, LbrError> {
         match node {
-            PlanNode::Connected(cp) => self.eval_connected(cp, quota),
+            PlanNode::Connected(cp) => {
+                PRUNE_SCRATCH.with_borrow_mut(|scratch| self.eval_connected(cp, quota, scratch))
+            }
             PlanNode::Join(l, r) => {
                 let a = self.exec_node(l, None)?;
                 let b = self.exec_node(r, None)?;
@@ -393,10 +395,14 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     /// leave fewer than available); if nullification unexpectedly fires
     /// as the safety net on a quota-truncated run, the join is re-run
     /// unbounded so correctness never depends on the bound.
+    ///
+    /// `scratch` is the thread's pool; `init` fills its fold memo and
+    /// prune starts from it.
     fn eval_connected(
         &self,
         cp: &ConnectedPlan,
         quota: Option<usize>,
+        scratch: &mut PruneScratch,
     ) -> Result<PartResult, LbrError> {
         let analyzed = &cp.analyzed;
         let gosn = &analyzed.gosn;
@@ -422,7 +428,15 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
 
         // init with active pruning; it stops at an empty absolute master.
         let t = Instant::now();
-        let loaded = init(gosn, vt, jorder, estimates, self.dict, self.catalog)?;
+        let loaded = init(
+            gosn,
+            vt,
+            jorder,
+            estimates,
+            self.dict,
+            self.catalog,
+            scratch,
+        )?;
         let init_attrs = [
             ("tps_loaded", loaded.tps_loaded),
             ("triples_loaded", loaded.triples_loaded),
@@ -450,24 +464,14 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             return aborted(stats);
         }
 
-        // prune_triples, through the thread's long-lived scratch pool:
-        // fold masks, intersection results and work lists are reused
+        // prune_triples, through the thread's long-lived scratch pool: it
+        // starts from the folds init memoized, and its buffers are reused
         // across every jvar of both passes — and, because the pool is
         // thread-local, across *queries* on a serving thread (no
         // allocation in the steady-state inner loop once warm).
         let t = Instant::now();
-        let (outcome, intersections) = PRUNE_SCRATCH.with_borrow_mut(|prune_scratch| {
-            let outcome = prune_triples(
-                &mut tps,
-                gosn,
-                &analyzed.goj,
-                vt,
-                jorder,
-                &dims,
-                prune_scratch,
-            );
-            (outcome, prune_scratch.intersections())
-        });
+        let outcome = prune_triples(&mut tps, gosn, &analyzed.goj, vt, jorder, &dims, scratch);
+        let intersections = scratch.intersections();
         let t_prune = t.elapsed();
         stats.prune_intersections = intersections;
         stats.triples_after_pruning = tps.iter().map(TpState::count).sum();

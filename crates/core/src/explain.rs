@@ -171,15 +171,16 @@ fn explain_connected(out: &mut String, cp: &ConnectedPlan) {
     let _ = writeln!(out, "init load order: {}", order_s.join(" → "));
 
     // Planned kernel work of the prune phase, statically derivable
-    // from the GoSN/GoJ via the sweep shared with `prune_triples`
-    // (the runtime `prune_intersections` counter in `--stats` and
-    // `/stats` reports what actually ran —
-    // data-empty folds can skip planned operations).
+    // from the GoSN/GoJ via the sweep shared with `prune_triples`. These
+    // are upper bounds: an operation whose inputs have not changed since
+    // it last ran is skipped (EXPLAIN ANALYZE prints how many ran, and
+    // the runtime `prune_intersections` counter the ANDs executed).
     let ops = crate::prune::planned_prune_ops(gosn, &analyzed.goj, vt, jorder);
     let _ = writeln!(
         out,
         "prune plan: {} semi-join(s) + {} clustered-semi-join(s) \
-         over both jvar passes (run-aware compressed-set kernels)",
+         over both jvar passes (planned upper bounds: an operation whose \
+         inputs are unchanged since it last ran is skipped)",
         ops.semi_joins, ops.clustered_groups,
     );
 }
@@ -277,11 +278,13 @@ fn render_component(out: &mut String, cp: &ConnectedPlan, group: &[lbr_obs::Span
         let pass = s.attr("pass").unwrap_or(0);
         let _ = writeln!(
             out,
-            "    pass {} ({}): {}µs over {} jvar(s)",
+            "    pass {} ({}): {}µs over {} jvar(s), {} operation(s) ran, {} skipped",
             pass + 1,
             if pass == 0 { "bottom-up" } else { "top-down" },
             s.dur_us,
             s.attr("jvars").unwrap_or(0),
+            s.attr("ran").unwrap_or(0),
+            s.attr("skipped").unwrap_or(0),
         );
     }
     let tps = cp.analyzed.gosn.tps();
@@ -517,6 +520,9 @@ mod tests {
         assert!(text.contains("prune: "), "{text}");
         assert!(text.contains("pass 1 (bottom-up)"), "{text}");
         assert!(text.contains("pass 2 (top-down)"), "{text}");
+        // Nothing changes after the bottom-up pass here, so the top-down
+        // pass skips every operation.
+        assert!(text.contains("0 operation(s) ran, 3 skipped"), "{text}");
         assert!(
             text.contains("TP cardinality, estimated vs actual:"),
             "{text}"

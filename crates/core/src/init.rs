@@ -26,14 +26,30 @@
 //! and the first absolute-master TP that is empty after its load ends
 //! `init`: §5's "simple optimization" aborts before the remaining TPs are
 //! read.
+//!
+//! Every fold a mask takes goes through the query's fold memo (held by
+//! [`PruneScratch`]), keyed by TP, variable and binding space and stamped
+//! with the TP's generation ([`TpState::gen`]). A TP that masks several
+//! later loads is folded once, and `prune_triples` starts from the same
+//! folds.
 
 use crate::bindings::{op_space_len, VarId, VarTable};
 use crate::error::LbrError;
 use crate::jvar_order::JvarOrder;
+use crate::prune::{FoldMemo, PruneScratch};
 use lbr_bitmat::{BitMat, BitVec, Catalog, CubeDims, Family, RetainDim, SetScratch};
 use lbr_rdf::{Dictionary, Dimension};
 use lbr_sparql::algebra::{TermPattern, TriplePattern};
 use lbr_sparql::gosn::{Gosn, TpId};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The one source of [`TpState::gen`] in the process, so that two states
+/// carrying the same generation are copies of one load, unchanged since.
+static NEXT_GEN: AtomicU64 = AtomicU64::new(0);
+
+fn next_gen() -> u64 {
+    NEXT_GEN.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The oriented shape of a two-dimensional TP matrix: its rows bind
 /// `row_var` in `row_dim`, its columns bind `col_var` in `col_dim`.
@@ -111,11 +127,29 @@ pub enum TpData {
 pub struct TpState {
     /// TP index in the query.
     pub id: TpId,
-    /// Loaded data.
-    pub data: TpData,
+    /// Loaded data; only this type's methods change it.
+    pub(crate) data: TpData,
+    /// Generation of `data`: drawn when the TP loads and redrawn by every
+    /// method that removes a triple or transposes it.
+    gen: u64,
 }
 
 impl TpState {
+    /// The loaded data.
+    pub fn data(&self) -> &TpData {
+        &self.data
+    }
+
+    /// The generation of this state's triples: drawn from one process-wide
+    /// counter when the TP loads, redrawn whenever a triple is removed
+    /// ([`TpState::unfold_var_with`]) or the matrices are transposed. Two
+    /// states with equal generations hold identical triples, across
+    /// clones and across queries, so a fold computed at one generation
+    /// stays valid until it changes.
+    pub fn gen(&self) -> u64 {
+        self.gen
+    }
+
     /// Number of triples currently matching the TP.
     pub fn count(&self) -> u64 {
         match &self.data {
@@ -126,9 +160,15 @@ impl TpState {
         }
     }
 
-    /// True when no triples remain.
+    /// True when no triples remain; unlike [`TpState::count`], this never
+    /// counts a candidate set's bits.
     pub fn is_empty(&self) -> bool {
-        self.count() == 0
+        match &self.data {
+            TpData::Zero { present } => !present,
+            TpData::One { cands, .. } => cands.is_zero(),
+            TpData::Two { mat, .. } => mat.is_empty(),
+            TpData::Three { mats, .. } => mats.iter().all(|(_, m)| m.is_empty()),
+        }
     }
 
     /// Variables with their position dimensions (an owned, non-allocating
@@ -158,52 +198,50 @@ impl TpState {
     /// Allocating convenience wrapper over [`TpState::fold_var_into`].
     pub fn fold_var(&self, var: VarId, space_len: u32) -> Option<BitVec> {
         let mut acc = BitVec::zeros(0);
-        self.fold_var_into(var, space_len, &mut acc).then_some(acc)
+        self.fold_var_into(var, space_len, &mut acc).map(|_| acc)
     }
 
     /// `fold` straight into a caller-owned accumulator: `acc` is reset to
     /// `space_len` bits and filled with the projection of `var`'s bindings,
-    /// clipped into that space. Returns `false` when this TP does not bind
+    /// clipped into that space. Returns whether a binding lay at or beyond
+    /// `space_len` and was clipped, or `None` when this TP does not bind
     /// `var` — `acc` is then **untouched** (it may still hold a previous
-    /// fold), so only read it on `true`. Steady-state calls perform no
-    /// heap allocation once `acc` has reached its high-water capacity.
-    pub fn fold_var_into(&self, var: VarId, space_len: u32, acc: &mut BitVec) -> bool {
+    /// fold). Steady-state calls perform no heap allocation once `acc` has
+    /// reached its high-water capacity.
+    pub fn fold_var_into(&self, var: VarId, space_len: u32, acc: &mut BitVec) -> Option<bool> {
         match &self.data {
-            TpData::Zero { .. } => false,
+            TpData::Zero { .. } => None,
             TpData::One { var: v, cands, .. } => {
                 if *v != var {
-                    return false;
+                    return None;
                 }
                 acc.reset(space_len);
-                acc.or_clipped(cands);
-                true
+                Some(acc.or_clipped(cands))
             }
             TpData::Two { axes, mat } => {
-                let Some(dim) = axes.retain_dim(var) else {
-                    return false;
-                };
+                let dim = axes.retain_dim(var)?;
                 acc.reset(space_len);
-                mat.fold_or_clipped(dim, acc);
-                true
+                Some(mat.fold_or_clipped(dim, acc))
             }
             TpData::Three { p_var, axes, mats } => {
+                let mut clipped = false;
                 if *p_var == var {
                     acc.reset(space_len);
-                    for (pid, m) in mats {
-                        if !m.is_empty() && *pid < space_len {
+                    for (pid, _) in mats.iter().filter(|(_, m)| !m.is_empty()) {
+                        if *pid < space_len {
                             acc.set(*pid);
+                        } else {
+                            clipped = true;
                         }
                     }
-                    true
-                } else if let Some(dim) = axes.retain_dim(var) {
+                } else {
+                    let dim = axes.retain_dim(var)?;
                     acc.reset(space_len);
                     for (_, m) in mats {
-                        m.fold_or_clipped(dim, acc);
+                        clipped |= m.fold_or_clipped(dim, acc);
                     }
-                    true
-                } else {
-                    false
                 }
+                Some(clipped)
             }
         }
     }
@@ -221,30 +259,38 @@ impl TpState {
     /// [`TpState::unfold_var`] through caller-owned kernel scratch: each
     /// matrix's arena is rewritten in place ([`BitMat::unfold_with`]) with
     /// clipped-mask semantics, so no mask copy and no row rebuild is
-    /// allocated in the steady state.
+    /// allocated in the steady state. Redraws the generation when a triple
+    /// was removed.
     pub fn unfold_var_with(&mut self, var: VarId, mask: &BitVec, scratch: &mut SetScratch) {
-        match &mut self.data {
-            TpData::Zero { .. } => {}
-            TpData::One { var: v, cands, .. } => {
-                if *v == var {
-                    cands.and_clipped(mask);
-                }
-            }
-            TpData::Two { axes, mat } => {
-                if let Some(dim) = axes.retain_dim(var) {
-                    mat.unfold_with(mask, dim, scratch);
-                }
-            }
+        let total =
+            |mats: &[(u32, BitMat)]| -> u64 { mats.iter().map(|(_, m)| m.triple_count()).sum() };
+        let removed = match &mut self.data {
+            TpData::Zero { .. } => false,
+            TpData::One { var: v, cands, .. } => *v == var && cands.and_clipped(mask),
+            TpData::Two { axes, mat } => axes.retain_dim(var).is_some_and(|dim| {
+                let before = mat.triple_count();
+                mat.unfold_with(mask, dim, scratch);
+                mat.triple_count() < before
+            }),
             TpData::Three { p_var, axes, mats } => {
                 if *p_var == var {
+                    let before = mats.len();
                     mats.retain(|(pid, _)| mask.get(*pid));
+                    mats.len() < before
                 } else if let Some(dim) = axes.retain_dim(var) {
+                    let before = total(mats);
                     for (_, m) in mats.iter_mut() {
                         m.unfold_with(mask, dim, scratch);
                     }
                     mats.retain(|(_, m)| !m.is_empty());
+                    total(mats) < before
+                } else {
+                    false
                 }
             }
+        };
+        if removed {
+            self.gen = next_gen();
         }
     }
 
@@ -268,6 +314,7 @@ impl TpState {
             TpData::Two { axes, mat } => flip(axes, std::iter::once(mat)),
             TpData::Three { axes, mats, .. } => flip(axes, mats.iter_mut().map(|(_, m)| m)),
         }
+        self.gen = next_gen();
     }
 }
 
@@ -337,6 +384,10 @@ fn var_ids(tp: &TriplePattern, vt: &VarTable) -> [Option<VarId>; 3] {
 
 /// Loads every TP with active pruning, in [`load_order`], stopping at the
 /// first absolute-master TP that is empty after its load.
+///
+/// `scratch` is the query's prune scratch: its fold memo is cleared here
+/// and then filled with the folds the masks take, for
+/// [`crate::prune::prune_triples`] to reuse.
 pub fn init(
     gosn: &Gosn,
     vt: &VarTable,
@@ -344,14 +395,16 @@ pub fn init(
     estimates: &[u64],
     dict: &Dictionary,
     catalog: &impl Catalog,
+    scratch: &mut PruneScratch,
 ) -> Result<InitOutcome, LbrError> {
     let dims = catalog.dims();
     let order = load_order(gosn, vt, estimates);
     let mut tps: Vec<Option<TpState>> = vec![None; gosn.n_tps()];
+    let memo = &mut scratch.memo;
+    memo.clear();
     // Mask buffers and kernel scratch reused across every TP: masking
     // allocates only up to the high-water mask size.
     let mut masks = Masks::default();
-    let mut scratch = SetScratch::default();
     let mut out = InitOutcome {
         tps: None,
         tps_loaded: 0,
@@ -364,7 +417,7 @@ pub fn init(
             loaded: &tps,
             dims: &dims,
         };
-        let state = load_tp(vt, jorder, dict, catalog, &feed, &mut masks, &mut scratch)?;
+        let state = load_tp(vt, jorder, dict, catalog, &feed, &mut masks, memo)?;
         let kept = state.count();
         out.tps_loaded += 1;
         out.triples_loaded += kept;
@@ -389,14 +442,38 @@ fn const_id(dict: &Dictionary, t: &TermPattern, dim: Dimension) -> Option<u32> {
     t.as_const().and_then(|c| dict.id(c, dim))
 }
 
-/// The mask buffers of the TP being loaded, one per variable position
-/// (`preds` serves `(?s ?p ?o)`'s predicate), plus a fold buffer.
+/// The buffers of the TP being loaded: one mask per variable position
+/// (`preds` serves `(?s ?p ?o)`'s predicate) and the masked loads' kernel
+/// scratch. A mask fed by one TP is that TP's memoized fold and uses no
+/// buffer.
 #[derive(Default)]
 struct Masks {
     rows: BitVec,
     cols: BitVec,
     preds: BitVec,
-    fold: BitVec,
+    set: SetScratch,
+}
+
+/// Where a mask [`Feed::mask`] built lives.
+#[derive(Clone, Copy)]
+enum MaskAt {
+    /// No loaded master or peer holds the variable: load it unmasked.
+    Unmasked,
+    /// One did: its fold, in the memo slot.
+    Memo(usize),
+    /// Several did: the AND of their folds, in the mask buffer.
+    Buffer,
+}
+
+impl MaskAt {
+    /// The mask itself, read from `buf` or `memo`.
+    fn get<'m>(self, buf: &'m BitVec, memo: &'m FoldMemo) -> Option<&'m BitVec> {
+        match self {
+            MaskAt::Unmasked => None,
+            MaskAt::Memo(slot) => Some(memo.bits(slot)),
+            MaskAt::Buffer => Some(buf),
+        }
+    }
 }
 
 /// What active pruning knows when TP `tp` is about to load: the TPs loaded
@@ -409,19 +486,16 @@ struct Feed<'a> {
 }
 
 impl Feed<'_> {
-    /// The mask of `var` at dimension `dim` of the TP being loaded, built in
-    /// `acc`: the clipped AND of `fold_var_into` over every loaded master
-    /// or peer holding `var`, each fold in the pair's common space (full S,
-    /// full O, or the shared prefix of a mixed join). `None` when no such
-    /// TP exists, and the dimension loads unmasked.
-    fn mask<'m>(
-        &self,
-        var: VarId,
-        dim: Dimension,
-        acc: &'m mut BitVec,
-        fold: &mut BitVec,
-    ) -> Option<&'m BitVec> {
-        let mut any = false;
+    /// The mask of `var` at dimension `dim` of the TP being loaded: the
+    /// clipped AND of the folds of every loaded master or peer holding
+    /// `var`, each fold in the pair's common space (full S, full O, or the
+    /// shared prefix of a mixed join). Each fold is read from `memo`, so a
+    /// TP is folded once per variable and space however many later loads
+    /// it masks. One fold is the mask as it stands in the memo; the AND of
+    /// several is built in `buf`. [`MaskAt::Unmasked`] when no such TP
+    /// exists, and the dimension loads unmasked.
+    fn mask(&self, var: VarId, dim: Dimension, buf: &mut BitVec, memo: &mut FoldMemo) -> MaskAt {
+        let mut at = MaskAt::Unmasked;
         for (id, other) in self.loaded.iter().enumerate() {
             let Some(other) = other else { continue };
             if !(self.gosn.tp_is_master_of(id, self.tp) || self.gosn.tp_are_peers(id, self.tp)) {
@@ -431,14 +505,22 @@ impl Feed<'_> {
                 continue;
             };
             let space_len = op_space_len(self.dims, [dim, o_dim]);
-            if any {
-                other.fold_var_into(var, space_len, fold);
-                acc.and_clipped(fold);
-            } else {
-                any = other.fold_var_into(var, space_len, acc);
-            }
+            let Some(slot) = memo.fold(other, var, space_len) else {
+                continue;
+            };
+            at = match at {
+                MaskAt::Unmasked => MaskAt::Memo(slot),
+                MaskAt::Memo(first) => {
+                    buf.assign_and(memo.bits(first), memo.bits(slot));
+                    MaskAt::Buffer
+                }
+                MaskAt::Buffer => {
+                    buf.and_clipped(memo.bits(slot));
+                    MaskAt::Buffer
+                }
+            };
         }
-        any.then_some(&*acc)
+        at
     }
 }
 
@@ -451,7 +533,7 @@ fn load_tp(
     catalog: &impl Catalog,
     feed: &Feed,
     masks: &mut Masks,
-    scratch: &mut SetScratch,
+    memo: &mut FoldMemo,
 ) -> Result<TpState, LbrError> {
     let (tp_id, tp, dims) = (feed.tp, feed.gosn.tp(feed.tp), feed.dims);
     let [sv, pv, ov] = var_ids(tp, vt);
@@ -466,16 +548,17 @@ fn load_tp(
         rows,
         cols,
         preds,
-        fold,
+        set,
     } = masks;
     // A two-variable TP: the matrix of `key` in `f`, loaded through the
     // masks of its row and column variables; empty when the key's constant
     // is unknown to the dictionary or nothing survives the masks.
     let mut two = |f: Family, key: Option<u32>, axes: Axes| -> Result<TpData, LbrError> {
-        let row_mask = feed.mask(axes.row_var, axes.row_dim, rows, fold);
-        let col_mask = feed.mask(axes.col_var, axes.col_dim, cols, fold);
+        let row_at = feed.mask(axes.row_var, axes.row_dim, rows, memo);
+        let col_at = feed.mask(axes.col_var, axes.col_dim, cols, memo);
+        let (row_mask, col_mask) = (row_at.get(rows, memo), col_at.get(cols, memo));
         let mat = match key {
-            Some(key) => catalog.masked(f, key, row_mask, col_mask, scratch)?,
+            Some(key) => catalog.masked(f, key, row_mask, col_mask, set)?,
             None => None,
         };
         let (_, n_rows, n_cols) = f.shape(dims);
@@ -609,15 +692,17 @@ fn load_tp(
         // lists this shape as under development), each slice loaded like
         // a two-variable TP; predicates the `?p` mask excludes are skipped.
         (Some(s), Some(pv), Some(o)) if s != pv && pv != o && s != o => {
-            let p_mask = feed.mask(pv, Dimension::Predicate, preds, fold);
-            let s_mask = feed.mask(s, Dimension::Subject, rows, fold);
-            let o_mask = feed.mask(o, Dimension::Object, cols, fold);
+            let p_at = feed.mask(pv, Dimension::Predicate, preds, memo);
+            let s_at = feed.mask(s, Dimension::Subject, rows, memo);
+            let o_at = feed.mask(o, Dimension::Object, cols, memo);
+            let p_mask = p_at.get(preds, memo);
+            let (s_mask, o_mask) = (s_at.get(rows, memo), o_at.get(cols, memo));
             let mut mats = Vec::new();
             for pid in 0..dims.n_predicates {
                 if p_mask.is_some_and(|m| !m.get(pid)) {
                     continue;
                 }
-                if let Some(m) = catalog.masked(Family::So, pid, s_mask, o_mask, scratch)? {
+                if let Some(m) = catalog.masked(Family::So, pid, s_mask, o_mask, set)? {
                     mats.push((pid, m));
                 }
             }
@@ -646,11 +731,15 @@ fn load_tp(
     };
     // One-variable TPs take their mask once.
     if let TpData::One { var, dim, cands } = &mut data {
-        if let Some(mask) = feed.mask(*var, *dim, rows, fold) {
+        if let Some(mask) = feed.mask(*var, *dim, rows, memo).get(rows, memo) {
             cands.and_clipped(mask);
         }
     }
-    Ok(TpState { id: tp_id, data })
+    Ok(TpState {
+        id: tp_id,
+        data,
+        gen: next_gen(),
+    })
 }
 
 #[cfg(test)]
@@ -695,7 +784,16 @@ mod tests {
         let vt = VarTable::from_tps(analyzed.gosn.tps()).unwrap();
         let est = crate::selectivity::estimate_all(analyzed.gosn.tps(), &g.dict, catalog);
         let jorder = crate::jvar_order::get_jvar_order(&analyzed.gosn, &analyzed.goj, &vt, &est);
-        let out = init(&analyzed.gosn, &vt, &jorder, &est, &g.dict, catalog).unwrap();
+        let out = init(
+            &analyzed.gosn,
+            &vt,
+            &jorder,
+            &est,
+            &g.dict,
+            catalog,
+            &mut PruneScratch::new(),
+        )
+        .unwrap();
         (out, analyzed.gosn, vt)
     }
 

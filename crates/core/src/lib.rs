@@ -16,7 +16,9 @@
 //!    bindings of already-loaded masters and peers;
 //! 4. **prune** — `prune_triples` (Alg 3.2): semi-joins between
 //!    master/slave TPs and clustered-semi-joins among peers, implemented
-//!    with `fold`/`unfold` on the compressed BitMats (Algs 5.2, 5.3);
+//!    with `fold`/`unfold` on the compressed BitMats (Algs 5.2, 5.3), and
+//!    change-driven: folds are memoized per TP generation, and an operation
+//!    whose inputs have not changed since it last ran is skipped;
 //! 5. **multi-way pipelined join** (Alg 5.4) producing final rows without
 //!    pairwise intermediate results, followed by nullification and
 //!    best-match only when the classification demands them.
@@ -86,8 +88,9 @@ pub struct QueryStats {
     /// LIMIT/ASK row quota this is exactly the minimum needed instead of
     /// the full candidate count.
     pub join_seeds: u64,
-    /// Compressed-set intersections `prune_triples` performed through the
-    /// kernel layer (semi-join mask ANDs + clustered-semi-join folds).
+    /// Compressed-set intersections `prune_triples` executed through the
+    /// kernel layer (semi-join mask ANDs + clustered-semi-join folds);
+    /// skipped operations execute none.
     pub prune_intersections: u64,
     /// True when the empty-absolute-master shortcut aborted the query
     /// (§5 "simple optimization").

@@ -30,6 +30,13 @@
 //! probe. There are no transposed copies, candidate vectors or adjacency
 //! lists; the only per-row allocation left in the steady state is the
 //! pushed result row itself (assembled in a reusable buffer first).
+//!
+//! A bound row variable finds its row with a finger seek
+//! ([`BitMat::seek_row`]): the join keeps, per matrix (per predicate slice
+//! of a `(?s ?p ?o)` TP), the slot where its previous lookup ended, and
+//! gallops forward from there. Bindings mostly arrive in ascending order,
+//! so a lookup usually costs a step or two instead of a binary search over
+//! the row ids; one that goes backwards falls back to the binary search.
 
 use crate::bindings::{Binding, VarId, VarTable};
 use crate::filter_eval::{self, VarLookup};
@@ -191,6 +198,11 @@ struct Ctx<'b, 'a> {
     slots: Vec<Slot>,
     binder: Vec<TpId>,
     nulled: Vec<bool>,
+    /// The seek finger of every matrix: TP `tp`'s `k`-th matrix (its
+    /// `k`-th predicate slice, or its one matrix) owns
+    /// `fingers[first_finger[tp] + k]`.
+    fingers: Vec<usize>,
+    first_finger: Vec<usize>,
     rows: Vec<Vec<Option<Binding>>>,
     /// Reusable failed-supernode buffer of [`Ctx::emit`].
     failed: Vec<bool>,
@@ -209,10 +221,18 @@ struct Ctx<'b, 'a> {
 impl<'b, 'a> Ctx<'b, 'a> {
     fn new(inp: &'b JoinInputs<'a>) -> Ctx<'b, 'a> {
         let mut sn_vars = vec![vec![false; inp.vt.len()]; inp.gosn.n_supernodes()];
+        let mut first_finger = Vec::with_capacity(inp.tps.len());
+        let mut n_fingers = 0;
         for (tp, state) in inp.tps.iter().enumerate() {
             for (v, _) in state.vars() {
                 sn_vars[inp.gosn.sn_of_tp(tp)][v] = true;
             }
+            first_finger.push(n_fingers);
+            n_fingers += match &state.data {
+                TpData::Two { .. } => 1,
+                TpData::Three { mats, .. } => mats.len(),
+                TpData::Zero { .. } | TpData::One { .. } => 0,
+            };
         }
         Ctx {
             inp,
@@ -220,6 +240,8 @@ impl<'b, 'a> Ctx<'b, 'a> {
             slots: vec![Slot::Free; inp.vt.len()],
             binder: vec![usize::MAX; inp.vt.len()],
             nulled: vec![false; inp.tps.len()],
+            fingers: vec![0; n_fingers],
+            first_finger,
             rows: Vec::new(),
             failed: Vec::new(),
             row_buf: Vec::new(),
@@ -460,13 +482,16 @@ fn recurse(ctx: &mut Ctx<'_, '_>, depth: usize) {
                 any
             }
         },
-        TpData::Two { axes, mat } => read_forward(ctx, depth, tp, *axes, mat),
+        TpData::Two { axes, mat } => {
+            let finger = ctx.first_finger[tp];
+            read_forward(ctx, depth, tp, *axes, mat, finger)
+        }
         TpData::Three { p_var, axes, mats } => {
             let pv = *p_var;
             let mut any = false;
             // Each predicate slice is a `Two` matrix with the predicate
             // binding layered on.
-            for (pid, mat) in mats {
+            for (k, (pid, mat)) in mats.iter().enumerate() {
                 if ctx.full() {
                     break;
                 }
@@ -485,7 +510,8 @@ fn recurse(ctx: &mut Ctx<'_, '_>, depth: usize) {
                         true
                     }
                 };
-                any |= read_forward(ctx, depth, tp, *axes, mat);
+                let finger = ctx.first_finger[tp] + k;
+                any |= read_forward(ctx, depth, tp, *axes, mat, finger);
                 if p_bound_here {
                     ctx.unbind(pv);
                 }
@@ -522,19 +548,34 @@ fn recurse(ctx: &mut Ctx<'_, '_>, depth: usize) {
 /// The one read of an oriented matrix — a `Two` TP or one predicate slice
 /// of a `Three` — and it is always forward: a membership probe when both
 /// variables are bound, the bound row's columns, or (the schedule's root)
-/// every row. Returns whether a triple matched.
-fn read_forward(ctx: &mut Ctx<'_, '_>, depth: usize, tp: TpId, axes: Axes, mat: &BitMat) -> bool {
+/// every row. A bound row is found by seeking from the matrix's finger,
+/// `ctx.fingers[finger]`. Returns whether a triple matched.
+fn read_forward(
+    ctx: &mut Ctx<'_, '_>,
+    depth: usize,
+    tp: TpId,
+    axes: Axes,
+    mat: &BitMat,
+    finger: usize,
+) -> bool {
     let n_shared = ctx.inp.dims.n_shared;
     match (ctx.slots[axes.row_var], ctx.slots[axes.col_var]) {
         (Slot::Null, _) | (_, Slot::Null) => false,
         (Slot::Val(r), Slot::Val(c)) => {
-            let hit = r.probes(axes.row_dim) && c.probes(axes.col_dim) && mat.get(r.id, c.id);
+            let hit = r.probes(axes.row_dim)
+                && c.probes(axes.col_dim)
+                && mat
+                    .seek_row(r.id, &mut ctx.fingers[finger])
+                    .is_some_and(|row| row.contains(c.id));
             if hit {
                 descend(ctx, depth, &[]);
             }
             hit
         }
-        (Slot::Val(r), Slot::Free) => match r.probes(axes.row_dim).then(|| mat.row(r.id)) {
+        (Slot::Val(r), Slot::Free) => match r
+            .probes(axes.row_dim)
+            .then(|| mat.seek_row(r.id, &mut ctx.fingers[finger]))
+        {
             Some(Some(row)) => {
                 read_row(ctx, depth, tp, axes, row);
                 true // a stored row is never empty
@@ -651,7 +692,8 @@ mod tests {
         let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
         let est = estimate_all(a.gosn.tps(), &g.dict, &store);
         let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
-        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store)
+        let mut scratch = PruneScratch::new();
+        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store, &mut scratch)
             .unwrap()
             .tps
             .unwrap();
@@ -662,7 +704,7 @@ mod tests {
             &vt,
             &jorder,
             &store.dims(),
-            &mut PruneScratch::new(),
+            &mut scratch,
         );
         (a, vt, tps, store.dims())
     }
