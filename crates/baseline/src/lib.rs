@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod hash_join;
 pub mod kind;
 pub mod pairwise;
 pub mod reference;
@@ -29,7 +30,7 @@ pub mod reordered;
 pub mod scan;
 
 pub use kind::{EngineKind, EngineOptions, ReferenceEngine};
-pub use lbr_core::hash_join::{self, Relation};
+pub use lbr_core::Relation;
 pub use pairwise::{JoinOrder, PairwiseEngine};
 pub use reference::{evaluate_reference, Semantics};
 pub use reordered::ReorderedEngine;

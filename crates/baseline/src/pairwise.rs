@@ -9,8 +9,9 @@
 //! low-selectivity OPTIONAL side is fully materialized before its master
 //! restricts it — the cost LBR's semi-join pruning avoids.
 
-use crate::hash_join::{hash_join, Kind, Relation};
+use crate::hash_join::{hash_join, Kind};
 use crate::scan::scan_tp;
+use crate::Relation;
 use lbr_bitmat::Catalog;
 use lbr_core::filter_eval::{self, VarLookup};
 use lbr_core::LbrError;

@@ -12,8 +12,8 @@
 //! Well-designed queries produce identical results under both (the paper's
 //! focus); the non-well-designed Appendix B/C examples differ.
 
-use crate::hash_join::Relation;
 use crate::scan::scan_tp;
+use crate::Relation;
 use lbr_bitmat::Catalog;
 use lbr_core::bindings::Binding;
 use lbr_core::filter_eval::{self, VarLookup};

@@ -10,8 +10,9 @@
 //! minimality guarantee saves: LBR prunes *before* joining and never needs
 //! the repair operators on acyclic queries.
 
-use crate::hash_join::{hash_join, Kind, Relation};
+use crate::hash_join::{hash_join, Kind};
 use crate::scan::scan_tp;
+use crate::Relation;
 use lbr_bitmat::{Catalog, Family};
 use lbr_core::best_match::best_match;
 use lbr_core::bindings::Binding;
@@ -19,7 +20,7 @@ use lbr_core::LbrError;
 use lbr_rdf::{Dictionary, Dimension};
 use lbr_sparql::algebra::Query;
 use lbr_sparql::classify::analyze;
-use lbr_sparql::gosn::Gosn;
+use lbr_sparql::gosn::{Gosn, SnId};
 
 /// Trace of the three stages, mirroring Figure 3.2.
 #[derive(Debug, Clone)]
@@ -136,8 +137,9 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
             };
             acc = hash_join(&acc, &rel, kind);
         }
-        // Filters: absolute-master and global filters drop rows; slave
-        // supernode filters participate in the nullification check below.
+        // Filters: absolute-master supernode filters drop rows; slave
+        // supernode filters and group filters participate in the
+        // nullification check below.
         // Supernode filters are evaluated *scoped*: only variables
         // occurring in a TP of that supernode are visible, matching the
         // reference oracle's compositional evaluation.
@@ -149,7 +151,7 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
                 if gosn.sn_filters(sn).is_empty() {
                     Vec::new()
                 } else {
-                    sn_scope(&gosn, sn)
+                    scope(&gosn, &[sn])
                 }
             })
             .collect();
@@ -158,22 +160,19 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
                 continue;
             }
             for e in gosn.sn_filters(sn) {
-                acc.rows
-                    .retain(|row| self.filter_row(e, row, &vars, Some(scope)));
+                acc.rows.retain(|row| self.filter_row(e, row, &vars, scope));
             }
         }
         let after_join = acc.clone();
 
         // Nullification: per row, a slave supernode whose TPs no longer
         // hold under the original nesting loses its exclusive bindings.
-        for row in acc.rows.iter_mut() {
-            self.nullify_row(row, &acc.vars, &gosn, &sn_scopes)?;
-        }
-        // Global filters see the repaired (post-nullification) rows — they
-        // apply to the value of the whole pattern.
-        for e in gosn.global_filters() {
-            acc.rows.retain(|row| self.filter_row(e, row, &vars, None));
-        }
+        // Group filters see the repaired rows.
+        let group_scopes: Vec<Vec<String>> = (gosn.group_filters().iter())
+            .map(|f| scope(&gosn, &f.sns))
+            .collect();
+        acc.rows
+            .retain_mut(|row| self.nullify_row(row, &vars, &gosn, &sn_scopes, &group_scopes));
         let after_nullification = acc.clone();
 
         let mut rows = acc.rows;
@@ -189,16 +188,20 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
         })
     }
 
-    /// Marks failed supernodes (TP not matching the row under the original
-    /// nesting) and NULLs every variable held only by failed supernodes;
-    /// iterates to a fixpoint so failures cascade down the hierarchy.
+    /// Marks failed supernodes (a TP or filter not holding on the row
+    /// under the original nesting) and NULLs every variable held only by
+    /// failed supernodes, iterating to a fixpoint so failures cascade down
+    /// the hierarchy; then applies the group filters, inner ones first,
+    /// to the repaired row. Returns `false` when a group filter rooted at
+    /// an absolute master drops the row.
     fn nullify_row(
         &self,
         row: &mut [Option<Binding>],
         vars: &[String],
         gosn: &Gosn,
         sn_scopes: &[Vec<String>],
-    ) -> Result<(), LbrError> {
+        group_scopes: &[Vec<String>],
+    ) -> bool {
         let col = |v: &str| vars.iter().position(|x| x == v);
         let mut failed = vec![false; gosn.n_supernodes()];
         loop {
@@ -215,60 +218,55 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
                     && gosn
                         .sn_filters(sn)
                         .iter()
-                        .all(|e| self.filter_row(e, row, vars, Some(&sn_scopes[sn])));
+                        .all(|e| self.filter_row(e, row, vars, &sn_scopes[sn]));
                 if !holds {
                     failed[sn] = true;
                     changed = true;
                 }
             }
-            if changed {
-                // Peer groups fail as a unit.
-                for sn in 0..failed.len() {
-                    if failed[sn] {
-                        for &p in gosn.peers_of(sn) {
-                            failed[p] = true;
-                        }
-                    }
-                }
-                // NULL variables that no surviving supernode still binds.
-                for (i, name) in vars.iter().enumerate() {
-                    if row[i].is_none() {
-                        continue;
-                    }
-                    let held = (0..gosn.n_tps())
-                        .any(|tp| !failed[gosn.sn_of_tp(tp)] && gosn.tp(tp).has_var(name));
-                    if !held {
-                        row[i] = None;
-                    }
-                }
-            } else {
-                return Ok(());
+            if !changed {
+                break;
             }
+            // Peer groups fail as a unit, and a slave whose master failed
+            // fails too: one sharing no variable with that master would
+            // otherwise keep its bindings under a NULL master.
+            gosn.close_failure(&mut failed);
+            null_unheld(row, vars, gosn, &failed);
         }
+        for (f, scope) in gosn.group_filters().iter().zip(group_scopes) {
+            if failed[f.root] || self.filter_row(&f.expr, row, vars, scope) {
+                continue;
+            }
+            if gosn.is_absolute_master(f.root) {
+                return false;
+            }
+            failed[f.root] = true;
+            gosn.close_failure(&mut failed);
+            null_unheld(row, vars, gosn, &failed);
+        }
+        true
     }
 
-    /// Evaluates a filter over a row. With `scope`, only the listed
-    /// variables are visible — the supernode scope of §5.2 — and any
-    /// other variable reads as unbound.
+    /// Evaluates a filter over a row. Only the variables in `scope` are
+    /// visible — the supernode or group scope of §5.2 — and any other
+    /// variable reads as unbound.
     fn filter_row(
         &self,
         e: &lbr_sparql::algebra::Expr,
         row: &[Option<Binding>],
         vars: &[String],
-        scope: Option<&[String]>,
+        scope: &[String],
     ) -> bool {
         struct Lk<'a> {
             vars: &'a [String],
             row: &'a [Option<Binding>],
             dict: &'a Dictionary,
-            scope: Option<&'a [String]>,
+            scope: &'a [String],
         }
         impl lbr_core::filter_eval::VarLookup for Lk<'_> {
             fn term(&self, name: &str) -> Option<&lbr_rdf::Term> {
-                if let Some(scope) = self.scope {
-                    if !scope.iter().any(|v| v == name) {
-                        return None;
-                    }
+                if !self.scope.iter().any(|v| v == name) {
+                    return None;
                 }
                 let i = self.vars.iter().position(|v| v == name)?;
                 self.row[i].as_ref().map(|b| b.decode(self.dict))
@@ -315,11 +313,11 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
     }
 }
 
-/// Variables occurring in a TP of `sn` — the visibility scope of that
-/// supernode's filters.
-fn sn_scope(gosn: &Gosn, sn: usize) -> Vec<String> {
+/// Variables occurring in a TP of one of `sns` — the visibility scope of
+/// a supernode's filters, or of a group filter.
+fn scope(gosn: &Gosn, sns: &[SnId]) -> Vec<String> {
     let mut vars: Vec<String> = Vec::new();
-    for &tp in gosn.tps_of_sn(sn) {
+    for &tp in sns.iter().flat_map(|&sn| gosn.tps_of_sn(sn)) {
         for v in gosn.tp(tp).vars() {
             if !vars.iter().any(|x| x == v) {
                 vars.push(v.to_string());
@@ -327,6 +325,17 @@ fn sn_scope(gosn: &Gosn, sn: usize) -> Vec<String> {
         }
     }
     vars
+}
+
+/// NULLs the variables that no surviving supernode binds.
+fn null_unheld(row: &mut [Option<Binding>], vars: &[String], gosn: &Gosn, failed: &[bool]) {
+    for (i, name) in vars.iter().enumerate() {
+        let held =
+            (0..gosn.n_tps()).any(|tp| !failed[gosn.sn_of_tp(tp)] && gosn.tp(tp).has_var(name));
+        if !held {
+            row[i] = None;
+        }
+    }
 }
 
 impl<C: Catalog> lbr_core::api::Engine for ReorderedEngine<'_, C> {

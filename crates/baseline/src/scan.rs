@@ -2,7 +2,7 @@
 //! baseline engines. Both baselines read the same indexes LBR does, so the
 //! evaluation compares executors, not storage.
 
-use crate::hash_join::Relation;
+use crate::Relation;
 use lbr_bitmat::{Catalog, Family};
 use lbr_core::bindings::Binding;
 use lbr_core::LbrError;

@@ -1,6 +1,7 @@
 //! The query executor: Algorithm 5.1 end-to-end, plus the §5.2 handling of
-//! UNION (UNION normal form), FILTER (init masks + FaN) and Cartesian
-//! products (×-free components evaluated with LBR, combined pairwise).
+//! UNION (UNION normal form) and FILTER (init masks + FaN). Every
+//! union-free branch, Cartesian products included, runs through the one
+//! init → prune → multi-way join pipeline.
 //!
 //! Execution is split into two phases so prepared queries can cache the
 //! expensive front half:
@@ -16,14 +17,14 @@
 
 use crate::api::Engine;
 use crate::best_match::best_match;
-use crate::bindings::{Binding, QueryOutput, VarTable};
+use crate::bindings::{QueryOutput, VarTable};
 use crate::error::LbrError;
 use crate::filter_eval::{self, VarLookup};
-use crate::hash_join::{hash_join, Kind, Relation};
 use crate::init::{absolute_master_empty, init, TpState};
 use crate::jvar_order::{get_jvar_order, JvarOrder};
 use crate::multiway::{multi_way_join, schedule, JoinInputs};
 use crate::prune::{prune_triples, PruneOutcome, PruneScratch};
+use crate::relation::Relation;
 use crate::selectivity::estimate_all;
 use crate::QueryStats;
 use lbr_bitmat::Catalog;
@@ -32,7 +33,6 @@ use lbr_sparql::algebra::{Expr, GraphPattern, Modifiers, Query, QueryForm};
 use lbr_sparql::classify::{analyze, Analyzed};
 use lbr_sparql::rewrite::rewrite_to_unf;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::time::Instant;
 
 thread_local! {
@@ -74,7 +74,7 @@ pub struct LbrPlan {
     /// The solution modifiers.
     modifiers: Modifiers,
     pub(crate) any_rule3: bool,
-    pub(crate) branches: Vec<PlanNode>,
+    pub(crate) branches: Vec<BranchPlan>,
 }
 
 impl LbrPlan {
@@ -100,31 +100,16 @@ impl LbrPlan {
     }
 }
 
-/// One planned evaluation step, mirroring the §5.2 recursion.
+/// The cached analysis of one union-free branch.
 #[derive(Debug, Clone)]
-pub(crate) enum PlanNode {
-    /// A variable-connected, union-free pattern: Algorithm 5.1 proper.
-    Connected(Box<ConnectedPlan>),
-    /// Cartesian fallback: inner join of two disconnected parts.
-    Join(Box<PlanNode>, Box<PlanNode>),
-    /// Cartesian fallback: left-outer join of two disconnected parts.
-    LeftJoin(Box<PlanNode>, Box<PlanNode>),
-    /// Post-hoc FILTER over a disconnected part.
-    Filter(Box<PlanNode>, Expr),
-    /// A BGP split into variable-connected components, inner-combined.
-    Product(Vec<PlanNode>),
-}
-
-/// The cached analysis of one connected pattern.
-#[derive(Debug, Clone)]
-pub(crate) struct ConnectedPlan {
+pub(crate) struct BranchPlan {
     pub(crate) analyzed: Analyzed,
     pub(crate) vt: VarTable,
     pub(crate) estimates: Vec<u64>,
     pub(crate) jorder: JvarOrder,
 }
 
-/// Result of evaluating one union-free / connected sub-pattern.
+/// Result of evaluating one union-free branch.
 struct PartResult {
     rel: Relation,
     stats: QueryStats,
@@ -225,7 +210,8 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
                 std::time::Duration::ZERO,
                 &[("branch", branch_id as u64)],
             );
-            let mut part = self.exec_node(branch, remaining)?;
+            let mut part = PRUNE_SCRATCH
+                .with_borrow_mut(|scratch| self.eval_branch(branch, remaining, scratch))?;
             if part.needs_best_match {
                 let t_bm = Instant::now();
                 best_match(&mut part.rel.rows);
@@ -285,109 +271,22 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         })
     }
 
-    /// Plans one union-free pattern; splits off Cartesian-product
-    /// components when the pattern is not variable-connected.
-    fn plan_pattern(&self, pattern: &GraphPattern) -> Result<PlanNode, LbrError> {
+    /// Plans one union-free pattern. A variable-disconnected pattern plans
+    /// like any other: the join visits each component as a new root.
+    fn plan_pattern(&self, pattern: &GraphPattern) -> Result<BranchPlan, LbrError> {
         let analyzed = analyze(pattern)?;
-        if analyzed.class.connected {
-            let vt = VarTable::from_tps(analyzed.gosn.tps())?;
-            let estimates = estimate_all(analyzed.gosn.tps(), self.dict, self.catalog);
-            let jorder = get_jvar_order(&analyzed.gosn, &analyzed.goj, &vt, &estimates);
-            return Ok(PlanNode::Connected(Box::new(ConnectedPlan {
-                analyzed,
-                vt,
-                estimates,
-                jorder,
-            })));
-        }
-        // §5.2 Cartesian handling: evaluate ×-free sub-patterns with LBR
-        // and combine pairwise at the disconnection points.
-        match pattern {
-            GraphPattern::Join(l, r) => Ok(PlanNode::Join(
-                Box::new(self.plan_pattern(l)?),
-                Box::new(self.plan_pattern(r)?),
-            )),
-            GraphPattern::LeftJoin(l, r) => Ok(PlanNode::LeftJoin(
-                Box::new(self.plan_pattern(l)?),
-                Box::new(self.plan_pattern(r)?),
-            )),
-            GraphPattern::Filter(inner, e) => Ok(PlanNode::Filter(
-                Box::new(self.plan_pattern(inner)?),
-                e.clone(),
-            )),
-            GraphPattern::Bgp(tps) => {
-                // Split the BGP into variable-connected components.
-                let comps = bgp_components(tps);
-                debug_assert!(!comps.is_empty(), "BGP has at least one component");
-                Ok(PlanNode::Product(
-                    comps
-                        .into_iter()
-                        .map(|comp| self.plan_pattern(&GraphPattern::Bgp(comp)))
-                        .collect::<Result<Vec<_>, _>>()?,
-                ))
-            }
-            GraphPattern::Union(_, _) => Err(LbrError::Unsupported(
-                "UNION survived the UNF rewrite".into(),
-            )),
-        }
+        let vt = VarTable::from_tps(analyzed.gosn.tps())?;
+        let estimates = estimate_all(analyzed.gosn.tps(), self.dict, self.catalog);
+        let jorder = get_jvar_order(&analyzed.gosn, &analyzed.goj, &vt, &estimates);
+        Ok(BranchPlan {
+            analyzed,
+            vt,
+            estimates,
+            jorder,
+        })
     }
 
-    /// Evaluates one planned node. `quota` is the LIMIT/ASK row bound for
-    /// this node's own output; it is only exploitable by a directly
-    /// connected pattern (Algorithm 5.1 emits final rows), so combiner
-    /// nodes — whose post-processing can drop or multiply rows — evaluate
-    /// their children unbounded.
-    fn exec_node(&self, node: &PlanNode, quota: Option<usize>) -> Result<PartResult, LbrError> {
-        match node {
-            PlanNode::Connected(cp) => {
-                PRUNE_SCRATCH.with_borrow_mut(|scratch| self.eval_connected(cp, quota, scratch))
-            }
-            PlanNode::Join(l, r) => {
-                let a = self.exec_node(l, None)?;
-                let b = self.exec_node(r, None)?;
-                Ok(combine(a, b, Kind::Inner))
-            }
-            PlanNode::LeftJoin(l, r) => {
-                let a = self.exec_node(l, None)?;
-                let b = self.exec_node(r, None)?;
-                Ok(combine(a, b, Kind::LeftOuter))
-            }
-            PlanNode::Filter(inner, e) => {
-                let mut part = self.exec_node(inner, None)?;
-                // One name → column map per filter, not one linear scan
-                // per variable per row.
-                let columns: HashMap<&str, usize> = part
-                    .rel
-                    .vars
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| (v.as_str(), i))
-                    .collect();
-                part.rel.rows.retain(|row| {
-                    let lk = IndexedRowLookup {
-                        columns: &columns,
-                        row,
-                        dict: self.dict,
-                    };
-                    filter_eval::eval(e, &lk)
-                });
-                Ok(part)
-            }
-            PlanNode::Product(comps) => {
-                let mut acc: Option<PartResult> = None;
-                for comp in comps {
-                    let part = self.exec_node(comp, None)?;
-                    acc = Some(match acc {
-                        None => part,
-                        Some(prev) => combine(prev, part, Kind::Inner),
-                    });
-                }
-                Ok(acc.expect("BGP has at least one component"))
-            }
-        }
-    }
-
-    /// Algorithm 5.1 for one connected, union-free pattern.
+    /// Algorithm 5.1 for one union-free pattern.
     ///
     /// A `quota` (LIMIT/ASK pushdown) short-circuits the multi-way join's
     /// seed enumeration. It is only used when the classification rules
@@ -398,17 +297,17 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     ///
     /// `scratch` is the thread's pool; `init` fills its fold memo and
     /// prune starts from it.
-    fn eval_connected(
+    fn eval_branch(
         &self,
-        cp: &ConnectedPlan,
+        plan: &BranchPlan,
         quota: Option<usize>,
         scratch: &mut PruneScratch,
     ) -> Result<PartResult, LbrError> {
-        let analyzed = &cp.analyzed;
+        let analyzed = &plan.analyzed;
         let gosn = &analyzed.gosn;
-        let vt = &cp.vt;
-        let jorder = &cp.jorder;
-        let estimates = &cp.estimates;
+        let vt = &plan.vt;
+        let jorder = &plan.jorder;
+        let estimates = &plan.estimates;
         let dims = self.catalog.dims();
         let mut stats = QueryStats {
             nb_required: analyzed.class.nb_required,
@@ -446,17 +345,14 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             return aborted(stats);
         };
         // Single-variable supernode filters become init-time masks; the
-        // rest go to the FaN hook.
-        let mut fan_filters: Vec<(Option<usize>, &Expr)> = Vec::new();
+        // rest, and the group filters, go to the FaN hook.
+        let mut fan_filters: Vec<(usize, &Expr)> = Vec::new();
         for sn in 0..gosn.n_supernodes() {
             for expr in gosn.sn_filters(sn) {
                 if !self.apply_filter_mask(sn, expr, gosn, vt, &mut tps) {
-                    fan_filters.push((Some(sn), expr));
+                    fan_filters.push((sn, expr));
                 }
             }
-        }
-        for expr in gosn.global_filters() {
-            fan_filters.push((None, expr));
         }
         lbr_obs::span_since("init", t, &init_attrs);
 
@@ -685,21 +581,6 @@ impl VarLookup for SingleLookup<'_> {
     }
 }
 
-/// Row lookup for post-hoc FILTER evaluation backed by a name → column
-/// map built once per filter (the per-variable scan was O(vars) per row).
-struct IndexedRowLookup<'a> {
-    columns: &'a HashMap<&'a str, usize>,
-    row: &'a [Option<Binding>],
-    dict: &'a Dictionary,
-}
-
-impl VarLookup for IndexedRowLookup<'_> {
-    fn term(&self, name: &str) -> Option<&Term> {
-        let i = *self.columns.get(name)?;
-        self.row[i].as_ref().map(|b| b.decode(self.dict))
-    }
-}
-
 fn merge_stats(acc: &mut QueryStats, part: &QueryStats) {
     acc.initial_triples += part.initial_triples;
     acc.triples_after_pruning += part.triples_after_pruning;
@@ -708,47 +589,4 @@ fn merge_stats(acc: &mut QueryStats, part: &QueryStats) {
     acc.join_seeds += part.join_seeds;
     acc.prune_intersections += part.prune_intersections;
     acc.aborted_empty |= part.aborted_empty;
-}
-
-/// Pairwise combination of two part results on their shared variables —
-/// the "standard relational technique" fallback for Cartesian patterns
-/// (§5.2). Null-intolerant on the join keys, as in Appendix B.
-fn combine(a: PartResult, b: PartResult, kind: Kind) -> PartResult {
-    let mut stats = a.stats;
-    merge_stats(&mut stats, &b.stats);
-    PartResult {
-        rel: hash_join(&a.rel, &b.rel, kind),
-        stats,
-        needs_best_match: a.needs_best_match || b.needs_best_match,
-    }
-}
-
-/// Splits a BGP's TPs into variable-connected components.
-fn bgp_components(
-    tps: &[lbr_sparql::algebra::TriplePattern],
-) -> Vec<Vec<lbr_sparql::algebra::TriplePattern>> {
-    let n = tps.len();
-    let mut comp = vec![usize::MAX; n];
-    let mut n_comp = 0;
-    for start in 0..n {
-        if comp[start] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![start];
-        comp[start] = n_comp;
-        while let Some(i) = stack.pop() {
-            for j in 0..n {
-                if comp[j] == usize::MAX && tps[i].vars().iter().any(|v| tps[j].has_var(v)) {
-                    comp[j] = n_comp;
-                    stack.push(j);
-                }
-            }
-        }
-        n_comp += 1;
-    }
-    let mut out = vec![Vec::new(); n_comp];
-    for (i, tp) in tps.iter().enumerate() {
-        out[comp[i]].push(tp.clone());
-    }
-    out
 }

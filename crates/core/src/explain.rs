@@ -5,11 +5,9 @@
 //! tool; this is the LBR equivalent.)
 //!
 //! Both renderers read the [`LbrPlan`] the engine built — the plan that
-//! runs is the plan that is shown, TP and variable ids included: the
-//! executor numbers them per connected component, so a Cartesian branch
-//! is rendered component by component.
+//! runs is the plan that is shown, TP and variable ids included.
 
-use crate::engine::{ConnectedPlan, LbrPlan, PlanNode};
+use crate::engine::{BranchPlan, LbrPlan};
 use crate::init::load_order;
 use lbr_sparql::algebra::Query;
 use std::fmt::Write as _;
@@ -29,9 +27,7 @@ pub fn explain(query: &Query, plan: &LbrPlan) -> String {
     );
     // Query form + solution modifiers and whether they push into the join
     // — mirroring execution exactly: rule 3 disables the quota globally,
-    // and a branch only exploits it when its pattern is
-    // variable-connected (the quota reaches `PlanNode::Connected`, never
-    // the Cartesian combiner nodes) and best-match is ruled out
+    // and a branch only exploits it when best-match is ruled out
     // (`!nb_required` — best-match may drop rows, so a truncated run
     // could under-deliver).
     let form = if query.is_ask() {
@@ -42,16 +38,14 @@ pub fn explain(query: &Query, plan: &LbrPlan) -> String {
     let branch_pushes: Vec<bool> = plan
         .branches
         .iter()
-        .map(|b| matches!(b, PlanNode::Connected(cp) if !cp.analyzed.class.nb_required))
+        .map(|b| !b.analyzed.class.nb_required)
         .collect();
     let pushdown = match plan.row_quota() {
         Some(_) if !branch_pushes.iter().any(|&p| p) => {
-            "none (no branch is eligible: best-match may drop rows, or the quota cannot \
-             reach a Cartesian-product plan)"
-                .to_string()
+            "none (no branch is eligible: best-match may drop rows)".to_string()
         }
         Some(q) if !branch_pushes.iter().all(|&p| p) => {
-            format!("{q} rows, on eligible branches only (NB-required / Cartesian branches run unbounded)")
+            format!("{q} rows, on eligible branches only (NB-required branches run unbounded)")
         }
         Some(q) => format!("{q} rows (the multi-way join stops enumerating seeds there)"),
         None => "none (full enumeration; ORDER BY / DISTINCT / rule-3 need every row)".to_string(),
@@ -71,59 +65,26 @@ pub fn explain(query: &Query, plan: &LbrPlan) -> String {
     );
     for (i, branch) in plan.branches.iter().enumerate() {
         let _ = writeln!(out, "\n── branch {i} ──");
-        let comps = connected_plans(branch);
-        if let [cp] = comps.as_slice() {
-            explain_connected(&mut out, cp);
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "Cartesian product present: {} connected components, each run through \
-             Algorithm 5.1 and combined pairwise (§5.2)",
-            comps.len(),
-        );
-        for (k, cp) in comps.iter().enumerate() {
-            let _ = writeln!(out, "· component c{k} ·");
-            explain_connected(&mut out, cp);
-        }
+        explain_branch(&mut out, branch);
     }
     out
 }
 
-/// The connected components of one branch, in the executor's evaluation
-/// order (depth-first, left to right) — which is also the order their
-/// span groups appear in a trace.
-fn connected_plans(node: &PlanNode) -> Vec<&ConnectedPlan> {
-    match node {
-        PlanNode::Connected(cp) => vec![cp],
-        PlanNode::Join(l, r) | PlanNode::LeftJoin(l, r) => {
-            let mut out = connected_plans(l);
-            out.extend(connected_plans(r));
-            out
-        }
-        PlanNode::Filter(inner, _) => connected_plans(inner),
-        PlanNode::Product(comps) => comps.iter().flat_map(connected_plans).collect(),
-    }
-}
-
-/// The planned detail of one connected pattern.
-fn explain_connected(out: &mut String, cp: &ConnectedPlan) {
-    let ConnectedPlan {
+/// The planned detail of one union-free branch.
+fn explain_branch(out: &mut String, branch: &BranchPlan) {
+    let BranchPlan {
         analyzed,
         vt,
         estimates,
         jorder,
-    } = cp;
+    } = branch;
     let gosn = &analyzed.gosn;
     let _ = writeln!(out, "GoSN: {}", gosn.serialized());
     for sn in 0..gosn.n_supernodes() {
         let kind = if gosn.is_absolute_master(sn) {
             "absolute master".to_string()
         } else {
-            format!(
-                "slave of {:?}",
-                gosn.masters_of(sn).iter().collect::<Vec<_>>()
-            )
+            format!("slave of {:?}", gosn.masters_of(sn))
         };
         let tps: Vec<String> = gosn
             .tps_of_sn(sn)
@@ -135,13 +96,14 @@ fn explain_connected(out: &mut String, cp: &ConnectedPlan) {
     let c = &analyzed.class;
     let _ = writeln!(
         out,
-        "class: {}, GoJ {}, connected; max slave-SN jvars = {}; NB-reqd = {}",
+        "class: {}, GoJ {}, connected = {}; max slave-SN jvars = {}; NB-reqd = {}",
         if c.well_designed {
             "well-designed"
         } else {
             "non-well-designed (App. B transformed)"
         },
         if c.cyclic { "cyclic" } else { "acyclic" },
+        c.connected,
         c.max_slave_sn_jvars,
         c.nb_required,
     );
@@ -212,22 +174,16 @@ pub fn render_analyze(
     // Branch sections are delimited by the zero-duration `branch` markers
     // the executor stamps; spans between marker i and i+1 belong to the
     // branch the marker names.
-    let marks = positions(spans, "branch");
+    let marks: Vec<usize> = (0..spans.len())
+        .filter(|&i| spans[i].name == "branch")
+        .collect();
     for (m, &start) in marks.iter().enumerate() {
         let end = marks.get(m + 1).copied().unwrap_or(spans.len());
         let section = &spans[start + 1..end];
         let b = spans[start].attr("branch").unwrap_or(0) as usize;
         let _ = writeln!(out, "── branch {b} actuals ──");
-        // Every connected component opens its span group with `init`, in
-        // the order `connected_plans` lists them.
-        let comps = plan.branches.get(b).map_or(Vec::new(), connected_plans);
-        let starts = positions(section, "init");
-        for (k, (&from, cp)) in starts.iter().zip(&comps).enumerate() {
-            let to = starts.get(k + 1).copied().unwrap_or(section.len());
-            if comps.len() > 1 {
-                let _ = writeln!(out, "  · component c{k} ·");
-            }
-            render_component(&mut out, cp, &section[from..to]);
+        if let Some(branch) = plan.branches.get(b) {
+            render_branch(&mut out, branch, section);
         }
         for s in section.iter().filter(|s| s.name == "best_match") {
             let _ = writeln!(
@@ -244,23 +200,17 @@ pub fn render_analyze(
     out
 }
 
-/// Where the spans called `name` — the group delimiters — sit in `spans`.
-fn positions(spans: &[lbr_obs::Span], name: &str) -> Vec<usize> {
-    let named = spans.iter().enumerate().filter(|(_, s)| s.name == name);
-    named.map(|(i, _)| i).collect()
-}
-
-/// One connected component's actuals: its span group read against the
-/// `ConnectedPlan` it ran with, whose variable table and estimates the
-/// spans' `tp` / `var` ids index.
-fn render_component(out: &mut String, cp: &ConnectedPlan, group: &[lbr_obs::Span]) {
+/// One branch's actuals: its span group read against the `BranchPlan` it
+/// ran with, whose variable table and estimates the spans' `tp` / `var`
+/// ids index.
+fn render_branch(out: &mut String, branch: &BranchPlan, group: &[lbr_obs::Span]) {
     for s in group.iter().filter(|s| s.name == "init") {
         let _ = writeln!(
             out,
             "  init: {}µs, {}/{} TP(s) loaded, {} triple(s) kept",
             s.dur_us,
             s.attr("tps_loaded").unwrap_or(0),
-            cp.analyzed.gosn.n_tps(),
+            branch.analyzed.gosn.n_tps(),
             s.attr("triples_loaded").unwrap_or(0),
         );
     }
@@ -287,7 +237,7 @@ fn render_component(out: &mut String, cp: &ConnectedPlan, group: &[lbr_obs::Span
             s.attr("skipped").unwrap_or(0),
         );
     }
-    let tps = cp.analyzed.gosn.tps();
+    let tps = branch.analyzed.gosn.tps();
     let tp_spans: Vec<_> = group.iter().filter(|s| s.name == "tp").collect();
     if !tp_spans.is_empty() {
         let _ = writeln!(out, "  TP cardinality, estimated vs actual:");
@@ -314,12 +264,12 @@ fn render_component(out: &mut String, cp: &ConnectedPlan, group: &[lbr_obs::Span
                 continue;
             }
             seen.push(var);
-            let name = cp.vt.name(var as usize);
+            let name = branch.vt.name(var as usize);
             // Planner-side bound: the smallest estimate among the
             // TPs that bind this variable.
             let est = tps
                 .iter()
-                .zip(&cp.estimates)
+                .zip(&branch.estimates)
                 .filter(|(tp, _)| tp.has_var(name))
                 .map(|(_, &est)| est)
                 .min()
@@ -463,13 +413,13 @@ mod tests {
             text.contains("row-quota pushdown: none (no branch is eligible"),
             "{text}"
         );
-        // A variable-disconnected (Cartesian) pattern plans as a Product
-        // node, which never receives the quota — explain must not
-        // advertise an early exit there either.
+        // A variable-disconnected (Cartesian) pattern runs through the
+        // same multi-way join, so the quota reaches it.
         let q = parse_query("SELECT * WHERE { ?a <p> ?b . ?c <q> ?d . } LIMIT 1").unwrap();
         let text = explain(&q, &g.dict, &store);
+        assert!(text.contains("connected = false"), "{text}");
         assert!(
-            text.contains("row-quota pushdown: none (no branch is eligible"),
+            text.contains("row-quota pushdown: 1 rows (the multi-way join"),
             "{text}"
         );
     }
@@ -558,14 +508,11 @@ mod tests {
         assert!(!text.contains("prune: "), "{text}");
     }
 
-    /// A Cartesian branch runs one Algorithm 5.1 per connected component,
-    /// each numbering its TPs and variables from zero. The renderer must
-    /// read every component's spans against that component's own plan:
-    /// resolved against a whole-branch variable table, the second
-    /// component's jvar `?y` (id 1 there) was printed as `?b` — or
-    /// dropped as already seen — with `?b`'s estimate.
+    /// A Cartesian branch runs as one Algorithm 5.1 over all its
+    /// components, so it renders as one section, and each component's
+    /// jvar keeps its own name and its own TPs' estimates.
     #[test]
-    fn explain_analyze_attributes_cartesian_components_to_their_own_plans() {
+    fn explain_analyze_renders_a_cartesian_branch_as_one_section() {
         let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
         let g = Graph::from_triples(vec![
             t("a1", "p", "b1"),
@@ -581,26 +528,19 @@ mod tests {
             .unwrap();
         let text = LbrEngine::new(&store, &g.dict).explain_analyze(&q).unwrap();
         assert!(text.contains("rows 2 "), "{text}");
-        // The plan side shows the component tree and one section each.
-        assert!(
-            text.contains("Cartesian product present: 2 connected"),
-            "{text}"
-        );
-        assert!(text.contains("· component c1 ·"), "{text}");
+        assert!(text.contains("connected = false"), "{text}");
+        assert!(!text.contains("component"), "{text}");
         let actuals = text.split("══ ANALYZE (executed) ══").nth(1).unwrap();
-        let (c0, c1) = actuals.split_once("· component c1 ·").unwrap();
-        // Component 0 joins on ?b, component 1 on ?y — each under its
-        // own name, with its own TPs' estimates (1 ⋈ 1 vs 3 ⋈ 1).
-        assert!(c0.contains("?b  est≈1  actual=1"), "{text}");
-        assert!(!c0.contains("?y"), "{text}");
-        assert!(c1.contains("?y  est≈1  actual=1"), "{text}");
-        assert!(!c1.contains("?b"), "{text}");
-        assert!(c0.contains("tp0 ?a <p> ?b  est≈1  actual=1"), "{text}");
-        assert!(c1.contains("tp0 ?x <r> ?y  est≈3  actual=2"), "{text}");
-        assert!(c1.contains("tp1 ?y <s> ?z  est≈1  actual=1"), "{text}");
-        // One init / prune / join group per component.
-        assert_eq!(actuals.matches("  init: ").count(), 2, "{text}");
-        assert_eq!(actuals.matches("  join: ").count(), 2, "{text}");
+        // ?b joins the first component, ?y the second: each under its own
+        // name, with its own TPs' estimates (1 ⋈ 1 vs 3 ⋈ 1).
+        assert!(actuals.contains("?b  est≈1  actual=1"), "{text}");
+        assert!(actuals.contains("?y  est≈1  actual=1"), "{text}");
+        assert!(actuals.contains("tp0 ?a <p> ?b  est≈1  actual=1"), "{text}");
+        assert!(actuals.contains("tp2 ?x <r> ?y  est≈3  actual=2"), "{text}");
+        assert!(actuals.contains("tp3 ?y <s> ?z  est≈1  actual=1"), "{text}");
+        // One init / prune / join group for the whole branch.
+        assert_eq!(actuals.matches("  init: ").count(), 1, "{text}");
+        assert_eq!(actuals.matches("  join: ").count(), 1, "{text}");
     }
 
     #[test]

@@ -27,8 +27,8 @@ where
     }
 }
 
-/// A lookup over a slice of `(name, term)` pairs (used by tests and the
-/// Cartesian fallback).
+/// A lookup over a slice of `(name, term)` pairs (used by tests and by
+/// the engine to evaluate a filter whose variable occurs nowhere).
 pub struct PairLookup<'a>(pub &'a [(&'a str, &'a Term)]);
 
 impl VarLookup for PairLookup<'_> {

@@ -24,9 +24,10 @@
 //!    best-match only when the classification demands them.
 //!
 //! UNION and FILTER are handled by the §5.2 rewrite to UNION normal form
-//! plus init-time filter masks and the FaN (filter-and-nullification) hook;
-//! Cartesian products fall back to evaluating ×-free components with LBR
-//! and combining them pairwise (§5.2).
+//! plus init-time filter masks and the FaN (filter-and-nullification) hook.
+//! Cartesian products need no fallback: the multi-way join visits each
+//! variable-connected component as a new root, and fails every slave of a
+//! failed master, which connectivity would otherwise have done.
 //!
 //! Query forms (`SELECT [DISTINCT|REDUCED]` / `ASK`) and solution
 //! modifiers (`ORDER BY` / `LIMIT` / `OFFSET`) are applied by the single
@@ -45,12 +46,12 @@ pub mod engine;
 pub mod error;
 pub mod explain;
 pub mod filter_eval;
-pub mod hash_join;
 pub mod init;
 pub mod jvar_order;
 pub mod modifiers;
 pub mod multiway;
 pub mod prune;
+pub mod relation;
 pub mod selectivity;
 pub mod solutions;
 
@@ -59,9 +60,9 @@ pub use bindings::{Binding, BindingSpace, QueryOutput, VarSpace, VarTable};
 pub use engine::{traced, LbrEngine, LbrPlan};
 pub use error::LbrError;
 pub use explain::explain;
-pub use hash_join::Relation;
 pub use jvar_order::JvarOrder;
 pub use multiway::ExecStats;
+pub use relation::Relation;
 pub use solutions::{Row, RowSchema, Solutions};
 
 /// Per-query counts matching the cardinality columns of Tables 6.2–6.4.

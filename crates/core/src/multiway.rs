@@ -15,6 +15,13 @@
 //! still-free variables, master bindings win over slave bindings for
 //! shared variables — the paper's output rule.
 //!
+//! Algorithm 5.4 relies on connectivity to NULL a slave whose master is
+//! NULL: the slave shares a NULL variable and cannot match. A Cartesian
+//! pattern breaks that, so the join states it outright. A slave TP whose
+//! master supernode has a nulled TP is unmatched without reading its
+//! matrix, and at emission every supernode whose (transitive) master
+//! failed fails too.
+//!
 //! ## One schedule, forward-only cursors, zero-allocation steady state
 //!
 //! Algorithm 5.4 takes, at each level, the first unvisited TP in `stps`
@@ -78,16 +85,16 @@ pub struct JoinInputs<'a> {
     pub dims: CubeDims,
     /// Dictionary (needed only to decode bindings for FaN filters).
     pub dict: &'a Dictionary,
-    /// Filters evaluated at output time: `(Some(sn), e)` for supernode
-    /// filters (failure nullifies slave supernodes / drops master rows),
-    /// `(None, e)` for global filters (failure drops the row).
+    /// Supernode filters evaluated at output time: failure nullifies a
+    /// slave supernode and drops the row of an absolute master. The
+    /// GoSN's group filters are evaluated after them, the same way.
     ///
-    /// Supernode filters are evaluated *scoped*: only variables occurring
-    /// in a TP of that supernode are visible; any other variable reads as
-    /// unbound, collapsing to `false` under the documented error→false
-    /// semantics (this matches the compositional evaluation of the
-    /// reference oracle).
-    pub fan_filters: Vec<(Option<SnId>, &'a Expr)>,
+    /// Filters are evaluated *scoped*: only variables occurring in a TP of
+    /// the supernode (of a group filter: of its supernodes) are visible;
+    /// any other variable reads as unbound, collapsing to `false` under
+    /// the documented error→false semantics (this matches the
+    /// compositional evaluation of the reference oracle).
+    pub fan_filters: Vec<(SnId, &'a Expr)>,
     /// Early-exit row quota (LIMIT/ASK pushdown): the join stops *exactly*
     /// once this many rows have been emitted, so the produced rows are a
     /// prefix of the unbounded enumeration. `None` = run to completion.
@@ -134,8 +141,8 @@ pub fn sort_tps(tps: &[TpState], gosn: &Gosn) -> Vec<TpId> {
 /// comes the first unvisited TP whose master supernodes are fully visited
 /// (the strengthened form of "masters generate variable bindings before
 /// slaves") and that has a bound variable or none at all; failing that —
-/// the root, and defensively Cartesian shapes the engine normally splits
-/// beforehand — the first such master-complete TP. Visiting a TP binds
+/// the root, and the first TP of each further component of a Cartesian
+/// product — the first such master-complete TP. Visiting a TP binds
 /// (or NULLs) all its variables, so the rule depends on the visited set
 /// alone and this is the order the recursion would pick at every partial
 /// binding.
@@ -195,9 +202,14 @@ struct Ctx<'b, 'a> {
     /// `sn_vars[sn][var]`: does `var` occur in a TP of `sn`? The FILTER
     /// visibility scope for supernode filters.
     sn_vars: Vec<Vec<bool>>,
+    /// The same scope for each of the GoSN's group filters.
+    group_vars: Vec<Vec<bool>>,
     slots: Vec<Slot>,
     binder: Vec<TpId>,
-    nulled: Vec<bool>,
+    /// `sn_nulled[sn]`: how many TPs of `sn` the current path nulled;
+    /// `n_nulled` is their sum.
+    sn_nulled: Vec<u32>,
+    n_nulled: u32,
     /// The seek finger of every matrix: TP `tp`'s `k`-th matrix (its
     /// `k`-th predicate slice, or its one matrix) owns
     /// `fingers[first_finger[tp] + k]`.
@@ -234,12 +246,25 @@ impl<'b, 'a> Ctx<'b, 'a> {
                 TpData::Zero { .. } | TpData::One { .. } => 0,
             };
         }
+        let group_vars = (inp.gosn.group_filters().iter())
+            .map(|f| {
+                let mut vars = vec![false; inp.vt.len()];
+                for &sn in &f.sns {
+                    for (var, &seen) in sn_vars[sn].iter().enumerate() {
+                        vars[var] |= seen;
+                    }
+                }
+                vars
+            })
+            .collect();
         Ctx {
             inp,
             sn_vars,
+            group_vars,
             slots: vec![Slot::Free; inp.vt.len()],
             binder: vec![usize::MAX; inp.vt.len()],
-            nulled: vec![false; inp.tps.len()],
+            sn_nulled: vec![0; inp.gosn.n_supernodes()],
+            n_nulled: 0,
             fingers: vec![0; n_fingers],
             first_finger,
             rows: Vec::new(),
@@ -294,53 +319,51 @@ impl<'b, 'a> Ctx<'b, 'a> {
         self.slots[var] = Slot::Free;
         self.binder[var] = usize::MAX;
     }
+
+    /// True when the current path nulled a TP of one of `tp`'s master
+    /// supernodes (transitive, so a master's peers count too): `tp` is
+    /// then unmatched whatever its matrix holds.
+    fn master_nulled(&self, tp: TpId) -> bool {
+        let gosn = self.inp.gosn;
+        self.n_nulled > 0
+            && (gosn.masters_of(gosn.sn_of_tp(tp)).iter()).any(|&m| self.sn_nulled[m] > 0)
+    }
     // lbr-lint: end
 
-    /// Emits one result row: failure closure → FaN filters → nullification
-    /// → global filters → push. The failure map and the row are assembled
-    /// in reusable buffers; only a surviving row is cloned into the output,
-    /// so filtered rows cost no allocation at all.
+    /// Emits one result row: failure closure → FaN filters (supernode,
+    /// then group) → nullification → push. The failure map and the row
+    /// are assembled in reusable buffers; only a surviving row is cloned
+    /// into the output, so filtered rows cost no allocation at all.
     fn emit(&mut self) {
         if self.full() {
             return; // quota met (and handles the degenerate quota of 0)
         }
         let inp = self.inp;
         let gosn = inp.gosn;
-        let n_sn = gosn.n_supernodes();
-        // 1. Failed supernodes: any nulled TP fails its supernode; failure
-        //    spreads across peer groups (an inner-join group produces rows
-        //    only as a unit).
+        // 1. Failed supernodes: any nulled TP fails its supernode, and
+        //    the failure closes over peers and slaves.
         self.failed.clear();
-        self.failed.resize(n_sn, false);
-        for (tp, &nulled) in self.nulled.iter().enumerate() {
-            if nulled {
-                self.failed[gosn.sn_of_tp(tp)] = true;
-            }
+        self.failed.extend(self.sn_nulled.iter().map(|&n| n > 0));
+        if self.n_nulled > 0 {
+            gosn.close_failure(&mut self.failed);
         }
-        close_over_peers(&mut self.failed, gosn);
 
         // 2. FaN: supernode filters, evaluated over the supernode's own
         //    variable scope (a variable bound only outside the supernode
-        //    reads as unbound, like in the reference oracle).
-        for (sn_opt, expr) in &inp.fan_filters {
-            let Some(sn) = sn_opt else { continue };
-            if self.failed[*sn] {
-                continue; // already NULL, nothing to test
+        //    reads as unbound, like in the reference oracle); then group
+        //    filters, inner ones first, over their supernodes' scope with
+        //    the bindings of failed supernodes hidden.
+        for &(sn, expr) in &inp.fan_filters {
+            if !self.failed[sn] && !self.holds(expr, &self.sn_vars[sn]) && !self.fail(sn) {
+                return;
             }
-            let ok = {
-                let lk = SnScopedLookup {
-                    ctx: self,
-                    sn: *sn,
-                    dict: inp.dict,
-                };
-                filter_eval::eval(expr, &lk)
-            };
-            if !ok {
-                if gosn.is_absolute_master(*sn) {
-                    return; // masters cannot be nullified: drop the row
-                }
-                self.failed[*sn] = true;
-                close_over_peers(&mut self.failed, gosn);
+        }
+        for (g, f) in gosn.group_filters().iter().enumerate() {
+            if !self.failed[f.root]
+                && !self.holds(&f.expr, &self.group_vars[g])
+                && !self.fail(f.root)
+            {
+                return;
             }
         }
 
@@ -367,72 +390,48 @@ impl<'b, 'a> Ctx<'b, 'a> {
             self.stats.nullification_fired += 1;
         }
 
-        // 4. Global filters over the (possibly nullified) row.
-        for (sn_opt, expr) in &inp.fan_filters {
-            if sn_opt.is_some() {
-                continue;
-            }
-            let ok = {
-                let lk = RowLookup {
-                    row: &self.row_buf,
-                    vt: inp.vt,
-                    dict: inp.dict,
-                };
-                filter_eval::eval(expr, &lk)
-            };
-            if !ok {
-                return;
-            }
-        }
-
         self.rows.push(self.row_buf.clone());
     }
-}
 
-// lbr-lint: no_alloc — failure closure over peer groups: bool slice only.
-/// Spreads supernode failure across peer groups until stable.
-fn close_over_peers(failed: &mut [bool], gosn: &Gosn) {
-    for sn in 0..failed.len() {
-        if failed[sn] {
-            for &peer in gosn.peers_of(sn) {
-                failed[peer] = true;
-            }
+    /// Evaluates a filter over the variables `scope` marks, as bound now.
+    fn holds(&self, expr: &Expr, scope: &[bool]) -> bool {
+        filter_eval::eval(expr, &ScopedLookup { ctx: self, scope })
+    }
+
+    /// Fails `sn` and closes the failure, or returns `false` when `sn` is
+    /// an absolute master: masters cannot be nullified, so the row drops.
+    fn fail(&mut self, sn: SnId) -> bool {
+        let gosn = self.inp.gosn;
+        if gosn.is_absolute_master(sn) {
+            return false;
         }
+        self.failed[sn] = true;
+        gosn.close_failure(&mut self.failed);
+        true
     }
 }
 
-/// Variable lookup for a supernode filter: only variables occurring in a
-/// TP of `sn` are visible (§5.2 FILTER scope).
-struct SnScopedLookup<'c, 'b, 'a> {
+/// Variable lookup for a FILTER: only variables `scope` marks are visible
+/// (§5.2 FILTER scope), and a binding made by a failed supernode reads as
+/// unbound.
+struct ScopedLookup<'c, 'b, 'a> {
     ctx: &'c Ctx<'b, 'a>,
-    sn: SnId,
-    dict: &'c Dictionary,
+    scope: &'c [bool],
 }
 
-// lbr-lint: end
-impl VarLookup for SnScopedLookup<'_, '_, '_> {
+impl VarLookup for ScopedLookup<'_, '_, '_> {
     fn term(&self, name: &str) -> Option<&Term> {
-        let id = self.ctx.inp.vt.id(name)?;
-        if !self.ctx.sn_vars[self.sn][id] {
+        let ctx = self.ctx;
+        let id = ctx.inp.vt.id(name)?;
+        if !self.scope[id] {
             return None;
         }
-        match self.ctx.slots[id] {
-            Slot::Val(b) => Some(b.decode(self.dict)),
+        match ctx.slots[id] {
+            Slot::Val(b) if !ctx.failed[ctx.inp.gosn.sn_of_tp(ctx.binder[id])] => {
+                Some(b.decode(ctx.inp.dict))
+            }
             _ => None,
         }
-    }
-}
-
-struct RowLookup<'r> {
-    row: &'r [Option<Binding>],
-    vt: &'r VarTable,
-    dict: &'r Dictionary,
-}
-
-impl VarLookup for RowLookup<'_> {
-    fn term(&self, name: &str) -> Option<&Term> {
-        let id = self.vt.id(name)?;
-        self.row[id].as_ref().map(|b| b.decode(self.dict))
     }
 }
 
@@ -451,6 +450,11 @@ fn recurse(ctx: &mut Ctx<'_, '_>, depth: usize) {
     };
     if ctx.full() {
         return; // quota met: unwind without starting new subtrees
+    }
+    if ctx.master_nulled(tp) {
+        // Unmatched whatever its matrix holds: do not read it.
+        null_slave(ctx, depth, tp);
+        return;
     }
     let n_shared = inp.dims.n_shared;
     let matched = match &inp.tps[tp].data {
@@ -520,29 +524,33 @@ fn recurse(ctx: &mut Ctx<'_, '_>, depth: usize) {
         }
     };
 
-    if !matched {
-        if inp.gosn.tp_in_absolute_master(tp) {
-            // ln 27–28: an absolute master cannot have NULL bindings —
-            // roll back this branch.
-            return;
-        }
-        // ln 29–32: a slave with no consistent triple: NULL its free vars
-        // (at most three — a stack array, not a collect).
-        let mut free = [0 as VarId; 3];
-        let mut n_free = 0usize;
-        for (v, _) in inp.tps[tp].vars() {
-            if ctx.slots[v] == Slot::Free {
-                free[n_free] = v;
-                n_free += 1;
-            }
-        }
-        for &v in &free[..n_free] {
-            ctx.bind(v, Slot::Null, tp);
-        }
-        ctx.nulled[tp] = true;
-        descend(ctx, depth, &free[..n_free]);
-        ctx.nulled[tp] = false;
+    // ln 27–28: an absolute master cannot have NULL bindings — roll back
+    // this branch.
+    if !matched && !inp.gosn.tp_in_absolute_master(tp) {
+        null_slave(ctx, depth, tp);
     }
+}
+
+/// ln 29–32: a slave with no consistent triple NULLs its free vars (at
+/// most three — a stack array, not a collect) and descends.
+fn null_slave(ctx: &mut Ctx<'_, '_>, depth: usize, tp: TpId) {
+    let mut free = [0 as VarId; 3];
+    let mut n_free = 0usize;
+    for (v, _) in ctx.inp.tps[tp].vars() {
+        if ctx.slots[v] == Slot::Free {
+            free[n_free] = v;
+            n_free += 1;
+        }
+    }
+    for &v in &free[..n_free] {
+        ctx.bind(v, Slot::Null, tp);
+    }
+    let sn = ctx.inp.gosn.sn_of_tp(tp);
+    ctx.sn_nulled[sn] += 1;
+    ctx.n_nulled += 1;
+    descend(ctx, depth, &free[..n_free]);
+    ctx.sn_nulled[sn] -= 1;
+    ctx.n_nulled -= 1;
 }
 
 /// The one read of an oriented matrix — a `Two` TP or one predicate slice
@@ -926,5 +934,36 @@ mod tests {
     #[test]
     fn quota_stops_exactly_through_a_transposed_tp() {
         assert_quota_exact(&chain_graph(100), CHAIN, 100);
+    }
+
+    /// The same contract on a product: the OPTIONAL shares no variable
+    /// with its master, and each seed crosses with its one triple.
+    #[test]
+    fn quota_stops_exactly_on_a_product() {
+        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
+        let mut triples: Vec<Triple> = (0..100)
+            .map(|i| t(&format!("s{i}"), "p", &format!("o{i}")))
+            .collect();
+        triples.push(t("k", "r", "v"));
+        let g = Graph::from_triples(triples).encode();
+        let query = "SELECT * WHERE { ?s <p> ?o . OPTIONAL { <k> <r> ?v . } }";
+        assert_quota_exact(&g, query, 100);
+    }
+
+    /// A slave under a nulled master is unmatched without being read. The
+    /// innermost OPTIONAL shares no variable with Larry's failed sitcom
+    /// group; read anyway, it would bind every location under the NULL
+    /// `?sitcom` and leave them to nullification.
+    #[test]
+    fn a_slave_under_a_nulled_master_is_not_read() {
+        let (vars, mut rows, stats) =
+            run("PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?friend .
+               OPTIONAL { ?friend :actedIn ?sitcom . ?sitcom :location :NewYorkCity .
+                 OPTIONAL { ?x :location ?y . } } }");
+        assert_eq!(vars, vec!["friend", "sitcom", "x", "y"]);
+        rows.sort();
+        assert_eq!(rows.len(), 5, "Julia's Seinfeld × 4 locations, and Larry");
+        assert_eq!(rows[4], vec![Some("Larry".to_string()), None, None, None]);
+        assert_eq!(stats.nullification_fired, 0);
     }
 }

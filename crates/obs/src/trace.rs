@@ -204,7 +204,7 @@ pub fn trace_drain(out: &mut Vec<Span>, label: &mut String) -> Option<u64> {
 }
 
 /// Σ `dur_us` of the spans called `stage` — the one reader of a stage's
-/// time. A query with several connected components records one `init` /
+/// time. A query with several UNION branches records one `init` /
 /// `prune` / `join` group each, and the sum covers all of them.
 pub fn stage_us(spans: &[Span], stage: &str) -> u64 {
     spans

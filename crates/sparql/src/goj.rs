@@ -168,9 +168,9 @@ impl Goj {
     /// Top-down (root-first, BFS) order over the sub-graph induced by
     /// `subset`, starting at `root`. If the induced sub-graph is
     /// disconnected, remaining nodes are appended component-by-component
-    /// (lowest node id as auxiliary root) — defensive: the paper argues the
-    /// induced sub-graphs it uses are connected when the query has no
-    /// Cartesian products.
+    /// (lowest node id as auxiliary root). The paper argues the induced
+    /// sub-graphs it uses are connected when the query has no Cartesian
+    /// products; a Cartesian product reaches here disconnected.
     pub fn top_down_order(&self, subset: &[usize], root: usize) -> Vec<usize> {
         debug_assert!(subset.contains(&root));
         let in_subset: BTreeSet<usize> = subset.iter().copied().collect();

@@ -19,7 +19,7 @@
 
 use crate::algebra::{Expr, GraphPattern, TriplePattern};
 use crate::error::SparqlError;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Index of a supernode within a [`Gosn`].
 pub type SnId = usize;
@@ -33,6 +33,21 @@ pub enum EdgeKind {
     Uni,
     /// Inner join edge (peers).
     Bi,
+}
+
+/// A FILTER over a sub-pattern that contains OPTIONALs (§5.2's FaN
+/// hook). It sees the variables of the sub-pattern's supernodes, and a
+/// row that fails it fails `root`, the sub-pattern's leftmost supernode,
+/// with everything below it — or is dropped when `root` is an absolute
+/// master.
+#[derive(Debug, Clone)]
+pub struct GroupFilter {
+    /// The leftmost supernode of the filtered sub-pattern.
+    pub root: SnId,
+    /// Every supernode of the filtered sub-pattern, ascending.
+    pub sns: Vec<SnId>,
+    /// The filter expression.
+    pub expr: Expr,
 }
 
 /// The binary join structure over supernodes (mirrors the query tree).
@@ -65,7 +80,7 @@ pub struct Gosn {
     sn_tps: Vec<Vec<TpId>>,
     uni: Vec<(SnId, SnId)>,
     bi: Vec<(SnId, SnId)>,
-    masters: Vec<BTreeSet<SnId>>,
+    masters: Vec<Vec<SnId>>,
     peer_group: Vec<usize>,
     /// Members of each peer group, ascending, indexed by the group's
     /// `peer_group` root (empty for non-roots).
@@ -73,17 +88,18 @@ pub struct Gosn {
     tree: SnTree,
     /// Filters that live entirely inside one supernode.
     sn_filters: Vec<Vec<Expr>>,
-    /// Filters spanning supernodes (applied by the FaN hook, §5.2).
-    global_filters: Vec<Expr>,
+    /// Filters spanning supernodes, inner ones first.
+    group_filters: Vec<GroupFilter>,
 }
 
 impl Gosn {
     /// Builds the GoSN of a UNION-free pattern.
     ///
     /// Filters inside an OPT-free sub-pattern are attached to its supernode;
-    /// filters wrapping patterns that contain OPTIONALs become global
-    /// (FaN-stage) filters. `Union` nodes are rejected — rewrite to UNION
-    /// normal form first ([`crate::rewrite::rewrite_to_unf`]).
+    /// a filter wrapping a pattern that contains OPTIONALs becomes a
+    /// [`GroupFilter`] over that pattern's supernodes. `Union` nodes are
+    /// rejected — rewrite to UNION normal form first
+    /// ([`crate::rewrite::rewrite_to_unf`]).
     pub fn from_pattern(pattern: &GraphPattern) -> Result<Gosn, SparqlError> {
         let mut b = Builder::default();
         let tree = b.build(pattern)?;
@@ -98,7 +114,7 @@ impl Gosn {
             peer_members: Vec::new(),
             tree,
             sn_filters: b.sn_filters,
-            global_filters: b.global_filters,
+            group_filters: b.group_filters,
         };
         collect_edges(&g.tree.clone(), &mut g);
         g.recompute_relations();
@@ -139,7 +155,9 @@ impl Gosn {
             fwd[a].push((b, false));
             fwd[b].push((a, false));
         }
-        let mut masters: Vec<BTreeSet<SnId>> = vec![BTreeSet::new(); n];
+        // `src` ascends and reaches `y` over a ⟕ edge at most once, so
+        // every master list comes out sorted and free of duplicates.
+        let mut masters: Vec<Vec<SnId>> = vec![Vec::new(); n];
         for src in 0..n {
             let mut seen = vec![[false; 2]; n];
             let mut q = VecDeque::new();
@@ -151,7 +169,7 @@ impl Gosn {
                     if !seen[y][nu as usize] {
                         seen[y][nu as usize] = true;
                         if nu && y != src {
-                            masters[y].insert(src);
+                            masters[y].push(src);
                         }
                         q.push_back((y, nu));
                     }
@@ -191,8 +209,8 @@ impl Gosn {
         &self.sn_tps[sn]
     }
 
-    /// The masters of a supernode (transitive).
-    pub fn masters_of(&self, sn: SnId) -> &BTreeSet<SnId> {
+    /// The masters of a supernode (transitive, ascending).
+    pub fn masters_of(&self, sn: SnId) -> &[SnId] {
         &self.masters[sn]
     }
 
@@ -213,7 +231,7 @@ impl Gosn {
 
     /// True when `master` is a (transitive) master of `slave`.
     pub fn is_master_of(&self, master: SnId, slave: SnId) -> bool {
-        self.masters[slave].contains(&master)
+        self.masters[slave].binary_search(&master).is_ok()
     }
 
     /// TP-level master test: is `tp_i`'s supernode a master of `tp_j`'s?
@@ -252,9 +270,29 @@ impl Gosn {
         &self.sn_filters[sn]
     }
 
-    /// Filters spanning supernodes.
-    pub fn global_filters(&self) -> &[Expr] {
-        &self.global_filters
+    /// Filters spanning supernodes, inner ones first: a filter comes after
+    /// every filter of the sub-pattern it wraps.
+    pub fn group_filters(&self) -> &[GroupFilter] {
+        &self.group_filters
+    }
+
+    /// Closes a set of failed supernodes: across peer groups (an
+    /// inner-join group produces rows only as a unit), then to every
+    /// supernode whose master failed. Masters are transitive and include
+    /// a master's peers, so one pass of each reaches the fixpoint.
+    pub fn close_failure(&self, failed: &mut [bool]) {
+        for sn in 0..failed.len() {
+            if failed[sn] {
+                for &peer in self.peers_of(sn) {
+                    failed[peer] = true;
+                }
+            }
+        }
+        for sn in 0..failed.len() {
+            if !failed[sn] && self.masters[sn].iter().any(|&m| failed[m]) {
+                failed[sn] = true;
+            }
+        }
     }
 
     /// Supernodes that are slaves (have at least one master).
@@ -357,7 +395,7 @@ struct Builder {
     tp_sn: Vec<SnId>,
     sn_tps: Vec<Vec<TpId>>,
     sn_filters: Vec<Vec<Expr>>,
-    global_filters: Vec<Expr>,
+    group_filters: Vec<GroupFilter>,
 }
 
 impl Builder {
@@ -377,8 +415,15 @@ impl Builder {
                 Ok(SnTree::LeftJoin(Box::new(lt), Box::new(rt)))
             }
             GraphPattern::Filter(inner, e) => {
-                self.global_filters.push(e.clone());
-                self.build(inner)
+                // The sub-pattern's supernodes are the ones its build adds.
+                let first = self.sn_tps.len();
+                let tree = self.build(inner)?;
+                self.group_filters.push(GroupFilter {
+                    root: tree.leftmost(),
+                    sns: (first..self.sn_tps.len()).collect(),
+                    expr: e.clone(),
+                });
+                Ok(tree)
             }
             GraphPattern::Union(_, _) => Err(SparqlError::Unsupported(
                 "UNION inside GoSN construction; rewrite to UNION normal form first".into(),
@@ -521,19 +566,10 @@ mod tests {
         assert!(g.are_peers(0, 2));
         assert!(!g.are_peers(0, 1));
         // Transitive masters: f's masters are a, c and e.
-        assert_eq!(
-            g.masters_of(5).iter().copied().collect::<Vec<_>>(),
-            vec![0, 2, 4]
-        );
+        assert_eq!(g.masters_of(5), vec![0, 2, 4]);
         // b and d are mastered by both absolute masters.
-        assert_eq!(
-            g.masters_of(1).iter().copied().collect::<Vec<_>>(),
-            vec![0, 2]
-        );
-        assert_eq!(
-            g.masters_of(3).iter().copied().collect::<Vec<_>>(),
-            vec![0, 2]
-        );
+        assert_eq!(g.masters_of(1), vec![0, 2]);
+        assert_eq!(g.masters_of(3), vec![0, 2]);
         assert_eq!(
             g.serialized(),
             "(((SN0 ⟕ SN1) ⋈ (SN2 ⟕ SN3)) ⟕ (SN4 ⟕ SN5))"
@@ -566,19 +602,38 @@ mod tests {
     }
 
     #[test]
-    fn filters_attach_to_supernodes_or_globally() {
+    fn filters_attach_to_supernodes_or_groups() {
         let inner = GraphPattern::filter(bgp1("?x", "p", "?y"), Expr::Bound("x".into()));
         let pat = GraphPattern::left_join(inner, bgp1("?y", "q", "?z"));
         let g = Gosn::from_pattern(&pat).unwrap();
         assert_eq!(g.sn_filters(0).len(), 1);
-        assert!(g.global_filters().is_empty());
+        assert!(g.group_filters().is_empty());
 
-        let pat2 = GraphPattern::filter(
-            GraphPattern::left_join(bgp1("?x", "p", "?y"), bgp1("?y", "q", "?z")),
-            Expr::Bound("z".into()),
+        let group = |e: &str| {
+            GraphPattern::filter(
+                GraphPattern::left_join(bgp1("?x", "p", "?y"), bgp1("?y", "q", "?z")),
+                Expr::Bound(e.into()),
+            )
+        };
+        let g2 = Gosn::from_pattern(&group("z")).unwrap();
+        let [f] = g2.group_filters() else {
+            panic!("one group filter")
+        };
+        assert_eq!((f.root, f.sns.as_slice()), (0, &[0, 1][..]));
+
+        // Inside an OPTIONAL the group is rooted at the slave, and the
+        // outer filter comes after the inner one.
+        let pat3 = GraphPattern::filter(
+            GraphPattern::left_join(bgp1("?w", "r", "?x"), group("z")),
+            Expr::Bound("w".into()),
         );
-        let g2 = Gosn::from_pattern(&pat2).unwrap();
-        assert_eq!(g2.global_filters().len(), 1);
+        let g3 = Gosn::from_pattern(&pat3).unwrap();
+        let roots: Vec<(SnId, Vec<SnId>)> = g3
+            .group_filters()
+            .iter()
+            .map(|f| (f.root, f.sns.clone()))
+            .collect();
+        assert_eq!(roots, vec![(1, vec![1, 2]), (0, vec![0, 1, 2])]);
     }
 
     #[test]

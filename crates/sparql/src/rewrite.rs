@@ -11,10 +11,11 @@
 //!    `vars(R) ⊆ vars(P1)`,
 //! 5. `(P1 ∪ P2) FILTER R ≡ (P1 FILTER R) ∪ (P2 FILTER R)`.
 //!
-//! Plus the "cheap" optimization: `P FILTER(?m = ?n)` rewrites to `P` with
-//! every `?n` replaced by `?m`.
+//! `P FILTER(?m = ?n)` stays a filter. Renaming `?n` to `?m` instead
+//! would unbind `?n` in the answer, and where `?n` is optional it would
+//! drop the filter's effect.
 
-use crate::algebra::{Expr, GraphPattern, TriplePattern};
+use crate::algebra::{Expr, GraphPattern};
 use std::collections::BTreeSet;
 
 /// One UNION-free branch of the UNION normal form.
@@ -92,12 +93,6 @@ fn branches(p: &GraphPattern) -> Vec<UnfBranch> {
 
 /// Pushes a (safe) filter as deep as its variable set allows.
 pub fn push_filter(p: GraphPattern, e: Expr) -> GraphPattern {
-    // Cheap optimization: FILTER(?m = ?n) → substitute ?n by ?m.
-    if let Expr::Eq(a, b) = &e {
-        if let (Expr::Var(m), Expr::Var(n)) = (a.as_ref(), b.as_ref()) {
-            return substitute_var(p, n, m);
-        }
-    }
     let fvars: BTreeSet<String> = e.vars().into_iter().map(|s| s.to_string()).collect();
     push_filter_inner(p, e, &fvars)
 }
@@ -126,57 +121,10 @@ fn push_filter_inner(p: GraphPattern, e: Expr, fvars: &BTreeSet<String>) -> Grap
     }
 }
 
-/// Replaces every occurrence of variable `from` by `to` in triple patterns
-/// and filters.
-pub fn substitute_var(p: GraphPattern, from: &str, to: &str) -> GraphPattern {
-    use crate::algebra::TermPattern;
-    let sub_tp = |tp: &TriplePattern| -> TriplePattern {
-        let f = |t: &TermPattern| match t {
-            TermPattern::Var(v) if v == from => TermPattern::Var(to.to_string()),
-            other => other.clone(),
-        };
-        TriplePattern::new(f(&tp.s), f(&tp.p), f(&tp.o))
-    };
-    match p {
-        GraphPattern::Bgp(tps) => GraphPattern::Bgp(tps.iter().map(sub_tp).collect()),
-        GraphPattern::Join(l, r) => {
-            GraphPattern::join(substitute_var(*l, from, to), substitute_var(*r, from, to))
-        }
-        GraphPattern::LeftJoin(l, r) => {
-            GraphPattern::left_join(substitute_var(*l, from, to), substitute_var(*r, from, to))
-        }
-        GraphPattern::Union(l, r) => {
-            GraphPattern::union(substitute_var(*l, from, to), substitute_var(*r, from, to))
-        }
-        GraphPattern::Filter(inner, e) => GraphPattern::filter(
-            substitute_var(*inner, from, to),
-            substitute_expr(e, from, to),
-        ),
-    }
-}
-
-fn substitute_expr(e: Expr, from: &str, to: &str) -> Expr {
-    let go = |x: Box<Expr>| Box::new(substitute_expr(*x, from, to));
-    match e {
-        Expr::Var(v) if v == from => Expr::Var(to.to_string()),
-        Expr::Bound(v) if v == from => Expr::Bound(to.to_string()),
-        Expr::Eq(a, b) => Expr::Eq(go(a), go(b)),
-        Expr::Ne(a, b) => Expr::Ne(go(a), go(b)),
-        Expr::Lt(a, b) => Expr::Lt(go(a), go(b)),
-        Expr::Le(a, b) => Expr::Le(go(a), go(b)),
-        Expr::Gt(a, b) => Expr::Gt(go(a), go(b)),
-        Expr::Ge(a, b) => Expr::Ge(go(a), go(b)),
-        Expr::And(a, b) => Expr::And(go(a), go(b)),
-        Expr::Or(a, b) => Expr::Or(go(a), go(b)),
-        Expr::Not(a) => Expr::Not(go(a)),
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::TermPattern;
+    use crate::algebra::{TermPattern, TriplePattern};
     use lbr_rdf::Term;
 
     fn bgp(tps: &[(&str, &str, &str)]) -> GraphPattern {
@@ -303,15 +251,17 @@ mod tests {
         }
     }
 
+    /// `FILTER(?m = ?n)` stays a filter: renaming `?n` to `?m` would
+    /// leave `?n` unbound, or drop the filter where `?n` is optional.
     #[test]
-    fn cheap_var_equality_substitution() {
+    fn var_equality_filter_stays() {
         let e = Expr::Eq(
             Box::new(Expr::Var("m".into())),
             Box::new(Expr::Var("n".into())),
         );
         let q = GraphPattern::filter(bgp(&[("?m", "p", "?n")]), e);
         let b = rewrite_to_unf(&q);
-        assert_eq!(b[0].pattern, bgp(&[("?m", "p", "?m")]));
+        assert_eq!(b[0].pattern, q);
     }
 
     #[test]

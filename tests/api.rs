@@ -423,14 +423,14 @@ fn traced_execution_spans_every_stage() {
         }
     }
 
-    // Two connected components: two stage groups, summed by `stage_us`.
+    // Two connected components run as one join: one stage group.
     let cartesian = "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?f . ?s :location ?l . }";
     let (out, spans) = traced_spans(|| db.execute(cartesian).unwrap());
     assert_eq!(out.len(), 4, "2 friends × 2 locations");
     for stage in STAGES {
         let each = durations(&spans, stage);
-        assert_eq!(each.len(), 2, "want two `{stage}` spans in {spans:?}");
-        assert_eq!(lbr::obs::stage_us(&spans, stage), each[0] + each[1]);
+        assert_eq!(each.len(), 1, "want one `{stage}` span in {spans:?}");
+        assert_eq!(lbr::obs::stage_us(&spans, stage), each[0]);
     }
 
     // An empty absolute master aborts inside `init`: nothing is pruned

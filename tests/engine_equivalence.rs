@@ -292,6 +292,128 @@ fn cartesian_products() {
         "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?f .
            OPTIONAL { ?s :location :D.C. . } }",
     );
+    // A product in the master, then an OPTIONAL joined to one component.
+    assert_all_agree(
+        &db,
+        "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?f . ?x :livesIn :LosAngeles .
+           OPTIONAL { ?f :actedIn ?s . } }",
+    );
+    // Filters in a disconnected OPTIONAL: one variable, two variables,
+    // and a master-only variable (out of the group's scope, so the
+    // filter is false there and the OPTIONAL never matches).
+    for filter in [
+        "FILTER(?l != :Jersey)",
+        "FILTER(?s != ?l)",
+        "FILTER(?f = :Julia)",
+    ] {
+        assert_all_agree(
+            &db,
+            &format!(
+                "PREFIX : <> SELECT * WHERE {{ :Jerry :hasFriend ?f .
+                   OPTIONAL {{ ?s :location ?l . {filter} }} }}"
+            ),
+        );
+    }
+    // A disconnected peer group inside an OPTIONAL: ?f :livesIn ?c joins
+    // the master, ?s :location :D.C. shares nothing.
+    assert_all_agree(
+        &db,
+        "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?f .
+           OPTIONAL { ?f :livesIn :NewYorkCity . ?s :location :D.C. . } }",
+    );
+    // A disconnected OPTIONAL nested under a slave that can fail: Larry
+    // acted in nothing located in New York, so his inner OPTIONAL must
+    // not bind ?w under his NULL ?s.
+    assert_all_agree(
+        &db,
+        "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?f .
+           OPTIONAL { ?f :actedIn ?s . ?s :location :NewYorkCity .
+             OPTIONAL { ?w :livesIn :LosAngeles . } } }",
+    );
+    // UNION with one disconnected branch.
+    assert_all_agree(
+        &db,
+        "PREFIX : <> SELECT * WHERE {
+           { :Jerry :hasFriend ?f . ?f :livesIn ?c . }
+           UNION { :Jerry :hasFriend ?f . ?c :location :D.C. . } }",
+    );
+    // Modifiers over a product: DISTINCT, ORDER BY … LIMIT, ASK.
+    let product = "PREFIX : <> SELECT ?f ?c WHERE { :Jerry :hasFriend ?f . ?x :livesIn ?c . }";
+    assert_all_agree(&db, &product.replace("SELECT", "SELECT DISTINCT"));
+    assert_all_agree_in_order(&db, &format!("{product} ORDER BY ?c DESC(?f) LIMIT 3"));
+    for (query, expect) in [
+        (
+            "PREFIX : <> ASK { :Jerry :hasFriend ?f . ?x :livesIn ?c . }",
+            true,
+        ),
+        (
+            "PREFIX : <> ASK { :Jerry :hasFriend ?f . ?x :livesIn :D.C. . }",
+            false,
+        ),
+    ] {
+        let q = parse_query(query).unwrap();
+        for kind in EngineKind::all() {
+            let out = db.engine_of(kind).execute(&q).unwrap();
+            assert_eq!(out.boolean(), Some(expect), "{kind} deviates on: {query}");
+        }
+    }
+    // LIMIT over a product: the right count, every row from the full
+    // answer, and the quota stops the join after one seed.
+    let full = engine_rows(&db, EngineKind::Reference, product);
+    assert_eq!(full.len(), 6, "2 friends × 3 livesIn triples");
+    let limited = format!("{product} LIMIT 2");
+    for kind in EngineKind::all() {
+        let rows = engine_rows(&db, kind, &limited);
+        assert_eq!(rows.len(), 2, "{kind} on {limited}");
+        assert!(rows.iter().all(|r| full.contains(r)), "{kind} on {limited}");
+    }
+    assert_eq!(db.execute(&limited).unwrap().stats.join_seeds, 1);
+}
+
+/// A FaN filter that fails a slave supernode fails its nested slaves too,
+/// on every engine: (Julia, Seinfeld) fails `?s = :Veep`, and the nested
+/// OPTIONAL must not keep Seinfeld's location under the NULL ?s.
+#[test]
+fn fan_failure_reaches_nested_slaves() {
+    let db = sitcom_db();
+    let query = "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?f .
+        OPTIONAL { ?f :actedIn ?s . FILTER(?s != ?f && ?s = :Veep)
+          OPTIONAL { ?s :location ?l . } } }";
+    assert_all_agree(&db, query);
+    let s = |x: &str| Some(format!("<{x}>"));
+    assert_eq!(
+        engine_rows(&db, EngineKind::Lbr, query),
+        vec![
+            vec![s("Julia"), s("Veep"), s("D.C.")],
+            vec![s("Larry"), None, None]
+        ]
+    );
+}
+
+/// `FILTER(?m = ?n)` is evaluated as a filter: both variables stay bound
+/// in the answer, an optional `?d` that fails it drops the row, and
+/// inside an OPTIONAL it reads `?b` as out of scope.
+#[test]
+fn variable_equality_filters_are_evaluated() {
+    let db = Database::from_triples(vec![
+        t("a1", "p", "b1"),
+        t("b1", "q", "d1"),
+        t("a2", "p", "b2"),
+        t("x", "r", "y"),
+    ]);
+    for query in [
+        "SELECT * WHERE { ?a <p> ?b . ?c <q> ?d . FILTER(?b = ?c) }",
+        "SELECT * WHERE { ?a <p> ?b . OPTIONAL { ?b <q> ?d . } FILTER(?b = ?d) }",
+        "SELECT * WHERE { ?a <p> ?b . OPTIONAL { ?c <q> ?d . FILTER(?c = ?b) } }",
+    ] {
+        assert_all_agree(&db, query);
+    }
+    let joined = "SELECT * WHERE { ?a <p> ?b . ?c <q> ?d . FILTER(?b = ?c) }";
+    let s = |x: &str| Some(format!("<{x}>"));
+    assert_eq!(
+        engine_rows(&db, EngineKind::Lbr, joined),
+        vec![vec![s("a1"), s("b1"), s("b1"), s("d1")]]
+    );
 }
 
 #[test]
@@ -338,6 +460,26 @@ fn non_well_designed_matches_sql_semantics() {
     assert_eq!(engine_rows(&db, EngineKind::Lbr, query), truth_sql);
     // And it genuinely differs from the pure-SPARQL semantics here.
     assert_ne!(truth_sql, engine_rows(&db, EngineKind::Reference, query));
+
+    // The same shape with a disconnected part in the master.
+    let query = "PREFIX : <> SELECT * WHERE {
+        { :Jerry :hasFriend ?f . ?x :location :NewYorkCity . OPTIONAL { ?f :actedIn ?s . } }
+        { ?s :location :NewYorkCity . } }";
+    let q = parse_query(query).unwrap();
+    let mut truth_sql: Vec<Vec<Option<String>>> = sql_oracle
+        .execute(&q)
+        .unwrap()
+        .decode(db.dict())
+        .into_iter()
+        .map(|r| r.into_iter().map(|t| t.map(|x| x.to_string())).collect())
+        .collect();
+    truth_sql.sort();
+    assert_eq!(
+        truth_sql.len(),
+        2,
+        "(Julia, Seinfeld) × 2 NewYorkCity subjects"
+    );
+    assert_eq!(engine_rows(&db, EngineKind::Lbr, query), truth_sql);
 }
 
 #[test]
@@ -402,6 +544,20 @@ fn nested_optional_with_filters() {
         &db,
         "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?f . FILTER(?f != :Larry)
            OPTIONAL { ?f :actedIn ?s . OPTIONAL { ?s :location ?l . } } }",
+    );
+    // A filter around a group with an OPTIONAL, inside an OPTIONAL: a
+    // friend whose group fails it keeps the row, with NULLs.
+    let group = "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?f .
+           OPTIONAL { ?f :actedIn ?s . OPTIONAL { ?s :location ?l . }
+             FILTER(?l = :NewYorkCity) } }";
+    assert_all_agree(&db, group);
+    let s = |x: &str| Some(format!("<{x}>"));
+    assert_eq!(
+        engine_rows(&db, EngineKind::Lbr, group),
+        vec![
+            vec![s("Julia"), s("Seinfeld"), s("NewYorkCity")],
+            vec![s("Larry"), None, None]
+        ]
     );
     // Pattern-absent filter variable in the innermost OPTIONAL.
     assert_all_agree(

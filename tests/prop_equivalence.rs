@@ -2,11 +2,12 @@
 //! BGP-OPT queries, the LBR engine must agree exactly (as a bag of rows)
 //! with the nested-loop SPARQL-algebra oracle and with the pairwise
 //! baseline. Random queries cover nested/sibling OPTIONALs, inner joins,
-//! acyclic and cyclic shapes — the whole Figure 3.1 well-designed family.
+//! acyclic and cyclic shapes — the whole Figure 3.1 well-designed family —
+//! and, in a property of their own, Cartesian products.
 
 use lbr::baseline::{evaluate_reference, JoinOrder, PairwiseEngine, Semantics};
 use lbr::sparql::algebra::{
-    Dedup, GraphPattern, Modifiers, OrderKey, Query, TermPattern, TriplePattern,
+    Dedup, Expr, GraphPattern, Modifiers, OrderKey, Query, TermPattern, TriplePattern,
 };
 use lbr::{Database, EngineKind, Term, Triple};
 use proptest::prelude::*;
@@ -140,6 +141,59 @@ impl Gen {
     }
 }
 
+/// Wraps a random half of the OPTIONAL sides of `p` (and, less often, the
+/// whole pattern) in a FILTER. A filter names variables of the pattern it
+/// wraps, and sometimes one of `all` from outside that scope, which reads
+/// as unbound there.
+fn with_filters(p: GraphPattern, rng: &mut Rng, all: &[String], top: bool) -> GraphPattern {
+    let p = match p {
+        GraphPattern::Join(l, r) => GraphPattern::join(
+            with_filters(*l, rng, all, false),
+            with_filters(*r, rng, all, false),
+        ),
+        GraphPattern::LeftJoin(l, r) => {
+            let r = with_filters(*r, rng, all, false);
+            let r = if rng.chance(50) {
+                filtered(r, rng, all)
+            } else {
+                r
+            };
+            GraphPattern::left_join(with_filters(*l, rng, all, false), r)
+        }
+        other => other,
+    };
+    if top && rng.chance(30) {
+        filtered(p, rng, all)
+    } else {
+        p
+    }
+}
+
+fn filtered(p: GraphPattern, rng: &mut Rng, all: &[String]) -> GraphPattern {
+    let scope: Vec<String> = p.variables().into_iter().map(str::to_string).collect();
+    let mut var = || {
+        let from = if scope.is_empty() || rng.chance(15) {
+            all
+        } else {
+            &scope
+        };
+        Box::new(Expr::Var(rng.pick(from).clone()))
+    };
+    let (v, w) = (var(), var());
+    let c = Box::new(Expr::Const(Term::iri(*rng.pick(&ENTITIES))));
+    let e = match rng.next() % 6 {
+        0 => Expr::Ne(v, c),
+        1 => Expr::Eq(v, c),
+        2 => Expr::Eq(v, w),
+        3 => Expr::Ne(v, w),
+        4 => Expr::Bound(v.vars().into_iter().next().unwrap().to_string()),
+        _ => Expr::Not(Box::new(Expr::Bound(
+            v.vars().into_iter().next().unwrap().to_string(),
+        ))),
+    };
+    GraphPattern::filter(p, e)
+}
+
 /// True when every supernode's TPs form one var-connected component on
 /// their own (the paper's no-Cartesian-product premise at SN granularity).
 fn supernodes_internally_connected(pattern: &GraphPattern) -> bool {
@@ -207,31 +261,9 @@ proptest! {
         triples in arb_graph(),
         shape in arb_shape(),
     ) {
-        let db = Database::from_triples(triples);
-        let mut gen = Gen { fresh: 0 };
-        let mut visible = Vec::new();
-        let pattern = gen.build(&shape, &mut visible);
+        let pattern = Gen { fresh: 0 }.build(&shape, &mut Vec::new());
         prop_assume!(lbr::sparql::is_well_designed(&pattern));
-        let query = Query::select_all(pattern);
-        let proj = query.projected_vars();
-        prop_assume!(!proj.is_empty());
-
-        let truth_rel =
-            evaluate_reference(&query, db.dict(), db.store(), Semantics::Sparql).unwrap();
-        let truth = rows_sorted(truth_rel.rows, &truth_rel.vars, &proj, db.dict());
-
-        let out = db.execute_query(&query).unwrap();
-        let lbr_rows = rows_sorted(out.rows, &out.vars, &proj, db.dict());
-        prop_assert_eq!(
-            &lbr_rows, &truth,
-            "LBR deviates on {} (stats: {:?})", query, out.stats
-        );
-
-        let pw = PairwiseEngine::new(db.store(), db.dict(), JoinOrder::Selectivity)
-            .execute(&query)
-            .unwrap();
-        let pw_rows = rows_sorted(pw.rows, &pw.vars, &proj, db.dict());
-        prop_assert_eq!(&pw_rows, &truth, "pairwise deviates on {}", query);
+        matches_oracle(&Database::from_triples(triples), pattern)?;
     }
 
     /// Acyclic well-designed queries must never fire nullification
@@ -259,6 +291,79 @@ proptest! {
         let out = db.execute_query(&query).unwrap();
         prop_assert!(!out.stats.nb_required);
         prop_assert_eq!(out.stats.nullification_fired, 0);
+    }
+}
+
+/// LBR and the pairwise baseline must both return the oracle's bag of
+/// rows for `pattern` as a `SELECT *`.
+fn matches_oracle(db: &Database, pattern: GraphPattern) -> TestCaseResult {
+    let query = Query::select_all(pattern);
+    let proj = query.projected_vars();
+    prop_assume!(!proj.is_empty());
+
+    let truth_rel = evaluate_reference(&query, db.dict(), db.store(), Semantics::Sparql).unwrap();
+    let truth = rows_sorted(truth_rel.rows, &truth_rel.vars, &proj, db.dict());
+
+    let out = db.execute_query(&query).unwrap();
+    let lbr_rows = rows_sorted(out.rows, &out.vars, &proj, db.dict());
+    prop_assert_eq!(
+        &lbr_rows,
+        &truth,
+        "LBR deviates on {} (stats: {:?})",
+        query,
+        out.stats
+    );
+
+    let pw = PairwiseEngine::new(db.store(), db.dict(), JoinOrder::Selectivity)
+        .execute(&query)
+        .unwrap();
+    let pw_rows = rows_sorted(pw.rows, &pw.vars, &proj, db.dict());
+    prop_assert_eq!(&pw_rows, &truth, "pairwise deviates on {}", query);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 1000,
+        max_global_rejects: 65536,
+        ..ProptestConfig::default()
+    })]
+
+    /// Cartesian products — patterns whose TPs are not one
+    /// variable-connected component — run through the same multi-way
+    /// join and must match the oracle too. The generator's fresh
+    /// variables and constant subjects make such patterns common,
+    /// including disconnected OPTIONALs nested under slaves that fail;
+    /// FILTERs on OPTIONAL sides fail slaves at emission.
+    #[test]
+    fn lbr_matches_oracle_on_cartesian_queries(
+        triples in arb_graph(),
+        shape in arb_shape(),
+        filter_seed in any::<u64>(),
+    ) {
+        let pattern = Gen { fresh: 0 }.build(&shape, &mut Vec::new());
+        let all: Vec<String> = pattern.variables().into_iter().map(str::to_string).collect();
+        prop_assume!(!all.is_empty());
+        let pattern = with_filters(pattern, &mut Rng(filter_seed), &all, true);
+        prop_assume!(lbr::sparql::is_well_designed(&pattern));
+        prop_assume!(!lbr::sparql::classify(&pattern).unwrap().connected);
+        matches_oracle(&Database::from_triples(triples), pattern)?;
+    }
+
+    /// The same FILTERs on every well-designed shape: a filter around a
+    /// group with OPTIONALs fails that group's root, not the whole row.
+    #[test]
+    fn lbr_matches_oracle_with_filters(
+        triples in arb_graph(),
+        shape in arb_shape(),
+        filter_seed in any::<u64>(),
+    ) {
+        let pattern = Gen { fresh: 0 }.build(&shape, &mut Vec::new());
+        let all: Vec<String> = pattern.variables().into_iter().map(str::to_string).collect();
+        prop_assume!(!all.is_empty());
+        let pattern = with_filters(pattern, &mut Rng(filter_seed), &all, true);
+        prop_assume!(lbr::sparql::is_well_designed(&pattern));
+        matches_oracle(&Database::from_triples(triples), pattern)?;
     }
 }
 
