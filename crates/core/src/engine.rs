@@ -442,6 +442,9 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             &[
                 ("seeds", exec.seeds_enumerated),
                 ("rows", rows.len() as u64),
+                ("steps", exec.steps),
+                ("run_steps", exec.run_steps),
+                ("dropped", exec.dropped),
             ],
         );
         stats.nullification_fired = exec.nullification_fired;

@@ -299,10 +299,13 @@ fn render_branch(out: &mut String, branch: &BranchPlan, group: &[lbr_obs::Span])
     for s in group.iter().filter(|s| s.name == "join") {
         let _ = writeln!(
             out,
-            "  join: {}µs, seeds={} rows={}",
+            "  join: {}µs, seeds={} rows={}  steps={} run_steps={} dropped={}",
             s.dur_us,
             s.attr("seeds").unwrap_or(0),
             s.attr("rows").unwrap_or(0),
+            s.attr("steps").unwrap_or(0),
+            s.attr("run_steps").unwrap_or(0),
+            s.attr("dropped").unwrap_or(0),
         );
     }
 }
@@ -541,6 +544,56 @@ mod tests {
         // One init / prune / join group for the whole branch.
         assert_eq!(actuals.matches("  init: ").count(), 1, "{text}");
         assert_eq!(actuals.matches("  join: ").count(), 1, "{text}");
+    }
+
+    /// The join line reports the compiled program: on a star whose
+    /// every arm holds one value per subject, all steps after the root
+    /// form one run of lookups; an OPTIONAL pruned empty leaves the
+    /// program.
+    #[test]
+    fn explain_analyze_reports_the_join_program() {
+        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
+        let mut triples = Vec::new();
+        for i in 0..4 {
+            let place = format!("place{i}");
+            triples.push(t(&place, "type", "Place"));
+            triples.push(t(&place, "label", &format!("label{i}")));
+            triples.push(t(&place, "lat", &format!("lat{i}")));
+            if i % 2 == 0 {
+                triples.push(t(&place, "homepage", &format!("home{i}")));
+            }
+            triples.push(t(&format!("gene{i}"), "encodedBy", &format!("seq{i}")));
+            triples.push(t(&format!("other{i}"), "context", &format!("m{i}")));
+            triples.push(t(&format!("m{i}"), "label", &format!("b{i}")));
+        }
+        let g = Graph::from_triples(triples).encode();
+        let store = BitMatStore::build(&g);
+        let engine = LbrEngine::new(&store, &g.dict);
+        let join_line = |query: &str| {
+            let text = engine
+                .explain_analyze(&parse_query(query).unwrap())
+                .unwrap();
+            let line = text.lines().find(|l| l.starts_with("  join: "));
+            line.unwrap_or_else(|| panic!("no join line in {text}"))
+                .to_string()
+        };
+
+        let star = join_line(
+            "SELECT * WHERE { ?v6 <type> <Place> . ?v6 <label> ?v1 . ?v6 <lat> ?v2 .
+               OPTIONAL { ?v6 <homepage> ?v3 . } }",
+        );
+        assert!(star.contains("rows=4"), "{star}");
+        assert!(star.ends_with("steps=4 run_steps=3 dropped=0"), "{star}");
+
+        let empty_optional = join_line(
+            "SELECT * WHERE { ?s <encodedBy> ?seq .
+               OPTIONAL { ?seq <context> ?m . ?m <label> ?b . } }",
+        );
+        assert!(empty_optional.contains("rows=4"), "{empty_optional}");
+        assert!(
+            empty_optional.ends_with("steps=1 run_steps=0 dropped=2"),
+            "{empty_optional}"
+        );
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //!
 //! TPs are visited depth-first in one static order, [`schedule`]d once per
 //! join from `stps` (selective absolute masters first, then down the
-//! master-slave hierarchy). Each recursion level handles exactly one TP,
-//! enumerating its triples consistent with the current variable map. A
-//! slave TP with no consistent triple binds its remaining variables to
-//! NULL; an absolute-master TP with no consistent triple rolls the branch
-//! back. No pairwise intermediate results or hash tables are materialized:
-//! the only extra memory is one slot per query variable (the paper's
-//! `vmap`).
+//! master-slave hierarchy). Each TP enumerates its triples consistent with
+//! the current variable map. A slave TP with no consistent triple binds
+//! its remaining variables to NULL; an absolute-master TP with no
+//! consistent triple rolls the branch back. No pairwise intermediate
+//! results or hash tables are materialized: the only extra memory is one
+//! slot per query variable (the paper's `vmap`).
 //!
-//! Because masters precede slaves in `stps` and a level only binds
+//! Because masters precede slaves in `stps` and a TP only binds
 //! still-free variables, master bindings win over slave bindings for
 //! shared variables — the paper's output rule.
 //!
@@ -19,24 +18,62 @@
 //! NULL: the slave shares a NULL variable and cannot match. A Cartesian
 //! pattern breaks that, so the join states it outright. A slave TP whose
 //! master supernode has a nulled TP is unmatched without reading its
-//! matrix, and at emission every supernode whose (transitive) master
-//! failed fails too.
+//! matrix, and every supernode whose (transitive) master failed fails too.
 //!
-//! ## One schedule, forward-only cursors, zero-allocation steady state
+//! ## One schedule, compiled into a program
 //!
 //! Algorithm 5.4 takes, at each level, the first unvisited TP in `stps`
 //! order that has a bound variable. Visiting a TP leaves every one of its
 //! variables bound or NULL, so that choice depends only on *which* TPs are
-//! visited: [`schedule`] makes it once, before any enumeration, and level
-//! `d` of the recursion takes `order[d]`. The same pass fixes each matrix
-//! TP's read direction — one reached through its column variable alone is
-//! transposed in place (`TpState::transpose`) — so every candidate is
-//! read **forward, directly off the compressed rows in each BitMat's
-//! arena** ([`lbr_bitmat::RowRef::iter_ones`] cursors, lent without a
-//! copy), or tested by a membership
-//! probe. There are no transposed copies, candidate vectors or adjacency
-//! lists; the only per-row allocation left in the steady state is the
-//! pushed result row itself (assembled in a reusable buffer first).
+//! visited: [`schedule`] makes it once, before any enumeration. The same
+//! pass fixes each matrix TP's read direction — one reached through its
+//! column variable alone is transposed in place (`TpState::transpose`) —
+//! so every matrix is read forward.
+//!
+//! The join compiles that order into a program of one step per TP. Which
+//! of a TP's variables the steps before it bind is static, so each step's
+//! op is fixed before the first binding:
+//! - `Exists` for a TP without variables, `Check1` for a one-variable TP
+//!   whose variable is bound and `Enum1` for one whose variable is free;
+//! - a matrix read, of a `Two` TP or of each predicate slice of a `Three`:
+//!   `Scan` when both variables are free (the root), `Expand` when the row
+//!   is bound, `Probe` when both are, and `Lookup` for an `Expand` over a
+//!   matrix holding one bit per row, which binds the column with one seek.
+//!
+//! A slot is an `Option<Binding>`: the program knows which `None` is free
+//! and which is NULL. Each variable's binding supernode, that of the first
+//! TP holding it, is static too.
+//!
+//! **Runs.** `Exists`, `Check1`, `Probe` and `Lookup` (and a `Three` probe
+//! whose predicate is bound) match at most once. A maximal run of such
+//! steps executes in one loop instead of one recursion level per TP. A
+//! miss in an absolute master ends the run and rolls the branch back; a
+//! miss in a slave NULLs the step's free variables and the run goes on
+//! past it. An enumerating step ends the run and recurses once per match.
+//! Each op's read exists once: an enumerating step passes it the rest of
+//! the program as a continuation, a run passes an empty one.
+//!
+//! **Failure is counted when a step NULLs.** A nulled step counts one
+//! failure on every supernode of its [`Gosn::failure_closure`] and one
+//! nulled master on each of its [`Gosn::slaves_of`]; unwinding takes them
+//! back. "Is a master of this step nulled" is one counter read, and
+//! emission reads the failed supernodes off the counts. A row with nothing
+//! nulled and no filter is a copy of the slots.
+//!
+//! **Dead supernodes.** A slave supernode with a TP pruned to nothing
+//! fails on every row, since that TP cannot match, and so does its failure
+//! closure. Their steps leave the program, their failure counts stay at
+//! one and their variables stay NULL. One exception keeps every step: a
+//! live step reading a variable that a dead step would bind first.
+//!
+//! ## Forward-only cursors, zero-allocation steady state
+//!
+//! Every candidate is read **forward, directly off the compressed rows in
+//! each BitMat's arena** ([`lbr_bitmat::RowRef::iter_ones`] cursors, lent
+//! without a copy), or tested by a membership probe. There are no
+//! transposed copies, candidate vectors or adjacency lists; the only
+//! per-row allocation left in the steady state is the pushed result row
+//! itself.
 //!
 //! A bound row variable finds its row with a finger seek
 //! ([`BitMat::seek_row`]): the join keeps, per matrix (per predicate slice
@@ -48,7 +85,7 @@
 use crate::bindings::{Binding, VarId, VarTable};
 use crate::filter_eval::{self, VarLookup};
 use crate::init::{Axes, TpData, TpState};
-use lbr_bitmat::{BitMat, CubeDims, RowRef};
+use lbr_bitmat::{BitMat, BitVec, CubeDims, RowRef};
 use lbr_rdf::{Dictionary, Dimension, Term};
 use lbr_sparql::algebra::Expr;
 use lbr_sparql::gosn::{Gosn, SnId, TpId};
@@ -60,16 +97,8 @@ use std::time::Instant;
 /// sits on the seed-enumeration hot path, so it is amortized.
 const DEADLINE_POLL_MASK: u32 = 0x3FF; // every 1024 polls
 
-/// A variable slot in the paper's `vmap`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    /// Not yet bound.
-    Free,
-    /// Bound to NULL by an unmatched slave.
-    Null,
-    /// Bound to a value.
-    Val(Binding),
-}
+/// A variable no compiled step has bound yet.
+const UNBOUND: SnId = SnId::MAX;
 
 /// Inputs of the join phase.
 pub struct JoinInputs<'a> {
@@ -122,6 +151,13 @@ pub struct ExecStats {
     /// returned alongside are then an arbitrary truncation, not an
     /// answer, and the caller must discard them.
     pub deadline_expired: bool,
+    /// Steps of the compiled join program: the TPs the join reads.
+    pub steps: u64,
+    /// Steps that match at most once and run in loops, not one recursion
+    /// level each.
+    pub run_steps: u64,
+    /// TPs of dead supernodes, left out of the program.
+    pub dropped: u64,
 }
 
 /// The paper's `sorted-tps`: absolute masters ascending by remaining triple
@@ -185,42 +221,205 @@ pub fn schedule(tps: &mut [TpState], gosn: &Gosn) -> Vec<TpId> {
     order
 }
 
+/// How a matrix step reads its matrix, fixed by which of its variables
+/// the steps before it bind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Read {
+    /// Both variables free: every row, every column.
+    Scan,
+    /// Row bound: the columns of that row.
+    Expand,
+    /// Row bound over a matrix holding one bit per row: that bit.
+    Lookup,
+    /// Both bound: a membership test.
+    Probe,
+}
+
+/// What a step does with its TP's data.
+#[derive(Debug, Clone, Copy)]
+enum Op<'t> {
+    /// A TP without variables: whether its triple exists.
+    Exists(bool),
+    /// A one-variable TP whose variable is bound: a candidate test.
+    Check1(VarId, Dimension, &'t BitVec),
+    /// A one-variable TP whose variable is free: every candidate.
+    Enum1(VarId, Dimension, &'t BitVec),
+    /// A two-variable TP.
+    Two(Read, Axes, &'t BitMat),
+    /// A `(?s ?p ?o)` TP: each predicate slice is read as `read` says.
+    /// `p` is the predicate variable and whether it is free: a free one is
+    /// bound to each slice's predicate, a bound one must equal it.
+    Three {
+        read: Read,
+        axes: Axes,
+        mats: &'t [(u32, BitMat)],
+        p: (VarId, bool),
+    },
+}
+
+impl Op<'_> {
+    /// Seek fingers the op owns: one per matrix.
+    fn matrices(&self) -> usize {
+        match self {
+            Op::Two(..) => 1,
+            Op::Three { mats, .. } => mats.len(),
+            _ => 0,
+        }
+    }
+}
+
+/// One TP of the compiled join program.
+#[derive(Debug)]
+struct Step<'t> {
+    op: Op<'t>,
+    /// Whether the op matches at most once: such a step runs in the loop
+    /// of its run, not in a recursion level of its own.
+    once: bool,
+    /// The TP's supernode.
+    sn: SnId,
+    /// Whether `sn` is an absolute master: a miss there rolls the branch
+    /// back, anywhere else it NULLs the step's free variables.
+    master: bool,
+    /// The variables this step binds: the first `n_free`.
+    free: [VarId; 3],
+    n_free: usize,
+    /// The op's first seek finger; a `Three` owns one per slice.
+    finger: usize,
+}
+
+/// Compiles `inp.order` into the join program (see the module docs) and
+/// fills `var_sn` with each variable's binding supernode. A dead
+/// supernode's failure count in `sns` is set to one for good.
+fn compile<'t>(inp: &JoinInputs<'t>, var_sn: &mut [SnId], sns: &mut [SnState]) -> Vec<Step<'t>> {
+    let gosn = inp.gosn;
+    for &tp in inp.order {
+        if inp.tps[tp].is_empty() && !gosn.tp_in_absolute_master(tp) {
+            for &sn in gosn.failure_closure(gosn.sn_of_tp(tp)) {
+                sns[sn].failed = 1;
+            }
+        }
+    }
+    compile_live(inp, var_sn, sns).unwrap_or_else(|| {
+        sns.iter_mut().for_each(|s| s.failed = 0);
+        var_sn.fill(UNBOUND);
+        compile_live(inp, var_sn, sns).unwrap_or_default()
+    })
+}
+
+/// The steps of the TPs in supernodes whose failure count is zero, or
+/// `None` when one of them reads a variable a left-out TP binds first.
+fn compile_live<'t>(
+    inp: &JoinInputs<'t>,
+    var_sn: &mut [SnId],
+    sns: &[SnState],
+) -> Option<Vec<Step<'t>>> {
+    let gosn = inp.gosn;
+    let mut steps = Vec::with_capacity(inp.order.len());
+    let mut finger = 0;
+    for &tp in inp.order {
+        let sn = gosn.sn_of_tp(tp);
+        let live = sns[sn].failed == 0;
+        let bound = |v: VarId| var_sn[v] != UNBOUND;
+        let (mut free, mut n_free) = ([0; 3], 0);
+        for (v, _) in inp.tps[tp].vars() {
+            if !bound(v) {
+                free[n_free] = v;
+                n_free += 1;
+            } else if live && sns[var_sn[v]].failed > 0 {
+                return None;
+            }
+        }
+        // schedule() transposed a TP reached through its column alone.
+        let read = |axes: &Axes| match (bound(axes.row_var), bound(axes.col_var)) {
+            (true, true) => Read::Probe,
+            (true, false) => Read::Expand,
+            (false, _) => Read::Scan,
+        };
+        let op = match &inp.tps[tp].data {
+            TpData::Zero { present } => Op::Exists(*present),
+            TpData::One { var, dim, cands } if bound(*var) => Op::Check1(*var, *dim, cands),
+            TpData::One { var, dim, cands } => Op::Enum1(*var, *dim, cands),
+            TpData::Two { axes, mat } => match read(axes) {
+                Read::Expand if mat.triple_count() == mat.n_present() as u64 => {
+                    Op::Two(Read::Lookup, *axes, mat)
+                }
+                read => Op::Two(read, *axes, mat),
+            },
+            TpData::Three { p_var, axes, mats } => Op::Three {
+                read: read(axes),
+                axes: *axes,
+                mats,
+                p: (*p_var, !bound(*p_var)),
+            },
+        };
+        free[..n_free].iter().for_each(|&v| var_sn[v] = sn);
+        if live {
+            let once = match op {
+                Op::Exists(_) | Op::Check1(..) | Op::Two(Read::Probe | Read::Lookup, ..) => true,
+                Op::Three { read, p, .. } => read == Read::Probe && !p.1,
+                Op::Enum1(..) | Op::Two(..) => false,
+            };
+            let master = gosn.is_absolute_master(sn);
+            steps.push(Step {
+                op,
+                once,
+                sn,
+                master,
+                free,
+                n_free,
+                finger,
+            });
+            finger += op.matrices();
+        }
+    }
+    Some(steps)
+}
+
 /// Runs the multi-way join, returning full-width rows (one column per
 /// variable in [`VarTable`] order).
 pub fn multi_way_join(inp: &JoinInputs<'_>) -> (Vec<Vec<Option<Binding>>>, ExecStats) {
-    let mut ctx = Ctx::new(inp);
-    recurse(&mut ctx, 0);
+    let (mut ctx, prog) = Ctx::new(inp);
+    recurse(&mut ctx, &prog, 0);
     ctx.stats.deadline_expired = ctx.expired.get();
     (ctx.rows, ctx.stats)
+}
+
+/// A supernode's counts of the nulled steps on the current path.
+#[derive(Debug, Clone, Copy, Default)]
+struct SnState {
+    /// Nulled steps whose failure closure holds this supernode (one for
+    /// good in a dead supernode): it has failed when non-zero.
+    failed: i32,
+    /// Nulled steps in this supernode's masters: its own steps are then
+    /// unmatched without a read.
+    master_nulls: i32,
 }
 
 /// The join state: the variable map, the output and its scratch. The
 /// inputs are reached through a shared reference the recursion copies out,
 /// so it can hold TP data while it rebinds slots.
-struct Ctx<'b, 'a> {
-    inp: &'b JoinInputs<'a>,
+struct Ctx<'a> {
+    inp: &'a JoinInputs<'a>,
     /// `sn_vars[sn][var]`: does `var` occur in a TP of `sn`? The FILTER
     /// visibility scope for supernode filters.
     sn_vars: Vec<Vec<bool>>,
     /// The same scope for each of the GoSN's group filters.
     group_vars: Vec<Vec<bool>>,
-    slots: Vec<Slot>,
-    binder: Vec<TpId>,
-    /// `sn_nulled[sn]`: how many TPs of `sn` the current path nulled;
-    /// `n_nulled` is their sum.
-    sn_nulled: Vec<u32>,
-    n_nulled: u32,
-    /// The seek finger of every matrix: TP `tp`'s `k`-th matrix (its
+    /// The paper's `vmap`. `None` is free or NULL; the program knows
+    /// which.
+    slots: Vec<Option<Binding>>,
+    /// Each variable's binding supernode.
+    var_sn: Vec<SnId>,
+    sns: Vec<SnState>,
+    /// Nulled steps on the current path.
+    n_nulled: i32,
+    /// The seek finger of every matrix: step `s`'s `k`-th matrix (its
     /// `k`-th predicate slice, or its one matrix) owns
-    /// `fingers[first_finger[tp] + k]`.
+    /// `fingers[s.finger + k]`.
     fingers: Vec<usize>,
-    first_finger: Vec<usize>,
     rows: Vec<Vec<Option<Binding>>>,
     /// Reusable failed-supernode buffer of [`Ctx::emit`].
     failed: Vec<bool>,
-    /// Reusable row-assembly buffer of [`Ctx::emit`]; only rows that
-    /// survive every filter are cloned out of it into `rows`.
-    row_buf: Vec<Option<Binding>>,
     /// Deadline-poll counter: [`Ctx::full`] reads the wall clock only
     /// every `DEADLINE_POLL_MASK + 1` calls.
     poll: Cell<u32>,
@@ -230,21 +429,13 @@ struct Ctx<'b, 'a> {
     stats: ExecStats,
 }
 
-impl<'b, 'a> Ctx<'b, 'a> {
-    fn new(inp: &'b JoinInputs<'a>) -> Ctx<'b, 'a> {
+impl<'a> Ctx<'a> {
+    fn new(inp: &'a JoinInputs<'a>) -> (Ctx<'a>, Vec<Step<'a>>) {
         let mut sn_vars = vec![vec![false; inp.vt.len()]; inp.gosn.n_supernodes()];
-        let mut first_finger = Vec::with_capacity(inp.tps.len());
-        let mut n_fingers = 0;
         for (tp, state) in inp.tps.iter().enumerate() {
             for (v, _) in state.vars() {
                 sn_vars[inp.gosn.sn_of_tp(tp)][v] = true;
             }
-            first_finger.push(n_fingers);
-            n_fingers += match &state.data {
-                TpData::Two { .. } => 1,
-                TpData::Three { mats, .. } => mats.len(),
-                TpData::Zero { .. } | TpData::One { .. } => 0,
-            };
         }
         let group_vars = (inp.gosn.group_filters().iter())
             .map(|f| {
@@ -257,23 +448,31 @@ impl<'b, 'a> Ctx<'b, 'a> {
                 vars
             })
             .collect();
-        Ctx {
+        let mut var_sn = vec![UNBOUND; inp.vt.len()];
+        let mut sns = vec![SnState::default(); inp.gosn.n_supernodes()];
+        let prog = compile(inp, &mut var_sn, &mut sns);
+        let stats = ExecStats {
+            steps: prog.len() as u64,
+            run_steps: prog.iter().filter(|s| s.once).count() as u64,
+            dropped: (inp.order.len() - prog.len()) as u64,
+            ..ExecStats::default()
+        };
+        let ctx = Ctx {
             inp,
             sn_vars,
             group_vars,
-            slots: vec![Slot::Free; inp.vt.len()],
-            binder: vec![usize::MAX; inp.vt.len()],
-            sn_nulled: vec![0; inp.gosn.n_supernodes()],
+            slots: vec![None; inp.vt.len()],
+            var_sn,
+            sns,
             n_nulled: 0,
-            fingers: vec![0; n_fingers],
-            first_finger,
+            fingers: vec![0; prog.iter().map(|s| s.op.matrices()).sum()],
             rows: Vec::new(),
             failed: Vec::new(),
-            row_buf: Vec::new(),
             poll: Cell::new(0),
             expired: Cell::new(false),
-            stats: ExecStats::default(),
-        }
+            stats,
+        };
+        (ctx, prog)
     }
 
     // lbr-lint: no_alloc — quota/deadline polls and binding bookkeeping on the hot path.
@@ -309,50 +508,42 @@ impl<'b, 'a> Ctx<'b, 'a> {
         false
     }
 
-    fn bind(&mut self, var: VarId, slot: Slot, tp: TpId) {
-        debug_assert_eq!(self.slots[var], Slot::Free);
-        self.slots[var] = slot;
-        self.binder[var] = tp;
-    }
-
-    fn unbind(&mut self, var: VarId) {
-        self.slots[var] = Slot::Free;
-        self.binder[var] = usize::MAX;
-    }
-
-    /// True when the current path nulled a TP of one of `tp`'s master
-    /// supernodes (transitive, so a master's peers count too): `tp` is
-    /// then unmatched whatever its matrix holds.
-    fn master_nulled(&self, tp: TpId) -> bool {
+    /// Adds `by` (±1) nulled steps of supernode `sn` to the counts: a
+    /// failure for each supernode of its closure, a nulled master for each
+    /// of its slaves.
+    fn count_null(&mut self, sn: SnId, by: i32) {
         let gosn = self.inp.gosn;
-        self.n_nulled > 0
-            && (gosn.masters_of(gosn.sn_of_tp(tp)).iter()).any(|&m| self.sn_nulled[m] > 0)
+        for &x in gosn.failure_closure(sn) {
+            self.sns[x].failed += by;
+        }
+        for &x in gosn.slaves_of(sn) {
+            self.sns[x].master_nulls += by;
+        }
+        self.n_nulled += by;
     }
     // lbr-lint: end
 
-    /// Emits one result row: failure closure → FaN filters (supernode,
-    /// then group) → nullification → push. The failure map and the row
-    /// are assembled in reusable buffers; only a surviving row is cloned
-    /// into the output, so filtered rows cost no allocation at all.
+    /// Emits one result row: FaN filters (supernode, then group) →
+    /// nullification → push. The failed supernodes are read off the
+    /// counts; only a surviving row is allocated.
     fn emit(&mut self) {
         if self.full() {
             return; // quota met (and handles the degenerate quota of 0)
         }
         let inp = self.inp;
         let gosn = inp.gosn;
-        // 1. Failed supernodes: any nulled TP fails its supernode, and
-        //    the failure closes over peers and slaves.
-        self.failed.clear();
-        self.failed.extend(self.sn_nulled.iter().map(|&n| n > 0));
-        if self.n_nulled > 0 {
-            gosn.close_failure(&mut self.failed);
+        if self.n_nulled == 0 && inp.fan_filters.is_empty() && gosn.group_filters().is_empty() {
+            self.rows.push(self.slots.clone());
+            return;
         }
+        self.failed.clear();
+        self.failed.extend(self.sns.iter().map(|s| s.failed > 0));
 
-        // 2. FaN: supernode filters, evaluated over the supernode's own
-        //    variable scope (a variable bound only outside the supernode
-        //    reads as unbound, like in the reference oracle); then group
-        //    filters, inner ones first, over their supernodes' scope with
-        //    the bindings of failed supernodes hidden.
+        // FaN: supernode filters, evaluated over the supernode's own
+        // variable scope (a variable bound only outside the supernode
+        // reads as unbound, like in the reference oracle); then group
+        // filters, inner ones first, over their supernodes' scope with
+        // the bindings of failed supernodes hidden.
         for &(sn, expr) in &inp.fan_filters {
             if !self.failed[sn] && !self.holds(expr, &self.sn_vars[sn]) && !self.fail(sn) {
                 return;
@@ -367,30 +558,20 @@ impl<'b, 'a> Ctx<'b, 'a> {
             }
         }
 
-        // 3. Nullification: bindings produced by failed supernodes become
-        //    NULL (Rao et al.'s operator; a no-op when nothing failed),
-        //    assembled in the reusable buffer.
-        self.row_buf.clear();
+        // Nullification: bindings produced by failed supernodes become
+        // NULL (Rao et al.'s operator; a no-op when nothing failed).
         let mut rewrote = false;
-        for (var, slot) in self.slots.iter().enumerate() {
-            match slot {
-                Slot::Val(b) => {
-                    let binder_sn = gosn.sn_of_tp(self.binder[var]);
-                    if self.failed[binder_sn] {
-                        self.row_buf.push(None);
-                        rewrote = true;
-                    } else {
-                        self.row_buf.push(Some(*b));
-                    }
-                }
-                _ => self.row_buf.push(None),
-            }
-        }
+        let row = (self.slots.iter().zip(&self.var_sn))
+            .map(|(&b, &sn)| {
+                let hidden = b.is_some() && self.failed[sn];
+                rewrote |= hidden;
+                b.filter(|_| !hidden)
+            })
+            .collect();
         if rewrote {
             self.stats.nullification_fired += 1;
         }
-
-        self.rows.push(self.row_buf.clone());
+        self.rows.push(row);
     }
 
     /// Evaluates a filter over the variables `scope` marks, as bound now.
@@ -398,15 +579,16 @@ impl<'b, 'a> Ctx<'b, 'a> {
         filter_eval::eval(expr, &ScopedLookup { ctx: self, scope })
     }
 
-    /// Fails `sn` and closes the failure, or returns `false` when `sn` is
+    /// Fails `sn` and its failure closure, or returns `false` when `sn` is
     /// an absolute master: masters cannot be nullified, so the row drops.
     fn fail(&mut self, sn: SnId) -> bool {
         let gosn = self.inp.gosn;
         if gosn.is_absolute_master(sn) {
             return false;
         }
-        self.failed[sn] = true;
-        gosn.close_failure(&mut self.failed);
+        for &x in gosn.failure_closure(sn) {
+            self.failed[x] = true;
+        }
         true
     }
 }
@@ -414,225 +596,191 @@ impl<'b, 'a> Ctx<'b, 'a> {
 /// Variable lookup for a FILTER: only variables `scope` marks are visible
 /// (§5.2 FILTER scope), and a binding made by a failed supernode reads as
 /// unbound.
-struct ScopedLookup<'c, 'b, 'a> {
-    ctx: &'c Ctx<'b, 'a>,
+struct ScopedLookup<'c, 'a> {
+    ctx: &'c Ctx<'a>,
     scope: &'c [bool],
 }
 
-impl VarLookup for ScopedLookup<'_, '_, '_> {
+impl VarLookup for ScopedLookup<'_, '_> {
     fn term(&self, name: &str) -> Option<&Term> {
         let ctx = self.ctx;
         let id = ctx.inp.vt.id(name)?;
-        if !self.scope[id] {
-            return None;
-        }
-        match ctx.slots[id] {
-            Slot::Val(b) if !ctx.failed[ctx.inp.gosn.sn_of_tp(ctx.binder[id])] => {
-                Some(b.decode(ctx.inp.dict))
-            }
-            _ => None,
-        }
+        let b = ctx.slots[id].filter(|_| self.scope[id] && !ctx.failed[ctx.var_sn[id]])?;
+        Some(b.decode(ctx.inp.dict))
     }
 }
 
-// lbr-lint: no_alloc — the recursion and its TP descent: all masks,
-// cursors and row buffers come from the context's scratch.
-/// One recursion level of Algorithm 5.4: the TP at `order[depth]`.
-///
-/// Candidate enumeration cursors directly over the compressed matrix rows,
-/// always forward — no candidate vector or adjacency list is materialized
-/// or cloned, so the steady-state loop body performs no heap allocation.
-fn recurse(ctx: &mut Ctx<'_, '_>, depth: usize) {
-    let inp = ctx.inp;
-    let Some(&tp) = inp.order.get(depth) else {
-        ctx.emit();
-        return;
-    };
+// lbr-lint: no_alloc — the recursion, its run loop and every op's read:
+// all cursors and row buffers come from the context's scratch.
+/// Algorithm 5.4 from program step `i` on. A run of at-most-one steps is
+/// one loop; an enumerating step recurses once per match and ends the
+/// frame.
+fn recurse(ctx: &mut Ctx<'_>, prog: &[Step<'_>], mut i: usize) {
     if ctx.full() {
         return; // quota met: unwind without starting new subtrees
     }
-    if ctx.master_nulled(tp) {
-        // Unmatched whatever its matrix holds: do not read it.
-        null_slave(ctx, depth, tp);
-        return;
+    while let Some(step) = prog.get(i) {
+        // A step under a nulled master is unmatched without a read.
+        let matched = ctx.sns[step.sn].master_nulls == 0
+            && if step.once {
+                each(ctx, step, |_| {})
+            } else {
+                each(ctx, step, |ctx| descend(ctx, prog, i))
+            };
+        // ln 27–32: an absolute master cannot have NULL bindings, so the
+        // branch rolls back; a slave NULLs its free variables and goes on.
+        if !matched && !step.master {
+            for &v in &step.free[..step.n_free] {
+                ctx.slots[v] = None;
+            }
+            ctx.count_null(step.sn, 1);
+            recurse(ctx, prog, i + 1);
+            ctx.count_null(step.sn, -1);
+        }
+        if !(matched && step.once) {
+            return;
+        }
+        if i == 0 {
+            ctx.stats.seeds_enumerated += 1;
+        }
+        i += 1;
     }
-    let n_shared = inp.dims.n_shared;
-    let matched = match &inp.tps[tp].data {
-        TpData::Zero { present } => {
-            if *present {
-                descend(ctx, depth, &[]);
-            }
-            *present
+    ctx.emit();
+}
+
+/// Recurses past step `i`, counting a seed when `i` is the root.
+fn descend(ctx: &mut Ctx<'_>, prog: &[Step<'_>], i: usize) {
+    if i == 0 {
+        // Each match of the root starts one independent subtree — a
+        // *seed* of the enumeration.
+        ctx.stats.seeds_enumerated += 1;
+    }
+    recurse(ctx, prog, i + 1);
+}
+
+/// Reads `step`'s TP against the slots: binds its free variables to each
+/// match in turn, calls `then` on each, and returns whether any matched.
+/// An at-most-one op calls `then` at most once and leaves its bindings in
+/// the slots, so the run loop passes an empty `then`.
+fn each(ctx: &mut Ctx<'_>, step: &Step<'_>, mut then: impl FnMut(&mut Ctx<'_>)) -> bool {
+    let n_shared = ctx.inp.dims.n_shared;
+    let hit = match step.op {
+        Op::Exists(present) => present,
+        Op::Check1(var, dim, cands) => {
+            ctx.slots[var].is_some_and(|b| b.probes(dim) && cands.get(b.id))
         }
-        TpData::One { var, dim, cands } => match ctx.slots[*var] {
-            Slot::Val(b) => {
-                let hit = b.probes(*dim) && cands.get(b.id);
-                if hit {
-                    descend(ctx, depth, &[]);
-                }
-                hit
-            }
-            Slot::Null => false,
-            Slot::Free => {
-                let mut any = false;
-                for id in cands.iter_ones() {
-                    any = true;
-                    ctx.bind(*var, Slot::Val(Binding::new(id, *dim, n_shared)), tp);
-                    descend(ctx, depth, &[*var]);
-                    if ctx.full() {
-                        break;
-                    }
-                }
-                any
-            }
-        },
-        TpData::Two { axes, mat } => {
-            let finger = ctx.first_finger[tp];
-            read_forward(ctx, depth, tp, *axes, mat, finger)
-        }
-        TpData::Three { p_var, axes, mats } => {
-            let pv = *p_var;
+        Op::Enum1(var, dim, cands) => {
             let mut any = false;
-            // Each predicate slice is a `Two` matrix with the predicate
-            // binding layered on.
+            for id in cands.iter_ones() {
+                any = true;
+                ctx.slots[var] = Some(Binding::new(id, dim, n_shared));
+                then(ctx);
+                if ctx.full() {
+                    break;
+                }
+            }
+            return any;
+        }
+        Op::Two(read, axes, mat) => {
+            return read_matrix(ctx, read, axes, mat, step.finger, &mut then);
+        }
+        Op::Three {
+            read,
+            axes,
+            mats,
+            p: (p_var, p_free),
+        } => {
+            let mut any = false;
             for (k, (pid, mat)) in mats.iter().enumerate() {
                 if ctx.full() {
                     break;
                 }
-                // Predicate slot must admit this pid.
-                let p_bound_here = match ctx.slots[pv] {
-                    Slot::Val(b) => {
-                        if !(b.probes(Dimension::Predicate) && b.id == *pid) {
-                            continue;
-                        }
-                        false
-                    }
-                    Slot::Null => continue,
-                    Slot::Free => {
-                        let b = Binding::new(*pid, Dimension::Predicate, n_shared);
-                        ctx.bind(pv, Slot::Val(b), tp);
-                        true
-                    }
-                };
-                let finger = ctx.first_finger[tp] + k;
-                any |= read_forward(ctx, depth, tp, *axes, mat, finger);
-                if p_bound_here {
-                    ctx.unbind(pv);
+                if p_free {
+                    ctx.slots[p_var] = Some(Binding::new(*pid, Dimension::Predicate, n_shared));
+                } else if !ctx.slots[p_var]
+                    .is_some_and(|b| b.probes(Dimension::Predicate) && b.id == *pid)
+                {
+                    continue;
                 }
+                any |= read_matrix(ctx, read, axes, mat, step.finger + k, &mut then);
             }
-            any
+            return any;
         }
     };
-
-    // ln 27–28: an absolute master cannot have NULL bindings — roll back
-    // this branch.
-    if !matched && !inp.gosn.tp_in_absolute_master(tp) {
-        null_slave(ctx, depth, tp);
+    if hit {
+        then(ctx);
     }
+    hit
 }
 
-/// ln 29–32: a slave with no consistent triple NULLs its free vars (at
-/// most three — a stack array, not a collect) and descends.
-fn null_slave(ctx: &mut Ctx<'_, '_>, depth: usize, tp: TpId) {
-    let mut free = [0 as VarId; 3];
-    let mut n_free = 0usize;
-    for (v, _) in ctx.inp.tps[tp].vars() {
-        if ctx.slots[v] == Slot::Free {
-            free[n_free] = v;
-            n_free += 1;
-        }
-    }
-    for &v in &free[..n_free] {
-        ctx.bind(v, Slot::Null, tp);
-    }
-    let sn = ctx.inp.gosn.sn_of_tp(tp);
-    ctx.sn_nulled[sn] += 1;
-    ctx.n_nulled += 1;
-    descend(ctx, depth, &free[..n_free]);
-    ctx.sn_nulled[sn] -= 1;
-    ctx.n_nulled -= 1;
-}
-
-/// The one read of an oriented matrix — a `Two` TP or one predicate slice
-/// of a `Three` — and it is always forward: a membership probe when both
-/// variables are bound, the bound row's columns, or (the schedule's root)
-/// every row. A bound row is found by seeking from the matrix's finger,
-/// `ctx.fingers[finger]`. Returns whether a triple matched.
-fn read_forward(
-    ctx: &mut Ctx<'_, '_>,
-    depth: usize,
-    tp: TpId,
+/// One read of an oriented matrix — a `Two` TP or one predicate slice of
+/// a `Three` — and it is always forward. A bound row is found by seeking
+/// from `ctx.fingers[finger]`. Returns whether a triple matched.
+fn read_matrix(
+    ctx: &mut Ctx<'_>,
+    read: Read,
     axes: Axes,
     mat: &BitMat,
     finger: usize,
+    then: &mut impl FnMut(&mut Ctx<'_>),
 ) -> bool {
     let n_shared = ctx.inp.dims.n_shared;
-    match (ctx.slots[axes.row_var], ctx.slots[axes.col_var]) {
-        (Slot::Null, _) | (_, Slot::Null) => false,
-        (Slot::Val(r), Slot::Val(c)) => {
-            let hit = r.probes(axes.row_dim)
-                && c.probes(axes.col_dim)
-                && mat
-                    .seek_row(r.id, &mut ctx.fingers[finger])
-                    .is_some_and(|row| row.contains(c.id));
-            if hit {
-                descend(ctx, depth, &[]);
-            }
-            hit
-        }
-        (Slot::Val(r), Slot::Free) => match r
-            .probes(axes.row_dim)
-            .then(|| mat.seek_row(r.id, &mut ctx.fingers[finger]))
-        {
-            Some(Some(row)) => {
-                read_row(ctx, depth, tp, axes, row);
-                true // a stored row is never empty
-            }
-            _ => false,
-        },
-        (Slot::Free, Slot::Free) => {
+    let hit = match read {
+        Read::Scan => {
             let mut any = false;
             for (r, row) in mat.rows() {
                 if ctx.full() {
                     break;
                 }
                 any = true;
-                let b = Binding::new(r, axes.row_dim, n_shared);
-                ctx.bind(axes.row_var, Slot::Val(b), tp);
-                read_row(ctx, depth, tp, axes, row);
-                ctx.unbind(axes.row_var);
+                ctx.slots[axes.row_var] = Some(Binding::new(r, axes.row_dim, n_shared));
+                read_row(ctx, axes, row, then);
             }
-            any
+            return any;
         }
-        (Slot::Free, Slot::Val(_)) => {
-            unreachable!("schedule() transposes a TP reached through its column")
+        Read::Expand => {
+            let row = seek(ctx, axes, mat, finger);
+            if let Some(row) = row {
+                read_row(ctx, axes, row, then);
+            }
+            return row.is_some(); // a stored row is never empty
         }
+        Read::Lookup => match seek(ctx, axes, mat, finger).and_then(|row| row.iter_ones().next()) {
+            Some(c) => {
+                ctx.slots[axes.col_var] = Some(Binding::new(c, axes.col_dim, n_shared));
+                true
+            }
+            None => false,
+        },
+        Read::Probe => match ctx.slots[axes.col_var] {
+            Some(c) if c.probes(axes.col_dim) => {
+                seek(ctx, axes, mat, finger).is_some_and(|row| row.contains(c.id))
+            }
+            _ => false,
+        },
+    };
+    if hit {
+        then(ctx);
     }
+    hit
 }
 
-/// Binds the column variable to each ID of `row` in turn and descends.
-fn read_row(ctx: &mut Ctx<'_, '_>, depth: usize, tp: TpId, axes: Axes, row: RowRef<'_>) {
+/// The row of the bound row variable, sought from the matrix's finger;
+/// `None` when the variable is NULL, of another dimension, or has no row.
+fn seek<'m>(ctx: &mut Ctx<'_>, axes: Axes, mat: &'m BitMat, finger: usize) -> Option<RowRef<'m>> {
+    let r = ctx.slots[axes.row_var].filter(|r| r.probes(axes.row_dim))?;
+    mat.seek_row(r.id, &mut ctx.fingers[finger])
+}
+
+/// Binds the column variable to each ID of `row` in turn and calls `then`.
+fn read_row(ctx: &mut Ctx<'_>, axes: Axes, row: RowRef<'_>, then: &mut impl FnMut(&mut Ctx<'_>)) {
     let n_shared = ctx.inp.dims.n_shared;
     for c in row.iter_ones() {
-        let b = Binding::new(c, axes.col_dim, n_shared);
-        ctx.bind(axes.col_var, Slot::Val(b), tp);
-        descend(ctx, depth, &[axes.col_var]);
+        ctx.slots[axes.col_var] = Some(Binding::new(c, axes.col_dim, n_shared));
+        then(ctx);
         if ctx.full() {
             break;
         }
-    }
-}
-
-/// Recurses one level deeper, then unbinds the vars this frame bound.
-fn descend(ctx: &mut Ctx<'_, '_>, depth: usize, bound_here: &[VarId]) {
-    if depth == 0 {
-        // This frame is the root TP: each descend from here starts one
-        // independent subtree — a *seed* of the enumeration.
-        ctx.stats.seeds_enumerated += 1;
-    }
-    recurse(ctx, depth + 1);
-    for &v in bound_here {
-        ctx.unbind(v);
     }
 }
 // lbr-lint: end
@@ -759,6 +907,93 @@ mod tests {
             TpData::Two { axes, .. } | TpData::Three { axes, .. } => *axes,
             _ => panic!("tp{} is not a matrix TP", tp.id),
         }
+    }
+
+    /// The ops of the compiled program of `query` over `g`, and what the
+    /// join reports of it.
+    fn program(g: &EncodedGraph, query: &str) -> (Vec<String>, ExecStats) {
+        let (a, vt, mut tps, dims) = pruned(g, query);
+        let order = schedule(&mut tps, &a.gosn);
+        let inputs = JoinInputs {
+            tps: &tps,
+            order: &order,
+            gosn: &a.gosn,
+            vt: &vt,
+            dims,
+            dict: &g.dict,
+            fan_filters: Vec::new(),
+            quota: None,
+            deadline: None,
+        };
+        let (ctx, prog) = Ctx::new(&inputs);
+        let ops = (prog.iter())
+            .map(|step| match step.op {
+                Op::Exists(_) => "Exists".to_string(),
+                Op::Check1(..) => "Check1".to_string(),
+                Op::Enum1(..) => "Enum1".to_string(),
+                Op::Two(read, ..) => format!("Two/{read:?}"),
+                Op::Three { read, p, .. } => format!("Three/{read:?}/p_free={}", p.1),
+            })
+            .collect();
+        (ops, ctx.stats)
+    }
+
+    /// The schedule compiles to the ops it fixes. Q2: Jerry's friends are
+    /// enumerated, and the pruned slave holds one sitcom for Julia, so
+    /// its two steps are one run: a lookup, then a candidate test. A star
+    /// whose arms hold one value per subject is a scan and a run of
+    /// lookups. The cyclic query reads `?s`'s sitcoms (Curb has two
+    /// actors), looks each location's one sitcom up and closes the cycle
+    /// with a probe.
+    #[test]
+    fn the_schedule_compiles_to_static_ops() {
+        let (ops, stats) = program(&graph(), Q2);
+        assert_eq!(ops, ["Enum1", "Two/Lookup", "Check1"]);
+        assert_eq!((stats.steps, stats.run_steps, stats.dropped), (3, 2, 0));
+
+        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
+        let star = Graph::from_triples(
+            (0..5)
+                .flat_map(|i| {
+                    let s = format!("s{i}");
+                    [
+                        t(&s, "a", &format!("x{i}")),
+                        t(&s, "b", &format!("y{i}")),
+                        t(&s, "c", &format!("z{i}")),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        )
+        .encode();
+        let (ops, stats) = program(
+            &star,
+            "SELECT * WHERE { ?s <a> ?x . ?s <b> ?y . OPTIONAL { ?s <c> ?z . } }",
+        );
+        assert_eq!(ops, ["Two/Scan", "Two/Lookup", "Two/Lookup"]);
+        assert_eq!(stats.run_steps, 2);
+
+        let (ops, stats) = program(
+            &graph(),
+            "PREFIX : <> SELECT * WHERE { ?f :actedIn ?s . ?s :location ?w .
+             OPTIONAL { ?f :actedIn ?s2 . ?s2 :location ?w . } }",
+        );
+        assert_eq!(ops, ["Two/Scan", "Two/Expand", "Two/Lookup", "Two/Probe"]);
+        assert_eq!((stats.steps, stats.run_steps, stats.dropped), (4, 2, 0));
+    }
+
+    /// A slave supernode pruned to nothing leaves the program with the
+    /// slaves it fails, and its variables stay NULL.
+    #[test]
+    fn a_dead_supernode_leaves_the_program() {
+        let query = "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend ?friend .
+               OPTIONAL { ?friend :location ?loc . OPTIONAL { ?loc :actedIn ?x . } } }";
+        let (ops, stats) = program(&graph(), query);
+        assert_eq!(ops, ["Enum1"]);
+        assert_eq!(stats.dropped, 2);
+        let (_, rows, stats) = run(query);
+        assert_eq!(rows.len(), 2);
+        assert!(rows.iter().all(|r| r[1..].iter().all(Option::is_none)));
+        assert_eq!(stats.nullification_fired, 0);
     }
 
     /// The paper's running example: exactly {(Larry, NULL), (Julia,
@@ -948,6 +1183,59 @@ mod tests {
         let g = Graph::from_triples(triples).encode();
         let query = "SELECT * WHERE { ?s <p> ?o . OPTIONAL { <k> <r> ?v . } }";
         assert_quota_exact(&g, query, 100);
+    }
+
+    /// The pushdown contract when the root is an `Exists` step in a run:
+    /// its one match is the one seed.
+    #[test]
+    fn quota_stops_exactly_under_a_root_exists() {
+        let query =
+            "PREFIX : <> SELECT * WHERE { :Jerry :hasFriend :Julia . :Julia :actedIn :Veep . }";
+        assert_eq!(program(&graph(), query).0, ["Exists", "Exists"]);
+        assert_quota_exact(&graph(), query, 1);
+    }
+
+    /// A run whose absolute master misses rolls the branch back mid-run.
+    /// On a triangle `?a → ?b → ?c → ?a` whose odd cycles do not close
+    /// (semi-joins keep every triple: each odd `?c` points to another odd
+    /// `?a`), the root scans every `?a`, a lookup binds `?c` and the closing
+    /// probe misses on every other seed: still one seed per root match,
+    /// and under a quota the rows are a prefix and the seeds stop at the
+    /// one that produced the last row.
+    #[test]
+    fn a_run_rolls_back_on_an_absolute_master_miss() {
+        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
+        let n = 40;
+        let g = Graph::from_triples(
+            (0..n)
+                .flat_map(|i| {
+                    let back = if i % 2 == 0 { i } else { (i + 2) % n };
+                    [
+                        t(&format!("a{i:02}"), "p", &format!("b{i:02}")),
+                        t(&format!("b{i:02}"), "q", &format!("c{i:02}")),
+                        t(&format!("c{i:02}"), "r", &format!("a{back:02}")),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        )
+        .encode();
+        let query = "SELECT * WHERE { ?a <p> ?b . ?b <q> ?c . ?c <r> ?a . }";
+        assert_eq!(
+            program(&g, query).0,
+            ["Two/Scan", "Two/Lookup", "Two/Probe"]
+        );
+        let (_, all_rows, full) = join(&g, query, None);
+        assert_eq!(all_rows.len(), n / 2);
+        assert_eq!(full.seeds_enumerated, n as u64);
+        for quota in [1, 7, n / 2] {
+            let (_, rows, stats) = join(&g, query, Some(quota));
+            assert_eq!(rows, all_rows[..quota], "quota={quota}");
+            assert_eq!(
+                stats.seeds_enumerated,
+                2 * quota as u64 - 1,
+                "quota={quota}"
+            );
+        }
     }
 
     /// A slave under a nulled master is unmatched without being read. The

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Attributes a span can carry (fixed-size so recording never allocates).
-pub const MAX_ATTRS: usize = 4;
+pub const MAX_ATTRS: usize = 5;
 
 /// Spans retained per trace; recording beyond this drops the span (and
 /// counts it) rather than growing the buffer on the hot path.
@@ -583,12 +583,12 @@ mod tests {
         let tr = t(4, Duration::from_micros(1), 0);
         tr.begin().expect("active");
         let attrs: Vec<(&'static str, u64)> =
-            vec![("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)];
+            vec![("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("f", 6)];
         span_at("join", Instant::now(), Duration::from_micros(1), &attrs);
         tr.finish(Duration::from_micros(10)).expect("kept");
         let snap = tr.snapshot();
         assert_eq!(snap[0].spans[0].attrs().len(), MAX_ATTRS);
-        assert_eq!(snap[0].spans[0].attr("e"), None);
+        assert_eq!(snap[0].spans[0].attr("f"), None);
     }
 
     #[test]

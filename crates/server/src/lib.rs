@@ -1584,14 +1584,16 @@ mod tests {
         std::thread::scope(|scope| {
             // Stagger the sends: the first heavy query must reach the
             // worker before the second occupies the lone queue slot, and
-            // both must be in place before the probe arrives.
+            // both must be in place before the probe arrives, while the
+            // first still runs (a release build answers it in about
+            // 200 ms).
             for tag in 0..2u32 {
                 let heavy = &heavy;
                 scope.spawn(move || {
                     let (status, _, body) = get(addr, &heavy(tag), None);
                     assert_eq!(status, 200, "{body}");
                 });
-                std::thread::sleep(Duration::from_millis(150));
+                std::thread::sleep(Duration::from_millis(50));
             }
             let (status, head, _) = get(addr, &heavy(9), None);
             assert_eq!(status, 503, "expected the third request shed");

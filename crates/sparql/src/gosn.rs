@@ -81,6 +81,12 @@ pub struct Gosn {
     uni: Vec<(SnId, SnId)>,
     bi: Vec<(SnId, SnId)>,
     masters: Vec<Vec<SnId>>,
+    /// The inverse of `masters`: every supernode `sn` is a master of,
+    /// ascending.
+    slaves: Vec<Vec<SnId>>,
+    /// What fails with `sn`: its peer group and every slave of a member,
+    /// ascending.
+    failure_closure: Vec<Vec<SnId>>,
     peer_group: Vec<usize>,
     /// Members of each peer group, ascending, indexed by the group's
     /// `peer_group` root (empty for non-roots).
@@ -110,6 +116,8 @@ impl Gosn {
             uni: Vec::new(),
             bi: Vec::new(),
             masters: Vec::new(),
+            slaves: Vec::new(),
+            failure_closure: Vec::new(),
             peer_group: Vec::new(),
             peer_members: Vec::new(),
             tree,
@@ -176,7 +184,26 @@ impl Gosn {
                 }
             }
         }
+        self.slaves = vec![Vec::new(); n];
+        for (slave, ms) in masters.iter().enumerate() {
+            for &m in ms {
+                self.slaves[m].push(slave);
+            }
+        }
         self.masters = masters;
+        // Masters are transitive and include a master's peers, so the
+        // slaves of a peer group's members are all the closure adds.
+        self.failure_closure = (0..n)
+            .map(|sn| {
+                let mut closure: Vec<SnId> = self.peers_of(sn).to_vec();
+                for &peer in self.peers_of(sn) {
+                    closure.extend_from_slice(&self.slaves[peer]);
+                }
+                closure.sort_unstable();
+                closure.dedup();
+                closure
+            })
+            .collect();
     }
 
     /// Number of supernodes.
@@ -212,6 +239,18 @@ impl Gosn {
     /// The masters of a supernode (transitive, ascending).
     pub fn masters_of(&self, sn: SnId) -> &[SnId] {
         &self.masters[sn]
+    }
+
+    /// The supernodes `sn` is a (transitive) master of, ascending.
+    pub fn slaves_of(&self, sn: SnId) -> &[SnId] {
+        &self.slaves[sn]
+    }
+
+    /// Every supernode that fails when `sn` fails, `sn` included: its
+    /// peer group (an inner-join group produces rows only as a unit) and
+    /// every slave of a member. Ascending.
+    pub fn failure_closure(&self, sn: SnId) -> &[SnId] {
+        &self.failure_closure[sn]
     }
 
     /// True when the supernode has no master (§2.2 "absolute master").
@@ -276,21 +315,13 @@ impl Gosn {
         &self.group_filters
     }
 
-    /// Closes a set of failed supernodes: across peer groups (an
-    /// inner-join group produces rows only as a unit), then to every
-    /// supernode whose master failed. Masters are transitive and include
-    /// a master's peers, so one pass of each reaches the fixpoint.
+    /// Closes a set of failed supernodes under [`Gosn::failure_closure`].
     pub fn close_failure(&self, failed: &mut [bool]) {
         for sn in 0..failed.len() {
             if failed[sn] {
-                for &peer in self.peers_of(sn) {
-                    failed[peer] = true;
+                for &x in &self.failure_closure[sn] {
+                    failed[x] = true;
                 }
-            }
-        }
-        for sn in 0..failed.len() {
-            if !failed[sn] && self.masters[sn].iter().any(|&m| failed[m]) {
-                failed[sn] = true;
             }
         }
     }
@@ -570,6 +601,13 @@ mod tests {
         // b and d are mastered by both absolute masters.
         assert_eq!(g.masters_of(1), vec![0, 2]);
         assert_eq!(g.masters_of(3), vec![0, 2]);
+        // Slaves invert masters; a failure takes the peer group and every
+        // slave of a member with it.
+        assert_eq!(g.slaves_of(0), vec![1, 3, 4, 5]);
+        assert_eq!(g.slaves_of(4), vec![5]);
+        assert_eq!(g.failure_closure(2), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(g.failure_closure(4), vec![4, 5]);
+        assert_eq!(g.failure_closure(1), vec![1]);
         assert_eq!(
             g.serialized(),
             "(((SN0 ⟕ SN1) ⋈ (SN2 ⟕ SN3)) ⟕ (SN4 ⟕ SN5))"

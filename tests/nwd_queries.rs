@@ -179,3 +179,81 @@ fn deep_nwd_cascades_to_peers() {
              OPTIONAL { ?c2 :pe ?e2 . OPTIONAL { ?e2 :pf ?j . } } } }",
     );
 }
+
+/// The join drops the steps of a slave supernode pruned to nothing, except
+/// when a live step reads a variable such a step binds first. Run over the
+/// untransformed GoSN of `(A ⟕ B) ⟕ C`, where `?v` is in B and C but not
+/// A, B's empty TP binds `?v` to NULL before C reads it, so every step
+/// stays, and the rows are SQL's null-intolerant ones: C never matches.
+/// With B's steps dropped, C would bind `?v` itself.
+#[test]
+fn a_live_step_reading_a_dead_binding_keeps_every_step() {
+    use lbr::core::bindings::VarTable;
+    use lbr::core::init::init;
+    use lbr::core::jvar_order::get_jvar_order;
+    use lbr::core::multiway::{multi_way_join, schedule, JoinInputs};
+    use lbr::core::prune::{prune_triples, PruneScratch};
+    use lbr::core::selectivity::estimate_all;
+    use lbr::sparql::{Goj, Gosn};
+    use lbr::Catalog as _;
+
+    let db = Database::from_triples(vec![
+        t("a1", "p", "b1"),
+        t("a2", "p", "b2"),
+        t("b1", "q", "v1"),
+        t("x", "absent", "y"),
+    ]);
+    let q = parse_query(
+        "SELECT * WHERE { ?a <p> ?b . OPTIONAL { ?b <absent> ?v . } OPTIONAL { ?b <q> ?v . } }",
+    )
+    .unwrap();
+    assert!(!is_well_designed(&q.pattern));
+    let gosn = Gosn::from_pattern(&q.pattern).unwrap();
+    let goj = Goj::from_tps(gosn.tps());
+    let vt = VarTable::from_tps(gosn.tps()).unwrap();
+    let est = estimate_all(gosn.tps(), db.dict(), db.store());
+    let jorder = get_jvar_order(&gosn, &goj, &vt, &est);
+    let mut scratch = PruneScratch::new();
+    let mut tps = init(
+        &gosn,
+        &vt,
+        &jorder,
+        &est,
+        db.dict(),
+        db.store(),
+        &mut scratch,
+    )
+    .unwrap()
+    .tps
+    .unwrap();
+    let dims = db.store().dims();
+    prune_triples(&mut tps, &gosn, &goj, &vt, &jorder, &dims, &mut scratch);
+    assert!(tps[1].is_empty(), "B's TP is pruned to nothing");
+    let order = schedule(&mut tps, &gosn);
+    let (rows, stats) = multi_way_join(&JoinInputs {
+        tps: &tps,
+        order: &order,
+        gosn: &gosn,
+        vt: &vt,
+        dims,
+        dict: db.dict(),
+        fan_filters: Vec::new(),
+        quota: None,
+        deadline: None,
+    });
+    assert_eq!((stats.steps, stats.dropped), (3, 0), "every step kept");
+
+    let sql = evaluate_reference(&q, db.dict(), db.store(), Semantics::NullIntolerant).unwrap();
+    let cols: Vec<usize> = (vt.names().iter())
+        .map(|v| sql.vars.iter().position(|x| x == v).unwrap())
+        .collect();
+    let mut want: Vec<Vec<Option<lbr::core::Binding>>> = (sql.rows.iter())
+        .map(|r| cols.iter().map(|&c| r[c]).collect())
+        .collect();
+    let mut got = rows;
+    want.sort();
+    got.sort();
+    assert_eq!(got.len(), 2);
+    assert!(got.iter().all(|r| r[vt.id("v").unwrap()].is_none()));
+    assert_eq!(got, want);
+}

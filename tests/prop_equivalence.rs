@@ -17,7 +17,11 @@ const ENTITIES: [&str; 10] = ["e0", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e
 const PREDICATES: [&str; 5] = ["p0", "p1", "p2", "p3", "p4"];
 
 fn arb_graph() -> impl Strategy<Value = Vec<Triple>> {
-    prop::collection::vec((0usize..10, 0usize..5, 0usize..10), 1..60).prop_map(|ts| {
+    arb_graph_of(1..60)
+}
+
+fn arb_graph_of(triples: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Triple>> {
+    prop::collection::vec((0usize..10, 0usize..5, 0usize..10), triples).prop_map(|ts| {
         ts.into_iter()
             .map(|(s, p, o)| {
                 Triple::new(
@@ -70,9 +74,17 @@ impl Rng {
     }
 }
 
+#[derive(Default)]
 struct Gen {
     fresh: usize,
+    /// Percent chance that a TP inside an OPTIONAL names [`ABSENT`].
+    absent: u64,
+    /// Whether the TPs being built sit inside an OPTIONAL.
+    in_optional: bool,
 }
+
+/// A predicate no generated graph holds.
+const ABSENT: &str = "absent";
 
 impl Gen {
     /// Builds a well-designed pattern: the right side of every LeftJoin may
@@ -100,7 +112,9 @@ impl Gen {
                 // local (removed from visibility afterwards).
                 let mut slave_visible = visible.clone();
                 let before = slave_visible.len();
+                let outer = std::mem::replace(&mut self.in_optional, true);
                 let rp = self.build(r, &mut slave_visible);
+                self.in_optional = outer;
                 // Vars the master introduced sideways don't exist; only
                 // keep what was visible before.
                 slave_visible.truncate(before);
@@ -131,7 +145,11 @@ impl Gen {
         } else {
             TermPattern::Const(Term::iri(*rng.pick(&ENTITIES)))
         };
-        let p = TermPattern::Const(Term::iri(*rng.pick(&PREDICATES)));
+        let p = if self.in_optional && self.absent > 0 && rng.chance(self.absent) {
+            TermPattern::Const(Term::iri(ABSENT))
+        } else {
+            TermPattern::Const(Term::iri(*rng.pick(&PREDICATES)))
+        };
         let o: TermPattern = if rng.chance(70) {
             TermPattern::Var(self.var(rng, visible))
         } else {
@@ -261,7 +279,7 @@ proptest! {
         triples in arb_graph(),
         shape in arb_shape(),
     ) {
-        let pattern = Gen { fresh: 0 }.build(&shape, &mut Vec::new());
+        let pattern = Gen::default().build(&shape, &mut Vec::new());
         prop_assume!(lbr::sparql::is_well_designed(&pattern));
         matches_oracle(&Database::from_triples(triples), pattern)?;
     }
@@ -279,7 +297,7 @@ proptest! {
         shape in arb_shape(),
     ) {
         let db = Database::from_triples(triples);
-        let mut gen = Gen { fresh: 0 };
+        let mut gen = Gen::default();
         let mut visible = Vec::new();
         let pattern = gen.build(&shape, &mut visible);
         prop_assume!(lbr::sparql::is_well_designed(&pattern));
@@ -341,12 +359,31 @@ proptest! {
         shape in arb_shape(),
         filter_seed in any::<u64>(),
     ) {
-        let pattern = Gen { fresh: 0 }.build(&shape, &mut Vec::new());
+        let pattern = Gen::default().build(&shape, &mut Vec::new());
         let all: Vec<String> = pattern.variables().into_iter().map(str::to_string).collect();
         prop_assume!(!all.is_empty());
         let pattern = with_filters(pattern, &mut Rng(filter_seed), &all, true);
         prop_assume!(lbr::sparql::is_well_designed(&pattern));
         prop_assume!(!lbr::sparql::classify(&pattern).unwrap().connected);
+        matches_oracle(&Database::from_triples(triples), pattern)?;
+    }
+
+    /// OPTIONAL TPs naming a predicate absent from the data are pruned to
+    /// nothing, so their supernodes, and every supernode those fail, are
+    /// dead: the join leaves their steps out and their variables NULL.
+    /// FILTERs on OPTIONAL sides name dead variables too. The graphs are
+    /// denser than elsewhere, so that more masters match and the join runs.
+    #[test]
+    fn lbr_matches_oracle_with_dead_optionals(
+        triples in arb_graph_of(60..160),
+        shape in arb_shape(),
+        filter_seed in any::<u64>(),
+    ) {
+        let pattern = Gen { absent: 30, ..Gen::default() }.build(&shape, &mut Vec::new());
+        let all: Vec<String> = pattern.variables().into_iter().map(str::to_string).collect();
+        prop_assume!(!all.is_empty());
+        let pattern = with_filters(pattern, &mut Rng(filter_seed), &all, true);
+        prop_assume!(lbr::sparql::is_well_designed(&pattern));
         matches_oracle(&Database::from_triples(triples), pattern)?;
     }
 
@@ -358,7 +395,7 @@ proptest! {
         shape in arb_shape(),
         filter_seed in any::<u64>(),
     ) {
-        let pattern = Gen { fresh: 0 }.build(&shape, &mut Vec::new());
+        let pattern = Gen::default().build(&shape, &mut Vec::new());
         let all: Vec<String> = pattern.variables().into_iter().map(str::to_string).collect();
         prop_assume!(!all.is_empty());
         let pattern = with_filters(pattern, &mut Rng(filter_seed), &all, true);
@@ -413,7 +450,7 @@ proptest! {
         // The vendored proptest has no Option strategy: 0 = no LIMIT.
         let limit = limit_raw.checked_sub(1);
         let db = Database::from_triples(triples);
-        let mut gen = Gen { fresh: 0 };
+        let mut gen = Gen::default();
         let mut visible = Vec::new();
         let pattern = gen.build(&shape, &mut visible);
         prop_assume!(lbr::sparql::is_well_designed(&pattern));
