@@ -3,7 +3,7 @@
 //! evaluation compares executors, not storage.
 
 use crate::Relation;
-use lbr_bitmat::{Catalog, Family};
+use lbr_bitmat::{BitMat, Catalog, Family};
 use lbr_core::bindings::Binding;
 use lbr_core::LbrError;
 use lbr_rdf::{Dictionary, Dimension};
@@ -67,7 +67,7 @@ pub fn scan_tp(
         }
         (Some(s), None, Some(o)) if s != o => {
             if let Some(mat) = catalog.matrix(Family::So, p_id.unwrap())? {
-                for (r, c) in mat.iter() {
+                for (r, c) in BitMat::as_ref(&mat).iter() {
                     rel.rows
                         .push(vec![b(r, Dimension::Subject), b(c, Dimension::Object)]);
                 }
@@ -76,7 +76,7 @@ pub fn scan_tp(
         // (?x p ?x): diagonal.
         (Some(_), None, Some(_)) => {
             if let Some(mat) = catalog.matrix(Family::So, p_id.unwrap())? {
-                for (r, c) in mat.iter() {
+                for (r, c) in BitMat::as_ref(&mat).iter() {
                     if r == c && r < n_shared {
                         rel.rows.push(vec![b(r, Dimension::Subject)]);
                     }
@@ -85,7 +85,7 @@ pub fn scan_tp(
         }
         (None, Some(p), Some(o)) if p != o => {
             if let Some(mat) = catalog.matrix(Family::Po, s_id.unwrap())? {
-                for (r, c) in mat.iter() {
+                for (r, c) in BitMat::as_ref(&mat).iter() {
                     rel.rows
                         .push(vec![b(r, Dimension::Predicate), b(c, Dimension::Object)]);
                 }
@@ -93,7 +93,7 @@ pub fn scan_tp(
         }
         (Some(s), Some(p), None) if p != s => {
             if let Some(mat) = catalog.matrix(Family::Ps, o_id.unwrap())? {
-                for (r, c) in mat.iter() {
+                for (r, c) in BitMat::as_ref(&mat).iter() {
                     rel.rows
                         .push(vec![b(r, Dimension::Predicate), b(c, Dimension::Subject)]);
                 }
@@ -102,7 +102,7 @@ pub fn scan_tp(
         (None, Some(_), None) => {
             if let Some(mat) = catalog.matrix(Family::Po, s_id.unwrap())? {
                 let o = o_id.unwrap();
-                for (r, c) in mat.iter() {
+                for (r, c) in BitMat::as_ref(&mat).iter() {
                     if c == o {
                         rel.rows.push(vec![b(r, Dimension::Predicate)]);
                     }
@@ -115,7 +115,7 @@ pub fn scan_tp(
             // baselines support it so the oracle can cover more ground).
             for pid in 0..dims.n_predicates {
                 if let Some(mat) = catalog.matrix(Family::So, pid)? {
-                    for (r, c) in mat.iter() {
+                    for (r, c) in BitMat::as_ref(&mat).iter() {
                         rel.rows.push(vec![
                             b(r, Dimension::Subject),
                             b(pid, Dimension::Predicate),

@@ -41,16 +41,16 @@ fn bench_fold_unfold(c: &mut Criterion) {
     let mat = sample_matrix(24, 8_000, 7);
     let mask = sample_mask(20_000, 8);
     c.bench_function("fold_cols_190k_bits", |b| {
-        b.iter(|| std::hint::black_box(mat.fold(RetainDim::Col)))
+        b.iter(|| std::hint::black_box(mat.as_ref().fold(RetainDim::Col)))
     });
     c.bench_function("fold_rows_190k_bits", |b| {
-        b.iter(|| std::hint::black_box(mat.fold(RetainDim::Row)))
+        b.iter(|| std::hint::black_box(mat.as_ref().fold(RetainDim::Row)))
     });
     c.bench_function("unfold_cols_190k_bits", |b| {
         b.iter(|| {
             let mut m = mat.clone();
             m.unfold(&mask, RetainDim::Col);
-            std::hint::black_box(m.triple_count())
+            std::hint::black_box(m.as_ref().triple_count())
         })
     });
     c.bench_function("unfold_rows_190k_bits", |b| {
@@ -58,7 +58,7 @@ fn bench_fold_unfold(c: &mut Criterion) {
         b.iter(|| {
             let mut m = mat.clone();
             m.unfold(&row_mask, RetainDim::Row);
-            std::hint::black_box(m.triple_count())
+            std::hint::black_box(m.as_ref().triple_count())
         })
     });
 }
@@ -69,24 +69,24 @@ fn bench_semijoin_shape(c: &mut Criterion) {
     let slave = sample_matrix(30, 9_000, 22);
     c.bench_function("semi_join_fold_and_unfold", |b| {
         b.iter(|| {
-            let mut beta = master.fold(RetainDim::Col);
-            beta.and_assign(&slave.fold(RetainDim::Col));
+            let mut beta = master.as_ref().fold(RetainDim::Col);
+            beta.and_assign(&slave.as_ref().fold(RetainDim::Col));
             let mut s = slave.clone();
             s.unfold(&beta, RetainDim::Col);
-            std::hint::black_box(s.triple_count())
+            std::hint::black_box(s.as_ref().triple_count())
         })
     });
     c.bench_function("clustered_semi_join_3_members", |b| {
         let m3 = sample_matrix(16, 7_000, 23);
         b.iter(|| {
-            let mut beta = master.fold(RetainDim::Col);
-            beta.and_assign(&slave.fold(RetainDim::Col));
-            beta.and_assign(&m3.fold(RetainDim::Col));
+            let mut beta = master.as_ref().fold(RetainDim::Col);
+            beta.and_assign(&slave.as_ref().fold(RetainDim::Col));
+            beta.and_assign(&m3.as_ref().fold(RetainDim::Col));
             let mut out = 0;
             for m in [&master, &slave, &m3] {
                 let mut x = m.clone();
                 x.unfold(&beta, RetainDim::Col);
-                out += x.triple_count();
+                out += x.as_ref().triple_count();
             }
             std::hint::black_box(out)
         })
@@ -96,7 +96,7 @@ fn bench_semijoin_shape(c: &mut Criterion) {
 fn bench_transpose(c: &mut Criterion) {
     let mat = sample_matrix(24, 8_000, 31);
     c.bench_function("transpose_190k_bits", |b| {
-        b.iter(|| std::hint::black_box(mat.transpose().triple_count()))
+        b.iter(|| std::hint::black_box(mat.as_ref().transpose().as_ref().triple_count()))
     });
 }
 
@@ -152,7 +152,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             let mut m = run_a_mat.clone();
             m.unfold_with(&mask, RetainDim::Col, &mut scratch);
-            std::hint::black_box(m.triple_count())
+            std::hint::black_box(m.as_ref().triple_count())
         })
     });
     c.bench_function("kernel_kway_leapfrog_4", |b| {

@@ -62,17 +62,13 @@ fn bench_ops(c: &mut Criterion) {
     });
 }
 
-/// A row through the segment codec: serialized to words, parsed back and
-/// copied onto the heap.
+/// A row through the segment's body check: its stored body (the words a
+/// segment holds for it) checked back against its span and copied onto
+/// the heap.
 fn word_roundtrip(row: &BitRow) -> BitRow {
-    let mut buf = Vec::new();
-    row.as_ref().write_words_to(&mut buf);
-    let words: Vec<u32> = buf
-        .chunks_exact(4)
-        .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte word")))
-        .collect();
-    RowRef::parse(&words, UNIVERSE)
-        .expect("a written row parses")
+    let (runs, words) = row.as_ref().body_words();
+    RowRef::checked(UNIVERSE, row.count_ones(), runs, words)
+        .expect("a stored body checks")
         .to_owned()
 }
 

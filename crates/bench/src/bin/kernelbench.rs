@@ -88,7 +88,7 @@ fn main() {
     bench("unfold_with_runs", || {
         let mut m = run_a_mat.clone();
         m.unfold_with(&mask, RetainDim::Col, &mut scratch);
-        std::hint::black_box(m.triple_count());
+        std::hint::black_box(m.as_ref().triple_count());
     });
     bench("kway_intersect_4", || {
         intersect_into(&[&run_a, &run_b, &sp_a, &sp_b], &mut pos_buf);
@@ -99,15 +99,12 @@ fn main() {
         run_a.as_ref().or_into_clipped(&mut acc);
         std::hint::black_box(acc.count_ones());
     });
-    // The masked load's kernel, on a heap row and on the same row read in
-    // place from its segment words.
-    let mut bytes = Vec::new();
-    run_a.as_ref().write_words_to(&mut bytes);
-    let words: Vec<u32> = bytes
-        .chunks_exact(4)
-        .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte word")))
-        .collect();
-    let run_a_words = RowRef::parse(&words, UNIVERSE).expect("a written row parses");
+    // The masked load's kernel, on a heap row and on a copy of its body
+    // read through the check a mapped segment's row passes.
+    let (runs, words) = run_a.as_ref().body_words();
+    let words = words.to_vec();
+    let run_a_words =
+        RowRef::checked(UNIVERSE, run_a.count_ones(), runs, &words).expect("a stored body checks");
     bench("and_mask_copy_heap", || {
         std::hint::black_box(run_a.as_ref().and_mask_copy(&mask, &mut scratch));
     });

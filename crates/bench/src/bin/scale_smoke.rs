@@ -1,6 +1,6 @@
 //! CI scale smoke: generate a ~1M-triple LUBM tier, load it the way every
 //! caller does (`parse_ntriples` → `encode` → `BitMatStore::build`),
-//! persist the store as a v2 segment, and byte-compare every Appendix E
+//! persist the store as a v3 segment, and byte-compare every Appendix E
 //! query over the mmap'd segments against the heap store.
 //!
 //! ```sh

@@ -23,13 +23,13 @@
 //! needs a private copy of only what its active-pruning masks keep, so it
 //! asks for exactly that: [`Catalog::masked`] is the masked load as a
 //! catalog operation, and each medium reads only the rows the masks keep.
-//! The heap store and the mmap catalog take one shared walk
-//! ([`BitMat::masked`] is the heap's side of it) that views each kept row
-//! as a [`crate::RowRef`] — in the store's arena, or in place in its
-//! mapped words — and appends it, through the column mask, to the new
-//! matrix's arena; the overlay masks its base and merges only the delta
-//! pairs the masks keep. A row the masks drop is never copied, parsed or
-//! merged.
+//! The heap store and the mmap catalog store a matrix in one layout — the
+//! segment holds the arena's three arrays — so both read it through one
+//! [`crate::BitMatRef`] and run the one [`crate::BitMatRef::masked`], which
+//! appends each kept row, through the column mask, to the new matrix's
+//! arena (a mapped row's body is checked as it is read); the overlay masks
+//! its base and merges only the delta pairs the masks keep. A row the
+//! masks drop is never copied, checked or merged.
 
 use crate::bitvec::BitVec;
 use crate::error::BitMatError;

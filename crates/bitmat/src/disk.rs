@@ -1,89 +1,89 @@
-//! On-disk BitMat segment format (v2) and the mmap-backed [`DiskCatalog`].
+//! On-disk BitMat segment format (v3) and the mmap-backed [`DiskCatalog`].
 //!
 //! The paper keeps its `2|Vp| + |Vs| + |Vo|` BitMats on disk (20–41 GB) and
 //! loads only the matrices a query's triple patterns need. We mirror that
 //! with a single page-aligned segment file that is read **zero-copy**: the
-//! whole file is `mmap`'d once and every integer array inside it is 4-byte
-//! aligned, so row payloads can be reinterpreted as `&[u32]` and read in
-//! place as the same [`RowRef`] a heap row lends ([`MappedMatrix::row_ref`]),
-//! by every read kernel and [`crate::kernel::RowCursor`], without ever
-//! copying a row onto the heap.
+//! whole file is `mmap`'d once, and each matrix is stored as the three
+//! arrays of its heap arena ([`BitMat`]), every field a 4-byte word. A
+//! mapped matrix is therefore read through the same [`BitMatRef`] a heap
+//! matrix lends, over `&[u32]` slices of the mapping, by every read kernel
+//! and [`crate::kernel::RowCursor`], without ever copying a row onto the
+//! heap.
 //!
 //! ```text
 //! header page(s), zero-padded to a 4096-byte boundary:
-//!   magic    "LBRBM002"
-//!   version  u32 (= 2) | reserved u32 (= 0)
+//!   magic    "LBRBM003"
+//!   version  u32 (= 3) | reserved u32 (= 0)
 //!   blob_base u64           — absolute offset of the blob region (page-aligned)
 //!   dims     n_subjects u32 | n_predicates u32 | n_objects u32 | n_shared u32
 //!            | n_triples u64
 //!   toc      4 families × [ n_mats u32 | (key u32, offset u64, len u64,
 //!            count u64) × n_mats ]    — offsets relative to blob_base
-//! blob region, each matrix blob aligned to 64 bytes:
-//!   n_rows u32 | n_cols u32 | count u64 | n_present u32 | reserved u32
-//!   row directory: (row_id u32, row_count u32, rel_words u32) × n_present,
-//!                  ascending by row_id; rel_words is a word offset into the
-//!                  payload
-//!   row payloads:  per row [tag u32 | n u32 | n or 2n u32s]
-//!                  (RowRef::write_words_to — all fields full words)
+//! blob region, one matrix after another (its shape is its family's):
+//!   n_present u32 | n_words u32
+//!   ids      u32 × n_present      — the non-empty rows, ascending
+//!   spans    [end | RUNS, count] u32 pairs × n_present
+//!                                 — where each body ends in `words` (it
+//!                                   starts where the previous one ends;
+//!                                   bit 31 flags a runs body) and its bits
+//!   words    u32 × n_words        — the row bodies back to back: ascending
+//!                                   positions, or flattened [start, end) runs
 //! ```
 //!
 //! Every length and offset is validated before it is used: the header and
-//! TOC at open, a matrix's shape against its family on every touch, its row
-//! directory once per open catalog, on the first touch that finds it sound
-//! ([`DiskCatalog::mapped`]), and a row's payload — tag, non-zero length,
-//! order, bounds, and its directory count — each time a load reads that
-//! row. A truncated or corrupt file yields
-//! [`BitMatError::Corrupt`], never UB; a corrupt directory does so on every
-//! touch, since only a passed check is remembered. The v1 format
-//! (`LBRBM001`, byte-packed rows behind a seeking file handle) is
-//! superseded; v1 files are rejected with a clear error.
+//! TOC at open, a blob's length against its two counts on every touch, its
+//! ids and spans once per open catalog, on the first touch that finds them
+//! sound ([`BitMatRef`]'s check: ids ascending below the family's row
+//! count, every span non-empty, ends ascending to exactly `n_words`, runs
+//! bodies of even length), and a row's body —
+//! order, the family's column bound, and its span's count — each time a
+//! load reads that row ([`crate::RowRef::checked`]). A truncated or corrupt file
+//! yields [`BitMatError::Corrupt`], never UB and never a panic; corrupt ids
+//! or spans do so on every touch, since only a passed check is remembered.
+//! Earlier formats — v1 (`LBRBM001`, byte-packed rows behind a seeking
+//! file handle) and v2 (`LBRBM002`, a row directory plus tagged row
+//! payloads) — are rejected with a clear error.
 //!
-//! The row directory allows [`Catalog::row`] (the paper's single-row loads
-//! for two-fixed-position patterns) and [`Catalog::row_count`] (selectivity
-//! metadata) to binary-search a mapped directory plus touch one row, never
-//! the whole matrix. [`Catalog::masked`] (`init`'s active-pruning load)
-//! uses it the same way, through the walk the heap store's masked load
-//! takes too ([`BitMat::masked`]): rows are validated and copied only when
-//! the load's masks keep them, so a row the masks drop is never read.
-//! Since the mapping is shared and immutable, the catalog needs no locks
-//! at all.
+//! [`Catalog::row`] (the paper's single-row loads for two-fixed-position
+//! patterns) and [`Catalog::row_count`] (selectivity metadata) binary-search
+//! a mapped matrix's ids and touch one span and one body, never the whole
+//! matrix. [`Catalog::masked`] (`init`'s active-pruning load) is the same
+//! [`BitMatRef::masked`] the heap store runs: rows are checked and copied
+//! only when the load's masks keep them, so a row the masks drop is never
+//! read. Since the mapping is shared and immutable, the catalog needs no
+//! locks at all.
 
 use crate::bitvec::BitVec;
 use crate::catalog::{Catalog, CubeDims, Family};
 use crate::error::BitMatError;
 use crate::kernel::SetScratch;
-use crate::matrix::{masked_walk, BitMat, RowDirectory};
+use crate::matrix::{BitMat, BitMatRef};
 use crate::mmap::{words_of, Mmap};
-use crate::row::{CowRow, RowRef};
+use crate::row::CowRow;
 use crate::store::BitMatStore;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-const MAGIC: &[u8; 8] = b"LBRBM002";
-const MAGIC_V1: &[u8; 8] = b"LBRBM001";
-const VERSION: u32 = 2;
+const MAGIC: &[u8; 8] = b"LBRBM003";
+/// Earlier formats, each rejected by name.
+const RETIRED: [(&[u8; 8], &str); 2] = [(b"LBRBM001", "v1"), (b"LBRBM002", "v2")];
+const VERSION: u32 = 3;
 /// Page size the header region is padded to; blob region starts here-aligned.
 const PAGE: usize = 4096;
-/// Alignment of each matrix blob within the blob region (cache line).
-const BLOB_ALIGN: usize = 64;
 /// Fixed header bytes before the TOC: magic(8) + version(4) + reserved(4)
 /// + blob_base(8) + dims(16 + 8).
 const FIXED_HEADER: usize = 48;
-/// Matrix blob header bytes before the row directory.
-const MAT_HEADER: usize = 24;
-/// Bytes per row-directory entry.
-const DIR_ENTRY: usize = 12;
 
 #[derive(Debug)]
 struct TocEntry {
     offset: u64,
     len: u64,
     count: u64,
-    /// Set once the matrix's row directory has passed its check.
+    /// Set once the matrix's ids and spans have passed their check.
     validated: AtomicBool,
 }
 
@@ -91,24 +91,23 @@ fn corrupt(m: impl Into<String>) -> BitMatError {
     BitMatError::Corrupt(m.into())
 }
 
-/// Serializes a store to `path` in the v2 segment format, returning the
-/// number of bytes written.
+/// Serializes a store to `path` in the v3 segment format, returning the
+/// number of bytes written. Each matrix's arrays are written as they are.
 pub fn save_store(store: &BitMatStore, path: &Path) -> Result<u64, BitMatError> {
     let dims = store.dims();
+    let mats = || {
+        let mats = store
+            .iter_families()
+            .map(|(f, key, m)| (f, key, m.as_ref()));
+        mats.filter(|(_, _, m)| !m.is_empty())
+    };
     let mut toc: [Vec<(u32, u64, u64, u64)>; 4] = Default::default();
-    let mut blobs: Vec<u8> = Vec::new();
-    for (fam, key, mat) in store.iter_families() {
-        if mat.is_empty() {
-            continue;
-        }
-        // Align each blob so every word inside it stays 4-byte aligned
-        // relative to the page-aligned blob base.
-        let pad = blobs.len().next_multiple_of(BLOB_ALIGN) - blobs.len();
-        blobs.extend(std::iter::repeat_n(0u8, pad));
-        let offset = blobs.len() as u64;
-        encode_matrix(mat, &mut blobs);
-        let len = blobs.len() as u64 - offset;
-        toc[fam as usize].push((key, offset, len, mat.triple_count()));
+    let mut blobs = 0;
+    for (fam, key, mat) in mats() {
+        // Its two counts and its three arrays.
+        let len = 4 * (2 + 3 * mat.n_present() as u64 + mat.arena_words() as u64);
+        toc[fam as usize].push((key, blobs, len, mat.triple_count()));
+        blobs += len;
     }
     let mut header: Vec<u8> = Vec::new();
     header.extend_from_slice(MAGIC);
@@ -133,179 +132,29 @@ pub fn save_store(store: &BitMatStore, path: &Path) -> Result<u64, BitMatError> 
     let blob_base = header.len().next_multiple_of(PAGE);
     header[blob_base_at..blob_base_at + 8].copy_from_slice(&(blob_base as u64).to_le_bytes());
     header.resize(blob_base, 0);
-    let mut f = File::create(path)?;
+    let mut f = BufWriter::new(File::create(path)?);
     f.write_all(&header)?;
-    f.write_all(&blobs)?;
+    for (_, _, mat) in mats() {
+        let counts = [mat.n_present() as u32, mat.arena_words() as u32];
+        let arrays = [mat.ids, mat.spans.as_flattened(), mat.words];
+        for w in counts.iter().chain(arrays.into_iter().flatten()) {
+            f.write_all(&w.to_le_bytes())?;
+        }
+    }
     f.flush()?;
-    Ok(header.len() as u64 + blobs.len() as u64)
-}
-
-fn encode_matrix(mat: &BitMat, out: &mut Vec<u8>) {
-    out.extend_from_slice(&mat.n_rows().to_le_bytes());
-    out.extend_from_slice(&mat.n_cols().to_le_bytes());
-    out.extend_from_slice(&mat.triple_count().to_le_bytes());
-    out.extend_from_slice(&(mat.n_present() as u32).to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    // Two passes: payloads first into a scratch buffer to learn offsets.
-    let mut payload: Vec<u8> = Vec::new();
-    let mut dir: Vec<(u32, u32, u32)> = Vec::with_capacity(mat.n_present());
-    for (id, row) in mat.rows() {
-        let rel_words = (payload.len() / 4) as u32;
-        row.write_words_to(&mut payload);
-        dir.push((id, row.count_ones(), rel_words));
-    }
-    for (id, cnt, rel) in dir {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&cnt.to_le_bytes());
-        out.extend_from_slice(&rel.to_le_bytes());
-    }
-    out.extend_from_slice(&payload);
-}
-
-/// A zero-copy view of one matrix inside a mapped segment.
-///
-/// The directory and payload are `&[u32]` slices borrowed straight from
-/// the mapping; [`MappedMatrix::row_ref`] hands out a row as a [`RowRef`]
-/// over the mapped words, read in place.
-#[derive(Debug, Clone, Copy)]
-pub struct MappedMatrix<'a> {
-    n_rows: u32,
-    n_cols: u32,
-    count: u64,
-    /// `[row_id, row_count, rel_words]` entries.
-    dir: &'a [[u32; 3]],
-    payload: &'a [u32],
-}
-
-impl<'a> MappedMatrix<'a> {
-    /// The matrix in `bytes`, which must be `(n_rows, n_cols)` = `shape`,
-    /// its family's. Its header and bounds are checked on every call; its
-    /// row directory is walked only while `validated` is unset, and
-    /// `validated` is set once that walk succeeds.
-    fn from_blob(
-        bytes: &'a [u8],
-        shape: (u32, u32),
-        validated: &AtomicBool,
-    ) -> Result<MappedMatrix<'a>, BitMatError> {
-        if bytes.len() < MAT_HEADER || !bytes.len().is_multiple_of(4) {
-            return Err(corrupt("matrix blob too short or misaligned"));
-        }
-        let u32_at =
-            |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice"));
-        let (n_rows, n_cols) = (u32_at(0), u32_at(4));
-        if (n_rows, n_cols) != shape {
-            return Err(corrupt("matrix shape disagrees with its family"));
-        }
-        let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-        let n_present = u32_at(16) as usize;
-        let dir_end = MAT_HEADER
-            .checked_add(
-                n_present
-                    .checked_mul(DIR_ENTRY)
-                    .ok_or_else(|| corrupt("dir size"))?,
-            )
-            .ok_or_else(|| corrupt("dir size"))?;
-        if dir_end > bytes.len() {
-            return Err(corrupt("row directory out of bounds"));
-        }
-        let (dir, _) = words_of(&bytes[MAT_HEADER..dir_end])
-            .ok_or_else(|| corrupt("misaligned row directory"))?
-            .as_chunks::<3>();
-        let payload =
-            words_of(&bytes[dir_end..]).ok_or_else(|| corrupt("misaligned row payload"))?;
-        // Directory row ids must ascend (binary-searched) and stay in range.
-        // The bytes never change, so one successful walk holds for good; a
-        // failed one is not recorded and fails again on the next touch.
-        if !validated.load(Ordering::Relaxed) {
-            let ascending = dir.windows(2).all(|w| w[0][0] < w[1][0]);
-            if !ascending || dir.last().is_some_and(|e| e[0] >= n_rows) {
-                return Err(corrupt("row directory not ascending"));
-            }
-            validated.store(true, Ordering::Relaxed);
-        }
-        Ok(MappedMatrix {
-            n_rows,
-            n_cols,
-            count,
-            dir,
-            payload,
-        })
-    }
-
-    /// Number of rows in the (conceptual, dense) row dimension.
-    pub fn n_rows(&self) -> u32 {
-        self.n_rows
-    }
-
-    /// Number of columns (the universe of every row).
-    pub fn n_cols(&self) -> u32 {
-        self.n_cols
-    }
-
-    /// Number of set bits (triples held by this matrix).
-    pub fn triple_count(&self) -> u64 {
-        self.count
-    }
-
-    /// Set-bit count of one row (0 when absent) — directory only.
-    pub fn row_count(&self, row_id: u32) -> u32 {
-        self.slot_of(row_id).map_or(0, |k| self.dir[k][1])
-    }
-
-    /// One row, validated and viewed in place over the mapped words (`None`
-    /// when absent). A corrupt row is an error, not UB.
-    pub fn row_ref(&self, row_id: u32) -> Result<Option<RowRef<'a>>, BitMatError> {
-        self.slot_of(row_id).map(|k| self.row_at(k)).transpose()
-    }
-}
-
-impl<'a> RowDirectory<'a> for MappedMatrix<'a> {
-    type Error = BitMatError;
-
-    fn n_present(&self) -> usize {
-        self.dir.len()
-    }
-
-    /// The payload less each row's two header words.
-    fn body_words(&self) -> usize {
-        self.payload.len().saturating_sub(2 * self.dir.len())
-    }
-
-    fn id_at(&self, slot: usize) -> u32 {
-        self.dir[slot][0]
-    }
-
-    fn slot_of(&self, row_id: u32) -> Option<usize> {
-        self.dir.binary_search_by_key(&row_id, |e| e[0]).ok()
-    }
-
-    /// The row in directory slot `k`, validated but not copied: its payload
-    /// must parse, and hold the bits its directory entry counts.
-    fn row_at(&self, k: usize) -> Result<RowRef<'a>, BitMatError> {
-        let [_, count, rel] = self.dir[k];
-        let words = self
-            .payload
-            .get(rel as usize..)
-            .ok_or_else(|| corrupt("row offset out of bounds"))?;
-        let row = RowRef::parse(words, self.n_cols).ok_or_else(|| corrupt("bad row payload"))?;
-        if row.count_ones() != count {
-            return Err(corrupt("row payload disagrees with its directory count"));
-        }
-        Ok(row)
-    }
+    Ok(header.len() as u64 + blobs)
 }
 
 /// An mmap-backed, lock-free catalog over the on-disk segment.
 ///
-/// The TOC (a few entries per matrix) lives in memory; matrix bodies stay
-/// on their mapped pages and are either viewed zero-copy
-/// ([`DiskCatalog::mapped`]) or decoded for the owned [`Catalog`] loads.
-/// Each matrix's row directory is validated once per open catalog, on its
-/// first touch, not at open (which would page in every directory) and not
-/// on every load. A row is decoded and validated only when a load reads
-/// it: a masked load ([`Catalog::masked`]) reads only the rows its masks
-/// keep, and [`Catalog::matrix`] is the masked load with no mask. The
-/// kernel page cache does the tiering.
+/// The TOC (a few entries per matrix) lives in memory; matrix arrays stay
+/// on their mapped pages and are read in place through a [`BitMatRef`].
+/// Each matrix's ids and spans are validated once per open catalog, on its
+/// first touch, not at open (which would page in every matrix) and not on
+/// every load. A row's body is validated only when a load reads it: a
+/// masked load ([`Catalog::masked`]) reads only the rows its masks keep,
+/// and [`Catalog::matrix`] is the masked load with no mask. The kernel
+/// page cache does the tiering.
 pub struct DiskCatalog {
     map: Mmap,
     dims: CubeDims,
@@ -324,9 +173,10 @@ impl std::fmt::Debug for DiskCatalog {
 
 impl DiskCatalog {
     /// Opens (mmaps) a segment written by [`save_store`]. Every header
-    /// field and TOC entry is bounds-validated here; a matrix's directory
-    /// is validated on its first touch and its rows when a load reads
-    /// them. Corrupt input errors — it never causes an out-of-bounds access.
+    /// field and TOC entry is bounds-validated here; a matrix's ids and
+    /// spans are validated on its first touch and its rows when a load
+    /// reads them. Corrupt input errors — it never causes an out-of-bounds
+    /// access.
     pub fn open(path: &Path) -> Result<Self, BitMatError> {
         let file = File::open(path)?;
         let map = Mmap::map(&file)?;
@@ -335,31 +185,23 @@ impl DiskCatalog {
             return Err(corrupt("file shorter than header"));
         }
         if &bytes[0..8] != MAGIC {
-            if &bytes[0..8] == MAGIC_V1 {
-                return Err(corrupt(
-                    "v1 index (LBRBM001) is no longer supported; re-save the store",
-                ));
+            if let Some((magic, v)) = RETIRED.iter().find(|(m, _)| &bytes[0..8] == *m) {
+                let magic = String::from_utf8_lossy(*magic);
+                return Err(corrupt(format!(
+                    "{v} index ({magic}) is no longer supported; re-save the store"
+                )));
             }
             return Err(corrupt("bad magic"));
         }
-        let u32_at = |at: usize| -> Result<u32, BitMatError> {
-            Ok(u32::from_le_bytes(
-                bytes
-                    .get(at..at + 4)
-                    .ok_or_else(|| corrupt("truncated header"))?
-                    .try_into()
-                    .expect("4-byte slice"),
-            ))
+        // The little-endian integer of `n` bytes at `at`.
+        let int_at = |at: usize, n: usize| {
+            let field = bytes
+                .get(at..at + n)
+                .ok_or_else(|| corrupt("truncated header"));
+            field.map(|b| b.iter().rev().fold(0, |v, &x| v << 8 | u64::from(x)))
         };
-        let u64_at = |at: usize| -> Result<u64, BitMatError> {
-            Ok(u64::from_le_bytes(
-                bytes
-                    .get(at..at + 8)
-                    .ok_or_else(|| corrupt("truncated header"))?
-                    .try_into()
-                    .expect("8-byte slice"),
-            ))
-        };
+        let u32_at = |at| int_at(at, 4).map(|v| v as u32);
+        let u64_at = |at| int_at(at, 8);
         let version = u32_at(8)?;
         if version != VERSION {
             return Err(corrupt(format!("unsupported segment version {version}")));
@@ -424,22 +266,37 @@ impl DiskCatalog {
         self.map.len() as u64
     }
 
-    /// Zero-copy view of the matrix of `key` in family `f`. Its header is
-    /// checked on every touch — its shape must be the family's — and its
-    /// row directory on the first touch that passes (a corrupt directory is
-    /// an error on every touch).
-    pub fn mapped(&self, f: Family, key: u32) -> Result<Option<MappedMatrix<'_>>, BitMatError> {
+    /// Zero-copy view of the matrix of `key` in family `f`. Its blob's
+    /// length is checked against its counts on every touch, and its ids and
+    /// spans on the first touch that passes (corrupt ones are an error on
+    /// every touch).
+    fn mapped(&self, f: Family, key: u32) -> Result<Option<BitMatRef<'_>>, BitMatError> {
         let Some(e) = self.toc[f as usize].get(&key) else {
             return Ok(None);
         };
+        let blob = || corrupt(format!("{} blob of key {key} is malformed", f.name()));
         let start = self.blob_base + e.offset as usize;
-        let bytes = self
-            .map
-            .as_slice()
-            .get(start..start + e.len as usize)
-            .ok_or_else(|| corrupt(format!("{} blob of key {key} out of bounds", f.name())))?;
+        let bytes = self.map.as_slice().get(start..start + e.len as usize);
+        let words = bytes.and_then(words_of).ok_or_else(blob)?;
+        let [n_present, n_words, arrays @ ..] = words else {
+            return Err(blob());
+        };
+        let (n, n_words) = (*n_present as usize, *n_words as usize);
+        if arrays.len() as u64 != 3 * n as u64 + n_words as u64 {
+            return Err(blob());
+        }
+        let (ids, rest) = arrays.split_at(n);
+        let (spans, words) = rest.split_at(2 * n);
         let (_, n_rows, n_cols) = f.shape(&self.dims);
-        MappedMatrix::from_blob(bytes, (n_rows, n_cols), &e.validated).map(Some)
+        let arrays = (ids, spans.as_chunks::<2>().0, words);
+        let mat = BitMatRef::mapped((n_rows, n_cols), e.count, arrays);
+        // The bytes never change, so one successful check holds for good; a
+        // failed one is not recorded and fails again on the next touch.
+        if !e.validated.load(Ordering::Relaxed) {
+            mat.check()?;
+            e.validated.store(true, Ordering::Relaxed);
+        }
+        Ok(Some(mat))
     }
 }
 
@@ -464,15 +321,14 @@ impl Catalog for DiskCatalog {
         let Some(mapped) = self.mapped(f, key)? else {
             return Ok(None);
         };
-        let shape = (mapped.n_rows, mapped.n_cols);
-        let mat = masked_walk(mapped, shape, rows, cols, scratch)?;
-        Ok((!mat.is_empty()).then_some(mat))
+        let mat = mapped.masked(rows, cols, scratch)?;
+        Ok((!mat.as_ref().is_empty()).then_some(mat))
     }
 
     fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<CowRow<'_>>, BitMatError> {
         match self.mapped(f, key)? {
             None => Ok(None),
-            Some(m) => Ok(m.row_ref(r)?.map(CowRow::Borrowed)),
+            Some(m) => Ok(m.read_row(r)?.map(CowRow::Borrowed)),
         }
     }
 
@@ -547,20 +403,20 @@ mod tests {
         std::fs::remove_file(&dir).ok();
     }
 
-    /// The v2 byte layout, pinned: the Figure 3.2 graph serializes to
-    /// exactly these bytes (length and FNV-1a-64 recorded before `Family`
-    /// existed). A reordered discriminant, TOC or blob change fails here
-    /// rather than as a benchmark digest mismatch.
+    /// The v3 byte layout, pinned: the Figure 3.2 graph serializes to
+    /// exactly these bytes (length and FNV-1a-64 recorded when segments
+    /// became the arena's three arrays). A reordered discriminant, TOC or
+    /// blob change fails here rather than as a benchmark digest mismatch.
     #[test]
     fn segment_format_is_pinned() {
         let store = BitMatStore::build(&crate::store::tests::figure_3_2_graph());
         let path = std::env::temp_dir().join("lbr_bitmat_test_pin.idx");
-        assert_eq!(save_store(&store, &path).unwrap(), 5872);
+        assert_eq!(save_store(&store, &path).unwrap(), 4864);
         let bytes = std::fs::read(&path).unwrap();
         let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
-        assert_eq!((bytes.len(), fnv), (5872, 0x2e6e_e5d2_26e2_7ac8));
+        assert_eq!((bytes.len(), fnv), (4864, 0x40ed_06e6_6f30_6e1f));
         std::fs::remove_file(&path).ok();
     }
 
@@ -575,11 +431,11 @@ mod tests {
             let Some(mapped) = cat.mapped(Family::So, p).unwrap() else {
                 continue;
             };
-            let owned = store.matrix(Family::So, p).unwrap().unwrap();
+            let owned = store.get(Family::So, p).unwrap().as_ref();
             assert_eq!(mapped.triple_count(), owned.triple_count());
             for (id, row) in owned.rows() {
                 // Zero-copy cursor walks the same positions.
-                let mut cur = RowCursor::new(mapped.row_ref(id).unwrap().unwrap());
+                let mut cur = RowCursor::new(mapped.read_row(id).unwrap().unwrap());
                 let mut got = Vec::new();
                 while let Some(pos) = cur.peek() {
                     got.push(pos);
@@ -588,7 +444,7 @@ mod tests {
                 assert_eq!(got, row.iter_ones().collect::<Vec<_>>(), "so({p}) row {id}");
                 assert_eq!(mapped.row_count(id), row.count_ones());
             }
-            assert!(mapped.row_ref(u32::MAX).unwrap().is_none());
+            assert!(mapped.read_row(u32::MAX).unwrap().is_none());
         }
         std::fs::remove_file(&path).ok();
     }
@@ -601,13 +457,19 @@ mod tests {
             DiskCatalog::open(&path),
             Err(BitMatError::Corrupt(_))
         ));
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC_V1);
-        v1.extend_from_slice(&[0u8; 64]);
-        std::fs::write(&path, &v1).unwrap();
-        match DiskCatalog::open(&path) {
-            Err(BitMatError::Corrupt(m)) => assert!(m.contains("v1"), "got: {m}"),
-            other => panic!("expected corrupt error, got {other:?}"),
+        for (magic, v) in RETIRED {
+            let mut old = Vec::new();
+            old.extend_from_slice(magic);
+            old.extend_from_slice(&[0u8; 64]);
+            std::fs::write(&path, &old).unwrap();
+            match DiskCatalog::open(&path) {
+                Err(BitMatError::Corrupt(m)) => assert!(
+                    m.starts_with(&format!("{v} index (LBRBM00"))
+                        && m.ends_with("is no longer supported; re-save the store"),
+                    "got: {m}"
+                ),
+                other => panic!("expected corrupt error, got {other:?}"),
+            }
         }
         std::fs::remove_file(&path).ok();
     }
@@ -634,55 +496,103 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The S-O blob with the most rows in a saved segment: its key, where
+    /// it starts in the file, and its arrays as saved.
+    struct Blob {
+        key: u32,
+        at: usize,
+        ids: Vec<u32>,
+        spans: Vec<[u32; 2]>,
+        n_words: usize,
+    }
+
+    impl Blob {
+        /// File offset of id `k`.
+        fn id(&self, k: usize) -> usize {
+            self.at + 8 + 4 * k
+        }
+
+        /// File offset of span `k` (its end word; its count follows).
+        fn span(&self, k: usize) -> usize {
+            self.at + 8 + 4 * self.ids.len() + 8 * k
+        }
+
+        /// File offset of body word `i`.
+        fn word(&self, i: usize) -> usize {
+            self.at + 8 + 12 * self.ids.len() + 4 * i
+        }
+
+        /// Where the body of row `k` starts among the body words.
+        fn start(&self, k: usize) -> usize {
+            k.checked_sub(1)
+                .map_or(0, |prev| (self.spans[prev][0] & !(1 << 31)) as usize)
+        }
+    }
+
+    fn put(bytes: &mut [u8], at: usize, value: u32) {
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    }
+
     /// Saves `store` to `path`, then patches the S-O matrix with the most
-    /// rows: `patch(file, dir_at, row_at)` gets the file's bytes, the
-    /// offset of that matrix's row directory and that of its first row's
-    /// payload. Returns the matrix's key and its directory as saved.
+    /// rows: `patch(file, blob)` gets the file's bytes and where that
+    /// matrix's arrays lie in them. Returns the blob as saved.
     fn save_patched(
         store: &BitMatStore,
         path: &Path,
-        patch: impl FnOnce(&mut [u8], usize, usize),
-    ) -> (u32, Vec<u32>) {
+        patch: impl FnOnce(&mut [u8], &Blob),
+    ) -> Blob {
         save_store(store, path).unwrap();
-        let (key, dir, dir_at) = {
+        let blob = {
             let cat = DiskCatalog::open(path).unwrap();
             let present = |p| {
                 cat.mapped(Family::So, p)
                     .unwrap()
-                    .map_or(0, |m| m.n_present())
+                    .map_or(0, BitMatRef::n_present)
             };
             let key = (0..cat.dims().n_predicates)
                 .max_by_key(|&p| present(p))
                 .unwrap();
             let m = cat.mapped(Family::So, key).unwrap().unwrap();
-            let blob = cat.blob_base + cat.toc[Family::So as usize][&key].offset as usize;
-            (key, m.dir.as_flattened().to_vec(), blob + MAT_HEADER)
+            let at = cat.blob_base + cat.toc[Family::So as usize][&key].offset as usize;
+            let (ids, spans) = (m.ids.to_vec(), m.spans.to_vec());
+            let n_words = m.arena_words();
+            Blob {
+                key,
+                at,
+                ids,
+                spans,
+                n_words,
+            }
         };
-        let row_at = dir_at + dir.len() / 3 * DIR_ENTRY + 4 * dir[2] as usize;
         let mut bytes = std::fs::read(path).unwrap();
-        patch(&mut bytes, dir_at, row_at);
+        patch(&mut bytes, &blob);
         std::fs::write(path, &bytes).unwrap();
-        (key, dir)
+        blob
     }
 
     fn is_corrupt<T>(got: Result<T, BitMatError>) -> bool {
         matches!(got, Err(BitMatError::Corrupt(_)))
     }
 
-    /// A row's payload is read only when a masked load keeps the row: with
+    /// The first row's first body word names a column past its family's:
+    /// as a position it is out of range, as a run start it begins no
+    /// non-empty run.
+    fn first_body_past_the_columns(bytes: &mut [u8], blob: &Blob) {
+        let (_, _, n_cols) = Family::So.shape(&sample_store().dims());
+        put(bytes, blob.word(0), n_cols);
+    }
+
+    /// A row's body is read only when a masked load keeps the row: with
     /// one row corrupt, masks that drop it load exactly what the heap store
     /// loads, on both walks, and masks that keep it are `Corrupt`.
     #[test]
     fn masked_load_reads_only_the_rows_it_keeps() {
         let store = sample_store();
         let path = std::env::temp_dir().join("lbr_bitmat_test_masked_corrupt.idx");
-        // The first row gets an unknown payload tag.
-        let (key, dir) = save_patched(&store, &path, |bytes, _, row_at| {
-            bytes[row_at..row_at + 4].copy_from_slice(&7u32.to_le_bytes());
-        });
-        let bad = dir[0];
+        let blob = save_patched(&store, &path, first_body_past_the_columns);
+        let (key, bad) = (blob.key, blob.ids[0]);
         let cat = DiskCatalog::open(&path).unwrap();
-        let heap = store.get(Family::So, key).unwrap();
+        let heap = store.get(Family::So, key).unwrap().as_ref();
         let n_rows = heap.n_rows();
         assert!(heap.n_present() >= 3, "the sweep needs a multi-row matrix");
         let mut scratch = SetScratch::default();
@@ -715,110 +625,123 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A stored row is never empty, and holds the bits its directory entry
-    /// counts. A row whose payload length is zero, or whose directory count
-    /// disagrees with its payload, is `Corrupt` — not a stored row with no
-    /// bits, which the join would take for a match.
+    /// A row holds the bits its span counts, in order, inside its family's
+    /// shape. A row whose span count disagrees with its body, or whose body
+    /// names a column past its family's (it would decode as a term that
+    /// does not exist), is `Corrupt` when a load reads it — and only that
+    /// row: the others still load.
     #[test]
-    fn empty_or_miscounted_row_payload_is_corrupt() {
+    fn miscounted_or_malformed_row_body_is_corrupt() {
         let store = sample_store();
-        let path = std::env::temp_dir().join("lbr_bitmat_test_empty_row.idx");
-        let zero_length = |bytes: &mut [u8], _, row_at: usize| {
-            bytes[row_at + 4..row_at + 8].fill(0);
+        let path = std::env::temp_dir().join("lbr_bitmat_test_bad_row.idx");
+        let miscount = |bytes: &mut [u8], blob: &Blob| {
+            put(bytes, blob.span(0) + 4, blob.spans[0][1] + 1);
         };
-        let miscount = |bytes: &mut [u8], dir_at: usize, _| {
-            let count = u32::from_le_bytes(bytes[dir_at + 4..dir_at + 8].try_into().unwrap());
-            bytes[dir_at + 4..dir_at + 8].copy_from_slice(&(count + 1).to_le_bytes());
-        };
-        for patch in [&zero_length as &dyn Fn(&mut [u8], usize, usize), &miscount] {
-            let (key, dir) = save_patched(&store, &path, patch);
+        for patch in [
+            &miscount as &dyn Fn(&mut [u8], &Blob),
+            &first_body_past_the_columns,
+        ] {
+            let blob = save_patched(&store, &path, patch);
+            let (key, ids) = (blob.key, &blob.ids);
             let cat = DiskCatalog::open(&path).unwrap();
             let mut scratch = SetScratch::default();
             let got = cat.masked(Family::So, key, None, None, &mut scratch);
             assert!(is_corrupt(got));
-            assert!(is_corrupt(cat.row(Family::So, key, dir[0])));
+            assert!(is_corrupt(cat.row(Family::So, key, ids[0])));
             let mapped = cat.mapped(Family::So, key).unwrap().unwrap();
-            assert!(is_corrupt(mapped.row_ref(dir[0])));
+            assert!(is_corrupt(mapped.read_row(ids[0])));
             // The other rows still load.
             assert_eq!(
-                cat.row(Family::So, key, dir[3]).unwrap(),
-                store.row(Family::So, key, dir[3]).unwrap()
+                cat.row(Family::So, key, ids[3]).unwrap(),
+                store.row(Family::So, key, ids[3]).unwrap()
             );
         }
         std::fs::remove_file(&path).ok();
     }
 
-    /// A blob whose header shape is not its family's is `Corrupt`, even
-    /// though every row in it is sound against its own (wider or taller)
-    /// shape: a position past the family's columns would decode as a term
-    /// that does not exist.
+    /// A matrix's ids and spans are checked once per open catalog: corrupt
+    /// ones are `Corrupt` on every touch, since a failed check is not
+    /// remembered, and sound ones load the same before and after the touch
+    /// that checked them. So is a blob whose length disagrees with its
+    /// counts. None of them panics, in a debug build either.
     #[test]
-    fn blob_shape_must_match_its_family() {
+    fn ids_and_spans_are_validated_once() {
         let store = sample_store();
-        let path = std::env::temp_dir().join("lbr_bitmat_test_shape.idx");
-        let (_, n_rows, n_cols) = Family::So.shape(&store.dims());
-        for (at, value) in [(4, n_cols + 1000), (0, n_rows + 1)] {
-            let (key, dir) = save_patched(&store, &path, |bytes, dir_at, _| {
-                let at = dir_at - MAT_HEADER + at;
-                bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
-            });
+        let path = std::env::temp_dir().join("lbr_bitmat_test_arrays_once.idx");
+        let (_, n_rows, _) = Family::So.shape(&store.dims());
+        type Patch = fn(&mut [u8], &Blob, u32);
+        let patches: [(&str, Patch); 7] = [
+            ("ids swapped", |b, blob, _| {
+                put(b, blob.id(0), blob.ids[1]);
+                put(b, blob.id(1), blob.ids[0]);
+            }),
+            ("an id past the rows", |b, blob, n_rows| {
+                put(b, blob.id(blob.ids.len() - 1), n_rows);
+            }),
+            ("a span end not ascending", |b, blob, _| {
+                let flag = blob.spans[1][0] & (1 << 31);
+                put(b, blob.span(1), blob.start(1) as u32 | flag);
+            }),
+            ("the last end past the words", |b, blob, _| {
+                let last = blob.spans.len() - 1;
+                let flag = blob.spans[last][0] & (1 << 31);
+                put(b, blob.span(last), (blob.n_words + 1) as u32 | flag);
+            }),
+            ("a span count of 0", |b, blob, _| {
+                put(b, blob.span(0) + 4, 0)
+            }),
+            ("a runs flag on an odd-length sparse body", |b, blob, _| {
+                let odd = (0..blob.ids.len()).find(|&k| {
+                    let [end, _] = blob.spans[k];
+                    end & (1 << 31) == 0 && (end as usize - blob.start(k)) % 2 == 1
+                });
+                let k = odd.expect("the sample has an odd-length sparse row");
+                put(b, blob.span(k), blob.spans[k][0] | 1 << 31);
+            }),
+            ("a blob longer than its counts", |b, blob, _| {
+                put(b, blob.at + 4, blob.n_words as u32 - 1);
+            }),
+        ];
+        for (what, patch) in patches {
+            let blob = save_patched(&store, &path, |bytes, blob| patch(bytes, blob, n_rows));
+            let key = blob.key;
             let cat = DiskCatalog::open(&path).unwrap();
+            let validated =
+                |f: Family, key: u32| cat.toc[f as usize][&key].validated.load(Ordering::Relaxed);
             let mut scratch = SetScratch::default();
-            assert!(is_corrupt(cat.masked(
-                Family::So,
-                key,
-                None,
-                None,
-                &mut scratch
-            )));
-            assert!(is_corrupt(cat.row(Family::So, key, dir[0])));
-            assert!(is_corrupt(cat.matrix(Family::So, key)));
+            for _ in 0..3 {
+                assert!(is_corrupt(cat.mapped(Family::So, key)), "{what}");
+                assert!(is_corrupt(cat.masked(
+                    Family::So,
+                    key,
+                    None,
+                    None,
+                    &mut scratch
+                )));
+                assert!(is_corrupt(cat.matrix(Family::So, key)), "{what}");
+                assert!(is_corrupt(cat.row(Family::So, key, blob.ids[0])), "{what}");
+                assert!((0..n_rows).all(|r| cat.row_count(Family::So, key, r) == 0));
+                assert!(!validated(Family::So, key));
+            }
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// A row directory is walked once per open catalog: a corrupt one is
-    /// `Corrupt` on every touch, since a failed check is not remembered,
-    /// and a sound one loads the same before and after the touch that
-    /// checked it.
-    #[test]
-    fn row_directory_is_validated_once() {
-        let store = sample_store();
-        let path = std::env::temp_dir().join("lbr_bitmat_test_dir_once.idx");
-        // The first two directory row ids swap: the directory no longer
-        // ascends.
-        let (key, _) = save_patched(&store, &path, |bytes, dir_at, _| {
-            let (first, second) = bytes[dir_at..].split_at_mut(DIR_ENTRY);
-            first[..4].swap_with_slice(&mut second[..4]);
+        // Every sound matrix: the touch that validates it and every later
+        // one load what the heap store holds.
+        let blob = save_patched(&store, &path, |bytes, blob| {
+            (patches[0].1)(bytes, blob, n_rows)
         });
         let cat = DiskCatalog::open(&path).unwrap();
         let validated =
             |f: Family, key: u32| cat.toc[f as usize][&key].validated.load(Ordering::Relaxed);
         let mut scratch = SetScratch::default();
-        let (_, n_rows, _) = Family::So.shape(&cat.dims());
-        for _ in 0..3 {
-            assert!(is_corrupt(cat.mapped(Family::So, key)));
-            assert!(is_corrupt(cat.masked(
-                Family::So,
-                key,
-                None,
-                None,
-                &mut scratch
-            )));
-            assert!(is_corrupt(cat.row(Family::So, key, 0)));
-            assert!((0..n_rows).all(|r| cat.row_count(Family::So, key, r) == 0));
-            assert!(!validated(Family::So, key));
-        }
-        // Every sound matrix: the touch that validates it and every later
-        // one load what the heap store holds.
         let dims = cat.dims();
         for f in Family::ALL {
             let (n_keys, n_rows, _) = f.shape(&dims);
-            for k in (0..n_keys).filter(|&k| (f, k) != (Family::So, key)) {
+            for k in (0..n_keys).filter(|&k| (f, k) != (Family::So, blob.key)) {
                 let Some(heap) = store.get(f, k) else {
                     continue;
                 };
-                let rows = BitVec::from_positions(n_rows, heap.rows().map(|(r, _)| r).step_by(2));
+                let ids = heap.as_ref().rows().map(|(r, _)| r).step_by(2);
+                let rows = BitVec::from_positions(n_rows, ids);
                 assert!(!validated(f, k));
                 for _ in 0..3 {
                     for r in 0..n_rows {

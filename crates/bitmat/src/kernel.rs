@@ -261,7 +261,7 @@ fn gallop_sparse_sparse(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 /// Index of the first element `>= v` in ascending `a` (exponential probe,
 /// then binary search within the bracketed window). Shared by the
 /// sparse×sparse intersection, [`RowCursor::seek`] and
-/// [`crate::BitMat::seek_row`].
+/// [`crate::BitMatRef::seek_row`].
 pub(crate) fn gallop_geq(a: &[u32], v: u32) -> usize {
     if a.first().is_none_or(|&x| x >= v) {
         return 0;
@@ -413,10 +413,11 @@ pub fn intersect_into(rows: &[&BitRow], out: &mut Vec<u32>) {
 }
 
 /// The leapfrog core of [`intersect_into`], over caller-built cursors —
-/// including cursors over mapped rows
-/// ([`crate::MappedMatrix::row_ref`]), so a join can intersect mapped rows
-/// without ever materializing them on the heap. Cursors must share one
-/// universe. `out` is cleared first.
+/// including cursors over a mapped segment's rows (a
+/// [`crate::Catalog::row`] of a [`crate::DiskCatalog`] lends its
+/// [`RowRef`] in place), so a join can intersect mapped rows without ever
+/// materializing them on the heap. Cursors must share one universe. `out`
+/// is cleared first.
 pub fn intersect_cursors_into(cursors: &mut [RowCursor], out: &mut Vec<u32>) {
     out.clear();
     if cursors.is_empty() {

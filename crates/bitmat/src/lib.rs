@@ -23,10 +23,9 @@
 //! the overlay merges a delta into either; single rows are lent in place
 //! by both media ([`CowRow`]). The one caller that mutates, the engine's
 //! `init`, asks for a masked load instead, and every medium reads only the
-//! rows its masks keep: the heap store and the mmap catalog take one
-//! shared walk over their row directories ([`BitMat::masked`] is the
-//! heap's side), copying only the kept rows, and the overlay merges only
-//! the delta pairs they keep.
+//! rows its masks keep: the heap store and the mmap catalog run the same
+//! [`BitMatRef::masked`], copying only the kept rows, and the overlay
+//! merges only the delta pairs they keep.
 //!
 //! Each matrix row is compressed with the paper's *hybrid* scheme:
 //! run-length encoding with 4-byte run lengths, or a plain list of set-bit
@@ -36,15 +35,18 @@
 //! its non-empty rows, one end offset and bit count per row (with the
 //! runs/sparse flag), and every row body back to back in one `Vec<u32>`.
 //! Building, masking, pruning and dropping a matrix therefore costs the
-//! same few allocations however many rows it has. A row is read through
-//! one borrowed view, [`RowRef`], whether it lives in a matrix's arena
-//! ([`BitMat::row`]), in an owned [`BitRow`] ([`BitRow::as_ref`]), or in a
-//! mapped segment's words ([`MappedMatrix::row_ref`]).
+//! same few allocations however many rows it has. The segment file stores
+//! each matrix as the same three arrays, so there is one matrix layout
+//! and one reader: [`BitMatRef`], which a heap matrix lends
+//! ([`BitMat::as_ref`]) and the mmap catalog lends over its mapped words.
+//! A row is read through one borrowed view, [`RowRef`], whether it lives in
+//! a matrix's arena ([`BitMatRef::row`]) or in an owned [`BitRow`]
+//! ([`BitRow::as_ref`]).
 //!
 //! The two primitives every LBR semi-join is built from operate directly on
 //! the compressed rows:
 //!
-//! * [`BitMat::fold`] — project the distinct values of one dimension into a
+//! * [`BitMatRef::fold`] — project the distinct values of one dimension into a
 //!   dense bit-mask (bitwise OR over the other dimension);
 //! * [`BitMat::unfold`] — clear all bits whose coordinate in the retained
 //!   dimension is absent from a mask.
@@ -62,10 +64,10 @@
 //! clipping, run×sparse probing, sparse×sparse galloping, and the k-way
 //! leapfrog cursor join — make up the general intersection layer. The
 //! same galloping search serves the join's row lookups
-//! ([`BitMat::seek_row`], which seeks forward from the previous lookup's
+//! ([`BitMatRef::seek_row`], which seeks forward from the previous lookup's
 //! slot). The
 //! in-place entry points ([`BitMat::unfold_with`], which compacts a
-//! matrix's arena where it stands, [`BitMat::fold_or_clipped`],
+//! matrix's arena where it stands, [`BitMatRef::fold_or_clipped`],
 //! [`BitRow::and_row_into`], [`kernel::intersect_into`]) write into
 //! caller-owned [`SetScratch`] / accumulator buffers, so a steady-state
 //! pruning pass performs **zero heap allocation**: buffers grow to a
@@ -93,10 +95,10 @@ pub mod store;
 
 pub use bitvec::BitVec;
 pub use catalog::{Catalog, CubeDims, Family};
-pub use disk::{DiskCatalog, MappedMatrix};
+pub use disk::DiskCatalog;
 pub use error::BitMatError;
 pub use kernel::{RowCursor, SetScratch};
-pub use matrix::{BitMat, RetainDim};
+pub use matrix::{BitMat, BitMatRef, RetainDim};
 pub use mmap::Mmap;
 pub use row::{BitRow, CowRow, RowRef};
 pub use store::{BitMatStore, SizeReport};

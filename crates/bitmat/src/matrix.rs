@@ -5,14 +5,16 @@
 //! non-empty rows (ascending, the binary-search key), one span per row
 //! (where its body ends, its bit count, and whether the body is runs or
 //! sparse positions), and one `Vec<u32>` holding every row body back to
-//! back. A row is read by lending a [`RowRef`] over its slice of the
-//! arena, so building, masking, pruning, joining over and dropping a
-//! matrix costs O(1) allocations, not one per row.
+//! back. A [`BitMat`] builds and edits the arena; every read runs on the
+//! borrowed [`BitMatRef`] it lends, which a mapped segment lends over the
+//! same three arrays in its bytes. A row is read by lending a [`RowRef`]
+//! over its slice of the arena, so building, masking, pruning, joining
+//! over and dropping a matrix costs O(1) allocations, not one per row.
 
 use crate::bitvec::BitVec;
+use crate::error::BitMatError;
 use crate::kernel::{and_mask_compute, gallop_geq, SetScratch};
 use crate::row::{edit_into, Hybrid, RowRef};
-use std::convert::Infallible;
 
 /// Which dimension a `fold`/`unfold` retains (the paper's
 /// `RetainDimension` argument).
@@ -24,46 +26,29 @@ pub enum RetainDim {
     Col,
 }
 
-/// Flags a runs body in [`Span::end`].
+/// Flags a runs body in a [`Span`]'s end word.
 const RUNS: u32 = 1 << 31;
 
-/// One stored row's place in the arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Span {
-    /// Where the body ends in the arena (it starts where the previous
-    /// row's ends); the top bit ([`RUNS`]) is set for a runs body.
-    end: u32,
-    /// Set bits of the row.
-    count: u32,
+/// One stored row's place in the arena, `[end | RUNS, count]`: where its
+/// body ends (it starts where the previous row's ends), with the top bit
+/// ([`RUNS`]) set for a runs body, and its bit count. A heap arena and a
+/// mapped segment hold spans as the same slice type.
+pub(crate) type Span = [u32; 2];
+
+fn span(end: usize, count: u32, runs: bool) -> Span {
+    let end = u32::try_from(end)
+        .ok()
+        .filter(|&e| e < RUNS)
+        .expect("a matrix's arena holds fewer than 2^31 words");
+    [end | if runs { RUNS } else { 0 }, count]
 }
 
-impl Span {
-    fn new(end: usize, count: u32, runs: bool) -> Span {
-        let end = u32::try_from(end)
-            .ok()
-            .filter(|&e| e < RUNS)
-            .expect("a matrix's arena holds fewer than 2^31 words");
-        Span {
-            end: end | if runs { RUNS } else { 0 },
-            count,
-        }
-    }
+fn end_of([end, _]: Span) -> usize {
+    (end & !RUNS) as usize
+}
 
-    fn end(self) -> usize {
-        (self.end & !RUNS) as usize
-    }
-
-    /// The span of the same body moved `shift` words towards the front.
-    fn moved_down(self, shift: usize) -> Span {
-        Span {
-            end: self.end - shift as u32,
-            count: self.count,
-        }
-    }
-
-    fn runs(self) -> bool {
-        self.end & RUNS != 0
-    }
+fn runs_of([end, _]: Span) -> bool {
+    end & RUNS != 0
 }
 
 /// A sparse 2-D bit matrix: non-empty rows only, each hybrid-compressed,
@@ -73,6 +58,10 @@ impl Span {
 /// `(s p o)` exists. Folds project one dimension; unfolds clear bits whose
 /// retained-dimension coordinate is absent from a mask — together they
 /// implement the paper's semi-joins without decompressing rows.
+///
+/// A `BitMat` only builds and edits its arena; every read, its shape and
+/// counts included, goes through the view [`BitMat::as_ref`] lends, the
+/// same [`BitMatRef`] a mapped segment's matrix is read through.
 ///
 /// The arena is canonical: rows ascend, none is empty, bodies are packed
 /// with no gap, and every row built or rewritten here takes the encoding
@@ -130,88 +119,18 @@ impl BitMat {
         mat
     }
 
-    /// Number of rows in the (conceptual, dense) row dimension.
-    pub fn n_rows(&self) -> u32 {
-        self.n_rows
-    }
-
-    /// Number of columns in the column dimension.
-    pub fn n_cols(&self) -> u32 {
-        self.n_cols
-    }
-
-    /// Number of set bits (triples held by this matrix).
-    pub fn triple_count(&self) -> u64 {
-        self.count
-    }
-
-    /// True when no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Number of non-empty rows.
-    pub fn n_present(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Words the row bodies take in the arena.
-    pub fn arena_words(&self) -> usize {
-        self.words.len()
-    }
-
-    /// The non-empty rows, ascending by row index, each lent from the
-    /// arena.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = (u32, RowRef<'_>)> + '_ {
-        let mut start = 0;
-        self.ids.iter().zip(&self.spans).map(move |(&id, &span)| {
-            let body = &self.words[start..span.end()];
-            start = span.end();
-            (
-                id,
-                RowRef::from_body(self.n_cols, span.count, span.runs(), body),
-            )
-        })
-    }
-
-    /// Fetches a row by index (binary search; `None` if empty).
-    pub fn row(&self, r: u32) -> Option<RowRef<'_>> {
-        self.slot_of(r).map(|k| self.row_at(k))
-    }
-
-    /// Slot of row `r` in the arena, `None` when it is empty.
-    fn slot_of(&self, r: u32) -> Option<usize> {
-        self.ids.binary_search(&r).ok()
-    }
-
-    // lbr-lint: no_alloc — the join's row lookup: a gallop over the ids.
-    /// [`BitMat::row`] for lookups that mostly ascend: `finger` is the slot
-    /// where the previous lookup on this matrix ended (start it at 0). The
-    /// search gallops forward from the finger, and binary-searches the
-    /// slots before it only when `r` lies there; either way the finger
-    /// ends at the first slot whose id is at least `r`.
-    pub fn seek_row(&self, r: u32, finger: &mut usize) -> Option<RowRef<'_>> {
-        let from = (*finger).min(self.ids.len());
-        let k = if from > 0 && self.ids[from - 1] >= r {
-            self.ids[..from].partition_point(|&id| id < r)
-        } else {
-            from + gallop_geq(&self.ids[from..], r)
-        };
-        *finger = k;
-        (self.ids.get(k) == Some(&r)).then(|| self.row_at(k))
-    }
-    // lbr-lint: end
-
-    /// Where the body of the row in slot `k` starts.
-    fn start_of(&self, k: usize) -> usize {
-        k.checked_sub(1).map_or(0, |prev| self.spans[prev].end())
-    }
-
-    /// The row in slot `k`.
-    fn row_at(&self, k: usize) -> RowRef<'_> {
-        let span = self.spans[k];
-        let body = &self.words[self.start_of(k)..span.end()];
-        RowRef::from_body(self.n_cols, span.count, span.runs(), body)
+    /// The borrowed view every read runs on.
+    #[inline]
+    pub fn as_ref(&self) -> BitMatRef<'_> {
+        BitMatRef {
+            n_rows: self.n_rows,
+            n_cols: self.n_cols,
+            count: self.count,
+            ids: &self.ids,
+            spans: &self.spans,
+            words: &self.words,
+            mapped: false,
+        }
     }
 
     /// Appends row `id`, which must come after every stored row, as a copy
@@ -264,55 +183,8 @@ impl BitMat {
         debug_assert!(id < self.n_rows, "row out of range");
         debug_assert!(self.ids.last().is_none_or(|&last| last < id), "rows ascend");
         self.ids.push(id);
-        self.spans.push(Span::new(self.words.len(), count, runs));
+        self.spans.push(span(self.words.len(), count, runs));
         self.count += u64::from(count);
-    }
-
-    /// Membership test for a single bit.
-    pub fn get(&self, r: u32, c: u32) -> bool {
-        self.row(r).is_some_and(|row| row.contains(c))
-    }
-
-    /// `fold(BM, dim)` — projects the distinct coordinates of `dim`
-    /// (paper: `fold(BMtp, dim?j) ≡ π?j(BMtp)`).
-    ///
-    /// * `Row`: a mask with one bit per **non-empty row** (no row needs to
-    ///   be decompressed — row presence is already explicit),
-    /// * `Col`: the bitwise OR of all rows, streamed run-wise.
-    pub fn fold(&self, dim: RetainDim) -> BitVec {
-        let mut v = BitVec::zeros(match dim {
-            RetainDim::Row => self.n_rows,
-            RetainDim::Col => self.n_cols,
-        });
-        self.fold_or_clipped(dim, &mut v);
-        v
-    }
-
-    /// `acc |= fold(BM, dim)`, clipped to `acc.len()` — the in-place fold
-    /// kernel: projects straight into a caller-owned accumulator that may
-    /// live in a shorter (shared-prefix) binding space, without allocating
-    /// the intermediate mask `fold().resized()` would. Returns whether a
-    /// coordinate was clipped.
-    pub fn fold_or_clipped(&self, dim: RetainDim, acc: &mut BitVec) -> bool {
-        match dim {
-            RetainDim::Row => {
-                // Rows ascend, so the first out-of-space row ends the scan.
-                for &r in &self.ids {
-                    if r >= acc.len() {
-                        return true;
-                    }
-                    acc.set(r);
-                }
-                false
-            }
-            RetainDim::Col => {
-                let mut clipped = false;
-                for (_, row) in self.rows() {
-                    clipped |= row.or_into_clipped(acc);
-                }
-                clipped
-            }
-        }
     }
 
     /// `unfold(BM, mask, dim)` — clears every bit whose `dim` coordinate is
@@ -363,20 +235,20 @@ impl BitMat {
         // Rows kept, words dropped so far (`shift`), and where the next body
         // starts; the kept bodies from `pending` on have yet to move down
         // by `shift`.
-        let (mut kept, mut shift, mut from) = (first, 0, self.start_of(first));
+        let (mut kept, mut shift, mut from) = (first, 0, self.as_ref().start_of(first));
         let mut pending = from;
         for k in first..self.ids.len() {
-            let (id, span) = (self.ids[k], self.spans[k]);
-            let end = span.end();
+            let (id, [end_word, count]) = (self.ids[k], self.spans[k]);
+            let end = end_of([end_word, count]);
             if mask.get(id) {
                 self.ids[kept] = id;
-                self.spans[kept] = span.moved_down(shift);
+                self.spans[kept] = [end_word - shift as u32, count];
                 kept += 1;
             } else {
                 move_down(&mut self.words, pending..from, shift);
                 shift += end - from;
                 pending = end;
-                self.count -= u64::from(span.count);
+                self.count -= u64::from(count);
             }
             from = end;
         }
@@ -398,17 +270,17 @@ impl BitMat {
         let (mut kept, mut shift, mut from, mut pending) = (0, 0, 0, 0);
         let mut spilled: Option<usize> = None;
         for k in 0..self.ids.len() {
-            let span = self.spans[k];
-            let (start, end) = (from, span.end());
+            let old = self.spans[k];
+            let (start, end) = (from, end_of(old));
             from = end;
             let body = match spilled {
                 None => &self.words[start..end],
                 Some(at) => &scratch.spill[start - at..end - at],
             };
-            let row = RowRef::from_body(self.n_cols, span.count, span.runs(), body);
+            let row = RowRef::from_body(self.n_cols, old[1], runs_of(old), body);
             and_mask_compute(row, mask, &mut scratch.pos);
             let count = scratch.pos.len() as u32;
-            let (new_end, runs) = if count == span.count {
+            let (new_end, runs) = if count == old[1] {
                 // Unchanged: the body moves as it is, if it moves at all.
                 let new_end = match spilled {
                     None if kept == k && shift == 0 => {
@@ -422,9 +294,9 @@ impl BitMat {
                         self.words.len()
                     }
                 };
-                (new_end, span.runs())
+                (new_end, runs_of(old))
             } else {
-                self.count -= u64::from(span.count - count);
+                self.count -= u64::from(old[1] - count);
                 if spilled.is_none() {
                     move_down(&mut self.words, pending..start, shift);
                     pending = end;
@@ -459,7 +331,7 @@ impl BitMat {
                 (new_end, shape.runs())
             };
             self.ids[kept] = self.ids[k];
-            self.spans[kept] = Span::new(new_end, count, runs);
+            self.spans[kept] = span(new_end, count, runs);
             kept += 1;
         }
         if spilled.is_none() {
@@ -471,51 +343,6 @@ impl BitMat {
         scratch.account(caps, self.words.capacity() != words_cap);
     }
     // lbr-lint: end
-
-    /// A copy holding only the triples the masks keep: the same matrix as
-    /// `clone()` followed by [`BitMat::unfold_with`] on the row mask and
-    /// on the column mask (`None` keeps that dimension whole; masks are
-    /// clipped the same way), without copying a row the masks drop — the
-    /// heap's side of the one masked-load walk the mmap catalog's
-    /// [`crate::Catalog::masked`] takes too.
-    pub fn masked(
-        &self,
-        rows: Option<&BitVec>,
-        cols: Option<&BitVec>,
-        scratch: &mut SetScratch,
-    ) -> BitMat {
-        let Ok(mat) = masked_walk(self, (self.n_rows, self.n_cols), rows, cols, scratch);
-        mat
-    }
-
-    /// Transposed copy (rows ↔ columns). An O-S BitMat is the transpose of
-    /// the corresponding S-O BitMat (§4).
-    pub fn transpose(&self) -> BitMat {
-        let mut pairs: Vec<(u32, u32)> = self.iter().map(|(r, c)| (c, r)).collect();
-        pairs.sort_unstable();
-        BitMat::from_sorted_pairs(self.n_cols, self.n_rows, &pairs)
-    }
-
-    /// Iterates set bits as `(row, col)`, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.rows()
-            .flat_map(|(r, row)| row.iter_ones().map(move |c| (r, c)))
-    }
-
-    /// Hybrid-encoded size in bytes (per-row tag + integers + row directory).
-    pub fn encoded_bytes(&self) -> usize {
-        // Per row a 1-byte tag and 8 bytes of row directory (id + offset),
-        // plus 4 bytes per body word.
-        9 * self.ids.len() + 4 * self.words.len() + 24
-    }
-
-    /// Size in bytes if every row were forced into pure RLE (ablation).
-    pub fn rle_only_bytes(&self) -> usize {
-        self.rows()
-            .map(|(_, r)| r.rle_only_bytes() + 8)
-            .sum::<usize>()
-            + 24
-    }
 }
 
 /// Moves the bodies in `words[range]` down by `shift` words; a no-op when
@@ -527,98 +354,329 @@ fn move_down(words: &mut [u32], range: std::ops::Range<usize>, shift: usize) {
     }
 }
 
-/// A medium's stored rows as the masked load reads them: present rows,
-/// ascending by row id, addressed by their slot in that order.
-pub(crate) trait RowDirectory<'a> {
-    /// Why reading a row can fail: a mapped row's words may be corrupt.
-    type Error;
-    /// Number of present (non-empty) rows.
-    fn n_present(&self) -> usize;
-    /// Body words of all present rows together (an estimate is enough: it
-    /// sizes the loaded arena).
-    fn body_words(&self) -> usize;
-    /// Row id at `slot`.
-    fn id_at(&self, slot: usize) -> u32;
-    /// Slot of row `r`, `None` when the row is absent.
-    fn slot_of(&self, r: u32) -> Option<usize>;
-    /// The row at `slot`.
-    fn row_at(&self, slot: usize) -> Result<RowRef<'a>, Self::Error>;
+/// A borrowed, `Copy` view of one matrix's three arrays — a heap
+/// [`BitMat`]'s arena ([`BitMat::as_ref`]) or a matrix in a mapped
+/// segment, whose blob holds the same arrays: every read of a matrix runs
+/// on it.
+///
+/// A heap arena is trusted. A mapped one is untrusted bytes: its ids and
+/// spans are checked once, when the catalog first opens the matrix, and a
+/// row's body each time a load reads it, so a corrupt row is an error, not
+/// a malformed row. The view records which medium it came from.
+#[derive(Debug, Clone, Copy)]
+pub struct BitMatRef<'a> {
+    n_rows: u32,
+    n_cols: u32,
+    count: u64,
+    pub(crate) ids: &'a [u32],
+    pub(crate) spans: &'a [Span],
+    pub(crate) words: &'a [u32],
+    /// The arrays are a mapped segment's: a row's body is checked when a
+    /// load reads it.
+    mapped: bool,
 }
 
-impl<'a> RowDirectory<'a> for &'a BitMat {
-    type Error = Infallible;
+impl<'a> BitMatRef<'a> {
+    /// The `n_rows × n_cols` matrix of `count` bits a mapped segment
+    /// stores as these arrays, to be [`BitMatRef::check`]ed before its
+    /// rows are read.
+    pub(crate) fn mapped(
+        (n_rows, n_cols): (u32, u32),
+        count: u64,
+        (ids, spans, words): (&'a [u32], &'a [Span], &'a [u32]),
+    ) -> BitMatRef<'a> {
+        BitMatRef {
+            n_rows,
+            n_cols,
+            count,
+            ids,
+            spans,
+            words,
+            mapped: true,
+        }
+    }
 
-    fn n_present(&self) -> usize {
+    /// Checks a mapped matrix's ids and spans, as a catalog does once per
+    /// matrix: the ids ascend below `n_rows`, every span holds at least one
+    /// bit and one body word (a runs body an even number), and the bodies
+    /// tile the words exactly. Once it passes, every row slices the words
+    /// in bounds; a body is checked only when a load reads it.
+    pub(crate) fn check(self) -> Result<(), BitMatError> {
+        let corrupt = |m: &str| Err(BitMatError::Corrupt(m.into()));
+        let ids = self.ids;
+        if !ids.windows(2).all(|w| w[0] < w[1]) || ids.last().is_some_and(|&id| id >= self.n_rows) {
+            return corrupt("row ids do not ascend below the row count");
+        }
+        let mut start = 0;
+        for &s in self.spans {
+            let end = end_of(s);
+            if s[1] == 0 || end <= start || (runs_of(s) && !(end - start).is_multiple_of(2)) {
+                return corrupt("a row span is empty, does not ascend, or splits a run");
+            }
+            start = end;
+        }
+        if start != self.words.len() {
+            return corrupt("row spans do not end at the body words' end");
+        }
+        Ok(())
+    }
+
+    /// Number of rows in the (conceptual, dense) row dimension.
+    pub fn n_rows(self) -> u32 {
+        self.n_rows
+    }
+
+    /// Number of columns in the column dimension.
+    pub fn n_cols(self) -> u32 {
+        self.n_cols
+    }
+
+    /// Number of set bits (triples held by this matrix).
+    pub fn triple_count(self) -> u64 {
+        self.count
+    }
+
+    /// True when no bit is set.
+    pub fn is_empty(self) -> bool {
+        self.count == 0
+    }
+
+    /// Number of non-empty rows.
+    pub fn n_present(self) -> usize {
         self.ids.len()
     }
 
-    fn body_words(&self) -> usize {
+    /// Words the row bodies take in the arena.
+    pub fn arena_words(self) -> usize {
         self.words.len()
     }
 
-    fn id_at(&self, slot: usize) -> u32 {
-        self.ids[slot]
+    /// The non-empty rows, ascending by row index, each lent from the
+    /// arena.
+    pub fn rows(self) -> impl ExactSizeIterator<Item = (u32, RowRef<'a>)> {
+        let mut start = 0;
+        self.ids.iter().zip(self.spans).map(move |(&id, &s)| {
+            let body = &self.words[start..end_of(s)];
+            start = end_of(s);
+            (id, RowRef::from_body(self.n_cols, s[1], runs_of(s), body))
+        })
     }
 
-    fn slot_of(&self, r: u32) -> Option<usize> {
-        BitMat::slot_of(self, r)
+    /// Fetches a row by index (binary search; `None` if empty).
+    pub fn row(self, r: u32) -> Option<RowRef<'a>> {
+        self.slot_of(r).map(|k| self.row_at(k))
     }
 
-    fn row_at(&self, slot: usize) -> Result<RowRef<'a>, Infallible> {
-        Ok(BitMat::row_at(self, slot))
+    /// Slot of row `r` in the arena, `None` when it is empty.
+    fn slot_of(self, r: u32) -> Option<usize> {
+        self.ids.binary_search(&r).ok()
     }
-}
 
-/// The masked load over any medium's rows ([`BitMat::masked`],
-/// [`crate::Catalog::masked`]): an `n_rows × n_cols` matrix of only the
-/// triples whose row is set in `rows` and whose column is set in `cols`
-/// (`None` keeps a dimension whole; masks are clipped as in
-/// [`BitMat::unfold_with`]).
-///
-/// Kept rows are found by probing the row mask's set bits when it has
-/// fewer of them than the medium has rows, and by walking the directory
-/// otherwise. Each is read, then ANDed with the column mask in `scratch`
-/// and appended to the new matrix's arena, which is sized up front for
-/// the rows the row mask may keep; a whole load is sized exactly. A row
-/// the masks drop is never read, so on a mapped segment a corrupt one is
-/// not an error.
-pub(crate) fn masked_walk<'a, D: RowDirectory<'a>>(
-    dir: D,
-    (n_rows, n_cols): (u32, u32),
-    rows: Option<&BitVec>,
-    cols: Option<&BitVec>,
-    scratch: &mut SetScratch,
-) -> Result<BitMat, D::Error> {
-    let n = dir.n_present();
-    let candidates = rows.map_or(usize::MAX, |m| m.count_ones() as usize);
-    let kept = candidates.min(n);
-    let words = (dir.body_words() as u64 * kept as u64 / n.max(1) as u64) as usize;
-    let mut mat = BitMat::with_capacity(n_rows, n_cols, kept, words);
-    let mut keep = |slot: usize| -> Result<(), D::Error> {
-        let (id, row) = (dir.id_at(slot), dir.row_at(slot)?);
-        match cols {
-            Some(mask) => mat.push_masked(id, row, mask, scratch),
-            None => mat.push_row(id, row),
+    // lbr-lint: no_alloc — the join's row lookup: a gallop over the ids.
+    /// [`BitMatRef::row`] for lookups that mostly ascend: `finger` is the
+    /// slot where the previous lookup on this matrix ended (start it at 0).
+    /// The search gallops forward from the finger, and binary-searches the
+    /// slots before it only when `r` lies there; either way the finger
+    /// ends at the first slot whose id is at least `r`.
+    pub fn seek_row(self, r: u32, finger: &mut usize) -> Option<RowRef<'a>> {
+        let from = (*finger).min(self.ids.len());
+        let k = if from > 0 && self.ids[from - 1] >= r {
+            self.ids[..from].partition_point(|&id| id < r)
+        } else {
+            from + gallop_geq(&self.ids[from..], r)
+        };
+        *finger = k;
+        (self.ids.get(k) == Some(&r)).then(|| self.row_at(k))
+    }
+    // lbr-lint: end
+
+    /// Where the body of the row in slot `k` starts.
+    fn start_of(self, k: usize) -> usize {
+        k.checked_sub(1).map_or(0, |prev| end_of(self.spans[prev]))
+    }
+
+    /// The row in slot `k`.
+    fn row_at(self, k: usize) -> RowRef<'a> {
+        let s = self.spans[k];
+        let body = &self.words[self.start_of(k)..end_of(s)];
+        RowRef::from_body(self.n_cols, s[1], runs_of(s), body)
+    }
+
+    /// The row in slot `k` as a load reads it: a mapped row's body must
+    /// hold the bits its span counts ([`RowRef::checked`]). `None` when it
+    /// does not; [`BitMatRef::corrupt_at`] says which row.
+    fn read_at(self, k: usize) -> Option<RowRef<'a>> {
+        if self.mapped {
+            self.read_mapped(k)
+        } else {
+            Some(self.row_at(k))
         }
-        Ok(())
-    };
-    match rows {
-        Some(mask) if candidates < n => {
-            for r in mask.iter_ones() {
-                if let Some(slot) = dir.slot_of(r) {
-                    keep(slot)?;
+    }
+
+    /// [`BitMatRef::read_at`] on a mapped matrix.
+    fn read_mapped(self, k: usize) -> Option<RowRef<'a>> {
+        let s = self.spans[k];
+        let body = &self.words[self.start_of(k)..end_of(s)];
+        RowRef::checked(self.n_cols, s[1], runs_of(s), body)
+    }
+
+    /// The error of a row [`BitMatRef::read_at`] rejects.
+    fn corrupt_at(self, k: usize) -> BitMatError {
+        BitMatError::Corrupt(format!("row {} body is malformed", self.ids[k]))
+    }
+
+    /// [`BitMatRef::row`] as a load reads it (see [`BitMatRef::masked`]).
+    pub(crate) fn read_row(self, r: u32) -> Result<Option<RowRef<'a>>, BitMatError> {
+        let read = |k| self.read_at(k).ok_or_else(|| self.corrupt_at(k));
+        self.slot_of(r).map(read).transpose()
+    }
+
+    /// Set-bit count of row `r` (0 when it is empty), from its span alone.
+    pub(crate) fn row_count(self, r: u32) -> u32 {
+        self.slot_of(r).map_or(0, |k| self.spans[k][1])
+    }
+
+    /// `fold(BM, dim)` — projects the distinct coordinates of `dim`
+    /// (paper: `fold(BMtp, dim?j) ≡ π?j(BMtp)`).
+    ///
+    /// * `Row`: a mask with one bit per **non-empty row** (no row needs to
+    ///   be decompressed — row presence is already explicit),
+    /// * `Col`: the bitwise OR of all rows, streamed run-wise.
+    pub fn fold(self, dim: RetainDim) -> BitVec {
+        let mut v = BitVec::zeros(match dim {
+            RetainDim::Row => self.n_rows,
+            RetainDim::Col => self.n_cols,
+        });
+        self.fold_or_clipped(dim, &mut v);
+        v
+    }
+
+    /// `acc |= fold(BM, dim)`, clipped to `acc.len()` — the in-place fold
+    /// kernel: projects straight into a caller-owned accumulator that may
+    /// live in a shorter (shared-prefix) binding space, without allocating
+    /// the intermediate mask `fold().resized()` would. Returns whether a
+    /// coordinate was clipped.
+    pub fn fold_or_clipped(self, dim: RetainDim, acc: &mut BitVec) -> bool {
+        match dim {
+            RetainDim::Row => {
+                // Rows ascend, so the first out-of-space row ends the scan.
+                for &r in self.ids {
+                    if r >= acc.len() {
+                        return true;
+                    }
+                    acc.set(r);
+                }
+                false
+            }
+            RetainDim::Col => {
+                let mut clipped = false;
+                for (_, row) in self.rows() {
+                    clipped |= row.or_into_clipped(acc);
+                }
+                clipped
+            }
+        }
+    }
+
+    /// The masked load ([`crate::Catalog::masked`] on every medium): a copy
+    /// holding only the triples whose row is set in `rows` and whose
+    /// column is set in `cols` — the same matrix as a whole copy followed
+    /// by [`BitMat::unfold_with`] on each mask (`None` keeps a dimension
+    /// whole; masks are clipped the same way).
+    ///
+    /// Kept rows are found by probing the row mask's set bits when it has
+    /// fewer of them than the matrix has rows, and by walking the ids
+    /// otherwise. Each is read, then ANDed with the column mask in
+    /// `scratch` and appended to the new matrix's arena, which is sized up
+    /// front for the rows the row mask may keep; a whole load is sized
+    /// exactly. A row the masks drop is never read, so on a mapped segment
+    /// a corrupt one is not an error; a corrupt row they keep is
+    /// [`BitMatError::Corrupt`]. A heap matrix's load never fails.
+    pub fn masked(
+        self,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> Result<BitMat, BitMatError> {
+        // The walk is compiled once per medium, so a heap load carries no
+        // check and no error path.
+        let loaded = if self.mapped {
+            self.masked_by(Self::read_mapped, rows, cols, scratch)
+        } else {
+            self.masked_by(|m, k| Some(m.row_at(k)), rows, cols, scratch)
+        };
+        loaded.map_err(|k| self.corrupt_at(k))
+    }
+
+    /// [`BitMatRef::masked`] reading each kept row through `read`; stopped
+    /// by the slot of the first kept row `read` rejects.
+    fn masked_by(
+        self,
+        read: impl Fn(Self, usize) -> Option<RowRef<'a>>,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> Result<BitMat, usize> {
+        let n = self.ids.len();
+        let candidates = rows.map_or(usize::MAX, |m| m.count_ones() as usize);
+        let kept = candidates.min(n);
+        let words = (self.words.len() as u64 * kept as u64 / n.max(1) as u64) as usize;
+        let mut mat = BitMat::with_capacity(self.n_rows, self.n_cols, kept, words);
+        let mut keep = |k: usize| -> Result<(), usize> {
+            let row = read(self, k).ok_or(k)?;
+            match cols {
+                Some(mask) => mat.push_masked(self.ids[k], row, mask, scratch),
+                None => mat.push_row(self.ids[k], row),
+            }
+            Ok(())
+        };
+        match rows {
+            Some(mask) if candidates < n => {
+                for r in mask.iter_ones() {
+                    if let Some(k) = self.slot_of(r) {
+                        keep(k)?;
+                    }
+                }
+            }
+            _ => {
+                for k in 0..n {
+                    if rows.is_none_or(|mask| mask.get(self.ids[k])) {
+                        keep(k)?;
+                    }
                 }
             }
         }
-        _ => {
-            for slot in 0..n {
-                if rows.is_none_or(|mask| mask.get(dir.id_at(slot))) {
-                    keep(slot)?;
-                }
-            }
-        }
+        Ok(mat)
     }
-    Ok(mat)
+
+    /// Transposed copy (rows ↔ columns). An O-S BitMat is the transpose of
+    /// the corresponding S-O BitMat (§4).
+    pub fn transpose(self) -> BitMat {
+        let mut pairs: Vec<(u32, u32)> = self.iter().map(|(r, c)| (c, r)).collect();
+        pairs.sort_unstable();
+        BitMat::from_sorted_pairs(self.n_cols, self.n_rows, &pairs)
+    }
+
+    /// Iterates set bits as `(row, col)`, ascending.
+    pub fn iter(self) -> impl Iterator<Item = (u32, u32)> + 'a {
+        self.rows()
+            .flat_map(|(r, row)| row.iter_ones().map(move |c| (r, c)))
+    }
+
+    /// Hybrid-encoded size in bytes (per-row tag + integers + row directory).
+    pub fn encoded_bytes(self) -> usize {
+        // Per row a 1-byte tag and 8 bytes of row directory (id + offset),
+        // plus 4 bytes per body word.
+        9 * self.ids.len() + 4 * self.words.len() + 24
+    }
+
+    /// Size in bytes if every row were forced into pure RLE (ablation).
+    pub fn rle_only_bytes(self) -> usize {
+        self.rows()
+            .map(|(_, r)| r.rle_only_bytes() + 8)
+            .sum::<usize>()
+            + 24
+    }
 }
 
 #[cfg(test)]
@@ -636,9 +694,11 @@ mod tests {
     #[test]
     fn figure_4_1_counts() {
         let m = acted_in();
-        assert_eq!(m.triple_count(), 5);
-        assert!(m.get(0, 0) && m.get(1, 3));
-        assert!(!m.get(1, 0));
+        assert_eq!(m.as_ref().triple_count(), 5);
+        let m = m.as_ref();
+        assert!(m.row(0).is_some_and(|row| row.contains(0)));
+        assert!(m.row(1).is_some_and(|row| row.contains(3)));
+        assert!(!m.row(1).is_some_and(|row| row.contains(0)));
         assert_eq!(m.row(1).unwrap().count_ones(), 1);
         assert!(m.row(5).is_none());
     }
@@ -646,6 +706,7 @@ mod tests {
     #[test]
     fn fold_row_and_col() {
         let m = acted_in();
+        let m = m.as_ref();
         assert_eq!(
             m.fold(RetainDim::Row).iter_ones().collect::<Vec<_>>(),
             vec![0, 1]
@@ -663,10 +724,13 @@ mod tests {
         let mut m = acted_in();
         let mask = BitVec::from_positions(4, [0]);
         m.unfold(&mask, RetainDim::Col);
-        assert_eq!(m.triple_count(), 1);
-        assert_eq!(m.iter().collect::<Vec<_>>(), vec![(0, 0)]);
+        assert_eq!(m.as_ref().triple_count(), 1);
+        assert_eq!(m.as_ref().iter().collect::<Vec<_>>(), vec![(0, 0)]);
         assert_eq!(
-            m.fold(RetainDim::Row).iter_ones().collect::<Vec<_>>(),
+            m.as_ref()
+                .fold(RetainDim::Row)
+                .iter_ones()
+                .collect::<Vec<_>>(),
             vec![0]
         );
     }
@@ -676,29 +740,30 @@ mod tests {
         let mut m = acted_in();
         let mask = BitVec::from_positions(2, [1]);
         m.unfold(&mask, RetainDim::Row);
-        assert_eq!(m.iter().collect::<Vec<_>>(), vec![(1, 3)]);
-        assert_eq!(m.triple_count(), 1);
+        assert_eq!(m.as_ref().iter().collect::<Vec<_>>(), vec![(1, 3)]);
+        assert_eq!(m.as_ref().triple_count(), 1);
     }
 
     #[test]
     fn transpose_roundtrip() {
         let m = acted_in();
-        let t = m.transpose();
-        assert_eq!(t.n_rows(), 4);
-        assert_eq!(t.n_cols(), 2);
-        assert_eq!(t.triple_count(), m.triple_count());
-        assert!(t.get(3, 1) && t.get(0, 0));
-        assert_eq!(t.transpose(), m);
+        let t = m.as_ref().transpose();
+        assert_eq!(t.as_ref().n_rows(), 4);
+        assert_eq!(t.as_ref().n_cols(), 2);
+        assert_eq!(t.as_ref().triple_count(), m.as_ref().triple_count());
+        assert!(t.as_ref().row(3).is_some_and(|row| row.contains(1)));
+        assert!(t.as_ref().row(0).is_some_and(|row| row.contains(0)));
+        assert_eq!(t.as_ref().transpose(), m);
     }
 
     #[test]
     fn empty_matrix_behaviour() {
         let mut m = BitMat::empty(3, 3);
-        assert!(m.is_empty());
-        assert_eq!(m.fold(RetainDim::Col).count_ones(), 0);
+        assert!(m.as_ref().is_empty());
+        assert_eq!(m.as_ref().fold(RetainDim::Col).count_ones(), 0);
         m.unfold(&BitVec::ones(3), RetainDim::Col);
-        assert!(m.is_empty());
-        assert_eq!(m.transpose().triple_count(), 0);
+        assert!(m.as_ref().is_empty());
+        assert_eq!(m.as_ref().transpose().as_ref().triple_count(), 0);
     }
 
     /// A runs row mid-matrix that the mask splits into isolated bits
@@ -712,13 +777,13 @@ mod tests {
         pairs.extend([(2, 5), (2, 7)]);
         pairs.extend((2..10).map(|c| (3, c)));
         let mut m = BitMat::from_sorted_pairs(4, 64, &pairs);
-        assert!(!m.row(1).unwrap().to_owned().is_sparse());
+        assert!(!m.as_ref().row(1).unwrap().to_owned().is_sparse());
         let odd = BitVec::from_positions(64, (1..64).step_by(2));
         let mut scratch = SetScratch::default();
         m.unfold_with(&odd, RetainDim::Col, &mut scratch);
         let kept: Vec<(u32, u32)> = pairs.into_iter().filter(|&(_, c)| c % 2 == 1).collect();
         assert_eq!(m, BitMat::from_sorted_pairs(4, 64, &kept));
-        assert_eq!(m.triple_count(), kept.len() as u64);
+        assert_eq!(m.as_ref().triple_count(), kept.len() as u64);
         let grows = scratch.grows();
         m.unfold_with(&odd, RetainDim::Col, &mut scratch);
         assert_eq!(m, BitMat::from_sorted_pairs(4, 64, &kept));
@@ -732,7 +797,7 @@ mod tests {
         let mut m = acted_in();
         m.unfold(&BitVec::from_positions(2, [1]), RetainDim::Row);
         assert_eq!(m, BitMat::from_sorted_pairs(2, 4, &[(1, 3)]));
-        assert_eq!((m.n_present(), m.arena_words()), (1, 1));
+        assert_eq!((m.as_ref().n_present(), m.as_ref().arena_words()), (1, 1));
         let mut m = acted_in();
         m.unfold(&BitVec::from_positions(4, [3]), RetainDim::Col);
         assert_eq!(m, BitMat::from_sorted_pairs(2, 4, &[(0, 3), (1, 3)]));
@@ -741,6 +806,7 @@ mod tests {
     #[test]
     fn sizes_hybrid_not_larger_than_rle() {
         let m = acted_in();
+        let m = m.as_ref();
         assert!(m.encoded_bytes() <= m.rle_only_bytes());
     }
 }

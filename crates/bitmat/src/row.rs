@@ -10,12 +10,12 @@
 //!   represent it, then we simply store the set bit positions"*.
 //!
 //! A row is read through one borrowed view, [`RowRef`], whichever medium
-//! holds it: a matrix's arena ([`crate::BitMat::row`]), an owned
-//! [`BitRow`] ([`BitRow::as_ref`]), or the words [`RowRef::write_words_to`]
-//! serialized it to (a mapped segment's payload, [`RowRef::parse`]). Every
-//! medium holds a body as the same flat `u32` words — ascending positions,
-//! or `[start, end)` pairs — so every read kernel (iteration, membership,
-//! `or_into`, `and_mask_copy`, the cursor) has one body. A row is owned
+//! holds it: a matrix's arena on the heap or in a mapped segment
+//! ([`crate::BitMatRef::row`]; a mapped body is [`RowRef::checked`] first),
+//! or an owned [`BitRow`] ([`BitRow::as_ref`]). Every medium holds a body
+//! as the same flat `u32` words — ascending positions, or `[start, end)`
+//! pairs — so every read kernel (iteration, membership, `or_into`,
+//! `and_mask_copy`, the cursor) has one body. A row is owned
 //! ([`BitRow`], [`CowRow::Owned`]) only where it is built alone: a kernel's
 //! result, or a catalog row a delta edited.
 //!
@@ -247,10 +247,10 @@ fn push_run_bit(words: &mut Vec<u32>, body: usize, p: u32) {
     }
 }
 
-/// A borrowed, `Copy` view of one compressed row — in a matrix's arena
-/// ([`crate::BitMat::row`]), in an owned row ([`BitRow::as_ref`]) or in a
-/// mapped segment's words ([`RowRef::parse`]): the one type every read
-/// kernel is written on.
+/// A borrowed, `Copy` view of one compressed row — in a matrix's arena,
+/// on the heap or in a mapped segment ([`crate::BitMatRef::row`]), or in
+/// an owned row ([`BitRow::as_ref`]): the one type every read kernel is
+/// written on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowRef<'a> {
     pub(crate) universe: u32,
@@ -286,58 +286,41 @@ impl<'a> RowRef<'a> {
         }
     }
 
-    /// The body as [`RowRef::from_body`] takes it: `(runs, words)`.
-    pub(crate) fn body_words(self) -> (bool, &'a [u32]) {
+    /// The body as a matrix stores it: `(runs, words)`, the runs flag of
+    /// its span and its words in the arena — what [`RowRef::checked`] takes
+    /// back.
+    pub fn body_words(self) -> (bool, &'a [u32]) {
         match self.body {
             Body::Sparse(ps) => (false, ps),
             Body::Runs(rs) => (true, rs.as_flattened()),
         }
     }
 
-    /// Validates the row at the start of `words`, as
-    /// [`RowRef::write_words_to`] lays it out (`[tag][n][n or 2n integers]`,
-    /// tag 0 sparse, tag 1 runs) — tag, a non-zero length, ascending
-    /// positions, ascending disjoint non-adjacent runs, universe bounds;
-    /// `None` when corrupt, never a malformed row. A stored row is never
-    /// empty, so a zero length is corrupt too.
-    pub fn parse(words: &'a [u32], universe: u32) -> Option<RowRef<'a>> {
-        let tag = *words.first()?;
-        let n = *words.get(1)? as usize;
-        if n == 0 {
-            return None;
-        }
-        let (count, body) = match tag {
-            0 => {
-                let ps = words.get(2..2 + n)?;
-                if !ps.windows(2).all(|w| w[0] < w[1]) {
+    /// The row a stored span and body describe, checked as a mapped
+    /// segment's words must be before a load reads them: a sparse body
+    /// holds `count` ascending positions, a runs body ascending, disjoint,
+    /// non-adjacent `[start, end)` pairs of `count` bits in all, every
+    /// position below `universe`. A stored row is never empty, so a
+    /// `count` of 0 is rejected too. `None` when the body disagrees with
+    /// its span — never a malformed row.
+    pub fn checked(universe: u32, count: u32, runs: bool, body: &'a [u32]) -> Option<RowRef<'a>> {
+        let sound = if runs {
+            let (rs, rest) = body.as_chunks::<2>();
+            let (mut bits, mut prev_end) = (0u64, None);
+            for &[s, e] in rs {
+                if s >= e || e > universe || prev_end.is_some_and(|p| s <= p) {
                     return None;
                 }
-                if ps.last().is_some_and(|&p| p >= universe) {
-                    return None;
-                }
-                (n as u32, Body::Sparse(ps))
+                bits += u64::from(e - s);
+                prev_end = Some(e);
             }
-            1 => {
-                let (rs, _) = words.get(2..2 + 2 * n)?.as_chunks::<2>();
-                let mut count = 0u32;
-                let mut prev_end = None;
-                for &[s, e] in rs {
-                    // Runs must ascend, be disjoint and non-adjacent.
-                    if s >= e || e > universe || prev_end.is_some_and(|p| s <= p) {
-                        return None;
-                    }
-                    count = count.checked_add(e - s)?;
-                    prev_end = Some(e);
-                }
-                (count, Body::Runs(rs))
-            }
-            _ => return None,
+            rest.is_empty() && bits == u64::from(count)
+        } else {
+            body.len() == count as usize
+                && body.windows(2).all(|w| w[0] < w[1])
+                && body.last().is_none_or(|&p| p < universe)
         };
-        Some(RowRef {
-            universe,
-            count,
-            body,
-        })
+        (sound && count > 0).then(|| RowRef::from_body(universe, count, runs, body))
     }
 
     /// Universe size in bits.
@@ -410,7 +393,7 @@ impl<'a> RowRef<'a> {
 
     /// `acc |= self`, clipped: positions at or beyond `acc.len()` are
     /// ignored — the in-place equivalent of OR-ing a truncated copy. The
-    /// building block of [`crate::BitMat::fold`], which projects straight
+    /// building block of [`crate::BitMatRef::fold`], which projects straight
     /// into a (possibly shorter) join-variable binding space.
     ///
     /// Runs are blitted word-wise (`BitVec::set_range`); sparse positions
@@ -450,20 +433,6 @@ impl<'a> RowRef<'a> {
         let mut v = BitVec::zeros(self.universe);
         self.or_into_clipped(&mut v);
         v
-    }
-
-    /// Serializes the row as little-endian `u32` words (the segment
-    /// layout): `[tag][n][n or 2n integers]`, tag 0 sparse, tag 1 runs.
-    /// Every field is a full word, so a 4-byte-aligned payload can be
-    /// viewed as `&[u32]` and read in place ([`RowRef::parse`]).
-    pub fn write_words_to(self, buf: &mut Vec<u8>) {
-        let (tag, n, ints) = match self.body {
-            Body::Sparse(ps) => (0u32, ps.len(), ps),
-            Body::Runs(rs) => (1, rs.len(), rs.as_flattened()),
-        };
-        for w in [tag, n as u32].iter().chain(ints) {
-            buf.extend_from_slice(&w.to_le_bytes());
-        }
     }
 
     /// Size in bytes under the hybrid encoding (4-byte integers, as in the

@@ -54,8 +54,8 @@ impl BitMatStore {
     pub fn size_report(&self) -> SizeReport {
         let mut r = SizeReport::default();
         for (_, _, m) in self.iter_families() {
-            r.hybrid_bytes += m.encoded_bytes() as u64;
-            r.rle_only_bytes += m.rle_only_bytes() as u64;
+            r.hybrid_bytes += m.as_ref().encoded_bytes() as u64;
+            r.rle_only_bytes += m.as_ref().rle_only_bytes() as u64;
             r.n_matrices += 1;
         }
         r
@@ -114,7 +114,7 @@ impl Catalog for BitMatStore {
     }
 
     fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError> {
-        let mat = self.get(f, key).filter(|m| !m.is_empty());
+        let mat = self.get(f, key).filter(|m| !m.as_ref().is_empty());
         Ok(mat.map(Cow::Borrowed))
     }
 
@@ -126,22 +126,25 @@ impl Catalog for BitMatStore {
         cols: Option<&BitVec>,
         scratch: &mut SetScratch,
     ) -> Result<Option<BitMat>, BitMatError> {
-        let mat = self.get(f, key).map(|m| m.masked(rows, cols, scratch));
-        Ok(mat.filter(|m| !m.is_empty()))
+        let Some(mat) = self.get(f, key) else {
+            return Ok(None);
+        };
+        let mat = mat.as_ref().masked(rows, cols, scratch)?;
+        Ok((!mat.as_ref().is_empty()).then_some(mat))
     }
 
     fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<CowRow<'_>>, BitMatError> {
-        let row = self.get(f, key).and_then(|m| m.row(r));
+        let row = self.get(f, key).and_then(|m| m.as_ref().row(r));
         Ok(row.map(CowRow::Borrowed))
     }
 
     fn count(&self, f: Family, key: u32) -> u64 {
-        self.get(f, key).map_or(0, BitMat::triple_count)
+        self.get(f, key).map_or(0, |m| m.as_ref().triple_count())
     }
 
     fn row_count(&self, f: Family, key: u32, r: u32) -> u64 {
-        let row = self.get(f, key).and_then(|m| m.row(r));
-        row.map_or(0, |r| r.count_ones() as u64)
+        self.get(f, key)
+            .map_or(0, |m| m.as_ref().row_count(r).into())
     }
 }
 
@@ -191,7 +194,7 @@ pub(crate) mod tests {
         assert_eq!(store.count(Family::So, friend), 2);
         // O-S is the transpose of S-O.
         assert_eq!(
-            store.get(Family::So, acted).unwrap().transpose(),
+            store.get(Family::So, acted).unwrap().as_ref().transpose(),
             *store.get(Family::Os, acted).unwrap()
         );
         assert_family_totals(&store, 11);
@@ -245,8 +248,11 @@ pub(crate) mod tests {
         assert!(matches!(lent, Cow::Borrowed(_)), "the heap store lends");
         let mut m = lent.into_owned();
         let before = store.count(Family::So, 0);
-        m.unfold(&crate::BitVec::zeros(m.n_cols()), crate::RetainDim::Col);
-        assert!(m.is_empty());
+        m.unfold(
+            &crate::BitVec::zeros(m.as_ref().n_cols()),
+            crate::RetainDim::Col,
+        );
+        assert!(m.as_ref().is_empty());
         assert_eq!(
             store.count(Family::So, 0),
             before,
@@ -277,7 +283,7 @@ pub(crate) mod tests {
         let dims = store.dims();
         for p in 0..dims.n_predicates {
             assert_eq!(
-                store.get(Family::So, p).unwrap().transpose(),
+                store.get(Family::So, p).unwrap().as_ref().transpose(),
                 *store.get(Family::Os, p).unwrap(),
                 "os({p})"
             );
@@ -288,7 +294,8 @@ pub(crate) mod tests {
         for t in &g.triples {
             for f in Family::ALL {
                 let (key, row, col) = f.project(t);
-                assert!(store.get(f, key).unwrap().get(row, col), "{f:?} {t:?}");
+                let mat = store.get(f, key).unwrap().as_ref();
+                assert!(mat.row(row).is_some_and(|r| r.contains(col)), "{f:?} {t:?}");
             }
         }
     }

@@ -155,8 +155,8 @@ impl TpState {
         match &self.data {
             TpData::Zero { present } => *present as u64,
             TpData::One { cands, .. } => cands.count_ones() as u64,
-            TpData::Two { mat, .. } => mat.triple_count(),
-            TpData::Three { mats, .. } => mats.iter().map(|(_, m)| m.triple_count()).sum(),
+            TpData::Two { mat, .. } => mat.as_ref().triple_count(),
+            TpData::Three { mats, .. } => mats.iter().map(|(_, m)| m.as_ref().triple_count()).sum(),
         }
     }
 
@@ -166,8 +166,8 @@ impl TpState {
         match &self.data {
             TpData::Zero { present } => !present,
             TpData::One { cands, .. } => cands.is_zero(),
-            TpData::Two { mat, .. } => mat.is_empty(),
-            TpData::Three { mats, .. } => mats.iter().all(|(_, m)| m.is_empty()),
+            TpData::Two { mat, .. } => mat.as_ref().is_empty(),
+            TpData::Three { mats, .. } => mats.iter().all(|(_, m)| m.as_ref().is_empty()),
         }
     }
 
@@ -221,13 +221,13 @@ impl TpState {
             TpData::Two { axes, mat } => {
                 let dim = axes.retain_dim(var)?;
                 acc.reset(space_len);
-                Some(mat.fold_or_clipped(dim, acc))
+                Some(mat.as_ref().fold_or_clipped(dim, acc))
             }
             TpData::Three { p_var, axes, mats } => {
                 let mut clipped = false;
                 if *p_var == var {
                     acc.reset(space_len);
-                    for (pid, _) in mats.iter().filter(|(_, m)| !m.is_empty()) {
+                    for (pid, _) in mats.iter().filter(|(_, m)| !m.as_ref().is_empty()) {
                         if *pid < space_len {
                             acc.set(*pid);
                         } else {
@@ -238,7 +238,7 @@ impl TpState {
                     let dim = axes.retain_dim(var)?;
                     acc.reset(space_len);
                     for (_, m) in mats {
-                        clipped |= m.fold_or_clipped(dim, acc);
+                        clipped |= m.as_ref().fold_or_clipped(dim, acc);
                     }
                 }
                 Some(clipped)
@@ -262,15 +262,16 @@ impl TpState {
     /// allocated in the steady state. Redraws the generation when a triple
     /// was removed.
     pub fn unfold_var_with(&mut self, var: VarId, mask: &BitVec, scratch: &mut SetScratch) {
-        let total =
-            |mats: &[(u32, BitMat)]| -> u64 { mats.iter().map(|(_, m)| m.triple_count()).sum() };
+        let total = |mats: &[(u32, BitMat)]| -> u64 {
+            mats.iter().map(|(_, m)| m.as_ref().triple_count()).sum()
+        };
         let removed = match &mut self.data {
             TpData::Zero { .. } => false,
             TpData::One { var: v, cands, .. } => *v == var && cands.and_clipped(mask),
             TpData::Two { axes, mat } => axes.retain_dim(var).is_some_and(|dim| {
-                let before = mat.triple_count();
+                let before = mat.as_ref().triple_count();
                 mat.unfold_with(mask, dim, scratch);
-                mat.triple_count() < before
+                mat.as_ref().triple_count() < before
             }),
             TpData::Three { p_var, axes, mats } => {
                 if *p_var == var {
@@ -282,7 +283,7 @@ impl TpState {
                     for (_, m) in mats.iter_mut() {
                         m.unfold_with(mask, dim, scratch);
                     }
-                    mats.retain(|(_, m)| !m.is_empty());
+                    mats.retain(|(_, m)| !m.as_ref().is_empty());
                     total(mats) < before
                 } else {
                     false
@@ -306,7 +307,7 @@ impl TpState {
                 col_dim: axes.row_dim,
             };
             for m in mats {
-                *m = m.transpose();
+                *m = m.as_ref().transpose();
             }
         }
         match &mut self.data {
@@ -635,7 +636,7 @@ fn load_tp(
             let mut cands = BitVec::zeros(dims.n_subjects);
             if known {
                 if let Some(mat) = catalog.matrix(Family::So, p_id.unwrap())? {
-                    for (r, row) in mat.rows() {
+                    for (r, row) in BitMat::as_ref(&mat).rows() {
                         if r < dims.n_shared && row.contains(r) {
                             cands.set(r);
                         }
@@ -675,7 +676,7 @@ fn load_tp(
             if known {
                 if let Some(mat) = catalog.matrix(Family::Po, s_id.unwrap())? {
                     let o = o_id.unwrap();
-                    for (r, row) in mat.rows() {
+                    for (r, row) in BitMat::as_ref(&mat).rows() {
                         if row.contains(o) {
                             cands.set(r);
                         }
@@ -961,11 +962,13 @@ mod tests {
         // `(predicate, row, col)` of every stored bit, plus the axes.
         fn cells(tp: &TpState) -> (Axes, Vec<(u32, u32, u32)>) {
             match &tp.data {
-                TpData::Two { axes, mat } => (*axes, mat.iter().map(|(r, c)| (0, r, c)).collect()),
+                TpData::Two { axes, mat } => {
+                    (*axes, mat.as_ref().iter().map(|(r, c)| (0, r, c)).collect())
+                }
                 TpData::Three { axes, mats, .. } => (
                     *axes,
                     mats.iter()
-                        .flat_map(|(p, m)| m.iter().map(move |(r, c)| (*p, r, c)))
+                        .flat_map(|(p, m)| m.as_ref().iter().map(move |(r, c)| (*p, r, c)))
                         .collect(),
                 ),
                 _ => panic!("expected a matrix TP"),

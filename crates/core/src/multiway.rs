@@ -76,11 +76,12 @@
 //! itself.
 //!
 //! A bound row variable finds its row with a finger seek
-//! ([`BitMat::seek_row`]): the join keeps, per matrix (per predicate slice
-//! of a `(?s ?p ?o)` TP), the slot where its previous lookup ended, and
-//! gallops forward from there. Bindings mostly arrive in ascending order,
-//! so a lookup usually costs a step or two instead of a binary search over
-//! the row ids; one that goes backwards falls back to the binary search.
+//! ([`lbr_bitmat::BitMatRef::seek_row`]): the join keeps, per matrix (per
+//! predicate slice of a `(?s ?p ?o)` TP), the slot where its previous
+//! lookup ended, and gallops forward from there. Bindings mostly arrive in
+//! ascending order, so a lookup usually costs a step or two instead of a
+//! binary search over the row ids; one that goes backwards falls back to
+//! the binary search.
 
 use crate::bindings::{Binding, VarId, VarTable};
 use crate::filter_eval::{self, VarLookup};
@@ -340,7 +341,7 @@ fn compile_live<'t>(
             TpData::One { var, dim, cands } if bound(*var) => Op::Check1(*var, *dim, cands),
             TpData::One { var, dim, cands } => Op::Enum1(*var, *dim, cands),
             TpData::Two { axes, mat } => match read(axes) {
-                Read::Expand if mat.triple_count() == mat.n_present() as u64 => {
+                Read::Expand if mat.as_ref().triple_count() == mat.as_ref().n_present() as u64 => {
                     Op::Two(Read::Lookup, *axes, mat)
                 }
                 read => Op::Two(read, *axes, mat),
@@ -728,7 +729,7 @@ fn read_matrix(
     let hit = match read {
         Read::Scan => {
             let mut any = false;
-            for (r, row) in mat.rows() {
+            for (r, row) in mat.as_ref().rows() {
                 if ctx.full() {
                     break;
                 }
@@ -769,7 +770,7 @@ fn read_matrix(
 /// `None` when the variable is NULL, of another dimension, or has no row.
 fn seek<'m>(ctx: &mut Ctx<'_>, axes: Axes, mat: &'m BitMat, finger: usize) -> Option<RowRef<'m>> {
     let r = ctx.slots[axes.row_var].filter(|r| r.probes(axes.row_dim))?;
-    mat.seek_row(r.id, &mut ctx.fingers[finger])
+    mat.as_ref().seek_row(r.id, &mut ctx.fingers[finger])
 }
 
 /// Binds the column variable to each ID of `row` in turn and calls `then`.

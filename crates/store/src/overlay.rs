@@ -34,8 +34,8 @@
 
 use crate::delta::Delta;
 use lbr_bitmat::{
-    BitMat, BitMatError, BitMatStore, BitRow, BitVec, Catalog, CowRow, CubeDims, DiskCatalog,
-    Family, SetScratch,
+    BitMat, BitMatError, BitMatRef, BitMatStore, BitRow, BitVec, Catalog, CowRow, CubeDims,
+    DiskCatalog, Family, SetScratch,
 };
 use lbr_rdf::EncodedTriple;
 use std::borrow::Cow;
@@ -176,15 +176,15 @@ impl Catalog for OverlayCatalog {
                 let probed = mask
                     .iter_ones()
                     .map(|r| (r, ins.cols(f, key, r), tomb.cols(f, key, r)));
-                merge(&base, probed, new_rows, cols)
+                merge(base.as_ref(), probed, new_rows, cols)
             }
             _ => {
                 let changed = self.delta.changed_rows(f, key);
                 let kept = changed.filter(|row| rows.is_none_or(|m| m.get(row.0)));
-                merge(&base, kept, new_rows, cols)
+                merge(base.as_ref(), kept, new_rows, cols)
             }
         };
-        Ok((!merged.is_empty()).then_some(merged))
+        Ok((!merged.as_ref().is_empty()).then_some(merged))
     }
 
     fn row(&self, f: Family, key: u32, r: u32) -> Result<Option<CowRow<'_>>, BitMatError> {
@@ -228,7 +228,7 @@ impl Catalog for OverlayCatalog {
 /// two words each (a change that opens a run or splits one adds two);
 /// it grows only when the edits add more than that.
 fn merge<I, T>(
-    base: &BitMat,
+    base: BitMatRef<'_>,
     changes: impl Iterator<Item = (u32, I, T)>,
     new_rows: usize,
     cols: Option<&BitVec>,
@@ -446,18 +446,25 @@ mod tests {
         // Segment layout: the blob base is the u64 at byte 16, and the TOC
         // starts at byte 48 with the S-O family: n_mats u32, then per
         // matrix key u32 | offset u64 | len u64 | count u64. A blob starts
-        // n_rows u32 | n_cols u32 | count u64 | n_present u32.
+        // n_present u32 | n_words u32, then its arrays.
         let mut bytes = std::fs::read(&path).unwrap();
         let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
         let key = u32::from_le_bytes(bytes[52..56].try_into().unwrap());
         let blob = (u64_at(&bytes, 16) + u64_at(&bytes, 56)) as usize;
+        bytes[64..72].copy_from_slice(&8u64.to_le_bytes()); // the TOC length
         bytes[72..80].fill(0); // the TOC count
-        bytes[blob + 16..blob + 20].fill(0); // n_present: no row is listed
+        bytes[blob..blob + 8].fill(0); // n_present, n_words: no row is listed
         std::fs::write(&path, &bytes).unwrap();
         let disk = DiskCatalog::open(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
 
-        let (s, o) = store.get(Family::So, key).unwrap().iter().next().unwrap();
+        let (s, o) = store
+            .get(Family::So, key)
+            .unwrap()
+            .as_ref()
+            .iter()
+            .next()
+            .unwrap();
         let mut delta = Delta::new();
         delta.tombstones.insert(EncodedTriple::new(s, key, o));
         let overlay = OverlayCatalog::new(SegmentSource::Disk(Arc::new(disk)), Arc::new(delta));

@@ -1070,34 +1070,58 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A segment file the opener cannot map falls back to a heap rebuild
+    /// from the checkpoint graph: one that no longer matches the pin in the
+    /// checkpoint, and one the pin matches but whose format is retired (a
+    /// v2 segment, `LBRBM002`, from before segments held the arena's
+    /// arrays).
     #[test]
     fn corrupt_segment_file_falls_back_to_heap_rebuild() {
         let dir = std::env::temp_dir().join(format!("lbr-store-segcor-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let view = {
-            let store = Store::open(base(), None, Some(&dir)).unwrap();
-            store
-                .apply(UpdateBatch::insert(vec![t("fresh", "p", "a")]))
-                .unwrap();
-            store.snapshot().triples()
-        };
         // Simulate a crash between the two checkpoint renames: the segment
         // file no longer matches the pin (length + head CRC) in the ckpt.
-        let seg = dir.join(wal::SEGMENTS_FILE);
-        let mut bytes = std::fs::read(&seg).unwrap();
-        bytes[0] ^= 0xFF;
-        std::fs::write(&seg, &bytes).unwrap();
-        let reopened = Store::open(base(), None, Some(&dir)).unwrap();
-        assert!(
-            !reopened.snapshot().segments().is_disk(),
-            "mismatched segment pin falls back to a heap rebuild"
-        );
-        assert_eq!(reopened.snapshot().triples(), view);
+        let torn = |seg: &mut Vec<u8>, _: &mut Vec<u8>| seg[0] ^= 0xFF;
+        // A retired format under a pin that matches it: the checkpoint
+        // frame (`"LBRCKPT2" | len u32 | crc u32 | payload`, the payload
+        // opening `seg_len u64 | seg_head_crc u32`) is re-pinned to the new
+        // head.
+        let retired = |seg: &mut Vec<u8>, ckpt: &mut Vec<u8>| {
+            seg[..8].copy_from_slice(b"LBRBM002");
+            let payload = 16;
+            let head = wal::crc32(&seg[..seg.len().min(4096)]);
+            ckpt[payload + 8..payload + 12].copy_from_slice(&head.to_le_bytes());
+            let crc = wal::crc32(&ckpt[payload..]);
+            ckpt[payload - 4..payload].copy_from_slice(&crc.to_le_bytes());
+        };
+        for patch in [&torn as &dyn Fn(&mut Vec<u8>, &mut Vec<u8>), &retired] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let view = {
+                let store = Store::open(base(), None, Some(&dir)).unwrap();
+                store
+                    .apply(UpdateBatch::insert(vec![t("fresh", "p", "a")]))
+                    .unwrap();
+                store.snapshot().triples()
+            };
+            let (seg, ckpt) = (dir.join(wal::SEGMENTS_FILE), dir.join(wal::CHECKPOINT_FILE));
+            let (mut seg_bytes, mut ckpt_bytes) =
+                (std::fs::read(&seg).unwrap(), std::fs::read(&ckpt).unwrap());
+            patch(&mut seg_bytes, &mut ckpt_bytes);
+            std::fs::write(&seg, &seg_bytes).unwrap();
+            std::fs::write(&ckpt, &ckpt_bytes).unwrap();
+            let image = wal::read_checkpoint_image(&dir).unwrap().unwrap();
+            assert!(image.segments.is_some(), "the checkpoint still reads");
+            let reopened = Store::open(base(), None, Some(&dir)).unwrap();
+            assert!(
+                !reopened.snapshot().segments().is_disk(),
+                "an unmappable segment falls back to a heap rebuild"
+            );
+            assert_eq!(reopened.snapshot().triples(), view);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Mapped blobs are validated on first touch, not at open. A corrupt
-    /// P-O row directory must fail the commit — read as "absent", it would
+    /// Mapped blobs are validated on first touch, not at open. Corrupt P-O
+    /// row ids must fail the commit — read as "absent", it would
     /// log and stage a triple the base already holds as an insert.
     #[test]
     fn corrupt_mapped_blob_fails_the_commit() {
@@ -1112,10 +1136,10 @@ mod tests {
         let seg = dir.join("index.seg");
         lbr_bitmat::disk::save_store(&BitMatStore::build(&graph), &seg).unwrap();
 
-        // Walk the v2 TOC (48-byte fixed header, then per family
+        // Walk the v3 TOC (48-byte fixed header, then per family
         // `n u32 | (key u32, offset u64, len u64, count u64) × n`) to the
-        // P-O blob of subject `a`, and push the first row id of its
-        // directory (24 bytes in) out of range.
+        // P-O blob of subject `a`, and push its first row id (8 bytes in,
+        // after `n_present | n_words`) out of range.
         let mut bytes = std::fs::read(&seg).unwrap();
         let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
         let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
@@ -1132,8 +1156,8 @@ mod tests {
                 at += 28;
             }
         }
-        let dir_at = blob.expect("subject `a` has a P-O blob") + 24;
-        bytes[dir_at..dir_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let id_at = blob.expect("subject `a` has a P-O blob") + 8;
+        bytes[id_at..id_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&seg, &bytes).unwrap();
 
         // The header is intact, so the store opens over the mapping.

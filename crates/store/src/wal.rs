@@ -356,8 +356,8 @@ pub fn read_checkpoint(dir: &Path) -> std::io::Result<Option<Vec<Triple>>> {
     Ok(Some(out))
 }
 
-/// Reads `dir`'s checkpoint in full — graph plus the v2 segment-file
-/// reference. Same error contract as [`read_checkpoint`].
+/// Reads `dir`'s checkpoint in full — graph plus, for a v2 checkpoint
+/// frame, the segment-file reference. Same error contract as [`read_checkpoint`].
 pub fn read_checkpoint_image(dir: &Path) -> std::io::Result<Option<CheckpointImage>> {
     let bytes = match std::fs::read(dir.join(CHECKPOINT_FILE)) {
         Ok(bytes) => bytes,

@@ -131,9 +131,10 @@ fn every_engine_agrees_on_mmap() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A segment whose matrix header claims a wider shape than its family's is
-/// rejected at load, not answered from: here every P-O matrix claims 1000
-/// object columns and sets column 999, which names no object.
+/// A segment whose matrix stores a column wider than its family's is
+/// rejected at load, not answered from: here every P-O matrix's first row
+/// sets column 999, which names no object (a blob has no shape of its own;
+/// its rows are checked against the family's).
 #[test]
 fn matrix_wider_than_its_family_is_an_error() {
     use lbr::{Graph, Term, Triple};
@@ -163,12 +164,13 @@ fn matrix_wider_than_its_family_is_an_error() {
             if family == 2 {
                 let offset = u64::from_le_bytes(bytes[entry + 4..entry + 12].try_into().unwrap());
                 let blob = blob_base + offset as usize;
-                let n_present = u32_at(&bytes, blob + 16) as usize;
-                // The first row's payload, `[tag 0 | n | positions]`.
-                let payload = blob + 24 + 12 * n_present;
-                assert_eq!(u32_at(&bytes, payload), 0, "a one-bit row is sparse");
-                bytes[blob + 4..blob + 8].copy_from_slice(&1000u32.to_le_bytes());
-                bytes[payload + 8..payload + 12].copy_from_slice(&999u32.to_le_bytes());
+                // `n_present | n_words | ids | spans [end | RUNS, count] |
+                // words`: the first row's body is the first body word.
+                let n_present = u32_at(&bytes, blob) as usize;
+                let [end, count] = [0, 4].map(|at| u32_at(&bytes, blob + 8 + 4 * n_present + at));
+                assert_eq!((end, count), (1, 1), "a one-bit row is one sparse word");
+                let body = blob + 8 + 12 * n_present;
+                bytes[body..body + 4].copy_from_slice(&999u32.to_le_bytes());
             }
         }
         at += 4 + 28 * n;

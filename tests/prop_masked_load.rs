@@ -107,7 +107,7 @@ impl<C: Catalog> Case<'_, C> {
             }
             m
         });
-        let want = want.filter(|m| !m.is_empty());
+        let want = want.filter(|m| !m.as_ref().is_empty());
         let got = self.cat.masked(f, key, rows, cols, scratch).unwrap();
         prop_assert_eq!(got, want, "{} {} key {}", self.medium, f.name(), key);
         Ok(())

@@ -126,7 +126,7 @@ proptest! {
                     }
                 }
                 TpData::Two { axes: Axes { row_var, row_dim, col_var, col_dim }, mat } => {
-                    for (r, c) in mat.iter() {
+                    for (r, c) in mat.as_ref().iter() {
                         let wr = Binding::new(r, *row_dim, n_shared);
                         let wc = Binding::new(c, *col_dim, n_shared);
                         prop_assert!(
@@ -214,7 +214,7 @@ fn contents(tps: &[TpState]) -> Vec<Vec<(u32, u32)>> {
         .map(|tp| match tp.data() {
             TpData::Zero { present } => vec![(u32::from(*present), 0)],
             TpData::One { cands, .. } => cands.iter_ones().map(|id| (id, 0)).collect(),
-            TpData::Two { mat, .. } => mat.iter().collect(),
+            TpData::Two { mat, .. } => mat.as_ref().iter().collect(),
             TpData::Three { .. } => unreachable!("shapes have fixed predicates"),
         })
         .collect()

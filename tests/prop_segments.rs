@@ -1,4 +1,4 @@
-//! Property-based checks of the v2 on-disk segment format:
+//! Property-based checks of the v3 on-disk segment format:
 //!
 //! * **round-trip exactness** — `save_store` → `DiskCatalog::open` must
 //!   reproduce every matrix, row and count of the in-memory
@@ -92,8 +92,12 @@ impl Drop for TempSeg {
 /// A matrix or row a load returned lies inside its family's shape: a
 /// position past it would decode as a term that does not exist.
 fn assert_in_shape(m: &BitMat, (n_rows, n_cols): (u32, u32)) {
-    assert_eq!((m.n_rows(), m.n_cols()), (n_rows, n_cols), "matrix shape");
-    for (r, row) in m.rows() {
+    assert_eq!(
+        (m.as_ref().n_rows(), m.as_ref().n_cols()),
+        (n_rows, n_cols),
+        "matrix shape"
+    );
+    for (r, row) in m.as_ref().rows() {
         assert!(r < n_rows, "row {r} past {n_rows} rows");
         assert_row_in_shape(row, n_cols);
     }
@@ -208,17 +212,27 @@ proptest! {
     }
 }
 
-/// A v1 header (or any foreign magic) is refused up front with a clear
-/// error — not misparsed as v2.
+/// A v1 or v2 header (or any foreign magic) is refused up front with a
+/// clear error — not misparsed as v3.
 #[test]
 fn foreign_magic_is_rejected() {
     let seg = TempSeg::new(u64::MAX);
     let graph = Graph::from_triples(vec![Triple::new(ent(0), pred(0), ent(1))]).encode();
     let store = BitMatStore::build(&graph);
     save_store(&store, &seg.0).unwrap();
-    let mut bytes = std::fs::read(&seg.0).unwrap();
-    bytes[..8].copy_from_slice(b"LBRBM001");
-    std::fs::write(&seg.0, &bytes).unwrap();
-    let err = DiskCatalog::open(&seg.0).unwrap_err();
-    assert!(err.to_string().contains("v1"), "{err}");
+    let saved = std::fs::read(&seg.0).unwrap();
+    for (magic, want) in [
+        (b"LBRBM001", "v1 index (LBRBM001) is no longer supported"),
+        (
+            b"LBRBM002",
+            "v2 index (LBRBM002) is no longer supported; re-save the store",
+        ),
+        (b"NOTANIDX", "bad magic"),
+    ] {
+        let mut bytes = saved.clone();
+        bytes[..8].copy_from_slice(magic);
+        std::fs::write(&seg.0, &bytes).unwrap();
+        let err = DiskCatalog::open(&seg.0).unwrap_err();
+        assert!(err.to_string().contains(want), "{err}");
+    }
 }
