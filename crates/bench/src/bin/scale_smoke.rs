@@ -1,7 +1,9 @@
-//! CI scale smoke: generate a ~1M-triple LUBM tier, load it the way every
-//! caller does (`parse_ntriples` → `encode` → `BitMatStore::build`),
-//! persist the store as a v3 segment, and byte-compare every Appendix E
-//! query over the mmap'd segments against the heap store.
+//! CI scale smoke: generate a ~1M-triple LUBM tier, load its N-Triples
+//! text the way every text caller does (`EncodedGraph::from_ntriples` →
+//! `BitMatStore::build`), check that the one-pass load is byte-equal to
+//! `parse_ntriples` → `Graph::encode`, persist the store as a v3 segment,
+//! and byte-compare every Appendix E query over the mmap'd segments
+//! against the heap store.
 //!
 //! ```sh
 //! cargo run --release -p lbr-bench --bin scale_smoke
@@ -45,12 +47,31 @@ fn main() {
     let nt = lbr_rdf::write_ntriples(graph.triples());
     drop(graph);
     let t = Instant::now();
-    let encoded =
+    let encoded = lbr_rdf::EncodedGraph::from_ntriples(&nt).expect("N-Triples parse");
+    let one_pass_secs = t.elapsed().as_secs_f64();
+    let t = Instant::now();
+    let two_pass =
         lbr_rdf::Graph::from_triples(lbr_rdf::parse_ntriples(&nt).expect("N-Triples parse"))
             .encode();
+    let two_pass_secs = t.elapsed().as_secs_f64();
     drop(nt);
+    assert!(
+        encoded.dict.to_bytes() == two_pass.dict.to_bytes(),
+        "the one-pass load assigns other IDs than parse + encode"
+    );
+    assert!(
+        encoded.triples == two_pass.triples,
+        "the one-pass load encodes other triples than parse + encode"
+    );
+    drop(two_pass);
+    println!(
+        "scale-smoke: one-pass load byte-equal to parse + encode ({} vs {})",
+        fmt_secs(one_pass_secs),
+        fmt_secs(two_pass_secs),
+    );
+    let t = Instant::now();
     let heap = BitMatStore::build(&encoded);
-    let load_secs = t.elapsed().as_secs_f64();
+    let load_secs = one_pass_secs + t.elapsed().as_secs_f64();
     let seg_path = std::env::temp_dir().join(format!("lbr-scale-smoke-{}.seg", std::process::id()));
     let segment_bytes = lbr_bitmat::disk::save_store(&heap, &seg_path).expect("segment write");
     println!(

@@ -632,8 +632,15 @@ impl<'a> BitMatRef<'a> {
         };
         match rows {
             Some(mask) if candidates < n => {
+                // The candidates ascend, so each search gallops forward
+                // from the slot where the previous one ended.
+                let mut k = 0;
                 for r in mask.iter_ones() {
-                    if let Some(k) = self.slot_of(r) {
+                    k += gallop_geq(&self.ids[k..], r);
+                    if k == n {
+                        break;
+                    }
+                    if self.ids[k] == r {
                         keep(k)?;
                     }
                 }

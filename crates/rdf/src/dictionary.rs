@@ -11,12 +11,25 @@
 //!
 //! The shared `Vso` prefix is what makes S-O joins comparisons of raw IDs,
 //! which the whole fold/unfold machinery of `lbr-bitmat` relies on.
+//!
+//! Within each group, IDs follow the order in which the terms were first
+//! seen. [`DictionaryBuilder`] sees the terms in the order they are added;
+//! a graph's terms are seen over its triples in [`Triple`] order, which
+//! the interner reaches by ranking the distinct terms once and sorting the
+//! integer triples by those ranks, never by their strings.
+//!
+//! A [`Dictionary`] holds each term once, in first-seen order, plus a
+//! table of `u32` indices into that list probed by the term's hash (keyed
+//! by a per-dictionary [`RandomState`], as a `HashMap` would be); it keeps
+//! no second copy of a term as a hash key.
 
 use crate::error::RdfError;
+use crate::intern::{self, Interner, ProbeTable};
 use crate::term::Term;
 use crate::triple::{EncodedTriple, Triple};
 use crate::Id;
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 /// A bitcube dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,30 +52,12 @@ impl Dimension {
     }
 }
 
-// A tiny internal role bit-set; avoids pulling in a bitflags dependency.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Roles(u8);
-
-impl Roles {
-    const S: u8 = 1;
-    const P: u8 = 2;
-    const O: u8 = 4;
-
-    fn add(&mut self, r: u8) {
-        self.0 |= r;
-    }
-    fn has(self, r: u8) -> bool {
-        self.0 & r != 0
-    }
-}
-
 /// Accumulates terms with their roles; [`DictionaryBuilder::build`] performs
 /// the Appendix-D ID assignment.
 #[derive(Debug, Default)]
 pub struct DictionaryBuilder {
     /// All distinct terms in first-seen order, with their role set.
-    terms: Vec<(Term, Roles)>,
-    index: HashMap<Term, u32>,
+    terms: Interner,
 }
 
 impl DictionaryBuilder {
@@ -71,23 +66,9 @@ impl DictionaryBuilder {
         Self::default()
     }
 
-    fn intern(&mut self, t: &Term, role: u8) {
-        if let Some(&i) = self.index.get(t) {
-            self.terms[i as usize].1.add(role);
-        } else {
-            let i = self.terms.len() as u32;
-            self.index.insert(t.clone(), i);
-            let mut r = Roles::default();
-            r.add(role);
-            self.terms.push((t.clone(), r));
-        }
-    }
-
     /// Records one triple's terms.
     pub fn add_triple(&mut self, t: &Triple) {
-        self.intern(&t.s, Roles::S);
-        self.intern(&t.p, Roles::P);
-        self.intern(&t.o, Roles::O);
+        self.terms.intern_triple(t.as_refs());
     }
 
     /// Records every triple of an iterator.
@@ -109,65 +90,19 @@ impl DictionaryBuilder {
     /// Within each group, IDs follow first-seen order, which keeps the
     /// assignment deterministic for a given input order.
     pub fn build(self) -> Dictionary {
-        let mut term_of_s: Vec<u32> = Vec::new(); // term index per subject ID
-        let mut term_of_o: Vec<u32> = Vec::new();
-        let mut term_of_p: Vec<u32> = Vec::new();
-
-        // Pass 1: Vso terms get the shared prefix.
-        for (i, (_, roles)) in self.terms.iter().enumerate() {
-            if roles.has(Roles::S) && roles.has(Roles::O) {
-                term_of_s.push(i as u32);
-                term_of_o.push(i as u32);
-            }
-        }
-        let n_so = term_of_s.len() as u32;
-        // Pass 2: role-exclusive S / O terms, and predicates.
-        for (i, (_, roles)) in self.terms.iter().enumerate() {
-            let s = roles.has(Roles::S);
-            let o = roles.has(Roles::O);
-            if s && !o {
-                term_of_s.push(i as u32);
-            } else if o && !s {
-                term_of_o.push(i as u32);
-            }
-            if roles.has(Roles::P) {
-                term_of_p.push(i as u32);
-            }
-        }
-
-        let terms: Vec<Term> = self.terms.into_iter().map(|(t, _)| t).collect();
-        let mut s_of_term = vec![u32::MAX; terms.len()];
-        let mut o_of_term = vec![u32::MAX; terms.len()];
-        let mut p_of_term = vec![u32::MAX; terms.len()];
-        for (id, &ti) in term_of_s.iter().enumerate() {
-            s_of_term[ti as usize] = id as u32;
-        }
-        for (id, &ti) in term_of_o.iter().enumerate() {
-            o_of_term[ti as usize] = id as u32;
-        }
-        for (id, &ti) in term_of_p.iter().enumerate() {
-            p_of_term[ti as usize] = id as u32;
-        }
-
-        Dictionary {
-            index: self.index,
-            terms,
-            term_of_s,
-            term_of_o,
-            term_of_p,
-            s_of_term,
-            o_of_term,
-            p_of_term,
-            n_so,
-        }
+        let first_seen: Vec<u32> = (0..self.terms.len() as u32).collect();
+        self.terms.into_dictionary(&first_seen)
     }
 }
 
 /// Frozen term ↔ ID mapping (see module docs for the layout).
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
-    index: HashMap<Term, u32>,
+    /// Every distinct term once, in first-seen order.
     terms: Vec<Term>,
+    /// Indices into `terms`, probed by a term's hash under `hasher`.
+    index: ProbeTable,
+    hasher: RandomState,
     term_of_s: Vec<u32>,
     term_of_o: Vec<u32>,
     term_of_p: Vec<u32>,
@@ -177,7 +112,61 @@ pub struct Dictionary {
     n_so: u32,
 }
 
+/// Each term index's ID in a dimension whose IDs map to `term_of`;
+/// `u32::MAX` where the term has none.
+fn ids_of_terms(n_terms: usize, term_of: &[u32]) -> Vec<u32> {
+    let mut ids = vec![u32::MAX; n_terms];
+    for (id, &ti) in term_of.iter().enumerate() {
+        ids[ti as usize] = id as u32;
+    }
+    ids
+}
+
 impl Dictionary {
+    /// The Appendix-D assignment over `terms` in first-seen order, where
+    /// `roles[i]` holds the role bits of `terms[i]` and `index` files each
+    /// term under its hash by `hasher`.
+    pub(crate) fn assign(
+        terms: Vec<Term>,
+        roles: &[u8],
+        index: ProbeTable,
+        hasher: RandomState,
+    ) -> Dictionary {
+        let has = |i: usize, role: u8| roles[i] & role != 0;
+        // Pass 1: Vso terms get the shared prefix.
+        let mut term_of_s: Vec<u32> = (0..terms.len())
+            .filter(|&i| has(i, intern::S) && has(i, intern::O))
+            .map(|i| i as u32)
+            .collect();
+        let mut term_of_o = term_of_s.clone();
+        let mut term_of_p = Vec::new();
+        let n_so = term_of_s.len() as u32;
+        // Pass 2: role-exclusive S / O terms, and predicates.
+        for i in 0..terms.len() {
+            let (s, o) = (has(i, intern::S), has(i, intern::O));
+            if s && !o {
+                term_of_s.push(i as u32);
+            } else if o && !s {
+                term_of_o.push(i as u32);
+            }
+            if has(i, intern::P) {
+                term_of_p.push(i as u32);
+            }
+        }
+        Dictionary {
+            s_of_term: ids_of_terms(terms.len(), &term_of_s),
+            o_of_term: ids_of_terms(terms.len(), &term_of_o),
+            p_of_term: ids_of_terms(terms.len(), &term_of_p),
+            terms,
+            index,
+            hasher,
+            term_of_s,
+            term_of_o,
+            term_of_p,
+            n_so,
+        }
+    }
+
     /// Number of distinct subjects (`|Vs|`).
     pub fn n_subjects(&self) -> u32 {
         self.term_of_s.len() as u32
@@ -221,7 +210,12 @@ impl Dictionary {
 
     /// Looks up a term's ID in a dimension.
     pub fn id(&self, term: &Term, dim: Dimension) -> Option<Id> {
-        self.index.get(term).and_then(|&ti| self.id_in(ti, dim))
+        let t = term.as_ref();
+        let hash = self.hasher.hash_one(t);
+        let ti = self
+            .index
+            .find(hash, |i| self.terms[i as usize].as_ref() == t);
+        self.id_in(ti.ok()?, dim)
     }
 
     /// Like [`Dictionary::id`] but returns an error naming the dimension.
@@ -258,6 +252,15 @@ impl Dictionary {
             p: self.id(&t.p, Dimension::Predicate)?,
             o: self.id(&t.o, Dimension::Object)?,
         })
+    }
+
+    /// The IDs of a triple of term indices, each term in its role.
+    pub(crate) fn encode_indices(&self, [s, p, o]: [u32; 3]) -> EncodedTriple {
+        EncodedTriple {
+            s: self.s_of_term[s as usize],
+            p: self.p_of_term[p as usize],
+            o: self.o_of_term[o as usize],
+        }
     }
 
     /// Decodes an encoded triple back to terms.
@@ -446,33 +449,26 @@ impl Dictionary {
         if term_of_s[..n_so as usize] != term_of_o[..n_so as usize] {
             return Err(corrupt("shared prefix mismatch between S and O"));
         }
-        let mut index = HashMap::with_capacity(terms.len());
+        let hasher = RandomState::new();
+        let mut index = ProbeTable::with_room(terms.len());
         for (i, t) in terms.iter().enumerate() {
-            if index.insert(t.clone(), i as u32).is_some() {
-                return Err(corrupt("duplicate term"));
-            }
-        }
-        let mut s_of_term = vec![u32::MAX; terms.len()];
-        let mut o_of_term = vec![u32::MAX; terms.len()];
-        let mut p_of_term = vec![u32::MAX; terms.len()];
-        for (id, &ti) in term_of_s.iter().enumerate() {
-            s_of_term[ti as usize] = id as u32;
-        }
-        for (id, &ti) in term_of_o.iter().enumerate() {
-            o_of_term[ti as usize] = id as u32;
-        }
-        for (id, &ti) in term_of_p.iter().enumerate() {
-            p_of_term[ti as usize] = id as u32;
+            let hash = hasher.hash_one(t.as_ref());
+            let slot = index
+                .find(hash, |j| terms[j as usize] == *t)
+                .err()
+                .ok_or_else(|| corrupt("duplicate term"))?;
+            index.fill(slot, hash, i as u32);
         }
         Ok(Dictionary {
-            index,
+            s_of_term: ids_of_terms(terms.len(), &term_of_s),
+            o_of_term: ids_of_terms(terms.len(), &term_of_o),
+            p_of_term: ids_of_terms(terms.len(), &term_of_p),
             terms,
+            index,
+            hasher,
             term_of_s,
             term_of_o,
             term_of_p,
-            s_of_term,
-            o_of_term,
-            p_of_term,
             n_so,
         })
     }

@@ -1,6 +1,9 @@
 //! Triple containers: raw [`Graph`] and dictionary-encoded [`EncodedGraph`].
 
-use crate::dictionary::{Dictionary, DictionaryBuilder};
+use crate::dictionary::Dictionary;
+use crate::error::RdfError;
+use crate::intern::Interner;
+use crate::ntriples::Tokens;
 use crate::triple::{EncodedTriple, Triple};
 
 /// An in-memory RDF graph: a *set* of triples.
@@ -60,17 +63,17 @@ impl Graph {
     }
 
     /// Dictionary-encodes the graph (Appendix D assignment).
-    pub fn encode(mut self) -> EncodedGraph {
-        self.finish();
-        let mut b = DictionaryBuilder::new();
-        b.add_all(&self.triples);
-        let dict = b.build();
+    pub fn encode(self) -> EncodedGraph {
+        let mut terms = Interner::default();
         let triples = self
             .triples
             .iter()
-            .map(|t| dict.encode(t).expect("all terms were added to the builder"))
+            .map(|t| terms.intern_triple(t.as_refs()))
             .collect();
-        EncodedGraph { dict, triples }
+        // The owned triples are freed before the dictionary is built, so
+        // the two are never held at once.
+        drop(self);
+        EncodedGraph::from_interned(terms, triples)
     }
 }
 
@@ -91,6 +94,32 @@ pub struct EncodedGraph {
 }
 
 impl EncodedGraph {
+    /// Parses and encodes an N-Triples document in one pass: each term is
+    /// interned as the tokenizer reads it, and no [`Triple`] is built. The
+    /// result is the one `Graph::from_triples(parse_ntriples(text)?).encode()`
+    /// gives, and so is any error.
+    pub fn from_ntriples(text: &str) -> Result<EncodedGraph, RdfError> {
+        let mut terms = Interner::default();
+        let mut triples = Vec::new();
+        let mut tokens = Tokens::new(text);
+        while let Some(t) = tokens.next_triple()? {
+            triples.push(terms.intern_triple(t));
+        }
+        Ok(EncodedGraph::from_interned(terms, triples))
+    }
+
+    /// Sorts and dedups interned triples in [`Triple`] order, then assigns
+    /// the IDs the sorted triples give.
+    fn from_interned(terms: Interner, mut triples: Vec<[u32; 3]>) -> EncodedGraph {
+        let order = terms.sort_triples(&mut triples);
+        let dict = terms.into_dictionary(&order);
+        let triples = triples
+            .into_iter()
+            .map(|t| dict.encode_indices(t))
+            .collect();
+        EncodedGraph { dict, triples }
+    }
+
     /// Number of triples.
     pub fn len(&self) -> usize {
         self.triples.len()

@@ -13,6 +13,17 @@
 //! * [`Graph`] / [`EncodedGraph`] — triple containers,
 //! * [`ntriples`] — a line-oriented N-Triples parser and writer.
 //!
+//! Every load path shares one term interner. [`EncodedGraph::from_ntriples`]
+//! is the one-pass text loader: the tokenizer lends each term, borrowed
+//! from the text; the interner hashes it at most once, copies a new term
+//! once into an append-only string arena and ORs the role it occurs in
+//! into its entry, so each triple is three `u32`s from its first byte. The
+//! IDs come from one sort of the distinct terms by [`Term`]'s order, a
+//! sort of the integer triples by those ranks, a dedup, and one first-seen
+//! sweep: the assignment [`DictionaryBuilder`] makes over the
+//! string-sorted triples, byte for byte. [`Graph::encode`] and
+//! [`DictionaryBuilder`] feed owned terms into the same interner.
+//!
 //! Everything downstream (the BitMat indexes in `lbr-bitmat` and the LBR
 //! engine in `lbr-core`) works purely on the `u32` IDs handed out here.
 
@@ -21,6 +32,7 @@
 pub mod dictionary;
 pub mod error;
 pub mod graph;
+mod intern;
 pub mod ntriples;
 pub mod term;
 pub mod triple;

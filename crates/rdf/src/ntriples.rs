@@ -2,25 +2,30 @@
 //!
 //! Supported term forms: `<iri>`, `_:label`, `"literal"`, `"literal"@lang`,
 //! `"literal"^^<datatype>`; `\" \\ \n \r \t \u{XXXX} \U{XXXXXXXX}` literal
-//! escapes; `#` comment lines and blank lines.
+//! escapes; `#` comment lines, blank lines, and a `#` comment after a
+//! triple's closing `.`.
+//!
+//! One tokenizer reads the text for both load paths: [`parse_ntriples`]
+//! turns its borrowed terms into owned [`Triple`]s, and
+//! [`crate::EncodedGraph::from_ntriples`] interns them as they come, so
+//! both accept the same documents and fail with the same error.
 
 use crate::error::RdfError;
-use crate::term::Term;
+use crate::term::TermRef;
 use crate::triple::Triple;
 use std::fmt::Write as _;
 
 /// The `xsd:integer` datatype IRI, used by [`Term::integer`].
+///
+/// [`Term::integer`]: crate::Term::integer
 pub const XSD_INTEGER: &str = "http://www.w3.org/2001/XMLSchema#integer";
 
 /// Parses an N-Triples document into triples.
 pub fn parse_ntriples(input: &str) -> Result<Vec<Triple>, RdfError> {
     let mut out = Vec::new();
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        out.push(parse_line(line, lineno + 1)?);
+    let mut tokens = Tokens::new(input);
+    while let Some([s, p, o]) = tokens.next_triple()? {
+        out.push(Triple::new(s.to_term(), p.to_term(), o.to_term()));
     }
     Ok(out)
 }
@@ -50,8 +55,42 @@ pub fn escape_literal(s: &str) -> String {
     out
 }
 
+/// The N-Triples tokenizer: each triple's terms, borrowed from the text,
+/// or from one decode buffer per position when a literal has an escape.
+pub(crate) struct Tokens<'a> {
+    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    buffers: [String; 3],
+}
+
+impl<'a> Tokens<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Tokens {
+            lines: text.lines().enumerate(),
+            buffers: Default::default(),
+        }
+    }
+
+    /// The next triple's subject, predicate and object; `None` after the
+    /// last line.
+    pub(crate) fn next_triple(&mut self) -> Result<Option<[TermRef<'_>; 3]>, RdfError> {
+        for (i, line) in self.lines.by_ref() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            return parse_line(line, i + 1, &mut self.buffers).map(Some);
+        }
+        Ok(None)
+    }
+}
+
+/// Whether a literal's plain run ends at byte `b`.
+fn ends_run(b: &u8) -> bool {
+    matches!(b, b'"' | b'\\')
+}
+
 struct Cursor<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     line: usize,
 }
@@ -65,7 +104,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -95,88 +134,70 @@ impl<'a> Cursor<'a> {
 
     fn take_until(&mut self, stop: u8, what: &str) -> Result<&'a str, RdfError> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == stop {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?;
-                self.pos += 1;
-                return Ok(s);
+        match self.text[start..].find(char::from(stop)) {
+            Some(n) => {
+                self.pos = start + n + 1;
+                Ok(&self.text[start..start + n])
             }
-            self.pos += 1;
+            None => {
+                self.pos = self.text.len();
+                Err(self.err(format!("unterminated {what}")))
+            }
         }
-        Err(self.err(format!("unterminated {what}")))
     }
 
-    fn parse_term(&mut self) -> Result<Term, RdfError> {
+    /// The ASCII bytes `ok` accepts from here on.
+    fn take_while(&mut self, ok: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(&ok) {
+            self.pos += 1;
+        }
+        &self.text[start..self.pos]
+    }
+
+    fn term(&mut self, buf: &'a mut String) -> Result<TermRef<'a>, RdfError> {
         self.skip_ws();
         match self.peek() {
             Some(b'<') => {
                 self.pos += 1;
-                Ok(Term::Iri(self.take_until(b'>', "IRI")?.to_owned()))
+                Ok(TermRef::Iri(self.take_until(b'>', "IRI")?))
             }
             Some(b'_') => {
                 self.pos += 1;
                 self.expect(b':')?;
-                let start = self.pos;
-                while let Some(b) = self.peek() {
-                    if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.' {
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if self.pos == start {
+                let label = self.take_while(|b| {
+                    b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.'
+                });
+                if label.is_empty() {
                     return Err(self.err("empty blank node label"));
                 }
-                Ok(Term::BlankNode(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .unwrap()
-                        .to_owned(),
-                ))
+                Ok(TermRef::BlankNode(label))
             }
             Some(b'"') => {
                 self.pos += 1;
-                let lexical = self.parse_quoted()?;
-                match self.peek() {
+                let lexical = self.quoted(buf)?;
+                let (datatype, lang) = match self.peek() {
                     Some(b'^') => {
                         self.pos += 1;
                         self.expect(b'^')?;
                         self.expect(b'<')?;
-                        let dt = self.take_until(b'>', "datatype IRI")?.to_owned();
-                        Ok(Term::Literal {
-                            lexical,
-                            datatype: Some(dt),
-                            lang: None,
-                        })
+                        (Some(self.take_until(b'>', "datatype IRI")?), None)
                     }
                     Some(b'@') => {
                         self.pos += 1;
-                        let start = self.pos;
-                        while let Some(b) = self.peek() {
-                            if b.is_ascii_alphanumeric() || b == b'-' {
-                                self.pos += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        if self.pos == start {
+                        let lang = self.take_while(|b| b.is_ascii_alphanumeric() || b == b'-');
+                        if lang.is_empty() {
                             return Err(self.err("empty language tag"));
                         }
-                        let lang = std::str::from_utf8(&self.bytes[start..self.pos])
-                            .unwrap()
-                            .to_owned();
-                        Ok(Term::Literal {
-                            lexical,
-                            datatype: None,
-                            lang: Some(lang),
-                        })
+                        (None, Some(lang))
                     }
-                    _ => Ok(Term::Literal {
-                        lexical,
-                        datatype: None,
-                        lang: None,
-                    }),
-                }
+                    _ => (None, None),
+                };
+                Ok(TermRef::Literal {
+                    lexical,
+                    datatype,
+                    lang,
+                })
             }
             other => Err(self.err(format!(
                 "unexpected term start {:?}",
@@ -185,40 +206,46 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Parses the remainder of a quoted literal (opening quote consumed).
-    fn parse_quoted(&mut self) -> Result<String, RdfError> {
-        let mut out = String::new();
+    /// The rest of a quoted literal (opening quote consumed), unescaped:
+    /// borrowed from the line when it has no escape, else decoded into
+    /// `buf`.
+    fn quoted(&mut self, buf: &'a mut String) -> Result<&'a str, RdfError> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let Some(n) = bytes[start..].iter().position(ends_run) else {
+            self.pos = bytes.len();
+            return Err(self.err("unterminated literal"));
+        };
+        self.pos = start + n;
+        if bytes[self.pos] == b'"' {
+            self.pos += 1;
+            return Ok(&self.text[start..self.pos - 1]);
+        }
+        buf.clear();
+        buf.push_str(&self.text[start..self.pos]);
         loop {
             match self.bump() {
                 None => return Err(self.err("unterminated literal")),
-                Some(b'"') => return Ok(out),
+                Some(b'"') => return Ok(buf),
                 Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => out.push(self.parse_unicode(4)?),
-                    Some(b'U') => out.push(self.parse_unicode(8)?),
+                    Some(b'"') => buf.push('"'),
+                    Some(b'\\') => buf.push('\\'),
+                    Some(b'n') => buf.push('\n'),
+                    Some(b'r') => buf.push('\r'),
+                    Some(b't') => buf.push('\t'),
+                    Some(b'u') => buf.push(self.parse_unicode(4)?),
+                    Some(b'U') => buf.push(self.parse_unicode(8)?),
                     other => {
                         return Err(self.err(format!("bad escape {:?}", other.map(|c| c as char))));
                     }
                 },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode a multibyte UTF-8 sequence.
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 in literal"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
+                Some(_) => {
+                    // A plain run: every position here follows an ASCII
+                    // byte, so it is a character boundary.
+                    let from = self.pos - 1;
+                    let run = bytes[from..].iter().position(ends_run);
+                    self.pos = run.map_or(bytes.len(), |n| from + n);
+                    buf.push_str(&self.text[from..self.pos]);
                 }
             }
         }
@@ -239,15 +266,22 @@ impl<'a> Cursor<'a> {
     }
 }
 
-pub(crate) fn parse_line(line: &str, lineno: usize) -> Result<Triple, RdfError> {
+/// One trimmed, non-empty, non-comment line's three terms; a literal with
+/// an escape is decoded into the buffer of its position.
+fn parse_line<'a>(
+    line: &'a str,
+    lineno: usize,
+    buffers: &'a mut [String; 3],
+) -> Result<[TermRef<'a>; 3], RdfError> {
     let mut c = Cursor {
-        bytes: line.as_bytes(),
+        text: line,
         pos: 0,
         line: lineno,
     };
-    let s = c.parse_term()?;
-    let p = c.parse_term()?;
-    let o = c.parse_term()?;
+    let [bs, bp, bo] = buffers;
+    let s = c.term(bs)?;
+    let p = c.term(bp)?;
+    let o = c.term(bo)?;
     c.skip_ws();
     match c.bump() {
         Some(b'.') => {}
@@ -259,15 +293,17 @@ pub(crate) fn parse_line(line: &str, lineno: usize) -> Result<Triple, RdfError> 
         }
     }
     c.skip_ws();
-    if c.peek().is_some() {
+    // A `#` starts a comment that runs to the end of the line.
+    if c.peek().is_some_and(|b| b != b'#') {
         return Err(c.err("trailing characters after '.'"));
     }
-    Ok(Triple::new(s, p, o))
+    Ok([s, p, o])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Term;
 
     #[test]
     fn parses_basic_forms() {
@@ -277,13 +313,17 @@ mod tests {
 _:b0 <http://ex/p> "plain" .
 <http://ex/s> <http://ex/p> "5"^^<http://www.w3.org/2001/XMLSchema#integer> .
 <http://ex/s> <http://ex/p> "hola"@es .
+<http://ex/s> <http://ex/p> <http://ex/o2> . # a trailing comment
+<http://ex/s> <http://ex/p> <http://ex/o3> .#
 "#;
         let ts = parse_ntriples(doc).unwrap();
-        assert_eq!(ts.len(), 4);
+        assert_eq!(ts.len(), 6);
         assert_eq!(ts[0].s, Term::iri("http://ex/s"));
         assert_eq!(ts[1].s, Term::blank("b0"));
         assert_eq!(ts[2].o, Term::typed_literal("5", XSD_INTEGER));
         assert_eq!(ts[3].o, Term::lang_literal("hola", "es"));
+        assert_eq!(ts[4].o, Term::iri("http://ex/o2"));
+        assert_eq!(ts[5].o, Term::iri("http://ex/o3"));
     }
 
     #[test]
@@ -307,6 +347,7 @@ _:b0 <http://ex/p> "plain" .
         assert!(parse_ntriples("<s> <p> \"unterminated .").is_err());
         assert!(parse_ntriples("<s <p> <o> .").is_err());
         assert!(parse_ntriples("<s> <p> <o> . junk").is_err());
+        assert!(parse_ntriples("<s> <p> <o> # not yet .").is_err());
         assert!(parse_ntriples("_: <p> <o> .").is_err());
     }
 

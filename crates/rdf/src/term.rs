@@ -103,6 +103,57 @@ impl Term {
             _ => None,
         }
     }
+
+    /// The term's borrowed view, which hashes and orders as the term does.
+    pub(crate) fn as_ref(&self) -> TermRef<'_> {
+        match self {
+            Term::Iri(v) => TermRef::Iri(v),
+            Term::BlankNode(v) => TermRef::BlankNode(v),
+            Term::Literal {
+                lexical,
+                datatype,
+                lang,
+            } => TermRef::Literal {
+                lexical,
+                datatype: datatype.as_deref(),
+                lang: lang.as_deref(),
+            },
+        }
+    }
+}
+
+/// A [`Term`] whose strings are borrowed: from the N-Triples text, from a
+/// decoded literal, from an interner's arena or from an owned term. Its
+/// variants and fields mirror [`Term`]'s, so the derived order is
+/// [`Term`]'s order and every feeder hashes the same fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) enum TermRef<'a> {
+    Iri(&'a str),
+    BlankNode(&'a str),
+    Literal {
+        lexical: &'a str,
+        datatype: Option<&'a str>,
+        lang: Option<&'a str>,
+    },
+}
+
+impl TermRef<'_> {
+    /// An owned copy.
+    pub(crate) fn to_term(self) -> Term {
+        match self {
+            TermRef::Iri(v) => Term::Iri(v.to_owned()),
+            TermRef::BlankNode(v) => Term::BlankNode(v.to_owned()),
+            TermRef::Literal {
+                lexical,
+                datatype,
+                lang,
+            } => Term::Literal {
+                lexical: lexical.to_owned(),
+                datatype: datatype.map(str::to_owned),
+                lang: lang.map(str::to_owned),
+            },
+        }
+    }
 }
 
 impl fmt::Display for Term {
@@ -184,5 +235,26 @@ mod tests {
         assert_eq!(v[0], Term::iri("a"));
         assert_eq!(v[1], Term::blank("m"));
         assert_eq!(v[2], Term::literal("z"));
+    }
+
+    #[test]
+    fn borrowed_view_orders_as_the_term() {
+        let mut v = vec![
+            Term::typed_literal("a", "dt"),
+            Term::lang_literal("a", "en"),
+            Term::literal("a"),
+            Term::literal(""),
+            Term::blank("a"),
+            Term::iri("b"),
+            Term::iri("a"),
+        ];
+        for t in &v {
+            assert_eq!(&t.as_ref().to_term(), t);
+        }
+        let mut refs: Vec<TermRef<'_>> = v.iter().map(Term::as_ref).collect();
+        refs.sort();
+        let sorted_refs: Vec<Term> = refs.into_iter().map(TermRef::to_term).collect();
+        v.sort();
+        assert_eq!(sorted_refs, v);
     }
 }

@@ -1,6 +1,6 @@
 //! Raw and dictionary-encoded triples.
 
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 use crate::Id;
 use std::fmt;
 
@@ -20,6 +20,11 @@ impl Triple {
     /// Creates a triple.
     pub fn new(s: Term, p: Term, o: Term) -> Self {
         Triple { s, p, o }
+    }
+
+    /// The three terms' borrowed views.
+    pub(crate) fn as_refs(&self) -> [TermRef<'_>; 3] {
+        [self.s.as_ref(), self.p.as_ref(), self.o.as_ref()]
     }
 }
 

@@ -35,7 +35,7 @@
 //! leaves a torn image behind (unlike the WAL's expected torn tail).
 
 use lbr_bitmat::{disk, BitMatError, BitMatStore};
-use lbr_rdf::{parse_ntriples, Dictionary, EncodedGraph, EncodedTriple, Graph, Triple};
+use lbr_rdf::{parse_ntriples, Dictionary, EncodedGraph, EncodedTriple, Triple};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -385,9 +385,10 @@ pub fn read_checkpoint_image(dir: &Path) -> std::io::Result<Option<CheckpointIma
     } else {
         let text =
             std::str::from_utf8(payload).map_err(|_| ckpt_corrupt("payload is not UTF-8"))?;
-        let triples = parse_ntriples(text).map_err(|_| ckpt_corrupt("payload is not N-Triples"))?;
+        let graph = EncodedGraph::from_ntriples(text)
+            .map_err(|_| ckpt_corrupt("payload is not N-Triples"))?;
         Ok(Some(CheckpointImage {
-            graph: Graph::from_triples(triples).encode(),
+            graph,
             segments: None,
         }))
     }

@@ -326,13 +326,11 @@ impl DatabaseBuilder {
             None => return Err(DatabaseError::NoSource),
             Some(Source::Encoded(graph)) => *graph,
             Some(Source::Triples(triples)) => Graph::from_triples(triples).encode(),
-            Some(Source::Ntriples(text)) => {
-                Graph::from_triples(rdf::parse_ntriples(&text)?).encode()
-            }
+            Some(Source::Ntriples(text)) => EncodedGraph::from_ntriples(&text)?,
             Some(Source::NtriplesFile(path)) => {
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| DatabaseError::Io(path.clone(), e))?;
-                Graph::from_triples(rdf::parse_ntriples(&text)?).encode()
+                EncodedGraph::from_ntriples(&text)?
             }
         };
         // An on-disk index must describe exactly the triple source's
@@ -381,7 +379,7 @@ impl Database {
 
     /// Shortcut: in-memory database over an N-Triples document.
     pub fn from_ntriples(text: &str) -> Result<Database, rdf::RdfError> {
-        Ok(Self::from_triples(rdf::parse_ntriples(text)?))
+        Ok(Self::from_encoded(EncodedGraph::from_ntriples(text)?))
     }
 
     /// Shortcut: in-memory database over an encoded graph.
