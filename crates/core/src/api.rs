@@ -14,7 +14,7 @@
 //! evaluation ([`Engine::execute_raw`]): rows over [`Query::exec_vars`],
 //! form- and modifier-agnostic — except that an engine may soundly
 //! exploit the [`crate::modifiers::row_quota`] bound to stop early (the
-//! LBR multi-way join does).
+//! LBR multi-way join does, on branches whose emitted rows are final).
 
 use crate::bindings::QueryOutput;
 use crate::error::LbrError;

@@ -1,7 +1,11 @@
 //! The query executor: Algorithm 5.1 end-to-end, plus the §5.2 handling of
 //! UNION (UNION normal form) and FILTER (init masks + FaN). Every
 //! union-free branch, Cartesian products included, runs through the one
-//! init → prune → multi-way join pipeline.
+//! init → prune → multi-way join pipeline, and each branch runs the join
+//! once. A LIMIT/ASK quota reaches only the branches the classification
+//! calls final at emission
+//! ([`lbr_sparql::classify::QueryClass::final_at_emission`]): their join
+//! never nullifies, so a run cut at the quota needs no best-match.
 //!
 //! Execution is split into two phases so prepared queries can cache the
 //! expensive front half:
@@ -19,7 +23,7 @@ use crate::api::Engine;
 use crate::best_match::best_match;
 use crate::bindings::{QueryOutput, VarTable};
 use crate::error::LbrError;
-use crate::filter_eval::{self, VarLookup};
+use crate::filter_eval::{self, PairLookup};
 use crate::init::{absolute_master_empty, init, TpState};
 use crate::jvar_order::{get_jvar_order, JvarOrder};
 use crate::multiway::{multi_way_join, schedule, JoinInputs};
@@ -28,7 +32,7 @@ use crate::relation::Relation;
 use crate::selectivity::estimate_all;
 use crate::QueryStats;
 use lbr_bitmat::Catalog;
-use lbr_rdf::{Dictionary, Term};
+use lbr_rdf::Dictionary;
 use lbr_sparql::algebra::{Expr, GraphPattern, Modifiers, Query, QueryForm};
 use lbr_sparql::classify::{analyze, Analyzed};
 use lbr_sparql::rewrite::rewrite_to_unf;
@@ -88,8 +92,9 @@ impl LbrPlan {
         self.branches.len()
     }
 
-    /// The raw-row quota the multi-way join runs under (LIMIT/ASK
-    /// pushdown), when the plan's form and modifiers admit one.
+    /// The raw-row quota of the LIMIT/ASK pushdown, when the plan's form
+    /// and modifiers admit one. Only a branch that is final at emission
+    /// runs its join under it.
     pub fn row_quota(&self) -> Option<usize> {
         if self.any_rule3 {
             // Cross-branch minimum-union can drop rows after the join —
@@ -186,8 +191,9 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     /// bag-union of branches (+ best-match when rule (3) was used) →
     /// projection onto the plan's execution schema. When the plan admits
     /// a LIMIT/ASK row quota it is pushed into the multi-way join's seed
-    /// enumeration, threaded across UNION branches (a later branch only
-    /// needs what earlier branches did not already supply).
+    /// enumeration of each final-at-emission branch, threaded across
+    /// UNION branches (a later branch only needs what earlier branches
+    /// did not already supply).
     pub fn execute_plan_raw(&self, plan: &LbrPlan) -> Result<QueryOutput, LbrError> {
         let t0 = Instant::now();
         let mut stats = QueryStats::default();
@@ -289,11 +295,11 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     /// Algorithm 5.1 for one union-free pattern.
     ///
     /// A `quota` (LIMIT/ASK pushdown) short-circuits the multi-way join's
-    /// seed enumeration. It is only used when the classification rules
-    /// out best-match (`!nb_required` — best-match could drop rows and
-    /// leave fewer than available); if nullification unexpectedly fires
-    /// as the safety net on a quota-truncated run, the join is re-run
-    /// unbounded so correctness never depends on the bound.
+    /// seed enumeration, on a branch that is final at emission only: there
+    /// every emitted row is an answer row, so the first `quota` rows are
+    /// as good as any. Any other branch runs unbounded, and best-match
+    /// folds what its nullification subsumed. Debug builds assert that a
+    /// final branch never nullifies.
     ///
     /// `scratch` is the thread's pool; `init` fills its fold memo and
     /// prune starts from it.
@@ -349,8 +355,9 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         let mut fan_filters: Vec<(usize, &Expr)> = Vec::new();
         for sn in 0..gosn.n_supernodes() {
             for expr in gosn.sn_filters(sn) {
-                if !self.apply_filter_mask(sn, expr, gosn, vt, &mut tps) {
-                    fan_filters.push((sn, expr));
+                match gosn.mask_var(sn, expr) {
+                    Some(name) => self.apply_filter_mask(sn, name, expr, gosn, vt, &mut tps),
+                    None => fan_filters.push((sn, expr)),
                 }
             }
         }
@@ -405,7 +412,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         // Multi-way pipelined join, over the schedule fixed once here.
         let t = Instant::now();
         let order = schedule(&mut tps, gosn);
-        let quota = quota.filter(|_| !analyzed.class.nb_required);
+        let final_at_emission = analyzed.class.final_at_emission;
         let inputs = JoinInputs {
             tps: &tps,
             order: &order,
@@ -414,23 +421,15 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             dims,
             dict: self.dict,
             fan_filters,
-            quota,
+            quota: quota.filter(|_| final_at_emission),
             deadline: self.deadline,
         };
-        let (mut rows, mut exec) = multi_way_join(&inputs);
-        if let Some(q) = quota {
-            if exec.nullification_fired > 0 && rows.len() >= q && !exec.deadline_expired {
-                // The safety-net nullification fired on a quota-truncated
-                // run: best-match may now drop rows, so the truncation
-                // could under-deliver. Re-run unbounded (rare: acyclic WD
-                // queries never nullify, Lemma 3.3).
-                let inputs = JoinInputs {
-                    quota: None,
-                    ..inputs
-                };
-                (rows, exec) = multi_way_join(&inputs);
-            }
-        }
+        let (rows, exec) = multi_way_join(&inputs);
+        debug_assert!(
+            !final_at_emission || exec.nullification_fired == 0,
+            "a branch classified final at emission nullified: {}",
+            gosn.serialized()
+        );
         if exec.deadline_expired {
             // The rows are an arbitrary truncation of the answer, not a
             // prefix the caller asked for — discard and report.
@@ -482,34 +481,20 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         ))
     }
 
-    /// Applies a single-variable filter as an init-time candidate mask on
-    /// every TP of the supernode containing that variable. Returns `false`
-    /// when the filter must be handled by the FaN hook instead: it is not
-    /// single-variable, or its variable is not bound inside this supernode
-    /// (so the mask would have nothing to apply to).
+    /// Applies the filter `expr` of supernode `sn` as an init-time
+    /// candidate mask on each TP of `sn` that binds `name`, the variable
+    /// [`lbr_sparql::gosn::Gosn::mask_var`] found.
     fn apply_filter_mask(
         &self,
         sn: usize,
+        name: &str,
         expr: &Expr,
         gosn: &lbr_sparql::gosn::Gosn,
         vt: &VarTable,
         tps: &mut [TpState],
-    ) -> bool {
-        let vars: Vec<&str> = expr.vars().into_iter().collect();
-        let [name] = vars.as_slice() else {
-            return false;
-        };
-        let Some(var) = vt.id(name) else {
-            // The variable occurs nowhere in the pattern, so it can never
-            // be bound and the filter is row-independent: evaluate it once
-            // with the variable unbound (SPARQL error → `false`, per the
-            // documented collapse). `true` keeps every row — a genuine
-            // no-op; `false` goes to the FaN hook, which drops every
-            // master row / nullifies the slave supernode.
-            return filter_eval::eval(expr, &filter_eval::PairLookup(&[]));
-        };
+    ) {
+        let var = vt.id(name).expect("a TP of the supernode binds it");
         let dims = self.catalog.dims();
-        let mut masked_any = false;
         for &tp in gosn.tps_of_sn(sn) {
             // Fold in the TP's own position dimension so candidate IDs
             // decode through the right dictionary dimension.
@@ -523,18 +508,12 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             let mut mask = lbr_bitmat::BitVec::zeros(space_len);
             for id in cands.iter_ones() {
                 let term = self.dict.term(id, dim).expect("candidate decodes");
-                let holder = SingleLookup { name, term };
-                if filter_eval::eval(expr, &holder) {
+                if filter_eval::eval(expr, &PairLookup(&[(name, term)])) {
                     mask.set(id);
                 }
             }
             tps[tp].unfold_var(var, &mask);
-            masked_any = true;
         }
-        // The variable exists in the pattern but no TP of *this* supernode
-        // binds it: FaN the filter — its supernode-scoped evaluation reads
-        // the out-of-scope variable as unbound, like the reference oracle.
-        masked_any
     }
 }
 
@@ -570,17 +549,6 @@ impl<C: Catalog> Engine for LbrEngine<'_, C> {
 
     fn execute(&self, query: &Query) -> Result<QueryOutput, LbrError> {
         LbrEngine::execute(self, query)
-    }
-}
-
-struct SingleLookup<'a> {
-    name: &'a str,
-    term: &'a Term,
-}
-
-impl VarLookup for SingleLookup<'_> {
-    fn term(&self, name: &str) -> Option<&Term> {
-        (name == self.name).then_some(self.term)
     }
 }
 

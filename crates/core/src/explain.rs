@@ -25,27 +25,23 @@ pub fn explain(query: &Query, plan: &LbrPlan) -> String {
             ""
         }
     );
-    // Query form + solution modifiers and whether they push into the join
-    // — mirroring execution exactly: rule 3 disables the quota globally,
-    // and a branch only exploits it when best-match is ruled out
-    // (`!nb_required` — best-match may drop rows, so a truncated run
-    // could under-deliver).
+    // Query form + solution modifiers and whether they push into the join:
+    // rule 3 disables the quota globally, and a branch takes it only when
+    // it is final at emission (the flag execution reads too).
     let form = if query.is_ask() {
         "ASK".to_string()
     } else {
         format!("SELECT ({:?} dedup)", query.dedup())
     };
-    let branch_pushes: Vec<bool> = plan
-        .branches
-        .iter()
-        .map(|b| !b.analyzed.class.nb_required)
-        .collect();
+    let n_final = (plan.branches.iter())
+        .filter(|b| b.analyzed.class.final_at_emission)
+        .count();
     let pushdown = match plan.row_quota() {
-        Some(_) if !branch_pushes.iter().any(|&p| p) => {
-            "none (no branch is eligible: best-match may drop rows)".to_string()
+        Some(_) if n_final == 0 => {
+            "none (no branch is final at emission: best-match may drop rows)".to_string()
         }
-        Some(q) if !branch_pushes.iter().all(|&p| p) => {
-            format!("{q} rows, on eligible branches only (NB-required branches run unbounded)")
+        Some(q) if n_final < plan.branches.len() => {
+            format!("{q} rows, on final-at-emission branches only (the others run unbounded)")
         }
         Some(q) => format!("{q} rows (the multi-way join stops enumerating seeds there)"),
         None => "none (full enumeration; ORDER BY / DISTINCT / rule-3 need every row)".to_string(),
@@ -96,7 +92,8 @@ fn explain_branch(out: &mut String, branch: &BranchPlan) {
     let c = &analyzed.class;
     let _ = writeln!(
         out,
-        "class: {}, GoJ {}, connected = {}; max slave-SN jvars = {}; NB-reqd = {}",
+        "class: {}, GoJ {}, connected = {}; max slave-SN jvars = {}; NB-reqd = {}; \
+         final-at-emission = {}",
         if c.well_designed {
             "well-designed"
         } else {
@@ -106,6 +103,7 @@ fn explain_branch(out: &mut String, branch: &BranchPlan) {
         c.connected,
         c.max_slave_sn_jvars,
         c.nb_required,
+        c.final_at_emission,
     );
 
     let _ = writeln!(out, "TP selectivity estimates:");
@@ -404,16 +402,18 @@ mod tests {
         let text = explain(&q, &g.dict, &store);
         assert!(text.contains("order_by=[\"-b\"]"), "{text}");
         assert!(text.contains("row-quota pushdown: none"), "{text}");
-        // NB-required branches disable the quota — explain must say so
-        // instead of advertising an early exit execution will not take.
+        // A branch that is not final at emission takes no quota — explain
+        // must say so instead of advertising an early exit execution will
+        // not take.
         let q = parse_query(
             "SELECT * WHERE { ?a <p> ?b . OPTIONAL { ?b <q> ?c . ?c <r> ?a . } } LIMIT 1",
         )
         .unwrap();
         let text = explain(&q, &g.dict, &store);
         assert!(text.contains("NB-reqd = true"), "{text}");
+        assert!(text.contains("final-at-emission = false"), "{text}");
         assert!(
-            text.contains("row-quota pushdown: none (no branch is eligible"),
+            text.contains("row-quota pushdown: none (no branch is final at emission"),
             "{text}"
         );
         // A variable-disconnected (Cartesian) pattern runs through the

@@ -28,7 +28,7 @@ where
 }
 
 /// A lookup over a slice of `(name, term)` pairs (used by tests and by
-/// the engine to evaluate a filter whose variable occurs nowhere).
+/// the engine to test one candidate of an init mask).
 pub struct PairLookup<'a>(pub &'a [(&'a str, &'a Term)]);
 
 impl VarLookup for PairLookup<'_> {

@@ -35,7 +35,9 @@
 //! routes raw rows through [`modifiers::finalize`], and the LBR engine
 //! additionally pushes the [`modifiers::row_quota`] bound into the
 //! multi-way join so ASK / plain-LIMIT queries stop enumerating seeds as
-//! soon as enough rows exist.
+//! soon as enough rows exist. It does so only on a branch the
+//! classification calls final at emission, where every emitted row is an
+//! answer row; any other branch runs its one join unbounded.
 
 #![forbid(unsafe_code)]
 

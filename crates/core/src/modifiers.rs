@@ -19,9 +19,11 @@
 //!    relation with one row (true) or none (false).
 //!
 //! [`row_quota`] is the planning-side counterpart: the number of raw rows
-//! that provably suffices, which the LBR engine pushes into the multi-way
-//! join's seed enumeration so `ASK` and plain-`LIMIT` queries terminate
-//! early instead of materializing everything.
+//! that provably suffices. The LBR engine pushes it into the multi-way
+//! join's seed enumeration of every branch that is final at emission
+//! (its join never nullifies, so no best-match can drop an emitted row),
+//! and `ASK` and plain-`LIMIT` queries terminate early there instead of
+//! materializing everything.
 
 use crate::bindings::{Binding, QueryOutput};
 use lbr_rdf::{Dictionary, Term};

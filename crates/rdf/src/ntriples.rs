@@ -165,9 +165,13 @@ impl<'a> Cursor<'a> {
             Some(b'_') => {
                 self.pos += 1;
                 self.expect(b':')?;
-                let label = self.take_while(|b| {
+                let scanned = self.take_while(|b| {
                     b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.'
                 });
+                // A label may contain '.' but not end with one: a trailing
+                // '.' is the triple's terminator (`_:o.`), so give it back.
+                let label = scanned.trim_end_matches('.');
+                self.pos -= scanned.len() - label.len();
                 if label.is_empty() {
                     return Err(self.err("empty blank node label"));
                 }
@@ -315,15 +319,22 @@ _:b0 <http://ex/p> "plain" .
 <http://ex/s> <http://ex/p> "hola"@es .
 <http://ex/s> <http://ex/p> <http://ex/o2> . # a trailing comment
 <http://ex/s> <http://ex/p> <http://ex/o3> .#
+<http://ex/s> <http://ex/p> _:o.
+_:a.b.c <http://ex/p> _:x.y .
 "#;
         let ts = parse_ntriples(doc).unwrap();
-        assert_eq!(ts.len(), 6);
+        assert_eq!(ts.len(), 8);
         assert_eq!(ts[0].s, Term::iri("http://ex/s"));
         assert_eq!(ts[1].s, Term::blank("b0"));
         assert_eq!(ts[2].o, Term::typed_literal("5", XSD_INTEGER));
         assert_eq!(ts[3].o, Term::lang_literal("hola", "es"));
         assert_eq!(ts[4].o, Term::iri("http://ex/o2"));
         assert_eq!(ts[5].o, Term::iri("http://ex/o3"));
+        assert_eq!(ts[6].o, Term::blank("o"));
+        assert_eq!(
+            (&ts[7].s, &ts[7].o),
+            (&Term::blank("a.b.c"), &Term::blank("x.y"))
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn arb_line() -> impl Strategy<Value = Line> {
         0u8..10,
         [0..POOL.len(), 0..POOL.len(), 0..POOL.len()],
         [0usize..3, 0usize..3, 0usize..3],
-        0u8..4,
+        0u8..5,
     )
 }
 
@@ -58,6 +58,9 @@ fn render(line: &Line) -> String {
         (_, 0) => format!("{s} {p} {o} ."),
         (_, 1) => format!(" \t{s}\t{p}  {o} . "),
         (_, 2) => format!("{s} {p} {o} . # a trailing comment"),
+        // No space before the terminator, even after a blank node label
+        // that holds a '.' itself (`_:b-1.x.`).
+        (_, 3) => format!("{s} {p} {o}."),
         _ => format!("{s} {p} {o} .#"),
     }
 }

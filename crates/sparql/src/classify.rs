@@ -9,11 +9,16 @@
 //!   avoidable (Lemma 3.4);
 //! * cyclic GoJ with a slave supernode containing more than one join
 //!   variable → nullification + best-match required.
+//!
+//! On top of that it decides, once per branch, whether the rows the
+//! multi-way join emits are already the answer
+//! ([`QueryClass::final_at_emission`]): the engine pushes a LIMIT/ASK
+//! quota only into such branches, and EXPLAIN prints the same flag.
 
 use crate::algebra::GraphPattern;
 use crate::error::SparqlError;
 use crate::goj::Goj;
-use crate::gosn::Gosn;
+use crate::gosn::{Gosn, SnId, TpId};
 use crate::well_designed::{transform_nwd, violations_with};
 use std::collections::BTreeSet;
 
@@ -32,6 +37,17 @@ pub struct QueryClass {
     pub max_slave_sn_jvars: usize,
     /// `NB-reqd` of Alg 5.1: nullification and best-match are required.
     pub nb_required: bool,
+    /// Every row the multi-way join emits is an answer row: the join
+    /// never nullifies, so no best-match can drop a row and the join may
+    /// stop at a LIMIT/ASK quota. True when there is no slave supernode;
+    /// otherwise the query must be well-designed and `!nb_required`, no
+    /// slave supernode may have a FaN filter or root a group filter (a
+    /// filter that becomes an init mask, [`Gosn::mask_var`], is fine), and
+    /// every supernode and every peer group must be one variable-connected
+    /// component, masters included. A master that is a Cartesian product
+    /// lets a slave match one master row only in part, and nullification
+    /// then rewrites that row.
+    pub final_at_emission: bool,
 }
 
 /// Everything the engine needs to know about a UNION-free pattern: the
@@ -77,7 +93,8 @@ pub fn analyze(pattern: &GraphPattern) -> Result<Analyzed, SparqlError> {
     }
 
     let nb_required = cyclic && max_slave_sn_jvars > 1;
-    let connected = tp_graph_connected(&gosn);
+    let connected = tps_connected(&goj, &(0..gosn.n_tps()).collect::<Vec<_>>());
+    let final_at_emission = final_at_emission(&gosn, &goj, well_designed && !nb_required);
     Ok(Analyzed {
         gosn,
         goj,
@@ -87,38 +104,51 @@ pub fn analyze(pattern: &GraphPattern) -> Result<Analyzed, SparqlError> {
             connected,
             max_slave_sn_jvars,
             nb_required,
+            final_at_emission,
         },
     })
 }
 
-/// True when the TPs form a single component under shared-variable edges
-/// (no Cartesian product). Queries with zero or one TP are connected.
-fn tp_graph_connected(gosn: &Gosn) -> bool {
-    let n = gosn.n_tps();
-    if n <= 1 {
-        return true;
-    }
-    let tps = gosn.tps();
-    let mut seen = vec![false; n];
-    let mut stack = vec![0usize];
-    seen[0] = true;
-    let mut visited = 1usize;
-    while let Some(i) = stack.pop() {
-        for (j, seen_j) in seen.iter_mut().enumerate() {
-            if !*seen_j && tps[i].vars().iter().any(|v| tps[j].has_var(v)) {
-                *seen_j = true;
-                visited += 1;
-                stack.push(j);
+/// [`QueryClass::final_at_emission`]; `lemmas_hold` is "well-designed
+/// and not `NB-reqd`", the premise of Lemmas 3.3 and 3.4.
+fn final_at_emission(gosn: &Gosn, goj: &Goj, lemmas_hold: bool) -> bool {
+    let slaves = gosn.slave_sns();
+    let masked = |sn: SnId| (gosn.sn_filters(sn).iter()).all(|e| gosn.mask_var(sn, e).is_some());
+    let connected = |sn: SnId| {
+        let peer_tps: Vec<TpId> = (gosn.peers_of(sn).iter())
+            .flat_map(|&p| gosn.tps_of_sn(p).iter().copied())
+            .collect();
+        tps_connected(goj, gosn.tps_of_sn(sn)) && tps_connected(goj, &peer_tps)
+    };
+    slaves.is_empty()
+        || (lemmas_hold
+            && slaves.iter().all(|&sn| masked(sn))
+            && (gosn.group_filters().iter()).all(|f| gosn.is_absolute_master(f.root))
+            && (0..gosn.n_supernodes()).all(connected))
+}
+
+/// True when `tps` form a single component under shared-variable edges
+/// (no Cartesian product among them). Zero or one TP is connected. A
+/// variable two TPs share is a join variable, so `goj` holds them all.
+pub fn tps_connected(goj: &Goj, tps: &[TpId]) -> bool {
+    let shares = |a, b| (goj.jvars_of_tp(a).iter()).any(|j| goj.jvars_of_tp(b).contains(j));
+    let mut component: Vec<TpId> = tps.iter().take(1).copied().collect();
+    let mut i = 0;
+    while let Some(&a) = component.get(i) {
+        for &b in tps {
+            if !component.contains(&b) && shares(a, b) {
+                component.push(b);
             }
         }
+        i += 1;
     }
-    visited == n
+    component.len() == tps.len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::{TermPattern, TriplePattern};
+    use crate::algebra::{Expr, TermPattern, TriplePattern};
     use lbr_rdf::Term;
 
     fn bgp(tps: &[(&str, &str, &str)]) -> GraphPattern {
@@ -202,6 +232,57 @@ mod tests {
         assert!(!c.connected);
         let q = bgp(&[("?a", "p1", "?b"), ("?b", "p2", "?c")]);
         assert!(classify(&q).unwrap().connected);
+    }
+
+    #[test]
+    fn final_at_emission_needs_connected_masters_and_no_slave_fan() {
+        let var = |v: &str| Box::new(Expr::Var(v.to_string()));
+        let product = bgp(&[("?a", "p", "?b"), ("?c", "q", "?d")]);
+        // No slave: every emitted row is an answer, product or not.
+        assert!(classify(&product).unwrap().final_at_emission);
+        let chain = || bgp(&[("?b", "r", "?x"), ("?x", "s", "?d")]);
+        // A slave bridging the two halves of a Cartesian master matches
+        // some master rows only in part: one supernode...
+        let q = GraphPattern::left_join(product.clone(), chain());
+        let c = classify(&q).unwrap();
+        assert!(c.well_designed && !c.cyclic && c.connected && !c.nb_required);
+        assert!(!c.final_at_emission);
+        // ...or a peer group of two connected supernodes.
+        let q = GraphPattern::left_join(
+            GraphPattern::join(
+                GraphPattern::left_join(bgp(&[("?a", "p", "?b")]), bgp(&[("?a", "t", "?y")])),
+                bgp(&[("?c", "q", "?d")]),
+            ),
+            chain(),
+        );
+        assert!(!classify(&q).unwrap().final_at_emission);
+        // Slave filters: one variable the slave binds is an init mask;
+        // two variables go to the FaN hook, which may nullify.
+        let opt = |e: Expr| {
+            GraphPattern::left_join(
+                bgp(&[("?s", "p", "?o")]),
+                GraphPattern::filter(bgp(&[("?o", "q", "?x")]), e),
+            )
+        };
+        let c = Box::new(Expr::Const(Term::iri("c")));
+        assert!(
+            classify(&opt(Expr::Ne(var("x"), c)))
+                .unwrap()
+                .final_at_emission
+        );
+        let q = opt(Expr::Ne(var("x"), var("s")));
+        assert!(!classify(&q).unwrap().final_at_emission);
+        // A group filter rooted at a slave fails it; at a master, it drops.
+        let group = |p| GraphPattern::filter(p, Expr::Ne(var("x"), var("o")));
+        let inner = GraphPattern::left_join(bgp(&[("?o", "q", "?x")]), bgp(&[("?x", "r", "?z")]));
+        let q = GraphPattern::left_join(bgp(&[("?s", "p", "?o")]), group(inner));
+        let c = classify(&q).unwrap();
+        assert!(c.well_designed && !c.final_at_emission);
+        let q = group(GraphPattern::left_join(
+            bgp(&[("?s", "p", "?o")]),
+            bgp(&[("?o", "q", "?x")]),
+        ));
+        assert!(classify(&q).unwrap().final_at_emission);
     }
 
     #[test]

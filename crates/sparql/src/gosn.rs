@@ -309,6 +309,20 @@ impl Gosn {
         &self.sn_filters[sn]
     }
 
+    /// The variable a filter of `sn` masks at init: `Some` when `expr`
+    /// names exactly one variable and a TP of `sn` binds it, so init can
+    /// drop that variable's failing candidates from those TPs. Every other
+    /// supernode filter goes to the FaN hook, which evaluates it on each
+    /// emitted row. Planning and execution both decide through this.
+    pub fn mask_var<'e>(&self, sn: SnId, expr: &'e Expr) -> Option<&'e str> {
+        let mut vars = expr.vars().into_iter();
+        let (Some(var), None) = (vars.next(), vars.next()) else {
+            return None;
+        };
+        let binds = |&tp: &TpId| self.tps[tp].has_var(var);
+        self.tps_of_sn(sn).iter().any(binds).then_some(var)
+    }
+
     /// Filters spanning supernodes, inner ones first: a filter comes after
     /// every filter of the sub-pattern it wraps.
     pub fn group_filters(&self) -> &[GroupFilter] {

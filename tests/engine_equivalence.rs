@@ -745,6 +745,61 @@ fn limit_pushdown_terminates_early() {
         .unwrap();
     assert_eq!(ordered.len(), 10);
     assert_eq!(ordered.stats.join_seeds, 200);
+
+    // A slave bridging the two halves of a Cartesian master nullifies
+    // under the quota, so the plan is not final at emission: no pushdown,
+    // and the rows come from the oracle's bag. The master is one
+    // supernode, or a peer group of two connected ones.
+    let db = Database::from_triples(vec![
+        t("a0", "p", "b0"),
+        t("a0", "t", "y0"),
+        t("c0", "q", "d0"),
+        t("c1", "q", "d1"),
+        t("b0", "r", "x1"),
+        t("b0", "r", "x2"),
+        t("x1", "s", "d1"),
+        t("x2", "s", "d1"),
+    ]);
+    for master in [
+        "?a <p> ?b . ?c <q> ?d .",
+        "{ ?a <p> ?b . OPTIONAL { ?a <t> ?y } } { ?c <q> ?d }",
+    ] {
+        let product = format!("SELECT * WHERE {{ {master} OPTIONAL {{ ?b <r> ?x . ?x <s> ?d }} }}");
+        let limited = format!("{product} LIMIT 2");
+        let text = db.explain(&limited).unwrap();
+        assert!(text.contains("final-at-emission = false"), "{text}");
+        assert!(text.contains("row-quota pushdown: none"), "{text}");
+        let rows = engine_rows(&db, EngineKind::Lbr, &limited);
+        assert_eq!(rows.len(), 2, "{limited}");
+        let bag = engine_rows(&db, EngineKind::Reference, &product);
+        assert_eq!(bag.len(), 3);
+        for row in &rows {
+            let want = bag.iter().filter(|r| *r == row).count();
+            assert!(rows.iter().filter(|r| *r == row).count() <= want, "{row:?}");
+        }
+    }
+
+    // Slave filters, one row per seed: a two-variable filter goes to the
+    // FaN hook and may nullify, so the join runs unbounded; a filter on
+    // one variable the slave binds is an init mask, and the quota stays.
+    let triples = (0..200).flat_map(|i| {
+        [
+            t(&format!("s{i}"), "p", &format!("o{i}")),
+            t(&format!("o{i}"), "q", &format!("x{i}")),
+        ]
+    });
+    let db = Database::from_triples(triples.collect());
+    let fan = "SELECT * WHERE { ?s <p> ?o . OPTIONAL { ?o <q> ?x . FILTER(?x != ?s) } }";
+    let full = db.execute(fan).unwrap();
+    assert_eq!((full.len(), full.stats.join_seeds), (200, 200));
+    let limited = db.execute(&format!("{fan} LIMIT 10 OFFSET 5")).unwrap();
+    assert_eq!(limited.len(), 10);
+    assert_eq!(limited.stats.join_seeds, full.stats.join_seeds);
+    let mask = "SELECT * WHERE { ?s <p> ?o . OPTIONAL { ?o <q> ?x . FILTER(?x != <x3>) } }";
+    let full = db.execute(mask).unwrap();
+    let limited = db.execute(&format!("{mask} LIMIT 10 OFFSET 5")).unwrap();
+    assert_eq!(limited.rows, full.rows[5..15]);
+    assert_eq!(limited.stats.join_seeds, 15, "offset + limit seeds");
 }
 
 /// Satellite bugfix: `SELECT ?x` where `?x` never occurs in the WHERE

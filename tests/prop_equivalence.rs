@@ -7,8 +7,9 @@
 
 use lbr::baseline::{evaluate_reference, JoinOrder, PairwiseEngine, Semantics};
 use lbr::sparql::algebra::{
-    Dedup, Expr, GraphPattern, Modifiers, OrderKey, Query, TermPattern, TriplePattern,
+    Dedup, Expr, GraphPattern, Modifiers, OrderKey, Query, QueryForm, TermPattern, TriplePattern,
 };
+use lbr::sparql::classify::tps_connected;
 use lbr::{Database, EngineKind, Term, Triple};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -187,6 +188,16 @@ fn with_filters(p: GraphPattern, rng: &mut Rng, all: &[String], top: bool) -> Gr
     }
 }
 
+/// [`with_filters`] on every even `seed`; `p` unchanged on odd ones.
+fn filtered_half(p: GraphPattern, seed: u64) -> GraphPattern {
+    let all: Vec<String> = p.variables().into_iter().map(str::to_string).collect();
+    if seed.is_multiple_of(2) && !all.is_empty() {
+        with_filters(p, &mut Rng(seed), &all, true)
+    } else {
+        p
+    }
+}
+
 fn filtered(p: GraphPattern, rng: &mut Rng, all: &[String]) -> GraphPattern {
     let scope: Vec<String> = p.variables().into_iter().map(str::to_string).collect();
     let mut var = || {
@@ -212,36 +223,17 @@ fn filtered(p: GraphPattern, rng: &mut Rng, all: &[String]) -> GraphPattern {
     GraphPattern::filter(p, e)
 }
 
-/// True when every supernode's TPs form one var-connected component on
-/// their own (the paper's no-Cartesian-product premise at SN granularity).
+/// True when every supernode's TPs, and every peer group's, form one
+/// var-connected component (the paper's no-Cartesian-product premise at
+/// supernode and peer-group granularity).
 fn supernodes_internally_connected(pattern: &GraphPattern) -> bool {
     let analyzed = lbr::sparql::classify::analyze(pattern).unwrap();
-    let gosn = &analyzed.gosn;
+    let (gosn, goj) = (&analyzed.gosn, &analyzed.goj);
     (0..gosn.n_supernodes()).all(|sn| {
-        let tps = gosn.tps_of_sn(sn);
-        if tps.len() <= 1 {
-            return true;
-        }
-        let mut seen = vec![false; tps.len()];
-        seen[0] = true;
-        let mut frontier = vec![0usize];
-        let mut count = 1;
-        while let Some(i) = frontier.pop() {
-            for j in 0..tps.len() {
-                if !seen[j]
-                    && gosn
-                        .tp(tps[i])
-                        .vars()
-                        .iter()
-                        .any(|v| gosn.tp(tps[j]).has_var(v))
-                {
-                    seen[j] = true;
-                    count += 1;
-                    frontier.push(j);
-                }
-            }
-        }
-        count == tps.len()
+        let peers: Vec<usize> = (gosn.peers_of(sn).iter())
+            .flat_map(|&p| gosn.tps_of_sn(p).iter().copied())
+            .collect();
+        tps_connected(goj, gosn.tps_of_sn(sn)) && tps_connected(goj, &peers)
     })
 }
 
@@ -284,31 +276,36 @@ proptest! {
         matches_oracle(&Database::from_triples(triples), pattern)?;
     }
 
-    /// Acyclic well-designed queries must never fire nullification
-    /// (Lemma 3.3) — pruning alone restores minimality. The paper's "no
-    /// Cartesian products" premise also rules out supernodes whose own TPs
-    /// are internally disconnected (they join only through their master's
-    /// variables, which semi-joins cannot prune), so the property is
-    /// asserted under that premise; the engine keeps nullification as a
-    /// safety net for the excluded shapes.
+    /// A branch the classifier calls final at emission never fires
+    /// nullification, so a LIMIT/ASK quota may cut its join. Half the
+    /// patterns carry FILTERs: a slave filter on one variable stays final
+    /// (init masks it), any other slave filter does not. Acyclic
+    /// well-designed queries need no nullification (Lemma 3.3) under the
+    /// paper's "no Cartesian products" premise, which here also rules out
+    /// a supernode or peer group whose TPs are disconnected (a slave may
+    /// then match a master row only in part); every unfiltered pattern
+    /// under that premise must be classified final, so the flag is never
+    /// false for want of trying.
     #[test]
     fn acyclic_wd_needs_no_nullification(
         triples in arb_graph(),
         shape in arb_shape(),
+        filter_seed in any::<u64>(),
     ) {
         let db = Database::from_triples(triples);
-        let mut gen = Gen::default();
-        let mut visible = Vec::new();
-        let pattern = gen.build(&shape, &mut visible);
-        prop_assume!(lbr::sparql::is_well_designed(&pattern));
+        let pattern = Gen::default().build(&shape, &mut Vec::new());
+        // Without an OPTIONAL nothing can nullify: such plans are final.
+        prop_assume!(!pattern.is_opt_free() && lbr::sparql::is_well_designed(&pattern));
         let class = lbr::sparql::classify(&pattern).unwrap();
-        prop_assume!(!class.cyclic && class.connected);
-        prop_assume!(supernodes_internally_connected(&pattern));
+        if !class.cyclic && class.connected && supernodes_internally_connected(&pattern) {
+            prop_assert!(!class.nb_required && class.final_at_emission, "{:?}", pattern);
+        }
+        let pattern = filtered_half(pattern, filter_seed);
+        prop_assume!(lbr::sparql::classify(&pattern).unwrap().final_at_emission);
         let query = Query::select_all(pattern);
         prop_assume!(!query.projected_vars().is_empty());
         let out = db.execute_query(&query).unwrap();
-        prop_assert!(!out.stats.nb_required);
-        prop_assert_eq!(out.stats.nullification_fired, 0);
+        prop_assert_eq!(out.stats.nullification_fired, 0, "on {}", query);
     }
 }
 
@@ -430,17 +427,20 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Random DISTINCT / ORDER BY / LIMIT / OFFSET combinations over
-    /// random well-designed patterns: every `EngineKind` must match the
-    /// reference oracle — exactly (sequence) when
+    /// Random DISTINCT / ORDER BY / LIMIT / OFFSET combinations and ASK
+    /// over random well-designed patterns, half of them with FILTERs (so
+    /// quota-cut runs meet plans that nullify): every `EngineKind` must
+    /// match the reference oracle — exactly (sequence) when
     /// ORDER BY covers all projected columns, set-equal under DISTINCT,
     /// and prefix-of-the-full-bag (right count, right multiplicities)
     /// under un-ordered LIMIT/OFFSET where engines may legitimately pick
-    /// different-but-valid slices.
+    /// different-but-valid slices; under ASK, the same boolean.
     #[test]
     fn modifier_combinations_match_the_oracle(
         triples in arb_graph(),
         shape in arb_shape(),
+        filter_seed in any::<u64>(),
+        ask in any::<bool>(),
         distinct in any::<bool>(),
         ordered in any::<bool>(),
         desc_bits in any::<u8>(),
@@ -450,9 +450,8 @@ proptest! {
         // The vendored proptest has no Option strategy: 0 = no LIMIT.
         let limit = limit_raw.checked_sub(1);
         let db = Database::from_triples(triples);
-        let mut gen = Gen::default();
-        let mut visible = Vec::new();
-        let pattern = gen.build(&shape, &mut visible);
+        let pattern = Gen::default().build(&shape, &mut Vec::new());
+        let pattern = filtered_half(pattern, filter_seed);
         prop_assume!(lbr::sparql::is_well_designed(&pattern));
         let base = Query::select_all(pattern);
         let proj = base.projected_vars();
@@ -476,8 +475,8 @@ proptest! {
             limit,
             offset,
         });
-        if distinct {
-            if let lbr::sparql::QueryForm::Select { dedup, .. } = &mut query.form {
+        if distinct && !ask {
+            if let QueryForm::Select { dedup, .. } = &mut query.form {
                 *dedup = Dedup::Distinct;
             }
         }
@@ -488,6 +487,15 @@ proptest! {
         unsliced.modifiers.offset = 0;
         let full = decoded_rows(&db, EngineKind::Reference, &unsliced);
         let expect_len = full.len().saturating_sub(offset).min(limit.unwrap_or(usize::MAX));
+        if ask {
+            // The same modifiers, then ASK: true iff the slice is non-empty.
+            query.form = QueryForm::Ask;
+            for kind in EngineKind::all() {
+                let out = db.engine_of(kind).execute(&query).unwrap();
+                prop_assert_eq!(out.boolean(), Some(expect_len > 0), "{} on {}", kind, query);
+            }
+            return Ok(());
+        }
         let truth = decoded_rows(&db, EngineKind::Reference, &query);
         prop_assert_eq!(truth.len(), expect_len, "oracle slice length on {}", query);
 
