@@ -14,6 +14,7 @@ use crate::scan::scan_tp;
 use crate::Relation;
 use lbr_bitmat::Catalog;
 use lbr_core::filter_eval::{self, VarLookup};
+use lbr_core::selectivity::{estimated_count, resolve_tp};
 use lbr_core::LbrError;
 use lbr_rdf::{Dictionary, Term};
 use lbr_sparql::algebra::{GraphPattern, Query, TriplePattern};
@@ -122,7 +123,7 @@ impl<'a, C: Catalog> PairwiseEngine<'a, C> {
             JoinOrder::Selectivity => {
                 let est: Vec<u64> = tps
                     .iter()
-                    .map(|tp| lbr_core::selectivity::estimated_count(tp, self.dict, self.catalog))
+                    .map(|tp| estimated_count(&resolve_tp(tp, [None; 3], self.dict), self.catalog))
                     .collect();
                 let mut idx: Vec<usize> = (0..tps.len()).collect();
                 // Left-deep: most selective first, then greedily prefer TPs
@@ -138,7 +139,6 @@ impl<'a, C: Catalog> PairwiseEngine<'a, C> {
                             picked.is_empty()
                                 || tps[i]
                                     .vars()
-                                    .iter()
                                     .any(|v| picked.iter().any(|&p| tps[p].has_var(v)))
                         })
                         .unwrap_or(0);

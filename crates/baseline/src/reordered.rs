@@ -16,9 +16,10 @@ use crate::Relation;
 use lbr_bitmat::{Catalog, Family};
 use lbr_core::best_match::best_match;
 use lbr_core::bindings::Binding;
+use lbr_core::selectivity::{estimate_all, resolve};
 use lbr_core::LbrError;
 use lbr_rdf::{Dictionary, Dimension};
-use lbr_sparql::algebra::Query;
+use lbr_sparql::algebra::{Query, TriplePattern};
 use lbr_sparql::classify::analyze;
 use lbr_sparql::gosn::{Gosn, SnId};
 
@@ -99,13 +100,9 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
 
     /// The three-stage pipeline over one union-free pattern.
     fn eval_traced(&self, pattern: &lbr_sparql::GraphPattern) -> Result<ReorderTrace, LbrError> {
-        let analyzed = analyze(pattern)?;
-        let gosn = analyzed.gosn;
-        let est: Vec<u64> = gosn
-            .tps()
-            .iter()
-            .map(|tp| lbr_core::selectivity::estimated_count(tp, self.dict, self.catalog))
-            .collect();
+        let gosn = analyze(pattern)?.gosn;
+        let tps = pattern.triple_patterns();
+        let est = estimate_all(&resolve(pattern, &gosn, self.dict), self.catalog);
 
         // Reordered plan: absolute-master TPs by ascending selectivity,
         // then greedily the most selective TP connected to what is already
@@ -117,19 +114,17 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
         while !remaining.is_empty() {
             let connected = |tp: usize| {
                 order.is_empty()
-                    || gosn
-                        .tp(tp)
+                    || tps[tp]
                         .vars()
-                        .iter()
-                        .any(|v| order.iter().any(|&p| gosn.tp(p).has_var(v)))
+                        .any(|v| order.iter().any(|&p| tps[p].has_var(v)))
             };
             let pos = remaining.iter().position(|&tp| connected(tp)).unwrap_or(0);
             order.push(remaining.remove(pos));
         }
 
-        let mut acc = scan_tp(gosn.tp(order[0]), self.dict, self.catalog)?;
+        let mut acc = scan_tp(tps[order[0]], self.dict, self.catalog)?;
         for &tp in &order[1..] {
-            let rel = scan_tp(gosn.tp(tp), self.dict, self.catalog)?;
+            let rel = scan_tp(tps[tp], self.dict, self.catalog)?;
             let kind = if gosn.tp_in_absolute_master(tp) {
                 Kind::Inner
             } else {
@@ -148,10 +143,10 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
         // them once, not per row inside the nullification fixpoint.
         let sn_scopes: Vec<Vec<String>> = (0..gosn.n_supernodes())
             .map(|sn| {
-                if gosn.sn_filters(sn).is_empty() {
+                if gosn.sn_filters(sn).next().is_none() {
                     Vec::new()
                 } else {
-                    scope(&gosn, &[sn])
+                    scope(&gosn, [sn])
                 }
             })
             .collect();
@@ -169,10 +164,11 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
         // hold under the original nesting loses its exclusive bindings.
         // Group filters see the repaired rows.
         let group_scopes: Vec<Vec<String>> = (gosn.group_filters().iter())
-            .map(|f| scope(&gosn, &f.sns))
+            .map(|f| scope(&gosn, f.sns.clone()))
             .collect();
-        acc.rows
-            .retain_mut(|row| self.nullify_row(row, &vars, &gosn, &sn_scopes, &group_scopes));
+        acc.rows.retain_mut(|row| {
+            self.nullify_row(row, &vars, (&gosn, &tps), &sn_scopes, &group_scopes)
+        });
         let after_nullification = acc.clone();
 
         let mut rows = acc.rows;
@@ -198,7 +194,7 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
         &self,
         row: &mut [Option<Binding>],
         vars: &[String],
-        gosn: &Gosn,
+        (gosn, tps): (&Gosn, &[&TriplePattern]),
         sn_scopes: &[Vec<String>],
         group_scopes: &[Vec<String>],
     ) -> bool {
@@ -214,10 +210,9 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
                 let holds = gosn
                     .tps_of_sn(sn)
                     .iter()
-                    .all(|&tp| self.tp_holds(gosn, tp, row, &col).unwrap_or(false))
+                    .all(|&tp| self.tp_holds(tps[tp], row, &col).unwrap_or(false))
                     && gosn
                         .sn_filters(sn)
-                        .iter()
                         .all(|e| self.filter_row(e, row, vars, &sn_scopes[sn]));
                 if !holds {
                     failed[sn] = true;
@@ -286,12 +281,10 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
     /// Does the row's binding of this TP correspond to an existing triple?
     fn tp_holds(
         &self,
-        gosn: &Gosn,
-        tp_id: usize,
+        tp: &TriplePattern,
         row: &[Option<Binding>],
         col: &dyn Fn(&str) -> Option<usize>,
     ) -> Option<bool> {
-        let tp = gosn.tp(tp_id);
         let resolve = |t: &lbr_sparql::algebra::TermPattern, dim: Dimension| -> Option<u32> {
             match t {
                 lbr_sparql::algebra::TermPattern::Var(v) => {
@@ -315,10 +308,10 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
 
 /// Variables occurring in a TP of one of `sns` — the visibility scope of
 /// a supernode's filters, or of a group filter.
-fn scope(gosn: &Gosn, sns: &[SnId]) -> Vec<String> {
+fn scope(gosn: &Gosn, sns: impl IntoIterator<Item = SnId>) -> Vec<String> {
     let mut vars: Vec<String> = Vec::new();
-    for &tp in sns.iter().flat_map(|&sn| gosn.tps_of_sn(sn)) {
-        for v in gosn.tp(tp).vars() {
+    for &tp in sns.into_iter().flat_map(|sn| gosn.tps_of_sn(sn)) {
+        for v in gosn.vars_of_tp(tp).map(|v| gosn.vars().name(v)) {
             if !vars.iter().any(|x| x == v) {
                 vars.push(v.to_string());
             }
@@ -330,8 +323,9 @@ fn scope(gosn: &Gosn, sns: &[SnId]) -> Vec<String> {
 /// NULLs the variables that no surviving supernode binds.
 fn null_unheld(row: &mut [Option<Binding>], vars: &[String], gosn: &Gosn, failed: &[bool]) {
     for (i, name) in vars.iter().enumerate() {
-        let held =
-            (0..gosn.n_tps()).any(|tp| !failed[gosn.sn_of_tp(tp)] && gosn.tp(tp).has_var(name));
+        let var = gosn.vars().id(name);
+        let held = (0..gosn.n_tps())
+            .any(|tp| !failed[gosn.sn_of_tp(tp)] && var.is_some_and(|v| gosn.tp_has_var(tp, v)));
         if !held {
             row[i] = None;
         }

@@ -21,7 +21,7 @@ pub fn scan_tp(
 ) -> Result<Relation, LbrError> {
     let dims = catalog.dims();
     let n_shared = dims.n_shared;
-    let vars: Vec<String> = tp.vars().iter().map(|v| v.to_string()).collect();
+    let vars: Vec<String> = tp.vars().map(|v| v.to_string()).collect();
     let mut rel = Relation {
         vars: vars.clone(),
         rows: Vec::new(),

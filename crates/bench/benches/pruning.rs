@@ -5,14 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lbr_bitmat::{BitMatStore, Catalog};
-use lbr_core::bindings::VarTable;
 use lbr_core::init::init;
-use lbr_core::jvar_order::get_jvar_order;
 use lbr_core::multiway::{multi_way_join, schedule, JoinInputs};
 use lbr_core::prune::{prune_triples, PruneScratch};
-use lbr_core::selectivity::estimate_all;
+use lbr_core::BranchPlan;
 use lbr_datagen::lubm;
-use lbr_sparql::classify::analyze;
 use lbr_sparql::parse_query;
 
 fn bench_phases(c: &mut Criterion) {
@@ -24,22 +21,19 @@ fn bench_phases(c: &mut Criterion) {
     let graph = ds.graph.clone().encode();
     let store = BitMatStore::build(&graph);
     let q = parse_query(&ds.queries[0].text).unwrap();
-    let analyzed = analyze(&q.pattern).unwrap();
-    let gosn = &analyzed.gosn;
-    let goj = &analyzed.goj;
-    let vt = VarTable::from_tps(gosn.tps()).unwrap();
-    let est = estimate_all(gosn.tps(), &graph.dict, &store);
-    let jorder = get_jvar_order(gosn, goj, &vt, &est);
+    let plan = BranchPlan::new(&q.pattern, &graph.dict, &store).unwrap();
+    let (gosn, goj, keys) = (&plan.analyzed.gosn, &plan.analyzed.goj, &plan.keys);
+    let (vt, est, jorder) = (&plan.vt, &plan.estimates, &plan.jorder);
 
     let mut scratch = PruneScratch::new();
     c.bench_function("lubm_q1_init_active_pruning", |b| {
         b.iter(|| {
-            let out = init(gosn, &vt, &jorder, &est, &graph.dict, &store, &mut scratch).unwrap();
+            let out = init(gosn, keys, jorder, est, &store, &mut scratch).unwrap();
             std::hint::black_box(out.tps_loaded)
         })
     });
 
-    let loaded = init(gosn, &vt, &jorder, &est, &graph.dict, &store, &mut scratch)
+    let loaded = init(gosn, keys, jorder, est, &store, &mut scratch)
         .unwrap()
         .tps
         .expect("Q1 has answers");
@@ -50,28 +44,20 @@ fn bench_phases(c: &mut Criterion) {
         b.iter(|| {
             let mut tps = loaded.clone();
             scratch.clear_folds();
+            let dims = store.dims();
             std::hint::black_box(prune_triples(
                 &mut tps,
                 gosn,
                 goj,
-                &vt,
-                &jorder,
-                &store.dims(),
+                jorder,
+                &dims,
                 &mut scratch,
             ))
         })
     });
 
     let mut pruned = loaded.clone();
-    prune_triples(
-        &mut pruned,
-        gosn,
-        goj,
-        &vt,
-        &jorder,
-        &store.dims(),
-        &mut scratch,
-    );
+    prune_triples(&mut pruned, gosn, goj, jorder, &store.dims(), &mut scratch);
     let order = schedule(&mut pruned, gosn);
     c.bench_function("lubm_q1_multiway_join", |b| {
         b.iter(|| {
@@ -79,7 +65,7 @@ fn bench_phases(c: &mut Criterion) {
                 tps: &pruned,
                 order: &order,
                 gosn,
-                vt: &vt,
+                vt,
                 dims: store.dims(),
                 dict: &graph.dict,
                 fan_filters: Vec::new(),

@@ -27,6 +27,12 @@
 //! allocation. As on the query path, every stage runs through one warm
 //! `PruneScratch`: `init` fills its fold memo and the measured prune starts
 //! from those folds.
+//!
+//! A fourth exact gate pins the allocations of `LbrEngine::plan` on each
+//! of the 19 `reproduce` queries ([`PLAN_ALLOCS`]): planning builds each
+//! structure once, keyed by TP and variable ids, so a change that brings
+//! back per-pair or per-variable re-indexing shows up as a count that
+//! moved.
 
 use lbr::storage::{Delta, OverlayCatalog};
 use lbr::SegmentSource;
@@ -35,16 +41,13 @@ use lbr_bitmat::disk::save_store;
 use lbr_bitmat::{
     BitMat, BitMatError, BitVec, Catalog, CowRow, CubeDims, DiskCatalog, Family, SetScratch,
 };
-use lbr_core::bindings::VarTable;
+use lbr_core::engine::BranchPlan;
 use lbr_core::init::{init, InitOutcome, TpState};
-use lbr_core::jvar_order::get_jvar_order;
 use lbr_core::multiway::{multi_way_join, schedule, JoinInputs};
 use lbr_core::prune::{prune_triples, PruneScratch};
-use lbr_core::selectivity::estimate_all;
 use lbr_core::LbrEngine;
 use lbr_datagen::lubm;
 use lbr_sparql::algebra::Query;
-use lbr_sparql::classify::analyze;
 use lbr_sparql::parse_query;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -79,7 +82,34 @@ const INIT_PER_TP: u64 = 8;
 /// not grow with the rows.
 const JOIN_CONSTANT: u64 = 64;
 
+/// Allocations of one `LbrEngine::plan` per `reproduce` query (datasets at
+/// scale 1, seed 42), pinned exactly. Per query, the count is a handful of
+/// vectors per structure (GoSN, GoJ, variable table, resolved TPs,
+/// estimates, jvar orders) plus one string per output column.
+const PLAN_ALLOCS: [(&str, &str, u64); 19] = [
+    ("LUBM", "Q1", 39),
+    ("LUBM", "Q2", 45),
+    ("LUBM", "Q3", 43),
+    ("LUBM", "Q4", 34),
+    ("LUBM", "Q5", 34),
+    ("LUBM", "Q6", 37),
+    ("UniProt", "Q1", 45),
+    ("UniProt", "Q2", 43),
+    ("UniProt", "Q3", 40),
+    ("UniProt", "Q4", 37),
+    ("UniProt", "Q5", 40),
+    ("UniProt", "Q6", 40),
+    ("UniProt", "Q7", 39),
+    ("DBPedia", "Q1", 45),
+    ("DBPedia", "Q2", 42),
+    ("DBPedia", "Q3", 39),
+    ("DBPedia", "Q4", 41),
+    ("DBPedia", "Q5", 37),
+    ("DBPedia", "Q6", 50),
+];
+
 fn main() {
+    let mut failed = !plan_gate();
     let ds = lubm::dataset(&lubm::LubmConfig {
         universities: 1,
         departments: 2,
@@ -91,7 +121,6 @@ fn main() {
     let disk = Arc::new(DiskCatalog::open(&seg).expect("open the sample segment"));
     let overlay = dirty_overlay(&p, Arc::clone(&disk));
     let engine = LbrEngine::new(&p.store, &p.graph.dict);
-    let mut failed = false;
     println!(
         "allocation check: LUBM sample, cached-plan steady state, \
          ceiling {BASE_CEILING} + {PER_ROW}/result-row; \
@@ -148,6 +177,41 @@ fn main() {
     }
 }
 
+/// The planning gate: the allocations of one `LbrEngine::plan` (minimum
+/// of three) on every `reproduce` query must equal [`PLAN_ALLOCS`].
+fn plan_gate() -> bool {
+    println!("planning allocation check: the 19 reproduce queries, scale 1, seed 42");
+    let mut ok = true;
+    for ds in lbr_datagen::all_datasets(1.0, 42) {
+        let p = prepare(ds);
+        let engine = LbrEngine::new(&p.store, &p.graph.dict);
+        for q in &p.dataset.queries {
+            let query = parse_query(&q.text).expect("reproduce query parses");
+            let mut allocs = u64::MAX;
+            for _ in 0..3 {
+                let a0 = allocation_count();
+                let plan = engine.plan(&query).expect("plan");
+                allocs = allocs.min(allocation_count() - a0);
+                drop(plan);
+            }
+            let name = p.dataset.name;
+            let pinned = (PLAN_ALLOCS.iter()).find(|&&(d, id, _)| d == name && id == q.id);
+            let pass = pinned.is_some_and(|&(.., n)| n == allocs);
+            let pinned = pinned.map_or("none".to_string(), |(.., n)| n.to_string());
+            let verdict = if pass { "ok" } else { "FAIL" };
+            println!(
+                "plan {name:<8} {:<4} {allocs:>4} allocs (pinned {pinned})  [{verdict}]",
+                q.id
+            );
+            ok &= pass;
+        }
+    }
+    if !ok {
+        eprintln!("FAIL: planning allocations moved from the pinned counts");
+    }
+    ok
+}
+
 /// The exact gates' measurements for one query.
 struct StageAllocs {
     /// `init` over the heap store.
@@ -202,34 +266,34 @@ fn stage_allocs(
     overlay: &OverlayCatalog,
     query: &Query,
 ) -> StageAllocs {
-    let a = analyze(&query.pattern).expect("workload query analyzes");
-    assert!(a.class.connected, "the LUBM sample queries are connected");
-    let (gosn, goj, dict) = (&a.gosn, &a.goj, &p.graph.dict);
-    let vt = VarTable::from_tps(gosn.tps()).expect("variable table");
-    let est = estimate_all(gosn.tps(), dict, &p.store);
-    let jorder = get_jvar_order(gosn, goj, &vt, &est);
+    let dict = &p.graph.dict;
+    let b = BranchPlan::new(&query.pattern, dict, &p.store).expect("workload query plans");
+    assert!(
+        b.analyzed.class.connected,
+        "the LUBM sample queries are connected"
+    );
+    let (gosn, goj, keys) = (&b.analyzed.gosn, &b.analyzed.goj, &b.keys[..]);
+    let (vt, est, jorder) = (&b.vt, &b.estimates[..], &b.jorder);
     let dims = p.store.dims();
     // Warm the pool the way a serving thread's earlier queries do: one
     // init and one prune of what it loaded.
     let mut scratch = PruneScratch::new();
-    let warm = init(gosn, &vt, &jorder, &est, dict, &p.store, &mut scratch).expect("warm-up init");
+    let warm = init(gosn, keys, jorder, est, &p.store, &mut scratch).expect("warm-up init");
     if let Some(mut warm) = warm.tps {
-        prune_triples(&mut warm, gosn, goj, &vt, &jorder, &dims, &mut scratch);
+        prune_triples(&mut warm, gosn, goj, jorder, &dims, &mut scratch);
     }
-    let (mmap_init, _) = measured_init(|| {
-        init(gosn, &vt, &jorder, &est, dict, disk, &mut scratch).expect("mmap init")
-    });
+    let (mmap_init, _) =
+        measured_init(|| init(gosn, keys, jorder, est, disk, &mut scratch).expect("mmap init"));
     let touching = Touching {
         overlay,
         touched_rows: AtomicU64::new(0),
     };
     let (mut overlay_init, _) = measured_init(|| {
-        init(gosn, &vt, &jorder, &est, dict, &touching, &mut scratch).expect("overlay init")
+        init(gosn, keys, jorder, est, &touching, &mut scratch).expect("overlay init")
     });
     overlay_init.touched_rows = touching.touched_rows.into_inner();
-    let (heap_init, loaded) = measured_init(|| {
-        init(gosn, &vt, &jorder, &est, dict, &p.store, &mut scratch).expect("init")
-    });
+    let (heap_init, loaded) =
+        measured_init(|| init(gosn, keys, jorder, est, &p.store, &mut scratch).expect("init"));
     let mut s = StageAllocs {
         init: heap_init,
         mmap_init,
@@ -242,7 +306,7 @@ fn stage_allocs(
         return s;
     };
     let a0 = allocation_count();
-    prune_triples(&mut tps, gosn, goj, &vt, &jorder, &dims, &mut scratch);
+    prune_triples(&mut tps, gosn, goj, jorder, &dims, &mut scratch);
     s.prune = allocation_count() - a0;
 
     let order = schedule(&mut tps, gosn);
@@ -250,7 +314,7 @@ fn stage_allocs(
         tps: &tps,
         order: &order,
         gosn,
-        vt: &vt,
+        vt,
         dims,
         dict,
         fan_filters: Vec::new(),

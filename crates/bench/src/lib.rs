@@ -67,6 +67,11 @@ pub struct QueryRow {
     pub t_join: f64,
     /// LBR end-to-end time, averaged.
     pub t_total: f64,
+    /// LBR planning time (the `plan` span of each timed run), averaged.
+    pub t_plan: f64,
+    /// Heap allocations of one `LbrEngine::plan` (minimum over the
+    /// timed runs; 0 without the counting allocator).
+    pub allocs_per_plan: u64,
     /// Steady-state heap allocations of one cached-plan execution
     /// (minimum over the timed runs, counted by [`CountingAlloc`]; 0 when
     /// the host binary did not install the counting allocator).
@@ -96,6 +101,8 @@ pub struct QueryRow {
 pub struct DatasetReport {
     /// Dataset name.
     pub name: String,
+    /// The host the times were measured on: logical CPUs and CPU model.
+    pub host: String,
     /// Triple count and per-dimension cardinalities (Table 6.1 row).
     pub n_triples: u64,
     /// Distinct subjects.
@@ -158,6 +165,10 @@ pub struct LbrTimes {
     pub t_join: f64,
     /// Averaged end-to-end seconds.
     pub t_total: f64,
+    /// Averaged planning seconds.
+    pub t_plan: f64,
+    /// Minimum heap allocations of one `LbrEngine::plan`.
+    pub allocs_per_plan: u64,
     /// Minimum heap allocations of one cached-plan execution (0 when the
     /// counting allocator is not installed).
     pub allocs_per_query: u64,
@@ -186,20 +197,25 @@ pub fn run_lbr(p: &Prepared, text: &str) -> (QueryOutput, LbrTimes) {
         t.t_init += stage_secs(&spans, "init");
         t.t_prune += stage_secs(&spans, "prune");
         t.t_join += stage_secs(&spans, "join");
+        t.t_plan += stage_secs(&spans, "plan");
     }
     let n = RUNS as f64;
     t.t_init /= n;
     t.t_prune /= n;
     t.t_join /= n;
     t.t_total /= n;
-    let plan = engine.plan(&query).expect("plan");
-    let mut allocs = u64::MAX;
+    t.t_plan /= n;
+    let (mut allocs, mut plan_allocs) = (u64::MAX, u64::MAX);
     for _ in 0..RUNS {
+        let a0 = allocation_count();
+        let plan = engine.plan(&query).expect("plan");
+        plan_allocs = plan_allocs.min(allocation_count() - a0);
         let a0 = allocation_count();
         engine.execute_plan(&plan).expect("alloc-count run");
         allocs = allocs.min(allocation_count() - a0);
     }
     t.allocs_per_query = allocs;
+    t.allocs_per_plan = plan_allocs;
     (out, t)
 }
 
@@ -434,6 +450,8 @@ pub fn run_dataset(p: &Prepared) -> DatasetReport {
             t_prune: t.t_prune,
             t_join: t.t_join,
             t_total: t.t_total,
+            t_plan: t.t_plan,
+            allocs_per_plan: t.allocs_per_plan,
             allocs_per_query: t.allocs_per_query,
             t_limit10,
             limit10_seeds,
@@ -460,6 +478,7 @@ pub fn run_dataset(p: &Prepared) -> DatasetReport {
         .collect();
     DatasetReport {
         name: p.dataset.name.to_string(),
+        host: host(),
         n_triples: dims.n_triples,
         n_subjects: dims.n_subjects,
         n_predicates: dims.n_predicates,
@@ -469,6 +488,22 @@ pub fn run_dataset(p: &Prepared) -> DatasetReport {
         rows,
         delta: run_delta(p),
     }
+}
+
+/// Logical CPUs and CPU model of this host (the model as Linux reports
+/// it, "unknown CPU" elsewhere).
+fn host() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = (cpuinfo.lines())
+        .find_map(|l| {
+            Some(
+                l.strip_prefix("model name")?
+                    .trim_start_matches([' ', '\t', ':']),
+            )
+        })
+        .unwrap_or("unknown CPU");
+    format!("{cpus} vCPU, {model}")
 }
 
 /// Formats seconds the way the paper's tables do.
@@ -488,8 +523,8 @@ pub fn render_table(r: &DatasetReport) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
-        "{:<4} {:>9} {:>9} {:>9} {:>9} {:>9} {:>16}",
-        "", "Tinit", "Tprune", "Tjoin", "Ttotal", "Tlim10", "allocs"
+        "{:<4} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>16} {:>11}",
+        "", "Tplan", "Tinit", "Tprune", "Tjoin", "Ttotal", "Tlim10", "allocs", "plan allocs"
     );
     for kind in BASELINE_KINDS {
         let _ = write!(s, " {:>12}", format!("T{}", kind.name()));
@@ -502,14 +537,16 @@ pub fn render_table(r: &DatasetReport) -> String {
     for row in &r.rows {
         let _ = write!(
             s,
-            "{:<4} {:>9} {:>9} {:>9} {:>9} {:>9} {:>16}",
+            "{:<4} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>16} {:>11}",
             row.id,
+            fmt_secs(row.t_plan),
             fmt_secs(row.t_init),
             fmt_secs(row.t_prune),
             fmt_secs(row.t_join),
             fmt_secs(row.t_total),
             fmt_secs(row.t_limit10),
             row.allocs_per_query,
+            row.allocs_per_plan,
         );
         for b in &row.baselines {
             let _ = write!(s, " {:>12}", b.secs.map_or(">budget".into(), fmt_secs));
@@ -600,6 +637,11 @@ impl QueryRow {
         let _ = write!(out, ",\"t_total\":{}", self.t_total);
         let _ = write!(
             out,
+            ",\"t_plan\":{},\"allocs_per_plan\":{}",
+            self.t_plan, self.allocs_per_plan
+        );
+        let _ = write!(
+            out,
             ",\"t_limit10\":{},\"limit10_seeds\":{}",
             self.t_limit10, self.limit10_seeds
         );
@@ -629,6 +671,8 @@ impl DatasetReport {
         let mut out = String::new();
         out.push_str("{\"name\":");
         json_escape_into(&mut out, &self.name);
+        out.push_str(",\"host\":");
+        json_escape_into(&mut out, &self.host);
         let _ = write!(
             out,
             ",\"n_triples\":{},\"n_subjects\":{},\"n_predicates\":{},\"n_objects\":{}",

@@ -10,11 +10,10 @@ use crate::error::LbrError;
 use crate::QueryStats;
 use lbr_bitmat::CubeDims;
 use lbr_rdf::{Dictionary, Dimension, Term};
-use lbr_sparql::algebra::TriplePattern;
-use std::collections::HashMap;
+use lbr_sparql::gosn::{Gosn, Vars};
 
-/// Dense per-query variable index.
-pub type VarId = usize;
+/// Dense per-query variable index (the GoSN's).
+pub use lbr_sparql::gosn::VarId;
 
 /// The bitcube dimension a variable's bindings live in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,88 +78,69 @@ pub fn op_space_len(dims: &CubeDims, positions: impl IntoIterator<Item = Dimensi
     }
 }
 
-/// Per-query variable table: name ↔ id ↔ space.
+/// Per-query variable table: name ↔ id ↔ space, over the ids the GoSN
+/// interned.
 #[derive(Debug, Clone, Default)]
 pub struct VarTable {
-    names: Vec<String>,
-    index: HashMap<String, VarId>,
+    vars: Vars,
     spaces: Vec<VarSpace>,
 }
 
 impl VarTable {
-    /// Builds the table from the TPs of a query, assigning spaces from the
+    /// Builds the table of a GoSN's variables, assigning spaces from the
     /// union of positions each variable occurs in.
     ///
     /// Rejects variables used in the predicate position *and* an S/O
     /// position — such joins cross incompatible ID spaces (the paper does
     /// not consider P-dimension joins).
-    pub fn from_tps(tps: &[TriplePattern]) -> Result<VarTable, LbrError> {
-        #[derive(Default, Clone, Copy)]
-        struct Use {
-            s: bool,
-            p: bool,
-            o: bool,
-        }
-        let mut names: Vec<String> = Vec::new();
-        let mut index: HashMap<String, VarId> = HashMap::new();
-        let mut uses: Vec<Use> = Vec::new();
-        for tp in tps {
-            for (pos, term) in [(0u8, &tp.s), (1, &tp.p), (2, &tp.o)] {
-                if let Some(v) = term.as_var() {
-                    let id = *index.entry(v.to_string()).or_insert_with(|| {
-                        names.push(v.to_string());
-                        uses.push(Use::default());
-                        names.len() - 1
-                    });
-                    match pos {
-                        0 => uses[id].s = true,
-                        1 => uses[id].p = true,
-                        _ => uses[id].o = true,
-                    }
+    pub fn new(gosn: &Gosn) -> Result<VarTable, LbrError> {
+        let mut uses = vec![[false; 3]; gosn.vars().len()];
+        for tp in 0..gosn.n_tps() {
+            for (pos, var) in gosn.tp_vars(tp).into_iter().enumerate() {
+                if let Some(v) = var {
+                    uses[v][pos] = true;
                 }
             }
         }
-        let mut spaces = Vec::with_capacity(names.len());
-        for (i, u) in uses.iter().enumerate() {
-            let space = match (u.s, u.p, u.o) {
-                (_, true, false) if !u.s => VarSpace::Predicate,
+        let mut spaces = Vec::with_capacity(uses.len());
+        for (v, &[s, p, o]) in uses.iter().enumerate() {
+            spaces.push(match (s, p, o) {
+                (false, true, false) => VarSpace::Predicate,
                 (true, false, false) => VarSpace::Subject,
                 (false, false, true) => VarSpace::Object,
                 (true, false, true) => VarSpace::Shared,
                 _ => {
                     return Err(LbrError::Unsupported(format!(
                         "variable ?{} joins the predicate dimension with S/O dimensions",
-                        names[i]
+                        gosn.vars().name(v)
                     )));
                 }
-            };
-            spaces.push(space);
+            });
         }
         Ok(VarTable {
-            names,
-            index,
+            vars: gosn.vars().clone(),
             spaces,
         })
     }
 
     /// Number of variables.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.spaces.len()
     }
 
     /// True when the query has no variables.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.spaces.is_empty()
     }
 
     /// Id of a variable name.
     pub fn id(&self, name: &str) -> Option<VarId> {
-        self.index.get(name).copied()
+        self.vars.id(name)
     }
 
     /// Name of a variable id.
     pub fn name(&self, id: VarId) -> &str {
-        &self.names[id]
+        self.vars.name(id)
     }
 
     /// Binding space of a variable.
@@ -168,9 +148,9 @@ impl VarTable {
         self.spaces[id]
     }
 
-    /// All names in id order.
-    pub fn names(&self) -> &[String] {
-        &self.names
+    /// All names in id order, as owned strings (a relation's schema).
+    pub fn names(&self) -> Vec<String> {
+        self.vars.names().map(str::to_string).collect()
     }
 }
 
@@ -318,7 +298,11 @@ impl QueryOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lbr_sparql::algebra::TermPattern;
+    use lbr_sparql::algebra::{GraphPattern, TermPattern, TriplePattern};
+
+    fn table(tps: Vec<TriplePattern>) -> Result<VarTable, LbrError> {
+        VarTable::new(&Gosn::from_pattern(&GraphPattern::Bgp(tps)).unwrap())
+    }
 
     fn tp(s: &str, p: &str, o: &str) -> TriplePattern {
         let f = |x: &str| {
@@ -338,7 +322,7 @@ mod tests {
             tp("?b", "q", "?c"),
             tp("?d", "?pv", "x"),
         ];
-        let vt = VarTable::from_tps(&tps).unwrap();
+        let vt = table(tps).unwrap();
         assert_eq!(vt.len(), 5);
         assert_eq!(vt.space(vt.id("a").unwrap()), VarSpace::Subject);
         assert_eq!(vt.space(vt.id("b").unwrap()), VarSpace::Shared);
@@ -350,10 +334,7 @@ mod tests {
     #[test]
     fn predicate_so_mix_rejected() {
         let tps = vec![tp("?x", "p", "?y"), tp("?a", "?x", "?b")];
-        assert!(matches!(
-            VarTable::from_tps(&tps),
-            Err(LbrError::Unsupported(_))
-        ));
+        assert!(matches!(table(tps), Err(LbrError::Unsupported(_))));
     }
 
     #[test]

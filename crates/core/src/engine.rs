@@ -21,7 +21,7 @@
 
 use crate::api::Engine;
 use crate::best_match::best_match;
-use crate::bindings::{QueryOutput, VarTable};
+use crate::bindings::{QueryOutput, VarId, VarTable};
 use crate::error::LbrError;
 use crate::filter_eval::{self, PairLookup};
 use crate::init::{absolute_master_empty, init, TpState};
@@ -29,7 +29,7 @@ use crate::jvar_order::{get_jvar_order, JvarOrder};
 use crate::multiway::{multi_way_join, schedule, JoinInputs};
 use crate::prune::{prune_triples, PruneOutcome, PruneScratch};
 use crate::relation::Relation;
-use crate::selectivity::estimate_all;
+use crate::selectivity::{estimate_all, resolve, TpKey};
 use crate::QueryStats;
 use lbr_bitmat::Catalog;
 use lbr_rdf::Dictionary;
@@ -67,12 +67,22 @@ pub struct LbrEngine<'a, C: Catalog> {
 /// callers that cache plans across updates (the `lbr::Database` facade)
 /// stamp them with the epoch they were planned at and re-plan on a
 /// mismatch.
+///
+/// A plan owns everything it holds (it is `'static`): it borrows neither
+/// the query nor the dictionary. A cached plan sits beside its parsed
+/// query (`lbr::CachedPlan`, `lbr::PreparedQuery`) and crosses threads in
+/// the plan cache, which a plan borrowing from its neighbour could do
+/// only as a self-referential struct. Planning therefore copies out only
+/// what execution reads: variable names once, constants as dictionary
+/// IDs, filter expressions, the form and the modifiers. No triple pattern
+/// is cloned.
 #[derive(Debug, Clone)]
 pub struct LbrPlan {
-    /// Final projected variables (what the caller sees).
-    projection: Vec<String>,
-    /// Raw row schema: projection plus non-projected ORDER BY keys.
+    /// Raw row schema: the projection (what the caller sees) first, then
+    /// non-projected ORDER BY keys.
     exec_vars: Vec<String>,
+    /// Length of the projection prefix of `exec_vars`.
+    n_projected: usize,
     /// The query form (SELECT dedup / ASK).
     form: QueryForm,
     /// The solution modifiers.
@@ -84,7 +94,7 @@ pub struct LbrPlan {
 impl LbrPlan {
     /// The projected variable names, in projection order.
     pub fn projection(&self) -> &[String] {
-        &self.projection
+        &self.exec_vars[..self.n_projected]
     }
 
     /// Number of UNION-normal-form branches.
@@ -107,11 +117,43 @@ impl LbrPlan {
 
 /// The cached analysis of one union-free branch.
 #[derive(Debug, Clone)]
-pub(crate) struct BranchPlan {
-    pub(crate) analyzed: Analyzed,
-    pub(crate) vt: VarTable,
-    pub(crate) estimates: Vec<u64>,
-    pub(crate) jorder: JvarOrder,
+pub struct BranchPlan {
+    /// GoSN (Appendix-B transformed when not well-designed), GoJ and
+    /// classification.
+    pub analyzed: Analyzed,
+    /// The branch's variables and their binding spaces.
+    pub vt: VarTable,
+    /// Each TP's positions, constants resolved to dictionary IDs.
+    pub keys: Vec<TpKey>,
+    /// Per-TP selectivity estimates.
+    pub estimates: Vec<u64>,
+    /// Algorithm 3.1's jvar orders.
+    pub jorder: JvarOrder,
+}
+
+impl BranchPlan {
+    /// Plans one union-free pattern against a catalog and its dictionary:
+    /// analysis, variable table, constants resolved once, estimates and
+    /// jvar orders. A variable-disconnected pattern plans like any other:
+    /// the join visits each component as a new root.
+    pub fn new(
+        pattern: &GraphPattern,
+        dict: &Dictionary,
+        catalog: &impl Catalog,
+    ) -> Result<BranchPlan, LbrError> {
+        let analyzed = analyze(pattern)?;
+        let vt = VarTable::new(&analyzed.gosn)?;
+        let keys = resolve(pattern, &analyzed.gosn, dict);
+        let estimates = estimate_all(&keys, catalog);
+        let jorder = get_jvar_order(&analyzed.gosn, &analyzed.goj, &estimates);
+        Ok(BranchPlan {
+            analyzed,
+            vt,
+            keys,
+            estimates,
+            jorder,
+        })
+    }
 }
 
 /// Result of evaluating one union-free branch.
@@ -154,18 +196,21 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
     }
 
     /// Runs the planning pipeline: UNF rewrite → per-branch GoSN/GoJ
-    /// analysis, classification, variable table, selectivity estimates
-    /// and jvar orders.
+    /// analysis, classification, variable table, constant IDs,
+    /// selectivity estimates and jvar orders ([`BranchPlan::new`]). Records
+    /// the one `plan` span of a planning, whoever asked for it.
     pub fn plan(&self, query: &Query) -> Result<LbrPlan, LbrError> {
+        let t = Instant::now();
         let branches = rewrite_to_unf(&query.pattern);
         let any_rule3 = branches.iter().any(|b| b.used_rule3);
-        let planned = branches
-            .iter()
-            .map(|b| self.plan_pattern(&b.pattern))
+        let planned = (branches.iter())
+            .map(|b| BranchPlan::new(&b.pattern, self.dict, self.catalog))
             .collect::<Result<Vec<_>, _>>()?;
+        let (exec_vars, n_projected) = query.exec_schema();
+        lbr_obs::span_since("plan", t, &[("branches", planned.len() as u64)]);
         Ok(LbrPlan {
-            projection: query.projected_vars(),
-            exec_vars: query.exec_vars(),
+            exec_vars,
+            n_projected,
             form: query.form.clone(),
             modifiers: query.modifiers.clone(),
             any_rule3,
@@ -182,7 +227,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
             raw,
             &plan.form,
             &plan.modifiers,
-            &plan.projection,
+            plan.projection(),
             self.dict,
         ))
     }
@@ -277,21 +322,6 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         })
     }
 
-    /// Plans one union-free pattern. A variable-disconnected pattern plans
-    /// like any other: the join visits each component as a new root.
-    fn plan_pattern(&self, pattern: &GraphPattern) -> Result<BranchPlan, LbrError> {
-        let analyzed = analyze(pattern)?;
-        let vt = VarTable::from_tps(analyzed.gosn.tps())?;
-        let estimates = estimate_all(analyzed.gosn.tps(), self.dict, self.catalog);
-        let jorder = get_jvar_order(&analyzed.gosn, &analyzed.goj, &vt, &estimates);
-        Ok(BranchPlan {
-            analyzed,
-            vt,
-            estimates,
-            jorder,
-        })
-    }
-
     /// Algorithm 5.1 for one union-free pattern.
     ///
     /// A `quota` (LIMIT/ASK pushdown) short-circuits the multi-way join's
@@ -325,7 +355,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         let aborted = |mut stats: QueryStats| {
             stats.aborted_empty = true;
             Ok(PartResult {
-                rel: Relation::empty(vt.names().to_vec()),
+                rel: Relation::empty(vt.names()),
                 stats,
                 needs_best_match: false,
             })
@@ -333,15 +363,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
 
         // init with active pruning; it stops at an empty absolute master.
         let t = Instant::now();
-        let loaded = init(
-            gosn,
-            vt,
-            jorder,
-            estimates,
-            self.dict,
-            self.catalog,
-            scratch,
-        )?;
+        let loaded = init(gosn, &plan.keys, jorder, estimates, self.catalog, scratch)?;
         let init_attrs = [
             ("tps_loaded", loaded.tps_loaded),
             ("triples_loaded", loaded.triples_loaded),
@@ -356,7 +378,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         for sn in 0..gosn.n_supernodes() {
             for expr in gosn.sn_filters(sn) {
                 match gosn.mask_var(sn, expr) {
-                    Some(name) => self.apply_filter_mask(sn, name, expr, gosn, vt, &mut tps),
+                    Some(var) => self.apply_filter_mask(sn, var, expr, gosn, vt, &mut tps),
                     None => fan_filters.push((sn, expr)),
                 }
             }
@@ -373,7 +395,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         // thread-local, across *queries* on a serving thread (no
         // allocation in the steady-state inner loop once warm).
         let t = Instant::now();
-        let outcome = prune_triples(&mut tps, gosn, &analyzed.goj, vt, jorder, &dims, scratch);
+        let outcome = prune_triples(&mut tps, gosn, &analyzed.goj, jorder, &dims, scratch);
         let intersections = scratch.intersections();
         let t_prune = t.elapsed();
         stats.prune_intersections = intersections;
@@ -451,7 +473,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
 
         Ok(PartResult {
             rel: Relation {
-                vars: vt.names().to_vec(),
+                vars: vt.names(),
                 rows,
             },
             stats,
@@ -464,36 +486,38 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         Ok(crate::explain::explain(query, &self.plan(query)?))
     }
 
-    /// EXPLAIN ANALYZE: plans the query once, executes that plan under a
-    /// forced local trace (no sampler involved — the spans are consumed
-    /// directly), and renders the same plan annotated with actual
-    /// per-stage wall time, per-TP and per-jvar estimated-vs-actual
-    /// cardinalities, and join seeds/rows.
+    /// EXPLAIN ANALYZE: plans the query once and executes that plan, both
+    /// under a forced local trace (no sampler involved — the spans are
+    /// consumed directly), and renders the same plan annotated with its
+    /// planning time, actual per-stage wall time, per-TP and per-jvar
+    /// estimated-vs-actual cardinalities, and join seeds/rows.
     pub fn explain_analyze(&self, query: &Query) -> Result<String, LbrError> {
-        let plan = self.plan(query)?;
         let mut spans = Vec::new();
         let t0 = Instant::now();
-        let result = traced(&mut spans, || self.execute_plan(&plan));
+        let result = traced(&mut spans, || {
+            let plan = self.plan(query)?;
+            self.execute_plan(&plan).map(|output| (plan, output))
+        });
         let total = t0.elapsed();
-        let output = result?;
+        let (plan, output) = result?;
         Ok(crate::explain::render_analyze(
             query, &plan, &spans, total, &output,
         ))
     }
 
     /// Applies the filter `expr` of supernode `sn` as an init-time
-    /// candidate mask on each TP of `sn` that binds `name`, the variable
+    /// candidate mask on each TP of `sn` that binds `var`, the variable
     /// [`lbr_sparql::gosn::Gosn::mask_var`] found.
     fn apply_filter_mask(
         &self,
         sn: usize,
-        name: &str,
+        var: VarId,
         expr: &Expr,
         gosn: &lbr_sparql::gosn::Gosn,
         vt: &VarTable,
         tps: &mut [TpState],
     ) {
-        let var = vt.id(name).expect("a TP of the supernode binds it");
+        let name = vt.name(var);
         let dims = self.catalog.dims();
         for &tp in gosn.tps_of_sn(sn) {
             // Fold in the TP's own position dimension so candidate IDs

@@ -59,18 +59,31 @@ pub fn explain(query: &Query, plan: &LbrPlan) -> String {
         query.modifiers.limit,
         query.modifiers.offset,
     );
-    for (i, branch) in plan.branches.iter().enumerate() {
+    for (i, (branch, tps)) in plan.branches.iter().zip(branch_tps(query)).enumerate() {
         let _ = writeln!(out, "\n── branch {i} ──");
-        explain_branch(&mut out, branch);
+        explain_branch(&mut out, branch, &tps);
     }
     out
 }
 
-/// The planned detail of one union-free branch.
-fn explain_branch(out: &mut String, branch: &BranchPlan) {
+/// The triple patterns of each UNION-normal-form branch of `query`, in
+/// the TP order its [`BranchPlan`] numbers them.
+fn branch_tps(query: &Query) -> Vec<Vec<String>> {
+    (lbr_sparql::rewrite_to_unf(&query.pattern).iter())
+        .map(|b| {
+            (b.pattern.triple_patterns().iter())
+                .map(ToString::to_string)
+                .collect()
+        })
+        .collect()
+}
+
+/// The planned detail of one union-free branch, whose TPs read `tps`.
+fn explain_branch(out: &mut String, branch: &BranchPlan, tps: &[String]) {
     let BranchPlan {
         analyzed,
         vt,
+        keys,
         estimates,
         jorder,
     } = branch;
@@ -82,12 +95,8 @@ fn explain_branch(out: &mut String, branch: &BranchPlan) {
         } else {
             format!("slave of {:?}", gosn.masters_of(sn))
         };
-        let tps: Vec<String> = gosn
-            .tps_of_sn(sn)
-            .iter()
-            .map(|&t| gosn.tp(t).to_string())
-            .collect();
-        let _ = writeln!(out, "  SN{sn} ({kind}): {}", tps.join(" . "));
+        let sn_tps: Vec<&str> = gosn.tps_of_sn(sn).iter().map(|&t| &*tps[t]).collect();
+        let _ = writeln!(out, "  SN{sn} ({kind}): {}", sn_tps.join(" . "));
     }
     let c = &analyzed.class;
     let _ = writeln!(
@@ -108,7 +117,7 @@ fn explain_branch(out: &mut String, branch: &BranchPlan) {
 
     let _ = writeln!(out, "TP selectivity estimates:");
     for (tp_id, est) in estimates.iter().enumerate() {
-        let _ = writeln!(out, "  tp{tp_id} {}  ≈{est}", gosn.tp(tp_id));
+        let _ = writeln!(out, "  tp{tp_id} {}  ≈{est}", tps[tp_id]);
     }
     let names = |vars: &[usize]| -> String {
         vars.iter()
@@ -126,7 +135,7 @@ fn explain_branch(out: &mut String, branch: &BranchPlan) {
         let _ = writeln!(out, "jvar order bottom-up: {}", names(&jorder.bottom_up));
         let _ = writeln!(out, "jvar order top-down:  {}", names(&jorder.top_down));
     }
-    let order = load_order(gosn, vt, estimates);
+    let order = load_order(gosn, keys, estimates);
     let order_s: Vec<String> = order.iter().map(|t| format!("tp{t}")).collect();
     let _ = writeln!(out, "init load order: {}", order_s.join(" → "));
 
@@ -135,7 +144,7 @@ fn explain_branch(out: &mut String, branch: &BranchPlan) {
     // are upper bounds: an operation whose inputs have not changed since
     // it last ran is skipped (EXPLAIN ANALYZE prints how many ran, and
     // the runtime `prune_intersections` counter the ANDs executed).
-    let ops = crate::prune::planned_prune_ops(gosn, &analyzed.goj, vt, jorder);
+    let ops = crate::prune::planned_prune_ops(gosn, &analyzed.goj, jorder);
     let _ = writeln!(
         out,
         "prune plan: {} semi-join(s) + {} clustered-semi-join(s) \
@@ -166,6 +175,8 @@ pub fn render_analyze(
         output.rows.len(),
         output.rows_with_nulls(),
     );
+    let plan_us = lbr_obs::stage_us(spans, "plan");
+    let _ = writeln!(out, "plan: {plan_us}µs");
     let finalize_us = lbr_obs::stage_us(spans, "finalize");
     let _ = writeln!(out, "finalize (modifier seam): {finalize_us}µs");
 
@@ -175,13 +186,14 @@ pub fn render_analyze(
     let marks: Vec<usize> = (0..spans.len())
         .filter(|&i| spans[i].name == "branch")
         .collect();
+    let tps = branch_tps(query);
     for (m, &start) in marks.iter().enumerate() {
         let end = marks.get(m + 1).copied().unwrap_or(spans.len());
         let section = &spans[start + 1..end];
         let b = spans[start].attr("branch").unwrap_or(0) as usize;
         let _ = writeln!(out, "── branch {b} actuals ──");
-        if let Some(branch) = plan.branches.get(b) {
-            render_branch(&mut out, branch, section);
+        if let (Some(branch), Some(tps)) = (plan.branches.get(b), tps.get(b)) {
+            render_branch(&mut out, branch, tps, section);
         }
         for s in section.iter().filter(|s| s.name == "best_match") {
             let _ = writeln!(
@@ -200,8 +212,8 @@ pub fn render_analyze(
 
 /// One branch's actuals: its span group read against the `BranchPlan` it
 /// ran with, whose variable table and estimates the spans' `tp` / `var`
-/// ids index.
-fn render_branch(out: &mut String, branch: &BranchPlan, group: &[lbr_obs::Span]) {
+/// ids index, and whose TPs read `tps`.
+fn render_branch(out: &mut String, branch: &BranchPlan, tps: &[String], group: &[lbr_obs::Span]) {
     for s in group.iter().filter(|s| s.name == "init") {
         let _ = writeln!(
             out,
@@ -235,7 +247,6 @@ fn render_branch(out: &mut String, branch: &BranchPlan, group: &[lbr_obs::Span])
             s.attr("skipped").unwrap_or(0),
         );
     }
-    let tps = branch.analyzed.gosn.tps();
     let tp_spans: Vec<_> = group.iter().filter(|s| s.name == "tp").collect();
     if !tp_spans.is_empty() {
         let _ = writeln!(out, "  TP cardinality, estimated vs actual:");
@@ -245,7 +256,7 @@ fn render_branch(out: &mut String, branch: &BranchPlan, group: &[lbr_obs::Span])
             let _ = writeln!(
                 out,
                 "    tp{tp_id} {}  est≈{est}  actual={actual}  {}",
-                tps.get(tp_id).map(ToString::to_string).unwrap_or_default(),
+                tps.get(tp_id).map_or("", |tp| tp),
                 selectivity_error(est, actual),
             );
         }
@@ -265,11 +276,10 @@ fn render_branch(out: &mut String, branch: &BranchPlan, group: &[lbr_obs::Span])
             let name = branch.vt.name(var as usize);
             // Planner-side bound: the smallest estimate among the
             // TPs that bind this variable.
-            let est = tps
-                .iter()
-                .zip(&branch.estimates)
-                .filter(|(tp, _)| tp.has_var(name))
-                .map(|(_, &est)| est)
+            let gosn = &branch.analyzed.gosn;
+            let est = (0..gosn.n_tps())
+                .filter(|&tp| gosn.tp_has_var(tp, var as usize))
+                .map(|tp| branch.estimates[tp])
                 .min()
                 .unwrap_or(0);
             let of_var = || jvar_spans.iter().filter(|s| s.attr("var") == Some(var));

@@ -33,13 +33,13 @@
 //! later loads is folded once, and `prune_triples` starts from the same
 //! folds.
 
-use crate::bindings::{op_space_len, VarId, VarTable};
+use crate::bindings::{op_space_len, VarId};
 use crate::error::LbrError;
 use crate::jvar_order::JvarOrder;
 use crate::prune::{FoldMemo, PruneScratch};
+use crate::selectivity::{Pos, TpKey};
 use lbr_bitmat::{BitMat, BitVec, Catalog, CubeDims, Family, RetainDim, SetScratch};
-use lbr_rdf::{Dictionary, Dimension};
-use lbr_sparql::algebra::{TermPattern, TriplePattern};
+use lbr_rdf::Dimension;
 use lbr_sparql::gosn::{Gosn, TpId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -343,23 +343,20 @@ pub struct InitOutcome {
 ///   whose folds will mask it.
 ///
 /// Master depth comes first, so a slave never loads before a master. The
-/// order reads only the GoSN, the TP shapes and the estimates, and
+/// order reads only the GoSN, the resolved TPs and the estimates, and
 /// allocates only the result.
-pub fn load_order(gosn: &Gosn, vt: &VarTable, estimates: &[u64]) -> Vec<TpId> {
+pub fn load_order(gosn: &Gosn, keys: &[TpKey], estimates: &[u64]) -> Vec<TpId> {
     let n = gosn.n_tps();
     let mut order: Vec<TpId> = Vec::with_capacity(n);
     while order.len() < n {
         let key = |tp: TpId| {
             let fed = || {
-                let vars = var_ids(gosn.tp(tp), vt);
                 order.iter().any(|&o| {
                     (gosn.tp_is_master_of(o, tp) || gosn.tp_are_peers(o, tp))
-                        && var_ids(gosn.tp(o), vt)
-                            .iter()
-                            .any(|v| v.is_some() && vars.contains(v))
+                        && gosn.vars_of_tp(o).any(|v| gosn.tp_has_var(tp, v))
                 })
             };
-            let cheap = is_cheap(gosn.tp(tp)) || estimates[tp] == 0;
+            let cheap = is_cheap(&keys[tp]) || estimates[tp] == 0;
             let depth = gosn.masters_of(gosn.sn_of_tp(tp)).len();
             (depth, !(cheap || fed()), estimates[tp], tp)
         };
@@ -374,13 +371,9 @@ pub fn load_order(gosn: &Gosn, vt: &VarTable, estimates: &[u64]) -> Vec<TpId> {
 
 /// True when a TP loads from one catalog row or a membership test: a
 /// constant predicate with at most one variable position.
-fn is_cheap(tp: &TriplePattern) -> bool {
-    tp.p.as_var().is_none() && (tp.s.as_var().is_none() || tp.o.as_var().is_none())
-}
-
-/// The variable of each position of `tp`, `None` for a constant.
-fn var_ids(tp: &TriplePattern, vt: &VarTable) -> [Option<VarId>; 3] {
-    [&tp.s, &tp.p, &tp.o].map(|t| t.as_var().map(|v| vt.id(v).expect("var interned")))
+fn is_cheap(tp: &TpKey) -> bool {
+    let constant = |pos: &Pos| !matches!(pos, Pos::Var(_));
+    constant(&tp[1]) && (constant(&tp[0]) || constant(&tp[2]))
 }
 
 /// Loads every TP with active pruning, in [`load_order`], stopping at the
@@ -391,15 +384,14 @@ fn var_ids(tp: &TriplePattern, vt: &VarTable) -> [Option<VarId>; 3] {
 /// [`crate::prune::prune_triples`] to reuse.
 pub fn init(
     gosn: &Gosn,
-    vt: &VarTable,
+    keys: &[TpKey],
     jorder: &JvarOrder,
     estimates: &[u64],
-    dict: &Dictionary,
     catalog: &impl Catalog,
     scratch: &mut PruneScratch,
 ) -> Result<InitOutcome, LbrError> {
     let dims = catalog.dims();
-    let order = load_order(gosn, vt, estimates);
+    let order = load_order(gosn, keys, estimates);
     let mut tps: Vec<Option<TpState>> = vec![None; gosn.n_tps()];
     let memo = &mut scratch.memo;
     memo.clear();
@@ -418,7 +410,7 @@ pub fn init(
             loaded: &tps,
             dims: &dims,
         };
-        let state = load_tp(vt, jorder, dict, catalog, &feed, &mut masks, memo)?;
+        let state = load_tp(&keys[tp_id], jorder, catalog, &feed, &mut masks, memo)?;
         let kept = state.count();
         out.tps_loaded += 1;
         out.triples_loaded += kept;
@@ -437,10 +429,6 @@ pub fn init(
 pub fn absolute_master_empty(gosn: &Gosn, tps: &[TpState]) -> bool {
     tps.iter()
         .any(|t| t.is_empty() && gosn.tp_in_absolute_master(t.id))
-}
-
-fn const_id(dict: &Dictionary, t: &TermPattern, dim: Dimension) -> Option<u32> {
-    t.as_const().and_then(|c| dict.id(c, dim))
 }
 
 /// The buffers of the TP being loaded: one mask per variable position
@@ -528,23 +516,23 @@ impl Feed<'_> {
 /// Loads `feed`'s TP per the §5 rules (missing constants yield empty
 /// data), through the masks `feed` gives each of its variables.
 fn load_tp(
-    vt: &VarTable,
+    key: &TpKey,
     jorder: &JvarOrder,
-    dict: &Dictionary,
     catalog: &impl Catalog,
     feed: &Feed,
     masks: &mut Masks,
     memo: &mut FoldMemo,
 ) -> Result<TpState, LbrError> {
-    let (tp_id, tp, dims) = (feed.tp, feed.gosn.tp(feed.tp), feed.dims);
-    let [sv, pv, ov] = var_ids(tp, vt);
-    let s_id = const_id(dict, &tp.s, Dimension::Subject);
-    let p_id = const_id(dict, &tp.p, Dimension::Predicate);
-    let o_id = const_id(dict, &tp.o, Dimension::Object);
-    let s_known = tp.s.as_var().is_some() || s_id.is_some();
-    let p_known = tp.p.as_var().is_some() || p_id.is_some();
-    let o_known = tp.o.as_var().is_some() || o_id.is_some();
-    let known = s_known && p_known && o_known;
+    let (tp_id, dims) = (feed.tp, feed.dims);
+    let [sv, pv, ov] = key.map(|pos| match pos {
+        Pos::Var(v) => Some(v),
+        _ => None,
+    });
+    let [s_id, p_id, o_id] = key.map(|pos| match pos {
+        Pos::Id(id) => Some(id),
+        _ => None,
+    });
+    let known = !key.contains(&Pos::Unknown);
     let Masks {
         rows,
         cols,
@@ -719,14 +707,11 @@ fn load_tp(
                 mats,
             }
         }
-        (Some(_), Some(_), Some(_)) => {
+        // `(?x ?p ?x)`; a predicate variable repeated at S or O never
+        // gets here (the variable table rejects it at plan time).
+        _ => {
             return Err(LbrError::Unsupported(format!(
-                "triple pattern with repeated variables across all positions: {tp}"
-            )));
-        }
-        (None, Some(_), Some(_)) | (Some(_), Some(_), None) => {
-            return Err(LbrError::Unsupported(format!(
-                "triple pattern with a repeated predicate variable: {tp}"
+                "triple pattern tp{tp_id} repeats a variable across its three positions"
             )));
         }
     };
@@ -746,10 +731,10 @@ fn load_tp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::VarSpace;
+    use crate::engine::BranchPlan;
+    use crate::{VarSpace, VarTable};
     use lbr_bitmat::BitMatStore;
     use lbr_rdf::{Graph, Term, Triple};
-    use lbr_sparql::classify::analyze;
     use lbr_sparql::parse_query;
 
     fn graph() -> lbr_rdf::EncodedGraph {
@@ -778,31 +763,21 @@ mod tests {
     "#;
 
     /// Plans `query` over `catalog` (built from [`graph`]) and runs init.
-    fn run(query: &str, catalog: &impl Catalog) -> (InitOutcome, Gosn, VarTable) {
+    fn run(query: &str, catalog: &impl Catalog) -> (InitOutcome, BranchPlan) {
         let g = graph();
         let q = parse_query(query).unwrap();
-        let analyzed = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(analyzed.gosn.tps()).unwrap();
-        let est = crate::selectivity::estimate_all(analyzed.gosn.tps(), &g.dict, catalog);
-        let jorder = crate::jvar_order::get_jvar_order(&analyzed.gosn, &analyzed.goj, &vt, &est);
-        let out = init(
-            &analyzed.gosn,
-            &vt,
-            &jorder,
-            &est,
-            &g.dict,
-            catalog,
-            &mut PruneScratch::new(),
-        )
-        .unwrap();
-        (out, analyzed.gosn, vt)
+        let b = BranchPlan::new(&q.pattern, &g.dict, catalog).unwrap();
+        let (gosn, keys) = (&b.analyzed.gosn, &b.keys);
+        let mut scratch = PruneScratch::new();
+        let out = init(gosn, keys, &b.jorder, &b.estimates, catalog, &mut scratch).unwrap();
+        (out, b)
     }
 
     /// The TPs init loads for `query` over the heap store; it must not
     /// abort.
     fn setup(query: &str) -> (Vec<TpState>, Gosn, VarTable) {
-        let (out, gosn, vt) = run(query, &BitMatStore::build(&graph()));
-        (out.tps.expect("init did not abort"), gosn, vt)
+        let (out, b) = run(query, &BitMatStore::build(&graph()));
+        (out.tps.expect("init did not abort"), b.analyzed.gosn, b.vt)
     }
 
     #[test]
@@ -893,7 +868,7 @@ mod tests {
             inner: BitMatStore::build(&graph()),
             loads: 0.into(),
         };
-        let (out, gosn, vt) = run(
+        let (out, b) = run(
             "PREFIX : <> SELECT * WHERE { :Larry :actedIn ?s . ?s :location :NewYorkCity . ?a :actedIn ?s . }",
             &catalog,
         );
@@ -912,7 +887,7 @@ mod tests {
         assert_eq!(out.tps.map(|tps| tps.len()), Some(3));
         assert_eq!(catalog.loads.into_inner(), 3);
         assert_eq!(
-            load_order(&gosn, &vt, &[1, 1, 5]),
+            load_order(&b.analyzed.gosn, &b.keys, &[1, 1, 5]),
             vec![0, 1, 2],
             "the one-row TPs load first"
         );
@@ -927,19 +902,20 @@ mod tests {
                OPTIONAL { ?c :t ?d . } }",
         )
         .unwrap();
-        let gosn = analyze(&q.pattern).unwrap().gosn;
-        let vt = VarTable::from_tps(gosn.tps()).unwrap();
+        let g = graph();
+        let b = BranchPlan::new(&q.pattern, &g.dict, &BitMatStore::build(&g)).unwrap();
+        let (gosn, keys) = (&b.analyzed.gosn, &b.keys);
         // tp3 is a one-row load, so first despite the largest master
         // estimate. It feeds tp0 (?a), which then goes before the smaller,
         // unfed tp1 and tp2; tp0 feeds tp1 (?b), tp1 feeds tp2 (?c). The
         // slave tp4 goes last although its estimate is the smallest.
         let est = [50, 40, 30, 100, 1];
-        assert_eq!(load_order(&gosn, &vt, &est), vec![3, 0, 1, 2, 4]);
+        assert_eq!(load_order(gosn, keys, &est), vec![3, 0, 1, 2, 4]);
         // An estimated-empty TP is cheap: it loads first, where it aborts
         // early, and the chain it feeds (tp1 through ?c, tp0 through ?b)
         // goes before the larger one-row TP.
         let est = [50, 40, 0, 100, 1];
-        assert_eq!(load_order(&gosn, &vt, &est), vec![2, 1, 0, 3, 4]);
+        assert_eq!(load_order(gosn, keys, &est), vec![2, 1, 0, 3, 4]);
     }
 
     #[test]

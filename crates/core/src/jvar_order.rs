@@ -17,11 +17,10 @@
 //! slave's sub-tree is pruned again when the slave's restrictions arrive —
 //! exactly the `orderbu = [(?friend), (?sitcom, ?friend)]` of Example-2).
 
-use crate::bindings::{VarId, VarTable};
-use crate::selectivity::{jvar_rank, sn_rank};
+use crate::bindings::VarId;
+use crate::selectivity::sn_rank;
 use lbr_sparql::goj::Goj;
-use lbr_sparql::gosn::Gosn;
-use std::collections::BTreeSet;
+use lbr_sparql::gosn::{Gosn, SnId, TpId};
 
 /// The traversal orders produced by Algorithm 3.1.
 #[derive(Debug, Clone)]
@@ -58,97 +57,96 @@ impl JvarOrder {
 }
 
 /// Computes the jvar orders. `tp_estimates` are the per-TP selectivity
-/// estimates of [`crate::selectivity::estimate_all`].
-pub fn get_jvar_order(gosn: &Gosn, goj: &Goj, vt: &VarTable, tp_estimates: &[u64]) -> JvarOrder {
-    // Holders: TPs containing each GoJ node.
+/// estimates of [`crate::selectivity::estimate_all`]. GoJ node ids follow
+/// variable-name order, and every tie breaks on them.
+pub fn get_jvar_order(gosn: &Gosn, goj: &Goj, tp_estimates: &[u64]) -> JvarOrder {
+    // A jvar's rank: the estimate of the most selective TP holding it
+    // (§3.2 — "?j1 is more selective than ?j2 if the most selective TP
+    // having ?j1 has fewer triples …"). Lower = more selective.
     let n_nodes = goj.len();
-    let mut holders: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
-    for tp in 0..gosn.n_tps() {
+    let mut rank = vec![u64::MAX; n_nodes];
+    for (tp, &est) in tp_estimates.iter().enumerate() {
         for &node in goj.jvars_of_tp(tp) {
-            holders[node].push(tp);
+            rank[node] = rank[node].min(est);
         }
     }
-    let rank: Vec<u64> = (0..n_nodes)
-        .map(|node| jvar_rank(&holders[node], tp_estimates))
-        .collect();
-    let to_var = |node: usize| vt.id(&goj.jvars()[node]).expect("jvar interned");
-
-    if goj.is_cyclic() {
+    let least_selective = |n: &usize| (rank[*n], *n);
+    let (mut top_down, mut bottom_up) = (Vec::new(), Vec::new());
+    let greedy = goj.is_cyclic();
+    if greedy {
         // ln 1–3: greedy order, most selective jvar first.
-        let mut nodes: Vec<usize> = (0..n_nodes).collect();
-        nodes.sort_by_key(|&n| (rank[n], n));
-        let order: Vec<VarId> = nodes.into_iter().map(to_var).collect();
-        return JvarOrder {
-            bottom_up: order.clone(),
-            top_down: order,
-            greedy: true,
-            n_vars: vt.len(),
+        top_down.extend(0..n_nodes);
+        top_down.sort_by_key(least_selective);
+        bottom_up.clone_from(&top_down);
+    } else {
+        // ln 8: slave supernodes, masters first; selective peers first.
+        let mut snss: Vec<SnId> = gosn.slave_sns();
+        snss.sort_by_key(|&sn| {
+            let rank = sn_rank(gosn.tps_of_sn(sn), tp_estimates);
+            (gosn.masters_of(sn).len(), rank, sn)
+        });
+        top_down.reserve(n_nodes * (1 + snss.len()));
+        bottom_up.reserve(n_nodes * (1 + snss.len()));
+        // The jvars of a TP set, ascending, in one scratch list.
+        let mut set: Vec<usize> = Vec::with_capacity(n_nodes);
+        let jvars_of = |set: &mut Vec<usize>, tps: &mut dyn Iterator<Item = TpId>| {
+            set.clear();
+            tps.for_each(|tp| set.extend_from_slice(goj.jvars_of_tp(tp)));
+            set.sort_unstable();
+            set.dedup();
         };
-    }
-
-    // ln 4–7: the induced sub-tree of absolute-master jvars.
-    let mut jm: BTreeSet<usize> = BTreeSet::new();
-    for tp in 0..gosn.n_tps() {
-        if gosn.tp_in_absolute_master(tp) {
-            jm.extend(goj.jvars_of_tp(tp).iter().copied());
+        // ln 4–7: the induced sub-tree of absolute-master jvars, rooted at
+        // the least selective one (processed last bottom-up).
+        let mut masters = (0..gosn.n_tps()).filter(|&tp| gosn.tp_in_absolute_master(tp));
+        jvars_of(&mut set, &mut masters);
+        if let Some(root) = set.iter().copied().max_by_key(least_selective) {
+            extend_orders(goj, &set, root, &mut top_down, &mut bottom_up);
+        }
+        // ln 9–13 / 15–19: per-slave induced sub-trees.
+        for &sn in &snss {
+            jvars_of(&mut set, &mut gosn.tps_of_sn(sn).iter().copied());
+            // Root: a jvar of the slave that also occurs in one of its
+            // masters (ln 11); tie-broken toward the least selective,
+            // mirroring the master-tree rule. Falls back to the least
+            // selective jvar of the slave when none is shared (defensive).
+            let in_master = |node: usize| {
+                (gosn.masters_of(sn).iter())
+                    .flat_map(|&m| gosn.tps_of_sn(m))
+                    .any(|&tp| goj.jvars_of_tp(tp).contains(&node))
+            };
+            let shared = set.iter().copied().filter(|&n| in_master(n));
+            let Some(root) = shared
+                .max_by_key(least_selective)
+                .or_else(|| set.iter().copied().max_by_key(least_selective))
+            else {
+                continue;
+            };
+            extend_orders(goj, &set, root, &mut top_down, &mut bottom_up);
         }
     }
-    let jm: Vec<usize> = jm.into_iter().collect();
-    let mut bottom_up: Vec<VarId> = Vec::new();
-    let mut top_down: Vec<VarId> = Vec::new();
-    if !jm.is_empty() {
-        // Root: least selective (largest rank) — processed last bottom-up.
-        let root = *jm.iter().max_by_key(|&&n| (rank[n], n)).unwrap();
-        bottom_up.extend(goj.bottom_up_order(&jm, root).into_iter().map(to_var));
-        top_down.extend(goj.top_down_order(&jm, root).into_iter().map(to_var));
+    for node in top_down.iter_mut().chain(&mut bottom_up) {
+        *node = goj.jvars()[*node];
     }
-
-    // ln 8: slave supernodes, masters first; selective peers first.
-    let mut snss: Vec<usize> = gosn.slave_sns();
-    snss.sort_by_key(|&sn| {
-        (
-            gosn.masters_of(sn).len(),
-            sn_rank(gosn.tps_of_sn(sn), tp_estimates),
-            sn,
-        )
-    });
-
-    // ln 9–13 / 15–19: per-slave induced sub-trees.
-    for &sn in &snss {
-        let mut js: BTreeSet<usize> = BTreeSet::new();
-        for &tp in gosn.tps_of_sn(sn) {
-            js.extend(goj.jvars_of_tp(tp).iter().copied());
-        }
-        let js: Vec<usize> = js.into_iter().collect();
-        if js.is_empty() {
-            continue;
-        }
-        // Root: a jvar of the slave that also occurs in one of its masters
-        // (ln 11); tie-broken toward the least selective, mirroring the
-        // master-tree rule. Falls back to the least selective jvar of the
-        // slave when none is shared (defensive).
-        let master_sns = gosn.masters_of(sn);
-        let shared_with_master = |node: usize| {
-            holders[node]
-                .iter()
-                .any(|&tp| master_sns.contains(&gosn.sn_of_tp(tp)))
-        };
-        let root = js
-            .iter()
-            .copied()
-            .filter(|&n| shared_with_master(n))
-            .max_by_key(|&n| (rank[n], n))
-            .unwrap_or_else(|| js.iter().copied().max_by_key(|&n| (rank[n], n)).unwrap());
-        bottom_up.extend(goj.bottom_up_order(&js, root).into_iter().map(to_var));
-        top_down.extend(goj.top_down_order(&js, root).into_iter().map(to_var));
-    }
-
     JvarOrder {
         bottom_up,
         top_down,
-        greedy: false,
-        n_vars: vt.len(),
+        greedy,
+        n_vars: gosn.vars().len(),
     }
+}
+
+/// Appends the top-down order of `subset` from `root` to `top_down`, and
+/// its reverse, the bottom-up order, to `bottom_up`.
+fn extend_orders(
+    goj: &Goj,
+    subset: &[usize],
+    root: usize,
+    top_down: &mut Vec<usize>,
+    bottom_up: &mut Vec<usize>,
+) {
+    let start = top_down.len();
+    goj.top_down_into(subset, root, top_down);
+    bottom_up.extend(top_down[start..].iter().rev());
 }
 
 #[cfg(test)]
@@ -157,12 +155,11 @@ mod tests {
     use lbr_sparql::classify::analyze;
     use lbr_sparql::parse_query;
 
-    fn orders(query: &str, est: Vec<u64>) -> (JvarOrder, VarTable) {
+    fn orders(query: &str, est: Vec<u64>) -> (JvarOrder, lbr_sparql::Vars) {
         let q = parse_query(query).unwrap();
         let a = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
-        let jo = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
-        (jo, vt)
+        let jo = get_jvar_order(&a.gosn, &a.goj, &est);
+        (jo, a.gosn.vars().clone())
     }
 
     /// Example-2 of §3.2: orderbu = [?friend, (?sitcom, ?friend)],

@@ -59,7 +59,7 @@ pub mod solutions;
 
 pub use api::Engine;
 pub use bindings::{Binding, BindingSpace, QueryOutput, VarSpace, VarTable};
-pub use engine::{traced, LbrEngine, LbrPlan};
+pub use engine::{traced, BranchPlan, LbrEngine, LbrPlan};
 pub use error::LbrError;
 pub use explain::explain;
 pub use jvar_order::JvarOrder;

@@ -441,7 +441,7 @@ impl<'a> Ctx<'a> {
         let group_vars = (inp.gosn.group_filters().iter())
             .map(|f| {
                 let mut vars = vec![false; inp.vt.len()];
-                for &sn in &f.sns {
+                for sn in f.sns.clone() {
                     for (var, &seen) in sn_vars[sn].iter().enumerate() {
                         vars[var] |= seen;
                     }
@@ -790,10 +790,9 @@ fn read_row(ctx: &mut Ctx<'_>, axes: Axes, row: RowRef<'_>, then: &mut impl FnMu
 mod tests {
     use super::*;
     use crate::bindings::VarTable;
+    use crate::engine::BranchPlan;
     use crate::init::init;
-    use crate::jvar_order::get_jvar_order;
     use crate::prune::{prune_triples, PruneScratch};
-    use crate::selectivity::estimate_all;
     use lbr_bitmat::{BitMatStore, Catalog as _};
     use lbr_rdf::{EncodedGraph, Graph, Triple};
     use lbr_sparql::classify::{analyze, Analyzed};
@@ -845,25 +844,15 @@ mod tests {
     fn pruned(g: &EncodedGraph, query: &str) -> (Analyzed, VarTable, Vec<TpState>, CubeDims) {
         let store = BitMatStore::build(g);
         let q = parse_query(query).unwrap();
-        let a = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
-        let est = estimate_all(a.gosn.tps(), &g.dict, &store);
-        let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
+        let b = BranchPlan::new(&q.pattern, &g.dict, &store).unwrap();
+        let (a, jorder, dims) = (b.analyzed, &b.jorder, store.dims());
         let mut scratch = PruneScratch::new();
-        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store, &mut scratch)
+        let mut tps = init(&a.gosn, &b.keys, jorder, &b.estimates, &store, &mut scratch)
             .unwrap()
             .tps
             .unwrap();
-        prune_triples(
-            &mut tps,
-            &a.gosn,
-            &a.goj,
-            &vt,
-            &jorder,
-            &store.dims(),
-            &mut scratch,
-        );
-        (a, vt, tps, store.dims())
+        prune_triples(&mut tps, &a.gosn, &a.goj, jorder, &dims, &mut scratch);
+        (a, b.vt, tps, dims)
     }
 
     /// Runs init → prune → schedule → join for `query` under `quota`.
@@ -886,7 +875,7 @@ mod tests {
             deadline: None,
         };
         let (rows, stats) = multi_way_join(&inputs);
-        (vt.names().to_vec(), rows, stats)
+        (vt.names(), rows, stats)
     }
 
     fn run(query: &str) -> (Vec<String>, Vec<Vec<Option<String>>>, ExecStats) {

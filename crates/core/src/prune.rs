@@ -44,7 +44,7 @@
 //! high-water mark on the first query and circulate afterwards; the
 //! `alloc_check` gate proves a warm prune allocates nothing).
 
-use crate::bindings::{op_space_len, VarId, VarTable};
+use crate::bindings::{op_space_len, VarId};
 use crate::init::TpState;
 use crate::jvar_order::JvarOrder;
 use lbr_bitmat::{BitVec, CubeDims, SetScratch};
@@ -310,7 +310,6 @@ pub fn prune_triples(
     tps: &mut [TpState],
     gosn: &Gosn,
     goj: &Goj,
-    vt: &VarTable,
     order: &JvarOrder,
     dims: &CubeDims,
     scratch: &mut PruneScratch,
@@ -321,8 +320,10 @@ pub fn prune_triples(
     for log in &mut scratch.last_run {
         log.clear();
     }
-    if scratch.last_run.len() < vt.len() {
-        scratch.last_run.resize_with(vt.len(), Default::default);
+    if scratch.last_run.len() < order.n_vars() {
+        scratch
+            .last_run
+            .resize_with(order.n_vars(), Default::default);
     }
     let mut first = true;
     for (pass_id, pass) in [&order.bottom_up, &order.top_down].into_iter().enumerate() {
@@ -331,7 +332,7 @@ pub fn prune_triples(
         for &var in pass.iter() {
             // A TP empties only when a step changes something, so after the
             // first step the early-abort check runs only after a change.
-            let changed = prune_one_jvar(tps, gosn, goj, vt, var, dims, scratch);
+            let changed = prune_one_jvar(tps, gosn, goj, var, dims, scratch);
             if (changed || std::mem::take(&mut first))
                 && crate::init::absolute_master_empty(gosn, tps)
             {
@@ -415,13 +416,11 @@ fn prune_one_jvar(
     tps: &mut [TpState],
     gosn: &Gosn,
     goj: &Goj,
-    vt: &VarTable,
     var: usize,
     dims: &CubeDims,
     scratch: &mut PruneScratch,
 ) -> bool {
-    let name = vt.name(var);
-    let Some(node) = goj.node_of(name) else {
+    let Some(node) = goj.node_of(var) else {
         return false;
     };
     scratch.holders.clear();
@@ -525,16 +524,11 @@ pub struct PlannedPruneOps {
 /// `semi_joins + clustered_folds` equals the runtime
 /// [`PruneScratch::intersections`]). Used by `explain` to render the prune
 /// plan.
-pub fn planned_prune_ops(
-    gosn: &Gosn,
-    goj: &Goj,
-    vt: &VarTable,
-    order: &JvarOrder,
-) -> PlannedPruneOps {
+pub fn planned_prune_ops(gosn: &Gosn, goj: &Goj, order: &JvarOrder) -> PlannedPruneOps {
     let mut ops = PlannedPruneOps::default();
     for pass in [&order.bottom_up, &order.top_down] {
         for &var in pass.iter() {
-            let Some(node) = goj.node_of(vt.name(var)) else {
+            let Some(node) = goj.node_of(var) else {
                 continue;
             };
             let holders: Vec<TpId> = (0..gosn.n_tps())
@@ -584,13 +578,10 @@ fn disjoint_pair(tps: &mut [TpState], master: TpId, slave: TpId) -> (&TpState, &
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bindings::VarTable;
+    use crate::engine::BranchPlan;
     use crate::init::init;
-    use crate::jvar_order::get_jvar_order;
-    use crate::selectivity::estimate_all;
     use lbr_bitmat::{BitMatStore, Catalog as _};
     use lbr_rdf::{Graph, Term, Triple};
-    use lbr_sparql::classify::analyze;
     use lbr_sparql::parse_query;
 
     fn graph() -> lbr_rdf::EncodedGraph {
@@ -623,12 +614,10 @@ mod tests {
                OPTIONAL { ?friend :actedIn ?sitcom . ?sitcom :location :NewYorkCity . } }",
         )
         .unwrap();
-        let a = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
-        let est = estimate_all(a.gosn.tps(), &g.dict, &store);
-        let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
+        let b = BranchPlan::new(&q.pattern, &g.dict, &store).unwrap();
+        let (a, jorder) = (&b.analyzed, &b.jorder);
         let mut scratch = PruneScratch::new();
-        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store, &mut scratch)
+        let mut tps = init(&a.gosn, &b.keys, jorder, &b.estimates, &store, &mut scratch)
             .unwrap()
             .tps
             .unwrap();
@@ -636,8 +625,7 @@ mod tests {
             &mut tps,
             &a.gosn,
             &a.goj,
-            &vt,
-            &jorder,
+            jorder,
             &store.dims(),
             &mut scratch,
         );
@@ -664,12 +652,10 @@ mod tests {
                OPTIONAL { ?sitcom :location :NewYorkCity . } }",
         )
         .unwrap();
-        let a = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
-        let est = estimate_all(a.gosn.tps(), &g.dict, &store);
-        let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
+        let b = BranchPlan::new(&q.pattern, &g.dict, &store).unwrap();
+        let (a, jorder) = (&b.analyzed, &b.jorder);
         let mut scratch = PruneScratch::new();
-        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store, &mut scratch)
+        let mut tps = init(&a.gosn, &b.keys, jorder, &b.estimates, &store, &mut scratch)
             .unwrap()
             .tps
             .unwrap();
@@ -677,8 +663,7 @@ mod tests {
             &mut tps,
             &a.gosn,
             &a.goj,
-            &vt,
-            &jorder,
+            jorder,
             &store.dims(),
             &mut scratch,
         );
@@ -699,12 +684,10 @@ mod tests {
             "PREFIX : <> SELECT * WHERE { ?f :actedIn ?sitcom . ?sitcom :location :NewYorkCity . }",
         )
         .unwrap();
-        let a = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
-        let est = estimate_all(a.gosn.tps(), &g.dict, &store);
-        let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
+        let b = BranchPlan::new(&q.pattern, &g.dict, &store).unwrap();
+        let (a, jorder) = (&b.analyzed, &b.jorder);
         let mut scratch = PruneScratch::new();
-        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store, &mut scratch)
+        let mut tps = init(&a.gosn, &b.keys, jorder, &b.estimates, &store, &mut scratch)
             .unwrap()
             .tps
             .unwrap();
@@ -712,8 +695,7 @@ mod tests {
             &mut tps,
             &a.gosn,
             &a.goj,
-            &vt,
-            &jorder,
+            jorder,
             &store.dims(),
             &mut scratch,
         );
@@ -739,12 +721,10 @@ mod tests {
                OPTIONAL { ?friend :actedIn ?sitcom . OPTIONAL { ?sitcom :location ?loc . } } }",
         ] {
             let q = parse_query(query).unwrap();
-            let a = analyze(&q.pattern).unwrap();
-            let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
-            let est = estimate_all(a.gosn.tps(), &g.dict, &store);
-            let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
+            let b = BranchPlan::new(&q.pattern, &g.dict, &store).unwrap();
+            let (a, jorder) = (&b.analyzed, &b.jorder);
             let mut scratch = PruneScratch::new();
-            let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store, &mut scratch)
+            let mut tps = init(&a.gosn, &b.keys, jorder, &b.estimates, &store, &mut scratch)
                 .unwrap()
                 .tps
                 .unwrap();
@@ -752,13 +732,12 @@ mod tests {
                 &mut tps,
                 &a.gosn,
                 &a.goj,
-                &vt,
-                &jorder,
+                jorder,
                 &store.dims(),
                 &mut scratch,
             );
             assert_eq!(outcome, PruneOutcome::Done);
-            let planned = planned_prune_ops(&a.gosn, &a.goj, &vt, &jorder);
+            let planned = planned_prune_ops(&a.gosn, &a.goj, jorder);
             assert_eq!(
                 (scratch.ran() + scratch.skipped()) as usize,
                 planned.semi_joins + planned.clustered_groups,
@@ -792,12 +771,10 @@ mod tests {
         let store = BitMatStore::build(&g);
         let q =
             parse_query("PREFIX : <> SELECT * WHERE { ?a :p ?b . ?a :q ?x . ?b :r ?y . }").unwrap();
-        let a = analyze(&q.pattern).unwrap();
-        let vt = VarTable::from_tps(a.gosn.tps()).unwrap();
-        let est = estimate_all(a.gosn.tps(), &g.dict, &store);
-        let jorder = get_jvar_order(&a.gosn, &a.goj, &vt, &est);
+        let b = BranchPlan::new(&q.pattern, &g.dict, &store).unwrap();
+        let (a, jorder) = (&b.analyzed, &b.jorder);
         let mut scratch = PruneScratch::new();
-        let mut tps = init(&a.gosn, &vt, &jorder, &est, &g.dict, &store, &mut scratch)
+        let mut tps = init(&a.gosn, &b.keys, jorder, &b.estimates, &store, &mut scratch)
             .unwrap()
             .tps
             .unwrap();
@@ -809,8 +786,7 @@ mod tests {
             &mut tps,
             &a.gosn,
             &a.goj,
-            &vt,
-            &jorder,
+            jorder,
             &store.dims(),
             &mut scratch,
         );

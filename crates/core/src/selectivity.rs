@@ -6,15 +6,46 @@
 //! the queries". A triple pattern is *highly selective* when few triples
 //! match it (footnote 2).
 
+use crate::bindings::VarId;
 use lbr_bitmat::{Catalog, Family};
 use lbr_rdf::{Dictionary, Dimension};
-use lbr_sparql::algebra::{TermPattern, TriplePattern};
+use lbr_sparql::algebra::{GraphPattern, TermPattern, TriplePattern};
+use lbr_sparql::gosn::Gosn;
 
-fn const_id(dict: &Dictionary, t: &TermPattern, dim: Dimension) -> Option<Option<u32>> {
-    match t {
-        TermPattern::Var(_) => Some(None),
-        TermPattern::Const(c) => dict.id(c, dim).map(Some),
-    }
+/// One position of a TP as planning resolved it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pos {
+    /// A variable.
+    Var(VarId),
+    /// A constant, by its dictionary ID in the position's dimension.
+    Id(u32),
+    /// A constant the dictionary does not hold in that dimension: the TP
+    /// matches nothing.
+    Unknown,
+}
+
+/// A TP's positions (S, P, O), resolved once at plan time.
+pub type TpKey = [Pos; 3];
+
+/// Resolves every TP of a union-free pattern, in the GoSN's TP order:
+/// each variable to its id, each constant to its dictionary ID, looked up
+/// once here. Estimates and `init` read only these.
+pub fn resolve(pattern: &GraphPattern, gosn: &Gosn, dict: &Dictionary) -> Vec<TpKey> {
+    let mut out = Vec::with_capacity(gosn.n_tps());
+    pattern.visit_tps(&mut |tp| out.push(resolve_tp(tp, gosn.tp_vars(out.len()), dict)));
+    out
+}
+
+/// Resolves one TP: a variable position takes its id from `vars` (0 when
+/// `vars` has none there, as for an estimate, which reads only the
+/// shape), a constant its dictionary ID.
+pub fn resolve_tp(tp: &TriplePattern, vars: [Option<VarId>; 3], dict: &Dictionary) -> TpKey {
+    let dims = [Dimension::Subject, Dimension::Predicate, Dimension::Object];
+    let terms = [&tp.s, &tp.p, &tp.o];
+    std::array::from_fn(|i| match terms[i] {
+        TermPattern::Var(_) => Pos::Var(vars[i].unwrap_or_default()),
+        TermPattern::Const(c) => dict.id(c, dims[i]).map_or(Pos::Unknown, Pos::Id),
+    })
 }
 
 /// Estimated number of triples matching one TP, from metadata alone.
@@ -22,52 +53,40 @@ fn const_id(dict: &Dictionary, t: &TermPattern, dim: Dimension) -> Option<Option
 /// Exact for every supported pattern shape except `(s ?p o)` (upper bound:
 /// the smaller of the subject's and the object's totals). Unknown constants
 /// give 0 — the basis of the early-abort "simple optimization" of §5.
-pub fn estimated_count(tp: &TriplePattern, dict: &Dictionary, catalog: &impl Catalog) -> u64 {
-    let (Some(s), Some(p), Some(o)) = (
-        const_id(dict, &tp.s, Dimension::Subject),
-        const_id(dict, &tp.p, Dimension::Predicate),
-        const_id(dict, &tp.o, Dimension::Object),
-    ) else {
-        return 0;
-    };
-    match (s, p, o) {
+pub fn estimated_count(tp: &TpKey, catalog: &impl Catalog) -> u64 {
+    let mut ids = [None; 3];
+    for (id, pos) in ids.iter_mut().zip(tp) {
+        match *pos {
+            Pos::Unknown => return 0,
+            Pos::Id(x) => *id = Some(x),
+            Pos::Var(_) => {}
+        }
+    }
+    match ids {
         // (s p o): membership, 0 or 1 — report 1 (checked at init).
-        (Some(_), Some(_), Some(_)) => 1,
+        [Some(_), Some(_), Some(_)] => 1,
         // (?v p o): one P-S row.
-        (None, Some(p), Some(o)) => catalog.row_count(Family::Ps, o, p),
+        [None, Some(p), Some(o)] => catalog.row_count(Family::Ps, o, p),
         // (s p ?v): one P-O row.
-        (Some(s), Some(p), None) => catalog.row_count(Family::Po, s, p),
+        [Some(s), Some(p), None] => catalog.row_count(Family::Po, s, p),
         // (?a p ?b): the whole S-O BitMat of p.
-        (None, Some(p), None) => catalog.count(Family::So, p),
+        [None, Some(p), None] => catalog.count(Family::So, p),
         // (s ?p ?o): the P-O BitMat of s.
-        (Some(s), None, None) => catalog.count(Family::Po, s),
+        [Some(s), None, None] => catalog.count(Family::Po, s),
         // (?s ?p o): the P-S BitMat of o.
-        (None, None, Some(o)) => catalog.count(Family::Ps, o),
+        [None, None, Some(o)] => catalog.count(Family::Ps, o),
         // (s ?p o): bounded by both totals.
-        (Some(s), None, Some(o)) => catalog
+        [Some(s), None, Some(o)] => catalog
             .count(Family::Po, s)
             .min(catalog.count(Family::Ps, o)),
         // (?s ?p ?o): the full dataset.
-        (None, None, None) => catalog.dims().n_triples,
+        [None, None, None] => catalog.dims().n_triples,
     }
 }
 
 /// Per-TP estimates for a whole query.
-pub fn estimate_all(tps: &[TriplePattern], dict: &Dictionary, catalog: &impl Catalog) -> Vec<u64> {
-    tps.iter()
-        .map(|tp| estimated_count(tp, dict, catalog))
-        .collect()
-}
-
-/// Ranks a join variable: the count of the most selective TP containing it
-/// (§3.2 — "?j1 is more selective than ?j2 if the most selective TP having
-/// ?j1 has fewer triples …"). Lower = more selective.
-pub fn jvar_rank(holders: &[usize], tp_estimates: &[u64]) -> u64 {
-    holders
-        .iter()
-        .map(|&i| tp_estimates[i])
-        .min()
-        .unwrap_or(u64::MAX)
+pub fn estimate_all(tps: &[TpKey], catalog: &impl Catalog) -> Vec<u64> {
+    tps.iter().map(|tp| estimated_count(tp, catalog)).collect()
 }
 
 /// Convenience: the most selective TP estimate within a supernode.
@@ -84,10 +103,15 @@ mod tests {
     use super::*;
     use lbr_bitmat::BitMatStore;
     use lbr_rdf::{Graph, Term, Triple};
-    use lbr_sparql::algebra::TermPattern;
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
+    }
+
+    /// The one TP of `s p o`, resolved against `dict`.
+    fn key(s: &str, p: &str, o: &str, dict: &Dictionary) -> TpKey {
+        let bgp = GraphPattern::Bgp(vec![pat(s, p, o)]);
+        resolve(&bgp, &Gosn::from_pattern(&bgp).unwrap(), dict)[0]
     }
 
     fn pat(s: &str, p: &str, o: &str) -> TriplePattern {
@@ -112,25 +136,24 @@ mod tests {
         .encode();
         let store = BitMatStore::build(&g);
         let d = &g.dict;
-        assert_eq!(estimated_count(&pat("?s", "p", "?o"), d, &store), 3);
-        assert_eq!(estimated_count(&pat("a", "p", "?o"), d, &store), 2);
-        assert_eq!(estimated_count(&pat("?s", "p", "x"), d, &store), 2);
-        assert_eq!(estimated_count(&pat("a", "?p", "?o"), d, &store), 3);
-        assert_eq!(estimated_count(&pat("?s", "?p", "x"), d, &store), 3);
-        assert_eq!(estimated_count(&pat("a", "?p", "x"), d, &store), 3); // min(3, 3) upper bound
-        assert_eq!(estimated_count(&pat("a", "p", "x"), d, &store), 1);
-        assert_eq!(estimated_count(&pat("?s", "?p", "?o"), d, &store), 4);
+        assert_eq!(estimated_count(&key("?s", "p", "?o", d), &store), 3);
+        assert_eq!(estimated_count(&key("a", "p", "?o", d), &store), 2);
+        assert_eq!(estimated_count(&key("?s", "p", "x", d), &store), 2);
+        assert_eq!(estimated_count(&key("a", "?p", "?o", d), &store), 3);
+        assert_eq!(estimated_count(&key("?s", "?p", "x", d), &store), 3);
+        assert_eq!(estimated_count(&key("a", "?p", "x", d), &store), 3); // min(3, 3) upper bound
+        assert_eq!(estimated_count(&key("a", "p", "x", d), &store), 1);
+        assert_eq!(estimated_count(&key("?s", "?p", "?o", d), &store), 4);
         // Unknown constants estimate to zero.
-        assert_eq!(estimated_count(&pat("nope", "p", "?o"), d, &store), 0);
-        assert_eq!(estimated_count(&pat("?s", "nope", "?o"), d, &store), 0);
+        assert_eq!(estimated_count(&key("nope", "p", "?o", d), &store), 0);
+        assert_eq!(estimated_count(&key("?s", "nope", "?o", d), &store), 0);
     }
 
     #[test]
-    fn jvar_ranking() {
+    fn sn_ranking() {
         let est = vec![100, 5, 50];
-        assert_eq!(jvar_rank(&[0, 2], &est), 50);
-        assert_eq!(jvar_rank(&[0, 1, 2], &est), 5);
-        assert_eq!(jvar_rank(&[], &est), u64::MAX);
         assert_eq!(sn_rank(&[0, 2], &est), 50);
+        assert_eq!(sn_rank(&[0, 1, 2], &est), 5);
+        assert_eq!(sn_rank(&[], &est), u64::MAX);
     }
 }

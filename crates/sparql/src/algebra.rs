@@ -64,22 +64,19 @@ impl TriplePattern {
     }
 
     /// The variables of this pattern in S, P, O order (deduplicated,
-    /// preserving first occurrence).
-    pub fn vars(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::with_capacity(3);
-        for tp in [&self.s, &self.p, &self.o] {
-            if let Some(v) = tp.as_var() {
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-        }
-        out
+    /// preserving first occurrence). Allocates nothing.
+    pub fn vars(&self) -> impl Iterator<Item = &str> {
+        let [s, p, o] = [&self.s, &self.p, &self.o].map(TermPattern::as_var);
+        let p = p.filter(|&v| Some(v) != s);
+        let o = o.filter(|&v| Some(v) != s && Some(v) != p);
+        [s, p, o].into_iter().flatten()
     }
 
     /// True if the variable occurs in this pattern.
     pub fn has_var(&self, name: &str) -> bool {
-        self.vars().contains(&name)
+        [&self.s, &self.p, &self.o]
+            .iter()
+            .any(|t| t.as_var() == Some(name))
     }
 
     /// Number of fixed (constant) positions.
@@ -130,15 +127,17 @@ impl Expr {
     /// All variables referenced by the expression.
     pub fn vars(&self) -> BTreeSet<&str> {
         let mut out = BTreeSet::new();
-        self.collect_vars(&mut out);
+        self.visit_vars(&mut |v| {
+            out.insert(v);
+        });
         out
     }
 
-    fn collect_vars<'a>(&'a self, out: &mut BTreeSet<&'a str>) {
+    /// Calls `f` on every variable reference, left to right (repeats
+    /// included); allocates nothing.
+    pub fn visit_vars<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
-            Expr::Var(v) | Expr::Bound(v) => {
-                out.insert(v.as_str());
-            }
+            Expr::Var(v) | Expr::Bound(v) => f(v),
             Expr::Const(_) => {}
             Expr::Eq(a, b)
             | Expr::Ne(a, b)
@@ -148,10 +147,10 @@ impl Expr {
             | Expr::Ge(a, b)
             | Expr::And(a, b)
             | Expr::Or(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.visit_vars(f);
+                b.visit_vars(f);
             }
-            Expr::Not(a) => a.collect_vars(out),
+            Expr::Not(a) => a.visit_vars(f),
         }
     }
 }
@@ -214,27 +213,27 @@ impl GraphPattern {
     /// All triple patterns, left-to-right.
     pub fn triple_patterns(&self) -> Vec<&TriplePattern> {
         let mut out = Vec::new();
-        self.walk_tps(&mut out);
+        self.visit_tps(&mut |tp| out.push(tp));
         out
     }
 
-    fn walk_tps<'a>(&'a self, out: &mut Vec<&'a TriplePattern>) {
+    /// Calls `f` on every triple pattern, left-to-right; allocates nothing.
+    pub fn visit_tps<'a>(&'a self, f: &mut impl FnMut(&'a TriplePattern)) {
         match self {
-            GraphPattern::Bgp(tps) => out.extend(tps.iter()),
+            GraphPattern::Bgp(tps) => tps.iter().for_each(f),
             GraphPattern::Join(l, r) | GraphPattern::LeftJoin(l, r) | GraphPattern::Union(l, r) => {
-                l.walk_tps(out);
-                r.walk_tps(out);
+                l.visit_tps(f);
+                r.visit_tps(f);
             }
-            GraphPattern::Filter(p, _) => p.walk_tps(out),
+            GraphPattern::Filter(p, _) => p.visit_tps(f),
         }
     }
 
     /// All variables mentioned in triple patterns (not filters), sorted.
     pub fn variables(&self) -> BTreeSet<&str> {
-        self.triple_patterns()
-            .into_iter()
-            .flat_map(|tp| tp.vars())
-            .collect()
+        let mut out = BTreeSet::new();
+        self.visit_tps(&mut |tp| out.extend(tp.vars()));
+        out
     }
 
     /// True if the subtree contains no `LeftJoin` — an *OPT-free* pattern,
@@ -484,23 +483,22 @@ impl Query {
     /// kept: per SPARQL semantics it yields an all-unbound column, never
     /// an error.
     pub fn projected_vars(&self) -> Vec<String> {
+        let mut vars = Vec::new();
         match &self.form {
-            QueryForm::Ask => Vec::new(),
-            QueryForm::Select { selection, .. } => match selection {
-                Selection::Vars(vs) => vs.clone(),
-                Selection::All => {
-                    let mut seen = Vec::new();
-                    for tp in self.pattern.triple_patterns() {
-                        for v in tp.vars() {
-                            if !seen.iter().any(|s: &String| s == v) {
-                                seen.push(v.to_string());
-                            }
-                        }
+            QueryForm::Ask => {}
+            QueryForm::Select {
+                selection: Selection::Vars(vs),
+                ..
+            } => vars.clone_from(vs),
+            QueryForm::Select { .. } => self.pattern.visit_tps(&mut |tp| {
+                for v in tp.vars() {
+                    if !vars.iter().any(|s: &String| s == v) {
+                        vars.push(v.to_string());
                     }
-                    seen
                 }
-            },
+            }),
         }
+        vars
     }
 
     /// The columns raw execution must materialize: the projection plus
@@ -508,7 +506,14 @@ impl Query {
     /// the projection in SPARQL's modifier order, so the keys must exist
     /// as columns; the shared modifier seam drops the extras afterwards).
     pub fn exec_vars(&self) -> Vec<String> {
+        self.exec_schema().0
+    }
+
+    /// [`Query::exec_vars`] and the length of its projected prefix, which
+    /// is [`Query::projected_vars`].
+    pub fn exec_schema(&self) -> (Vec<String>, usize) {
         let mut vars = self.projected_vars();
+        let n_projected = vars.len();
         if !self.is_ask() {
             for key in &self.modifiers.order_by {
                 if !vars.iter().any(|v| v == &key.var) {
@@ -516,7 +521,7 @@ impl Query {
                 }
             }
         }
-        vars
+        (vars, n_projected)
     }
 }
 
@@ -550,9 +555,11 @@ mod tests {
     #[test]
     fn tp_vars_dedup_and_order() {
         let t = tp(var("x"), iri("p"), var("x"));
-        assert_eq!(t.vars(), vec!["x"]);
+        assert_eq!(t.vars().collect::<Vec<_>>(), vec!["x"]);
         let t = tp(var("b"), var("a"), var("c"));
-        assert_eq!(t.vars(), vec!["b", "a", "c"]);
+        assert_eq!(t.vars().collect::<Vec<_>>(), vec!["b", "a", "c"]);
+        let t = tp(var("a"), var("b"), var("a"));
+        assert_eq!(t.vars().collect::<Vec<_>>(), vec!["a", "b"]);
         assert!(t.has_var("a"));
         assert!(!t.has_var("z"));
         assert_eq!(t.n_fixed(), 0);

@@ -20,7 +20,6 @@ use crate::error::SparqlError;
 use crate::goj::Goj;
 use crate::gosn::{Gosn, SnId, TpId};
 use crate::well_designed::{transform_nwd, violations_with};
-use std::collections::BTreeSet;
 
 /// The classification of one UNION-free query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,22 +78,29 @@ pub fn analyze(pattern: &GraphPattern) -> Result<Analyzed, SparqlError> {
         transform_nwd(&gosn0, &viols)
     };
 
-    let goj = Goj::from_tps(gosn.tps());
+    let goj = Goj::new(&gosn);
     let cyclic = goj.is_cyclic();
 
-    // Slave supernode jvar counts (on the transformed GoSN).
+    // Slave supernode jvar counts (on the transformed GoSN), through one
+    // scratch list of TPs or jvars.
+    let mut scratch: Vec<usize> = Vec::with_capacity(gosn.n_tps().max(goj.len()));
     let mut max_slave_sn_jvars = 0usize;
-    for sn in gosn.slave_sns() {
-        let mut jvars: BTreeSet<usize> = BTreeSet::new();
+    for sn in (0..gosn.n_supernodes()).filter(|&sn| !gosn.is_absolute_master(sn)) {
+        scratch.clear();
         for &tp in gosn.tps_of_sn(sn) {
-            jvars.extend(goj.jvars_of_tp(tp).iter().copied());
+            scratch.extend_from_slice(goj.jvars_of_tp(tp));
         }
-        max_slave_sn_jvars = max_slave_sn_jvars.max(jvars.len());
+        scratch.sort_unstable();
+        scratch.dedup();
+        max_slave_sn_jvars = max_slave_sn_jvars.max(scratch.len());
     }
 
     let nb_required = cyclic && max_slave_sn_jvars > 1;
-    let connected = tps_connected(&goj, &(0..gosn.n_tps()).collect::<Vec<_>>());
-    let final_at_emission = final_at_emission(&gosn, &goj, well_designed && !nb_required);
+    scratch.clear();
+    scratch.extend(0..gosn.n_tps());
+    let connected = one_component(&goj, &mut scratch);
+    let lemmas_hold = well_designed && !nb_required;
+    let final_at_emission = final_at_emission(&gosn, &goj, lemmas_hold, &mut scratch);
     Ok(Analyzed {
         gosn,
         goj,
@@ -110,39 +116,56 @@ pub fn analyze(pattern: &GraphPattern) -> Result<Analyzed, SparqlError> {
 }
 
 /// [`QueryClass::final_at_emission`]; `lemmas_hold` is "well-designed
-/// and not `NB-reqd`", the premise of Lemmas 3.3 and 3.4.
-fn final_at_emission(gosn: &Gosn, goj: &Goj, lemmas_hold: bool) -> bool {
-    let slaves = gosn.slave_sns();
-    let masked = |sn: SnId| (gosn.sn_filters(sn).iter()).all(|e| gosn.mask_var(sn, e).is_some());
-    let connected = |sn: SnId| {
-        let peer_tps: Vec<TpId> = (gosn.peers_of(sn).iter())
-            .flat_map(|&p| gosn.tps_of_sn(p).iter().copied())
-            .collect();
-        tps_connected(goj, gosn.tps_of_sn(sn)) && tps_connected(goj, &peer_tps)
+/// and not `NB-reqd`", the premise of Lemmas 3.3 and 3.4. `scratch`
+/// holds the TP set under test.
+fn final_at_emission(gosn: &Gosn, goj: &Goj, lemmas_hold: bool, scratch: &mut Vec<TpId>) -> bool {
+    let mut slaves = (0..gosn.n_supernodes()).filter(|&sn| !gosn.is_absolute_master(sn));
+    let masked = |sn: SnId| (gosn.sn_filters(sn)).all(|e| gosn.mask_var(sn, e).is_some());
+    // Each supernode, and each peer group of more than one (checked once,
+    // at its first member).
+    let mut connected = |sn: SnId| {
+        scratch.clear();
+        scratch.extend_from_slice(gosn.tps_of_sn(sn));
+        let peers = gosn.peers_of(sn);
+        one_component(goj, scratch)
+            && (peers.len() == 1 || peers[0] != sn || {
+                scratch.clear();
+                peers
+                    .iter()
+                    .for_each(|&p| scratch.extend_from_slice(gosn.tps_of_sn(p)));
+                one_component(goj, scratch)
+            })
     };
-    slaves.is_empty()
+    slaves.clone().next().is_none()
         || (lemmas_hold
-            && slaves.iter().all(|&sn| masked(sn))
+            && slaves.all(masked)
             && (gosn.group_filters().iter()).all(|f| gosn.is_absolute_master(f.root))
-            && (0..gosn.n_supernodes()).all(connected))
+            && (0..gosn.n_supernodes()).all(&mut connected))
 }
 
 /// True when `tps` form a single component under shared-variable edges
 /// (no Cartesian product among them). Zero or one TP is connected. A
 /// variable two TPs share is a join variable, so `goj` holds them all.
 pub fn tps_connected(goj: &Goj, tps: &[TpId]) -> bool {
+    one_component(goj, &mut tps.to_vec())
+}
+
+/// [`tps_connected`] in place: grows the component from `tps[0]` as a
+/// prefix of `tps`, reordering it.
+fn one_component(goj: &Goj, tps: &mut [TpId]) -> bool {
     let shares = |a, b| (goj.jvars_of_tp(a).iter()).any(|j| goj.jvars_of_tp(b).contains(j));
-    let mut component: Vec<TpId> = tps.iter().take(1).copied().collect();
-    let mut i = 0;
-    while let Some(&a) = component.get(i) {
-        for &b in tps {
-            if !component.contains(&b) && shares(a, b) {
-                component.push(b);
+    let (mut grown, mut i) = (tps.len().min(1), 0);
+    while i < grown {
+        let start = grown;
+        for j in start..tps.len() {
+            if shares(tps[i], tps[j]) {
+                tps.swap(grown, j);
+                grown += 1;
             }
         }
         i += 1;
     }
-    component.len() == tps.len()
+    grown == tps.len()
 }
 
 #[cfg(test)]

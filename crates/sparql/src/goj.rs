@@ -14,119 +14,105 @@
 //! patterns.
 
 use crate::algebra::TriplePattern;
+use crate::gosn::{Gosn, Lists, TpId, VarId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// The graph of join variables.
+/// The graph of join variables, over a [`Gosn`]'s TP and variable ids.
+/// Node ids follow variable-name order.
 #[derive(Debug, Clone)]
 pub struct Goj {
-    jvars: Vec<String>,
-    /// Collapsed simple adjacency (parallel edges merged).
-    adj: Vec<BTreeSet<usize>>,
+    /// The variable of each node.
+    jvars: Vec<VarId>,
+    /// The node of each variable (`usize::MAX` for a non-join variable).
+    node: Vec<usize>,
+    /// The jvar nodes of each TP (in S, P, O order), then the neighbours
+    /// of each node (ascending; parallel edges merged).
+    lists: Lists,
+    n_tps: usize,
     cyclic: bool,
-    /// Component id per jvar node.
-    component: Vec<usize>,
-    /// For each TP (by caller's index), the jvar node ids it contains.
-    tp_jvars: Vec<Vec<usize>>,
+    connected: bool,
 }
 
 impl Goj {
-    /// Builds the GoJ of a TP list.
-    pub fn from_tps(tps: &[TriplePattern]) -> Goj {
-        // Count occurrences: a jvar occurs in ≥ 2 TPs.
-        let mut occurrences: BTreeMap<&str, usize> = BTreeMap::new();
-        for tp in tps {
-            for v in tp.vars() {
-                *occurrences.entry(v).or_default() += 1;
-            }
+    /// Builds the GoJ of a GoSN's TPs.
+    pub fn new(gosn: &Gosn) -> Goj {
+        let (n_tps, n_vars) = (gosn.n_tps(), gosn.vars().len());
+        // A jvar occurs in ≥ 2 TPs.
+        let mut node = vec![0usize; n_vars];
+        for tp in 0..n_tps {
+            gosn.vars_of_tp(tp).for_each(|v| node[v] += 1);
         }
-        let jvars: Vec<String> = occurrences
-            .iter()
-            .filter(|&(_, &c)| c >= 2)
-            .map(|(v, _)| v.to_string())
-            .collect();
-        let index: BTreeMap<&str, usize> = jvars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), i))
-            .collect();
-
-        let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); jvars.len()];
-        let mut tp_jvars: Vec<Vec<usize>> = Vec::with_capacity(tps.len());
+        let mut jvars: Vec<VarId> = Vec::with_capacity(n_vars);
+        jvars.extend((0..n_vars).filter(|&v| node[v] >= 2));
+        jvars.sort_unstable_by_key(|&v| gosn.vars().name(v));
+        node.fill(usize::MAX);
+        for (i, &v) in jvars.iter().enumerate() {
+            node[v] = i;
+        }
+        let n = jvars.len();
+        let mut lists = Lists::with_capacity(n_tps + n, 3 * n_tps + 6 * n_tps);
         // Multigraph reading: the GoJ is a *multigraph* — when two distinct
         // TPs both contain the same jvar pair, the parallel edges close a
         // cycle. This matters for Lemma 3.3: per-dimension fold/unfold
         // semi-joins project each jvar independently and cannot express the
         // pair constraint, so such queries must take the cyclic
         // (greedy-order, nullification-capable) path.
-        let mut edge_owner: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        let mut parallel_edge = false;
-        for (tp_idx, tp) in tps.iter().enumerate() {
-            let ids: Vec<usize> = tp
-                .vars()
-                .into_iter()
-                .filter_map(|v| index.get(v).copied())
-                .collect();
-            for i in 0..ids.len() {
-                for j in i + 1..ids.len() {
-                    adj[ids[i]].insert(ids[j]);
-                    adj[ids[j]].insert(ids[i]);
-                    let key = (ids[i].min(ids[j]), ids[i].max(ids[j]));
-                    match edge_owner.get(&key) {
-                        Some(&owner) if owner != tp_idx => parallel_edge = true,
-                        Some(_) => {}
-                        None => {
-                            edge_owner.insert(key, tp_idx);
-                        }
-                    }
-                }
+        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(3 * n_tps);
+        for tp in 0..n_tps {
+            let start = lists.items.len();
+            let ids = gosn
+                .vars_of_tp(tp)
+                .map(|v| node[v])
+                .filter(|&x| x != usize::MAX);
+            lists.items.extend(ids);
+            let ids = &lists.items[start..];
+            for (i, &a) in ids.iter().enumerate() {
+                edges.extend(ids[i + 1..].iter().map(|&b| (a.min(b), a.max(b))));
             }
-            tp_jvars.push(ids);
+            lists.close();
         }
-
-        // Cycle + component detection on the collapsed simple graph.
-        let n = jvars.len();
-        let mut component = vec![usize::MAX; n];
-        let mut cyclic = false;
-        let mut n_edges_double = 0usize;
-        for s in adj.iter() {
-            n_edges_double += s.len();
+        // A TP yields each of its pairs once, so a repeated pair is two TPs.
+        edges.sort_unstable();
+        let parallel_edge = edges.windows(2).any(|w| w[0] == w[1]);
+        edges.dedup();
+        for x in 0..n {
+            let below = edges.iter().filter(|e| e.1 == x).map(|e| e.0);
+            lists
+                .items
+                .extend(below.chain(edges.iter().filter(|e| e.0 == x).map(|e| e.1)));
+            lists.close();
         }
-        let n_edges = n_edges_double / 2;
-        let mut n_components = 0;
-        for start in 0..n {
-            if component[start] != usize::MAX {
-                continue;
+        // Components on the collapsed simple graph (union-find).
+        let mut root: Vec<usize> = (0..n).collect();
+        fn find(root: &mut [usize], x: usize) -> usize {
+            if root[x] != x {
+                root[x] = find(root, root[x]);
             }
-            let cid = n_components;
-            n_components += 1;
-            let mut q = VecDeque::new();
-            component[start] = cid;
-            q.push_back(start);
-            while let Some(x) = q.pop_front() {
-                for &y in &adj[x] {
-                    if component[y] == usize::MAX {
-                        component[y] = cid;
-                        q.push_back(y);
-                    }
-                }
+            root[x]
+        }
+        let mut n_components = n;
+        for &(a, b) in &edges {
+            let (ra, rb) = (find(&mut root, a), find(&mut root, b));
+            if ra != rb {
+                root[ra] = rb;
+                n_components -= 1;
             }
         }
         // An undirected simple graph is a forest iff |E| = |V| - #components;
         // parallel edges (distinct TPs over the same jvar pair) also cycle.
-        if n_edges + n_components != n || parallel_edge {
-            cyclic = true;
-        }
         Goj {
             jvars,
-            adj,
-            cyclic,
-            component,
-            tp_jvars,
+            node,
+            lists,
+            n_tps,
+            cyclic: edges.len() + n_components != n || parallel_edge,
+            connected: n_components <= 1,
         }
     }
 
-    /// Join-variable names, in node-id order (lexicographic).
-    pub fn jvars(&self) -> &[String] {
+    /// The variable of each jvar node, in node-id order (variable-name
+    /// order).
+    pub fn jvars(&self) -> &[VarId] {
         &self.jvars
     }
 
@@ -141,8 +127,8 @@ impl Goj {
     }
 
     /// Node id of a variable, if it is a join variable.
-    pub fn node_of(&self, var: &str) -> Option<usize> {
-        self.jvars.iter().position(|v| v == var)
+    pub fn node_of(&self, var: VarId) -> Option<usize> {
+        self.node.get(var).copied().filter(|&x| x != usize::MAX)
     }
 
     /// True when the GoJ contains a cycle (§3.3 queries).
@@ -152,57 +138,45 @@ impl Goj {
 
     /// True when all jvar nodes are in one connected component.
     pub fn is_connected(&self) -> bool {
-        self.component.iter().all(|&c| c == 0)
+        self.connected
     }
 
-    /// Jvar node ids present in TP `i` (caller's TP order).
-    pub fn jvars_of_tp(&self, i: usize) -> &[usize] {
-        &self.tp_jvars[i]
+    /// Jvar node ids present in TP `i`.
+    pub fn jvars_of_tp(&self, i: TpId) -> &[usize] {
+        self.lists.get(i)
     }
 
-    /// Neighbours of a jvar node.
+    /// Neighbours of a jvar node, ascending.
     pub fn neighbours(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
-        self.adj[node].iter().copied()
+        self.lists.get(self.n_tps + node).iter().copied()
     }
 
-    /// Top-down (root-first, BFS) order over the sub-graph induced by
-    /// `subset`, starting at `root`. If the induced sub-graph is
-    /// disconnected, remaining nodes are appended component-by-component
-    /// (lowest node id as auxiliary root). The paper argues the induced
-    /// sub-graphs it uses are connected when the query has no Cartesian
-    /// products; a Cartesian product reaches here disconnected.
-    pub fn top_down_order(&self, subset: &[usize], root: usize) -> Vec<usize> {
+    /// Appends to `out` the top-down (root-first, BFS) order over the
+    /// sub-graph induced by `subset`, starting at `root`; its reverse is
+    /// the bottom-up (leaves-first) order. If the induced
+    /// sub-graph is disconnected, remaining nodes are appended
+    /// component-by-component (in `subset` order as auxiliary roots). The
+    /// paper argues the induced sub-graphs it uses are connected when the
+    /// query has no Cartesian products; a Cartesian product reaches here
+    /// disconnected. `out` is the BFS queue; nothing else is allocated.
+    pub fn top_down_into(&self, subset: &[usize], root: usize, out: &mut Vec<usize>) {
         debug_assert!(subset.contains(&root));
-        let in_subset: BTreeSet<usize> = subset.iter().copied().collect();
-        let mut order = Vec::with_capacity(subset.len());
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut roots = vec![root];
-        roots.extend(subset.iter().copied().filter(|&x| x != root));
-        for r in roots {
-            if seen.contains(&r) {
+        let start = out.len();
+        for r in std::iter::once(root).chain(subset.iter().copied()) {
+            if out[start..].contains(&r) {
                 continue;
             }
-            let mut q = VecDeque::new();
-            seen.insert(r);
-            q.push_back(r);
-            while let Some(x) = q.pop_front() {
-                order.push(x);
-                for &y in &self.adj[x] {
-                    if in_subset.contains(&y) && seen.insert(y) {
-                        q.push_back(y);
+            let mut head = out.len();
+            out.push(r);
+            while let Some(&x) = out.get(head) {
+                head += 1;
+                for y in self.neighbours(x) {
+                    if subset.contains(&y) && !out[start..].contains(&y) {
+                        out.push(y);
                     }
                 }
             }
         }
-        order
-    }
-
-    /// Bottom-up (leaves-first) order: the reverse of
-    /// [`Goj::top_down_order`].
-    pub fn bottom_up_order(&self, subset: &[usize], root: usize) -> Vec<usize> {
-        let mut o = self.top_down_order(subset, root);
-        o.reverse();
-        o
     }
 }
 
@@ -288,6 +262,18 @@ mod tests {
         TriplePattern::new(f(s), f(p), f(o))
     }
 
+    /// The GoJ of a BGP, with the GoSN that names its variables.
+    fn goj_of(tps: &[TriplePattern]) -> (Goj, Gosn) {
+        let gosn = Gosn::from_pattern(&crate::GraphPattern::Bgp(tps.to_vec())).unwrap();
+        (Goj::new(&gosn), gosn)
+    }
+
+    fn names(goj: &Goj, gosn: &Gosn) -> Vec<String> {
+        (goj.jvars().iter())
+            .map(|&v| gosn.vars().name(v).to_string())
+            .collect()
+    }
+
     /// Figure 3.3: the GoT and GoJ of the running example.
     #[test]
     fn figure_3_3() {
@@ -296,8 +282,8 @@ mod tests {
             tp("?friend", "actedIn", "?sitcom"),
             tp("?sitcom", "location", "NewYorkCity"),
         ];
-        let goj = Goj::from_tps(&tps);
-        assert_eq!(goj.jvars(), &["friend".to_string(), "sitcom".to_string()]);
+        let (goj, gosn) = goj_of(&tps);
+        assert_eq!(names(&goj, &gosn), ["friend", "sitcom"]);
         assert!(!goj.is_cyclic());
         assert!(goj.is_connected());
         // ?friend – ?sitcom edge comes from tp2.
@@ -318,7 +304,7 @@ mod tests {
             tp("?b", "p2", "?c"),
             tp("?a", "p3", "?c"),
         ];
-        let goj = Goj::from_tps(&tps);
+        let goj = goj_of(&tps).0;
         assert_eq!(goj.len(), 3);
         assert!(goj.is_cyclic());
         let got = Got::from_tps(&tps);
@@ -338,7 +324,7 @@ mod tests {
             tp("?x", "p3", "?c"),
             tp("?x", "p4", "?d"),
         ];
-        let goj = Goj::from_tps(&tps);
+        let goj = goj_of(&tps).0;
         assert_eq!(goj.len(), 1, "only ?x joins");
         assert!(!goj.is_cyclic());
         let got = Got::from_tps(&tps);
@@ -348,10 +334,10 @@ mod tests {
     #[test]
     fn non_join_vars_are_not_jvar_nodes() {
         let tps = vec![tp("?x", "p1", "?once"), tp("?x", "p2", "?alsoOnce")];
-        let goj = Goj::from_tps(&tps);
-        assert_eq!(goj.jvars(), &["x".to_string()]);
-        assert_eq!(goj.node_of("once"), None);
-        assert_eq!(goj.node_of("x"), Some(0));
+        let (goj, gosn) = goj_of(&tps);
+        assert_eq!(names(&goj, &gosn), ["x"]);
+        assert_eq!(goj.node_of(gosn.vars().id("once").unwrap()), None);
+        assert_eq!(goj.node_of(gosn.vars().id("x").unwrap()), Some(0));
     }
 
     #[test]
@@ -366,23 +352,20 @@ mod tests {
             tp("?c", "q3", "?z3"),
             tp("?d", "q4", "?z4"),
         ];
-        let goj = Goj::from_tps(&tps);
+        let (goj, gosn) = goj_of(&tps);
         assert!(!goj.is_cyclic());
-        let a = goj.node_of("a").unwrap();
-        let b = goj.node_of("b").unwrap();
-        let c = goj.node_of("c").unwrap();
-        let d = goj.node_of("d").unwrap();
+        let node = |v| goj.node_of(gosn.vars().id(v).unwrap()).unwrap();
+        let (a, b, c, d) = (node("a"), node("b"), node("c"), node("d"));
         let all = vec![a, b, c, d];
-        let td = goj.top_down_order(&all, a);
+        let mut td = Vec::new();
+        goj.top_down_into(&all, a, &mut td);
         assert_eq!(td, vec![a, b, c, d]);
-        let bu = goj.bottom_up_order(&all, a);
-        assert_eq!(bu, vec![d, c, b, a]);
-        // Induced subset {a, c, d}: c–d connected, a isolated.
-        let sub = vec![a, c, d];
-        let td = goj.top_down_order(&sub, c);
-        assert_eq!(td[0], c);
-        assert_eq!(td.len(), 3);
-        assert!(td.contains(&a) && td.contains(&d));
+        // Induced subset {a, c, d}: c–d connected, a isolated. `out`
+        // keeps what it held.
+        goj.top_down_into(&[a, c, d], c, &mut td);
+        assert_eq!(td[..5], [a, b, c, d, c]);
+        assert_eq!(td.len(), 7);
+        assert!(td[4..].contains(&a) && td[4..].contains(&d));
     }
 
     #[test]
@@ -393,7 +376,7 @@ mod tests {
             tp("?d", "p3", "?e"),
             tp("?e", "p4", "?f"),
         ];
-        let goj = Goj::from_tps(&tps);
+        let goj = goj_of(&tps).0;
         assert_eq!(goj.len(), 2, "only ?b and ?e join");
         assert!(!goj.is_connected());
         assert!(!goj.is_cyclic());
@@ -405,17 +388,17 @@ mod tests {
     #[test]
     fn parallel_edges_are_cyclic() {
         let tps = vec![tp("?a", "p1", "?b"), tp("?a", "p2", "?b")];
-        let goj = Goj::from_tps(&tps);
+        let goj = goj_of(&tps).0;
         assert!(goj.is_cyclic());
         // The same pair inside ONE TP twice is impossible (vars dedup), and
         // a single TP's pair is not a cycle.
         let tps = vec![tp("?a", "p1", "?b"), tp("?b", "p2", "?c")];
-        assert!(!Goj::from_tps(&tps).is_cyclic());
+        assert!(!goj_of(&tps).0.is_cyclic());
     }
 
     #[test]
     fn empty_tp_list() {
-        let goj = Goj::from_tps(&[]);
+        let goj = goj_of(&[]).0;
         assert!(goj.is_empty());
         assert!(!goj.is_cyclic());
         assert!(Got::from_tps(&[]).is_acyclic());

@@ -17,14 +17,17 @@
 //! pattern), which Appendix B relies on for the unique-path argument of the
 //! non-well-designed transformation.
 
-use crate::algebra::{Expr, GraphPattern, TriplePattern};
+use crate::algebra::{Expr, GraphPattern};
 use crate::error::SparqlError;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Index of a supernode within a [`Gosn`].
 pub type SnId = usize;
 /// Index of a triple pattern within a [`Gosn`] (left-to-right query order).
 pub type TpId = usize;
+/// Index of a variable within a [`Gosn`]'s [`Vars`].
+pub type VarId = usize;
 
 /// Edge kind in the GoSN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,62 +47,128 @@ pub enum EdgeKind {
 pub struct GroupFilter {
     /// The leftmost supernode of the filtered sub-pattern.
     pub root: SnId,
-    /// Every supernode of the filtered sub-pattern, ascending.
-    pub sns: Vec<SnId>,
+    /// Every supernode of the filtered sub-pattern (consecutive ids).
+    pub sns: Range<SnId>,
     /// The filter expression.
     pub expr: Expr,
 }
 
-/// The binary join structure over supernodes (mirrors the query tree).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnTree {
-    /// A supernode leaf.
-    Leaf(SnId),
-    /// Inner join of two sub-trees.
-    Join(Box<SnTree>, Box<SnTree>),
-    /// Left-outer join of two sub-trees.
-    LeftJoin(Box<SnTree>, Box<SnTree>),
+/// The variable names of a pattern, interned once in first-occurrence
+/// order (S, P, O within a TP): one string arena and the end of each name.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Vars {
+    text: String,
+    ends: Vec<usize>,
 }
 
-impl SnTree {
-    /// The leftmost supernode of the sub-tree (§2.1's "leftmost OPT-free
-    /// BGP").
-    pub fn leftmost(&self) -> SnId {
-        match self {
-            SnTree::Leaf(id) => *id,
-            SnTree::Join(l, _) | SnTree::LeftJoin(l, _) => l.leftmost(),
-        }
+impl Vars {
+    /// Number of variables.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when the pattern has no variables.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Name of a variable (without the `?`).
+    pub fn name(&self, v: VarId) -> &str {
+        let start = if v == 0 { 0 } else { self.ends[v - 1] };
+        &self.text[start..self.ends[v]]
+    }
+
+    /// Id of a variable name.
+    pub fn id(&self, name: &str) -> Option<VarId> {
+        (0..self.len()).find(|&v| self.name(v) == name)
+    }
+
+    /// All names in id order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        (0..self.len()).map(|v| self.name(v))
+    }
+
+    fn intern(&mut self, name: &str) -> VarId {
+        self.id(name).unwrap_or_else(|| {
+            self.text.push_str(name);
+            self.ends.push(self.text.len());
+            self.ends.len() - 1
+        })
     }
 }
 
-/// The graph of supernodes.
+/// Id lists in one flat vector: list `i` is `items[ends[i - 1]..ends[i]]`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Lists {
+    pub(crate) items: Vec<usize>,
+    ends: Vec<usize>,
+}
+
+impl Lists {
+    pub(crate) fn with_capacity(lists: usize, items: usize) -> Lists {
+        Lists {
+            items: Vec::with_capacity(items),
+            ends: Vec::with_capacity(lists),
+        }
+    }
+
+    pub(crate) fn get(&self, i: usize) -> &[usize] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.items[start..self.ends[i]]
+    }
+
+    /// Ends the list being filled (what `items` gained since the last).
+    pub(crate) fn close(&mut self) {
+        self.ends.push(self.items.len());
+    }
+
+    fn truncate(&mut self, lists: usize) {
+        self.ends.truncate(lists);
+        self.items.truncate(self.ends.last().copied().unwrap_or(0));
+    }
+}
+
+/// One node of the join structure over supernodes, in postfix order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Node {
+    Leaf(SnId),
+    Join,
+    LeftJoin,
+}
+
+/// The graph of supernodes, over TP and variable ids: each TP is its
+/// supernode and the variable of each position, and every relation is a
+/// list in one flat vector.
 #[derive(Debug, Clone)]
 pub struct Gosn {
-    tps: Vec<TriplePattern>,
-    tp_sn: Vec<SnId>,
-    sn_tps: Vec<Vec<TpId>>,
+    vars: Vars,
+    /// Per TP: its supernode and the variable of each position.
+    tps: Vec<(SnId, [Option<VarId>; 3])>,
+    n_sns: usize,
+    /// `n_sns` lists each, in this order: the TPs of each supernode, its
+    /// masters (transitive, ascending), the supernodes it is a master of,
+    /// its failure closure, and the members of each peer group (indexed
+    /// by the group's root, empty for the others).
+    lists: Lists,
     uni: Vec<(SnId, SnId)>,
     bi: Vec<(SnId, SnId)>,
-    masters: Vec<Vec<SnId>>,
-    /// The inverse of `masters`: every supernode `sn` is a master of,
-    /// ascending.
-    slaves: Vec<Vec<SnId>>,
-    /// What fails with `sn`: its peer group and every slave of a member,
-    /// ascending.
-    failure_closure: Vec<Vec<SnId>>,
     peer_group: Vec<usize>,
-    /// Members of each peer group, ascending, indexed by the group's
-    /// `peer_group` root (empty for non-roots).
-    peer_members: Vec<Vec<SnId>>,
-    tree: SnTree,
-    /// Filters that live entirely inside one supernode.
-    sn_filters: Vec<Vec<Expr>>,
+    tree: Vec<Node>,
+    /// Filters that live entirely inside one supernode, by supernode.
+    sn_filters: Vec<(SnId, Expr)>,
     /// Filters spanning supernodes, inner ones first.
     group_filters: Vec<GroupFilter>,
 }
 
+/// The list kinds of [`Gosn::lists`], in storage order.
+const TPS: usize = 0;
+const MASTERS: usize = 1;
+const SLAVES: usize = 2;
+const CLOSURE: usize = 3;
+const PEERS: usize = 4;
+
 impl Gosn {
-    /// Builds the GoSN of a UNION-free pattern.
+    /// Builds the GoSN of a UNION-free pattern, interning its variables.
     ///
     /// Filters inside an OPT-free sub-pattern are attached to its supernode;
     /// a filter wrapping a pattern that contains OPTIONALs becomes a
@@ -107,37 +176,114 @@ impl Gosn {
     /// rejected — rewrite to UNION normal form first
     /// ([`crate::rewrite::rewrite_to_unf`]).
     pub fn from_pattern(pattern: &GraphPattern) -> Result<Gosn, SparqlError> {
-        let mut b = Builder::default();
-        let tree = b.build(pattern)?;
+        let (mut n_tps, mut var_bytes) = (0, 0);
+        pattern.visit_tps(&mut |tp| {
+            n_tps += 1;
+            var_bytes += tp.vars().map(str::len).sum::<usize>();
+        });
         let mut g = Gosn {
-            tps: b.tps,
-            tp_sn: b.tp_sn,
-            sn_tps: b.sn_tps,
+            vars: Vars {
+                text: String::with_capacity(var_bytes),
+                ends: Vec::with_capacity(3 * n_tps),
+            },
+            tps: Vec::with_capacity(n_tps),
+            n_sns: 0,
+            lists: Lists::with_capacity(5 * n_tps, n_tps * (3 * n_tps + 2)),
             uni: Vec::new(),
             bi: Vec::new(),
-            masters: Vec::new(),
-            slaves: Vec::new(),
-            failure_closure: Vec::new(),
             peer_group: Vec::new(),
-            peer_members: Vec::new(),
-            tree,
-            sn_filters: b.sn_filters,
-            group_filters: b.group_filters,
+            tree: Vec::with_capacity(2 * n_tps),
+            sn_filters: Vec::new(),
+            group_filters: Vec::new(),
         };
-        collect_edges(&g.tree.clone(), &mut g);
+        g.build(pattern)?;
         g.recompute_relations();
         Ok(g)
     }
 
-    /// Recomputes masters / peers / absolutes from the current edge sets.
+    /// Adds the supernodes and edges of `p`; returns its leftmost
+    /// supernode (§2.1's "leftmost OPT-free BGP"). An edge is recorded
+    /// before the edges inside its operands.
+    fn build(&mut self, p: &GraphPattern) -> Result<SnId, SparqlError> {
+        if p.is_opt_free() {
+            let sn = self.n_sns;
+            self.n_sns += 1;
+            self.flatten_into(p, sn)?;
+            self.lists.close();
+            self.tree.push(Node::Leaf(sn));
+            return Ok(sn);
+        }
+        match p {
+            GraphPattern::Join(l, r) | GraphPattern::LeftJoin(l, r) => {
+                let uni = matches!(p, GraphPattern::LeftJoin(..));
+                let edges = if uni { &mut self.uni } else { &mut self.bi };
+                let at = edges.len();
+                edges.push((0, 0));
+                let la = self.build(l)?;
+                let ra = self.build(r)?;
+                let edges = if uni { &mut self.uni } else { &mut self.bi };
+                edges[at] = (la, ra);
+                self.tree
+                    .push(if uni { Node::LeftJoin } else { Node::Join });
+                Ok(la)
+            }
+            GraphPattern::Filter(inner, e) => {
+                // The sub-pattern's supernodes are the ones its build adds.
+                let first = self.n_sns;
+                let root = self.build(inner)?;
+                self.group_filters.push(GroupFilter {
+                    root,
+                    sns: first..self.n_sns,
+                    expr: e.clone(),
+                });
+                Ok(root)
+            }
+            GraphPattern::Union(_, _) => Err(SparqlError::Unsupported(
+                "UNION inside GoSN construction; rewrite to UNION normal form first".into(),
+            )),
+            GraphPattern::Bgp(_) => unreachable!("BGPs are OPT-free"),
+        }
+    }
+
+    /// Flattens an OPT-free pattern into supernode `sn`.
+    fn flatten_into(&mut self, p: &GraphPattern, sn: SnId) -> Result<(), SparqlError> {
+        match p {
+            GraphPattern::Bgp(tps) => {
+                for tp in tps {
+                    let vars =
+                        [&tp.s, &tp.p, &tp.o].map(|t| t.as_var().map(|v| self.vars.intern(v)));
+                    self.lists.items.push(self.tps.len());
+                    self.tps.push((sn, vars));
+                }
+                Ok(())
+            }
+            GraphPattern::Join(l, r) => {
+                self.flatten_into(l, sn)?;
+                self.flatten_into(r, sn)
+            }
+            GraphPattern::Filter(inner, e) => {
+                self.sn_filters.push((sn, e.clone()));
+                self.flatten_into(inner, sn)
+            }
+            GraphPattern::Union(_, _) => Err(SparqlError::Unsupported(
+                "UNION inside an OPT-free pattern; rewrite to UNION normal form first".into(),
+            )),
+            GraphPattern::LeftJoin(_, _) => {
+                unreachable!("flatten_into is only called on OPT-free patterns")
+            }
+        }
+    }
+
+    /// Recomputes masters / slaves / failure closures / peers from the
+    /// current edge sets.
     fn recompute_relations(&mut self) {
-        let n = self.sn_tps.len();
+        let n = self.n_sns;
+        self.lists.truncate(n);
         // Peers: connected components over bidirectional edges.
         let mut pg: Vec<usize> = (0..n).collect();
-        fn find(pg: &mut Vec<usize>, x: usize) -> usize {
+        fn find(pg: &mut [usize], x: usize) -> usize {
             if pg[x] != x {
-                let root = find(pg, pg[x]);
-                pg[x] = root;
+                pg[x] = find(pg, pg[x]);
             }
             pg[x]
         }
@@ -147,68 +293,70 @@ impl Gosn {
                 pg[ra] = rb;
             }
         }
-        self.peer_group = (0..n).map(|x| find(&mut pg, x)).collect();
-        self.peer_members = vec![Vec::new(); n];
-        for (sn, &g) in self.peer_group.iter().enumerate() {
-            self.peer_members[g].push(sn);
+        for x in 0..n {
+            find(&mut pg, x);
         }
-
-        // Masters: reachability with ≥1 unidirectional edge.
-        // BFS over states (node, crossed_uni_edge_yet).
-        let mut fwd: Vec<Vec<(SnId, bool)>> = vec![Vec::new(); n];
+        // Masters: `reach[m * n + s]` is true when `m` is a master of `s`,
+        // i.e. `s` is reachable from `m` over a path using at least one ⟕
+        // edge (⋈ edges both ways). Undirected, the GoSN is a tree: a walk
+        // crosses each edge off the tree path twice, once backwards, which
+        // no ⟕ edge allows, so it uses a ⟕ edge exactly when `m` and `s`
+        // are not peers. Reachability is Warshall's closure.
+        let mut reach = vec![false; n * n];
         for &(a, b) in &self.uni {
-            fwd[a].push((b, true));
+            reach[a * n + b] = true;
         }
         for &(a, b) in &self.bi {
-            fwd[a].push((b, false));
-            fwd[b].push((a, false));
+            reach[a * n + b] = true;
+            reach[b * n + a] = true;
         }
-        // `src` ascends and reaches `y` over a ⟕ edge at most once, so
-        // every master list comes out sorted and free of duplicates.
-        let mut masters: Vec<Vec<SnId>> = vec![Vec::new(); n];
-        for src in 0..n {
-            let mut seen = vec![[false; 2]; n];
-            let mut q = VecDeque::new();
-            seen[src][0] = true;
-            q.push_back((src, false));
-            while let Some((x, used)) = q.pop_front() {
-                for &(y, is_uni) in &fwd[x] {
-                    let nu = used || is_uni;
-                    if !seen[y][nu as usize] {
-                        seen[y][nu as usize] = true;
-                        if nu && y != src {
-                            masters[y].push(src);
-                        }
-                        q.push_back((y, nu));
+        for k in 0..n {
+            for i in 0..n {
+                if reach[i * n + k] {
+                    for j in 0..n {
+                        reach[i * n + j] |= reach[k * n + j];
                     }
                 }
             }
         }
-        self.slaves = vec![Vec::new(); n];
-        for (slave, ms) in masters.iter().enumerate() {
-            for &m in ms {
-                self.slaves[m].push(slave);
-            }
+        for (i, r) in reach.iter_mut().enumerate() {
+            *r &= pg[i / n] != pg[i % n];
         }
-        self.masters = masters;
+        for s in 0..n {
+            self.lists
+                .items
+                .extend((0..n).filter(|&m| reach[m * n + s]));
+            self.lists.close();
+        }
+        for m in 0..n {
+            self.lists
+                .items
+                .extend((0..n).filter(|&s| reach[m * n + s]));
+            self.lists.close();
+        }
         // Masters are transitive and include a master's peers, so the
-        // slaves of a peer group's members are all the closure adds.
-        self.failure_closure = (0..n)
-            .map(|sn| {
-                let mut closure: Vec<SnId> = self.peers_of(sn).to_vec();
-                for &peer in self.peers_of(sn) {
-                    closure.extend_from_slice(&self.slaves[peer]);
-                }
-                closure.sort_unstable();
-                closure.dedup();
-                closure
-            })
-            .collect();
+        // slaves of a peer group's members are all the failure closure
+        // adds to the group.
+        for sn in 0..n {
+            let fails =
+                |x: usize| pg[x] == pg[sn] || (0..n).any(|p| pg[p] == pg[sn] && reach[p * n + x]);
+            self.lists.items.extend((0..n).filter(|&x| fails(x)));
+            self.lists.close();
+        }
+        for root in 0..n {
+            self.lists.items.extend((0..n).filter(|&x| pg[x] == root));
+            self.lists.close();
+        }
+        self.peer_group = pg;
+    }
+
+    fn list(&self, kind: usize, sn: SnId) -> &[usize] {
+        self.lists.get(kind * self.n_sns + sn)
     }
 
     /// Number of supernodes.
     pub fn n_supernodes(&self) -> usize {
-        self.sn_tps.len()
+        self.n_sns
     }
 
     /// Number of triple patterns.
@@ -216,51 +364,65 @@ impl Gosn {
         self.tps.len()
     }
 
-    /// All triple patterns in query order.
-    pub fn tps(&self) -> &[TriplePattern] {
-        &self.tps
+    /// The pattern's variables.
+    pub fn vars(&self) -> &Vars {
+        &self.vars
     }
 
-    /// A triple pattern by index.
-    pub fn tp(&self, id: TpId) -> &TriplePattern {
-        &self.tps[id]
+    /// The variable of each position (S, P, O) of a TP; `None` for a
+    /// constant.
+    pub fn tp_vars(&self, tp: TpId) -> [Option<VarId>; 3] {
+        self.tps[tp].1
+    }
+
+    /// The variables of a TP in S, P, O order, deduplicated.
+    pub fn vars_of_tp(&self, tp: TpId) -> impl Iterator<Item = VarId> {
+        let [s, p, o] = self.tp_vars(tp);
+        let p = p.filter(|&v| Some(v) != s);
+        let o = o.filter(|&v| Some(v) != s && Some(v) != p);
+        [s, p, o].into_iter().flatten()
+    }
+
+    /// True if the variable occurs in the TP.
+    pub fn tp_has_var(&self, tp: TpId, var: VarId) -> bool {
+        self.tp_vars(tp).contains(&Some(var))
     }
 
     /// The supernode containing a triple pattern.
     pub fn sn_of_tp(&self, tp: TpId) -> SnId {
-        self.tp_sn[tp]
+        self.tps[tp].0
     }
 
-    /// Triple patterns of a supernode.
+    /// Triple patterns of a supernode (consecutive ids).
     pub fn tps_of_sn(&self, sn: SnId) -> &[TpId] {
-        &self.sn_tps[sn]
+        self.list(TPS, sn)
     }
 
     /// The masters of a supernode (transitive, ascending).
     pub fn masters_of(&self, sn: SnId) -> &[SnId] {
-        &self.masters[sn]
+        self.list(MASTERS, sn)
     }
 
     /// The supernodes `sn` is a (transitive) master of, ascending.
     pub fn slaves_of(&self, sn: SnId) -> &[SnId] {
-        &self.slaves[sn]
+        self.list(SLAVES, sn)
     }
 
     /// Every supernode that fails when `sn` fails, `sn` included: its
     /// peer group (an inner-join group produces rows only as a unit) and
     /// every slave of a member. Ascending.
     pub fn failure_closure(&self, sn: SnId) -> &[SnId] {
-        &self.failure_closure[sn]
+        self.list(CLOSURE, sn)
     }
 
     /// True when the supernode has no master (§2.2 "absolute master").
     pub fn is_absolute_master(&self, sn: SnId) -> bool {
-        self.masters[sn].is_empty()
+        self.masters_of(sn).is_empty()
     }
 
     /// Supernodes in the same peer group (including `sn` itself).
     pub fn peers_of(&self, sn: SnId) -> &[SnId] {
-        &self.peer_members[self.peer_group[sn]]
+        self.list(PEERS, self.peer_group[sn])
     }
 
     /// True when two supernodes are peers (connected via only bi edges).
@@ -270,23 +432,23 @@ impl Gosn {
 
     /// True when `master` is a (transitive) master of `slave`.
     pub fn is_master_of(&self, master: SnId, slave: SnId) -> bool {
-        self.masters[slave].binary_search(&master).is_ok()
+        self.masters_of(slave).binary_search(&master).is_ok()
     }
 
     /// TP-level master test: is `tp_i`'s supernode a master of `tp_j`'s?
     /// (The paper's `slave-of(tpj, tpi)` in Alg 3.2.)
     pub fn tp_is_master_of(&self, tp_i: TpId, tp_j: TpId) -> bool {
-        self.is_master_of(self.tp_sn[tp_i], self.tp_sn[tp_j])
+        self.is_master_of(self.sn_of_tp(tp_i), self.sn_of_tp(tp_j))
     }
 
     /// TP-level peer test (same supernode or peer supernodes).
     pub fn tp_are_peers(&self, a: TpId, b: TpId) -> bool {
-        self.are_peers(self.tp_sn[a], self.tp_sn[b])
+        self.are_peers(self.sn_of_tp(a), self.sn_of_tp(b))
     }
 
     /// True when the TP sits in an absolute-master supernode.
     pub fn tp_in_absolute_master(&self, tp: TpId) -> bool {
-        self.is_absolute_master(self.tp_sn[tp])
+        self.is_absolute_master(self.sn_of_tp(tp))
     }
 
     /// Unidirectional (⟕) edges.
@@ -299,14 +461,9 @@ impl Gosn {
         &self.bi
     }
 
-    /// The join tree over supernodes.
-    pub fn tree(&self) -> &SnTree {
-        &self.tree
-    }
-
     /// Per-supernode filters.
-    pub fn sn_filters(&self, sn: SnId) -> &[Expr] {
-        &self.sn_filters[sn]
+    pub fn sn_filters(&self, sn: SnId) -> impl Iterator<Item = &Expr> {
+        (self.sn_filters.iter()).filter_map(move |(s, e)| (*s == sn).then_some(e))
     }
 
     /// The variable a filter of `sn` masks at init: `Some` when `expr`
@@ -314,13 +471,16 @@ impl Gosn {
     /// drop that variable's failing candidates from those TPs. Every other
     /// supernode filter goes to the FaN hook, which evaluates it on each
     /// emitted row. Planning and execution both decide through this.
-    pub fn mask_var<'e>(&self, sn: SnId, expr: &'e Expr) -> Option<&'e str> {
-        let mut vars = expr.vars().into_iter();
-        let (Some(var), None) = (vars.next(), vars.next()) else {
-            return None;
-        };
-        let binds = |&tp: &TpId| self.tps[tp].has_var(var);
-        self.tps_of_sn(sn).iter().any(binds).then_some(var)
+    pub fn mask_var(&self, sn: SnId, expr: &Expr) -> Option<VarId> {
+        let (mut one, mut many) = (None, false);
+        expr.visit_vars(&mut |v| match one {
+            None => one = Some(v),
+            Some(w) => many |= w != v,
+        });
+        let var = self.vars.id(one.filter(|_| !many)?)?;
+        (self.tps_of_sn(sn).iter())
+            .any(|&tp| self.tp_has_var(tp, var))
+            .then_some(var)
     }
 
     /// Filters spanning supernodes, inner ones first: a filter comes after
@@ -333,7 +493,7 @@ impl Gosn {
     pub fn close_failure(&self, failed: &mut [bool]) {
         for sn in 0..failed.len() {
             if failed[sn] {
-                for &x in &self.failure_closure[sn] {
+                for &x in self.failure_closure(sn) {
                     failed[x] = true;
                 }
             }
@@ -352,13 +512,11 @@ impl Gosn {
     pub fn undirected_path(&self, from: SnId, to: SnId) -> Vec<(SnId, SnId, EdgeKind)> {
         let n = self.n_supernodes();
         let mut adj: Vec<Vec<(SnId, EdgeKind)>> = vec![Vec::new(); n];
-        for &(a, b) in &self.uni {
-            adj[a].push((b, EdgeKind::Uni));
-            adj[b].push((a, EdgeKind::Uni));
-        }
-        for &(a, b) in &self.bi {
-            adj[a].push((b, EdgeKind::Bi));
-            adj[b].push((a, EdgeKind::Bi));
+        for (edges, kind) in [(&self.uni, EdgeKind::Uni), (&self.bi, EdgeKind::Bi)] {
+            for &(a, b) in edges {
+                adj[a].push((b, kind));
+                adj[b].push((a, kind));
+            }
         }
         let mut prev: Vec<Option<(SnId, EdgeKind)>> = vec![None; n];
         let mut seen = vec![false; n];
@@ -409,132 +567,28 @@ impl Gosn {
     /// Paper-style serialization with supernode labels, e.g.
     /// `((SN0 ⋈ SN1) ⟕ SN2)`.
     pub fn serialized(&self) -> String {
-        fn go(t: &SnTree, out: &mut String) {
-            match t {
-                SnTree::Leaf(id) => out.push_str(&format!("SN{id}")),
-                SnTree::Join(l, r) => {
-                    out.push('(');
-                    go(l, out);
-                    out.push_str(" ⋈ ");
-                    go(r, out);
-                    out.push(')');
+        let mut stack: Vec<String> = Vec::new();
+        for node in &self.tree {
+            let op = match node {
+                Node::Leaf(id) => {
+                    stack.push(format!("SN{id}"));
+                    continue;
                 }
-                SnTree::LeftJoin(l, r) => {
-                    out.push('(');
-                    go(l, out);
-                    out.push_str(" ⟕ ");
-                    go(r, out);
-                    out.push(')');
-                }
-            }
+                Node::Join => "⋈",
+                Node::LeftJoin => "⟕",
+            };
+            let r = stack.pop().expect("a right operand");
+            let l = stack.pop().expect("a left operand");
+            stack.push(format!("({l} {op} {r})"));
         }
-        let mut s = String::new();
-        go(&self.tree, &mut s);
-        s
-    }
-}
-
-#[derive(Default)]
-struct Builder {
-    tps: Vec<TriplePattern>,
-    tp_sn: Vec<SnId>,
-    sn_tps: Vec<Vec<TpId>>,
-    sn_filters: Vec<Vec<Expr>>,
-    group_filters: Vec<GroupFilter>,
-}
-
-impl Builder {
-    fn build(&mut self, p: &GraphPattern) -> Result<SnTree, SparqlError> {
-        if p.is_opt_free() {
-            return Ok(SnTree::Leaf(self.new_supernode(p)?));
-        }
-        match p {
-            GraphPattern::Join(l, r) => {
-                let lt = self.build(l)?;
-                let rt = self.build(r)?;
-                Ok(SnTree::Join(Box::new(lt), Box::new(rt)))
-            }
-            GraphPattern::LeftJoin(l, r) => {
-                let lt = self.build(l)?;
-                let rt = self.build(r)?;
-                Ok(SnTree::LeftJoin(Box::new(lt), Box::new(rt)))
-            }
-            GraphPattern::Filter(inner, e) => {
-                // The sub-pattern's supernodes are the ones its build adds.
-                let first = self.sn_tps.len();
-                let tree = self.build(inner)?;
-                self.group_filters.push(GroupFilter {
-                    root: tree.leftmost(),
-                    sns: (first..self.sn_tps.len()).collect(),
-                    expr: e.clone(),
-                });
-                Ok(tree)
-            }
-            GraphPattern::Union(_, _) => Err(SparqlError::Unsupported(
-                "UNION inside GoSN construction; rewrite to UNION normal form first".into(),
-            )),
-            GraphPattern::Bgp(_) => unreachable!("BGPs are OPT-free"),
-        }
-    }
-
-    /// Flattens an OPT-free pattern into one supernode.
-    fn new_supernode(&mut self, p: &GraphPattern) -> Result<SnId, SparqlError> {
-        let sn = self.sn_tps.len();
-        self.sn_tps.push(Vec::new());
-        self.sn_filters.push(Vec::new());
-        self.flatten_into(p, sn)?;
-        Ok(sn)
-    }
-
-    fn flatten_into(&mut self, p: &GraphPattern, sn: SnId) -> Result<(), SparqlError> {
-        match p {
-            GraphPattern::Bgp(tps) => {
-                for tp in tps {
-                    let id = self.tps.len();
-                    self.tps.push(tp.clone());
-                    self.tp_sn.push(sn);
-                    self.sn_tps[sn].push(id);
-                }
-                Ok(())
-            }
-            GraphPattern::Join(l, r) => {
-                self.flatten_into(l, sn)?;
-                self.flatten_into(r, sn)
-            }
-            GraphPattern::Filter(inner, e) => {
-                self.sn_filters[sn].push(e.clone());
-                self.flatten_into(inner, sn)
-            }
-            GraphPattern::Union(_, _) => Err(SparqlError::Unsupported(
-                "UNION inside an OPT-free pattern; rewrite to UNION normal form first".into(),
-            )),
-            GraphPattern::LeftJoin(_, _) => {
-                unreachable!("flatten_into is only called on OPT-free patterns")
-            }
-        }
-    }
-}
-
-fn collect_edges(tree: &SnTree, g: &mut Gosn) {
-    match tree {
-        SnTree::Leaf(_) => {}
-        SnTree::Join(l, r) => {
-            g.bi.push((l.leftmost(), r.leftmost()));
-            collect_edges(l, g);
-            collect_edges(r, g);
-        }
-        SnTree::LeftJoin(l, r) => {
-            g.uni.push((l.leftmost(), r.leftmost()));
-            collect_edges(l, g);
-            collect_edges(r, g);
-        }
+        stack.pop().unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algebra::TermPattern;
+    use crate::algebra::{TermPattern, TriplePattern};
     use lbr_rdf::Term;
 
     fn bgp1(s: &str, p: &str, o: &str) -> GraphPattern {
@@ -658,7 +712,7 @@ mod tests {
         let inner = GraphPattern::filter(bgp1("?x", "p", "?y"), Expr::Bound("x".into()));
         let pat = GraphPattern::left_join(inner, bgp1("?y", "q", "?z"));
         let g = Gosn::from_pattern(&pat).unwrap();
-        assert_eq!(g.sn_filters(0).len(), 1);
+        assert_eq!(g.sn_filters(0).count(), 1);
         assert!(g.group_filters().is_empty());
 
         let group = |e: &str| {
@@ -671,7 +725,7 @@ mod tests {
         let [f] = g2.group_filters() else {
             panic!("one group filter")
         };
-        assert_eq!((f.root, f.sns.as_slice()), (0, &[0, 1][..]));
+        assert_eq!((f.root, f.sns.clone()), (0, 0..2));
 
         // Inside an OPTIONAL the group is rooted at the slave, and the
         // outer filter comes after the inner one.
@@ -680,12 +734,12 @@ mod tests {
             Expr::Bound("w".into()),
         );
         let g3 = Gosn::from_pattern(&pat3).unwrap();
-        let roots: Vec<(SnId, Vec<SnId>)> = g3
+        let roots: Vec<(SnId, Range<SnId>)> = g3
             .group_filters()
             .iter()
             .map(|f| (f.root, f.sns.clone()))
             .collect();
-        assert_eq!(roots, vec![(1, vec![1, 2]), (0, vec![0, 1, 2])]);
+        assert_eq!(roots, vec![(1, 1..3), (0, 0..3)]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use algebra::{
 pub use classify::{classify, QueryClass};
 pub use error::SparqlError;
 pub use goj::{Goj, Got};
-pub use gosn::{Gosn, GroupFilter, SnId, TpId};
+pub use gosn::{Gosn, GroupFilter, SnId, TpId, VarId, Vars};
 pub use parser::parse_query;
 pub use rewrite::{rewrite_to_unf, UnfBranch};
 pub use serialize::to_sparql;

@@ -16,13 +16,16 @@
 //! drop the filter's effect.
 
 use crate::algebra::{Expr, GraphPattern};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// One UNION-free branch of the UNION normal form.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnfBranch {
-    /// The union-free pattern (filters pushed in as far as safely possible).
-    pub pattern: GraphPattern,
+pub struct UnfBranch<'a> {
+    /// The union-free pattern (filters pushed in as far as safely
+    /// possible): the input itself, borrowed, when it has no UNION and no
+    /// filter to push.
+    pub pattern: Cow<'a, GraphPattern>,
     /// True when rule (3) fired anywhere on the way to this branch — the
     /// caller must apply best-match across all branches to drop spurious
     /// subsumed results.
@@ -30,49 +33,47 @@ pub struct UnfBranch {
 }
 
 /// Rewrites a pattern into UNION normal form `P1 ∪ … ∪ Pn`.
-pub fn rewrite_to_unf(pattern: &GraphPattern) -> Vec<UnfBranch> {
-    branches(pattern)
+pub fn rewrite_to_unf(pattern: &GraphPattern) -> Vec<UnfBranch<'_>> {
+    if !pattern.has_union() && !pattern.has_filter() {
+        return vec![UnfBranch {
+            pattern: Cow::Borrowed(pattern),
+            used_rule3: false,
+        }];
+    }
+    (branches(pattern).into_iter())
+        .map(|(p, used_rule3)| UnfBranch {
+            pattern: Cow::Owned(p),
+            used_rule3,
+        })
+        .collect()
 }
 
-fn branches(p: &GraphPattern) -> Vec<UnfBranch> {
+/// The branches of `p`, each with its rule-(3) flag.
+fn branches(p: &GraphPattern) -> Vec<(GraphPattern, bool)> {
     match p {
-        GraphPattern::Bgp(_) => {
-            vec![UnfBranch {
-                pattern: p.clone(),
-                used_rule3: false,
-            }]
-        }
+        GraphPattern::Bgp(_) => vec![(p.clone(), false)],
         GraphPattern::Union(l, r) => {
             let mut out = branches(l);
             out.extend(branches(r));
             out
         }
-        GraphPattern::Join(l, r) => {
-            // Rule (1) in both directions: distribute over all pairs.
-            let ls = branches(l);
-            let rs = branches(r);
+        GraphPattern::Join(l, r) | GraphPattern::LeftJoin(l, r) => {
+            // Rule (1) in both directions distributes a join over all
+            // pairs; rule (2) a left join over its left side, and rule (3)
+            // over its right side when that has several branches.
+            let left_join = matches!(p, GraphPattern::LeftJoin(..));
+            let (ls, rs) = (branches(l), branches(r));
+            let rule3 = left_join && rs.len() > 1;
             let mut out = Vec::with_capacity(ls.len() * rs.len());
-            for bl in &ls {
-                for br in &rs {
-                    out.push(UnfBranch {
-                        pattern: GraphPattern::join(bl.pattern.clone(), br.pattern.clone()),
-                        used_rule3: bl.used_rule3 || br.used_rule3,
-                    });
-                }
-            }
-            out
-        }
-        GraphPattern::LeftJoin(l, r) => {
-            let ls = branches(l); // rule (2)
-            let rs = branches(r); // rule (3) when |rs| > 1
-            let rule3 = rs.len() > 1;
-            let mut out = Vec::with_capacity(ls.len() * rs.len());
-            for bl in &ls {
-                for br in &rs {
-                    out.push(UnfBranch {
-                        pattern: GraphPattern::left_join(bl.pattern.clone(), br.pattern.clone()),
-                        used_rule3: rule3 || bl.used_rule3 || br.used_rule3,
-                    });
+            for (bl, l3) in &ls {
+                for (br, r3) in &rs {
+                    let (bl, br) = (bl.clone(), br.clone());
+                    let joined = if left_join {
+                        GraphPattern::left_join(bl, br)
+                    } else {
+                        GraphPattern::join(bl, br)
+                    };
+                    out.push((joined, rule3 || *l3 || *r3));
                 }
             }
             out
@@ -80,12 +81,8 @@ fn branches(p: &GraphPattern) -> Vec<UnfBranch> {
         GraphPattern::Filter(inner, e) => {
             // Rule (5): distribute the filter over the branches, then push
             // it inside each branch (rule (4) and join-side placement).
-            branches(inner)
-                .into_iter()
-                .map(|b| UnfBranch {
-                    pattern: push_filter(b.pattern, e.clone()),
-                    ..b
-                })
+            (branches(inner).into_iter())
+                .map(|(b, rule3)| (push_filter(b, e.clone()), rule3))
                 .collect()
         }
     }
@@ -148,7 +145,7 @@ mod tests {
         let b = rewrite_to_unf(&q);
         assert_eq!(b.len(), 1);
         assert!(!b[0].used_rule3);
-        assert_eq!(b[0].pattern, q);
+        assert_eq!(*b[0].pattern, q);
     }
 
     #[test]
@@ -213,7 +210,7 @@ mod tests {
         );
         let b = rewrite_to_unf(&q);
         assert_eq!(b.len(), 1);
-        match &b[0].pattern {
+        match &*b[0].pattern {
             GraphPattern::LeftJoin(l, _) => {
                 assert!(
                     matches!(**l, GraphPattern::Filter(_, _)),
@@ -233,7 +230,7 @@ mod tests {
             e,
         );
         let b = rewrite_to_unf(&q);
-        assert!(matches!(b[0].pattern, GraphPattern::Filter(_, _)));
+        assert!(matches!(*b[0].pattern, GraphPattern::Filter(_, _)));
     }
 
     #[test]
@@ -261,7 +258,7 @@ mod tests {
         );
         let q = GraphPattern::filter(bgp(&[("?m", "p", "?n")]), e);
         let b = rewrite_to_unf(&q);
-        assert_eq!(b[0].pattern, q);
+        assert_eq!(*b[0].pattern, q);
     }
 
     #[test]
@@ -272,7 +269,7 @@ mod tests {
             e,
         );
         let b = rewrite_to_unf(&q);
-        match &b[0].pattern {
+        match &*b[0].pattern {
             GraphPattern::Join(_, r) => assert!(matches!(**r, GraphPattern::Filter(_, _))),
             other => panic!("expected Join, got {other:?}"),
         }

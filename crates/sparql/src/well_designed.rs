@@ -10,7 +10,7 @@
 //! join semantics (Appendix B).
 
 use crate::algebra::GraphPattern;
-use crate::gosn::{EdgeKind, Gosn, SnId};
+use crate::gosn::{EdgeKind, Gosn, SnId, TpId};
 use std::collections::BTreeSet;
 
 /// One well-designedness violation: variable `var` occurs in the slave side
@@ -42,58 +42,42 @@ pub fn violations(pattern: &GraphPattern) -> Vec<Violation> {
     }
 }
 
-/// Lists violations against a pre-built GoSN (TP order must match).
+/// Lists violations against a pre-built GoSN (TP order must match). The
+/// walk reads the GoSN's variable ids and allocates only for the
+/// violations it finds.
 pub fn violations_with(pattern: &GraphPattern, gosn: &Gosn) -> Vec<Violation> {
-    let tps = pattern.triple_patterns();
     let mut out: BTreeSet<Violation> = BTreeSet::new();
     // Each subtree owns a contiguous TP index range in left-to-right order.
-    walk(pattern, 0, &tps, gosn, &mut out);
+    walk(pattern, 0, gosn, &mut out);
     out.into_iter().collect()
 }
 
 /// Recursively visits sub-patterns; returns the TP count of the subtree.
-fn walk(
-    p: &GraphPattern,
-    start: usize,
-    all: &[&crate::algebra::TriplePattern],
-    gosn: &Gosn,
-    out: &mut BTreeSet<Violation>,
-) -> usize {
+fn walk(p: &GraphPattern, start: TpId, gosn: &Gosn, out: &mut BTreeSet<Violation>) -> usize {
     match p {
         GraphPattern::Bgp(tps) => tps.len(),
-        GraphPattern::Filter(inner, _) => walk(inner, start, all, gosn, out),
+        GraphPattern::Filter(inner, _) => walk(inner, start, gosn, out),
         GraphPattern::Union(l, r) | GraphPattern::Join(l, r) => {
-            let ln = walk(l, start, all, gosn, out);
-            let rn = walk(r, start + ln, all, gosn, out);
-            ln + rn
+            let ln = walk(l, start, gosn, out);
+            ln + walk(r, start + ln, gosn, out)
         }
         GraphPattern::LeftJoin(l, r) => {
-            let ln = walk(l, start, all, gosn, out);
-            let rn = walk(r, start + ln, all, gosn, out);
-            let whole = start..start + ln + rn;
-            let right = start + ln..start + ln + rn;
-            // Variables of Pk (the master side).
-            let mut master_vars: BTreeSet<&str> = BTreeSet::new();
-            for tp in &all[start..start + ln] {
-                master_vars.extend(tp.vars());
-            }
+            let ln = walk(l, start, gosn, out);
+            let rn = walk(r, start + ln, gosn, out);
+            let (master, whole) = (start..start + ln, start..start + ln + rn);
             // For each var of Pl: does it occur outside P' but not in Pk?
-            for l_idx in right.clone() {
-                for v in all[l_idx].vars() {
-                    if master_vars.contains(v) {
+            for l_idx in start + ln..whole.end {
+                for v in gosn.vars_of_tp(l_idx) {
+                    if master.clone().any(|tp| gosn.tp_has_var(tp, v)) {
                         continue;
                     }
-                    for (o_idx, tp) in all.iter().enumerate() {
-                        if whole.contains(&o_idx) {
-                            continue;
-                        }
-                        if tp.has_var(v) {
-                            out.insert(Violation {
-                                var: v.to_string(),
-                                slave_sn: gosn.sn_of_tp(l_idx),
-                                outside_sn: gosn.sn_of_tp(o_idx),
-                            });
-                        }
+                    let outside = (0..gosn.n_tps()).filter(|o| !whole.contains(o));
+                    for o_idx in outside.filter(|&o| gosn.tp_has_var(o, v)) {
+                        out.insert(Violation {
+                            var: gosn.vars().name(v).to_string(),
+                            slave_sn: gosn.sn_of_tp(l_idx),
+                            outside_sn: gosn.sn_of_tp(o_idx),
+                        });
                     }
                 }
             }

@@ -81,6 +81,37 @@ fn arb_pattern() -> impl Strategy<Value = GraphPattern> {
     })
 }
 
+/// Whether `to` is reachable from `from` over a path that crosses at
+/// least one ⟕ edge, by breadth-first search over (node, crossed one yet).
+fn reaches_over_uni(g: &Gosn, from: usize, to: usize) -> bool {
+    let mut seen = vec![[false; 2]; g.n_supernodes()];
+    let mut queue = vec![(from, false)];
+    seen[from][0] = true;
+    while let Some((x, used)) = queue.pop() {
+        let uni = g
+            .uni_edges()
+            .iter()
+            .filter(|e| e.0 == x)
+            .map(|e| (e.1, true));
+        let bi = g.bi_edges().iter().filter_map(|&(a, b)| {
+            (a == x)
+                .then_some((b, false))
+                .or((b == x).then_some((a, false)))
+        });
+        for (y, crossed) in uni.chain(bi) {
+            let used = used || crossed;
+            if y == to && used {
+                return true;
+            }
+            if !seen[y][used as usize] {
+                seen[y][used as usize] = true;
+                queue.push((y, used));
+            }
+        }
+    }
+    false
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -89,7 +120,7 @@ proptest! {
     /// the multigraph parallel-edge reading which the GoT shares).
     #[test]
     fn lemma_3_2(tps in prop::collection::vec(arb_tp(), 1..8)) {
-        let goj = Goj::from_tps(&tps);
+        let goj = Goj::new(&Gosn::from_pattern(&GraphPattern::Bgp(tps.clone())).unwrap());
         let got = Got::from_tps(&tps);
         // Simple-graph cycles in GoJ must show up as GoT cycles.
         if got.is_acyclic() {
@@ -148,6 +179,16 @@ proptest! {
         // TP ↔ SN mapping is consistent.
         for tp in 0..gosn.n_tps() {
             prop_assert!(gosn.tps_of_sn(gosn.sn_of_tp(tp)).contains(&tp));
+        }
+        // Masters are §2.2's definition, searched directly: `s` is reachable
+        // from `m` over a path with at least one ⟕ edge (⋈ edges both ways),
+        // on the NWD-transformed GoSN too.
+        let transformed = lbr_sparql::classify::analyze(&pattern).unwrap().gosn;
+        for g in [&gosn, &transformed] {
+            for s in 0..n {
+                let want: Vec<usize> = (0..n).filter(|&m| m != s && reaches_over_uni(g, m, s)).collect();
+                prop_assert_eq!(g.masters_of(s), &want[..]);
+            }
         }
     }
 

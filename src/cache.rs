@@ -297,15 +297,12 @@ impl PlanCache {
         }
 
         // Miss: run the planning pipeline outside the lock, on the view
-        // pinned above. Parse and plan each get a trace span so EXPLAIN
-        // ANALYZE / `/debug/traces` show where a cold query's time went
-        // (a hit skips both, which is the point of the cache).
-        let t_parse = std::time::Instant::now();
-        let query = crate::parse_query(text)?;
-        lbr_obs::span_since("parse", t_parse, &[("bytes", text.len() as u64)]);
-        let t_plan = std::time::Instant::now();
+        // pinned above. Parsing and planning each record their one span
+        // (`parse` here, `plan` inside `LbrEngine::plan`), so
+        // `/debug/traces` shows where a cold query's time went (a hit
+        // skips both, which is the point of the cache).
+        let query = crate::parse_traced(text)?;
         let cached = Arc::new(CachedPlan::prepare(&view, query)?);
-        lbr_obs::span_since("plan", t_plan, &[]);
         self.lru.miss();
         Ok(self.lru.insert(key, view.epoch(), cached, 0))
     }

@@ -434,7 +434,7 @@ impl Database {
 
     /// Parses and executes a query.
     pub fn execute(&self, query_text: &str) -> Result<QueryOutput, core::LbrError> {
-        let query = parse_query(query_text)?;
+        let query = parse_traced(query_text)?;
         self.execute_query(&query)
     }
 
@@ -447,7 +447,7 @@ impl Database {
     /// and decoding share one snapshot, so a concurrent update between
     /// the two cannot mismatch IDs and dictionary.
     pub fn solutions(&self, query_text: &str) -> Result<Solutions<'_>, core::LbrError> {
-        let query = parse_query(query_text)?;
+        let query = parse_traced(query_text)?;
         let snap = self.store.current_ref();
         Ok(lbr(snap).execute(&query)?.into_solutions(snap.dict()))
     }
@@ -458,7 +458,7 @@ impl Database {
     /// same semantics ASK applies). `ASK` short-circuits inside the LBR
     /// engine: the multi-way join stops at the first surviving row.
     pub fn ask(&self, query_text: &str) -> Result<bool, core::LbrError> {
-        let mut query = parse_query(query_text)?;
+        let mut query = parse_traced(query_text)?;
         if !query.is_ask() && query.dedup() == Dedup::None {
             // Same truth value, but the ASK form unlocks the existence
             // fast path (DISTINCT + OFFSET must keep SELECT semantics:
@@ -500,7 +500,7 @@ impl Database {
     /// [`PreparedQuery::execute`] / [`PreparedQuery::solutions`] skip
     /// straight to execution.
     pub fn prepare(&self, query_text: &str) -> Result<PreparedQuery<'_>, core::LbrError> {
-        self.prepare_query(parse_query(query_text)?)
+        self.prepare_query(parse_traced(query_text)?)
     }
 
     /// Prepares an already-parsed query.
@@ -627,6 +627,15 @@ impl ReadView {
     ) -> Result<QueryOutput, core::LbrError> {
         execute_plan_on(&self.snap, cached, deadline)
     }
+}
+
+/// Parses a query under the one `parse` span: what `Database::execute`,
+/// `solutions`, `ask`, `prepare` and the plan cache's miss path call.
+fn parse_traced(text: &str) -> Result<Query, lbr_sparql::SparqlError> {
+    let t = std::time::Instant::now();
+    let query = parse_query(text);
+    lbr_obs::span_since("parse", t, &[("bytes", text.len() as u64)]);
+    query
 }
 
 /// The LBR engine over `snap`'s data: what every `Database` query runs.

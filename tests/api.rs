@@ -390,6 +390,43 @@ fn durations(spans: &[lbr::obs::Span], stage: &str) -> Vec<u64> {
     named.map(|s| s.dur_us).collect()
 }
 
+/// Each planning records exactly one `plan` span, whoever planned, and
+/// each parse through the facade one `parse` span; a prepared or cached
+/// plan records neither. EXPLAIN ANALYZE plans inside its trace and
+/// prints the `plan` line.
+#[test]
+fn each_planning_records_one_plan_span() {
+    const QUERY: &str = "SELECT ?f WHERE { <Jerry> <hasFriend> ?f . }";
+    let db = Database::builder()
+        .triples(triples())
+        .updatable()
+        .build()
+        .unwrap();
+    let count = |spans: &[lbr::obs::Span], name: &str| durations(spans, name).len();
+    let (_, spans) = traced_spans(|| db.execute(QUERY).unwrap());
+    assert_eq!((count(&spans, "parse"), count(&spans, "plan")), (1, 1));
+    let mut spans = Vec::new();
+    let prepared = lbr::core::traced(&mut spans, || db.prepare(QUERY).unwrap());
+    assert_eq!((count(&spans, "parse"), count(&spans, "plan")), (1, 1));
+    let (_, spans) = traced_spans(|| prepared.execute().unwrap());
+    assert_eq!((count(&spans, "parse"), count(&spans, "plan")), (0, 0));
+    let cache = lbr::PlanCache::new(4);
+    for want in [1, 0] {
+        let (_, spans) = traced_spans(|| db.execute_cached(&cache, QUERY).unwrap());
+        assert_eq!(
+            (count(&spans, "parse"), count(&spans, "plan")),
+            (want, want)
+        );
+    }
+    // A plan from an older epoch is planned again: one more `plan` span.
+    db.update("INSERT DATA { <Jerry> <hasFriend> <Kramer> }")
+        .unwrap();
+    let (out, spans) = traced_spans(|| prepared.execute().unwrap());
+    assert_eq!((out.len(), count(&spans, "plan")), (3, 1));
+    let text = db.explain_analyze(QUERY).unwrap();
+    assert!(text.lines().any(|l| l.starts_with("plan: ")), "{text}");
+}
+
 /// Every stage of a traced execution shows up in the drained spans on
 /// both entry points: one-shot `Database::execute` and the prepared
 /// (cached-plan) path the server and the benchmark use. `finalize` is

@@ -193,7 +193,7 @@ fn a_live_step_reading_a_dead_binding_keeps_every_step() {
     use lbr::core::jvar_order::get_jvar_order;
     use lbr::core::multiway::{multi_way_join, schedule, JoinInputs};
     use lbr::core::prune::{prune_triples, PruneScratch};
-    use lbr::core::selectivity::estimate_all;
+    use lbr::core::selectivity::{estimate_all, resolve};
     use lbr::sparql::{Goj, Gosn};
     use lbr::Catalog as _;
 
@@ -209,25 +209,18 @@ fn a_live_step_reading_a_dead_binding_keeps_every_step() {
     .unwrap();
     assert!(!is_well_designed(&q.pattern));
     let gosn = Gosn::from_pattern(&q.pattern).unwrap();
-    let goj = Goj::from_tps(gosn.tps());
-    let vt = VarTable::from_tps(gosn.tps()).unwrap();
-    let est = estimate_all(gosn.tps(), db.dict(), db.store());
-    let jorder = get_jvar_order(&gosn, &goj, &vt, &est);
+    let goj = Goj::new(&gosn);
+    let vt = VarTable::new(&gosn).unwrap();
+    let keys = resolve(&q.pattern, &gosn, db.dict());
+    let est = estimate_all(&keys, db.store());
+    let jorder = get_jvar_order(&gosn, &goj, &est);
     let mut scratch = PruneScratch::new();
-    let mut tps = init(
-        &gosn,
-        &vt,
-        &jorder,
-        &est,
-        db.dict(),
-        db.store(),
-        &mut scratch,
-    )
-    .unwrap()
-    .tps
-    .unwrap();
+    let mut tps = init(&gosn, &keys, &jorder, &est, db.store(), &mut scratch)
+        .unwrap()
+        .tps
+        .unwrap();
     let dims = db.store().dims();
-    prune_triples(&mut tps, &gosn, &goj, &vt, &jorder, &dims, &mut scratch);
+    prune_triples(&mut tps, &gosn, &goj, &jorder, &dims, &mut scratch);
     assert!(tps[1].is_empty(), "B's TP is pruned to nothing");
     let order = schedule(&mut tps, &gosn);
     let (rows, stats) = multi_way_join(&JoinInputs {
@@ -256,4 +249,32 @@ fn a_live_step_reading_a_dead_binding_keeps_every_step() {
     assert_eq!(got.len(), 2);
     assert!(got.iter().all(|r| r[vt.id("v").unwrap()].is_none()));
     assert_eq!(got, want);
+}
+
+/// Pins LBR's answer on an NWD query where the Appendix-B definition and
+/// SPARQL part ways. In `?s <p> ?o OPTIONAL { ?o <q> ?x } OPTIONAL
+/// { ?x <r> ?y }`, `?x` of the second OPTIONAL also occurs in the first
+/// OPTIONAL and not in the master, so both ⟕ edges become inner joins:
+/// LBR (and `reordered`) return only the row where every part matches.
+/// SPARQL's answer (the reference oracle) also keeps `<a> <a> <c> "1"`,
+/// where the second OPTIONAL binds `?x` on its own; the pairwise engines
+/// keep `<a> <a> NULL NULL`. The README states this deviation; this test
+/// makes sure a rewrite of the violation walk cannot change it silently.
+#[test]
+fn nwd_chain_through_two_optionals_keeps_the_appendix_b_answer() {
+    let db =
+        Database::from_ntriples("<a> <p> <b> .\n<b> <q> <c> .\n<a> <p> <a> .\n<c> <r> \"1\" .\n")
+            .unwrap();
+    let query = "SELECT * WHERE { ?s <p> ?o OPTIONAL { ?o <q> ?x } OPTIONAL { ?x <r> ?y } }";
+    let q = parse_query(query).unwrap();
+    assert!(!is_well_designed(&q.pattern));
+    let out = db.execute_query(&q).unwrap();
+    assert_eq!(out.vars, ["s", "o", "x", "y"]);
+    assert_eq!(out.render(db.dict()), ["<a>\t<b>\t<c>\t\"1\""]);
+    let sparql = db
+        .engine_of(lbr::EngineKind::Reference)
+        .execute(&q)
+        .unwrap();
+    assert_eq!(sparql.len(), 2, "SPARQL keeps <a> <a> <c> \"1\" too");
+    assert_transformed_semantics(&db, query);
 }

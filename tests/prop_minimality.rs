@@ -10,14 +10,14 @@
 //! holds folds and logs of another pruning.
 
 use lbr::bitmat::{BitVec, CubeDims};
-use lbr::core::bindings::{op_space_len, Binding, VarTable};
+use lbr::core::bindings::{op_space_len, Binding};
 use lbr::core::init::{absolute_master_empty, init, Axes, TpData, TpState};
-use lbr::core::jvar_order::{get_jvar_order, JvarOrder};
+use lbr::core::jvar_order::JvarOrder;
 use lbr::core::multiway::{multi_way_join, schedule, JoinInputs};
 use lbr::core::prune::{prune_triples, PruneOutcome, PruneScratch};
-use lbr::core::selectivity::estimate_all;
+use lbr::core::BranchPlan;
 use lbr::sparql::algebra::{GraphPattern, TermPattern, TriplePattern};
-use lbr::sparql::classify::{analyze, Analyzed};
+use lbr::sparql::classify::Analyzed;
 use lbr::{Catalog, Database, Term, Triple};
 use proptest::prelude::*;
 
@@ -77,18 +77,16 @@ proptest! {
         let db = lbr::Database::from_triples(triples);
         let pattern = shaped_query(shape, p);
         prop_assume!(lbr::sparql::is_well_designed(&pattern));
-        let analyzed = analyze(&pattern).unwrap();
+        let b = BranchPlan::new(&pattern, db.dict(), db.store()).unwrap();
+        let analyzed = &b.analyzed;
         prop_assume!(!analyzed.class.cyclic && analyzed.class.connected);
-        let gosn = &analyzed.gosn;
-        let vt = VarTable::from_tps(gosn.tps()).unwrap();
-        let est = estimate_all(gosn.tps(), db.dict(), db.store());
-        let jorder = get_jvar_order(gosn, &analyzed.goj, &vt, &est);
+        let (gosn, vt, jorder) = (&analyzed.gosn, &b.vt, &b.jorder);
         let mut scratch = PruneScratch::new();
-        let Some(mut tps) = init(gosn, &vt, &jorder, &est, db.dict(), db.store(), &mut scratch).unwrap().tps else {
+        let Some(mut tps) = init(gosn, &b.keys, jorder, &b.estimates, db.store(), &mut scratch).unwrap().tps else {
             return Ok(()); // an absolute master emptied at load: no rows to be minimal about
         };
         let outcome = prune_triples(
-            &mut tps, gosn, &analyzed.goj, &vt, &jorder, &db.store().dims(), &mut scratch,
+            &mut tps, gosn, &analyzed.goj, jorder, &db.store().dims(), &mut scratch,
         );
         if outcome == PruneOutcome::EmptyAbsoluteMaster {
             return Ok(()); // nothing left to be minimal about
@@ -98,7 +96,7 @@ proptest! {
             tps: &tps,
             order: &order,
             gosn,
-            vt: &vt,
+            vt,
             dims: db.store().dims(),
             dict: db.dict(),
             fan_filters: Vec::new(),
@@ -151,13 +149,12 @@ proptest! {
 fn reference_prune(
     tps: &mut [TpState],
     a: &Analyzed,
-    vt: &VarTable,
     order: &JvarOrder,
     dims: &CubeDims,
 ) -> PruneOutcome {
     let (gosn, goj) = (&a.gosn, &a.goj);
     for &var in order.bottom_up.iter().chain(&order.top_down) {
-        let Some(node) = goj.node_of(vt.name(var)) else {
+        let Some(node) = goj.node_of(var) else {
             continue;
         };
         let holders: Vec<usize> = (0..gosn.n_tps())
@@ -220,24 +217,15 @@ fn contents(tps: &[TpState]) -> Vec<Vec<(u32, u32)>> {
         .collect()
 }
 
-/// One planned query over `db`: its analysis, variable table, estimates
-/// and jvar order, or `None` when it is not an acyclic, connected,
-/// well-designed pattern.
-fn plan(
-    db: &Database,
-    pattern: &GraphPattern,
-) -> Option<(Analyzed, VarTable, Vec<u64>, JvarOrder)> {
+/// One planned query over `db`, or `None` when it is not an acyclic,
+/// connected, well-designed pattern.
+fn plan(db: &Database, pattern: &GraphPattern) -> Option<BranchPlan> {
     if !lbr::sparql::is_well_designed(pattern) {
         return None;
     }
-    let analyzed = analyze(pattern).unwrap();
-    if analyzed.class.cyclic || !analyzed.class.connected {
-        return None;
-    }
-    let vt = VarTable::from_tps(analyzed.gosn.tps()).unwrap();
-    let est = estimate_all(analyzed.gosn.tps(), db.dict(), db.store());
-    let jorder = get_jvar_order(&analyzed.gosn, &analyzed.goj, &vt, &est);
-    Some((analyzed, vt, est, jorder))
+    let b = BranchPlan::new(pattern, db.dict(), db.store()).unwrap();
+    let class = &b.analyzed.class;
+    (!class.cyclic && class.connected).then_some(b)
 }
 
 proptest! {
@@ -261,20 +249,22 @@ proptest! {
             .collect();
         let mut scratch = PruneScratch::new();
         let mut loaded = Vec::new();
-        for (a, vt, est, jorder) in &planned {
-            let out = init(&a.gosn, vt, jorder, est, db.dict(), db.store(), &mut scratch).unwrap();
+        for b in &planned {
+            let (gosn, keys, est) = (&b.analyzed.gosn, &b.keys, &b.estimates);
+            let out = init(gosn, keys, &b.jorder, est, db.store(), &mut scratch).unwrap();
             loaded.push(out.tps);
         }
         // Pruned in load order: the first query after the second one's
         // init; then a clone of each original, after that original.
-        for ((a, vt, _, jorder), tps) in planned.iter().zip(&loaded) {
+        for (b, tps) in planned.iter().zip(&loaded) {
             let Some(tps) = tps else { continue };
+            let (a, jorder) = (&b.analyzed, &b.jorder);
             let mut want = tps.clone();
-            let want_outcome = reference_prune(&mut want, a, vt, jorder, &dims);
+            let want_outcome = reference_prune(&mut want, a, jorder, &dims);
             for round in ["first", "clone after the original"] {
                 let mut got = tps.clone();
                 let outcome =
-                    prune_triples(&mut got, &a.gosn, &a.goj, vt, jorder, &dims, &mut scratch);
+                    prune_triples(&mut got, &a.gosn, &a.goj, jorder, &dims, &mut scratch);
                 prop_assert_eq!(outcome, want_outcome, "{}", round);
                 prop_assert_eq!(contents(&got), contents(&want), "{}", round);
                 prop_assert!(scratch.ran() <= scratch.intersections(), "every run ANDs");
