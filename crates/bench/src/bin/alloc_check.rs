@@ -87,25 +87,25 @@ const JOIN_CONSTANT: u64 = 64;
 /// vectors per structure (GoSN, GoJ, variable table, resolved TPs,
 /// estimates, jvar orders) plus one string per output column.
 const PLAN_ALLOCS: [(&str, &str, u64); 19] = [
-    ("LUBM", "Q1", 39),
-    ("LUBM", "Q2", 45),
-    ("LUBM", "Q3", 43),
-    ("LUBM", "Q4", 34),
-    ("LUBM", "Q5", 34),
-    ("LUBM", "Q6", 37),
-    ("UniProt", "Q1", 45),
-    ("UniProt", "Q2", 43),
-    ("UniProt", "Q3", 40),
-    ("UniProt", "Q4", 37),
-    ("UniProt", "Q5", 40),
-    ("UniProt", "Q6", 40),
-    ("UniProt", "Q7", 39),
-    ("DBPedia", "Q1", 45),
-    ("DBPedia", "Q2", 42),
-    ("DBPedia", "Q3", 39),
-    ("DBPedia", "Q4", 41),
-    ("DBPedia", "Q5", 37),
-    ("DBPedia", "Q6", 50),
+    ("LUBM", "Q1", 37),
+    ("LUBM", "Q2", 42),
+    ("LUBM", "Q3", 41),
+    ("LUBM", "Q4", 32),
+    ("LUBM", "Q5", 32),
+    ("LUBM", "Q6", 35),
+    ("UniProt", "Q1", 43),
+    ("UniProt", "Q2", 41),
+    ("UniProt", "Q3", 38),
+    ("UniProt", "Q4", 35),
+    ("UniProt", "Q5", 38),
+    ("UniProt", "Q6", 38),
+    ("UniProt", "Q7", 37),
+    ("DBPedia", "Q1", 43),
+    ("DBPedia", "Q2", 40),
+    ("DBPedia", "Q3", 37),
+    ("DBPedia", "Q4", 39),
+    ("DBPedia", "Q5", 35),
+    ("DBPedia", "Q6", 48),
 ];
 
 fn main() {

@@ -203,9 +203,10 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         let t = Instant::now();
         let branches = rewrite_to_unf(&query.pattern);
         let any_rule3 = branches.iter().any(|b| b.used_rule3);
-        let planned = (branches.iter())
-            .map(|b| BranchPlan::new(&b.pattern, self.dict, self.catalog))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut planned = Vec::with_capacity(branches.len());
+        for b in &branches {
+            planned.push(BranchPlan::new(&b.pattern, self.dict, self.catalog)?);
+        }
         let (exec_vars, n_projected) = query.exec_schema();
         lbr_obs::span_since("plan", t, &[("branches", planned.len() as u64)]);
         Ok(LbrPlan {

@@ -127,6 +127,7 @@ impl Goj {
     }
 
     /// Node id of a variable, if it is a join variable.
+    #[inline]
     pub fn node_of(&self, var: VarId) -> Option<usize> {
         self.node.get(var).copied().filter(|&x| x != usize::MAX)
     }
@@ -142,11 +143,13 @@ impl Goj {
     }
 
     /// Jvar node ids present in TP `i`.
+    #[inline]
     pub fn jvars_of_tp(&self, i: TpId) -> &[usize] {
         self.lists.get(i)
     }
 
     /// Neighbours of a jvar node, ascending.
+    #[inline]
     pub fn neighbours(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
         self.lists.get(self.n_tps + node).iter().copied()
     }

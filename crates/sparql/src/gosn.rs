@@ -97,8 +97,9 @@ impl Vars {
     }
 }
 
-/// Id lists in one flat vector: list `i` is `items[ends[i - 1]..ends[i]]`.
-#[derive(Debug, Clone, Default)]
+/// Id lists in one flat vector: list `i` is `items[ends[i]..ends[i + 1]]`
+/// (`ends` starts at 0, so a lookup does not branch).
+#[derive(Debug, Clone)]
 pub(crate) struct Lists {
     pub(crate) items: Vec<usize>,
     ends: Vec<usize>,
@@ -106,15 +107,17 @@ pub(crate) struct Lists {
 
 impl Lists {
     pub(crate) fn with_capacity(lists: usize, items: usize) -> Lists {
+        let mut ends = Vec::with_capacity(lists + 1);
+        ends.push(0);
         Lists {
             items: Vec::with_capacity(items),
-            ends: Vec::with_capacity(lists),
+            ends,
         }
     }
 
+    #[inline]
     pub(crate) fn get(&self, i: usize) -> &[usize] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.items[start..self.ends[i]]
+        &self.items[self.ends[i]..self.ends[i + 1]]
     }
 
     /// Ends the list being filled (what `items` gained since the last).
@@ -123,8 +126,8 @@ impl Lists {
     }
 
     fn truncate(&mut self, lists: usize) {
-        self.ends.truncate(lists);
-        self.items.truncate(self.ends.last().copied().unwrap_or(0));
+        self.ends.truncate(lists + 1);
+        self.items.truncate(self.ends[lists]);
     }
 }
 
@@ -188,7 +191,7 @@ impl Gosn {
             },
             tps: Vec::with_capacity(n_tps),
             n_sns: 0,
-            lists: Lists::with_capacity(5 * n_tps, n_tps * (3 * n_tps + 2)),
+            lists: Lists::with_capacity(5 * n_tps, 8 * n_tps),
             uni: Vec::new(),
             bi: Vec::new(),
             peer_group: Vec::new(),
@@ -336,10 +339,14 @@ impl Gosn {
         }
         // Masters are transitive and include a master's peers, so the
         // slaves of a peer group's members are all the failure closure
-        // adds to the group.
+        // adds to the group: fold each member's row into its root's.
+        for p in (0..n).filter(|&p| pg[p] != p) {
+            for x in 0..n {
+                reach[pg[p] * n + x] |= reach[p * n + x];
+            }
+        }
         for sn in 0..n {
-            let fails =
-                |x: usize| pg[x] == pg[sn] || (0..n).any(|p| pg[p] == pg[sn] && reach[p * n + x]);
+            let fails = |x: usize| pg[x] == pg[sn] || reach[pg[sn] * n + x];
             self.lists.items.extend((0..n).filter(|&x| fails(x)));
             self.lists.close();
         }
@@ -350,6 +357,7 @@ impl Gosn {
         self.peer_group = pg;
     }
 
+    #[inline]
     fn list(&self, kind: usize, sn: SnId) -> &[usize] {
         self.lists.get(kind * self.n_sns + sn)
     }
@@ -371,6 +379,7 @@ impl Gosn {
 
     /// The variable of each position (S, P, O) of a TP; `None` for a
     /// constant.
+    #[inline]
     pub fn tp_vars(&self, tp: TpId) -> [Option<VarId>; 3] {
         self.tps[tp].1
     }
@@ -384,26 +393,31 @@ impl Gosn {
     }
 
     /// True if the variable occurs in the TP.
+    #[inline]
     pub fn tp_has_var(&self, tp: TpId, var: VarId) -> bool {
         self.tp_vars(tp).contains(&Some(var))
     }
 
     /// The supernode containing a triple pattern.
+    #[inline]
     pub fn sn_of_tp(&self, tp: TpId) -> SnId {
         self.tps[tp].0
     }
 
     /// Triple patterns of a supernode (consecutive ids).
+    #[inline]
     pub fn tps_of_sn(&self, sn: SnId) -> &[TpId] {
         self.list(TPS, sn)
     }
 
     /// The masters of a supernode (transitive, ascending).
+    #[inline]
     pub fn masters_of(&self, sn: SnId) -> &[SnId] {
         self.list(MASTERS, sn)
     }
 
     /// The supernodes `sn` is a (transitive) master of, ascending.
+    #[inline]
     pub fn slaves_of(&self, sn: SnId) -> &[SnId] {
         self.list(SLAVES, sn)
     }
@@ -411,42 +425,50 @@ impl Gosn {
     /// Every supernode that fails when `sn` fails, `sn` included: its
     /// peer group (an inner-join group produces rows only as a unit) and
     /// every slave of a member. Ascending.
+    #[inline]
     pub fn failure_closure(&self, sn: SnId) -> &[SnId] {
         self.list(CLOSURE, sn)
     }
 
     /// True when the supernode has no master (§2.2 "absolute master").
+    #[inline]
     pub fn is_absolute_master(&self, sn: SnId) -> bool {
         self.masters_of(sn).is_empty()
     }
 
     /// Supernodes in the same peer group (including `sn` itself).
+    #[inline]
     pub fn peers_of(&self, sn: SnId) -> &[SnId] {
         self.list(PEERS, self.peer_group[sn])
     }
 
     /// True when two supernodes are peers (connected via only bi edges).
+    #[inline]
     pub fn are_peers(&self, a: SnId, b: SnId) -> bool {
         self.peer_group[a] == self.peer_group[b]
     }
 
     /// True when `master` is a (transitive) master of `slave`.
+    #[inline]
     pub fn is_master_of(&self, master: SnId, slave: SnId) -> bool {
         self.masters_of(slave).binary_search(&master).is_ok()
     }
 
     /// TP-level master test: is `tp_i`'s supernode a master of `tp_j`'s?
     /// (The paper's `slave-of(tpj, tpi)` in Alg 3.2.)
+    #[inline]
     pub fn tp_is_master_of(&self, tp_i: TpId, tp_j: TpId) -> bool {
         self.is_master_of(self.sn_of_tp(tp_i), self.sn_of_tp(tp_j))
     }
 
     /// TP-level peer test (same supernode or peer supernodes).
+    #[inline]
     pub fn tp_are_peers(&self, a: TpId, b: TpId) -> bool {
         self.are_peers(self.sn_of_tp(a), self.sn_of_tp(b))
     }
 
     /// True when the TP sits in an absolute-master supernode.
+    #[inline]
     pub fn tp_in_absolute_master(&self, tp: TpId) -> bool {
         self.is_absolute_master(self.sn_of_tp(tp))
     }

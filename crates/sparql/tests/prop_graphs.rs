@@ -188,6 +188,13 @@ proptest! {
             for s in 0..n {
                 let want: Vec<usize> = (0..n).filter(|&m| m != s && reaches_over_uni(g, m, s)).collect();
                 prop_assert_eq!(g.masters_of(s), &want[..]);
+                // What fails with `s`: its peers and every slave of one.
+                let peers = g.peers_of(s);
+                let mut fails: Vec<usize> = peers.to_vec();
+                fails.extend(peers.iter().flat_map(|&p| g.slaves_of(p)));
+                fails.sort_unstable();
+                fails.dedup();
+                prop_assert_eq!(g.failure_closure(s), &fails[..]);
             }
         }
     }
