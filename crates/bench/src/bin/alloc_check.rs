@@ -87,25 +87,25 @@ const JOIN_CONSTANT: u64 = 64;
 /// vectors per structure (GoSN, GoJ, variable table, resolved TPs,
 /// estimates, jvar orders) plus one string per output column.
 const PLAN_ALLOCS: [(&str, &str, u64); 19] = [
-    ("LUBM", "Q1", 37),
-    ("LUBM", "Q2", 42),
-    ("LUBM", "Q3", 41),
-    ("LUBM", "Q4", 32),
-    ("LUBM", "Q5", 32),
-    ("LUBM", "Q6", 35),
-    ("UniProt", "Q1", 43),
-    ("UniProt", "Q2", 41),
-    ("UniProt", "Q3", 38),
-    ("UniProt", "Q4", 35),
-    ("UniProt", "Q5", 38),
-    ("UniProt", "Q6", 38),
-    ("UniProt", "Q7", 37),
-    ("DBPedia", "Q1", 43),
-    ("DBPedia", "Q2", 40),
-    ("DBPedia", "Q3", 37),
-    ("DBPedia", "Q4", 39),
-    ("DBPedia", "Q5", 35),
-    ("DBPedia", "Q6", 48),
+    ("LUBM", "Q1", 35),
+    ("LUBM", "Q2", 40),
+    ("LUBM", "Q3", 39),
+    ("LUBM", "Q4", 30),
+    ("LUBM", "Q5", 30),
+    ("LUBM", "Q6", 33),
+    ("UniProt", "Q1", 41),
+    ("UniProt", "Q2", 39),
+    ("UniProt", "Q3", 36),
+    ("UniProt", "Q4", 33),
+    ("UniProt", "Q5", 36),
+    ("UniProt", "Q6", 36),
+    ("UniProt", "Q7", 35),
+    ("DBPedia", "Q1", 41),
+    ("DBPedia", "Q2", 38),
+    ("DBPedia", "Q3", 35),
+    ("DBPedia", "Q4", 37),
+    ("DBPedia", "Q5", 33),
+    ("DBPedia", "Q6", 46),
 ];
 
 fn main() {

@@ -10,7 +10,7 @@ use crate::error::LbrError;
 use crate::QueryStats;
 use lbr_bitmat::CubeDims;
 use lbr_rdf::{Dictionary, Dimension, Term};
-use lbr_sparql::gosn::{Gosn, Vars};
+use lbr_sparql::gosn::Gosn;
 
 /// Dense per-query variable index (the GoSN's).
 pub use lbr_sparql::gosn::VarId;
@@ -78,11 +78,11 @@ pub fn op_space_len(dims: &CubeDims, positions: impl IntoIterator<Item = Dimensi
     }
 }
 
-/// Per-query variable table: name ↔ id ↔ space, over the ids the GoSN
-/// interned.
+/// The binding space of each query variable, indexed by the ids the GoSN
+/// interned: the one variable table is the GoSN's ([`Gosn::vars`], names
+/// ↔ ids), and this adds what execution needs per id.
 #[derive(Debug, Clone, Default)]
 pub struct VarTable {
-    vars: Vars,
     spaces: Vec<VarSpace>,
 }
 
@@ -117,10 +117,7 @@ impl VarTable {
                 }
             });
         }
-        Ok(VarTable {
-            vars: gosn.vars().clone(),
-            spaces,
-        })
+        Ok(VarTable { spaces })
     }
 
     /// Number of variables.
@@ -133,24 +130,9 @@ impl VarTable {
         self.spaces.is_empty()
     }
 
-    /// Id of a variable name.
-    pub fn id(&self, name: &str) -> Option<VarId> {
-        self.vars.id(name)
-    }
-
-    /// Name of a variable id.
-    pub fn name(&self, id: VarId) -> &str {
-        self.vars.name(id)
-    }
-
     /// Binding space of a variable.
     pub fn space(&self, id: VarId) -> VarSpace {
         self.spaces[id]
-    }
-
-    /// All names in id order, as owned strings (a relation's schema).
-    pub fn names(&self) -> Vec<String> {
-        self.vars.names().map(str::to_string).collect()
     }
 }
 
@@ -301,7 +283,13 @@ mod tests {
     use lbr_sparql::algebra::{GraphPattern, TermPattern, TriplePattern};
 
     fn table(tps: Vec<TriplePattern>) -> Result<VarTable, LbrError> {
-        VarTable::new(&Gosn::from_pattern(&GraphPattern::Bgp(tps)).unwrap())
+        table_of(tps).map(|(vt, _)| vt)
+    }
+
+    /// The variable table of a BGP, with the GoSN that names its ids.
+    fn table_of(tps: Vec<TriplePattern>) -> Result<(VarTable, Gosn), LbrError> {
+        let gosn = Gosn::from_pattern(&GraphPattern::Bgp(tps)).unwrap();
+        VarTable::new(&gosn).map(|vt| (vt, gosn))
     }
 
     fn tp(s: &str, p: &str, o: &str) -> TriplePattern {
@@ -322,13 +310,13 @@ mod tests {
             tp("?b", "q", "?c"),
             tp("?d", "?pv", "x"),
         ];
-        let vt = table(tps).unwrap();
+        let (vt, gosn) = table_of(tps).unwrap();
+        let space = |v| vt.space(gosn.vars().id(v).unwrap());
         assert_eq!(vt.len(), 5);
-        assert_eq!(vt.space(vt.id("a").unwrap()), VarSpace::Subject);
-        assert_eq!(vt.space(vt.id("b").unwrap()), VarSpace::Shared);
-        assert_eq!(vt.space(vt.id("c").unwrap()), VarSpace::Object);
-        assert_eq!(vt.space(vt.id("pv").unwrap()), VarSpace::Predicate);
-        assert_eq!(vt.name(vt.id("d").unwrap()), "d");
+        assert_eq!(space("a"), VarSpace::Subject);
+        assert_eq!(space("b"), VarSpace::Shared);
+        assert_eq!(space("c"), VarSpace::Object);
+        assert_eq!(space("pv"), VarSpace::Predicate);
     }
 
     #[test]

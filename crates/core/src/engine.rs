@@ -35,6 +35,7 @@ use lbr_bitmat::Catalog;
 use lbr_rdf::Dictionary;
 use lbr_sparql::algebra::{Expr, GraphPattern, Modifiers, Query, QueryForm};
 use lbr_sparql::classify::{analyze, Analyzed};
+use lbr_sparql::gosn::Gosn;
 use lbr_sparql::rewrite::rewrite_to_unf;
 use std::cell::RefCell;
 use std::time::Instant;
@@ -356,7 +357,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         let aborted = |mut stats: QueryStats| {
             stats.aborted_empty = true;
             Ok(PartResult {
-                rel: Relation::empty(vt.names()),
+                rel: Relation::empty(schema(gosn)),
                 stats,
                 needs_best_match: false,
             })
@@ -379,7 +380,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         for sn in 0..gosn.n_supernodes() {
             for expr in gosn.sn_filters(sn) {
                 match gosn.mask_var(sn, expr) {
-                    Some(var) => self.apply_filter_mask(sn, var, expr, gosn, vt, &mut tps),
+                    Some(var) => self.apply_filter_mask(sn, var, expr, gosn, &mut tps),
                     None => fan_filters.push((sn, expr)),
                 }
             }
@@ -474,7 +475,7 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
 
         Ok(PartResult {
             rel: Relation {
-                vars: vt.names(),
+                vars: schema(gosn),
                 rows,
             },
             stats,
@@ -514,11 +515,10 @@ impl<'a, C: Catalog> LbrEngine<'a, C> {
         sn: usize,
         var: VarId,
         expr: &Expr,
-        gosn: &lbr_sparql::gosn::Gosn,
-        vt: &VarTable,
+        gosn: &Gosn,
         tps: &mut [TpState],
     ) {
-        let name = vt.name(var);
+        let name = gosn.vars().name(var);
         let dims = self.catalog.dims();
         for &tp in gosn.tps_of_sn(sn) {
             // Fold in the TP's own position dimension so candidate IDs
@@ -575,6 +575,11 @@ impl<C: Catalog> Engine for LbrEngine<'_, C> {
     fn execute(&self, query: &Query) -> Result<QueryOutput, LbrError> {
         LbrEngine::execute(self, query)
     }
+}
+
+/// A branch's row schema: its variable names in id order.
+fn schema(gosn: &Gosn) -> Vec<String> {
+    gosn.vars().names().map(str::to_string).collect()
 }
 
 fn merge_stats(acc: &mut QueryStats, part: &QueryStats) {

@@ -82,10 +82,10 @@ fn branch_tps(query: &Query) -> Vec<Vec<String>> {
 fn explain_branch(out: &mut String, branch: &BranchPlan, tps: &[String]) {
     let BranchPlan {
         analyzed,
-        vt,
         keys,
         estimates,
         jorder,
+        ..
     } = branch;
     let gosn = &analyzed.gosn;
     let _ = writeln!(out, "GoSN: {}", gosn.serialized());
@@ -121,7 +121,7 @@ fn explain_branch(out: &mut String, branch: &BranchPlan, tps: &[String]) {
     }
     let names = |vars: &[usize]| -> String {
         vars.iter()
-            .map(|&v| format!("?{}", vt.name(v)))
+            .map(|&v| format!("?{}", gosn.vars().name(v)))
             .collect::<Vec<_>>()
             .join(" ")
     };
@@ -273,10 +273,10 @@ fn render_branch(out: &mut String, branch: &BranchPlan, tps: &[String], group: &
                 continue;
             }
             seen.push(var);
-            let name = branch.vt.name(var as usize);
+            let gosn = &branch.analyzed.gosn;
+            let name = gosn.vars().name(var as usize);
             // Planner-side bound: the smallest estimate among the
             // TPs that bind this variable.
-            let gosn = &branch.analyzed.gosn;
             let est = (0..gosn.n_tps())
                 .filter(|&tp| gosn.tp_has_var(tp, var as usize))
                 .map(|tp| branch.estimates[tp])

@@ -920,8 +920,8 @@ mod tests {
 
     #[test]
     fn fold_unfold_roundtrip_on_state() {
-        let (mut tps, _, vt) = setup(Q2);
-        let friend = vt.id("friend").unwrap();
+        let (mut tps, gosn, vt) = setup(Q2);
+        let friend = gosn.vars().id("friend").unwrap();
         let space = vt.space(friend);
         assert_eq!(space, VarSpace::Shared);
         let tp1 = &mut tps[1];

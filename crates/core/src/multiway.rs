@@ -605,7 +605,7 @@ struct ScopedLookup<'c, 'a> {
 impl VarLookup for ScopedLookup<'_, '_> {
     fn term(&self, name: &str) -> Option<&Term> {
         let ctx = self.ctx;
-        let id = ctx.inp.vt.id(name)?;
+        let id = ctx.inp.gosn.vars().id(name)?;
         let b = ctx.slots[id].filter(|_| self.scope[id] && !ctx.failed[ctx.var_sn[id]])?;
         Some(b.decode(ctx.inp.dict))
     }
@@ -875,7 +875,11 @@ mod tests {
             deadline: None,
         };
         let (rows, stats) = multi_way_join(&inputs);
-        (vt.names(), rows, stats)
+        (
+            a.gosn.vars().names().map(str::to_string).collect(),
+            rows,
+            stats,
+        )
     }
 
     fn run(query: &str) -> (Vec<String>, Vec<Vec<Option<String>>>, ExecStats) {
@@ -1064,14 +1068,15 @@ mod tests {
     /// TP is reached through its column variable and is transposed.
     #[test]
     fn only_a_tp_reached_through_its_column_is_transposed() {
-        let (a, vt, mut tps, _) = pruned(&graph(), Q2);
+        let (a, _, mut tps, _) = pruned(&graph(), Q2);
         let loaded = axes(&tps[1]);
-        assert_eq!(loaded.row_var, vt.id("friend").unwrap());
+        assert_eq!(loaded.row_var, a.gosn.vars().id("friend").unwrap());
         schedule(&mut tps, &a.gosn);
         assert_eq!(axes(&tps[1]), loaded, "reached through its rows");
 
-        let (a, vt, mut tps, _) = pruned(&chain_graph(3), CHAIN);
-        let (o, r) = (vt.id("o").unwrap(), vt.id("r").unwrap());
+        let (a, _, mut tps, _) = pruned(&chain_graph(3), CHAIN);
+        let (o, r) = (a.gosn.vars().id("o"), a.gosn.vars().id("r"));
+        let (o, r) = (o.unwrap(), r.unwrap());
         let loaded = axes(&tps[1]);
         assert_eq!((loaded.row_var, loaded.col_var), (r, o));
         assert_eq!(schedule(&mut tps, &a.gosn), vec![0, 1]);

@@ -237,7 +237,7 @@ fn a_live_step_reading_a_dead_binding_keeps_every_step() {
     assert_eq!((stats.steps, stats.dropped), (3, 0), "every step kept");
 
     let sql = evaluate_reference(&q, db.dict(), db.store(), Semantics::NullIntolerant).unwrap();
-    let cols: Vec<usize> = (vt.names().iter())
+    let cols: Vec<usize> = (gosn.vars().names())
         .map(|v| sql.vars.iter().position(|x| x == v).unwrap())
         .collect();
     let mut want: Vec<Vec<Option<lbr::core::Binding>>> = (sql.rows.iter())
@@ -247,7 +247,9 @@ fn a_live_step_reading_a_dead_binding_keeps_every_step() {
     want.sort();
     got.sort();
     assert_eq!(got.len(), 2);
-    assert!(got.iter().all(|r| r[vt.id("v").unwrap()].is_none()));
+    assert!(got
+        .iter()
+        .all(|r| r[gosn.vars().id("v").unwrap()].is_none()));
     assert_eq!(got, want);
 }
 

@@ -119,7 +119,7 @@ proptest! {
                         prop_assert!(
                             rows.iter().any(|r| r[*var] == Some(want)),
                             "dangling candidate {id} of tp{} (?{})",
-                            state.id, vt.name(*var)
+                            state.id, gosn.vars().name(*var)
                         );
                     }
                 }
