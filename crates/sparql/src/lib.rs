@@ -14,7 +14,8 @@
 //! * [`gosn`] — the **graph of supernodes** (§2): OPT-free BGPs as
 //!   supernodes, unidirectional edges for left-outer joins, bidirectional
 //!   edges for inner joins, and the derived *master / slave / peer /
-//!   absolute-master* relations;
+//!   absolute-master* relations, over TP ids and the query's one
+//!   variable table ([`Vars`], interned while the GoSN is built);
 //! * [`goj`] — the graphs of triple patterns (GoT) and of join variables
 //!   (GoJ) with acyclicity tests (§3.1, Lemma 3.2);
 //! * [`well_designed`] — Pérez et al.'s well-designedness test and the
