@@ -13,7 +13,7 @@
 use crate::hash_join::{hash_join, Kind};
 use crate::scan::scan_tp;
 use crate::Relation;
-use lbr_bitmat::{Catalog, Family};
+use lbr_bitmat::Catalog;
 use lbr_core::best_match::best_match;
 use lbr_core::bindings::Binding;
 use lbr_core::selectivity::{estimate_all, resolve};
@@ -297,12 +297,7 @@ impl<'a, C: Catalog> ReorderedEngine<'a, C> {
         let s = resolve(&tp.s, Dimension::Subject)?;
         let p = resolve(&tp.p, Dimension::Predicate)?;
         let o = resolve(&tp.o, Dimension::Object)?;
-        let hit = self
-            .catalog
-            .row(Family::Po, s, p)
-            .ok()?
-            .is_some_and(|r| r.as_ref().contains(o));
-        Some(hit)
+        self.catalog.contains(s, p, o).ok()
     }
 }
 

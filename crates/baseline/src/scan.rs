@@ -3,7 +3,7 @@
 //! evaluation compares executors, not storage.
 
 use crate::Relation;
-use lbr_bitmat::{BitMat, Catalog, Family};
+use lbr_bitmat::{BitMat, Catalog, Family, SetScratch};
 use lbr_core::bindings::Binding;
 use lbr_core::LbrError;
 use lbr_rdf::{Dictionary, Dimension};
@@ -42,24 +42,22 @@ pub fn scan_tp(
     }
 
     let b = |id: u32, dim: Dimension| Some(Binding::new(id, dim, n_shared));
+    let mut scratch = SetScratch::default();
     match (sv, pv, ov) {
         (None, None, None) => {
-            let hit = catalog
-                .row(Family::Po, s_id.unwrap(), p_id.unwrap())?
-                .is_some_and(|row| row.as_ref().contains(o_id.unwrap()));
-            if hit {
+            if catalog.contains(s_id.unwrap(), p_id.unwrap(), o_id.unwrap())? {
                 rel.rows.push(Vec::new());
             }
         }
         (Some(_), None, None) => {
-            if let Some(row) = catalog.row(Family::Ps, o_id.unwrap(), p_id.unwrap())? {
+            if let Some(row) = catalog.row(Family::Os, p_id.unwrap(), o_id.unwrap())? {
                 for s in row.as_ref().iter_ones() {
                     rel.rows.push(vec![b(s, Dimension::Subject)]);
                 }
             }
         }
         (None, None, Some(_)) => {
-            if let Some(row) = catalog.row(Family::Po, s_id.unwrap(), p_id.unwrap())? {
+            if let Some(row) = catalog.row(Family::So, p_id.unwrap(), s_id.unwrap())? {
                 for o in row.as_ref().iter_ones() {
                     rel.rows.push(vec![b(o, Dimension::Object)]);
                 }
@@ -84,28 +82,27 @@ pub fn scan_tp(
             }
         }
         (None, Some(p), Some(o)) if p != o => {
-            if let Some(mat) = catalog.matrix(Family::Po, s_id.unwrap())? {
-                for (r, c) in BitMat::as_ref(&mat).iter() {
-                    rel.rows
-                        .push(vec![b(r, Dimension::Predicate), b(c, Dimension::Object)]);
-                }
+            let mat =
+                catalog.predicate_matrix(Family::So, s_id.unwrap(), None, None, &mut scratch)?;
+            for (r, c) in mat.iter().flat_map(|m| m.as_ref().iter()) {
+                rel.rows
+                    .push(vec![b(r, Dimension::Predicate), b(c, Dimension::Object)]);
             }
         }
         (Some(s), Some(p), None) if p != s => {
-            if let Some(mat) = catalog.matrix(Family::Ps, o_id.unwrap())? {
-                for (r, c) in BitMat::as_ref(&mat).iter() {
-                    rel.rows
-                        .push(vec![b(r, Dimension::Predicate), b(c, Dimension::Subject)]);
-                }
+            let mat =
+                catalog.predicate_matrix(Family::Os, o_id.unwrap(), None, None, &mut scratch)?;
+            // Columns follow the TP's variables: the subject first.
+            for (r, c) in mat.iter().flat_map(|m| m.as_ref().iter()) {
+                rel.rows
+                    .push(vec![b(c, Dimension::Subject), b(r, Dimension::Predicate)]);
             }
         }
         (None, Some(_), None) => {
-            if let Some(mat) = catalog.matrix(Family::Po, s_id.unwrap())? {
-                let o = o_id.unwrap();
-                for (r, c) in BitMat::as_ref(&mat).iter() {
-                    if c == o {
-                        rel.rows.push(vec![b(r, Dimension::Predicate)]);
-                    }
+            let (s, o) = (s_id.unwrap(), o_id.unwrap());
+            for &p in catalog.predicates(Family::So, s)?.iter() {
+                if catalog.contains(s, p, o)? {
+                    rel.rows.push(vec![b(p, Dimension::Predicate)]);
                 }
             }
         }
@@ -238,6 +235,50 @@ mod tests {
                 .rows
                 .len(),
             1
+        );
+    }
+
+    /// A row's cells follow the relation's variables, in TP order, for
+    /// each shape with a variable predicate.
+    #[test]
+    fn variable_predicate_cells_follow_the_tp_order() {
+        let (g, st) = store();
+        let decoded = |s: &str, p: &str, o: &str| {
+            let rel = scan_tp(&pat(s, p, o), &g.dict, &st).unwrap();
+            let mut rows: Vec<Vec<String>> = rel
+                .rows
+                .iter()
+                .map(|r| {
+                    r.iter()
+                        .map(|b| b.unwrap().decode(&g.dict).to_string())
+                        .collect()
+                })
+                .collect();
+            rows.sort();
+            (rel.vars, rows)
+        };
+        let row = |cells: &[&str]| cells.iter().map(|c| c.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            decoded("?s", "?x", "c"),
+            (
+                vec!["s".into(), "x".into()],
+                vec![row(&["<a>", "<p>"]), row(&["<b>", "<q>"])]
+            )
+        );
+        assert_eq!(
+            decoded("a", "?x", "?y"),
+            (
+                vec!["x".into(), "y".into()],
+                vec![
+                    row(&["<p>", "<b>"]),
+                    row(&["<p>", "<c>"]),
+                    row(&["<r>", "<a>"])
+                ]
+            )
+        );
+        assert_eq!(
+            decoded("a", "?x", "c"),
+            (vec!["x".into()], vec![row(&["<p>"])])
         );
     }
 }

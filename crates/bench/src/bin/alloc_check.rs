@@ -400,4 +400,8 @@ impl Catalog for Touching<'_> {
     fn row_count(&self, f: Family, key: u32, r: u32) -> u64 {
         self.overlay.row_count(f, key, r)
     }
+
+    fn predicates(&self, f: Family, r: u32) -> Result<Cow<'_, [u32]>, BitMatError> {
+        self.overlay.predicates(f, r)
+    }
 }

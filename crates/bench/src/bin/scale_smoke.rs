@@ -1,7 +1,7 @@
 //! CI scale smoke: generate a ~1M-triple LUBM tier, load its N-Triples
 //! text the way every text caller does (`EncodedGraph::from_ntriples` →
 //! `BitMatStore::build`), check that the one-pass load is byte-equal to
-//! `parse_ntriples` → `Graph::encode`, persist the store as a v3 segment,
+//! `parse_ntriples` → `Graph::encode`, persist the store as a v4 segment,
 //! and byte-compare every Appendix E query over the mmap'd segments
 //! against the heap store.
 //!

@@ -3,13 +3,20 @@
 //! §5 of the paper: *"with `init`, we load a BitMat for each TP in the
 //! query that contains the triples matching that TP"* — only the matrices a
 //! query touches are ever loaded, which is why a 41 GB index works on an
-//! 8 GB laptop. The whole storage contract is five methods keyed by a
+//! 8 GB laptop. The whole storage contract is six methods keyed by a
 //! [`Family`] value: one whole matrix ([`Catalog::matrix`]), the part of it
 //! a pair of masks keeps ([`Catalog::masked`]), one row of it
-//! ([`Catalog::row`]), and the two counts that answer selectivity questions
+//! ([`Catalog::row`]), the two counts that answer selectivity questions
 //! from metadata alone (Appendix D: *"condensed representation … helps us
 //! in quickly determining the number of triples in each BitMat and its
-//! selectivity"*).
+//! selectivity"*), and the predicates a subject or object has
+//! ([`Catalog::predicates`]).
+//!
+//! Only the S-O and O-S families are stored. The paper's P-O and P-S
+//! BitMats hold the same triples keyed by subject and by object, so a
+//! fixed-predicate pattern reads an S-O or O-S row, and a
+//! variable-predicate one gets its P-O or P-S matrix assembled from the
+//! rows of the listed predicates ([`Catalog::predicate_matrix`]).
 //!
 //! Whole loads are [`Cow`]s because the three catalogs produce them
 //! differently: [`crate::BitMatStore`] **lends** the matrix it holds (one
@@ -68,37 +75,36 @@ impl CubeDims {
     }
 }
 
-/// One of the four BitMat families of §4. The discriminants are the
-/// on-disk TOC order of the segment format and must not change.
+/// One of the two BitMat families kept here: the paper's S-O and O-S
+/// matrices per predicate (§4). Its P-O and P-S matrices are the same
+/// triples keyed by subject and by object: row `p` of the P-O BitMat of
+/// `s` is row `s` of the S-O BitMat of `p`, and so a catalog serves them
+/// from S-O and O-S rows ([`Catalog::predicate_matrix`]). The
+/// discriminants are the on-disk TOC order of the segment format and must
+/// not change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// S-O matrix per predicate (rows = subjects, cols = objects).
     So = 0,
     /// O-S matrix per predicate — the transpose of S-O.
     Os = 1,
-    /// P-O matrix per subject (rows = predicates, cols = objects).
-    Po = 2,
-    /// P-S matrix per object (rows = predicates, cols = subjects).
-    Ps = 3,
 }
 
 impl Family {
     /// Every family, in discriminant (= serialization) order.
-    pub const ALL: [Family; 4] = [Family::So, Family::Os, Family::Po, Family::Ps];
+    pub const ALL: [Family; 2] = [Family::So, Family::Os];
 
     /// The paper's name of the family.
     pub fn name(self) -> &'static str {
-        ["S-O", "O-S", "P-O", "P-S"][self as usize]
+        ["S-O", "O-S"][self as usize]
     }
 
-    /// `(n_keys, n_rows, n_cols)`: how many matrices the family has and
-    /// the shape each of them shares.
+    /// `(n_keys, n_rows, n_cols)`: how many matrices the family has (one
+    /// per predicate) and the shape each of them shares.
     pub fn shape(self, d: &CubeDims) -> (u32, u32, u32) {
         match self {
             Family::So => (d.n_predicates, d.n_subjects, d.n_objects),
             Family::Os => (d.n_predicates, d.n_objects, d.n_subjects),
-            Family::Po => (d.n_subjects, d.n_predicates, d.n_objects),
-            Family::Ps => (d.n_objects, d.n_predicates, d.n_subjects),
         }
     }
 
@@ -108,8 +114,6 @@ impl Family {
         match self {
             Family::So => (t.p, t.s, t.o),
             Family::Os => (t.p, t.o, t.s),
-            Family::Po => (t.s, t.p, t.o),
-            Family::Ps => (t.o, t.p, t.s),
         }
     }
 }
@@ -154,8 +158,8 @@ pub trait Catalog: Sync {
     ) -> Result<Option<BitMat>, BitMatError>;
 
     /// Row `r` of that BitMat: the candidates of a pattern with two fixed
-    /// positions — `(s p ?o)` is row `p` of the P-O BitMat of `s`, `(?s p
-    /// o)` row `p` of the P-S BitMat of `o` (§5 loading rules).
+    /// positions — `(s p ?o)` is row `s` of the S-O BitMat of `p`, `(?s p
+    /// o)` row `o` of the O-S BitMat of `p` (§5 loading rules).
     ///
     /// The heap store and the mmap catalog lend the row where it is
     /// stored ([`CowRow::Borrowed`]); only a row a delta edited is built
@@ -168,4 +172,53 @@ pub trait Catalog: Sync {
     /// Set-bit count of row `r` of that BitMat without loading the matrix
     /// body.
     fn row_count(&self, f: Family, key: u32, r: u32) -> u64;
+
+    /// The predicates whose BitMat in family `f` may have row `r`,
+    /// ascending: for S-O the predicates of subject `r`, for O-S those of
+    /// object `r` (the row ids of the paper's P-O and P-S BitMats). The heap
+    /// store and the mmap catalog list exactly the non-empty rows; an
+    /// overlay may list more, and a listed predicate whose row is empty
+    /// holds nothing. An out-of-range `r` has none.
+    fn predicates(&self, f: Family, r: u32) -> Result<Cow<'_, [u32]>, BitMatError>;
+
+    /// The paper's P-O BitMat of subject `r` (`f` = S-O) or P-S BitMat of
+    /// object `r` (`f` = O-S): its row `p` is row `r` of the BitMat of `p`
+    /// in `f`, for each listed predicate `p` ([`Catalog::predicates`]).
+    /// Masked like [`Catalog::masked`]: `rows` over the predicates, `cols`
+    /// over `f`'s columns; `None` when no triple survives. Only the rows of
+    /// the predicates `rows` keeps are read.
+    fn predicate_matrix(
+        &self,
+        f: Family,
+        r: u32,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> Result<Option<BitMat>, BitMatError> {
+        let dims = self.dims();
+        let (_, _, n_cols) = f.shape(&dims);
+        let preds = self.predicates(f, r)?;
+        let mut mat = BitMat::with_capacity(dims.n_predicates, n_cols, preds.len(), 0);
+        for &p in preds.iter().filter(|&&p| rows.is_none_or(|m| m.get(p))) {
+            if let Some(row) = self.row(f, p, r)? {
+                mat.push_masked(p, row.as_ref(), cols, scratch);
+            }
+        }
+        Ok((!mat.as_ref().is_empty()).then_some(mat))
+    }
+
+    /// Triple count of that P-O or P-S BitMat: the set-bit counts of row
+    /// `r` over the listed predicates (0 when the list is corrupt).
+    fn predicate_count(&self, f: Family, r: u32) -> u64 {
+        let preds = self.predicates(f, r).unwrap_or_default();
+        preds.iter().map(|&p| self.row_count(f, p, r)).sum()
+    }
+
+    /// Whether the triple `(s p o)` exists: the membership test of a
+    /// pattern with no variable, read from row `s` of the S-O BitMat of
+    /// `p`.
+    fn contains(&self, s: u32, p: u32, o: u32) -> Result<bool, BitMatError> {
+        let row = self.row(Family::So, p, s)?;
+        Ok(row.is_some_and(|row| row.as_ref().contains(o)))
+    }
 }

@@ -1,4 +1,4 @@
-//! On-disk BitMat segment format (v3) and the mmap-backed [`DiskCatalog`].
+//! On-disk BitMat segment format (v4) and the mmap-backed [`DiskCatalog`].
 //!
 //! The paper keeps its `2|Vp| + |Vs| + |Vo|` BitMats on disk (20–41 GB) and
 //! loads only the matrices a query's triple patterns need. We mirror that
@@ -10,15 +10,23 @@
 //! and [`crate::kernel::RowCursor`], without ever copying a row onto the
 //! heap.
 //!
+//! Only the `2|Vp|` S-O and O-S matrices are stored. In place of the
+//! paper's P-O and P-S families the segment holds their row ids alone: per
+//! subject and per object, the predicates it has ([`Catalog::predicates`]),
+//! one offsets array and one id array per direction, as the heap store
+//! holds them.
+//!
 //! ```text
 //! header page(s), zero-padded to a 4096-byte boundary:
-//!   magic    "LBRBM003"
-//!   version  u32 (= 3) | reserved u32 (= 0)
+//!   magic    "LBRBM004"
+//!   version  u32 (= 4) | reserved u32 (= 0)
 //!   blob_base u64           — absolute offset of the blob region (page-aligned)
 //!   dims     n_subjects u32 | n_predicates u32 | n_objects u32 | n_shared u32
 //!            | n_triples u64
-//!   toc      4 families × [ n_mats u32 | (key u32, offset u64, len u64,
-//!            count u64) × n_mats ]    — offsets relative to blob_base
+//!   toc      2 families (S-O, O-S) × [ n_mats u32 | (key u32, offset u64,
+//!            len u64, count u64) × n_mats ]
+//!   lists    2 directions (subjects, objects) × [ offset u64 | len u64 ]
+//!                                 — offsets relative to blob_base
 //! blob region, one matrix after another (its shape is its family's):
 //!   n_present u32 | n_words u32
 //!   ids      u32 × n_present      — the non-empty rows, ascending
@@ -28,6 +36,10 @@
 //!                                   bit 31 flags a runs body) and its bits
 //!   words    u32 × n_words        — the row bodies back to back: ascending
 //!                                   positions, or flattened [start, end) runs
+//! then the two predicate lists, subjects' then objects':
+//!   offsets  u32 × (n_rows + 1)   — row r's predicates are ids[offsets[r]
+//!                                   .. offsets[r + 1]]
+//!   ids      u32 × the rest       — ascending within each row
 //! ```
 //!
 //! Every length and offset is validated before it is used: the header and
@@ -35,14 +47,16 @@
 //! ids and spans once per open catalog, on the first touch that finds them
 //! sound ([`BitMatRef`]'s check: ids ascending below the family's row
 //! count, every span non-empty, ends ascending to exactly `n_words`, runs
-//! bodies of even length), and a row's body —
+//! bodies of even length), a row's body —
 //! order, the family's column bound, and its span's count — each time a
-//! load reads that row ([`crate::RowRef::checked`]). A truncated or corrupt file
-//! yields [`BitMatError::Corrupt`], never UB and never a panic; corrupt ids
-//! or spans do so on every touch, since only a passed check is remembered.
-//! Earlier formats — v1 (`LBRBM001`, byte-packed rows behind a seeking
-//! file handle) and v2 (`LBRBM002`, a row directory plus tagged row
-//! payloads) — are rejected with a clear error.
+//! load reads that row ([`crate::RowRef::checked`]), and a predicate list
+//! (its bounds, ascending, below `|Vp|`) each time it is read. A truncated
+//! or corrupt file yields [`BitMatError::Corrupt`], never UB and never a
+//! panic; corrupt ids or spans do so on every touch, since only a passed
+//! check is remembered. Earlier formats — v1 (`LBRBM001`, byte-packed rows
+//! behind a seeking file handle), v2 (`LBRBM002`, a row directory plus
+//! tagged row payloads) and v3 (`LBRBM003`, all four families) — are
+//! rejected with a clear error.
 //!
 //! [`Catalog::row`] (the paper's single-row loads for two-fixed-position
 //! patterns) and [`Catalog::row_count`] (selectivity metadata) binary-search
@@ -60,7 +74,7 @@ use crate::kernel::SetScratch;
 use crate::matrix::{BitMat, BitMatRef};
 use crate::mmap::{words_of, Mmap};
 use crate::row::CowRow;
-use crate::store::BitMatStore;
+use crate::store::{list_in, BitMatStore};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::File;
@@ -68,10 +82,14 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-const MAGIC: &[u8; 8] = b"LBRBM003";
+const MAGIC: &[u8; 8] = b"LBRBM004";
 /// Earlier formats, each rejected by name.
-const RETIRED: [(&[u8; 8], &str); 2] = [(b"LBRBM001", "v1"), (b"LBRBM002", "v2")];
-const VERSION: u32 = 3;
+const RETIRED: [(&[u8; 8], &str); 3] = [
+    (b"LBRBM001", "v1"),
+    (b"LBRBM002", "v2"),
+    (b"LBRBM003", "v3"),
+];
+const VERSION: u32 = 4;
 /// Page size the header region is padded to; blob region starts here-aligned.
 const PAGE: usize = 4096;
 /// Fixed header bytes before the TOC: magic(8) + version(4) + reserved(4)
@@ -91,8 +109,9 @@ fn corrupt(m: impl Into<String>) -> BitMatError {
     BitMatError::Corrupt(m.into())
 }
 
-/// Serializes a store to `path` in the v3 segment format, returning the
-/// number of bytes written. Each matrix's arrays are written as they are.
+/// Serializes a store to `path` in the v4 segment format, returning the
+/// number of bytes written. Each matrix's arrays, and each direction's
+/// predicate lists, are written as they are.
 pub fn save_store(store: &BitMatStore, path: &Path) -> Result<u64, BitMatError> {
     let dims = store.dims();
     let mats = || {
@@ -101,7 +120,7 @@ pub fn save_store(store: &BitMatStore, path: &Path) -> Result<u64, BitMatError> 
             .map(|(f, key, m)| (f, key, m.as_ref()));
         mats.filter(|(_, _, m)| !m.is_empty())
     };
-    let mut toc: [Vec<(u32, u64, u64, u64)>; 4] = Default::default();
+    let mut toc: [Vec<(u32, u64, u64, u64)>; 2] = Default::default();
     let mut blobs = 0;
     for (fam, key, mat) in mats() {
         // Its two counts and its three arrays.
@@ -109,6 +128,11 @@ pub fn save_store(store: &BitMatStore, path: &Path) -> Result<u64, BitMatError> 
         toc[fam as usize].push((key, blobs, len, mat.triple_count()));
         blobs += len;
     }
+    let lists = Family::ALL.map(|f| store.lists(f));
+    let list_toc = lists.map(|l| {
+        blobs += 4 * l.len() as u64;
+        (blobs - 4 * l.len() as u64, 4 * l.len() as u64)
+    });
     let mut header: Vec<u8> = Vec::new();
     header.extend_from_slice(MAGIC);
     header.extend_from_slice(&VERSION.to_le_bytes());
@@ -129,6 +153,10 @@ pub fn save_store(store: &BitMatStore, path: &Path) -> Result<u64, BitMatError> 
             header.extend_from_slice(&count.to_le_bytes());
         }
     }
+    for (offset, len) in list_toc {
+        header.extend_from_slice(&offset.to_le_bytes());
+        header.extend_from_slice(&len.to_le_bytes());
+    }
     let blob_base = header.len().next_multiple_of(PAGE);
     header[blob_base_at..blob_base_at + 8].copy_from_slice(&(blob_base as u64).to_le_bytes());
     header.resize(blob_base, 0);
@@ -140,6 +168,9 @@ pub fn save_store(store: &BitMatStore, path: &Path) -> Result<u64, BitMatError> 
         for w in counts.iter().chain(arrays.into_iter().flatten()) {
             f.write_all(&w.to_le_bytes())?;
         }
+    }
+    for w in lists.into_iter().flatten() {
+        f.write_all(&w.to_le_bytes())?;
     }
     f.flush()?;
     Ok(header.len() as u64 + blobs)
@@ -159,7 +190,9 @@ pub struct DiskCatalog {
     map: Mmap,
     dims: CubeDims,
     blob_base: usize,
-    toc: [HashMap<u32, TocEntry>; 4],
+    toc: [HashMap<u32, TocEntry>; 2],
+    /// Per direction, the absolute byte range of its predicate lists.
+    lists: [(usize, usize); 2],
 }
 
 impl std::fmt::Debug for DiskCatalog {
@@ -218,7 +251,13 @@ impl DiskCatalog {
             n_triples: u64_at(40)?,
         };
         let blob_len = bytes.len() - blob_base;
-        let mut toc: [HashMap<u32, TocEntry>; 4] = Default::default();
+        // The `len` bytes at `offset` into the blob region, when they lie
+        // in it as whole words.
+        let in_blobs = |offset: u64, len: u64| {
+            let end = offset.checked_add(len);
+            end.is_some_and(|end| end <= blob_len as u64) && offset.is_multiple_of(4)
+        };
+        let mut toc: [HashMap<u32, TocEntry>; 2] = Default::default();
         let mut at = FIXED_HEADER;
         for (f, fam) in Family::ALL.into_iter().zip(toc.iter_mut()) {
             let n = u32_at(at)? as usize;
@@ -229,10 +268,7 @@ impl DiskCatalog {
                 let len = u64_at(at + 12)?;
                 let count = u64_at(at + 20)?;
                 at += 28;
-                let end = offset
-                    .checked_add(len)
-                    .ok_or_else(|| corrupt("TOC overflow"))?;
-                if end > blob_len as u64 || offset % 4 != 0 {
+                if !in_blobs(offset, len) {
                     return Err(corrupt(format!(
                         "{} TOC entry of key {key} out of bounds",
                         f.name()
@@ -253,11 +289,27 @@ impl DiskCatalog {
                 return Err(corrupt("TOC extends past blob base"));
             }
         }
+        let mut lists = [(0, 0); 2];
+        for (f, list) in Family::ALL.into_iter().zip(&mut lists) {
+            let (offset, len) = (u64_at(at)?, u64_at(at + 8)?);
+            at += 16;
+            if !in_blobs(offset, len) {
+                return Err(corrupt(format!(
+                    "{} predicate lists out of bounds",
+                    f.name()
+                )));
+            }
+            *list = (blob_base + offset as usize, len as usize);
+        }
+        if at > blob_base {
+            return Err(corrupt("TOC extends past blob base"));
+        }
         Ok(DiskCatalog {
             map,
             dims,
             blob_base,
             toc,
+            lists,
         })
     }
 
@@ -342,6 +394,24 @@ impl Catalog for DiskCatalog {
             _ => 0,
         }
     }
+
+    fn predicates(&self, f: Family, r: u32) -> Result<Cow<'_, [u32]>, BitMatError> {
+        let (start, len) = self.lists[f as usize];
+        let words = self
+            .map
+            .as_slice()
+            .get(start..start + len)
+            .and_then(words_of);
+        let (_, n_rows, _) = f.shape(&self.dims);
+        let list = words.and_then(|w| list_in(w, n_rows, self.dims.n_predicates, r));
+        let malformed = || {
+            corrupt(format!(
+                "{} predicate list of row {r} is malformed",
+                f.name()
+            ))
+        };
+        list.map(Cow::Borrowed).ok_or_else(malformed)
+    }
 }
 
 #[cfg(test)]
@@ -397,26 +467,35 @@ mod tests {
                     assert_eq!(cat.row(f, key, r).unwrap(), store.row(f, key, r).unwrap());
                 }
             }
+            let (_, n_rows, _) = f.shape(&dims);
+            for r in 0..n_rows + 2 {
+                assert_eq!(
+                    cat.predicates(f, r).unwrap(),
+                    store.predicates(f, r).unwrap()
+                );
+                assert!(!store.predicates(f, r).unwrap().is_empty() || r >= n_rows);
+            }
         }
         // The mmap side decodes what the heap side lends.
         assert!(matches!(cat.matrix(Family::So, 0), Ok(Some(Cow::Owned(_)))));
         std::fs::remove_file(&dir).ok();
     }
 
-    /// The v3 byte layout, pinned: the Figure 3.2 graph serializes to
+    /// The v4 byte layout, pinned: the Figure 3.2 graph serializes to
     /// exactly these bytes (length and FNV-1a-64 recorded when segments
-    /// became the arena's three arrays). A reordered discriminant, TOC or
-    /// blob change fails here rather than as a benchmark digest mismatch.
+    /// dropped the P-O and P-S families for predicate lists). A reordered
+    /// discriminant, TOC, blob or list change fails here rather than as a
+    /// benchmark digest mismatch.
     #[test]
     fn segment_format_is_pinned() {
         let store = BitMatStore::build(&crate::store::tests::figure_3_2_graph());
         let path = std::env::temp_dir().join("lbr_bitmat_test_pin.idx");
-        assert_eq!(save_store(&store, &path).unwrap(), 4864);
+        assert_eq!(save_store(&store, &path).unwrap(), 4580);
         let bytes = std::fs::read(&path).unwrap();
         let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
-        assert_eq!((bytes.len(), fnv), (4864, 0x40ed_06e6_6f30_6e1f));
+        assert_eq!((bytes.len(), fnv), (4580, 0x34c5_3262_0f5e_9990));
         std::fs::remove_file(&path).ok();
     }
 
@@ -766,8 +845,128 @@ mod tests {
         save_store(&store, &path).unwrap();
         let cat = DiskCatalog::open(&path).unwrap();
         assert!(cat.matrix(Family::So, 9999).unwrap().is_none());
-        assert!(cat.row(Family::Po, 0, 9999).unwrap().is_none());
-        assert_eq!(cat.row_count(Family::Ps, 9999, 0), 0);
+        assert!(cat.row(Family::So, 0, 9999).unwrap().is_none());
+        assert_eq!(cat.row_count(Family::Os, 9999, 0), 0);
+        assert!(cat.predicates(Family::Os, 9999).unwrap().is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A segment of the retired v3 format (all four families) is rejected
+    /// by name, though its header is otherwise well formed.
+    #[test]
+    fn v3_segment_is_rejected_by_name() {
+        let path = std::env::temp_dir().join("lbr_bitmat_test_v3.idx");
+        save_store(&sample_store(), &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"LBRBM003");
+        put(&mut bytes, 8, 3);
+        std::fs::write(&path, &bytes).unwrap();
+        match DiskCatalog::open(&path) {
+            Err(BitMatError::Corrupt(m)) => assert_eq!(
+                m,
+                "v3 index (LBRBM003) is no longer supported; re-save the store"
+            ),
+            other => panic!("expected corrupt error, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A predicate list is checked each time it is read: offsets that do
+    /// not bound a slice of the ids, ids that do not ascend and an id past
+    /// the predicates are `Corrupt` for the rows they touch, and the other
+    /// rows' lists still read what the heap store lists. Lists that do not
+    /// fit in the file fail at open.
+    #[test]
+    fn malformed_predicate_lists_are_corrupt() {
+        let store = sample_store();
+        let path = std::env::temp_dir().join("lbr_bitmat_test_bad_lists.idx");
+        save_store(&store, &path).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        let cat = DiskCatalog::open(&path).unwrap();
+        let dims = cat.dims();
+        let (start, _) = cat.lists[Family::So as usize];
+        drop(cat);
+        // The subjects' offsets start the section; their ids follow.
+        let ids_at = start + 4 * (dims.n_subjects as usize + 1);
+        let listed = |r: u32| store.predicates(Family::So, r).unwrap().len();
+        let (two, first) = (
+            (0..dims.n_subjects).find(|&r| listed(r) >= 2).unwrap(),
+            listed(0),
+        );
+        let word_of = |r: u32| ids_at + 4 * store.lists(Family::So)[r as usize] as usize;
+        let (two_at, first_at) = (word_of(two), word_of(0));
+        type Patch = Box<dyn Fn(&mut [u8])>;
+        let patches: [(&str, u32, Patch); 3] = [
+            (
+                "an offset past the ids",
+                0,
+                Box::new(move |b| put(b, start + 4, u32::MAX)),
+            ),
+            (
+                "ids not ascending",
+                two,
+                Box::new(move |b: &mut [u8]| {
+                    let w = u32::from_le_bytes(b[two_at + 4..two_at + 8].try_into().unwrap());
+                    put(b, two_at, w);
+                }),
+            ),
+            (
+                "an id past the predicates",
+                0,
+                Box::new(move |b| put(b, first_at, dims.n_predicates)),
+            ),
+        ];
+        assert!(first >= 1);
+        for (what, bad, patch) in patches {
+            let mut bytes = full.clone();
+            patch(&mut bytes);
+            std::fs::write(&path, &bytes).unwrap();
+            let cat = DiskCatalog::open(&path).unwrap();
+            assert!(is_corrupt(cat.predicates(Family::So, bad)), "{what}");
+            assert_eq!(cat.predicate_count(Family::So, bad), 0, "{what}");
+            let mut scratch = SetScratch::default();
+            let got = cat.predicate_matrix(Family::So, bad, None, None, &mut scratch);
+            assert!(is_corrupt(got), "{what}");
+            for r in (0..dims.n_subjects).filter(|&r| r != bad && r != bad + 1) {
+                assert_eq!(
+                    cat.predicates(Family::So, r).unwrap(),
+                    store.predicates(Family::So, r).unwrap(),
+                    "{what}: row {r}"
+                );
+            }
+            assert_eq!(
+                cat.predicates(Family::Os, 0).unwrap(),
+                store.predicates(Family::Os, 0).unwrap()
+            );
+        }
+        // A section longer than the file fails at open; one too short for
+        // its offsets, or not whole words, on every read.
+        for len in [
+            u64::MAX / 2,
+            4 * u64::from(dims.n_subjects),
+            4 * u64::from(dims.n_subjects) + 6,
+        ] {
+            let mut bytes = full.clone();
+            let toc_end = {
+                let n = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+                let so = n(FIXED_HEADER) as usize;
+                let os_at = FIXED_HEADER + 4 + 28 * so;
+                os_at + 4 + 28 * n(os_at) as usize
+            };
+            bytes[toc_end + 8..toc_end + 16].copy_from_slice(&len.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match DiskCatalog::open(&path) {
+                Ok(cat) => {
+                    assert!(len < u64::MAX / 2);
+                    assert!((0..dims.n_subjects).all(|r| is_corrupt(cat.predicates(Family::So, r))));
+                    assert_eq!(
+                        cat.predicates(Family::Os, 0).unwrap(),
+                        store.predicates(Family::Os, 0).unwrap()
+                    );
+                }
+                Err(e) => assert!(len == u64::MAX / 2 && matches!(e, BitMatError::Corrupt(_))),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -9,13 +9,6 @@ pub enum BitMatError {
     Io(std::io::Error),
     /// The on-disk index is malformed.
     Corrupt(String),
-    /// A requested matrix key is outside the catalog's dimensions.
-    KeyOutOfRange {
-        /// Which family was queried (`"S-O"`, `"P-S"`, …).
-        family: &'static str,
-        /// The offending key.
-        key: u32,
-    },
 }
 
 impl fmt::Display for BitMatError {
@@ -23,9 +16,6 @@ impl fmt::Display for BitMatError {
         match self {
             BitMatError::Io(e) => write!(f, "I/O error: {e}"),
             BitMatError::Corrupt(m) => write!(f, "corrupt BitMat index: {m}"),
-            BitMatError::KeyOutOfRange { family, key } => {
-                write!(f, "key {key} out of range for {family} BitMats")
-            }
         }
     }
 }
@@ -54,12 +44,6 @@ mod tests {
         assert!(BitMatError::Corrupt("bad magic".into())
             .to_string()
             .contains("bad magic"));
-        assert!(BitMatError::KeyOutOfRange {
-            family: "S-O",
-            key: 7
-        }
-        .to_string()
-        .contains("S-O"));
         let io = BitMatError::from(std::io::Error::other("boom"));
         assert!(io.to_string().contains("boom"));
     }

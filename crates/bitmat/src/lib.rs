@@ -5,20 +5,26 @@
 //!
 //! The RDF dataset is conceptually a 3-D bitcube of dimensions
 //! `|Vs| × |Vp| × |Vo|`; a bit is set iff the corresponding `(S P O)` triple
-//! exists. Slicing the cube yields four families of 2-D BitMats:
+//! exists. The paper slices the cube into four families of 2-D BitMats —
+//! S-O and O-S per predicate, P-O per subject, P-S per object — for
+//! `2·|Vp| + |Vs| + |Vo|` matrices. Row `p` of the P-O BitMat of `s` is row
+//! `s` of the S-O BitMat of `p` (and likewise P-S of O-S), so only the two
+//! per-predicate families are stored ([`BitMatStore`], `2·|Vp|`
+//! matrices):
 //!
 //! * **S-O** and **O-S** BitMats per predicate (slicing the P dimension;
 //!   O-S is the transpose of S-O),
-//! * **P-O** BitMats per subject (slicing the S dimension),
-//! * **P-S** BitMats per object (slicing the O dimension),
-//!
-//! for a total of `2·|Vp| + |Vs| + |Vo|` matrices ([`BitMatStore`]).
+//! * per subject and per object, the list of its predicates — the P-O and
+//!   P-S BitMats' row ids without their bodies, from which a pattern with
+//!   a variable predicate assembles its P-O or P-S matrix
+//!   ([`Catalog::predicate_matrix`]).
 //!
 //! The family is a value ([`Family`]), so the storage contract
-//! ([`Catalog`]) is five methods — `matrix(f, key)`, `masked(f, key,
+//! ([`Catalog`]) is six methods — `matrix(f, key)`, `masked(f, key,
 //! rows, cols, ..)`, `row(f, key, r)`, `count(f, key)`, `row_count(f,
-//! key, r)` — that the heap store, the mmap'd [`DiskCatalog`] and
-//! `lbr-store`'s delta overlay each implement once. Whole loads are
+//! key, r)`, `predicates(f, r)` — that the heap store, the mmap'd
+//! [`DiskCatalog`] and `lbr-store`'s delta overlay each implement once.
+//! Whole loads are
 //! `Cow`s: the heap store lends its matrix, the mmap catalog decodes one,
 //! the overlay merges a delta into either; single rows are lent in place
 //! by both media ([`CowRow`]). The one caller that mutates, the engine's

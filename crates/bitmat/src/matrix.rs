@@ -169,8 +169,18 @@ impl BitMat {
         self.close_row(id, shape.count, shape.runs());
     }
 
-    /// Appends row `id` as `row & mask`, when anything is left of it.
-    fn push_masked(&mut self, id: u32, row: RowRef<'_>, mask: &BitVec, scratch: &mut SetScratch) {
+    /// Appends row `id` as `row & cols` (`None`: the whole row), when
+    /// anything is left of it.
+    pub(crate) fn push_masked(
+        &mut self,
+        id: u32,
+        row: RowRef<'_>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) {
+        let Some(mask) = cols else {
+            return self.push_row(id, row);
+        };
         and_mask_compute(row, mask, &mut scratch.pos);
         if !scratch.pos.is_empty() {
             self.push_positions(id, scratch.pos.iter().copied());
@@ -624,10 +634,7 @@ impl<'a> BitMatRef<'a> {
         let mut mat = BitMat::with_capacity(self.n_rows, self.n_cols, kept, words);
         let mut keep = |k: usize| -> Result<(), usize> {
             let row = read(self, k).ok_or(k)?;
-            match cols {
-                Some(mask) => mat.push_masked(self.ids[k], row, mask, scratch),
-                None => mat.push_row(self.ids[k], row),
-            }
+            mat.push_masked(self.ids[k], row, cols, scratch);
             Ok(())
         };
         match rows {

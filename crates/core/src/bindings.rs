@@ -92,11 +92,22 @@ impl VarTable {
     ///
     /// Rejects variables used in the predicate position *and* an S/O
     /// position — such joins cross incompatible ID spaces (the paper does
-    /// not consider P-dimension joins).
+    /// not consider P-dimension joins) — and a TP `(?x ?p ?x)`, which no
+    /// BitMat loads.
     pub fn new(gosn: &Gosn) -> Result<VarTable, LbrError> {
         let mut uses = vec![[false; 3]; gosn.vars().len()];
         for tp in 0..gosn.n_tps() {
-            for (pos, var) in gosn.tp_vars(tp).into_iter().enumerate() {
+            let vars = gosn.tp_vars(tp);
+            if let [Some(s), Some(_), Some(o)] = vars {
+                if s == o {
+                    return Err(LbrError::Unsupported(format!(
+                        "triple pattern tp{tp} repeats ?{} at its subject and object \
+                         under a variable predicate",
+                        gosn.vars().name(s)
+                    )));
+                }
+            }
+            for (pos, var) in vars.into_iter().enumerate() {
                 if let Some(v) = var {
                     uses[v][pos] = true;
                 }
@@ -323,6 +334,14 @@ mod tests {
     fn predicate_so_mix_rejected() {
         let tps = vec![tp("?x", "p", "?y"), tp("?a", "?x", "?b")];
         assert!(matches!(table(tps), Err(LbrError::Unsupported(_))));
+    }
+
+    #[test]
+    fn subject_object_repeat_under_a_variable_predicate_rejected() {
+        let tps = vec![tp("?x", "p", "?y"), tp("?x", "?p", "?x")];
+        assert!(matches!(table(tps), Err(LbrError::Unsupported(_))));
+        // A constant predicate reads the S-O diagonal.
+        assert!(table(vec![tp("?x", "p", "?x")]).is_ok());
     }
 
     #[test]

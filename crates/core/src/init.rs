@@ -1,17 +1,21 @@
 //! The `init` phase of Algorithm 5.1: load one BitMat (or one BitMat row)
 //! per triple pattern, with **active pruning**.
 //!
-//! Loading rules (§5):
+//! Loading rules (§5), over the S-O and O-S families the catalog keeps
+//! (the paper's P-O and P-S BitMats are assembled from their rows):
 //!
-//! * `(?v  f1 f2)` — one row of the P-S BitMat of `f2` (subject candidates);
-//! * `(f1  f2 ?v)` — one row of the P-O BitMat of `f1` (object candidates);
+//! * `(?v  f1 f2)` — row `f2` of the O-S BitMat of `f1` (subject
+//!   candidates);
+//! * `(f1  f2 ?v)` — row `f1` of the S-O BitMat of `f2` (object
+//!   candidates);
 //! * `(?a  f  ?b)` — the S-O or O-S BitMat of `f`; the variable that comes
 //!   first in `orderbu` (or the only join variable) becomes the row
 //!   dimension;
-//! * `(f   ?p ?o)` — the P-O BitMat of `f`;
-//! * `(?s  ?p f )` — the P-S BitMat of `f`;
-//! * `(f1  ?p f2)` — the P-O BitMat of `f1` masked to column `f2`
-//!   (predicate candidates);
+//! * `(f   ?p ?o)` — the P-O BitMat of `f`: row `f` of the S-O BitMat of
+//!   each predicate `f` has ([`Catalog::predicate_matrix`]);
+//! * `(?s  ?p f )` — the P-S BitMat of `f`, from O-S rows alike;
+//! * `(f1  ?p f2)` — predicate candidates: the predicates of `f1` whose
+//!   S-O row `f1` holds `f2`;
 //! * `(f1 f2 f3)` — a membership test;
 //! * `(?s ?p ?o)` — one S-O BitMat per predicate, an extension (the paper
 //!   lists this shape as "currently under development").
@@ -539,63 +543,51 @@ fn load_tp(
         preds,
         set,
     } = masks;
-    // A two-variable TP: the matrix of `key` in `f`, loaded through the
-    // masks of its row and column variables; empty when the key's constant
-    // is unknown to the dictionary or nothing survives the masks.
-    let mut two = |f: Family, key: Option<u32>, axes: Axes| -> Result<TpData, LbrError> {
+    // A two-variable TP: the matrix of `key` in `f` (with predicate rows,
+    // the P-O or P-S BitMat of `key` built from `f`'s rows), loaded through
+    // the masks of its row and column variables; empty when the key's
+    // constant is unknown to the dictionary or nothing survives the masks.
+    let mut two = |f: Family, key: Option<u32>, axes: Axes| -> Result<_, LbrError> {
         let row_at = feed.mask(axes.row_var, axes.row_dim, rows, memo);
         let col_at = feed.mask(axes.col_var, axes.col_dim, cols, memo);
         let (row_mask, col_mask) = (row_at.get(rows, memo), col_at.get(cols, memo));
         let mat = match key {
+            Some(key) if axes.row_dim == Dimension::Predicate => {
+                catalog.predicate_matrix(f, key, row_mask, col_mask, set)?
+            }
             Some(key) => catalog.masked(f, key, row_mask, col_mask, set)?,
             None => None,
         };
-        let (_, n_rows, n_cols) = f.shape(dims);
-        let mat = mat.unwrap_or_else(|| BitMat::empty(n_rows, n_cols));
+        let len = |d| op_space_len(dims, [d]);
+        let mat = mat.unwrap_or_else(|| BitMat::empty(len(axes.row_dim), len(axes.col_dim)));
         Ok(TpData::Two { axes, mat })
+    };
+    // Candidates from one row of the BitMat of `p` in `f`: `(f1 f2 ?v)`
+    // and `(?v f1 f2)`.
+    let one = |f: Family, p: Option<u32>, r: Option<u32>, var: VarId| -> Result<_, LbrError> {
+        let (_, _, n_cols) = f.shape(dims);
+        let row = match (known, p, r) {
+            (true, Some(p), Some(r)) => catalog.row(f, p, r)?,
+            _ => None,
+        };
+        let cands = row.map_or_else(|| BitVec::zeros(n_cols), |row| row.as_ref().to_bitvec());
+        let dim = match f {
+            Family::So => Dimension::Object,
+            Family::Os => Dimension::Subject,
+        };
+        Ok(TpData::One { var, dim, cands })
     };
 
     let mut data = match (sv, pv, ov) {
         // (f1 f2 f3): membership test.
         (None, None, None) => {
-            let present = known
-                && catalog
-                    .row(Family::Po, s_id.unwrap(), p_id.unwrap())?
-                    .is_some_and(|row| row.as_ref().contains(o_id.unwrap()));
+            let present = known && catalog.contains(s_id.unwrap(), p_id.unwrap(), o_id.unwrap())?;
             TpData::Zero { present }
         }
-        // (?v f1 f2): subject candidates from one P-S row.
-        (Some(v), None, None) => {
-            let cands = if known {
-                match catalog.row(Family::Ps, o_id.unwrap(), p_id.unwrap())? {
-                    Some(row) => row.as_ref().to_bitvec(),
-                    None => BitVec::zeros(dims.n_subjects),
-                }
-            } else {
-                BitVec::zeros(dims.n_subjects)
-            };
-            TpData::One {
-                var: v,
-                dim: Dimension::Subject,
-                cands,
-            }
-        }
-        // (f1 f2 ?v): object candidates from one P-O row.
-        (None, None, Some(v)) => {
-            let cands = if known {
-                match catalog.row(Family::Po, s_id.unwrap(), p_id.unwrap())? {
-                    Some(row) => row.as_ref().to_bitvec(),
-                    None => BitVec::zeros(dims.n_objects),
-                }
-            } else {
-                BitVec::zeros(dims.n_objects)
-            };
-            TpData::One {
-                var: v,
-                dim: Dimension::Object,
-                cands,
-            }
-        }
+        // (?v f1 f2): subject candidates from one O-S row.
+        (Some(v), None, None) => one(Family::Os, p_id, o_id, v)?,
+        // (f1 f2 ?v): object candidates from one S-O row.
+        (None, None, Some(v)) => one(Family::So, p_id, s_id, v)?,
         // (?a f ?b).
         (Some(a), None, Some(b)) if a != b => {
             // Row dimension: the variable that comes first in orderbu; a
@@ -638,36 +630,33 @@ fn load_tp(
             }
         }
         // (f ?p ?o): the P-O BitMat of the subject.
-        (None, Some(p), Some(o)) if p != o => {
+        (None, Some(p), Some(o)) => {
             let axes = Axes {
                 row_var: p,
                 row_dim: Dimension::Predicate,
                 col_var: o,
                 col_dim: Dimension::Object,
             };
-            two(Family::Po, s_id, axes)?
+            two(Family::So, s_id, axes)?
         }
         // (?s ?p f): the P-S BitMat of the object.
-        (Some(s), Some(p), None) if p != s => {
+        (Some(s), Some(p), None) => {
             let axes = Axes {
                 row_var: p,
                 row_dim: Dimension::Predicate,
                 col_var: s,
                 col_dim: Dimension::Subject,
             };
-            two(Family::Ps, o_id, axes)?
+            two(Family::Os, o_id, axes)?
         }
-        // (f1 ?p f2): predicate candidates — the P-O BitMat of f1 masked to
-        // column f2.
+        // (f1 ?p f2): predicate candidates — the predicates of f1 whose
+        // S-O row f1 holds f2.
         (None, Some(p), None) => {
             let mut cands = BitVec::zeros(dims.n_predicates);
-            if known {
-                if let Some(mat) = catalog.matrix(Family::Po, s_id.unwrap())? {
-                    let o = o_id.unwrap();
-                    for (r, row) in BitMat::as_ref(&mat).rows() {
-                        if row.contains(o) {
-                            cands.set(r);
-                        }
+            if let (true, Some(s), Some(o)) = (known, s_id, o_id) {
+                for &pid in catalog.predicates(Family::So, s)?.iter() {
+                    if catalog.contains(s, pid, o)? {
+                        cands.set(pid);
                     }
                 }
             }
@@ -680,7 +669,8 @@ fn load_tp(
         // (?s ?p ?o): one S-O BitMat per predicate (extension; the paper
         // lists this shape as under development), each slice loaded like
         // a two-variable TP; predicates the `?p` mask excludes are skipped.
-        (Some(s), Some(pv), Some(o)) if s != pv && pv != o && s != o => {
+        (Some(s), Some(pv), Some(o)) => {
+            debug_assert_ne!(s, o, "the variable table rejects (?x ?p ?x)");
             let p_at = feed.mask(pv, Dimension::Predicate, preds, memo);
             let s_at = feed.mask(s, Dimension::Subject, rows, memo);
             let o_at = feed.mask(o, Dimension::Object, cols, memo);
@@ -706,13 +696,6 @@ fn load_tp(
                 axes,
                 mats,
             }
-        }
-        // `(?x ?p ?x)`; a predicate variable repeated at S or O never
-        // gets here (the variable table rejects it at plan time).
-        _ => {
-            return Err(LbrError::Unsupported(format!(
-                "triple pattern tp{tp_id} repeats a variable across its three positions"
-            )));
         }
     };
     // One-variable TPs take their mask once.
@@ -855,6 +838,13 @@ mod tests {
         }
         fn row_count(&self, f: Family, key: u32, r: u32) -> u64 {
             self.inner.row_count(f, key, r)
+        }
+        fn predicates(
+            &self,
+            f: Family,
+            r: u32,
+        ) -> Result<std::borrow::Cow<'_, [u32]>, lbr_bitmat::BitMatError> {
+            self.inner.predicates(f, r)
         }
     }
 

@@ -65,20 +65,20 @@ pub fn estimated_count(tp: &TpKey, catalog: &impl Catalog) -> u64 {
     match ids {
         // (s p o): membership, 0 or 1 — report 1 (checked at init).
         [Some(_), Some(_), Some(_)] => 1,
-        // (?v p o): one P-S row.
-        [None, Some(p), Some(o)] => catalog.row_count(Family::Ps, o, p),
-        // (s p ?v): one P-O row.
-        [Some(s), Some(p), None] => catalog.row_count(Family::Po, s, p),
+        // (?v p o): one O-S row.
+        [None, Some(p), Some(o)] => catalog.row_count(Family::Os, p, o),
+        // (s p ?v): one S-O row.
+        [Some(s), Some(p), None] => catalog.row_count(Family::So, p, s),
         // (?a p ?b): the whole S-O BitMat of p.
         [None, Some(p), None] => catalog.count(Family::So, p),
         // (s ?p ?o): the P-O BitMat of s.
-        [Some(s), None, None] => catalog.count(Family::Po, s),
+        [Some(s), None, None] => catalog.predicate_count(Family::So, s),
         // (?s ?p o): the P-S BitMat of o.
-        [None, None, Some(o)] => catalog.count(Family::Ps, o),
+        [None, None, Some(o)] => catalog.predicate_count(Family::Os, o),
         // (s ?p o): bounded by both totals.
         [Some(s), None, Some(o)] => catalog
-            .count(Family::Po, s)
-            .min(catalog.count(Family::Ps, o)),
+            .predicate_count(Family::So, s)
+            .min(catalog.predicate_count(Family::Os, o)),
         // (?s ?p ?o): the full dataset.
         [None, None, None] => catalog.dims().n_triples,
     }

@@ -4,24 +4,25 @@
 //! `(key, row, col)` that family projects it to ([`Family::project`]), so
 //! each family ranges over exactly the triples of one matrix, and over one
 //! row of it, in the order a row is built: S-O by `(p, s, o)`, O-S by
-//! `(p, o, s)`, P-O by `(s, p, o)`, P-S by `(o, p, s)`. Nothing is swapped
-//! or re-sorted on a load. A per-key count beside each ordering answers
-//! [`TripleSet::count`] without a scan. The orderings are `BTreeSet`s:
-//! deltas are small by design (compaction folds them away), and ordered
-//! range scans produce the sorted positions the compressed rows want.
+//! `(p, o, s)`. Nothing is swapped or re-sorted on a load. A per-predicate
+//! count beside the orderings answers [`TripleSet::count`] without a scan,
+//! and its keys are the predicates the set touches
+//! ([`TripleSet::predicates`]). The orderings are `BTreeSet`s: deltas are
+//! small by design (compaction folds them away), and ordered range scans
+//! produce the sorted positions the compressed rows want.
 
 use lbr_bitmat::Family;
 use lbr_rdf::EncodedTriple;
 use std::collections::{BTreeSet, HashMap};
 
-/// A set of encoded triples indexed for all four BitMat access paths.
+/// A set of encoded triples indexed for both BitMat access paths.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TripleSet {
     /// Per family (by discriminant): every triple as its `(key, row, col)`.
-    by_family: [BTreeSet<(u32, u32, u32)>; 4],
-    /// Triples per key, for each key that has any: per predicate (the S-O
-    /// and O-S key), per subject (P-O) and per object (P-S).
-    counts: [HashMap<u32, u32>; 3],
+    by_family: [BTreeSet<(u32, u32, u32)>; 2],
+    /// Triples per predicate (the S-O and O-S key), for each predicate
+    /// that has any.
+    counts: HashMap<u32, u32>,
 }
 
 impl TripleSet {
@@ -44,12 +45,8 @@ impl TripleSet {
     pub fn insert(&mut self, t: EncodedTriple) -> bool {
         let added = self.by_family[0].insert(Family::So.project(&t));
         if added {
-            for f in [Family::Os, Family::Po, Family::Ps] {
-                self.by_family[f as usize].insert(f.project(&t));
-            }
-            for (counts, key) in self.counts.iter_mut().zip([t.p, t.s, t.o]) {
-                *counts.entry(key).or_default() += 1;
-            }
+            self.by_family[1].insert(Family::Os.project(&t));
+            *self.counts.entry(t.p).or_default() += 1;
         }
         added
     }
@@ -58,15 +55,11 @@ impl TripleSet {
     pub fn remove(&mut self, t: EncodedTriple) -> bool {
         let removed = self.by_family[0].remove(&Family::So.project(&t));
         if removed {
-            for f in [Family::Os, Family::Po, Family::Ps] {
-                self.by_family[f as usize].remove(&f.project(&t));
-            }
-            for (counts, key) in self.counts.iter_mut().zip([t.p, t.s, t.o]) {
-                match counts.get_mut(&key) {
-                    Some(n) if *n > 1 => *n -= 1,
-                    _ => {
-                        counts.remove(&key);
-                    }
+            self.by_family[1].remove(&Family::Os.project(&t));
+            match self.counts.get_mut(&t.p) {
+                Some(n) if *n > 1 => *n -= 1,
+                _ => {
+                    self.counts.remove(&t.p);
                 }
             }
         }
@@ -85,6 +78,11 @@ impl TripleSet {
             .map(|&(p, s, o)| EncodedTriple::new(s, p, o))
     }
 
+    /// The predicates of the triples in the set, each once, in no order.
+    pub fn predicates(&self) -> impl Iterator<Item = u32> + '_ {
+        self.counts.keys().copied()
+    }
+
     /// The `(row, col)` pairs this set holds in the matrix of `key` in
     /// family `f`, ascending. Like [`TripleSet::cols`], one descent of the
     /// ordering finds the first, and a walk reads on from there.
@@ -94,14 +92,10 @@ impl TripleSet {
             .map_while(move |&(k, r, c)| (k == key).then_some((r, c)))
     }
 
-    /// Triple count of that matrix.
-    pub fn count(&self, f: Family, key: u32) -> u64 {
-        let counts = match f {
-            Family::So | Family::Os => &self.counts[0],
-            Family::Po => &self.counts[1],
-            Family::Ps => &self.counts[2],
-        };
-        counts.get(&key).map_or(0, |&n| u64::from(n))
+    /// Triples of predicate `p`: the triple count of its matrix in either
+    /// family.
+    pub fn count(&self, p: u32) -> u64 {
+        self.counts.get(&p).map_or(0, |&n| u64::from(n))
     }
 
     /// The columns set in row `row` of that matrix, ascending: one
@@ -159,9 +153,10 @@ impl Delta {
         self.inserts.len() as i64 - self.tombstones.len() as i64
     }
 
-    /// Changes (inserts + tombstones) in the matrix of `key` in family `f`.
-    pub fn count(&self, f: Family, key: u32) -> u64 {
-        self.inserts.count(f, key) + self.tombstones.count(f, key)
+    /// Changes (inserts + tombstones) to predicate `p`: to its matrix in
+    /// either family.
+    pub fn count(&self, p: u32) -> u64 {
+        self.inserts.count(p) + self.tombstones.count(p)
     }
 
     /// The rows of that matrix an insert or a tombstone touches, ascending
@@ -208,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn four_orderings_stay_in_sync() {
+    fn both_orderings_stay_in_sync() {
         let mut set = TripleSet::new();
         assert!(set.insert(t(1, 0, 2)));
         assert!(set.insert(t(3, 0, 2)));
@@ -219,8 +214,11 @@ mod tests {
         let pairs = |f, key| set.pairs(f, key).collect::<Vec<_>>();
         assert_eq!(pairs(Family::So, 0), vec![(1, 2), (3, 2)]);
         assert_eq!(pairs(Family::Os, 0), vec![(2, 1), (2, 3)]);
-        assert_eq!(pairs(Family::Po, 1), vec![(0, 2), (1, 4)]);
-        assert_eq!(pairs(Family::Ps, 2), vec![(0, 1), (0, 3)]);
+        assert_eq!(pairs(Family::So, 1), vec![(1, 4)]);
+        assert_eq!(pairs(Family::Os, 1), vec![(4, 1)]);
+        let mut preds: Vec<u32> = set.predicates().collect();
+        preds.sort_unstable();
+        assert_eq!(preds, [0, 1]);
         // Every triple is one bit in one matrix of each family, and the
         // row view agrees with the pair view.
         for f in Family::ALL {
@@ -230,18 +228,19 @@ mod tests {
                 assert!(set.cols(f, key, row).any(|c| c == col), "{f:?} {t:?}");
                 let in_row = pairs(f, key).iter().filter(|p| p.0 == row).count();
                 assert_eq!(set.row_count(f, key, row), in_row as u64);
-                assert_eq!(set.count(f, key), pairs(f, key).len() as u64);
+                assert_eq!(set.count(key), pairs(f, key).len() as u64);
             }
         }
 
         assert!(set.remove(t(3, 0, 2)));
         assert!(!set.remove(t(3, 0, 2)));
-        assert_eq!(set.count(Family::So, 0), 1);
-        assert_eq!(set.count(Family::Ps, 2), 1);
-        assert_eq!(set.count(Family::Po, 3), 0);
+        assert_eq!(set.count(0), 1);
+        assert_eq!(set.row_count(Family::Os, 0, 2), 1);
+        assert_eq!(set.row_count(Family::So, 0, 3), 0);
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![t(1, 0, 2), t(1, 1, 4)]);
         // Removing what was inserted leaves the empty set, counts included.
         assert!(set.remove(t(1, 0, 2)) && set.remove(t(1, 1, 4)));
+        assert_eq!(set.predicates().count(), 0);
         assert_eq!(set, TripleSet::new());
     }
 
@@ -273,8 +272,8 @@ mod tests {
         ];
         assert_eq!(changed(Family::Os, 0), os);
         assert_eq!(changed(Family::So, 2), []);
-        assert_eq!(d.count(Family::So, 0), 5);
-        assert_eq!(d.count(Family::Ps, 1), 2);
+        assert_eq!(d.count(0), 5);
+        assert_eq!(d.count(1), 1);
     }
 
     #[test]

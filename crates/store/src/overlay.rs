@@ -88,8 +88,7 @@ impl SegmentSource {
     /// an error here — never "absent", which would let a commit record a
     /// base triple as an insert.
     pub fn contains(&self, e: EncodedTriple) -> Result<bool, BitMatError> {
-        let row = self.catalog().row(Family::Po, e.s, e.p)?;
-        Ok(row.is_some_and(|r| r.as_ref().contains(e.o)))
+        self.catalog().contains(e.s, e.p, e.o)
     }
 }
 
@@ -135,7 +134,7 @@ impl Catalog for OverlayCatalog {
     }
 
     fn matrix(&self, f: Family, key: u32) -> Result<Option<Cow<'_, BitMat>>, BitMatError> {
-        if self.delta.count(f, key) == 0 {
+        if self.delta.count(key) == 0 {
             return self.segments.catalog().matrix(f, key);
         }
         let merged = self.masked(f, key, None, None, &mut SetScratch::default())?;
@@ -154,7 +153,7 @@ impl Catalog for OverlayCatalog {
             .segments
             .catalog()
             .masked(f, key, rows, cols, scratch)?;
-        let changes = self.delta.count(f, key);
+        let changes = self.delta.count(key);
         if changes == 0 {
             return Ok(base);
         }
@@ -207,14 +206,34 @@ impl Catalog for OverlayCatalog {
     /// that reads as 0), so they may undercount the tombstones.
     fn count(&self, f: Family, key: u32) -> u64 {
         let base = self.segments.catalog().count(f, key);
-        base.saturating_add(self.delta.inserts.count(f, key))
-            .saturating_sub(self.delta.tombstones.count(f, key))
+        base.saturating_add(self.delta.inserts.count(key))
+            .saturating_sub(self.delta.tombstones.count(key))
     }
 
     fn row_count(&self, f: Family, key: u32, r: u32) -> u64 {
         let base = self.segments.catalog().row_count(f, key, r);
         base.saturating_add(self.delta.inserts.row_count(f, key, r))
             .saturating_sub(self.delta.tombstones.row_count(f, key, r))
+    }
+
+    /// The base's list plus each predicate an insert gives row `r`. A
+    /// tombstone may empty a listed row, so the list may be a superset;
+    /// the row then reads as empty, and the list stays exact for every
+    /// load.
+    fn predicates(&self, f: Family, r: u32) -> Result<Cow<'_, [u32]>, BitMatError> {
+        let base = self.segments.catalog().predicates(f, r)?;
+        let ins = &self.delta.inserts;
+        let mut added = ins
+            .predicates()
+            .filter(|&p| ins.cols(f, p, r).next().is_some())
+            .peekable();
+        if added.peek().is_none() {
+            return Ok(base);
+        }
+        let mut list: Vec<u32> = base.iter().copied().chain(added).collect();
+        list.sort_unstable();
+        list.dedup();
+        Ok(Cow::Owned(list))
     }
 }
 
@@ -349,6 +368,21 @@ mod tests {
                             "{at} row {r}"
                         );
                     }
+                }
+                // The predicate lists may list more than a rebuild, and the
+                // P-O and P-S matrices built from them are the rebuild's.
+                let (_, n_rows, _) = f.shape(&d);
+                for r in 0..n_rows {
+                    let at = format!("{medium} {} row {r}", f.name());
+                    let listed = overlay.predicates(f, r).unwrap();
+                    let exact = rebuilt.predicates(f, r).unwrap();
+                    assert!(exact.iter().all(|p| listed.contains(p)), "{at}");
+                    assert!(listed.windows(2).all(|w| w[0] < w[1]), "{at}");
+                    let got = overlay.predicate_matrix(f, r, None, None, &mut scratch);
+                    let want = rebuilt.predicate_matrix(f, r, None, None, &mut scratch);
+                    assert_eq!(got.unwrap(), want.unwrap(), "{at}");
+                    let count = overlay.predicate_count(f, r);
+                    assert_eq!(count, rebuilt.predicate_count(f, r), "{at}");
                 }
             }
         }

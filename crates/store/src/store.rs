@@ -1073,8 +1073,8 @@ mod tests {
     /// A segment file the opener cannot map falls back to a heap rebuild
     /// from the checkpoint graph: one that no longer matches the pin in the
     /// checkpoint, and one the pin matches but whose format is retired (a
-    /// v2 segment, `LBRBM002`, from before segments held the arena's
-    /// arrays).
+    /// v3 segment, `LBRBM003`, from before segments dropped the P-O and P-S
+    /// families).
     #[test]
     fn corrupt_segment_file_falls_back_to_heap_rebuild() {
         let dir = std::env::temp_dir().join(format!("lbr-store-segcor-{}", std::process::id()));
@@ -1086,7 +1086,7 @@ mod tests {
         // opening `seg_len u64 | seg_head_crc u32`) is re-pinned to the new
         // head.
         let retired = |seg: &mut Vec<u8>, ckpt: &mut Vec<u8>| {
-            seg[..8].copy_from_slice(b"LBRBM002");
+            seg[..8].copy_from_slice(b"LBRBM003");
             let payload = 16;
             let head = wal::crc32(&seg[..seg.len().min(4096)]);
             ckpt[payload + 8..payload + 12].copy_from_slice(&head.to_le_bytes());
@@ -1120,7 +1120,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Mapped blobs are validated on first touch, not at open. Corrupt P-O
+    /// Mapped blobs are validated on first touch, not at open. Corrupt S-O
     /// row ids must fail the commit — read as "absent", it would
     /// log and stage a triple the base already holds as an insert.
     #[test]
@@ -1129,16 +1129,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let graph = base();
-        let a = graph
+        let p = graph
             .dict
-            .id(&Term::iri("a"), lbr_rdf::Dimension::Subject)
+            .id(&Term::iri("p"), lbr_rdf::Dimension::Predicate)
             .unwrap();
         let seg = dir.join("index.seg");
         lbr_bitmat::disk::save_store(&BitMatStore::build(&graph), &seg).unwrap();
 
-        // Walk the v3 TOC (48-byte fixed header, then per family
+        // Walk the v4 TOC (48-byte fixed header, then per family
         // `n u32 | (key u32, offset u64, len u64, count u64) × n`) to the
-        // P-O blob of subject `a`, and push its first row id (8 bytes in,
+        // S-O blob of predicate `p`, and push its first row id (8 bytes in,
         // after `n_present | n_words`) out of range.
         let mut bytes = std::fs::read(&seg).unwrap();
         let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
@@ -1150,13 +1150,13 @@ mod tests {
             let n = u32_at(&bytes, at) as usize;
             at += 4;
             for _ in 0..n {
-                if f == Family::Po && u32_at(&bytes, at) == a {
+                if f == Family::So && u32_at(&bytes, at) == p {
                     blob = Some(blob_base + u64_at(&bytes, at + 4) as usize);
                 }
                 at += 28;
             }
         }
-        let id_at = blob.expect("subject `a` has a P-O blob") + 8;
+        let id_at = blob.expect("predicate `p` has an S-O blob") + 8;
         bytes[id_at..id_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&seg, &bytes).unwrap();
 
@@ -1176,9 +1176,9 @@ mod tests {
         assert!(snap.delta().is_empty());
         assert!(matches!(snap.contains(&held), Err(StoreError::Segment(_))));
         assert!(snap.overlay_with(&[(held, false)]).is_err());
-        // Other subjects' blobs are untouched and still commit.
+        // Other predicates' blobs are untouched and still commit.
         let info = store
-            .apply(UpdateBatch::delete(vec![t("b", "p", "c")]))
+            .apply(UpdateBatch::delete(vec![t("a", "q", "c")]))
             .unwrap();
         assert_eq!((info.deleted, info.epoch), (1, 1));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -132,7 +132,7 @@ fn every_engine_agrees_on_mmap() {
 }
 
 /// A segment whose matrix stores a column wider than its family's is
-/// rejected at load, not answered from: here every P-O matrix's first row
+/// rejected at load, not answered from: here every row of the S-O matrix
 /// sets column 999, which names no object (a blob has no shape of its own;
 /// its rows are checked against the family's).
 #[test]
@@ -149,31 +149,31 @@ fn matrix_wider_than_its_family_is_an_error() {
         })
         .collect();
     let graph = Graph::from_triples(triples).encode();
-    let path = tmp("wide_po");
+    let path = tmp("wide_so");
     save_store(Database::from_encoded(graph.clone()).store(), &path).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
     let blob_base = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-    // TOC after the 48-byte fixed header: per family in S-O, O-S, P-O, P-S
-    // order, `n u32` then `(key u32, offset u64, len u64, count u64) × n`.
-    let mut at = 48;
-    for family in 0..4 {
-        let n = u32_at(&bytes, at) as usize;
-        for k in 0..n {
-            let entry = at + 4 + 28 * k;
-            if family == 2 {
-                let offset = u64::from_le_bytes(bytes[entry + 4..entry + 12].try_into().unwrap());
-                let blob = blob_base + offset as usize;
-                // `n_present | n_words | ids | spans [end | RUNS, count] |
-                // words`: the first row's body is the first body word.
-                let n_present = u32_at(&bytes, blob) as usize;
-                let [end, count] = [0, 4].map(|at| u32_at(&bytes, blob + 8 + 4 * n_present + at));
-                assert_eq!((end, count), (1, 1), "a one-bit row is one sparse word");
-                let body = blob + 8 + 12 * n_present;
-                bytes[body..body + 4].copy_from_slice(&999u32.to_le_bytes());
-            }
-        }
-        at += 4 + 28 * n;
+    // TOC after the 48-byte fixed header: the S-O family first, `n u32`
+    // then `(key u32, offset u64, len u64, count u64) × n`.
+    let at = 48;
+    assert_eq!(u32_at(&bytes, at), 1, "one predicate, one S-O matrix");
+    let entry = at + 4;
+    let offset = u64::from_le_bytes(bytes[entry + 4..entry + 12].try_into().unwrap());
+    let blob = blob_base + offset as usize;
+    // `n_present | n_words | ids | spans [end | RUNS, count] | words`: each
+    // one-bit row is one sparse body word, in row order.
+    let n_present = u32_at(&bytes, blob) as usize;
+    assert_eq!(n_present, 3);
+    for k in 0..n_present {
+        let [end, count] = [0, 4].map(|at| u32_at(&bytes, blob + 8 + 4 * n_present + 8 * k + at));
+        assert_eq!(
+            (end, count),
+            (k as u32 + 1, 1),
+            "a one-bit row is one sparse word"
+        );
+        let body = blob + 8 + 12 * n_present + 4 * k;
+        bytes[body..body + 4].copy_from_slice(&999u32.to_le_bytes());
     }
     std::fs::write(&path, &bytes).unwrap();
     let db = Database::builder()

@@ -22,6 +22,11 @@
 //! as long as the key's changes (it walks the changes), and the `row` and
 //! `row_count` of every touched row, and the key's `count`, are checked
 //! against the oracle.
+//!
+//! The paper's P-O and P-S BitMats, which a catalog assembles from the S-O
+//! and O-S rows its predicate lists name ([`Catalog::predicate_matrix`]),
+//! are masked-loaded for every subject and object the same way, against
+//! the oracle's rows of every predicate.
 
 use lbr::bitmat::disk::save_store;
 use lbr::bitmat::{BitMat, BitVec, RetainDim, SetScratch};
@@ -113,6 +118,43 @@ impl<C: Catalog> Case<'_, C> {
         Ok(())
     }
 
+    /// The P-O (`f` S-O) or P-S (`f` O-S) matrix of `r` loaded through
+    /// the masks, against row `r` of every predicate's oracle matrix
+    /// unfolded by each mask; and its count.
+    fn check_by_pred(
+        &self,
+        f: Family,
+        r: u32,
+        rows: Option<&BitVec>,
+        cols: Option<&BitVec>,
+        scratch: &mut SetScratch,
+    ) -> Result<(), TestCaseError> {
+        let dims = self.oracle.dims();
+        let (_, _, n_cols) = f.shape(&dims);
+        let mut pairs = Vec::new();
+        for p in 0..dims.n_predicates {
+            if let Some(row) = self.oracle.row(f, p, r).unwrap() {
+                pairs.extend(row.as_ref().iter_ones().map(|c| (p, c)));
+            }
+        }
+        let mut want = BitMat::from_sorted_pairs(dims.n_predicates, n_cols, &pairs);
+        if let Some(mask) = rows {
+            want.unfold_with(mask, RetainDim::Row, scratch);
+        }
+        if let Some(mask) = cols {
+            want.unfold_with(mask, RetainDim::Col, scratch);
+        }
+        let want = (!want.as_ref().is_empty()).then_some(want);
+        let got = self
+            .cat
+            .predicate_matrix(f, r, rows, cols, scratch)
+            .unwrap();
+        let at = format!("{} {} by predicate, row {}", self.medium, f.name(), r);
+        prop_assert_eq!(got, want, "{}", at);
+        prop_assert_eq!(self.cat.predicate_count(f, r), pairs.len() as u64, "{}", at);
+        Ok(())
+    }
+
     /// Every matrix, masked-loaded, against the oracle; then every key
     /// `delta` touches, under a one-row mask per touched row and a full
     /// mask, with its touched rows and its count.
@@ -142,13 +184,18 @@ impl<C: Catalog> Case<'_, C> {
                 f.name()
             );
 
-            for key in (0..n_keys).filter(|&key| delta.count(f, key) > 0) {
+            let preds = mask(shapes.0, bits, dims.n_predicates);
+            for r in 0..n_rows + 1 {
+                self.check_by_pred(f, r, preds.as_ref(), cols.as_ref(), &mut scratch)?;
+            }
+
+            for key in (0..n_keys).filter(|&key| delta.count(key) > 0) {
                 // A one-row mask is probed when the key has more changes
                 // than a probe costs; a mask with at least as many set bits
                 // as the key has changes makes the overlay walk them.
                 let changed = || delta.changed_rows(f, key).map(|(r, ..)| r);
                 let one_row = changed().map(|r| BitVec::from_positions(n_rows, [r]));
-                let full = BitVec::ones(n_rows.max(delta.count(f, key) as u32));
+                let full = BitVec::ones(n_rows.max(delta.count(key) as u32));
                 for rows in one_row.chain([full]) {
                     for cols in [None, cols.as_ref()] {
                         self.check_key(f, key, Some(&rows), cols, &mut scratch)?;

@@ -1,4 +1,4 @@
-//! Property-based checks of the v3 on-disk segment format:
+//! Property-based checks of the v4 on-disk segment format:
 //!
 //! * **round-trip exactness** — `save_store` → `DiskCatalog::open` must
 //!   reproduce every matrix, row and count of the in-memory
@@ -147,6 +147,17 @@ fn drain_catalog(cat: &DiskCatalog) {
                 let _ = cat.row_count(f, key, r);
             }
         }
+        // The P-O or P-S matrices built from the predicate lists.
+        for r in 0..n_rows.min(128) {
+            if let Ok(preds) = cat.predicates(f, r) {
+                assert!(preds.iter().all(|&p| p < dims.n_predicates));
+            }
+            let _ = cat.predicate_count(f, r);
+            let by_pred = cat.predicate_matrix(f, r, None, Some(&sparse.1), &mut scratch);
+            if let Ok(Some(m)) = by_pred {
+                assert_in_shape(&m, (dims.n_predicates, n_cols));
+            }
+        }
     }
 }
 
@@ -176,6 +187,9 @@ proptest! {
                     prop_assert_eq!(&cat.row(f, key, r).unwrap(), &store.row(f, key, r).unwrap());
                     prop_assert_eq!(cat.row_count(f, key, r), store.row_count(f, key, r));
                 }
+            }
+            for r in 0..n_rows + 1 {
+                prop_assert_eq!(cat.predicates(f, r).unwrap(), store.predicates(f, r).unwrap());
             }
         }
     }
@@ -212,8 +226,8 @@ proptest! {
     }
 }
 
-/// A v1 or v2 header (or any foreign magic) is refused up front with a
-/// clear error — not misparsed as v3.
+/// A v1, v2 or v3 header (or any foreign magic) is refused up front with a
+/// clear error — not misparsed as v4.
 #[test]
 fn foreign_magic_is_rejected() {
     let seg = TempSeg::new(u64::MAX);
@@ -226,6 +240,10 @@ fn foreign_magic_is_rejected() {
         (
             b"LBRBM002",
             "v2 index (LBRBM002) is no longer supported; re-save the store",
+        ),
+        (
+            b"LBRBM003",
+            "v3 index (LBRBM003) is no longer supported; re-save the store",
         ),
         (b"NOTANIDX", "bad magic"),
     ] {
