@@ -3,7 +3,7 @@
 //! run-friendly and scatter-friendly densities.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lbr_bitmat::{BitRow, BitVec, RowRef, SetScratch};
+use lbr_bitmat::{BitMat, BitRow, BitVec, RowRef, SetScratch};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeSet;
@@ -44,11 +44,18 @@ fn bench_ops(c: &mut Criterion) {
     let sparse = BitRow::from_sorted_positions(UNIVERSE, &sparse_row(2_000, 4));
     let mask = BitVec::from_positions(UNIVERSE, sparse_row(100_000, 5));
     let mut scratch = SetScratch::default();
+    // The masked load of a one-row matrix: the row×mask kernel `init` runs.
+    let one_row = |row: &BitRow| {
+        let mut m = BitMat::with_capacity(1, UNIVERSE, 1, 0);
+        m.push_row(0, row.as_ref());
+        m
+    };
+    let (runs_mat, sparse_mat) = (one_row(&runs), one_row(&sparse));
     c.bench_function("row_and_mask_runs", |b| {
-        b.iter(|| std::hint::black_box(runs.as_ref().and_mask_copy(&mask, &mut scratch)))
+        b.iter(|| std::hint::black_box(runs_mat.as_ref().masked(None, Some(&mask), &mut scratch)))
     });
     c.bench_function("row_and_mask_sparse", |b| {
-        b.iter(|| std::hint::black_box(sparse.as_ref().and_mask_copy(&mask, &mut scratch)))
+        b.iter(|| std::hint::black_box(sparse_mat.as_ref().masked(None, Some(&mask), &mut scratch)))
     });
     c.bench_function("row_or_into_runs", |b| {
         b.iter(|| {

@@ -14,7 +14,7 @@
 
 use lbr_bench::allocation_count;
 use lbr_bitmat::kernel::intersect_into;
-use lbr_bitmat::{BitMat, BitRow, BitVec, RetainDim, RowRef, SetScratch};
+use lbr_bitmat::{BitMat, BitRow, BitVec, RetainDim, SetScratch};
 use std::time::Instant;
 
 #[global_allocator]
@@ -99,24 +99,24 @@ fn main() {
         run_a.as_ref().or_into_clipped(&mut acc);
         std::hint::black_box(acc.count_ones());
     });
-    // The masked load's kernel, on a heap row and on a copy of its body
-    // read through the check a mapped segment's row passes.
-    let (runs, words) = run_a.as_ref().body_words();
-    let words = words.to_vec();
-    let run_a_words =
-        RowRef::checked(UNIVERSE, run_a.count_ones(), runs, &words).expect("a stored body checks");
-    bench("and_mask_copy_heap", || {
-        std::hint::black_box(run_a.as_ref().and_mask_copy(&mask, &mut scratch));
+    // The masked load's kernel, on one-row matrices of the runs row and
+    // of the sparse row.
+    let mut sp_a_mat = BitMat::with_capacity(1, UNIVERSE, 1, 0);
+    sp_a_mat.push_row(0, sp_a.as_ref());
+    bench("masked_row_runs", || {
+        let m = run_a_mat.as_ref().masked(None, Some(&mask), &mut scratch);
+        std::hint::black_box(m.expect("a heap load"));
     });
-    bench("and_mask_copy_words", || {
-        std::hint::black_box(run_a_words.and_mask_copy(&mask, &mut scratch));
+    bench("masked_row_sparse", || {
+        let m = sp_a_mat.as_ref().masked(None, Some(&mask), &mut scratch);
+        std::hint::black_box(m.expect("a heap load"));
     });
 
     // Zero-allocation verification for the in-place kernels (the
     // `unfold_with_runs` bench above clones its matrix per call,
-    // `kway_intersect_4` allocates its k cursor slots, and `and_mask_copy`
-    // allocates its result row, so they are timed but excluded here). One
-    // full round warms every buffer — including the representation-flip
+    // `kway_intersect_4` allocates its k cursor slots, and a masked load
+    // allocates its result matrix, so they are timed but excluded here).
+    // One full round warms every buffer — including the representation-flip
     // spares — before the counter snapshot.
     let mut m = run_a_mat.clone();
     let mut round = |dst: &mut BitRow, scratch: &mut SetScratch, acc: &mut BitVec| {

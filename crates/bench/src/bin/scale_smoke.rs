@@ -11,7 +11,8 @@
 //! ```
 //!
 //! Exits non-zero (panics) on any divergence; prints one `scale-smoke:`
-//! line per milestone so CI logs show what was covered.
+//! line per milestone so CI logs show what was covered, the index build's
+//! own time (`index built in …`) among them.
 
 use lbr_bench::fmt_secs;
 use lbr_bitmat::{BitMatStore, DiskCatalog};
@@ -71,7 +72,13 @@ fn main() {
     );
     let t = Instant::now();
     let heap = BitMatStore::build(&encoded);
-    let load_secs = one_pass_secs + t.elapsed().as_secs_f64();
+    let build_secs = t.elapsed().as_secs_f64();
+    println!(
+        "scale-smoke: index built in {} ({:.0} triples/s)",
+        fmt_secs(build_secs),
+        encoded.len() as f64 / build_secs.max(1e-9),
+    );
+    let load_secs = one_pass_secs + build_secs;
     let seg_path = std::env::temp_dir().join(format!("lbr-scale-smoke-{}.seg", std::process::id()));
     let segment_bytes = lbr_bitmat::disk::save_store(&heap, &seg_path).expect("segment write");
     println!(

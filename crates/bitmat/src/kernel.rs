@@ -10,8 +10,8 @@
 //!   this kernel row by row, rewriting the matrix's arena in place
 //!   ([`crate::BitMat::unfold_with`]). The masked load runs it too, on a
 //!   borrowed row — a stored row, or a mapped row straight from its
-//!   segment words — appending what is left to the new matrix's arena;
-//!   [`RowRef::and_mask_copy`] is its form for one row.
+//!   segment words — appending what is left to the new matrix's arena
+//!   ([`crate::BitMatRef::masked`]).
 //! * **run × run** — interval clipping: walk both run lists once,
 //!   emitting the overlap of the current pair (`O(r₁ + r₂)`);
 //! * **run × sparse** — probing: merge-walk the sparse positions against
@@ -93,31 +93,6 @@ enum Computed {
     Pos,
     /// Result is `scratch.runs`.
     Runs,
-}
-
-impl RowRef<'_> {
-    /// `self & mask` as a new row, `None` when empty — the row×mask kernel
-    /// for one borrowed row (a stored row, or a mapped row masked straight
-    /// from its words). The result is computed in `scratch` and allocated
-    /// once, at its exact size, only when it is non-empty; mask clipping
-    /// and the representation rule are [`crate::BitMat::unfold_with`]'s.
-    pub fn and_mask_copy(self, mask: &BitVec, scratch: &mut SetScratch) -> Option<BitRow> {
-        let caps = scratch.caps();
-        and_mask_compute(self, mask, &mut scratch.pos);
-        let shape = Hybrid::of(scratch.pos.iter().copied());
-        let out = (shape.count > 0).then(|| {
-            let mut words = Vec::with_capacity(shape.words());
-            shape.write(scratch.pos.iter().copied(), &mut words);
-            BitRow {
-                universe: self.universe,
-                count: shape.count,
-                runs: shape.runs(),
-                words,
-            }
-        });
-        scratch.account(caps, false);
-        out
-    }
 }
 
 impl BitRow {
@@ -453,11 +428,22 @@ pub fn intersect_cursors_into(cursors: &mut [RowCursor], out: &mut Vec<u32>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::BitMat;
 
     fn row(universe: u32, positions: &[u32]) -> BitRow {
         BitRow::from_sorted_positions(universe, positions)
+    }
+
+    /// `row & mask` through the masked load of a one-row matrix, the
+    /// row×mask kernel `init` runs; `None` when nothing is left.
+    pub(crate) fn and_mask(row: &BitRow, mask: &BitVec) -> Option<BitRow> {
+        let mut one = BitMat::with_capacity(1, row.universe(), 1, 0);
+        one.push_row(0, row.as_ref());
+        let mut scratch = SetScratch::default();
+        let out = one.as_ref().masked(None, Some(mask), &mut scratch).unwrap();
+        out.as_ref().row(0).map(RowRef::to_owned)
     }
 
     #[test]
@@ -512,16 +498,15 @@ mod tests {
     #[test]
     fn and_mask_clipped_mask_lengths() {
         let r = row(300, &[0, 1, 2, 3, 100, 290, 299]);
-        let mut scratch = SetScratch::default();
         // Shorter mask: bits beyond its length read as zero.
         let mask = BitVec::from_positions(128, [1, 2, 100, 127]);
-        let out = r.as_ref().and_mask_copy(&mask, &mut scratch).unwrap();
+        let out = and_mask(&r, &mask).unwrap();
         assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![1, 2, 100]);
         assert_eq!(out.universe(), 300);
         // Longer mask: extra bits are irrelevant.
         let r2 = row(64, &[0, 63]);
         let mask = BitVec::from_positions(128, [63, 100]);
-        let out = r2.as_ref().and_mask_copy(&mask, &mut scratch).unwrap();
+        let out = and_mask(&r2, &mask).unwrap();
         assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![63]);
     }
 
@@ -531,15 +516,15 @@ mod tests {
         // hybrid rule matches from_sorted_positions exactly.
         let r = row(256, &(0..100).collect::<Vec<_>>());
         assert!(!r.is_sparse());
-        let mut scratch = SetScratch::default();
         let mask = BitVec::from_positions(256, [5, 50]);
-        let r = r.as_ref().and_mask_copy(&mask, &mut scratch).unwrap();
+        let r = and_mask(&r, &mask).unwrap();
         assert!(r.is_sparse());
         assert_eq!(r, row(256, &[5, 50]));
         // And back: intersect with a full row keeps it sparse; with a run
         // superset the result re-derives the canonical representation.
         let full = BitRow::full(256);
         let mut dst = BitRow::empty(256);
+        let mut scratch = SetScratch::default();
         r.and_row_into(&full, &mut dst, &mut scratch);
         assert_eq!(dst, r);
         // A destination that flips back to runs reuses its buffer.

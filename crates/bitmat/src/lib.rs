@@ -64,9 +64,9 @@
 //! ever densifying a row. Each read kernel has one body, on [`RowRef`], so
 //! a heap row and a mapped one run the same code. The fold/unfold
 //! semi-join path runs on the row×mask kernel (the mask's words streamed
-//! through each run window), and so does the masked load, which appends
-//! each kept row to the new matrix's arena ([`RowRef::and_mask_copy`] is
-//! the kernel's form for one row); the row-level forms — run×run interval
+//! through each run window), and so does the masked load
+//! ([`BitMatRef::masked`]), which appends each kept row to the new
+//! matrix's arena; the row-level forms — run×run interval
 //! clipping, run×sparse probing, sparse×sparse galloping, and the k-way
 //! leapfrog cursor join — make up the general intersection layer. The
 //! same galloping search serves the join's row lookups

@@ -14,8 +14,8 @@
 //! ([`crate::BitMatRef::row`]; a mapped body is [`RowRef::checked`] first),
 //! or an owned [`BitRow`] ([`BitRow::as_ref`]). Every medium holds a body
 //! as the same flat `u32` words — ascending positions, or `[start, end)`
-//! pairs — so every read kernel (iteration, membership, `or_into`,
-//! `and_mask_copy`, the cursor) has one body. A row is owned
+//! pairs — so every read kernel (iteration, membership, `or_into`, the
+//! row×mask AND, the cursor) has one body. A row is owned
 //! ([`BitRow`], [`CowRow::Owned`]) only where it is built alone: a kernel's
 //! result, or a catalog row a delta edited.
 //!
@@ -675,6 +675,7 @@ impl Iterator for RowOnesIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::tests::and_mask;
 
     #[test]
     fn paper_example_rle() {
@@ -724,8 +725,7 @@ mod tests {
         let positions: Vec<u32> = (60..140).collect();
         let row = BitRow::from_sorted_positions(256, &positions);
         let mask = BitVec::from_positions(256, [59, 60, 63, 64, 100, 139, 140, 200]);
-        let mut scratch = crate::SetScratch::default();
-        let out = row.as_ref().and_mask_copy(&mask, &mut scratch).unwrap();
+        let out = and_mask(&row, &mask).unwrap();
         assert_eq!(
             out.iter_ones().collect::<Vec<_>>(),
             vec![60, 63, 64, 100, 139]
@@ -736,8 +736,7 @@ mod tests {
     fn and_mask_sparse() {
         let row = BitRow::from_sorted_positions(64, &[1, 9, 33]);
         let mask = BitVec::from_positions(64, [9, 40]);
-        let mut scratch = crate::SetScratch::default();
-        let out = row.as_ref().and_mask_copy(&mask, &mut scratch).unwrap();
+        let out = and_mask(&row, &mask).unwrap();
         assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![9]);
         assert_eq!(out.count_ones(), 1);
     }

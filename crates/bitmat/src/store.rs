@@ -7,7 +7,7 @@ use crate::error::BitMatError;
 use crate::kernel::SetScratch;
 use crate::matrix::BitMat;
 use crate::row::CowRow;
-use lbr_rdf::{EncodedGraph, EncodedTriple};
+use lbr_rdf::EncodedGraph;
 use std::borrow::Cow;
 
 /// The index set: `2·|Vp|` BitMats, one densely keyed `Vec` per
@@ -32,27 +32,34 @@ pub struct BitMatStore {
 
 impl BitMatStore {
     /// Builds both families and their predicate lists from an encoded
-    /// graph. The two sort-and-slice family passes are independent, so
-    /// each runs on its own scoped thread.
+    /// graph, on one thread, from stable counting sorts over the IDs
+    /// (whose ranges [`CubeDims`] gives) of a permutation of
+    /// `graph.triples`; the triples are never copied. Passes by object and
+    /// then by subject order the permutation by `(s, o)`, and S-O's pass by
+    /// predicate lays each predicate's `(s, o)` pairs out in order. That
+    /// `(s, o)` order has the subjects ascending within each `(p, o)`, so
+    /// one more pass by object, then O-S's by predicate, give `(p, o, s)`.
     pub fn build(graph: &EncodedGraph) -> Self {
         let dims = CubeDims::of(graph);
         let t = &graph.triples;
-        // `map` spawns both before the second `map` joins the first.
-        let [(so, so_lists), (os, os_lists)] = std::thread::scope(|scope| {
-            Family::ALL
-                .map(|f| {
-                    scope.spawn(move || {
-                        let mats = family(t, f, &dims);
-                        let lists = pred_lists(&mats, f.shape(&dims).1);
-                        (mats, lists)
-                    })
-                })
-                .map(|h| h.join().expect("family build panicked"))
-        });
+        let n = u32::try_from(t.len()).expect("more triples than u32 indexes");
+        let pairs = |f: Family, order: &[u32]| {
+            let bits = order.iter().map(|&i| f.project(&t[i as usize]));
+            counting_sort(bits, dims.n_predicates, |b| b.0, |b| (b.1, b.2))
+        };
+        let order = permute((0..n).collect(), dims.n_objects, |i| t[i].o);
+        let order = permute(order, dims.n_subjects, |i| t[i].s);
+        let so = family(Family::So, &dims, pairs(Family::So, &order));
+        let os_pairs = pairs(Family::Os, &permute(order, dims.n_objects, |i| t[i].o));
+        let os = family(Family::Os, &dims, os_pairs);
+        let lists = [
+            pred_lists(&so, dims.n_subjects),
+            pred_lists(&os, dims.n_objects),
+        ];
         BitMatStore {
             dims,
             families: [so, os],
-            lists: [so_lists, os_lists],
+            lists,
         }
     }
 
@@ -123,22 +130,11 @@ impl SizeReport {
 /// ascending predicates whose matrix has it, from a counting sort of the
 /// matrices' row ids. Laid out as [`list_in`] reads them.
 fn pred_lists(mats: &[BitMat], n_rows: u32) -> Vec<u32> {
-    let n = n_rows as usize + 1;
-    let mut words = vec![0u32; n];
-    for &r in mats.iter().flat_map(|m| m.as_ref().ids) {
-        words[r as usize + 1] += 1;
-    }
-    for i in 1..n {
-        words[i] += words[i - 1];
-    }
-    let mut next = words.clone();
-    words.resize(n + words[n - 1] as usize, 0);
-    for (p, m) in mats.iter().enumerate() {
-        for &r in m.as_ref().ids {
-            words[n + next[r as usize] as usize] = p as u32;
-            next[r as usize] += 1;
-        }
-    }
+    let rows = (0..)
+        .zip(mats)
+        .flat_map(|(p, m)| m.as_ref().ids.iter().map(move |&r| (p, r)));
+    let (preds, mut words) = counting_sort(rows, n_rows, |(_, r)| r, |(p, _)| p);
+    words.extend(preds);
     words
 }
 
@@ -160,28 +156,53 @@ pub(crate) fn list_in(words: &[u32], n_rows: u32, n_predicates: u32, r: u32) -> 
     (sound && list.last().is_none_or(|&p| p < n_predicates)).then_some(list)
 }
 
-/// Builds one family: group triples by their key in `f`, emit a
-/// `(row, col)` BitMat per key.
-fn family(triples: &[EncodedTriple], f: Family, dims: &CubeDims) -> Vec<BitMat> {
-    let (n_keys, n_rows, n_cols) = f.shape(dims);
-    let mut tuples: Vec<(u32, u32, u32)> = triples.iter().map(|t| f.project(t)).collect();
-    tuples.sort_unstable();
-    let mut mats: Vec<BitMat> = Vec::with_capacity(n_keys as usize);
-    let mut i = 0;
-    // One pair buffer reused across every key (its high-water mark is the
-    // largest slice, not the sum).
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for key in 0..n_keys {
-        let start = i;
-        while i < tuples.len() && tuples[i].0 == key {
-            i += 1;
-        }
-        pairs.clear();
-        pairs.extend(tuples[start..i].iter().map(|&(_, r, c)| (r, c)));
-        mats.push(BitMat::from_sorted_pairs(n_rows, n_cols, &pairs));
+/// A stable counting sort of `items` by their `id` (below `n_ids`): the
+/// `out` of each item in sorted order, and the `n_ids + 1` offsets that
+/// bound each id's run in them (id `k`'s at `offsets[k]..offsets[k + 1]`).
+fn counting_sort<I: Copy, T: Copy + Default>(
+    items: impl Iterator<Item = I> + Clone,
+    n_ids: u32,
+    id: impl Fn(I) -> u32,
+    out: impl Fn(I) -> T,
+) -> (Vec<T>, Vec<u32>) {
+    // Id `k` is counted at `k + 2`, so that after the prefix sums its run
+    // starts at `offsets[k + 1]`, which the scatter then moves to its end.
+    let mut offsets = vec![0u32; n_ids as usize + 2];
+    for x in items.clone() {
+        offsets[id(x) as usize + 2] += 1;
     }
-    debug_assert_eq!(i, tuples.len(), "triple key out of range");
-    mats
+    for k in 1..offsets.len() {
+        offsets[k] += offsets[k - 1];
+    }
+    let mut sorted = vec![T::default(); offsets[n_ids as usize + 1] as usize];
+    for x in items {
+        let next = &mut offsets[id(x) as usize + 1];
+        sorted[*next as usize] = out(x);
+        *next += 1;
+    }
+    offsets.pop();
+    (sorted, offsets)
+}
+
+/// `order`, a permutation of triple indexes, stably reordered by the `id`
+/// of each triple.
+fn permute(order: Vec<u32>, n_ids: u32, id: impl Fn(usize) -> u32) -> Vec<u32> {
+    counting_sort(order.iter().copied(), n_ids, |i| id(i as usize), |i| i).0
+}
+
+/// Slices one family off its bits' `(row, col)` pairs, sorted by key,
+/// row and column, and the offsets of each key's run in them: one BitMat
+/// per key.
+fn family(
+    f: Family,
+    dims: &CubeDims,
+    (pairs, offsets): (Vec<(u32, u32)>, Vec<u32>),
+) -> Vec<BitMat> {
+    let (_, n_rows, n_cols) = f.shape(dims);
+    let run = |w: &[u32]| &pairs[w[0] as usize..w[1] as usize];
+    let mats = offsets.windows(2);
+    mats.map(|w| BitMat::from_sorted_pairs(n_rows, n_cols, run(w)))
+        .collect()
 }
 
 impl Catalog for BitMatStore {
@@ -233,7 +254,7 @@ impl Catalog for BitMatStore {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use lbr_rdf::{Graph, Term, Triple};
+    use lbr_rdf::{EncodedTriple, Graph, Term, Triple};
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
@@ -385,9 +406,9 @@ pub(crate) mod tests {
         );
     }
 
-    /// The family threads slice one triple set: on a graph with many
-    /// keys per family every family holds every triple and O-S is the
-    /// transpose of S-O.
+    /// Both families are sliced off one triple set, O-S from passes over
+    /// S-O's order: on a graph with many keys per family every family
+    /// holds every triple and O-S is the transpose of S-O.
     #[test]
     fn families_agree_on_a_many_key_graph() {
         let mut triples = Vec::new();
@@ -415,7 +436,7 @@ pub(crate) mod tests {
         }
         assert_family_totals(&store, g.triples.len() as u64);
         // Every triple is the bit `Family::project` says it is, in every
-        // family — the threads sliced the same set both ways.
+        // family — both sorts sliced the same set.
         for t in &g.triples {
             for f in Family::ALL {
                 let (key, row, col) = f.project(t);

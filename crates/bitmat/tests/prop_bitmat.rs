@@ -18,6 +18,20 @@ fn row_body(row: &BitRow) -> (bool, Vec<u32>) {
     (runs, words.to_vec())
 }
 
+/// `view & mask` through the masked load of a one-row matrix holding
+/// `view`, the row×mask kernel `init` runs; `None` when nothing is left.
+fn and_mask(view: RowRef<'_>, mask: &BitVec, scratch: &mut SetScratch) -> Option<BitRow> {
+    let mut one = BitMat::with_capacity(1, view.universe(), 1, 0);
+    if view.count_ones() > 0 {
+        one.push_row(0, view);
+    }
+    let out = one
+        .as_ref()
+        .masked(None, Some(mask), scratch)
+        .expect("a heap load");
+    out.as_ref().row(0).map(RowRef::to_owned)
+}
+
 fn arb_positions(universe: u32) -> impl Strategy<Value = Vec<u32>> {
     prop::collection::btree_set(0..universe, 0..(universe as usize).min(80))
         .prop_map(|s| s.into_iter().collect())
@@ -71,11 +85,11 @@ proptest! {
             // AND against the mask, at the universe's length and at a
             // shorter or longer one (bits past the mask read as zero).
             let expect: Vec<u32> = a.iter().copied().filter(|p| b.contains(p)).collect();
-            let masked = view.and_mask_copy(&mask, &mut scratch);
+            let masked = and_mask(view, &mask, &mut scratch);
             prop_assert_eq!(masked.map_or_else(Vec::new, |r| r.iter_ones().collect()), expect);
             let expect: Vec<u32> =
                 a.iter().copied().filter(|&p| p < mask_len && b.contains(&p)).collect();
-            let copy = view.and_mask_copy(&short_mask, &mut scratch);
+            let copy = and_mask(view, &short_mask, &mut scratch);
             let want = (!expect.is_empty()).then(|| BitRow::from_sorted_positions(300, &expect));
             prop_assert_eq!(copy, want);
 
@@ -155,8 +169,8 @@ proptest! {
         prop_assert_eq!(out, expect);
     }
 
-    /// The row×mask kernel against the dense oracle, in its copying form
-    /// and through a one-row matrix's in-place unfold, including masks
+    /// The row×mask kernel against the dense oracle, through a one-row
+    /// matrix's masked load and its in-place unfold, including masks
     /// shorter and longer than the universe for the clipped semantics.
     #[test]
     fn and_mask_matches_dense_oracle(
@@ -171,9 +185,9 @@ proptest! {
             .collect();
         let want = (!expect.is_empty()).then(|| BitRow::from_sorted_positions(320, &expect));
         let mut scratch = SetScratch::default();
-        // The copying kernel: the same row, representation included, and
-        // no row at all when the result is empty.
-        let copy = row.as_ref().and_mask_copy(&mask, &mut scratch);
+        // The masked load: the same row, representation included, and no
+        // row at all when the result is empty.
+        let copy = and_mask(row.as_ref(), &mask, &mut scratch);
         prop_assert_eq!(&copy, &want);
         // The in-place unfold of a one-row matrix leaves that same row.
         let pairs: Vec<(u32, u32)> = a.iter().map(|&c| (0, c)).collect();

@@ -50,9 +50,9 @@ pub fn resolve_tp(tp: &TriplePattern, vars: [Option<VarId>; 3], dict: &Dictionar
 
 /// Estimated number of triples matching one TP, from metadata alone.
 ///
-/// Exact for every supported pattern shape except `(s ?p o)` (upper bound:
-/// the smaller of the subject's and the object's totals). Unknown constants
-/// give 0 — the basis of the early-abort "simple optimization" of §5.
+/// Exact for every shape but `(s p o)`, whose membership `init` checks
+/// (1 either way). Unknown constants give 0 — the basis of the
+/// early-abort "simple optimization" of §5.
 pub fn estimated_count(tp: &TpKey, catalog: &impl Catalog) -> u64 {
     let mut ids = [None; 3];
     for (id, pos) in ids.iter_mut().zip(tp) {
@@ -75,10 +75,16 @@ pub fn estimated_count(tp: &TpKey, catalog: &impl Catalog) -> u64 {
         [Some(s), None, None] => catalog.predicate_count(Family::So, s),
         // (?s ?p o): the P-S BitMat of o.
         [None, None, Some(o)] => catalog.predicate_count(Family::Os, o),
-        // (s ?p o): bounded by both totals.
-        [Some(s), None, Some(o)] => catalog
-            .predicate_count(Family::So, s)
-            .min(catalog.predicate_count(Family::Os, o)),
+        // (s ?p o): the predicates of both s and o whose S-O row s has o
+        // (an unreadable row counts: the load that reads it reports it).
+        [Some(s), None, Some(o)] => {
+            let of_o = catalog.predicates(Family::Os, o).unwrap_or_default();
+            let of_s = catalog.predicates(Family::So, s).unwrap_or_default();
+            let shared = of_s.iter().filter(|p| of_o.binary_search(p).is_ok());
+            shared
+                .filter(|&&p| catalog.contains(s, p, o).unwrap_or(true))
+                .count() as u64
+        }
         // (?s ?p ?o): the full dataset.
         [None, None, None] => catalog.dims().n_triples,
     }
@@ -141,7 +147,8 @@ mod tests {
         assert_eq!(estimated_count(&key("?s", "p", "x", d), &store), 2);
         assert_eq!(estimated_count(&key("a", "?p", "?o", d), &store), 3);
         assert_eq!(estimated_count(&key("?s", "?p", "x", d), &store), 3);
-        assert_eq!(estimated_count(&key("a", "?p", "x", d), &store), 3); // min(3, 3) upper bound
+        assert_eq!(estimated_count(&key("a", "?p", "x", d), &store), 2);
+        assert_eq!(estimated_count(&key("b", "?p", "y", d), &store), 0);
         assert_eq!(estimated_count(&key("a", "p", "x", d), &store), 1);
         assert_eq!(estimated_count(&key("?s", "?p", "?o", d), &store), 4);
         // Unknown constants estimate to zero.
